@@ -5,8 +5,7 @@
 //	go test -bench=. -benchmem
 //
 // emits the complete set of experiment artifacts alongside the usual
-// benchmark timings. EXPERIMENTS.md records the paper-vs-measured
-// comparison for each of them.
+// benchmark timings.
 package bench
 
 import (

@@ -343,23 +343,19 @@ func run(o options) error {
 			},
 		})
 		defer ce.Close()
-		clusterEng = ce
+		clusterEng, clusterHealth = ce, ce
+		var remote engine.Engine = ce
 		if o.fallback {
 			local, ok := engine.Lookup("RADS")
 			if !ok {
 				return errors.New("cluster-fallback: no in-process RADS engine registered")
 			}
 			fb := &rads.FallbackEngine{Cluster: ce, Local: local}
-			if err := svc.RegisterEngineObject(fb); err != nil {
-				return err
-			}
-			clusterHealth = fb
+			remote, clusterHealth = fb, fb
 			log.Printf("cluster mode: degraded-mode fallback to the in-process engine enabled")
-		} else {
-			if err := svc.RegisterEngineObject(ce); err != nil {
-				return err
-			}
-			clusterHealth = ce
+		}
+		if err := svc.Register(remote); err != nil {
+			return err
 		}
 		log.Printf("cluster mode: RADS queries dispatch to remote workers (%s)", strings.Join(spec.Machines, " "))
 	}
@@ -380,7 +376,7 @@ func run(o options) error {
 	})
 	defer js.Close()
 
-	srv := &http.Server{Addr: o.addr, Handler: newMux(svc, js, clusterHealth, clusterEng, events)}
+	srv := obs.NewHTTPServer(o.addr, newMux(svc, js, clusterHealth, clusterEng, events))
 	errCh := make(chan error, 1)
 	go func() {
 		log.Printf("listening on %s", o.addr)
@@ -391,7 +387,7 @@ func run(o options) error {
 	if o.debugAddr != "" {
 		dbgMux := obs.DebugMux(svc.Metrics(), nil)
 		dbgMux.Handle("/debug/events", events.Handler())
-		dbg := &http.Server{Addr: o.debugAddr, Handler: dbgMux}
+		dbg := obs.NewHTTPServer(o.debugAddr, dbgMux)
 		go func() {
 			log.Printf("debug listener on %s (/metrics /healthz /debug/pprof)", o.debugAddr)
 			if err := dbg.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
@@ -548,8 +544,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			req.Limit = n
 		}
 	case http.MethodPost:
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		if !decodeBody(w, r, &req) {
 			return
 		}
 	default:
@@ -778,6 +773,27 @@ func resultPayload(res service.Result) map[string]any {
 		out["tree_nodes"] = res.TreeNodes
 	}
 	return out
+}
+
+// maxBodyBytes bounds the POST /query and POST /jobs bodies; real
+// requests are a few hundred bytes.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes a size-bounded JSON request body into v. On
+// failure it writes the response itself — 413 for an oversized body,
+// 400 otherwise — and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, code, fmt.Errorf("bad request body: %w", err))
+	return false
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

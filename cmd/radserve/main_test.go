@@ -13,6 +13,8 @@ import (
 	"testing"
 	"time"
 
+	"rads/internal/engine"
+	"rads/internal/engine/enginetest"
 	"rads/internal/gen"
 	"rads/internal/jobs"
 	"rads/internal/localenum"
@@ -308,6 +310,24 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestOversizedBodyReturns413: POST bodies are read through a fixed
+// 1 MiB bound on both planes, so a client cannot make the ingress
+// buffer an arbitrarily large JSON document.
+func TestOversizedBodyReturns413(t *testing.T) {
+	ts, _, _ := newTestServer(t)
+	body := `{"pattern":"` + strings.Repeat("x", maxBodyBytes) + `"}`
+	for _, path := range []string{"/query", "/jobs"} {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with a %d-byte body: status %d, want 413", path, len(body), resp.StatusCode)
+		}
+	}
+}
+
 // TestOverloadReturns503 saturates a tiny service and expects 503 +
 // Retry-After on the overflow query.
 func TestOverloadReturns503(t *testing.T) {
@@ -319,11 +339,11 @@ func TestOverloadReturns503(t *testing.T) {
 	defer svc.Close()
 	release := make(chan struct{})
 	started := make(chan struct{}, 8)
-	svc.RegisterEngine("block", func(ctx context.Context, req service.EngineRequest) (service.EngineResult, error) {
+	svc.Register(enginetest.Func{EngineName: "block", RunFunc: func(ctx context.Context, req engine.Request) (engine.Result, error) {
 		started <- struct{}{}
 		<-release
-		return service.EngineResult{}, nil
-	})
+		return engine.Result{}, nil
+	}})
 	ts := httptest.NewServer(newMux(svc, nil, nil, nil, nil))
 	defer ts.Close()
 	defer close(release)

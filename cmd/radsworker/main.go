@@ -165,7 +165,7 @@ func run(specPath, snapDir, machineList, listen string, workers int, dsDir, debu
 		health := healthzHandler(ids, fingerprint)
 		dbgMux := obs.DebugMux(reg, health)
 		dbgMux.Handle("/debug/events", events.Handler())
-		dbg := &http.Server{Addr: debugAddr, Handler: dbgMux}
+		dbg := obs.NewHTTPServer(debugAddr, dbgMux)
 		go func() {
 			log.Printf("debug listener on %s (/metrics /healthz /debug/pprof)", debugAddr)
 			if err := dbg.ListenAndServe(); err != nil && err != http.ErrServerClosed {

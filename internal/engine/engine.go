@@ -214,6 +214,33 @@ func ValidateRequest(e Engine, req Request) error {
 	return nil
 }
 
+// Execute is the dispatch sequence every caller of an Engine shares
+// (the resident service, the bench harness): reject options the engine
+// cannot honour, resolve the prepared artifact through arts (nil skips
+// the cache and lets the engine prepare inside Run), run, and fold the
+// request budget's in-process high-water mark into Result.PeakMemBytes
+// — engines whose machines live elsewhere report remote peaks there
+// themselves, so the caller sees whichever view is larger.
+func Execute(ctx context.Context, e Engine, arts *ArtifactCache, req Request) (Result, error) {
+	if err := ValidateRequest(e, req); err != nil {
+		return Result{}, err
+	}
+	if arts != nil {
+		// ctx-aware: a client that is already gone neither starts a
+		// preparation nor waits on someone else's.
+		art, err := arts.Get(ctx, e, req.Part, req.Pattern)
+		if err != nil {
+			return Result{}, fmt.Errorf("engine: preparing %s for %s: %w", e.Name(), req.Pattern.Name, err)
+		}
+		req.Artifact = art
+	}
+	res, err := e.Run(ctx, req)
+	if peak := req.Budget.MaxPeak(); peak > res.PeakMemBytes {
+		res.PeakMemBytes = peak
+	}
+	return res, err
+}
+
 // LabeledKey is the structural identity of a labeled pattern: vertex
 // count plus sorted edge list. Deliberately *not* pattern.Format, which
 // embeds the client-chosen Name — keying on that would let HTTP clients

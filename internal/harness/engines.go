@@ -96,49 +96,30 @@ func RunEngine(spec RunSpec) Uniform {
 		u.Err = fmt.Errorf("harness: unknown engine %q (registered: %s)", spec.Engine, strings.Join(engine.Names(), " "))
 		return u
 	}
-	m := spec.Part.M
 	var budget *cluster.MemBudget
 	if spec.BudgetBytes > 0 {
-		budget = cluster.NewMemBudget(m, spec.BudgetBytes)
+		budget = cluster.NewMemBudget(spec.Part.M, spec.BudgetBytes)
 	}
-	metrics := cluster.NewMetrics(m)
-	req := engine.Request{
+	metrics := cluster.NewMetrics(spec.Part.M)
+	ctx := spec.Ctx
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	res, err := engine.Execute(ctx, e, spec.Artifacts, engine.Request{
 		Part:        spec.Part,
 		Pattern:     spec.Query,
 		Metrics:     metrics,
 		Budget:      budget,
 		OnEmbedding: spec.OnEmbedding,
 		Workers:     spec.Workers,
-	}
-	if err := engine.ValidateRequest(e, req); err != nil {
-		u.Err = err
-		return u
-	}
-	ctx := spec.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if spec.Artifacts != nil {
-		art, err := spec.Artifacts.Get(ctx, e, spec.Part, spec.Query)
-		if err != nil {
-			u.Err = fmt.Errorf("harness: preparing %s for %s: %w", spec.Engine, spec.Query.Name, err)
-			return u
-		}
-		req.Artifact = art
-	}
-
-	res, err := e.Run(ctx, req)
+	})
 	u.Total = res.Total
 	u.Seconds = res.Seconds
 	u.OOM = res.OOM
 	u.TreeNodes = res.TreeNodes
 	u.Profile = res.Profile
 	u.CommMB = float64(metrics.TotalBytes()) / (1 << 20)
-	peak := res.PeakMemBytes
-	if budget != nil && budget.MaxPeak() > peak {
-		peak = budget.MaxPeak()
-	}
-	u.PeakMB = float64(peak) / (1 << 20)
+	u.PeakMB = float64(res.PeakMemBytes) / (1 << 20)
 	if err != nil {
 		if errors.Is(err, cluster.ErrOutOfMemory) {
 			u.OOM = true

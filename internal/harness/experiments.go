@@ -168,9 +168,9 @@ func Scalability(spec ScalabilitySpec) (*Table, error) {
 						return nil, fmt.Errorf("RADS/%s m=%d: %w", qn, m, err)
 					}
 					max := 0.0
-					for _, d := range res.MachineElapsed {
-						if s := d.Seconds(); s > max {
-							max = s
+					for _, ms := range res.Machines {
+						if ms.Seconds > max {
+							max = ms.Seconds
 						}
 					}
 					totals[en][m] += max

@@ -6,10 +6,10 @@
 // Interactive queries hold an HTTP connection open; jobs cannot. A
 // submitted job gets an id immediately and runs detached — clients
 // poll its status, read monotonic progress, cancel it, and fetch its
-// result after completion. The manager reuses the admission semantics
-// of the query scheduler: at most MaxConcurrent jobs run at once,
-// excess submissions queue FIFO up to MaxQueued, and beyond that
-// Submit fails fast with ErrOverloaded.
+// result after completion. The manager sits on the same admission gate
+// as the query scheduler (internal/admission): at most MaxConcurrent
+// jobs run at once, excess submissions queue up to MaxQueued, and
+// beyond that Submit fails fast with ErrOverloaded.
 //
 // Runners checkpoint partial results through their Update handle, so a
 // completed job's result survives in the manager after the runner
@@ -27,6 +27,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"rads/internal/admission"
 	"rads/internal/obs"
 )
 
@@ -116,19 +117,15 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Manager owns the job table and the admission scheduler. Safe for
+// Manager owns the job table and the admission gate. Safe for
 // concurrent use.
 type Manager struct {
-	cfg Config
+	cfg  Config
+	gate *admission.Gate
 
-	sem     chan struct{}
-	closing chan struct{}
-	wg      sync.WaitGroup
-
-	mu     sync.Mutex
-	closed bool
-	jobs   map[uint64]*Job
-	order  []uint64 // submission order, for Retain eviction and List
+	mu    sync.Mutex
+	jobs  map[uint64]*Job
+	order []uint64 // submission order, for Retain eviction and List
 
 	ids atomic.Uint64
 
@@ -137,9 +134,6 @@ type Manager struct {
 	completed   atomic.Int64
 	cancelled   atomic.Int64
 	failed      atomic.Int64
-	rejected    atomic.Int64
-	running     atomic.Int64
-	queued      atomic.Int64
 	checkpoints atomic.Int64
 	itemsSeen   atomic.Int64 // cumulative SubgraphsSeen across all jobs
 }
@@ -148,10 +142,9 @@ type Manager struct {
 func NewManager(cfg Config) *Manager {
 	cfg = cfg.withDefaults()
 	return &Manager{
-		cfg:     cfg,
-		sem:     make(chan struct{}, cfg.MaxConcurrent),
-		closing: make(chan struct{}),
-		jobs:    make(map[uint64]*Job),
+		cfg:  cfg,
+		gate: admission.New(cfg.MaxConcurrent, cfg.MaxQueued),
+		jobs: make(map[uint64]*Job),
 	}
 }
 
@@ -351,71 +344,42 @@ func (m *Manager) Submit(kind, desc string, run Runner) (*Job, error) {
 		done:      make(chan struct{}),
 	}
 
+	// Enter and the table insert share one critical section, so Close
+	// (which closes the gate, then sweeps the table) cancels every job
+	// the gate let in.
 	m.mu.Lock()
-	if m.closed {
+	tk, err := m.gate.Enter()
+	if err != nil {
 		m.mu.Unlock()
 		cancel()
-		return nil, ErrClosed
-	}
-	// Admission mirrors the query scheduler: take a free slot now,
-	// else join the bounded queue.
-	admitted := false
-	select {
-	case m.sem <- struct{}{}:
-		admitted = true
-	default:
-		if int(m.queued.Load()) >= m.cfg.MaxQueued {
-			m.rejected.Add(1)
-			m.mu.Unlock()
-			cancel()
+		if errors.Is(err, admission.ErrFull) {
 			return nil, fmt.Errorf("%w (%d waiting)", ErrOverloaded, m.cfg.MaxQueued)
 		}
-		m.queued.Add(1)
+		return nil, ErrClosed
 	}
 	j.id = m.ids.Add(1)
 	m.submitted.Add(1)
 	m.jobs[j.id] = j
 	m.order = append(m.order, j.id)
 	m.evictLocked()
-	m.wg.Add(1)
 	m.mu.Unlock()
 
 	m.cfg.Events.Recordf("job_submitted", -1, "job %d (%s): %s", j.id, kind, desc)
-	go m.serve(ctx, j, run, admitted)
+	go m.serve(ctx, j, run, tk)
 	return j, nil
 }
 
 // serve runs one job through admission, execution and completion.
-func (m *Manager) serve(ctx context.Context, j *Job, run Runner, admitted bool) {
-	defer m.wg.Done()
-	if !admitted {
-		select {
-		case m.sem <- struct{}{}:
-			m.queued.Add(-1)
-			// Winning a slot races with shutdown; honour Close's
-			// contract (queued jobs cancel) over a lucky slot.
-			select {
-			case <-m.closing:
-				<-m.sem
-				m.finish(j, nil, context.Canceled)
-				return
-			default:
-			}
-		case <-ctx.Done():
-			m.queued.Add(-1)
-			m.finish(j, nil, ctx.Err())
-			return
-		case <-m.closing:
-			m.queued.Add(-1)
-			m.finish(j, nil, context.Canceled)
-			return
+func (m *Manager) serve(ctx context.Context, j *Job, run Runner, tk *admission.Ticket) {
+	defer tk.Release()
+	if err := tk.Wait(ctx); err != nil {
+		// Shutdown cancels queued jobs like any other cancellation.
+		if errors.Is(err, admission.ErrClosed) {
+			err = context.Canceled
 		}
+		m.finish(j, nil, err)
+		return
 	}
-	m.running.Add(1)
-	defer func() {
-		m.running.Add(-1)
-		<-m.sem
-	}()
 
 	j.mu.Lock()
 	j.state = StateRunning
@@ -544,13 +508,8 @@ func (m *Manager) evictLocked() {
 // waits for runners to unwind (persisting their final checkpoints),
 // and returns. Idempotent.
 func (m *Manager) Close() error {
+	m.gate.Close()
 	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return nil
-	}
-	m.closed = true
-	close(m.closing)
 	jobs := make([]*Job, 0, len(m.jobs))
 	for _, j := range m.jobs {
 		jobs = append(jobs, j)
@@ -559,7 +518,7 @@ func (m *Manager) Close() error {
 	for _, j := range jobs {
 		j.cancel()
 	}
-	m.wg.Wait()
+	m.gate.Drain()
 	return nil
 }
 
@@ -583,9 +542,9 @@ func (m *Manager) Stats() Stats {
 		Completed:   m.completed.Load(),
 		Cancelled:   m.cancelled.Load(),
 		Failed:      m.failed.Load(),
-		Rejected:    m.rejected.Load(),
-		Running:     m.running.Load(),
-		Queued:      m.queued.Load(),
+		Rejected:    m.gate.Rejected(),
+		Running:     m.gate.Running(),
+		Queued:      m.gate.Queued(),
 		Checkpoints: m.checkpoints.Load(),
 		ItemsSeen:   m.itemsSeen.Load(),
 	}
@@ -602,7 +561,7 @@ func (m *Manager) RegisterMetrics(reg *obs.Registry) {
 	reg.CounterFunc("rads_jobs_submitted_total",
 		"Jobs submitted.", m.submitted.Load)
 	reg.CounterFunc("rads_jobs_rejected_total",
-		"Jobs rejected by admission (queue full or closed).", m.rejected.Load)
+		"Jobs rejected by admission (queue full or closed).", m.gate.Rejected)
 	reg.CounterFunc("rads_job_checkpoints_total",
 		"Partial-result checkpoints persisted across all jobs.", m.checkpoints.Load)
 	reg.CounterVecFunc("rads_jobs_total",
@@ -615,11 +574,11 @@ func (m *Manager) RegisterMetrics(reg *obs.Registry) {
 		})
 	reg.GaugeFunc("rads_jobs_running",
 		"Jobs currently executing.", func() float64 {
-			return float64(m.running.Load())
+			return float64(m.gate.Running())
 		})
 	reg.GaugeFunc("rads_jobs_queued",
 		"Jobs waiting for an admission slot.", func() float64 {
-			return float64(m.queued.Load())
+			return float64(m.gate.Queued())
 		})
 	reg.GaugeFunc("rads_job_progress",
 		"Mean completed fraction across running jobs (0 when idle).",

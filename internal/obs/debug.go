@@ -3,7 +3,22 @@ package obs
 import (
 	"net/http"
 	"net/http/pprof"
+	"time"
 )
+
+// NewHTTPServer builds an http.Server with the connection limits every
+// listener in this repository runs under: a client that stalls its
+// request header or idles on a keep-alive connection is dropped. There
+// is deliberately no WriteTimeout — NDJSON query streams and
+// /debug/events?follow=1 are long-lived responses.
+func NewHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
+}
 
 // DebugMux builds the opt-in debug server both radserve and radsworker
 // hang behind -debug-addr: /metrics (Prometheus text), /healthz (the

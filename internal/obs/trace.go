@@ -2,6 +2,7 @@ package obs
 
 import (
 	"sort"
+	"strings"
 	"sync"
 	"time"
 )
@@ -84,8 +85,8 @@ func (r Running) End() {
 }
 
 // AddPhase folds an externally measured duration into the trace as a
-// span starting now-d — used when a remote worker reports phase times
-// after the fact.
+// span starting now-d — used when a caller timed an opaque step itself
+// (the service's single "execute" phase for engines that do not trace).
 func (t *Trace) AddPhase(name string, machine int, d time.Duration) {
 	if t == nil {
 		return
@@ -139,7 +140,11 @@ func (t *Trace) SinceStart() int64 {
 // to machine. Because both traces measure offsets from their own local
 // clock zero, absolute clock skew between the two hosts cancels — only
 // the dispatch latency folded into baseNs remains. The spans also feed
-// this trace's phase aggregation, exactly as if recorded locally.
+// this trace's phase aggregation, exactly as if recorded locally. Only
+// sub-phases cross over: remote time runs inside one of this trace's
+// own top-level spans, so the remote trace's top-level phases would
+// break the tiling (its "execute/machine" already carries the whole
+// remote run).
 func (t *Trace) AddRemoteSpans(machine int, baseNs int64, spans []Span) {
 	if t == nil || len(spans) == 0 {
 		return
@@ -147,6 +152,9 @@ func (t *Trace) AddRemoteSpans(machine int, baseNs int64, spans []Span) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for _, s := range spans {
+		if !IsSubPhase(s.Name) {
+			continue
+		}
 		t.phaseNs[s.Name] += s.DurNs
 		t.phaseCount[s.Name]++
 		if len(t.spans) >= maxSpans {
@@ -174,25 +182,6 @@ func SortSpans(spans []Span) {
 		}
 		return spans[i].Name < spans[j].Name
 	})
-}
-
-// PhaseNs returns the per-phase aggregate in nanoseconds — the compact
-// form a remote worker ships back to the coordinator. Nil for a nil or
-// empty trace.
-func (t *Trace) PhaseNs() map[string]int64 {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if len(t.phaseNs) == 0 {
-		return nil
-	}
-	out := make(map[string]int64, len(t.phaseNs))
-	for k, v := range t.phaseNs {
-		out[k] = v
-	}
-	return out
 }
 
 // PhaseStat is the aggregate of all spans sharing a name.
@@ -284,7 +273,7 @@ func (p *Profile) AccountedFraction() float64 {
 	}
 	var sum float64
 	for _, ph := range p.Phases {
-		if !containsSlash(ph.Name) {
+		if !IsSubPhase(ph.Name) {
 			sum += ph.Seconds
 		}
 	}
@@ -318,11 +307,7 @@ func (p *Profile) PhaseSeconds() map[string]float64 {
 	return out
 }
 
-func containsSlash(s string) bool {
-	for i := 0; i < len(s); i++ {
-		if s[i] == '/' {
-			return true
-		}
-	}
-	return false
-}
+// IsSubPhase reports whether a phase name is "/"-qualified
+// ("execute/verifyE"): a drill-down inside a top-level phase, which
+// overlaps it instead of tiling the wall time.
+func IsSubPhase(name string) bool { return strings.Contains(name, "/") }

@@ -234,18 +234,15 @@ func (d *Machine) runQuery(r *RunQueryRequest) (cluster.Message, error) {
 		Distributed:    m.distCount,
 		SMENodes:       m.smeNodes,
 		DistNodes:      m.distNodes,
-		ElapsedNs:      int64(m.elapsed),
+		Stat:           m.stat(),
 		ELBytesCum:     m.elCum,
 		ETBytesCum:     m.etCum,
 		ELBytesPeak:    m.elPeak,
 		ETBytesPeak:    m.etPeak,
-		GroupsFormed:   m.groupsFormed,
-		GroupsStolen:   m.groupsStolen,
 		Rounds:         eng.pl.NumRounds(),
 		Workers:        eng.workers(),
 		DeferredEnds:   len(eng.deferred),
 		FrontierSplits: m.frontierSplits,
-		PhaseNs:        trace.PhaseNs(),
 		Spans:          trace.Spans(),
 		CacheHits:      m.view.hits.Load(),
 		CacheMisses:    m.view.misses.Load(),

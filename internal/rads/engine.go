@@ -120,8 +120,7 @@ type Result struct {
 	SME         int64 // found by single-machine enumeration
 	Distributed int64 // found by R-Meef rounds
 
-	Elapsed        time.Duration
-	MachineElapsed []time.Duration
+	Elapsed time.Duration
 
 	CommBytes    int64
 	CommMessages int64
@@ -145,12 +144,10 @@ type Result struct {
 	// instead of on the owning pool worker.
 	FrontierSplits int64
 
-	// Per-machine breakdown, indexed like MachineElapsed: tree nodes
-	// linked, region groups formed and groups stolen by each machine —
-	// the raw material of Profile.Machines.
-	MachineTreeNodes []int64
-	MachineGroups    []int
-	MachineStolen    []int
+	// Machines is the per-machine breakdown (elapsed, tree nodes linked,
+	// region groups formed and stolen), indexed by machine id —
+	// Profile.Machines as is.
+	Machines []obs.MachineStat
 
 	// Adjacency-cache effectiveness across the run's fetch phases:
 	// Hits are foreign pivots already resident in a machine's fetched
@@ -234,12 +231,9 @@ func newEngine(part *partition.Partition, p *pattern.Pattern, cfg Config) (*engi
 	}
 	pl := cfg.Plan
 	if pl == nil {
-		sp := cfg.Trace.Start("plan", -1, -1)
 		var err error
-		pl, err = plan.Compute(p)
-		sp.End()
-		if err != nil {
-			return nil, fmt.Errorf("rads: planning %s: %w", p.Name, err)
+		if pl, err = tracedPlan(cfg.Trace, p); err != nil {
+			return nil, err
 		}
 	}
 	metrics := cfg.Metrics
@@ -491,7 +485,6 @@ func (e *engine) run() (*Result, error) {
 		res.SME += m.smeCount
 		res.Distributed += m.distCount
 		res.TreeNodes += m.smeNodes + m.distNodes
-		res.MachineElapsed = append(res.MachineElapsed, m.elapsed)
 		res.ELBytesCum += m.elCum
 		res.ETBytesCum += m.etCum
 		if m.elPeak > res.ELBytesPeak {
@@ -502,9 +495,7 @@ func (e *engine) run() (*Result, error) {
 		}
 		res.RegionGroups += m.groupsFormed
 		res.StolenGroups += m.groupsStolen
-		res.MachineTreeNodes = append(res.MachineTreeNodes, m.smeNodes+m.distNodes)
-		res.MachineGroups = append(res.MachineGroups, m.groupsFormed)
-		res.MachineStolen = append(res.MachineStolen, m.groupsStolen)
+		res.Machines = append(res.Machines, m.stat())
 		res.CacheHits += m.view.hits.Load()
 		res.CacheMisses += m.view.misses.Load()
 		res.FrontierSplits += m.frontierSplits

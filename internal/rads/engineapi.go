@@ -44,6 +44,55 @@ func (a PlanArtifact) SizeBytes() int64 {
 	return n
 }
 
+// tracedPlan computes p's execution plan under a "plan" span (a nil
+// trace records nothing) — the one planning body behind Run, every
+// RADS engine's Prepare, and runs that arrive without an artifact.
+func tracedPlan(trace *obs.Trace, p *pattern.Pattern) (*plan.Plan, error) {
+	sp := trace.Start("plan", -1, -1)
+	defer sp.End()
+	pl, err := plan.Compute(p)
+	if err != nil {
+		return nil, fmt.Errorf("rads: planning %s: %w", p.Name, err)
+	}
+	return pl, nil
+}
+
+// preparePlan is the Prepare of every RADS engine.Engine: the plan is
+// a function of the pattern alone, valid in-process and on the wire.
+func preparePlan(p *pattern.Pattern) (eng.Artifact, error) {
+	pl, err := tracedPlan(nil, p)
+	if err != nil {
+		return nil, err
+	}
+	return PlanArtifact{Plan: pl}, nil
+}
+
+// beginRun opens a RADS engine.Engine run: it validates req against
+// e's capabilities, resolves the trace (RADS runs always return a
+// Profile, whether or not the caller supplied a trace to share) and
+// the plan — the request's prepared artifact, or a fresh one traced as
+// "plan". Callers start their wall clock before calling it, so
+// Profile.WallSeconds covers planning and the top-level phases
+// (plan + execute + fold) never sum past it.
+func beginRun(e eng.Engine, req eng.Request) (*obs.Trace, *plan.Plan, error) {
+	if err := eng.ValidateRequest(e, req); err != nil {
+		return nil, nil, err
+	}
+	trace := req.Trace
+	if trace == nil {
+		trace = obs.NewTrace()
+	}
+	if req.Artifact == nil {
+		pl, err := tracedPlan(trace, req.Pattern)
+		return trace, pl, err
+	}
+	pa, ok := req.Artifact.(PlanArtifact)
+	if !ok {
+		return nil, nil, fmt.Errorf("%w: engine RADS cannot use artifact %T", eng.ErrUnsupported, req.Artifact)
+	}
+	return trace, pa.Plan, nil
+}
+
 // apiEngine adapts Run onto the uniform engine API. RADS is the one
 // native implementation: streaming, cancellable, with prepared plans.
 type apiEngine struct{}
@@ -59,25 +108,19 @@ func (apiEngine) Capabilities() eng.Capabilities {
 }
 
 func (apiEngine) Prepare(_ *partition.Partition, p *pattern.Pattern) (eng.Artifact, error) {
-	pl, err := plan.Compute(p)
-	if err != nil {
-		return nil, fmt.Errorf("rads: planning %s: %w", p.Name, err)
-	}
-	return PlanArtifact{Plan: pl}, nil
+	return preparePlan(p)
 }
 
 func (e apiEngine) Run(ctx context.Context, req eng.Request) (eng.Result, error) {
-	if err := eng.ValidateRequest(e, req); err != nil {
+	kernels0 := graph.KernelCounts()
+	start := time.Now()
+	trace, pl, err := beginRun(e, req)
+	if err != nil {
 		return eng.Result{}, err
 	}
-	// Always trace: RADS runs return a Profile whether or not the
-	// caller supplied a trace to share.
-	trace := req.Trace
-	if trace == nil {
-		trace = obs.NewTrace()
-	}
-	cfg := Config{
+	res, err := Run(req.Part, req.Pattern, Config{
 		Context:      ctx,
+		Plan:         pl,
 		Metrics:      req.Metrics,
 		Budget:       req.Budget,
 		OnEmbedding:  req.OnEmbedding,
@@ -85,44 +128,20 @@ func (e apiEngine) Run(ctx context.Context, req eng.Request) (eng.Result, error)
 		HugeFrontier: req.HugeFrontier,
 		Transport:    req.Transport,
 		Trace:        trace,
-	}
-	if req.Artifact != nil {
-		pa, ok := req.Artifact.(PlanArtifact)
-		if !ok {
-			return eng.Result{}, fmt.Errorf("%w: engine RADS cannot use artifact %T", eng.ErrUnsupported, req.Artifact)
-		}
-		cfg.Plan = pa.Plan
-	}
-	kernels0 := graph.KernelCounts()
-	start := time.Now()
-	res, err := Run(req.Part, req.Pattern, cfg)
+	})
 	elapsed := time.Since(start)
-	secs := elapsed.Seconds()
-	if err != nil {
-		if errors.Is(err, cluster.ErrOutOfMemory) {
-			prof := trace.Snapshot(elapsed)
-			prof.Kernels = graph.KernelCountsDelta(kernels0)
-			return eng.Result{Seconds: secs, OOM: true, PeakMemBytes: req.Budget.MaxPeak(), Profile: prof}, nil
-		}
+	oom := errors.Is(err, cluster.ErrOutOfMemory)
+	if err != nil && !oom {
 		return eng.Result{}, err
 	}
 	prof := trace.Snapshot(elapsed)
 	prof.Kernels = graph.KernelCountsDelta(kernels0)
-	prof.Steals = res.StolenGroups
-	for i, d := range res.MachineElapsed {
-		ms := obs.MachineStat{Machine: i, Seconds: d.Seconds()}
-		if i < len(res.MachineTreeNodes) {
-			ms.TreeNodes = res.MachineTreeNodes[i]
-		}
-		if i < len(res.MachineGroups) {
-			ms.Groups = res.MachineGroups[i]
-		}
-		if i < len(res.MachineStolen) {
-			ms.Stolen = res.MachineStolen[i]
-		}
-		prof.Machines = append(prof.Machines, ms)
+	if oom {
+		return eng.Result{Seconds: elapsed.Seconds(), OOM: true, PeakMemBytes: req.Budget.MaxPeak(), Profile: prof}, nil
 	}
-	return eng.Result{Total: res.Total, Seconds: secs, TreeNodes: res.TreeNodes,
+	prof.Steals = res.StolenGroups
+	prof.Machines = res.Machines
+	return eng.Result{Total: res.Total, Seconds: elapsed.Seconds(), TreeNodes: res.TreeNodes,
 		FrontierSplits: res.FrontierSplits, PeakMemBytes: res.PeakMemBytes,
 		Profile: prof}, nil
 }

@@ -35,8 +35,8 @@ func (f *FallbackEngine) Name() string { return "RADS" }
 func (f *FallbackEngine) Capabilities() eng.Capabilities { return f.Cluster.Capabilities() }
 
 // Prepare computes the plan once; PlanArtifact is valid on both legs.
-func (f *FallbackEngine) Prepare(part *partition.Partition, p *pattern.Pattern) (eng.Artifact, error) {
-	return f.Cluster.Prepare(part, p)
+func (f *FallbackEngine) Prepare(_ *partition.Partition, p *pattern.Pattern) (eng.Artifact, error) {
+	return preparePlan(p)
 }
 
 // Run routes to the healthy leg. A dispatch that discovers a down

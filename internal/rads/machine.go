@@ -10,6 +10,7 @@ import (
 	"rads/internal/cluster"
 	"rads/internal/graph"
 	"rads/internal/localenum"
+	"rads/internal/obs"
 	"rads/internal/partition"
 )
 
@@ -67,6 +68,19 @@ type machine struct {
 	// trie nodes per processed candidate. Written once at the SM-E
 	// barrier, read-only afterwards.
 	avgNodesPerCandidate float64
+}
+
+// stat is the machine's row of Profile.Machines — the one per-machine
+// fold, whether the machine ran in this process (engine.run) or behind
+// a daemon (RunQueryResponse.Stat).
+func (m *machine) stat() obs.MachineStat {
+	return obs.MachineStat{
+		Machine:   m.id,
+		Seconds:   m.elapsed.Seconds(),
+		TreeNodes: m.smeNodes + m.distNodes,
+		Groups:    m.groupsFormed,
+		Stolen:    m.groupsStolen,
+	}
 }
 
 func newMachine(e *engine, id int) *machine {

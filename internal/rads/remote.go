@@ -12,7 +12,6 @@ import (
 	"rads/internal/obs"
 	"rads/internal/partition"
 	"rads/internal/pattern"
-	"rads/internal/plan"
 )
 
 // ClusterEngine is the coordinator side of a multi-process RADS
@@ -67,11 +66,7 @@ func (c *ClusterEngine) Capabilities() eng.Capabilities {
 // Prepare computes the execution plan, exactly like the in-process
 // engine — the artifact is shipped to the workers with each query.
 func (c *ClusterEngine) Prepare(_ *partition.Partition, p *pattern.Pattern) (eng.Artifact, error) {
-	pl, err := plan.Compute(p)
-	if err != nil {
-		return nil, fmt.Errorf("rads: planning %s: %w", p.Name, err)
-	}
-	return PlanArtifact{Plan: pl}, nil
+	return preparePlan(p)
 }
 
 // WaitReady pings every machine until it responds or the shared
@@ -105,41 +100,6 @@ func (c *ClusterEngine) WaitReady(part *partition.Partition, deadline time.Durat
 
 // Run executes one query across the remote machines.
 func (c *ClusterEngine) Run(ctx context.Context, req eng.Request) (eng.Result, error) {
-	if err := eng.ValidateRequest(c, req); err != nil {
-		return eng.Result{}, err
-	}
-	// Always trace: the coordinator's phases plus the folded per-worker
-	// phase aggregates make a cluster query profile like an in-process
-	// one.
-	trace := req.Trace
-	if trace == nil {
-		trace = obs.NewTrace()
-	}
-	var pl *plan.Plan
-	if req.Artifact != nil {
-		pa, ok := req.Artifact.(PlanArtifact)
-		if !ok {
-			return eng.Result{}, fmt.Errorf("%w: engine RADS cannot use artifact %T", eng.ErrUnsupported, req.Artifact)
-		}
-		pl = pa.Plan
-	} else {
-		planSp := trace.Start("plan", -1, -1)
-		var err error
-		pl, err = plan.Compute(req.Pattern)
-		planSp.End()
-		if err != nil {
-			return eng.Result{}, fmt.Errorf("rads: planning %s: %w", req.Pattern.Name, err)
-		}
-	}
-	wire := &RunQueryRequest{
-		Pattern:      pattern.Format(req.Pattern),
-		Plan:         pl,
-		QueryID:      req.QueryID,
-		Workers:      req.Workers,
-		BudgetBytes:  req.Budget.Limit(),
-		HugeFrontier: req.HugeFrontier,
-	}
-
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err := ctx.Err(); err != nil {
@@ -151,7 +111,25 @@ func (c *ClusterEngine) Run(ctx context.Context, req eng.Request) (eng.Result, e
 		return eng.Result{}, err
 	}
 
+	// The wall clock starts before planning (and after the wait behind
+	// earlier cluster queries, which is queueing, not execution): the
+	// coordinator's phases plus the stitched per-worker spans make a
+	// cluster query profile like an in-process one.
 	start := time.Now()
+	trace, pl, err := beginRun(c, req)
+	if err != nil {
+		return eng.Result{}, err
+	}
+	wire := &RunQueryRequest{
+		Pattern:      pattern.Format(req.Pattern),
+		Plan:         pl,
+		QueryID:      req.QueryID,
+		Workers:      req.Workers,
+		BudgetBytes:  req.Budget.Limit(),
+		HugeFrontier: req.HugeFrontier,
+	}
+
+	execStart := time.Now()
 	execSp := trace.Start("execute", -1, -1)
 	// Anchor for stitching remote spans: each worker's trace clock
 	// starts when its runQuery begins, which is (to within dispatch
@@ -192,7 +170,7 @@ func (c *ClusterEngine) Run(ctx context.Context, req eng.Request) (eng.Result, e
 	}
 	wg.Wait()
 	execSp.End()
-	secs := time.Since(start).Seconds()
+	secs := time.Since(execStart).Seconds()
 	// When a worker dies mid-query, its surviving peers often fail too
 	// (their fetchV/verifyE calls to the dead machine error out, which
 	// they report as remote errors). Prefer the root cause: a
@@ -222,44 +200,20 @@ func (c *ClusterEngine) Run(ctx context.Context, req eng.Request) (eng.Result, e
 		}
 		// Fold the per-worker budget high-water marks into the result:
 		// the workers' MemBudgets live in their own processes, so this
-		// is the coordinator's only view of them (ROADMAP gap from the
-		// multi-process PR: the EngineResult path used to drop it).
+		// is the coordinator's only view of them.
 		if r.PeakMemBytes > res.PeakMemBytes {
 			res.PeakMemBytes = r.PeakMemBytes
 		}
 		req.Metrics.AccountRemote(t, r.CommBytes, r.CommMessages)
-		// Stitch the worker's raw spans into the coordinator timeline,
-		// re-anchored at the execute dispatch offset and re-attributed
-		// to machine t; fall back to the compact PhaseNs aggregate for
-		// workers that shipped no spans (older builds). Either way only
-		// "/"-qualified sub-phases cross over: worker time runs inside
-		// the coordinator's "execute" span, and the workers' own
-		// top-level phases would break the tiling ("execute/machine"
-		// already carries each machine's whole run). Never both — span
-		// stitching feeds the same phase aggregation AddPhase would.
-		if len(r.Spans) > 0 {
-			sub := r.Spans[:0:0]
-			for _, s := range r.Spans {
-				if isSubPhase(s.Name) {
-					sub = append(sub, s)
-				}
-			}
-			trace.AddRemoteSpans(t, execBase, sub)
-		} else {
-			for name, ns := range r.PhaseNs {
-				if isSubPhase(name) {
-					trace.AddPhase(name, t, time.Duration(ns))
-				}
-			}
-		}
-		steals += r.GroupsStolen
-		machines = append(machines, obs.MachineStat{
-			Machine:   t,
-			Seconds:   time.Duration(r.ElapsedNs).Seconds(),
-			TreeNodes: r.SMENodes + r.DistNodes,
-			Groups:    r.GroupsFormed,
-			Stolen:    r.GroupsStolen,
-		})
+		// Stitch the worker's sub-phase spans into the coordinator
+		// timeline, re-anchored at the execute dispatch offset and
+		// re-attributed to machine t. A worker that shipped no spans
+		// contributes no sub-phases.
+		trace.AddRemoteSpans(t, execBase, r.Spans)
+		st := r.Stat
+		st.Machine = t
+		machines = append(machines, st)
+		steals += st.Stolen
 	}
 	foldSp.End()
 	if res.OOM {
@@ -276,14 +230,4 @@ func (c *ClusterEngine) Run(ctx context.Context, req eng.Request) (eng.Result, e
 	prof.Machines = machines
 	res.Profile = prof
 	return res, nil
-}
-
-// isSubPhase reports whether a phase name is already "/"-qualified.
-func isSubPhase(name string) bool {
-	for i := 0; i < len(name); i++ {
-		if name[i] == '/' {
-			return true
-		}
-	}
-	return false
 }

@@ -76,13 +76,13 @@ type RunQueryResponse struct {
 	SMENodes    int64
 	DistNodes   int64
 
-	ElapsedNs int64
+	// Stat is the machine's row of the query profile (elapsed, tree
+	// nodes, region groups formed and stolen).
+	Stat obs.MachineStat
 
 	ELBytesCum, ETBytesCum   int64
 	ELBytesPeak, ETBytesPeak int64
 
-	GroupsFormed int
-	GroupsStolen int
 	Rounds       int
 	Workers      int
 	DeferredEnds int
@@ -104,12 +104,6 @@ type RunQueryResponse struct {
 	CommBytes    int64
 	CommMessages int64
 
-	// PhaseNs is the machine's per-phase time aggregate in nanoseconds
-	// ("execute/sme", "execute/group", ...), folded into the
-	// coordinator's query trace so a cluster query profiles like an
-	// in-process one. Nil when the worker did not trace.
-	PhaseNs map[string]int64
-
 	// CacheHits/CacheMisses are the machine's adjacency-cache
 	// effectiveness over the query's fetch phases.
 	CacheHits   int64
@@ -117,19 +111,17 @@ type RunQueryResponse struct {
 
 	// Spans is the machine's raw span list (offsets relative to the
 	// machine's own query start, so clock skew never crosses the wire);
-	// the coordinator stitches them into its cross-cluster timeline.
-	// PhaseNs stays alongside as the compact aggregate — and as the
-	// fallback for older workers that ship no spans.
+	// the coordinator stitches them into its cross-cluster timeline and
+	// derives the per-phase aggregate from them. It is the one trace
+	// encoding on the wire: both binaries build from this repository and
+	// WaitReady checks partition fingerprints, so there is no other
+	// build to stay compatible with.
 	Spans []obs.Span
 }
 
-// ByteSize counts the fixed-width fields plus the phase map and span
-// payloads.
+// ByteSize counts the fixed-width fields plus the span payload.
 func (r *RunQueryResponse) ByteSize() int {
-	n := 20*8 + 1
-	for k := range r.PhaseNs {
-		n += len(k) + 8
-	}
+	n := 22*8 + 1
 	for i := range r.Spans {
 		n += len(r.Spans[i].Name) + 4*8
 	}

@@ -1,129 +1,10 @@
 package service
 
 import (
-	"context"
-	"errors"
-	"fmt"
 	"sort"
 
-	"rads/internal/cluster"
-	"rads/internal/engine"
 	_ "rads/internal/engine/all" // register RADS and the baselines
-	"rads/internal/graph"
-	"rads/internal/obs"
-	"rads/internal/partition"
-	"rads/internal/pattern"
 )
-
-// EngineRequest is everything the service hands an engine for one
-// query: the resident partition plus per-query accounting objects.
-type EngineRequest struct {
-	Part    *partition.Partition
-	Pattern *pattern.Pattern
-	// Budget is the per-query memory budget (nil = unlimited).
-	Budget *cluster.MemBudget
-	// Metrics is a fresh per-query metrics object; the service folds
-	// it into its cumulative totals after the run.
-	Metrics *cluster.Metrics
-	// OnEmbedding, when non-nil, must receive every embedding found.
-	// Engines that cannot stream must fail if it is set.
-	OnEmbedding func(machine int, f []graph.VertexID)
-	// Trace, when non-nil, receives the query's phase spans; engines
-	// that trace (RADS, the cluster coordinator) record into it and
-	// snapshot it into their result's Profile.
-	Trace *obs.Trace
-	// QueryID is the service-minted query id; cluster-mode engines
-	// thread it onto the wire so workers attribute traces and journal
-	// events to the query.
-	QueryID uint64
-}
-
-// EngineResult is an engine's normalized answer.
-type EngineResult struct {
-	Total   int64
-	Seconds float64
-	OOM     bool // died of the memory budget; not an error
-	// TreeNodes counts the run's successful partial matches when the
-	// engine reports them (0 otherwise); the service accumulates it
-	// into the tree_nodes_total stat.
-	TreeNodes int64
-	// FrontierSplits counts the run's huge-group frontier splits when
-	// the engine reports them (0 otherwise); accumulated into the
-	// frontier_splits stat.
-	FrontierSplits int64
-	// PeakMemBytes is the engine-reported memory high-water mark (max
-	// over machines). The cluster coordinator fills it from the remote
-	// workers; for in-process engines the per-query MemBudget usually
-	// carries the same number.
-	PeakMemBytes int64
-	// Profile is the engine's execution profile when it traces (nil
-	// otherwise; the service synthesizes a minimal one).
-	Profile *obs.Profile
-}
-
-// EngineFunc runs one query. It must honour ctx where it can and be
-// safe for concurrent invocations (the admission scheduler runs up to
-// MaxConcurrent of them at once against the shared partition). It is
-// the extension point for callers that want an engine outside the
-// process-wide registry (tests, experiments); the built-ins arrive
-// through engine.Register instead.
-type EngineFunc func(ctx context.Context, req EngineRequest) (EngineResult, error)
-
-// engineEntry pairs the callable with its declared capabilities; caps
-// is nil for external EngineFuncs, whose capabilities are unknown (the
-// service then cannot pre-reject unsupported options — the engine must
-// fail them itself).
-type engineEntry struct {
-	fn   EngineFunc
-	caps *engine.Capabilities
-}
-
-// registerDefaultEngines wires every engine in the process-wide
-// registry (RADS and the five baselines via rads/internal/engine/all).
-func registerDefaultEngines(s *Service) {
-	for _, name := range engine.Names() {
-		e, _ := engine.Lookup(name)
-		caps := e.Capabilities()
-		s.engines[name] = engineEntry{fn: s.registryEngine(e), caps: &caps}
-	}
-}
-
-// registryEngine adapts an engine.Engine into an EngineFunc, routing
-// prepared artifacts (RADS plans, Crystal clique indexes) through the
-// service's per-engine artifact cache.
-func (s *Service) registryEngine(e engine.Engine) EngineFunc {
-	return func(ctx context.Context, req EngineRequest) (EngineResult, error) {
-		ereq := engine.Request{
-			Part:        req.Part,
-			Pattern:     req.Pattern,
-			Metrics:     req.Metrics,
-			Budget:      req.Budget,
-			OnEmbedding: req.OnEmbedding,
-			Trace:       req.Trace,
-			QueryID:     req.QueryID,
-		}
-		if err := engine.ValidateRequest(e, ereq); err != nil {
-			return EngineResult{}, err
-		}
-		// ctx-aware: a client that is already gone neither starts a
-		// preparation nor waits on someone else's.
-		art, err := s.artifacts.Get(ctx, e, req.Part, req.Pattern)
-		if err != nil {
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				return EngineResult{}, err
-			}
-			return EngineResult{}, fmt.Errorf("preparing %s for %s: %w", e.Name(), req.Pattern.Name, err)
-		}
-		ereq.Artifact = art
-		res, err := e.Run(ctx, ereq)
-		if err != nil {
-			return EngineResult{}, err
-		}
-		return EngineResult{Total: res.Total, Seconds: res.Seconds, OOM: res.OOM,
-			TreeNodes: res.TreeNodes, FrontierSplits: res.FrontierSplits,
-			PeakMemBytes: res.PeakMemBytes, Profile: res.Profile}, nil
-	}
-}
 
 // EngineInfo describes one engine the service can route to — the
 // /engines payload of radserve.
@@ -135,9 +16,6 @@ type EngineInfo struct {
 	Cancellation      bool   `json:"cancellation"`
 	PreparedArtifacts bool   `json:"prepared_artifacts"`
 	ArtifactScope     string `json:"artifact_scope,omitempty"`
-	// External marks engines added via RegisterEngine, whose
-	// capabilities the service cannot introspect.
-	External bool `json:"external,omitempty"`
 }
 
 // Engines lists every engine this service routes to, sorted by name.
@@ -145,17 +23,17 @@ func (s *Service) Engines() []EngineInfo {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]EngineInfo, 0, len(s.engines))
-	for name, ent := range s.engines {
-		info := EngineInfo{Name: name, Default: name == s.cfg.DefaultEngine}
-		if ent.caps != nil {
-			info.Streaming = ent.caps.Streaming
-			info.Cancellation = ent.caps.Cancellation
-			info.PreparedArtifacts = ent.caps.PreparedArtifacts()
-			if info.PreparedArtifacts {
-				info.ArtifactScope = ent.caps.ArtifactScope.String()
-			}
-		} else {
-			info.External = true
+	for name, e := range s.engines {
+		caps := e.Capabilities()
+		info := EngineInfo{
+			Name:              name,
+			Default:           name == s.cfg.DefaultEngine,
+			Streaming:         caps.Streaming,
+			Cancellation:      caps.Cancellation,
+			PreparedArtifacts: caps.PreparedArtifacts(),
+		}
+		if info.PreparedArtifacts {
+			info.ArtifactScope = caps.ArtifactScope.String()
 		}
 		out = append(out, info)
 	}

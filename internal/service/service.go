@@ -19,12 +19,12 @@
 //     engine API's Prepare;
 //   - a result cache keyed by the pattern's canonical form, so any
 //     relabeling of an already-answered motif is O(1);
-//   - an admission scheduler: at most MaxConcurrent queries run at
-//     once, excess load queues (FIFO through a semaphore) up to
-//     MaxQueued, and beyond that Submit fails fast with ErrOverloaded
-//     instead of falling over;
+//   - an admission gate (internal/admission): at most MaxConcurrent
+//     queries run at once, excess load queues up to MaxQueued, and
+//     beyond that Submit fails fast with ErrOverloaded instead of
+//     falling over;
 //   - engine routing over the process-wide engine registry (RADS and
-//     the baseline engines), extensible via RegisterEngine.
+//     the baseline engines), extensible via Register.
 //
 // Submit returns a Handle immediately; results stream through it.
 package service
@@ -38,6 +38,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"rads/internal/admission"
 	"rads/internal/cluster"
 	"rads/internal/engine"
 	"rads/internal/graph"
@@ -140,20 +141,16 @@ type Service struct {
 	edgeCut int64
 	balance float64
 
-	sem     chan struct{} // admission slots, cap = MaxConcurrent
-	closing chan struct{}
+	gate *admission.Gate // MaxConcurrent slots, MaxQueued waiters
 
-	mu      sync.Mutex
-	closed  bool
-	engines map[string]engineEntry
+	mu      sync.Mutex // guards engines
+	engines map[string]engine.Engine
 	cache   *resultCache
 
 	// artifacts memoizes prepared per-engine state for the resident
 	// partition (RADS plans per labeled pattern, Crystal clique indexes
 	// per canonical form).
 	artifacts *engine.ArtifactCache
-
-	wg sync.WaitGroup // all query goroutines
 
 	// Cumulative communication across all served queries.
 	commBytes      atomic.Int64
@@ -180,12 +177,9 @@ type Service struct {
 	completed   atomic.Int64
 	failed      atomic.Int64
 	cancelled   atomic.Int64
-	rejected    atomic.Int64
 	cacheHits   atomic.Int64
 	cacheMisses atomic.Int64
 	engineRuns  atomic.Int64
-	running     atomic.Int64
-	queued      atomic.Int64
 	treeNodes   atomic.Int64
 	// frontierSplits accumulates FrontierSplits across runs — how often
 	// the huge-group frontier parallelism actually fired.
@@ -216,9 +210,8 @@ func OpenPartitioned(part *partition.Partition, cfg Config) (*Service, error) {
 		start:          time.Now(),
 		edgeCut:        part.EdgeCut(),
 		balance:        part.Balance(),
-		sem:            make(chan struct{}, cfg.MaxConcurrent),
-		closing:        make(chan struct{}),
-		engines:        make(map[string]engineEntry),
+		gate:           admission.New(cfg.MaxConcurrent, cfg.MaxQueued),
+		engines:        make(map[string]engine.Engine),
 		cache:          newResultCache(cfg.CacheEntries),
 		artifacts:      engine.NewArtifactCache(0),
 		commByKind:     make(map[string]int64),
@@ -227,7 +220,11 @@ func OpenPartitioned(part *partition.Partition, cfg Config) (*Service, error) {
 		slow:           obs.NewProfileRing(cfg.ProfileCap),
 	}
 	s.initObs()
-	registerDefaultEngines(s)
+	// Route to every engine in the process-wide registry (RADS and the
+	// five baselines via rads/internal/engine/all).
+	for _, name := range engine.Names() {
+		s.engines[name], _ = engine.Lookup(name)
+	}
 	// Warm the resident state: border distances are query-independent,
 	// so pay each machine's BFS now instead of inside the first query.
 	for t := 0; t < part.M; t++ {
@@ -266,11 +263,11 @@ func (s *Service) initObs() {
 		s.frontierSplits.Load)
 	reg.GaugeFunc("rads_queries_running",
 		"Queries currently executing.", func() float64 {
-			return float64(s.running.Load())
+			return float64(s.gate.Running())
 		})
 	reg.GaugeFunc("rads_queries_queued",
 		"Queries waiting for an admission slot.", func() float64 {
-			return float64(s.queued.Load())
+			return float64(s.gate.Queued())
 		})
 	reg.CounterVecFunc("rads_transport_bytes_total",
 		"Simulated network bytes by message kind.", "kind", func() map[string]int64 {
@@ -328,39 +325,22 @@ func (s *Service) Partition() *partition.Partition { return s.part }
 // boot through the snapshot codec.
 func (s *Service) Artifacts() *engine.ArtifactCache { return s.artifacts }
 
-// RegisterEngine adds (or replaces) an engine under name. Queries name
-// engines by these keys. Engines registered here are external: the
-// service cannot see their capabilities, so unsupported options are
-// the function's own responsibility to reject.
-func (s *Service) RegisterEngine(name string, fn EngineFunc) error {
-	if name == "" || fn == nil {
-		return errors.New("service: engine needs a name and a function")
+// Register adds (or replaces) an engine under its own name; queries
+// name engines by these keys. Its declared capabilities gate admission
+// (unsupported options are rejected at Submit) and its prepared
+// artifacts route through the service's artifact cache, exactly as for
+// the built-ins. Cluster-mode radserve uses this to swap the
+// in-process RADS engine for the remote coordinator.
+func (s *Service) Register(e engine.Engine) error {
+	if e == nil || e.Name() == "" {
+		return errors.New("service: engine needs a name")
+	}
+	if s.gate.Closed() {
+		return ErrClosed
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	s.engines[name] = engineEntry{fn: fn}
-	return nil
-}
-
-// RegisterEngineObject adds (or replaces) a full engine.Engine under
-// its own name, with its declared capabilities visible to admission
-// and routed through the service's artifact cache — unlike the
-// capability-blind RegisterEngine. Cluster-mode radserve uses this to
-// swap the in-process RADS engine for the remote coordinator.
-func (s *Service) RegisterEngineObject(e engine.Engine) error {
-	if e == nil {
-		return errors.New("service: nil engine")
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	caps := e.Capabilities()
-	s.engines[e.Name()] = engineEntry{fn: s.registryEngine(e), caps: &caps}
+	s.engines[e.Name()] = e
 	return nil
 }
 
@@ -385,29 +365,25 @@ func (s *Service) Submit(ctx context.Context, q Query) (*Handle, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// Canonicalization is pure CPU on the caller's pattern; keep it
-	// outside the service lock so an expensive pattern only costs its
-	// own request, and skip it entirely for queries the cache can
+	// Canonicalization is skipped entirely for queries the cache can
 	// never serve (an empty key disables cache ops downstream).
 	var key string
 	if s.cache != nil && !q.NoCache && !q.Stream {
 		key = q.Pattern.CanonicalKey()
 	}
 
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	if s.gate.Closed() {
 		return nil, ErrClosed
 	}
-	ent, ok := s.engines[engineName]
+	s.mu.Lock()
+	e, ok := s.engines[engineName]
+	s.mu.Unlock()
 	if !ok {
-		s.mu.Unlock()
 		return nil, fmt.Errorf("service: unknown engine %q", engineName)
 	}
-	// Reject unsupported options up front when the engine's declared
-	// capabilities are known, instead of failing mid-run.
-	if q.Stream && ent.caps != nil && !ent.caps.Streaming {
-		s.mu.Unlock()
+	// Reject unsupported options up front from the engine's declared
+	// capabilities, instead of failing mid-run.
+	if q.Stream && !e.Capabilities().Streaming {
 		return nil, fmt.Errorf("service: engine %s cannot stream embeddings: %w", engineName, engine.ErrUnsupported)
 	}
 	s.submitted.Add(1)
@@ -416,90 +392,66 @@ func (s *Service) Submit(ctx context.Context, q Query) (*Handle, error) {
 	h.id = s.queryIDs.Add(1)
 
 	// Fast path: answered motif under any labeling. Streaming queries
-	// skip the cache — embeddings are not cached, only counts. The
-	// cached result keeps the engine that actually produced it
-	// (Seconds/CommMB are that run's numbers); CacheHit tells the
-	// caller the requested engine never ran.
+	// skip the cache — embeddings are not cached, only counts.
 	if key != "" {
-		if res, ok := s.cache.get(key); ok {
-			s.cacheHits.Add(1)
-			s.completed.Add(1)
-			s.mu.Unlock()
-			res.Pattern = q.Pattern.Name
-			res.CacheHit = true
-			res.Queued = 0 // this request never queued; don't echo the original run's wait
-			s.recordProfile(&obs.Profile{
-				ID: h.id, Query: q.Pattern.Name, Engine: res.Engine, CacheHit: true,
-			}, 0)
-			s.obsQueries.With("cache_hit").Inc()
-			h.complete(res)
+		if s.completeFromCache(h, key, 0) {
 			return h, nil
 		}
 		s.cacheMisses.Add(1)
 	}
 
-	// Admission: grab a free slot right now if one exists; otherwise
-	// join the queue (bounded by MaxQueued). Doing the fast path under
-	// the lock keeps the queued gauge honest — it only ever counts
-	// queries that found every slot taken.
-	admitted := false
-	select {
-	case s.sem <- struct{}{}:
-		admitted = true
-	default:
-		if int(s.queued.Load()) >= s.cfg.MaxQueued {
-			s.rejected.Add(1)
-			s.mu.Unlock()
-			return nil, fmt.Errorf("%w (%d waiting)", ErrOverloaded, s.cfg.MaxQueued)
-		}
-		s.queued.Add(1)
+	// Admission: a free slot right now, else a seat in the bounded
+	// queue, else fail fast.
+	tk, err := s.gate.Enter()
+	switch {
+	case errors.Is(err, admission.ErrFull):
+		return nil, fmt.Errorf("%w (%d waiting)", ErrOverloaded, s.cfg.MaxQueued)
+	case err != nil:
+		return nil, ErrClosed
 	}
-	s.wg.Add(1)
-	s.mu.Unlock()
-
-	go s.serve(ctx, h, ent.fn, key, admitted)
+	go s.serve(ctx, h, e, key, tk)
 	return h, nil
 }
 
-// serve runs one admitted-or-queued query to completion.
-func (s *Service) serve(ctx context.Context, h *Handle, fn EngineFunc, key string, admitted bool) {
-	defer s.wg.Done()
-	enqueued := time.Now()
+// completeFromCache answers h from the result cache when key is
+// present, after queued spent waiting for admission. The cached result
+// keeps the engine that actually produced it (Seconds/CommMB are that
+// run's numbers); CacheHit tells the caller the requested engine never
+// ran, and Queued is this request's wait, not the original run's.
+func (s *Service) completeFromCache(h *Handle, key string, queued time.Duration) bool {
+	res, ok := s.cache.get(key)
+	if !ok {
+		return false
+	}
+	s.cacheHits.Add(1)
+	s.completed.Add(1)
+	res.Pattern = h.query.Pattern.Name
+	res.CacheHit = true
+	res.Queued = queued
+	s.recordProfile(&obs.Profile{
+		ID: h.id, Query: res.Pattern, Engine: res.Engine,
+		CacheHit: true, QueuedSeconds: queued.Seconds(),
+	}, 0)
+	s.obsQueries.With("cache_hit").Inc()
+	h.complete(res)
+	return true
+}
 
-	if !admitted {
-		// Wait for a slot, the client giving up, or shutdown.
-		select {
-		case s.sem <- struct{}{}:
-			// Winning a slot races with shutdown: if Close already
-			// began, honour its contract (queued queries fail) rather
-			// than letting a freed slot sneak this query through.
-			select {
-			case <-s.closing:
-				<-s.sem
-				s.queued.Add(-1)
-				s.failed.Add(1)
-				h.fail(ErrClosed)
-				return
-			default:
-			}
-		case <-ctx.Done():
-			s.queued.Add(-1)
-			s.cancelled.Add(1)
-			h.fail(fmt.Errorf("service: query %q cancelled while queued: %w", h.query.Pattern.Name, ctx.Err()))
-			return
-		case <-s.closing:
-			s.queued.Add(-1)
+// serve runs one admitted-or-queued query to completion.
+func (s *Service) serve(ctx context.Context, h *Handle, e engine.Engine, key string, tk *admission.Ticket) {
+	defer tk.Release()
+	enqueued := time.Now()
+	// Wait for a slot, the client giving up, or shutdown.
+	if err := tk.Wait(ctx); err != nil {
+		if errors.Is(err, admission.ErrClosed) {
 			s.failed.Add(1)
 			h.fail(ErrClosed)
-			return
+		} else {
+			s.cancelled.Add(1)
+			h.fail(fmt.Errorf("service: query %q cancelled while queued: %w", h.query.Pattern.Name, err))
 		}
-		s.queued.Add(-1)
+		return
 	}
-	s.running.Add(1)
-	defer func() {
-		s.running.Add(-1)
-		<-s.sem
-	}()
 	queuedFor := time.Since(enqueued)
 	s.obsWaitLatency.Observe(queuedFor.Seconds())
 
@@ -507,26 +459,13 @@ func (s *Service) serve(ctx context.Context, h *Handle, fn EngineFunc, key strin
 	// this query waited in the queue. This lookup supersedes the miss
 	// recorded at Submit — compensate it so hits+misses tracks queries,
 	// not lookups.
-	if key != "" {
-		if res, ok := s.cache.get(key); ok {
-			s.cacheHits.Add(1)
-			s.cacheMisses.Add(-1)
-			s.completed.Add(1)
-			res.Pattern = h.query.Pattern.Name
-			res.CacheHit = true
-			res.Queued = queuedFor
-			s.recordProfile(&obs.Profile{
-				ID: h.id, Query: h.query.Pattern.Name, Engine: res.Engine,
-				CacheHit: true, QueuedSeconds: queuedFor.Seconds(),
-			}, 0)
-			s.obsQueries.With("cache_hit").Inc()
-			h.complete(res)
-			return
-		}
+	if key != "" && s.completeFromCache(h, key, queuedFor) {
+		s.cacheMisses.Add(-1)
+		return
 	}
 
 	trace := obs.NewTrace()
-	req := EngineRequest{
+	req := engine.Request{
 		Part:    s.part,
 		Pattern: h.query.Pattern,
 		Metrics: cluster.NewMetrics(s.part.M),
@@ -553,7 +492,7 @@ func (s *Service) serve(ctx context.Context, h *Handle, fn EngineFunc, key strin
 
 	s.engineRuns.Add(1)
 	began := time.Now()
-	res, err := fn(ctx, req)
+	res, err := engine.Execute(ctx, e, s.artifacts, req)
 	elapsed := time.Since(began)
 	s.accountComm(req.Metrics)
 	if err != nil {
@@ -616,19 +555,9 @@ func (s *Service) serve(ctx context.Context, h *Handle, fn EngineFunc, key strin
 		TreeNodes: res.TreeNodes,
 		Seconds:   res.Seconds,
 		CommMB:    float64(req.Metrics.TotalBytes()) / (1 << 20),
+		PeakMB:    float64(res.PeakMemBytes) / (1 << 20),
 		OOM:       res.OOM,
 		Queued:    queuedFor,
-	}
-	// The per-query budget object sees in-process charges; engines that
-	// run their machines elsewhere (the cluster coordinator) report the
-	// remote peaks through the result instead. Surface whichever view
-	// is larger, so cluster-mode peak_mb is no longer silently zero.
-	peak := res.PeakMemBytes
-	if req.Budget != nil && req.Budget.MaxPeak() > peak {
-		peak = req.Budget.MaxPeak()
-	}
-	if peak > 0 {
-		out.PeakMB = float64(peak) / (1 << 20)
 	}
 	// Cache completed counts only: an OOM verdict depends on the
 	// budget, not the pattern, and streams were never materialized.
@@ -680,15 +609,8 @@ func (s *Service) accountComm(m *cluster.Metrics) {
 // ErrClosed, waits for running queries to finish, and returns. It is
 // idempotent.
 func (s *Service) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	close(s.closing)
-	s.mu.Unlock()
-	s.wg.Wait()
+	s.gate.Close()
+	s.gate.Drain()
 	return nil
 }
 
@@ -750,9 +672,9 @@ func (s *Service) Stats() Stats {
 		Completed:      s.completed.Load(),
 		Failed:         s.failed.Load(),
 		Cancelled:      s.cancelled.Load(),
-		Rejected:       s.rejected.Load(),
-		Running:        s.running.Load(),
-		Queued:         s.queued.Load(),
+		Rejected:       s.gate.Rejected(),
+		Running:        s.gate.Running(),
+		Queued:         s.gate.Queued(),
 		EngineRuns:     s.engineRuns.Load(),
 		CacheHits:      s.cacheHits.Load(),
 		CacheMisses:    s.cacheMisses.Load(),
