@@ -238,20 +238,11 @@ func Run(ctx context.Context, g graph.Store, cfg Config) (*Result, error) {
 	fin.End()
 	if err := ctx.Err(); err != nil {
 		res.Partial = true
-		st.report(res.asProgress(st.elapsed()), true)
+		st.report(true)
 		return res, err
 	}
-	st.report(res.asProgress(st.elapsed()), true)
+	st.report(true)
 	return res, nil
-}
-
-func (r *Result) asProgress(elapsed time.Duration) Progress {
-	return Progress{
-		VerticesDone:  r.VerticesDone,
-		TotalVertices: r.TotalVertices,
-		SubgraphsSeen: r.Subgraphs,
-		Elapsed:       elapsed,
-	}
 }
 
 // state is the cross-worker shared tally of one run.
@@ -289,27 +280,30 @@ func (st *state) merge(e *enumerator, rootsDone int64) {
 			delete(e.local, m)
 		}
 	}
-	done := st.verticesDone.Add(rootsDone)
-	seen := st.subgraphsSeen.Add(e.seenDelta)
+	st.verticesDone.Add(rootsDone)
+	st.subgraphsSeen.Add(e.seenDelta)
 	e.seenDelta = 0
-
-	if st.cfg.OnProgress == nil && st.cfg.OnCheckpoint == nil {
-		return
-	}
-	p := Progress{
-		VerticesDone:  done,
-		TotalVertices: st.total,
-		SubgraphsSeen: seen,
-		Elapsed:       st.elapsed(),
-	}
-	st.report(p, false)
+	st.report(false)
 }
 
 // report fires the progress and checkpoint callbacks, serialized and
-// rate-limited; final reports bypass the rate limits.
-func (st *state) report(p Progress, final bool) {
+// rate-limited; final reports bypass the rate limits. The snapshot is
+// read under cbMu: taken before it, two workers could deliver theirs
+// in the opposite order and break OnProgress's monotonic contract.
+// Every worker has merged by the time the final report runs, so that
+// one equals the Result.
+func (st *state) report(final bool) {
+	if st.cfg.OnProgress == nil && st.cfg.OnCheckpoint == nil {
+		return
+	}
 	st.cbMu.Lock()
 	defer st.cbMu.Unlock()
+	p := Progress{
+		VerticesDone:  st.verticesDone.Load(),
+		TotalVertices: st.total,
+		SubgraphsSeen: st.subgraphsSeen.Load(),
+		Elapsed:       st.elapsed(),
+	}
 	now := time.Now()
 	if st.cfg.OnProgress != nil && (final || now.Sub(st.lastProgress) >= st.cfg.ProgressEvery) {
 		st.lastProgress = now
@@ -452,17 +446,9 @@ func (e *enumerator) pulse() {
 		return
 	}
 	e.lastPulse = time.Now()
-	seen := e.st.subgraphsSeen.Add(e.seenDelta)
+	e.st.subgraphsSeen.Add(e.seenDelta)
 	e.seenDelta = 0
-	if e.st.cfg.OnProgress == nil && e.st.cfg.OnCheckpoint == nil {
-		return
-	}
-	e.st.report(Progress{
-		VerticesDone:  e.st.verticesDone.Load(),
-		TotalVertices: e.st.total,
-		SubgraphsSeen: seen,
-		Elapsed:       e.st.elapsed(),
-	}, false)
+	e.st.report(false)
 }
 
 // enumerateRoot runs ESU from root v: every connected k-subgraph whose

@@ -12,8 +12,9 @@
 package etrie
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"rads/internal/graph"
 )
@@ -207,11 +208,11 @@ func (e *EVI) Edges() []graph.Edge {
 	for k := range e.m {
 		out = append(out, k)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].U != out[j].U {
-			return out[i].U < out[j].U
+	slices.SortFunc(out, func(a, b graph.Edge) int {
+		if c := cmp.Compare(a.U, b.U); c != 0 {
+			return c
 		}
-		return out[i].V < out[j].V
+		return cmp.Compare(a.V, b.V)
 	})
 	return out
 }
@@ -243,7 +244,9 @@ func (e *EVI) Fail(edge graph.Edge, t *Trie) int {
 	return removed
 }
 
-// Reset clears the index for the next round (Algorithm 4 line 11).
+// Reset clears the index for the next round (Algorithm 4 line 11),
+// keeping the map's storage: a budgeted group flushes thousands of
+// small segments through one index.
 func (e *EVI) Reset() {
-	e.m = make(map[graph.Edge][]*Node)
+	clear(e.m)
 }

@@ -67,6 +67,10 @@ func TestEnumeratorSteadyStateZeroAlloc(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("%s: steady-state Run allocates %v/op, want 0", q.Name, allocs)
 		}
+		// The count-only path shares the warm scratch.
+		if allocs := testing.AllocsPerRun(1, func() { e.Run(nil) }); allocs != 0 {
+			t.Errorf("%s: steady-state count-only Run allocates %v/op, want 0", q.Name, allocs)
+		}
 		if sink == 0 {
 			t.Fatalf("%s: no embeddings found; graph too sparse for the test", q.Name)
 		}
@@ -87,5 +91,13 @@ func TestEnumeratorPerCandidateZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("per-candidate Run allocates %v/op, want 0", allocs)
+	}
+	allocs = testing.AllocsPerRun(50, func() {
+		for v := graph.VertexID(0); v < 64; v++ {
+			e.Run(nil, v)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("per-candidate count-only Run allocates %v/op, want 0", allocs)
 	}
 }

@@ -16,7 +16,8 @@
 // embedding, a used-vertex bitset, and per-level candidate scratch —
 // is allocated at New and reused across Run calls, so the steady-state
 // inner loop is allocation-free. Enumerate and Count are thin
-// single-shot wrappers.
+// single-shot wrappers. A Run without a callback only counts: the last
+// level is tallied in a loop over its candidates, not recursed into.
 package localenum
 
 import (
@@ -29,8 +30,8 @@ import (
 // Options configures an enumeration.
 type Options struct {
 	// Order is the matching order over query vertices. Every vertex
-	// after the first must be adjacent to an earlier one. If nil, a
-	// greedy order is computed (max degree first, then most matched
+	// after the first must be adjacent to an earlier one. If nil,
+	// GreedyOrder is used (max degree first, then most matched
 	// neighbours).
 	Order []pattern.VertexID
 	// Constraints are symmetry-breaking order constraints. If nil,
@@ -173,9 +174,11 @@ func (e *Enumerator) Reset() {
 
 // Run enumerates embeddings whose start (Order[0]) candidate is drawn
 // from starts, calling fn for each full embedding (the slice is reused;
-// copy to retain; return false to stop early). With no starts given it
-// falls back to Options.StartCandidates, then to every allowed data
-// vertex. Returns this run's stats.
+// copy to retain; return false to stop early). A nil fn counts only:
+// Stats are exactly those of a callback that always returns true, but
+// the last level is tallied without recursing into it. With no starts
+// given it falls back to Options.StartCandidates, then to every allowed
+// data vertex. Returns this run's stats.
 func (e *Enumerator) Run(fn func(f []graph.VertexID) bool, starts ...graph.VertexID) Stats {
 	e.stats = Stats{}
 	e.stopped = false
@@ -249,7 +252,7 @@ func (e *Enumerator) bounds(i int) (lb, ub graph.VertexID) {
 func (e *Enumerator) extend(i int) {
 	if i == len(e.order) {
 		e.stats.Embeddings++
-		if !e.fn(e.f) {
+		if e.fn != nil && !e.fn(e.f) {
 			e.stopped = true
 		}
 		return
@@ -281,6 +284,9 @@ func (e *Enumerator) extend(i int) {
 	}
 
 	minDeg := e.p.Degree(u)
+	// Count-only runs stop one level early: a match of the last query
+	// vertex is a full embedding nobody asked to see.
+	countOnly := e.fn == nil && i == len(e.order)-1
 	for _, v := range cands {
 		if v >= ub {
 			break // candidates ascend; nothing further can satisfy v < ub
@@ -289,6 +295,11 @@ func (e *Enumerator) extend(i int) {
 			continue
 		}
 		if e.allowed != nil && !e.allowed(v) {
+			continue
+		}
+		if countOnly {
+			e.stats.TreeNodes++
+			e.stats.Embeddings++
 			continue
 		}
 		e.f[u] = v
@@ -342,20 +353,33 @@ func (b bitset) has(v graph.VertexID) bool {
 }
 
 // GreedyOrder returns a connectivity-aware matching order: the highest
-// degree vertex first, then repeatedly the vertex with the most
-// already-ordered neighbours (ties: higher degree, then smaller ID).
+// degree vertex first, then GreedyOrderFrom's rule.
 func GreedyOrder(p *pattern.Pattern) []pattern.VertexID {
-	n := p.N()
-	order := make([]pattern.VertexID, 0, n)
-	placed := make([]bool, n)
+	return GreedyOrderFrom(p, maxDegreeVertex(p))
+}
+
+func maxDegreeVertex(p *pattern.Pattern) pattern.VertexID {
 	best := pattern.VertexID(0)
-	for u := 1; u < n; u++ {
+	for u := 1; u < p.N(); u++ {
 		if p.Degree(pattern.VertexID(u)) > p.Degree(best) {
 			best = pattern.VertexID(u)
 		}
 	}
-	order = append(order, best)
-	placed[best] = true
+	return best
+}
+
+// GreedyOrderFrom returns the connectivity-aware matching order that
+// starts at the given query vertex: repeatedly the vertex with the
+// most already-ordered neighbours (ties: higher degree, then smaller
+// ID), so every level intersects as many adjacency lists as the
+// pattern allows. RADS roots it at the plan's first pivot for SM-E —
+// Proposition 1 fixes the start vertex, not the rest of the order.
+func GreedyOrderFrom(p *pattern.Pattern, start pattern.VertexID) []pattern.VertexID {
+	n := p.N()
+	order := make([]pattern.VertexID, 0, n)
+	placed := make([]bool, n)
+	order = append(order, start)
+	placed[start] = true
 	for len(order) < n {
 		bestU, bestScore := pattern.VertexID(-1), -1
 		for u := 0; u < n; u++ {

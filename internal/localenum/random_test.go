@@ -2,6 +2,7 @@ package localenum
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"rads/internal/gen"
@@ -103,5 +104,90 @@ func TestAllowedPartitionsSumToTotal(t *testing.T) {
 	}
 	if sum != total {
 		t.Fatalf("block counts sum to %d, total %d", sum, total)
+	}
+}
+
+// TestCountOnlyMatchesCallbackMode: a Run without a callback must
+// report exactly the Stats of a Run whose callback always continues —
+// embeddings and tree nodes — on every catalogue pattern, with and
+// without an Allowed filter, over all starts, a start subset, and one
+// start at a time (the SM-E shape).
+func TestCountOnlyMatchesCallbackMode(t *testing.T) {
+	rng := rand.New(rand.NewSource(99))
+	all := func([]graph.VertexID) bool { return true }
+	patterns := append(pattern.QuerySet(), pattern.CliqueQuerySet()...)
+	patterns = append(patterns, pattern.Triangle(), pattern.Path(2), pattern.Star(3))
+	for i := 0; i < 6; i++ {
+		g := gen.ErdosRenyi(14+rng.Intn(12), 0.2+0.2*rng.Float64(), rng.Int63())
+		if i%2 == 1 {
+			g = gen.PowerLaw(40+rng.Intn(20), 4, 2.4, 20, rng.Int63())
+		}
+		var subset []graph.VertexID
+		for v := 0; v < g.NumVertices(); v++ {
+			if rng.Intn(3) == 0 {
+				subset = append(subset, graph.VertexID(v))
+			}
+		}
+		for _, p := range patterns {
+			for _, opts := range []Options{
+				{},
+				{Allowed: func(v graph.VertexID) bool { return v%3 != 0 }},
+				{StartCandidates: subset},
+				{Order: GreedyOrderFrom(p, pattern.VertexID(rng.Intn(p.N()))), Allowed: func(v graph.VertexID) bool { return v%4 != 1 }},
+			} {
+				e := New(g, p, opts)
+				if want, got := e.Run(all), e.Run(nil); got != want {
+					t.Fatalf("graph %d, %s, %+v: count-only %+v, callback %+v", i, p.Name, opts, got, want)
+				}
+				for v := 0; v < g.NumVertices(); v++ {
+					if want, got := e.Run(all, graph.VertexID(v)), e.Run(nil, graph.VertexID(v)); got != want {
+						t.Fatalf("graph %d, %s, start %d: count-only %+v, callback %+v", i, p.Name, v, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestGreedyOrderFrom: the order is a permutation that starts at the
+// requested vertex and keeps every later vertex adjacent to an earlier
+// one, from every start of catalogue and random patterns; GreedyOrder
+// is the same rule rooted at the highest-degree vertex.
+func TestGreedyOrderFrom(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	patterns := append(pattern.QuerySet(), pattern.CliqueQuerySet()...)
+	for i := 0; i < 40; i++ {
+		patterns = append(patterns, randomConnectedPattern(rng))
+	}
+	for _, p := range patterns {
+		for s := 0; s < p.N(); s++ {
+			order := GreedyOrderFrom(p, pattern.VertexID(s))
+			if len(order) != p.N() || order[0] != pattern.VertexID(s) {
+				t.Fatalf("%s from %d: order %v", p, s, order)
+			}
+			placed := make(map[pattern.VertexID]bool)
+			for j, u := range order {
+				if placed[u] {
+					t.Fatalf("%s from %d: %d placed twice in %v", p, s, u, order)
+				}
+				connected := j == 0
+				for _, w := range p.Adj(u) {
+					connected = connected || placed[w]
+				}
+				if !connected {
+					t.Fatalf("%s from %d: %d at position %d has no earlier neighbour in %v", p, s, u, j, order)
+				}
+				placed[u] = true
+			}
+		}
+		def := GreedyOrder(p)
+		for u := 0; u < p.N(); u++ {
+			if p.Degree(pattern.VertexID(u)) > p.Degree(def[0]) {
+				t.Fatalf("%s: GreedyOrder starts at %d, but %d has higher degree", p, def[0], u)
+			}
+		}
+		if from := GreedyOrderFrom(p, def[0]); !slices.Equal(def, from) {
+			t.Fatalf("%s: GreedyOrder %v != GreedyOrderFrom(%d) %v", p, def, def[0], from)
+		}
 	}
 }

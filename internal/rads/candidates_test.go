@@ -1,0 +1,144 @@
+package rads
+
+import (
+	"sync"
+	"testing"
+
+	"rads/internal/etrie"
+	"rads/internal/gen"
+	"rads/internal/graph"
+	"rads/internal/localenum"
+	"rads/internal/partition"
+	"rads/internal/pattern"
+)
+
+// hostedEngine builds an in-process engine with its machines spawned
+// but not run, for tests that drive one phase by hand.
+func hostedEngine(t *testing.T, part *partition.Partition, p *pattern.Pattern, cfg Config) *engine {
+	t.Helper()
+	e, err := newEngine(part, p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.spawnMachines()
+	t.Cleanup(func() { e.tr.Close() })
+	return e
+}
+
+// TestExpandRoundAllocatesOnlyTrieNodes guards the per-candidate path:
+// with every adjacency list the round touches known — owned, or in the
+// fetched cache the lock-free slots publish — expanding a frontier
+// through a one-leaf unit that has verification edges must allocate
+// exactly the trie nodes it links: no used-set, no undetermined-edge
+// slices, no candidate buffers after the first pass.
+func TestExpandRoundAllocatesOnlyTrieNodes(t *testing.T) {
+	g := gen.Community(3, 14, 0.4, 7)
+	part := partition.KWay(g, 2, 3)
+	e := hostedEngine(t, part, pattern.ByName("q1"), Config{})
+	round := len(e.pl.Units) - 1
+	if round == 0 || len(e.unitLeaves[round]) != 1 || len(e.verif[e.redPos[e.unitLeaves[round][0]]]) == 0 {
+		t.Fatalf("plan %v: want a last round with one leaf and a verification edge", e.pl.Units)
+	}
+	m := e.machines[0]
+	// A fully warm cache: nothing is left to the EVI.
+	for x := 0; x < g.NumVertices(); x++ {
+		if v := graph.VertexID(x); !m.view.owned(v) {
+			if err := m.view.insertPinned(v, g.Adj(v)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	// Build the frontier of the last round by expanding the earlier
+	// ones, guard-pinning it so removing its children leaves it alive.
+	st := m.newGroupState()
+	var frontier []*etrie.Node
+	for _, v := range part.Vertices(m.id) {
+		root := st.trie.Node(nil, v)
+		st.trie.Link(root)
+		frontier = append(frontier, root)
+	}
+	for r := 0; r < round; r++ {
+		if err := m.expandRound(st, r, frontier); err != nil {
+			t.Fatal(err)
+		}
+		frontier = append([]*etrie.Node(nil), st.created...)
+		st.created = st.created[:0]
+	}
+	for _, n := range frontier {
+		st.trie.Pin(n)
+	}
+
+	pass := func() {
+		if err := m.expandRound(st, round, frontier); err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range st.created {
+			st.trie.Remove(n)
+		}
+		st.created = st.created[:0]
+	}
+	before := st.nodes
+	pass() // grows the scratch to its high-water mark
+	linked := st.nodes - before
+	if linked == 0 {
+		t.Fatal("the round produced nothing; graph too sparse for the test")
+	}
+	if st.evi.Len() != 0 {
+		t.Fatalf("%d undetermined edges under a fully warm cache", st.evi.Len())
+	}
+	if allocs := testing.AllocsPerRun(5, pass); allocs != float64(linked) {
+		t.Errorf("expandRound allocates %v/pass, want the %d trie nodes it links", allocs, linked)
+	}
+}
+
+// TestSMEEmbeddingsStayOnOwnedVertices pins Proposition 1 for the
+// order SM-E now runs on: an embedding rooted at a C1 candidate maps
+// every query vertex to an owned data vertex whatever the matching
+// order, so rooting a connectivity-first order at the plan's start
+// vertex reads no foreign adjacency list — and the Allowed filter
+// drops nothing the unrestricted enumeration from the same roots finds.
+func TestSMEEmbeddingsStayOnOwnedVertices(t *testing.T) {
+	g := gen.Community(3, 40, 0.2, 5) // three blocks: most of each is interior
+	part := partition.KWay(g, 3, 7)
+	for _, p := range append(pattern.QuerySet()[:5], pattern.CliqueQuerySet()[:3]...) {
+		var mu sync.Mutex
+		foreign := 0
+		e := hostedEngine(t, part, p, Config{
+			Workers: 2,
+			OnEmbedding: func(machine int, f []graph.VertexID) {
+				mu.Lock()
+				defer mu.Unlock()
+				for _, v := range f {
+					if part.Owner[v] != int32(machine) {
+						foreign++
+					}
+				}
+			},
+		})
+		var found, want int64
+		for _, m := range e.machines {
+			c1, _ := m.splitCandidates()
+			if len(c1) == 0 {
+				continue
+			}
+			if err := m.runSME(c1); err != nil {
+				t.Fatal(err)
+			}
+			found += m.smeCount
+			want += localenum.Count(g, p, localenum.Options{
+				Order:           localenum.GreedyOrderFrom(p, e.pl.Units[0].Piv),
+				StartCandidates: c1,
+			})
+		}
+		if foreign != 0 {
+			t.Errorf("%s: SM-E delivered %d foreign vertices", p.Name, foreign)
+		}
+		if found != want {
+			t.Errorf("%s: SM-E found %d, unrestricted enumeration from C1 finds %d", p.Name, found, want)
+		}
+		if found == 0 {
+			t.Errorf("%s: SM-E found nothing; the partition leaves no interior", p.Name)
+		}
+	}
+}

@@ -5,7 +5,10 @@
 //
 //  1. SM-E: candidates of the starting query vertex whose border
 //     distance is at least the vertex's span are enumerated entirely
-//     locally with the single-machine algorithm (Proposition 1).
+//     locally with the single-machine algorithm (Proposition 1), on
+//     the connectivity-first matching order rooted at that vertex —
+//     the proposition constrains where an embedding starts, not the
+//     order the rest of it is matched in.
 //  2. The remaining candidates are split into region groups by greedy
 //     proximity grouping under a memory estimate (Section 6, Alg. 3).
 //  3. Each region group runs R-Meef (Section 3.2, Alg. 4): one round
@@ -20,6 +23,16 @@
 // Machines run concurrently and never exchange intermediate results —
 // only edge-verification bits and adjacency lists, which is the
 // paper's central design point.
+//
+// Inside a round, candidates are intersected, then verified (adjEnum):
+// the pivot's adjacency list, cut to the symmetry-breaking window, is
+// intersected with the list of every verification neighbour the
+// machine can read (owned, or fetched and cached — the cache is read
+// lock-free); what remains per candidate is only the edges to
+// neighbours whose list is unknown, which the candidate's own list
+// decides or the EVI defers to verifyE. Which embedding candidates,
+// trie nodes and undetermined edges exist is independent of how the
+// candidates were generated.
 package rads
 
 import (

@@ -160,32 +160,7 @@ func (m *machine) run() (err error) {
 	machSp := m.e.cfg.Trace.Start("execute/machine", m.id, -1)
 	defer machSp.End()
 
-	ustart := m.e.pl.Units[0].Piv
-	span := m.e.p.Span(ustart)
-
-	// Candidate set of the starting query vertex on this machine.
-	var cands []graph.VertexID
-	for _, v := range m.e.part.Vertices(m.id) {
-		if m.e.g.Degree(v) >= m.e.p.Degree(ustart) {
-			cands = append(cands, v)
-		}
-	}
-
-	// Split into C1 (single-machine) and the rest by border distance
-	// (Proposition 1).
-	var c1, c2 []graph.VertexID
-	if m.e.cfg.DisableSME {
-		c2 = cands
-	} else {
-		bd := m.e.part.BorderDistances(m.id)
-		for _, v := range cands {
-			if int(bd[v]) >= span {
-				c1 = append(c1, v)
-			} else {
-				c2 = append(c2, v)
-			}
-		}
-	}
+	c1, c2 := m.splitCandidates()
 
 	// SM-E (Section 3.1), one candidate at a time so the per-candidate
 	// trie-cost samples feed the Section 6 memory estimator.
@@ -227,6 +202,34 @@ func (m *machine) run() (err error) {
 		}
 	}
 	return nil
+}
+
+// splitCandidates returns this machine's candidates of the starting
+// query vertex, split by border distance (Proposition 1): c1 can only
+// root embeddings that lie entirely on this machine and goes to SM-E,
+// c2 goes through region groups.
+func (m *machine) splitCandidates() (c1, c2 []graph.VertexID) {
+	ustart := m.e.pl.Units[0].Piv
+	span := m.e.p.Span(ustart)
+
+	var cands []graph.VertexID
+	for _, v := range m.e.part.Vertices(m.id) {
+		if m.e.g.Degree(v) >= m.e.p.Degree(ustart) {
+			cands = append(cands, v)
+		}
+	}
+	if m.e.cfg.DisableSME {
+		return nil, cands
+	}
+	bd := m.e.part.BorderDistances(m.id)
+	for _, v := range cands {
+		if int(bd[v]) >= span {
+			c1 = append(c1, v)
+		} else {
+			c2 = append(c2, v)
+		}
+	}
+	return c1, c2
 }
 
 // processGroups drains the machine's group queue with engine.workers()
@@ -272,7 +275,12 @@ func (m *machine) processGroups() error {
 }
 
 // runSME enumerates every C1 candidate with the single-machine
-// algorithm, restricted to vertices this machine owns. Candidates fan
+// algorithm, restricted to vertices this machine owns. Proposition 1
+// fixes only where a local embedding starts (the plan's first pivot),
+// so the enumerator runs on the connectivity-first order rooted there
+// rather than on the plan's unit order, which serves the rounds'
+// communication, not intersection; with no OnEmbedding it passes no
+// callback and the last level is counted, not visited. Candidates fan
 // out across the worker pool; every worker reuses one enumerator
 // (frame, bitset and candidate scratch allocated once), so the
 // steady-state loop is allocation-free. Counter shards merge at the
@@ -283,9 +291,8 @@ func (m *machine) runSME(c1 []graph.VertexID) error {
 	var fn func(f []graph.VertexID) bool
 	if m.e.cfg.OnEmbedding != nil {
 		fn = func(f []graph.VertexID) bool { m.emit(f); return true }
-	} else {
-		fn = func([]graph.VertexID) bool { return true }
 	}
+	order := localenum.GreedyOrderFrom(m.e.p, m.e.pl.Units[0].Piv)
 	workers := m.e.workers()
 	if workers > len(c1) {
 		workers = len(c1)
@@ -300,7 +307,7 @@ func (m *machine) runSME(c1 []graph.VertexID) error {
 		go func(w int) {
 			defer wg.Done()
 			en := localenum.New(m.e.g, m.e.p, localenum.Options{
-				Order:       m.e.pl.Order,
+				Order:       order,
 				Constraints: m.e.cons,
 				Allowed:     owned,
 			})
@@ -588,11 +595,16 @@ func (q *groupQueue) Len() int {
 
 // view enforces the distribution discipline: a machine may read the
 // adjacency list of a vertex only if it owns it or has fetched it.
-// One view is shared by all of a machine's pool workers; the cache is
-// guarded by mu, and fetchMu serializes whole fetch phases
+// One view is shared by all of a machine's pool workers; cache writes
+// are guarded by mu, and fetchMu serializes whole fetch phases
 // (need-computation, the fetchV call, insertion), so each foreign
 // adjacency list is fetched, transported and budget-charged once per
 // machine regardless of Workers.
+//
+// Reads take no lock: R-Meef probes the cache once per foreign
+// candidate, from every pool worker at once, so the resident lists are
+// also published through slots, a paged array of atomic pointers
+// indexed by vertex ID that writers keep in step with cache under mu.
 //
 // Entries a group's in-flight rounds depend on are pinned (a
 // refcount): dropAll — the budget valve and the DisableCache ablation
@@ -607,9 +619,14 @@ type view struct {
 	// the remote daemon never touches this machine's view.
 	fetchMu sync.Mutex
 
-	mu    sync.RWMutex
+	mu    sync.Mutex
 	cache map[graph.VertexID][]graph.VertexID
 	pins  map[graph.VertexID]int
+
+	// slots[x>>slotPageBits] is nil until a vertex of that page is
+	// cached, so a view costs |V|/slotPageSize pointers up front and
+	// one page per touched ID range after that.
+	slots []atomic.Pointer[slotPage]
 
 	// Fetch-phase cache effectiveness: hits are foreign pivots found
 	// resident (pinCached success in a fetch phase), misses crossed the
@@ -619,12 +636,20 @@ type view struct {
 	hits, misses atomic.Int64
 }
 
+const (
+	slotPageBits = 10
+	slotPageSize = 1 << slotPageBits
+)
+
+type slotPage [slotPageSize]atomic.Pointer[[]graph.VertexID]
+
 func newView(e *engine, id int) *view {
 	return &view{
 		e:     e,
 		id:    id,
 		cache: make(map[graph.VertexID][]graph.VertexID),
 		pins:  make(map[graph.VertexID]int),
+		slots: make([]atomic.Pointer[slotPage], (len(e.part.Owner)+slotPageSize-1)/slotPageSize),
 	}
 }
 
@@ -632,10 +657,22 @@ func (v *view) owned(x graph.VertexID) bool { return v.e.part.Owner[x] == int32(
 
 // cachedAdj returns x's fetched adjacency list, if present.
 func (v *view) cachedAdj(x graph.VertexID) ([]graph.VertexID, bool) {
-	v.mu.RLock()
-	a, ok := v.cache[x]
-	v.mu.RUnlock()
-	return a, ok
+	if pg := v.slots[x>>slotPageBits].Load(); pg != nil {
+		if adj := pg[x&(slotPageSize-1)].Load(); adj != nil {
+			return *adj, true
+		}
+	}
+	return nil, false
+}
+
+// publish makes x's slot read adj (nil empties it). Callers hold mu.
+func (v *view) publish(x graph.VertexID, adj *[]graph.VertexID) {
+	pg := v.slots[x>>slotPageBits].Load()
+	if pg == nil {
+		pg = new(slotPage)
+		v.slots[x>>slotPageBits].Store(pg)
+	}
+	pg[x&(slotPageSize-1)].Store(adj)
 }
 
 // adjKnown returns the adjacency list of x if locally determinable.
@@ -669,6 +706,8 @@ func (v *view) insertPinned(x graph.VertexID, adj []graph.VertexID) error {
 			return err
 		}
 		v.cache[x] = adj
+		resident := adj // escapes; keeps the hit path from allocating
+		v.publish(x, &resident)
 	}
 	v.pins[x]++
 	return nil
@@ -697,6 +736,7 @@ func (v *view) dropAll() {
 		}
 		v.e.cfg.Budget.Release(v.id, cacheEntryBytes(adj))
 		delete(v.cache, x)
+		v.publish(x, nil)
 	}
 }
 

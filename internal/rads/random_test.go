@@ -10,10 +10,9 @@ import (
 	"rads/internal/pattern"
 )
 
-// randomConnectedPattern: random spanning tree plus extra edges,
-// 3..7 vertices — the same fuzzer the planner tests use.
-func randomConnectedPattern(rng *rand.Rand) *pattern.Pattern {
-	n := 3 + rng.Intn(5)
+// randomConnectedPattern: random spanning tree plus extra edges on n
+// vertices — the same fuzzer the planner tests use.
+func randomConnectedPattern(rng *rand.Rand, n int) *pattern.Pattern {
 	var pairs []int
 	for v := 1; v < n; v++ {
 		pairs = append(pairs, v, rng.Intn(v))
@@ -34,7 +33,7 @@ func randomConnectedPattern(rng *rand.Rand) *pattern.Pattern {
 func TestRandomPatternsAgainstOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(2024))
 	for i := 0; i < 40; i++ {
-		p := randomConnectedPattern(rng)
+		p := randomConnectedPattern(rng, 3+rng.Intn(5))
 		g := gen.ErdosRenyi(20+rng.Intn(20), 0.15+0.2*rng.Float64(), rng.Int63())
 		if _, comps := g.ConnectedComponents(); comps > 1 {
 			// Partitioner and borders assume a connected graph;

@@ -2,6 +2,7 @@ package rads
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -35,14 +36,17 @@ type groupState struct {
 	// results produced since the last verify & filter.
 	created []*etrie.Node
 
-	f    []graph.VertexID // partial embedding indexed by query vertex
-	used map[graph.VertexID]bool
+	frame // scratch of the expansion loop currently running
 
-	// pending undetermined edges along the current adjEnum chain,
-	// stacked per recursion depth.
+	// spare holds frames for midFlush to run deeper rounds on while an
+	// outer loop's frame is parked; one per open flush nesting level,
+	// kept for the group's lifetime.
+	spare []frame
+
+	// pending[li] holds the undetermined edges the candidate at leaf
+	// level li added to the current adjEnum chain. Dead at every flush
+	// point, so not part of the frame.
 	pending [][]graph.Edge
-
-	pathBuf []graph.VertexID
 
 	// flushNodes bounds the number of EC leaves a flush segment may
 	// accumulate before verification and deeper rounds run for it.
@@ -72,22 +76,84 @@ type groupState struct {
 	chargedTrie int64 // budget bytes currently charged for the trie
 }
 
+// frame is the scratch one expansion loop ranges over. Deeper rounds
+// re-enter adjEnum at level 0 from a mid-round flush while the outer
+// loop is still reading its own, so midFlush swaps the whole frame.
+type frame struct {
+	f       []graph.VertexID // partial embedding indexed by query vertex, -1 when unmatched
+	pathBuf []graph.VertexID // trie-path scratch
+	// Per leaf level: the intersected candidate list, and the
+	// verification neighbours whose adjacency list was unknown when it
+	// was built.
+	cand [][]graph.VertexID
+	unk  [][]pattern.VertexID
+}
+
+func newFrame(n int) frame {
+	fr := frame{
+		f:    make([]graph.VertexID, n),
+		cand: make([][]graph.VertexID, n),
+		unk:  make([][]pattern.VertexID, n),
+	}
+	for i := range fr.f {
+		fr.f[i] = -1
+	}
+	return fr
+}
+
+func (m *machine) newGroupState() *groupState {
+	n := m.e.p.N()
+	return &groupState{
+		trie:    etrie.New(len(m.e.redOrder)),
+		evi:     etrie.NewEVI(),
+		view:    m.view,
+		frame:   newFrame(n),
+		pending: make([][]graph.Edge, n),
+	}
+}
+
+// matched reports whether data vertex v is already in the partial
+// embedding — a scan of at most |V_P| entries, which beats a hash
+// probe at the pattern sizes subgraph enumeration runs on.
+func (st *groupState) matched(v graph.VertexID) bool {
+	for _, x := range st.f {
+		if x == v {
+			return true
+		}
+	}
+	return false
+}
+
+// bounds folds the symmetry constraints of one level into the open
+// interval (lb, ub) its candidates must fall in.
+func (st *groupState) bounds(cons []posCons) (lb, ub graph.VertexID) {
+	lb, ub = -1, math.MaxInt32
+	for _, c := range cons {
+		o := st.f[c.other]
+		if c.less {
+			if o < ub {
+				ub = o
+			}
+		} else if o > lb {
+			lb = o
+		}
+	}
+	return lb, ub
+}
+
+// window returns the part of ascending list adj inside (lb, ub).
+func window(adj []graph.VertexID, lb, ub graph.VertexID) []graph.VertexID {
+	adj = adj[graph.SearchSorted(adj, lb+1):]
+	return adj[:graph.SearchSorted(adj, ub)]
+}
+
 // processGroup runs all R-Meef rounds for one region group. worker is
 // the pool-worker index it runs on, for span attribution.
 func (m *machine) processGroup(group []graph.VertexID, worker int) error {
 	e := m.e
 	groupSp := e.cfg.Trace.Start("execute/group", m.id, worker)
 	defer groupSp.End()
-	st := &groupState{
-		trie: etrie.New(len(e.redOrder)),
-		evi:  etrie.NewEVI(),
-		view: m.view,
-		f:    make([]graph.VertexID, e.p.N()),
-		used: make(map[graph.VertexID]bool, e.p.N()),
-	}
-	for i := range st.f {
-		st.f[i] = -1
-	}
+	st := m.newGroupState()
 	if target := e.groupMemTarget(); target > 0 {
 		// Leave half the target as headroom for the segment being built.
 		st.flushNodes = int(target / (2 * trieNodeBytes))
@@ -271,18 +337,8 @@ func (m *machine) expandRoundParallel(st *groupState, round int, frontier []*etr
 	var aborted atomic.Bool
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		sub := &groupState{
-			trie:       etrie.New(len(e.redOrder)),
-			evi:        etrie.NewEVI(),
-			view:       st.view,
-			f:          make([]graph.VertexID, e.p.N()),
-			used:       make(map[graph.VertexID]bool, e.p.N()),
-			flushNodes: st.flushNodes,
-			sub:        true,
-		}
-		for i := range sub.f {
-			sub.f[i] = -1
-		}
+		sub := m.newGroupState()
+		sub.flushNodes, sub.sub = st.flushNodes, true
 		subs[w] = sub
 		wg.Add(1)
 		go func(w int, sub *groupState) {
@@ -386,20 +442,23 @@ func (m *machine) flushSegment(st *groupState, round int) error {
 }
 
 // midFlush is flushSegment invoked from inside an expansion loop. The
-// deeper rounds reuse the shared scratch state (f, used, pathBuf), so
-// the caller's view of it is saved and restored around the descent.
+// deeper rounds run the same loops on the same group state, so the
+// caller's frame — embedding, path and the candidate lists it is still
+// ranging over — is parked and a spare one takes its place for the
+// descent.
 func (m *machine) midFlush(st *groupState, round int) error {
-	savedF, savedUsed, savedPath := st.f, st.used, st.pathBuf
-	st.f = make([]graph.VertexID, len(savedF))
-	for i := range st.f {
-		st.f[i] = -1
+	parked := st.frame
+	if n := len(st.spare); n > 0 {
+		st.frame, st.spare = st.spare[n-1], st.spare[:n-1]
+	} else {
+		st.frame = newFrame(len(parked.f))
 	}
-	st.used = make(map[graph.VertexID]bool, len(savedUsed))
-	st.pathBuf = nil
 
 	err := m.flushSegment(st, round)
 
-	st.f, st.used, st.pathBuf = savedF, savedUsed, savedPath
+	// Every loop clears what it set in f, so the frame is spare again.
+	st.spare = append(st.spare, st.frame)
+	st.frame = parked
 	return err
 }
 
@@ -440,13 +499,10 @@ func (m *machine) emitResults(st *groupState, frontier []*etrie.Node) error {
 		st.pathBuf = st.trie.AppendPath(st.pathBuf[:0], leaf)
 		for j, v := range st.pathBuf {
 			st.f[e.redOrder[j]] = v
-			st.used[v] = true
 		}
 		st.distCount += m.countDeferred(st, 0)
-		for j := 0; j < len(st.pathBuf); j++ {
-			u := e.redOrder[j]
-			delete(st.used, st.f[u])
-			st.f[u] = -1
+		for j := range st.pathBuf {
+			st.f[e.redOrder[j]] = -1
 		}
 		st.trie.Remove(leaf)
 	}
@@ -457,40 +513,26 @@ func (m *machine) emitResults(st *groupState, frontier []*etrie.Node) error {
 // countDeferred counts the injective, symmetry-respecting assignments
 // of the deferred end vertices given the fixed core embedding in st.f.
 // Candidates for deferred vertex i are the neighbours of its pivot’s
-// data vertex; the expansion edge holds by construction, and end
-// vertices have no other pattern edges, so no verification is needed.
+// data vertex inside the symmetry window; the expansion edge holds by
+// construction, and end vertices have no other pattern edges, so no
+// verification is needed. The last deferred vertex is tallied, not
+// recursed into.
 func (m *machine) countDeferred(st *groupState, di int) int64 {
 	e := m.e
-	if di == len(e.deferred) {
-		return 1
-	}
 	d := e.deferred[di]
-	adj := st.mustAdj(st.f[e.defPiv[di]])
+	lb, ub := st.bounds(e.defCons[di])
+	last := di == len(e.deferred)-1
 	var total int64
-	for _, v := range adj {
-		if st.used[v] {
+	for _, v := range window(st.mustAdj(st.f[e.defPiv[di]]), lb, ub) {
+		if st.matched(v) {
 			continue
 		}
-		ok := true
-		for _, c := range e.defCons[di] {
-			o := st.f[c.other]
-			if c.less {
-				if !(v < o) {
-					ok = false
-					break
-				}
-			} else if !(v > o) {
-				ok = false
-				break
-			}
-		}
-		if !ok {
+		if last {
+			total++
 			continue
 		}
 		st.f[d] = v
-		st.used[v] = true
 		total += m.countDeferred(st, di+1)
-		delete(st.used, v)
 		st.f[d] = -1
 	}
 	return total
@@ -656,24 +698,18 @@ func (m *machine) expandRound(st *groupState, round int, frontier []*etrie.Node)
 		}
 		for j, v := range st.pathBuf {
 			st.f[e.redOrder[j]] = v
-			st.used[v] = true
 		}
 
 		vpiv := st.f[piv]
 		adj := st.mustAdj(vpiv) // fetched and pinned by fetchForeignPivots
 
-		st.pending = st.pending[:0]
 		// Pin the parent: a mid-round flush may consume and remove every
 		// child produced so far while we are still expanding beneath it.
 		st.trie.Pin(parent)
 		_, err := m.adjEnum(st, round, 0, parent, leaves, adj)
 
-		// Backtrack bookkeeping. pathBuf may have been clobbered by a
-		// mid-round flush, so clear via f (which midFlush restores).
 		for j := 0; j < prefixBefore; j++ {
-			u := e.redOrder[j]
-			delete(st.used, st.f[u])
-			st.f[u] = -1
+			st.f[e.redOrder[j]] = -1
 		}
 		// Unpin removes the parent when nothing under it survived —
 		// Algorithm 1 lines 7-9 generalized to segmented rounds.
@@ -687,71 +723,89 @@ func (m *machine) expandRound(st *groupState, round int, frontier []*etrie.Node)
 
 // adjEnum is Algorithm 2: recursively match unit leaves within the
 // neighbourhood of the pivot's data vertex, verifying what is locally
-// determinable and deferring the rest to the EVI. At the top level it
-// honours the flush limit: between candidate subtrees, if the current
-// segment has grown past flushNodes, the segment is verified, filtered
-// and descended before expansion continues.
+// determinable and deferring the rest to the EVI.
+//
+// Candidates of a level are generated, not tested one by one: the
+// pivot's list is cut to the symmetry window (lb, ub) and intersected
+// with the adjacency list of every verification neighbour whose list
+// this machine knows. Only neighbours with an unknown list are left to
+// the per-candidate check, which decides the edge from the candidate's
+// own list when that is known and otherwise records it as
+// undetermined — so the ECs, trie nodes and EVI entries are those of
+// testing every pivot neighbour against every verification edge.
+//
+// At the top level it honours the flush limit: between candidate
+// subtrees, if the current segment has grown past flushNodes, the
+// segment is verified, filtered and descended before expansion
+// continues.
 func (m *machine) adjEnum(st *groupState, round, li int, parent *etrie.Node, leaves []pattern.VertexID, pivAdj []graph.VertexID) (bool, error) {
 	e := m.e
 	u := leaves[li]
 	pos := e.redPos[u]
 	produced := false
+	if len(pivAdj) == 0 {
+		return false, nil
+	}
 
-	for _, v := range pivAdj {
-		if li == 0 && st.flushNodes > 0 && len(st.created) >= st.flushNodes {
-			// Safe flush point: no partially-built chain is open (the
-			// previous candidate's subtree is fully linked), and the
-			// pinned parent survives the descent.
-			if err := m.midFlush(st, round); err != nil {
-				return produced, err
-			}
+	// Flush points are those of a walk over the whole pivot list — on
+	// entry, and after a candidate whenever more of the list follows —
+	// so segment boundaries, and the ET/EL accounting cut at them, do
+	// not depend on how many neighbours candidate generation skips.
+	// They are safe: no partially-built chain is open (the previous
+	// candidate's subtree is fully linked), and the pinned parent
+	// survives the descent.
+	flushes := li == 0 && st.flushNodes > 0
+	if flushes && len(st.created) >= st.flushNodes {
+		if err := m.midFlush(st, round); err != nil {
+			return produced, err
 		}
-		if st.used[v] {
+	}
+
+	lb, ub := st.bounds(e.cons2[pos])
+	cands := window(pivAdj, lb, ub)
+	unk := st.unk[li][:0]
+	for _, w := range e.verif[pos] {
+		if adj, ok := st.adjKnown(st.f[w]); ok {
+			st.cand[li] = graph.IntersectSortedU32(st.cand[li], cands, window(adj, lb, ub))
+			cands = st.cand[li]
+		} else {
+			unk = append(unk, w)
+		}
+	}
+	st.unk[li] = unk
+
+	minDeg := e.p.Degree(u)
+	lastAdj := pivAdj[len(pivAdj)-1]
+	for _, v := range cands {
+		if st.matched(v) {
 			continue
 		}
-		// Symmetry-breaking constraints against earlier positions.
+		if !st.degreeAtLeast(v, minDeg) {
+			continue
+		}
+		// Verification edges the intersection could not decide: check
+		// locally when determinable now (the candidate's own list, or
+		// one a flush has fetched since), otherwise collect as
+		// undetermined.
+		undet := st.pending[li][:0]
 		ok := true
-		for _, c := range e.cons2[pos] {
-			o := st.f[c.other]
-			if c.less {
-				if !(v < o) {
-					ok = false
-					break
-				}
-			} else if !(v > o) {
+		for _, w := range unk {
+			fw := st.f[w]
+			exists, determinable := st.edgeKnown(v, fw)
+			if !determinable {
+				undet = append(undet, graph.Edge{U: v, V: fw}.Normalize())
+			} else if !exists {
 				ok = false
 				break
 			}
 		}
-		if !ok {
-			continue
-		}
-		if !st.degreeAtLeast(v, e.p.Degree(u)) {
-			continue
-		}
-		// Verification edges to already-matched query vertices: check
-		// locally when determinable, otherwise collect as undetermined.
-		var undet []graph.Edge
-		for _, w := range e.verif[pos] {
-			fw := st.f[w]
-			exists, determinable := st.edgeKnown(v, fw)
-			if determinable {
-				if !exists {
-					ok = false
-					break
-				}
-			} else {
-				undet = append(undet, graph.Edge{U: v, V: fw}.Normalize())
-			}
-		}
+		st.pending[li] = undet
 		if !ok {
 			continue
 		}
 
 		node := st.trie.Node(parent, v)
 		st.f[u] = v
-		st.used[v] = true
-		st.pending = append(st.pending, undet)
 
 		var err error
 		if li == len(leaves)-1 {
@@ -759,8 +813,8 @@ func (m *machine) adjEnum(st *groupState, round, li int, parent *etrie.Node, lea
 			st.trie.Link(node)
 			st.nodes++
 			st.created = append(st.created, node)
-			for _, depthEdges := range st.pending {
-				for _, de := range depthEdges {
+			for _, levelEdges := range st.pending[:li+1] {
+				for _, de := range levelEdges {
 					st.evi.Add(de, node)
 				}
 			}
@@ -775,11 +829,14 @@ func (m *machine) adjEnum(st *groupState, round, li int, parent *etrie.Node, lea
 			}
 		}
 
-		st.pending = st.pending[:len(st.pending)-1]
-		delete(st.used, v)
 		st.f[u] = -1
 		if err != nil {
 			return produced, err
+		}
+		if flushes && len(st.created) >= st.flushNodes && v != lastAdj {
+			if err := m.midFlush(st, round); err != nil {
+				return produced, err
+			}
 		}
 	}
 	return produced, nil
