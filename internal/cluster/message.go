@@ -4,13 +4,16 @@
 // Transport. Two transports are provided: an in-process one used by
 // the experiment harness (every machine is a goroutine; every byte
 // that would cross the network is still counted), and a real TCP
-// transport using length-prefixed gob framing, demonstrating that the
-// protocol is genuinely serializable (examples/tcpcluster).
+// transport carrying length-prefixed frames — the data plane
+// hand-encoded in the fixed widths ByteSize accounts, the control plane
+// as gob payloads (frame.go) — demonstrating that the protocol is
+// genuinely serializable (examples/tcpcluster).
 //
 // The paper implements this layer with MPICH2 + Boost.Asio; the
-// substitution is documented in DESIGN.md. What the evaluation
-// measures — message counts, exchanged bytes, asynchronous progress —
-// is preserved by construction.
+// substitution and the wire format are documented in README.md
+// ("Deployment", "Wire format"). What the evaluation measures — message
+// counts, exchanged bytes, asynchronous progress — is preserved by
+// construction.
 package cluster
 
 import (
@@ -19,7 +22,8 @@ import (
 
 // Message is any payload exchanged between machines. ByteSize is the
 // accounted wire size in bytes, used for the paper's communication-cost
-// metrics; the TCP transport additionally serializes messages for real.
+// metrics; for the eight data-plane messages it is exactly the payload
+// the TCP transport puts in a frame.
 type Message interface {
 	ByteSize() int
 }

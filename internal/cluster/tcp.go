@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bufio"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -10,33 +11,10 @@ import (
 )
 
 func init() {
-	// All concrete message types crossing the TCP transport.
-	gob.Register(&VerifyERequest{})
-	gob.Register(&VerifyEResponse{})
-	gob.Register(&FetchVRequest{})
-	gob.Register(&FetchVResponse{})
-	gob.Register(&CheckRRequest{})
-	gob.Register(&CheckRResponse{})
-	gob.Register(&ShareRRequest{})
-	gob.Register(&ShareRResponse{})
+	// The baselines' shuffle travels as a gob payload (see frame.go);
+	// the data plane and ping are hand-encoded and need no registration.
 	gob.Register(&ShuffleRequest{})
 	gob.Register(&ShuffleResponse{})
-	gob.Register(&PingRequest{})
-	gob.Register(&PingResponse{})
-}
-
-// tcpEnvelope frames one request on the wire. To routes within a
-// server hosting several machines, so one listener can front a whole
-// worker process.
-type tcpEnvelope struct {
-	From int
-	To   int
-	Req  Message
-}
-
-type tcpReply struct {
-	Resp Message
-	Err  string
 }
 
 // ErrRemote marks an error produced by the remote handler itself: the
@@ -143,38 +121,67 @@ func (s *TCPServer) serve() {
 			defer s.wg.Done()
 			defer s.untrack(conn)
 			defer conn.Close()
-			dec := gob.NewDecoder(conn)
-			enc := gob.NewEncoder(conn)
-			for {
-				var env tcpEnvelope
-				if err := dec.Decode(&env); err != nil {
-					return
-				}
-				s.mu.RLock()
-				h, ok := s.handlers[env.To]
-				observe := s.observer
-				s.mu.RUnlock()
-				var reply tcpReply
-				if !ok {
-					reply.Err = fmt.Sprintf("machine %d is not hosted here", env.To)
-				} else {
-					began := time.Now()
-					resp, err := h(env.From, env.Req)
-					if observe != nil {
-						observe(Kind(env.Req), time.Since(began).Seconds())
-					}
-					if err != nil {
-						reply.Err = err.Error()
-					} else {
-						reply.Resp = resp
-					}
-				}
-				if err := enc.Encode(&reply); err != nil {
-					return
-				}
-			}
+			s.serveConn(conn)
 		}()
 	}
+}
+
+// serveConn answers requests on one connection until it fails. A frame
+// whose boundary cannot be trusted — above the cap, or truncated — ends
+// the connection; one that is merely wrong inside (unknown kind, bad
+// counts, trailing bytes, a reply kind) is answered with an error
+// reply, which reaches the caller as ErrRemote naming the cause, and
+// the stream stays usable.
+func (s *TCPServer) serveConn(conn net.Conn) {
+	br := bufio.NewReader(conn)
+	var rbuf, wbuf []byte
+	for {
+		body, err := readFrame(br, &rbuf)
+		if err != nil {
+			return
+		}
+		reply := s.answer(body)
+		if wbuf, err = appendFrame(wbuf[:0], reply); err != nil {
+			// An unsendable response (over the cap, or not gob-encodable)
+			// fails this one call loudly instead of poisoning the stream.
+			wbuf, _ = appendFrame(wbuf[:0], errorFrame(err.Error()))
+		}
+		if _, err := conn.Write(wbuf); err != nil {
+			return
+		}
+		rbuf, wbuf = kept(rbuf), kept(wbuf)
+	}
+}
+
+// answer decodes one request frame, runs its handler and returns the
+// reply frame.
+func (s *TCPServer) answer(body []byte) frame {
+	req, err := decodeFrame(body)
+	if err != nil {
+		return errorFrame(err.Error())
+	}
+	if !isRequestKind(req.kind) {
+		return errorFrame(fmt.Sprintf("%v: kind %d is not a request", errMalformed, req.kind))
+	}
+	s.mu.RLock()
+	h, ok := s.handlers[req.to]
+	observe := s.observer
+	s.mu.RUnlock()
+	if !ok {
+		return errorFrame(fmt.Sprintf("machine %d is not hosted here", req.to))
+	}
+	began := time.Now()
+	resp, err := h(req.from, req.msg)
+	if observe != nil {
+		observe(Kind(req.msg), time.Since(began).Seconds())
+	}
+	if err != nil {
+		return errorFrame(err.Error())
+	}
+	if resp == nil {
+		return errorFrame(fmt.Sprintf("handler of machine %d answered %s with no message", req.to, Kind(req.msg)))
+	}
+	return frame{kind: kindOf(resp, false), msg: resp}
 }
 
 // Close stops the listener, severs accepted connections, and waits
@@ -192,12 +199,13 @@ func (s *TCPServer) Close() error {
 }
 
 // TCPClient is the dial side: it resolves destination machines through
-// a ClusterSpec and ships gob-encoded requests over one persistent
-// connection per (from, to) pair. A connection that fails mid-call is
-// dropped from the pool so the next call redials instead of inheriting
-// a poisoned gob stream; a connection reused after sitting idle is
-// liveness-probed first, so a restarted peer is redialed transparently
-// instead of failing the first post-restart call.
+// a ClusterSpec and ships framed requests (frame.go) over one
+// persistent connection per (from, to) pair. A connection that fails
+// mid-call is dropped from the pool so the next call redials instead of
+// inheriting a stream that has lost its frame boundary; a connection
+// reused after sitting idle is liveness-probed first, so a restarted
+// peer is redialed transparently instead of failing the first
+// post-restart call.
 type TCPClient struct {
 	spec    ClusterSpec
 	metrics *Metrics
@@ -219,11 +227,11 @@ type TCPClient struct {
 type connKey struct{ from, to int }
 
 type tcpConn struct {
-	mu       sync.Mutex
-	c        net.Conn
-	enc      *gob.Encoder
-	dec      *gob.Decoder
-	lastUsed time.Time // guarded by mu; set at dial and after each completed exchange
+	mu         sync.Mutex
+	c          net.Conn
+	br         *bufio.Reader
+	rbuf, wbuf []byte    // frame buffers, reused across calls; guarded by mu
+	lastUsed   time.Time // guarded by mu; set at dial and after each completed exchange
 }
 
 // Reusing a pooled connection that sat idle longer than staleProbeAfter
@@ -335,8 +343,14 @@ func (t *TCPClient) Call(from, to int, req Message) (Message, error) {
 		conn.mu.Lock()
 	}
 	defer conn.mu.Unlock()
+	// Encode before touching the socket: a request above the frame cap
+	// (or one gob cannot encode) fails this call and leaves the
+	// connection as good as it was.
+	if conn.wbuf, err = appendFrame(conn.wbuf[:0], frame{kind: kindOf(req, true), from: from, to: to, msg: req}); err != nil {
+		return nil, err
+	}
 	// The deadline covers the full exchange: a peer that accepts the
-	// envelope but never writes a reply errors out of Decode instead of
+	// request but never writes a reply errors out of the read instead of
 	// wedging the caller (and every later caller queued on conn.mu).
 	if d := t.timeoutFor(kind); d > 0 {
 		conn.c.SetDeadline(time.Now().Add(d))
@@ -344,34 +358,43 @@ func (t *TCPClient) Call(from, to int, req Message) (Message, error) {
 		conn.c.SetDeadline(time.Time{})
 	}
 	began := time.Now()
-	if err := conn.enc.Encode(&tcpEnvelope{From: from, To: to, Req: req}); err != nil {
-		t.drop(connKey{from, to}, conn)
-		if isTimeout(err) {
-			if t.onTimeout != nil {
-				t.onTimeout(kind)
-			}
-			return nil, fmt.Errorf("cluster: send to %d: %w: %v", to, ErrTimeout, err)
-		}
-		return nil, fmt.Errorf("cluster: send to %d: %w", to, err)
+	if _, err := conn.c.Write(conn.wbuf); err != nil {
+		return nil, t.failed(connKey{from, to}, conn, kind, "send to", err)
 	}
-	var reply tcpReply
-	if err := conn.dec.Decode(&reply); err != nil {
-		t.drop(connKey{from, to}, conn)
-		if isTimeout(err) {
-			if t.onTimeout != nil {
-				t.onTimeout(kind)
-			}
-			return nil, fmt.Errorf("cluster: receive from %d: %w: %v", to, ErrTimeout, err)
-		}
-		return nil, fmt.Errorf("cluster: receive from %d: %w", to, err)
+	body, err := readFrame(conn.br, &conn.rbuf)
+	if err != nil {
+		return nil, t.failed(connKey{from, to}, conn, kind, "receive from", err)
 	}
+	reply, err := decodeFrame(body)
+	if err == nil && (isRequestKind(reply.kind) || conn.br.Buffered() != 0) {
+		err = fmt.Errorf("%w: kind %d with %d unsolicited bytes behind it where one reply belongs", errMalformed, reply.kind, conn.br.Buffered())
+	}
+	if err != nil {
+		// The frame boundary held, but a peer that sends this cannot be
+		// trusted with the next call either.
+		return nil, t.failed(connKey{from, to}, conn, kind, "receive from", err)
+	}
+	conn.rbuf, conn.wbuf = kept(conn.rbuf), kept(conn.wbuf)
 	conn.lastUsed = time.Now()
-	if reply.Err != "" {
-		return nil, fmt.Errorf("%w: %s", ErrRemote, reply.Err)
+	if reply.kind == kindError {
+		return nil, fmt.Errorf("%w: %s", ErrRemote, reply.errText)
 	}
 	t.metrics.ObserveLatency(kind, time.Since(began).Seconds())
-	t.metrics.Account(from, to, req, reply.Resp, kind)
-	return reply.Resp, nil
+	t.metrics.Account(from, to, req, reply.msg, kind)
+	return reply.msg, nil
+}
+
+// failed drops a connection whose exchange broke and names the failure;
+// a deadline hit is reported as ErrTimeout and counted.
+func (t *TCPClient) failed(key connKey, conn *tcpConn, kind, what string, err error) error {
+	t.drop(key, conn)
+	if isTimeout(err) {
+		if t.onTimeout != nil {
+			t.onTimeout(kind)
+		}
+		return fmt.Errorf("cluster: %s %d: %w: %v", what, key.to, ErrTimeout, err)
+	}
+	return fmt.Errorf("cluster: %s %d: %w", what, key.to, err)
 }
 
 func (t *TCPClient) conn(from, to int) (*tcpConn, error) {
@@ -397,7 +420,7 @@ func (t *TCPClient) conn(from, to int) (*tcpConn, error) {
 		t.remove(key, f)
 		return nil, f.err
 	}
-	f.conn = &tcpConn{c: c, enc: gob.NewEncoder(c), dec: gob.NewDecoder(c), lastUsed: time.Now()}
+	f.conn = &tcpConn{c: c, br: bufio.NewReader(c), lastUsed: time.Now()}
 	close(f.ready)
 	// Closed while we dialed: hand the conn back dead instead of
 	// leaking it past Close.
@@ -419,8 +442,9 @@ func (t *TCPClient) remove(key connKey, f *connFuture) {
 }
 
 // drop closes a failed connection and removes it from the pool — a
-// half-consumed gob stream can never carry another call, and keeping
-// it pooled would poison every later call on this (from, to) pair.
+// stream that stopped mid-frame can never carry another call, and
+// keeping it pooled would poison every later call on this (from, to)
+// pair.
 func (t *TCPClient) drop(key connKey, c *tcpConn) {
 	c.c.Close()
 	t.connMu.Lock()

@@ -12,7 +12,6 @@
 package etrie
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 
@@ -185,43 +184,151 @@ func Level(n *Node) int {
 // data edge -> IDs (trie leaves) of the embedding candidates that
 // require it. If a key edge turns out not to exist, every EC listed
 // under it is filtered out (Proposition 2).
+//
+// A budgeted region group pushes thousands of small segments through
+// one index and an unbudgeted one registers one edge many times, so
+// the container is built for both: an open-addressed table over the
+// 64-bit edge key whose slots head intrusive chains through one
+// append-only entry slice. Add is a probe and an append, Fail walks a
+// chain, and Reset touches only the slots the segment used. The zero
+// value is an empty index.
 type EVI struct {
-	m map[graph.Edge][]*Node
+	slots   []eviSlot  // power-of-two table, linear probing
+	used    []int32    // occupied slot indexes, in first-registration order
+	entries []eviEntry // every registration of the segment; chains link through next
+	live    int        // edges with a non-empty chain
+
+	keys  []uint64 // scratch of Edges
+	edges []graph.Edge
+}
+
+// eviSlot is one table slot. head and tail are 1-based indexes into
+// entries; head 0 marks a free slot, eviFailed one whose edge was
+// failed — still occupied for probing, listed under no edge until it is
+// registered again.
+type eviSlot struct {
+	key        uint64
+	head, tail int32
+}
+
+type eviEntry struct {
+	leaf *Node
+	next int32
+}
+
+const (
+	eviFailed   = -1
+	eviMinSlots = 64
+)
+
+// eviKey packs a normalised edge so that unsigned key order is (U, V)
+// order.
+func eviKey(e graph.Edge) uint64 {
+	e = e.Normalize()
+	return uint64(uint32(e.U)^(1<<31))<<32 | uint64(uint32(e.V)^(1<<31))
+}
+
+func eviEdge(k uint64) graph.Edge {
+	return graph.Edge{U: graph.VertexID(uint32(k>>32) ^ (1 << 31)), V: graph.VertexID(uint32(k) ^ (1 << 31))}
 }
 
 // NewEVI returns an empty index.
-func NewEVI() *EVI { return &EVI{m: make(map[graph.Edge][]*Node)} }
+func NewEVI() *EVI { return &EVI{} }
+
+// find returns the index of the slot holding key k, or of the free
+// slot where it belongs. The table is never full and never empty when
+// called.
+func (e *EVI) find(k uint64) int {
+	mask := uint64(len(e.slots) - 1)
+	for i := (k * 0x9E3779B97F4A7C15) >> 32 & mask; ; i = (i + 1) & mask {
+		if s := &e.slots[i]; s.head == 0 || s.key == k {
+			return int(i)
+		}
+	}
+}
+
+// grow doubles the table (or creates it) and re-seats the occupied
+// slots.
+func (e *EVI) grow() {
+	old := e.slots
+	e.slots = make([]eviSlot, max(2*len(old), eviMinSlots))
+	for j, i := range e.used {
+		at := e.find(old[i].key)
+		e.slots[at] = old[i]
+		e.used[j] = int32(at)
+	}
+}
 
 // Add registers leaf under undetermined edge e (normalised).
 func (e *EVI) Add(edge graph.Edge, leaf *Node) {
-	k := edge.Normalize()
-	e.m[k] = append(e.m[k], leaf)
+	if 2*(len(e.used)+1) > len(e.slots) {
+		e.grow()
+	}
+	k := eviKey(edge)
+	at := e.find(k)
+	s := &e.slots[at]
+	if len(e.entries) == cap(e.entries) {
+		// Double: append's 1.25× steps would allocate five times what a
+		// large segment ends up holding, and an index lives for one group.
+		e.entries = slices.Grow(e.entries, max(len(e.entries), eviMinSlots))
+	}
+	e.entries = append(e.entries, eviEntry{leaf: leaf})
+	id := int32(len(e.entries))
+	switch s.head {
+	case 0:
+		s.key = k
+		e.used = append(e.used, int32(at))
+		fallthrough
+	case eviFailed:
+		s.head = id
+		e.live++
+	default:
+		e.entries[s.tail-1].next = id
+	}
+	s.tail = id
 }
 
 // Len returns the number of distinct undetermined edges.
-func (e *EVI) Len() int { return len(e.m) }
+func (e *EVI) Len() int { return e.live }
 
 // Edges returns the undetermined edges in deterministic (sorted) order;
-// these form the payload of a verifyE request.
+// these form the payload of a verifyE request. Only the distinct keys
+// are sorted, as packed integers. The slice is the index's own scratch,
+// valid until the next Edges or Reset.
 func (e *EVI) Edges() []graph.Edge {
-	out := make([]graph.Edge, 0, len(e.m))
-	for k := range e.m {
-		out = append(out, k)
-	}
-	slices.SortFunc(out, func(a, b graph.Edge) int {
-		if c := cmp.Compare(a.U, b.U); c != 0 {
-			return c
+	keys := slices.Grow(e.keys[:0], e.live)
+	for _, i := range e.used {
+		if s := &e.slots[i]; s.head > 0 {
+			keys = append(keys, s.key)
 		}
-		return cmp.Compare(a.V, b.V)
-	})
+	}
+	slices.Sort(keys)
+	out := slices.Grow(e.edges[:0], len(keys))
+	for _, k := range keys {
+		out = append(out, eviEdge(k))
+	}
+	e.keys, e.edges = keys, out
 	return out
+}
+
+// chain returns the slot of edge and the first entry registered under
+// it; nil and 0 when the edge is not listed.
+func (e *EVI) chain(edge graph.Edge) (*eviSlot, int32) {
+	if len(e.slots) == 0 {
+		return nil, 0
+	}
+	s := &e.slots[e.find(eviKey(edge))]
+	if s.head <= 0 {
+		return nil, 0
+	}
+	return s, s.head
 }
 
 // Candidates returns the live leaves registered under edge.
 func (e *EVI) Candidates(edge graph.Edge) []*Node {
 	var out []*Node
-	for _, n := range e.m[edge.Normalize()] {
-		if !n.Dead() {
+	for _, id := e.chain(edge); id != 0; id = e.entries[id-1].next {
+		if n := e.entries[id-1].leaf; !n.Dead() {
 			out = append(out, n)
 		}
 	}
@@ -232,21 +339,32 @@ func (e *EVI) Candidates(edge graph.Edge) []*Node {
 // (the edge was verified non-existent). Returns the number of ECs
 // filtered.
 func (e *EVI) Fail(edge graph.Edge, t *Trie) int {
-	k := edge.Normalize()
+	s, id := e.chain(edge)
+	if s == nil {
+		return 0
+	}
 	removed := 0
-	for _, n := range e.m[k] {
-		if !n.Dead() {
+	for ; id != 0; id = e.entries[id-1].next {
+		if n := e.entries[id-1].leaf; !n.Dead() {
 			t.Remove(n)
 			removed++
 		}
 	}
-	delete(e.m, k)
+	s.head = eviFailed
+	e.live--
 	return removed
 }
 
 // Reset clears the index for the next round (Algorithm 4 line 11),
-// keeping the map's storage: a budgeted group flushes thousands of
-// small segments through one index.
+// keeping its storage and touching only what the finished segment
+// used: a small segment after a large one does not pay for the large
+// one.
 func (e *EVI) Reset() {
-	clear(e.m)
+	for _, i := range e.used {
+		e.slots[i] = eviSlot{}
+	}
+	e.used = e.used[:0]
+	clear(e.entries) // drop the leaf pointers
+	e.entries = e.entries[:0]
+	e.live = 0
 }

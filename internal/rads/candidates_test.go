@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"rads/internal/cluster"
 	"rads/internal/etrie"
 	"rads/internal/gen"
 	"rads/internal/graph"
@@ -89,6 +90,84 @@ func TestExpandRoundAllocatesOnlyTrieNodes(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(5, pass); allocs != float64(linked) {
 		t.Errorf("expandRound allocates %v/pass, want the %d trie nodes it links", allocs, linked)
+	}
+}
+
+// TestFlushSegmentAllocatesOnlyItsMessages is the verify-plane twin of
+// the test above: with a cold cache the same round leaves its
+// verification edges to the EVI, and a warm flushSegment — index,
+// per-owner edge lists, survivor list, the deferred-pivot fetch — must
+// allocate nothing beyond the trie nodes the round links and what the
+// verifyE exchanges carry over LocalTransport: a request, a response
+// and its bit slice each.
+func TestFlushSegmentAllocatesOnlyItsMessages(t *testing.T) {
+	g := gen.Community(3, 14, 0.4, 7)
+	part := partition.KWay(g, 3, 3)
+	metrics := cluster.NewMetrics(part.M)
+	// q5 ends in a round with a verification edge and has a deferred end
+	// vertex, so the flush also runs the deferred-pivot fetch phase.
+	e := hostedEngine(t, part, pattern.ByName("q5"), Config{Metrics: metrics, Transport: cluster.NewLocalTransport(metrics)})
+	round := len(e.pl.Units) - 1
+	m := e.machines[0]
+
+	st := m.newGroupState()
+	var frontier []*etrie.Node
+	for _, v := range part.Vertices(m.id) {
+		root := st.trie.Node(nil, v)
+		st.trie.Link(root)
+		frontier = append(frontier, root)
+	}
+	for r := 0; r < round; r++ {
+		if err := m.fetchForeignPivots(st, r, frontier); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.expandRound(st, r, frontier); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.verifyAndFilter(st); err != nil {
+			t.Fatal(err)
+		}
+		frontier = frontier[:0:0]
+		for _, n := range st.created {
+			if !n.Dead() {
+				frontier = append(frontier, n)
+			}
+		}
+		st.created = st.created[:0]
+	}
+	for _, n := range frontier {
+		st.trie.Pin(n)
+	}
+	if err := m.fetchForeignPivots(st, round, frontier); err != nil {
+		t.Fatal(err)
+	}
+
+	undetermined := 0
+	pass := func() {
+		if err := m.expandRound(st, round, frontier); err != nil {
+			t.Fatal(err)
+		}
+		undetermined = st.evi.Len()
+		if err := m.flushSegment(st, round); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pass() // grows the scratch, fetches what emitResults needs
+	if undetermined == 0 {
+		t.Fatal("nothing was left to the EVI; the test needs a cold cache")
+	}
+	nodes, calls, found, live := st.nodes, metrics.MessagesByKind()["verifyE"], st.distCount, st.trie.NodeCount()
+	pass()
+	nodes, calls, found = st.nodes-nodes, metrics.MessagesByKind()["verifyE"]-calls, st.distCount-found
+	if calls == 0 || found == 0 || len(e.deferred) == 0 {
+		t.Fatalf("%d verifyE calls, %d embeddings a pass, %d deferred vertices; want all three", calls, found, len(e.deferred))
+	}
+	if st.trie.NodeCount() != live {
+		t.Errorf("a pass left the trie at %d nodes, was %d: the segment was not fully resolved", st.trie.NodeCount(), live)
+	}
+	want := float64(nodes + 3*calls)
+	if allocs := testing.AllocsPerRun(5, pass); allocs != want {
+		t.Errorf("expandRound+flushSegment allocate %v/pass, want %v: %d trie nodes and 3 per verifyE exchange (%d)", allocs, want, nodes, calls)
 	}
 }
 

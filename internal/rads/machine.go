@@ -103,15 +103,36 @@ func (m *machine) emit(f []graph.VertexID) {
 // serveVerifyE answers daemon functionality (1) — edge-existence bits
 // for edges the machine can see — from a partition, which may be the
 // full graph (in-process) or a shard (remote daemon): either way the
-// owned endpoint's adjacency list is complete, which is all HasEdge
-// needs.
+// owned endpoint's adjacency list is complete, which is all the check
+// needs. Requests arrive sorted by U, the endpoint the asker routed on,
+// so the owner check and U's list are looked up once per run of equal
+// U; an edge owned only through V falls back to HasEdge.
 func serveVerifyE(part *partition.Partition, id int, r *cluster.VerifyERequest) (cluster.Message, error) {
 	exists := make([]bool, len(r.Edges))
+	n := uint32(len(part.Owner))
+	var (
+		runU  graph.VertexID
+		ownsU bool
+		adjU  []graph.VertexID
+	)
 	for i, e := range r.Edges {
-		if part.Owner[e.U] != int32(id) && part.Owner[e.V] != int32(id) {
+		if uint32(e.U) >= n || uint32(e.V) >= n {
+			return nil, fmt.Errorf("machine %d asked to verify edge %v outside the %d-vertex graph", id, e, n)
+		}
+		if i == 0 || e.U != runU {
+			runU, ownsU = e.U, part.Owner[e.U] == int32(id)
+			if ownsU {
+				adjU = part.G.Adj(e.U)
+			}
+		}
+		switch {
+		case ownsU:
+			exists[i] = graph.ContainsSorted(adjU, e.V)
+		case part.Owner[e.V] == int32(id):
+			exists[i] = part.G.HasEdge(e.U, e.V)
+		default:
 			return nil, fmt.Errorf("machine %d asked to verify foreign edge %v", id, e)
 		}
-		exists[i] = part.G.HasEdge(e.U, e.V)
 	}
 	return &cluster.VerifyEResponse{Exists: exists}, nil
 }
@@ -121,7 +142,7 @@ func serveVerifyE(part *partition.Partition, id int, r *cluster.VerifyERequest) 
 func serveFetchV(part *partition.Partition, id int, r *cluster.FetchVRequest) (cluster.Message, error) {
 	adj := make([][]graph.VertexID, len(r.Vertices))
 	for i, v := range r.Vertices {
-		if part.Owner[v] != int32(id) {
+		if uint32(v) >= uint32(len(part.Owner)) || part.Owner[v] != int32(id) {
 			return nil, fmt.Errorf("machine %d asked to fetch foreign vertex %d", id, v)
 		}
 		adj[i] = part.G.Adj(v)

@@ -3,7 +3,7 @@ package rads
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -47,6 +47,16 @@ type groupState struct {
 	// level li added to the current adjEnum chain. Dead at every flush
 	// point, so not part of the frame.
 	pending [][]graph.Edge
+
+	// Scratch of the verify plane, reused by every segment of the group:
+	// the foreign pivots of a fetch phase, what to ask each owner for
+	// (indexed by machine id), and per round the survivors flushSegment
+	// hands to the next one — a round's list is dead before that round
+	// flushes again, since only deeper rounds run in between.
+	pivots    []graph.VertexID
+	fetchFrom [][]graph.VertexID
+	askEdges  [][]graph.Edge
+	next      [][]*etrie.Node
 
 	// flushNodes bounds the number of EC leaves a flush segment may
 	// accumulate before verification and deeper rounds run for it.
@@ -104,11 +114,14 @@ func newFrame(n int) frame {
 func (m *machine) newGroupState() *groupState {
 	n := m.e.p.N()
 	return &groupState{
-		trie:    etrie.New(len(m.e.redOrder)),
-		evi:     etrie.NewEVI(),
-		view:    m.view,
-		frame:   newFrame(n),
-		pending: make([][]graph.Edge, n),
+		trie:      etrie.New(len(m.e.redOrder)),
+		evi:       etrie.NewEVI(),
+		view:      m.view,
+		frame:     newFrame(n),
+		pending:   make([][]graph.Edge, n),
+		fetchFrom: make([][]graph.VertexID, m.e.part.M),
+		askEdges:  make([][]graph.Edge, m.e.part.M),
+		next:      make([][]*etrie.Node, len(m.e.pl.Units)),
 	}
 }
 
@@ -414,12 +427,13 @@ func (m *machine) flushSegment(st *groupState, round int) error {
 	if err := m.verifyAndFilter(st); err != nil {
 		return err
 	}
-	next := make([]*etrie.Node, 0, len(st.created))
+	next := slices.Grow(st.next[round][:0], len(st.created))
 	for _, n := range st.created {
 		if !n.Dead() {
 			next = append(next, n)
 		}
 	}
+	st.next[round] = next
 	st.created = st.created[:0]
 
 	m.recordRoundStats(st, round, len(next))
@@ -539,76 +553,26 @@ func (m *machine) countDeferred(st *groupState, di int) int64 {
 }
 
 // fetchDeferredPivots makes sure the adjacency list of every deferred
-// end vertex’s pivot is locally available for counting, batching one
-// fetchV per remote machine (the cache-release valve may have dropped
-// lists fetched in earlier rounds).
+// end vertex’s pivot is locally available for counting (the
+// cache-release valve may have dropped lists fetched in earlier rounds).
 func (m *machine) fetchDeferredPivots(st *groupState, frontier []*etrie.Node) error {
 	e := m.e
-	// One fetch phase at a time per machine: a concurrent group's
-	// fetch completes (and inserts) before this need-computation runs,
-	// so each foreign vertex crosses the network once per machine.
-	st.view.fetchMu.Lock()
-	defer st.view.fetchMu.Unlock()
-	need := make(map[int][]graph.VertexID)
-	seen := make(map[graph.VertexID]bool)
+	st.pivots = st.pivots[:0]
 	for _, leaf := range frontier {
 		if leaf.Dead() {
 			continue
 		}
 		st.pathBuf = st.trie.AppendPath(st.pathBuf[:0], leaf)
 		for _, piv := range e.defPiv {
-			v := st.pathBuf[e.redPos[piv]]
-			if seen[v] {
-				continue
-			}
-			seen[v] = true
-			if st.view.owned(v) {
-				continue
-			}
-			// DisableCache models a cacheless machine: every round pays
-			// the fetch again, so a cache hit is not taken.
-			if !e.cfg.DisableCache && st.view.pinCached(v) {
-				st.view.hits.Add(1)
-				st.logPin(v) // keep it resident past any cache drop
-				continue
-			}
-			st.view.misses.Add(1)
-			need[int(e.part.Owner[v])] = append(need[int(e.part.Owner[v])], v)
+			st.addPivot(st.pathBuf[e.redPos[piv]])
 		}
 	}
-	owners := make([]int, 0, len(need))
-	for o := range need {
-		owners = append(owners, o)
-	}
-	sort.Ints(owners)
-	if len(owners) > 0 {
-		sp := e.cfg.Trace.Start("execute/fetchV", m.id, -1)
-		defer sp.End()
-	}
-	for _, owner := range owners {
-		vs := need[owner]
-		sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
-		resp, err := e.tr.Call(m.id, owner, &cluster.FetchVRequest{Vertices: vs})
-		if err != nil {
-			return fmt.Errorf("fetchV (deferred pivots) to %d: %w", owner, err)
-		}
-		adj := resp.(*cluster.FetchVResponse).Adj
-		if len(adj) != len(vs) {
-			return fmt.Errorf("fetchV to %d: got %d lists for %d vertices", owner, len(adj), len(vs))
-		}
-		for i, v := range vs {
-			if err := st.view.insertPinned(v, adj[i]); err != nil {
-				return err
-			}
-			st.logPin(v)
-		}
-	}
-	return nil
+	return m.fetchPivots(st, "fetchV (deferred pivots)")
 }
 
 // fetchForeignPivots gathers the pivot data vertices of the round that
-// are neither owned nor cached and fetches their adjacency lists, one
-// batched fetchV request per remote machine (Section 3.2 "Expand").
+// are neither owned nor cached and fetches their adjacency lists
+// (Section 3.2 "Expand").
 func (m *machine) fetchForeignPivots(st *groupState, round int, frontier []*etrie.Node) error {
 	e := m.e
 	var pivPos int
@@ -617,24 +581,42 @@ func (m *machine) fetchForeignPivots(st *groupState, round int, frontier []*etri
 	} else {
 		pivPos = e.redPos[e.pl.Units[round].Piv]
 	}
-	// One fetch phase at a time per machine (see fetchDeferredPivots).
-	st.view.fetchMu.Lock()
-	defer st.view.fetchMu.Unlock()
-	need := make(map[int][]graph.VertexID) // owner -> vertices
-	seen := make(map[graph.VertexID]bool)
+	st.pivots = st.pivots[:0]
 	for _, leaf := range frontier {
 		if leaf.Dead() {
 			continue
 		}
 		st.pathBuf = st.trie.AppendPath(st.pathBuf[:0], leaf)
-		v := st.pathBuf[pivPos]
-		if seen[v] {
-			continue
-		}
-		seen[v] = true
-		if st.view.owned(v) {
-			continue
-		}
+		st.addPivot(st.pathBuf[pivPos])
+	}
+	return m.fetchPivots(st, "fetchV")
+}
+
+// addPivot queues v for the fetch phase unless this machine owns it.
+// Sibling leaves repeat their pivot, so the common duplicate is the
+// entry just queued; fetchPivots removes the rest.
+func (st *groupState) addPivot(v graph.VertexID) {
+	if n := len(st.pivots); !st.view.owned(v) && (n == 0 || st.pivots[n-1] != v) {
+		st.pivots = append(st.pivots, v)
+	}
+}
+
+// fetchPivots pins the foreign vertices in st.pivots that the cache
+// holds and fetches the rest, one batched fetchV request per remote
+// machine in machine order, vertices ascending.
+func (m *machine) fetchPivots(st *groupState, what string) error {
+	e := m.e
+	// One fetch phase at a time per machine: a concurrent group's fetch
+	// completes (and inserts) before this need-computation runs, so each
+	// foreign vertex crosses the network once per machine.
+	st.view.fetchMu.Lock()
+	defer st.view.fetchMu.Unlock()
+	slices.Sort(st.pivots)
+	for i := range st.fetchFrom {
+		st.fetchFrom[i] = st.fetchFrom[i][:0]
+	}
+	missing := false
+	for _, v := range slices.Compact(st.pivots) {
 		// DisableCache models a cacheless machine: every round pays the
 		// fetch again, so a cache hit is not taken.
 		if !e.cfg.DisableCache && st.view.pinCached(v) {
@@ -643,24 +625,22 @@ func (m *machine) fetchForeignPivots(st *groupState, round int, frontier []*etri
 			continue
 		}
 		st.view.misses.Add(1)
-		owner := int(e.part.Owner[v])
-		need[owner] = append(need[owner], v)
+		owner := e.part.Owner[v]
+		st.fetchFrom[owner] = append(st.fetchFrom[owner], v)
+		missing = true
 	}
-	owners := make([]int, 0, len(need))
-	for o := range need {
-		owners = append(owners, o)
+	if !missing {
+		return nil
 	}
-	sort.Ints(owners)
-	if len(owners) > 0 {
-		sp := e.cfg.Trace.Start("execute/fetchV", m.id, -1)
-		defer sp.End()
-	}
-	for _, owner := range owners {
-		vs := need[owner]
-		sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
+	sp := e.cfg.Trace.Start("execute/fetchV", m.id, -1)
+	defer sp.End()
+	for owner, vs := range st.fetchFrom {
+		if len(vs) == 0 {
+			continue
+		}
 		resp, err := e.tr.Call(m.id, owner, &cluster.FetchVRequest{Vertices: vs})
 		if err != nil {
-			return fmt.Errorf("fetchV to %d: %w", owner, err)
+			return fmt.Errorf("%s to %d: %w", what, owner, err)
 		}
 		adj := resp.(*cluster.FetchVResponse).Adj
 		if len(adj) != len(vs) {
@@ -849,9 +829,11 @@ func (m *machine) verifyAndFilter(st *groupState) error {
 	if st.evi.Len() == 0 {
 		return nil
 	}
-	edges := st.evi.Edges()
-	byOwner := make(map[int][]graph.Edge)
-	for _, ed := range edges {
+	for i := range st.askEdges {
+		st.askEdges[i] = st.askEdges[i][:0]
+	}
+	remote := false
+	for _, ed := range st.evi.Edges() {
 		owner := int(e.part.Owner[ed.U])
 		if owner == m.id {
 			// Shouldn't happen: locally determinable edges never enter
@@ -861,30 +843,28 @@ func (m *machine) verifyAndFilter(st *groupState) error {
 			}
 			continue
 		}
-		byOwner[owner] = append(byOwner[owner], ed)
+		st.askEdges[owner] = append(st.askEdges[owner], ed)
+		remote = true
 	}
-	owners := make([]int, 0, len(byOwner))
-	for o := range byOwner {
-		owners = append(owners, o)
-	}
-	sort.Ints(owners)
-	if len(owners) > 0 {
+	if remote {
 		sp := e.cfg.Trace.Start("execute/verifyE", m.id, -1)
 		defer sp.End()
 	}
-	for _, owner := range owners {
-		req := &cluster.VerifyERequest{Edges: byOwner[owner]}
-		resp, err := e.tr.Call(m.id, owner, req)
+	for owner, edges := range st.askEdges {
+		if len(edges) == 0 {
+			continue
+		}
+		resp, err := e.tr.Call(m.id, owner, &cluster.VerifyERequest{Edges: edges})
 		if err != nil {
 			return fmt.Errorf("verifyE to %d: %w", owner, err)
 		}
 		exists := resp.(*cluster.VerifyEResponse).Exists
-		if len(exists) != len(req.Edges) {
-			return fmt.Errorf("verifyE to %d: %d answers for %d edges", owner, len(exists), len(req.Edges))
+		if len(exists) != len(edges) {
+			return fmt.Errorf("verifyE to %d: %d answers for %d edges", owner, len(exists), len(edges))
 		}
 		for i, ok := range exists {
 			if !ok {
-				st.evi.Fail(req.Edges[i], st.trie)
+				st.evi.Fail(edges[i], st.trie)
 			}
 		}
 	}

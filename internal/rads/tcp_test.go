@@ -11,8 +11,9 @@ import (
 )
 
 // TestRunOverTCP runs the full RADS engine with every daemon request
-// crossing a real TCP connection (length-prefixed gob framing), not
-// the in-process shortcut. This proves the protocol is genuinely
+// crossing a real TCP connection (the length-prefixed frames of
+// cluster/frame.go: fixed-width data plane, gob control plane), not the
+// in-process shortcut. This proves the protocol is genuinely
 // serializable and the engine is transport-agnostic.
 func TestRunOverTCP(t *testing.T) {
 	g := gen.Community(3, 12, 0.35, 61)

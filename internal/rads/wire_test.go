@@ -2,6 +2,7 @@ package rads_test
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"rads/internal/cluster"
@@ -10,8 +11,69 @@ import (
 	"rads/internal/obs"
 	"rads/internal/partition"
 	"rads/internal/pattern"
+	"rads/internal/plan"
 	"rads/internal/rads"
 )
+
+// TestControlPlaneKindsSurviveTCP: the four messages this package
+// registers ride the cluster frames as gob payloads; each must arrive
+// as it was sent, in both directions of a real loopback exchange.
+func TestControlPlaneKindsSurviveTCP(t *testing.T) {
+	p := pattern.ByName("q4")
+	pl, err := plan.Compute(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exchanges := []struct{ req, resp cluster.Message }{
+		{
+			&rads.RunQueryRequest{
+				Pattern: p.String(), Plan: pl, QueryID: 77, Workers: 2, BudgetBytes: 512 << 10,
+				GroupMemTarget: 8 << 10, HugeFrontier: -1, DisableSME: true, DisableLoadBalancing: true,
+			},
+			&rads.RunQueryResponse{
+				SME: 1, Distributed: 2, SMENodes: 3, DistNodes: 4,
+				Stat:       obs.MachineStat{Machine: 1, Seconds: 0.25, TreeNodes: 7, Groups: 3, Stolen: 1},
+				ELBytesCum: 5, ETBytesCum: 6, ELBytesPeak: 7, ETBytesPeak: 8, Rounds: 2, Workers: 2,
+				FrontierSplits: 1, PeakMemBytes: 9, OOM: true, CommBytes: 10, CommMessages: 11,
+				CacheHits: 12, CacheMisses: 13,
+				Spans: []obs.Span{{Name: "execute/group", Machine: 1, Worker: 0, StartNs: 5, DurNs: 9}},
+			},
+		},
+		{&rads.RunQueryRequest{Pattern: "t:3:0-1,1-2,2-0"}, &rads.RunQueryResponse{}},
+		{
+			&rads.StatsPullRequest{},
+			&rads.StatsPullResponse{Machine: 1, Fingerprint: 0xfeedface, Families: []obs.FamilySnapshot{{
+				Name: "rads_queries_total", Help: "Queries executed by outcome.", Type: "counter", Label: "outcome",
+				Series: []obs.SeriesSnapshot{{Label: "ok", Int: 3}, {Label: "slow", Float: 0.5, Bounds: []float64{0.1, 1}, Counts: []int64{1, 2, 0}, Sum: 1.5, Count: 3}},
+			}}},
+		},
+		{&rads.StatsPullRequest{}, &rads.StatsPullResponse{}},
+	}
+	tr, err := cluster.NewTCPTransport(2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	arrived := make(chan cluster.Message, 1)
+	answer := make(chan cluster.Message, 1)
+	tr.Register(1, func(from int, req cluster.Message) (cluster.Message, error) {
+		arrived <- req
+		return <-answer, nil
+	})
+	for _, x := range exchanges {
+		answer <- x.resp
+		back, err := tr.Call(cluster.Coordinator, 1, x.req)
+		if err != nil {
+			t.Fatalf("%T: %v", x.req, err)
+		}
+		if got := <-arrived; !reflect.DeepEqual(got, x.req) {
+			t.Errorf("request arrived as %+v, want %+v", got, x.req)
+		}
+		if !reflect.DeepEqual(back, x.resp) {
+			t.Errorf("response arrived as %+v, want %+v", back, x.resp)
+		}
+	}
+}
 
 // cannedTransport answers every coordinator call with a fixed
 // runQuery response — a worker reduced to its wire contract.
