@@ -9,16 +9,7 @@
 //	radsbench -exp all                    # everything, in paper order
 //
 // Experiments: table1, table2, fig8, fig9, fig10, fig11, fig12, fig13,
-// table3, table4, fig15, robust, ablations, all. Outside the paper set,
-// -exp gallopsweep prints the merge-vs-gallop crossover table that pins
-// graph.gallopRatioU32 (record reruns in BENCH_NOTES.md).
-//
-// With -json FILE, radsbench instead writes a machine-readable
-// performance snapshot (kernel micro-benchmarks plus one end-to-end
-// run per engine: ns/op, allocs/op, embeddings/sec, tree-nodes/sec)
-// to FILE — the repository's perf trajectory, e.g. BENCH_PR3.json:
-//
-//	radsbench -json BENCH_PR3.json -machines 4
+// table3, table4, fig15, robust, ablations, all.
 //
 // With -registry DIR, -dataset also resolves real ingested graphs by
 // their registry name (see cmd/radsprep), and -exp count runs every
@@ -39,37 +30,15 @@ import (
 
 func main() {
 	var (
-		exp       = flag.String("exp", "all", "experiment id (table1 table2 fig8 fig9 fig10 fig11 fig12 fig13 table3 table4 fig15 robust ablations count gallopsweep all)")
-		machines  = flag.Int("machines", 10, "number of simulated machines")
-		scale     = flag.Float64("scale", 1.0, "dataset scale factor")
-		dataset   = flag.String("dataset", "", "dataset override for fig12/robust/ablations (built-in analogs) and the dataset for -exp count (analog or -registry name)")
-		registry  = flag.String("registry", "", "dataset registry directory for -exp count: resolves -dataset to an ingested .radsgraph by name")
-		patName   = flag.String("pattern", "triangle", "query pattern for -exp count (built-in name or name:n:u-v,...)")
-		budgetMB  = flag.Int64("budget-mb", 48, "per-machine memory budget in MiB for the comparison figures (0 = unlimited)")
-		jsonOut   = flag.String("json", "", "write a machine-readable benchmark report to this file instead of running -exp")
-		compare   = flag.String("compare", "", "diff a fresh run against this committed baseline (e.g. BENCH_PR3.json) instead of running -exp")
-		tolerance = flag.Float64("tolerance", 0.30, "with -compare: warn when a benchmark is more than this fraction slower")
-		strict    = flag.Bool("strict", false, "with -compare: exit nonzero on any regression beyond the tolerance")
+		exp      = flag.String("exp", "all", "experiment id (table1 table2 fig8 fig9 fig10 fig11 fig12 fig13 table3 table4 fig15 robust ablations count all)")
+		machines = flag.Int("machines", 10, "number of simulated machines")
+		scale    = flag.Float64("scale", 1.0, "dataset scale factor")
+		dataset  = flag.String("dataset", "", "dataset override for fig12/robust/ablations (built-in analogs) and the dataset for -exp count (analog or -registry name)")
+		registry = flag.String("registry", "", "dataset registry directory for -exp count: resolves -dataset to an ingested .radsgraph by name")
+		patName  = flag.String("pattern", "triangle", "query pattern for -exp count (built-in name or name:n:u-v,...)")
+		budgetMB = flag.Int64("budget-mb", 48, "per-machine memory budget in MiB for the comparison figures (0 = unlimited)")
 	)
 	flag.Parse()
-	if *jsonOut != "" {
-		if err := runJSON(*jsonOut, *machines, *scale); err != nil {
-			fmt.Fprintln(os.Stderr, "radsbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *compare != "" {
-		regressed, err := runCompare(*compare, *tolerance)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "radsbench:", err)
-			os.Exit(1)
-		}
-		if regressed && *strict {
-			os.Exit(2)
-		}
-		return
-	}
 	if *exp == "count" {
 		if err := runCount(*dataset, *registry, *patName, *machines, *scale); err != nil {
 			fmt.Fprintln(os.Stderr, "radsbench:", err)
@@ -81,45 +50,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "radsbench:", err)
 		os.Exit(1)
 	}
-}
-
-// runCompare re-runs the JSON bench with the baseline's own shape
-// (machine count, scale) and diffs ns/op against it — the perf
-// trajectory check: BENCH_PR<n>.json is committed per perf PR and the
-// next PR compares against it. It reports whether anything regressed
-// beyond the tolerance.
-func runCompare(baselinePath string, tolerance float64) (bool, error) {
-	base, err := harness.ReadBenchReportFile(baselinePath)
-	if err != nil {
-		return false, err
-	}
-	fmt.Printf("baseline %s: %d micro benchmarks, %d engine runs (machines=%d scale=%g)\n",
-		baselinePath, len(base.Micro), len(base.Engines), base.Machines, base.Scale)
-	cur, err := harness.BenchJSON(base.Machines, base.Scale)
-	if err != nil {
-		return false, err
-	}
-	deltas := harness.CompareReports(base, cur, tolerance)
-	if len(deltas) == 0 {
-		return false, fmt.Errorf("no comparable benchmarks between %s and this build", baselinePath)
-	}
-	fmt.Printf("%-52s %14s %14s %8s\n", "benchmark", "base ns/op", "now ns/op", "ratio")
-	for _, d := range deltas {
-		mark := ""
-		if d.Regress {
-			mark = "  <-- REGRESSION"
-		}
-		fmt.Printf("%-52s %14.0f %14.0f %7.2fx%s\n", d.Name, d.BaseNs, d.CurNs, d.Ratio, mark)
-	}
-	reg := harness.Regressions(deltas)
-	if len(reg) > 0 {
-		fmt.Printf("\nWARNING: %d benchmark(s) more than %.0f%% slower than %s\n",
-			len(reg), tolerance*100, baselinePath)
-		fmt.Println("(wall-clock benches are noisy; rerun on a quiet machine before reverting anything)")
-		return true, nil
-	}
-	fmt.Printf("\nOK: nothing slower than baseline by more than %.0f%%\n", tolerance*100)
-	return false, nil
 }
 
 // runCount is the dataset smoke check: every registered engine must
@@ -148,27 +78,6 @@ func runCount(ds, registry, patName string, machines int, scale float64) error {
 		t.Fprint(os.Stdout)
 	}
 	return err
-}
-
-// runJSON writes the machine-readable benchmark report.
-func runJSON(path string, machines int, scale float64) error {
-	rep, err := harness.BenchJSON(machines, scale)
-	if err != nil {
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := rep.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s (%d micro benchmarks, %d engine runs)\n", path, len(rep.Micro), len(rep.Engines))
-	return nil
 }
 
 func run(exp string, machines int, scale float64, dataset string, budget int64) error {
@@ -256,8 +165,6 @@ func run(exp string, machines int, scale float64, dataset string, budget int64) 
 			return err
 		}
 		t.Fprint(out)
-	case "gallopsweep":
-		harness.GallopSweep().Fprint(out)
 	case "all":
 		for _, id := range []string{"table1", "table2", "fig8", "fig9", "fig10", "fig11",
 			"fig12", "fig13", "table3", "table4", "fig15", "robust", "ablations"} {

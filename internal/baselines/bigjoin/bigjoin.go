@@ -7,10 +7,10 @@
 // machines at each hop — like PSgL and unlike RADS, the intermediate
 // results themselves travel.
 //
-// Simplification (documented in DESIGN.md): proposals come from the
-// first matched neighbour in the matching order rather than the
-// minimum-degree one (the WCO bound needs the min; the communication
-// structure, which is what the evaluation compares, is identical).
+// Simplification: proposals come from the first matched neighbour in
+// the matching order rather than the minimum-degree one (the WCO bound
+// needs the min; the communication structure, which is what the
+// evaluation compares, is identical).
 package bigjoin
 
 import (

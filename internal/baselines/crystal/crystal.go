@@ -13,11 +13,11 @@
 //   - queries whose core is not clique-like pay full exploration cost;
 //   - there is no memory control: expansion buffers grow unchecked.
 //
-// Documented simplification (DESIGN.md): core embeddings are
-// enumerated from the index-holding machine's full view of the graph
-// (the original relies on replicated index shards); communication is
-// modelled as one shuffle of the compressed results, matching the
-// original's single core-crystal join round.
+// Simplification: core embeddings are enumerated from the
+// index-holding machine's full view of the graph (the original relies
+// on replicated index shards); communication is modelled as one
+// shuffle of the compressed results, matching the original's single
+// core-crystal join round.
 package crystal
 
 import (

@@ -107,15 +107,6 @@ func (h Histogram) Total() int64 {
 	return t
 }
 
-// Clone returns a copy of h.
-func (h Histogram) Clone() Histogram {
-	out := make(Histogram, len(h))
-	for k, v := range h {
-		out[k] = v
-	}
-	return out
-}
-
 // Keys returns the class keys sorted lexicographically — the stable
 // iteration order of every serialized histogram.
 func (h Histogram) Keys() []string {

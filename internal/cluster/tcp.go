@@ -500,9 +500,6 @@ func NewTCPTransport(m int, metrics *Metrics) (*TCPTransport, error) {
 	return t, nil
 }
 
-// Spec returns the address book of the in-process cluster.
-func (t *TCPTransport) Spec() ClusterSpec { return t.spec }
-
 // Addr returns the listen address of machine id (useful in examples).
 func (t *TCPTransport) Addr(id int) string { return t.spec.Machines[id] }
 

@@ -34,9 +34,6 @@ type Node struct {
 // removed; filtering must skip them.
 func (n *Node) Dead() bool { return n.dead }
 
-// ChildCount returns the number of linked live children.
-func (n *Node) ChildCount() int { return int(n.childCount) }
-
 // NodeBytes is the accounted in-memory footprint of one trie node:
 // vertex (4) + parent pointer (8) + child counter (4) + flags/padding.
 const NodeBytes = 24
@@ -58,9 +55,6 @@ type Trie struct {
 func New(depth int) *Trie {
 	return &Trie{depth: depth}
 }
-
-// Depth returns the number of levels (query vertices) of full results.
-func (t *Trie) Depth() int { return t.depth }
 
 // Node creates a detached node mapping some query vertex to data
 // vertex v, below parent (nil for a root). The node is not part of the

@@ -298,3 +298,32 @@ func assertPanics(t *testing.T, f func()) {
 	}()
 	f()
 }
+
+// BenchmarkTrieInsertRemove measures raw embedding-trie insert/remove
+// throughput on synthetic 4-level paths with heavy prefix sharing.
+func BenchmarkTrieInsertRemove(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		tr := New(4)
+		var leaves []*Node
+		for a := 0; a < 16; a++ {
+			na := tr.Node(nil, graph.VertexID(a))
+			tr.Link(na)
+			for c := 0; c < 16; c++ {
+				nc := tr.Node(na, graph.VertexID(c))
+				tr.Link(nc)
+				for d := 0; d < 4; d++ {
+					nd := tr.Node(nc, graph.VertexID(d))
+					tr.Link(nd)
+					leaves = append(leaves, nd)
+				}
+			}
+		}
+		for _, lf := range leaves {
+			tr.Remove(lf)
+		}
+		if tr.NodeCount() != 0 {
+			b.Fatal("trie not empty")
+		}
+	}
+}

@@ -167,8 +167,7 @@ func TestProfile(t *testing.T) {
 }
 
 // TestDatasetAnalogRegimes checks that the four dataset analogs land
-// in the structural regimes the paper's narrative needs (DESIGN.md
-// substitution table).
+// in the structural regimes the paper's narrative needs.
 func TestDatasetAnalogRegimes(t *testing.T) {
 	road := Profile("roadnet", RoadNet(40, 40, 1))
 	dblp := Profile("dblp", Community(12, 30, 0.25, 1))

@@ -13,13 +13,7 @@
 //     indirection (generic instantiation shares code across same-shape
 //     types through a runtime dictionary; the concrete kernel inlines
 //     clean) — measured ~5-7% faster than the generic merge on real
-//     CSR rows (BENCH_NOTES.md);
-//   - IntersectSortedMergeBranchlessU32 is the speculative-store
-//     branchless merge the flat layout was expected to favour. It is
-//     kept, benched and parity-tested as the record of a measured
-//     negative: on current hardware it loses 2-3x to the
-//     branch-predicted merge (see the comment on the kernel), so the
-//     adaptive path does not dispatch to it;
+//     CSR rows;
 //   - IntersectSortedGallopU32 is the galloping kernel monomorphised
 //     to the flat neighbour slice, with the exponential and binary
 //     search windows inlined on uint-indexed 32-bit loads;
@@ -40,14 +34,17 @@
 package graph
 
 // gallopRatioU32 is the size skew at which the specialised gallop
-// overtakes the merge kernel on the flat 32-bit layout. Swept on real
-// adjacency rows of the ingested power-law fixture (radsbench -exp
-// gallopsweep, table recorded in BENCH_NOTES.md): the merge wins
-// through 4x skew (393-440 ns vs gallop's 480 ns at 4x) and gallop
-// wins from 8x up (570-580 ns vs 744-851 ns), stable across reruns. 6
-// splits the measured band. The generic kernels keep their own
-// bench-derived default (gallopRatioGeneric = 8 in intersect.go) —
-// the constants are per element width, not shared.
+// overtakes the merge kernel on the flat 32-bit layout. Swept with a
+// fixed 157-entry row against real CSR rows of a power-law graph at
+// 1x-64x its degree: the merge wins through 4x skew (393-440 ns vs
+// gallop's 480 ns at 4x) and gallop wins from 8x up (570-580 ns vs
+// 744-851 ns), stable across reruns. 6 splits the measured band. Two
+// traps when re-sweeping: a subsampled hub row spreads its values thin
+// and flatters gallop with skips enumeration never sees, and a row
+// intersected with itself at ratio 1 flatters merge (equal elements
+// halve its step count) — use distinct real rows. The generic kernels
+// keep their own bench-derived default (gallopRatioGeneric = 8 in
+// intersect.go) — the constants are per element width, not shared.
 const gallopRatioU32 = 6
 
 // IntersectSortedU32 writes the intersection of two ascending VertexID
@@ -55,7 +52,7 @@ const gallopRatioU32 = 6
 // counterpart of IntersectSorted, dispatched via KernelsFor when both
 // inputs come from a flat CSR store. It gallops when one list is at
 // least gallopRatioU32 times longer than the other and runs the
-// branchless merge otherwise. dst may alias a.
+// pre-sized merge otherwise. dst may alias a.
 func IntersectSortedU32(dst, a, b []VertexID) []VertexID {
 	small, large := a, b
 	if len(small) > len(large) {
@@ -79,6 +76,12 @@ func IntersectSortedU32(dst, a, b []VertexID) []VertexID {
 // write cursor w advances only on a match, which also advances both
 // read cursors, so w <= min(i, j) holds throughout and every store
 // lands at an index both inputs have already passed.
+//
+// A branchless speculative-store variant (store the left element every
+// iteration, advance all three cursors by comparison results) was
+// measured and dropped: its serial load→compare→increment chain ran
+// 2-3x slower than this branch-predicted loop at 5, 50 and 95 %
+// overlap.
 func IntersectSortedMergeU32(dst, a, b []VertexID) []VertexID {
 	need := len(a)
 	if len(b) < need {
@@ -101,43 +104,6 @@ func IntersectSortedMergeU32(dst, a, b []VertexID) []VertexID {
 			i++
 			j++
 		}
-	}
-	return dst[:w]
-}
-
-// IntersectSortedMergeBranchlessU32 is the speculative-store branchless
-// merge: every iteration stores the left element and advances all three
-// cursors by comparison results (SETcc), so the loop body has no
-// data-dependent conditional jumps. It is NOT on the dispatch path: the
-// hypothesis was that removing the "which side advances" mispredict
-// would win on random-overlap lists, but measured on real CSR rows the
-// serial load→compare→increment dependency chain it creates costs more
-// than the mispredicts it removes — 2-3x slower than the predicted
-// merge at every overlap level tried (BENCH_NOTES.md). The kernel stays
-// exported, parity-tested and benched (micro row merge_branchless_u32)
-// so the trade-off remains documented by numbers rather than folklore.
-// dst may alias a; it must NOT alias b (the speculative store would
-// corrupt unread b elements).
-func IntersectSortedMergeBranchlessU32(dst, a, b []VertexID) []VertexID {
-	need := len(a)
-	if len(b) < need {
-		need = len(b)
-	}
-	if cap(dst) < need {
-		dst = make([]VertexID, need)
-	}
-	dst = dst[:need]
-	i, j, w := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		va, vb := a[i], b[j]
-		// w <= min(i, j) holds throughout: w advances only on a match,
-		// which also advances both i and j. So the store lands at an
-		// index both cursors have passed (dst aliasing a stays sound)
-		// and never past need.
-		dst[w] = va
-		w += b2i(va == vb)
-		i += b2i(va <= vb)
-		j += b2i(vb <= va)
 	}
 	return dst[:w]
 }
@@ -264,15 +230,6 @@ func intersectManyU32(dst []VertexID, lists [][]VertexID, bounded bool, lb Verte
 	return dst
 }
 
-// b2i converts a bool to 0/1; the compiler lowers it to SETcc, which
-// is what keeps the branchless merge branchless.
-func b2i(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
-
 // FlatAdjacency is the opt-in marker a Store implements when every Adj
 // slice is a view of one flat 32-bit neighbour array (dataset.CSR).
 // KernelsFor uses it to route intersection through the specialised
@@ -305,32 +262,6 @@ func KernelsFor(s Store) Kernels {
 
 // Flat reports whether this set routes to the 32-bit CSR kernels.
 func (k Kernels) Flat() bool { return k.flat }
-
-// Intersect is the adaptive pairwise intersection (see
-// IntersectSorted / IntersectSortedU32). dst may alias a.
-func (k Kernels) Intersect(dst, a, b []VertexID) []VertexID {
-	if k.flat {
-		return IntersectSortedU32(dst, a, b)
-	}
-	return IntersectSorted(dst, a, b)
-}
-
-// IntersectFrom intersects above a strict lower bound. dst may alias a.
-func (k Kernels) IntersectFrom(dst, a, b []VertexID, lb VertexID) []VertexID {
-	if k.flat {
-		return IntersectSortedFromU32(dst, a, b, lb)
-	}
-	return IntersectSortedFrom(dst, a, b, lb)
-}
-
-// IntersectMany folds k lists shortest-first. lists is reordered in
-// place; dst must not alias any list.
-func (k Kernels) IntersectMany(dst []VertexID, lists ...[]VertexID) []VertexID {
-	if k.flat {
-		return IntersectManyU32(dst, lists...)
-	}
-	return IntersectMany(dst, lists...)
-}
 
 // IntersectManyFrom folds k lists shortest-first above a strict lower
 // bound. lists is reordered in place; dst must not alias any list.

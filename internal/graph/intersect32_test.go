@@ -21,15 +21,13 @@ func TestIntersectU32KernelsAgree(t *testing.T) {
 			want = []VertexID{}
 		}
 		for name, got := range map[string][]VertexID{
-			"adaptive":        IntersectSortedU32(nil, a, b),
-			"merge":           IntersectSortedMergeU32(nil, a, b),
-			"merge_swap":      IntersectSortedMergeU32(nil, b, a),
-			"branchless":      IntersectSortedMergeBranchlessU32(nil, a, b),
-			"branchless_swap": IntersectSortedMergeBranchlessU32(nil, b, a),
-			"gallop":          IntersectSortedGallopU32(nil, a, b),
-			"swapped":         IntersectSortedU32(nil, b, a),
-			"generic":         IntersectSorted(nil, a, b),
-			"kernels_flat":    Kernels{flat: true}.Intersect(nil, a, b),
+			"adaptive":     IntersectSortedU32(nil, a, b),
+			"merge":        IntersectSortedMergeU32(nil, a, b),
+			"merge_swap":   IntersectSortedMergeU32(nil, b, a),
+			"gallop":       IntersectSortedGallopU32(nil, a, b),
+			"swapped":      IntersectSortedU32(nil, b, a),
+			"generic":      IntersectSorted(nil, a, b),
+			"kernels_flat": Kernels{flat: true}.IntersectManyFrom(nil, -1, a, b),
 		} {
 			if !equalVerts(got, want) {
 				t.Fatalf("trial %d %s: got %v, want %v (a=%v b=%v)", trial, name, got, want, a, b)
@@ -100,9 +98,8 @@ func FuzzIntersectU32Parity(f *testing.F) {
 		b := sortedFromBytes(rb)
 		want := IntersectSorted(nil, a, b)
 		for name, got := range map[string][]VertexID{
-			"adaptive":   IntersectSortedU32(nil, a, b),
-			"merge":      IntersectSortedMergeU32(nil, a, b),
-			"branchless": IntersectSortedMergeBranchlessU32(nil, a, b),
+			"adaptive": IntersectSortedU32(nil, a, b),
+			"merge":    IntersectSortedMergeU32(nil, a, b),
 		} {
 			if !(len(got) == 0 && len(want) == 0) && !equalVerts(got, want) {
 				t.Fatalf("%s: got %v, want %v (a=%v b=%v)", name, got, want, a, b)
@@ -146,8 +143,8 @@ func TestIntersectU32InPlaceFold(t *testing.T) {
 
 // TestIntersectU32KernelsZeroAlloc is the allocation regression test of
 // every 32-bit variant: with a warm destination of sufficient capacity
-// (the merge kernel needs min(len(a), len(b)) for its speculative
-// stores), each must run allocation-free.
+// (the merge kernel pre-sizes it to min(len(a), len(b))), each must run
+// allocation-free.
 func TestIntersectU32KernelsZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	a := randSorted(rng, 64, 4096)
@@ -163,7 +160,6 @@ func TestIntersectU32KernelsZeroAlloc(t *testing.T) {
 	}{
 		{"IntersectSortedU32", func() { dst = IntersectSortedU32(dst, a, b) }},
 		{"IntersectSortedMergeU32", func() { dst = IntersectSortedMergeU32(dst, a, b) }},
-		{"IntersectSortedMergeBranchlessU32", func() { dst = IntersectSortedMergeBranchlessU32(dst, a, b) }},
 		{"IntersectSortedGallopU32", func() { dst = IntersectSortedGallopU32(dst, a, b) }},
 		{"IntersectSortedFromU32", func() { dst = IntersectSortedFromU32(dst, a, b, 1024) }},
 		{"IntersectManyU32", func() {
@@ -174,7 +170,6 @@ func TestIntersectU32KernelsZeroAlloc(t *testing.T) {
 			copy(scratch, lists)
 			dst = IntersectManyFromU32(dst, 1024, scratch...)
 		}},
-		{"Kernels.Intersect", func() { dst = kern.Intersect(dst, a, b) }},
 		{"Kernels.IntersectManyFrom", func() {
 			copy(scratch, lists)
 			dst = kern.IntersectManyFrom(dst, 1024, scratch...)
@@ -231,9 +226,9 @@ func TestKernelsRouteCounters(t *testing.T) {
 
 	before := KernelCounts()
 	flat := Kernels{flat: true}
-	flat.Intersect(nil, small, large) // gallop_u32: 100 >= 6*3
-	flat.Intersect(nil, small, small) // merge_u32
-	flat.IntersectMany(nil, small, small, small)
+	flat.IntersectManyFrom(nil, -1, small, large) // gallop_u32: 100 >= 6*3
+	flat.IntersectManyFrom(nil, -1, small, small) // merge_u32
+	flat.IntersectManyFrom(nil, -1, small, small, small)
 	d := KernelCountsDelta(before)
 	if d["gallop_u32"] == 0 || d["merge_u32"] == 0 || d["kway_u32"] == 0 {
 		t.Errorf("flat route delta %v, want all three *_u32 counters bumped", d)
@@ -244,7 +239,7 @@ func TestKernelsRouteCounters(t *testing.T) {
 
 	before = KernelCounts()
 	var gen Kernels
-	gen.Intersect(nil, small, large)
+	gen.IntersectManyFrom(nil, -1, small, large)
 	d = KernelCountsDelta(before)
 	if d["gallop"] == 0 {
 		t.Errorf("generic route delta %v, want gallop bumped", d)

@@ -1,7 +1,7 @@
 // Package harness wires datasets, engines and experiment runners into
 // the reproduction of the paper's evaluation (Section 7 plus
-// Appendix C). Every table and figure has a runner here, a benchmark
-// in bench_test.go, and a CLI entry in cmd/radsbench.
+// Appendix C). Every table and figure has a runner here and an
+// experiment id under radsbench -exp.
 package harness
 
 import (
@@ -17,7 +17,7 @@ import (
 // deterministic, so every run sees the same graph.
 type Dataset struct {
 	Name     string // paper dataset it stands in for
-	Analog   string // what we generate instead (see DESIGN.md)
+	Analog   string // what we generate instead
 	Build    func(scale float64) *graph.Graph
 	DefScale float64
 }

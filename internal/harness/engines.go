@@ -9,8 +9,6 @@ import (
 	"rads/internal/cluster"
 	"rads/internal/engine"
 	_ "rads/internal/engine/all" // register RADS and the baselines
-	"rads/internal/graph"
-	"rads/internal/obs"
 	"rads/internal/partition"
 	"rads/internal/pattern"
 )
@@ -35,24 +33,8 @@ type Uniform struct {
 	Seconds float64
 	CommMB  float64
 	PeakMB  float64
-	// TreeNodes counts the run's successful partial matches, when the
-	// engine reports them (RADS does; 0 otherwise). TreeNodes/Seconds
-	// is the harness's engine-agnostic throughput metric.
-	TreeNodes int64
-	OOM       bool // the engine died of ErrOutOfMemory (paper: empty bar)
-	Err       error
-	// Profile is the run's execution profile for engines that trace
-	// (RADS; nil otherwise) — radsbench embeds its phase breakdown.
-	Profile *obs.Profile
-}
-
-// TreeNodesPerSec returns the run's search-tree throughput, 0 when the
-// engine does not report tree nodes or the run was instantaneous.
-func (u Uniform) TreeNodesPerSec() float64 {
-	if u.TreeNodes == 0 || u.Seconds <= 0 {
-		return 0
-	}
-	return float64(u.TreeNodes) / u.Seconds
+	OOM     bool // the engine died of ErrOutOfMemory (paper: empty bar)
+	Err     error
 }
 
 // RunSpec describes one engine execution.
@@ -65,25 +47,12 @@ type RunSpec struct {
 	Part        *partition.Partition
 	Query       *pattern.Pattern
 	BudgetBytes int64 // per-machine; 0 = unlimited
-	// Workers is the intra-machine worker-pool hint forwarded to the
-	// engine (0 = engine default; ignored by engines without a pool).
-	Workers int
-
-	// Ctx cancels the run between units of work; every registered
-	// engine with the Cancellation capability honours it (RADS between
-	// candidates/groups, the baselines between supersteps). Nil runs to
-	// completion.
-	Ctx context.Context
 	// Artifacts, if non-nil, supplies prepared per-(partition, pattern)
 	// artifacts (RADS plans, Crystal clique indexes) through a shared
 	// cache, keeping preparation cost out of the timed run. Nil makes
 	// each engine prepare internally, inside the clock — the batch
 	// one-shot behaviour.
 	Artifacts *engine.ArtifactCache
-	// OnEmbedding streams every embedding found. Engines whose
-	// capabilities lack Streaming reject it with engine.ErrUnsupported.
-	// The slice is reused — copy to keep.
-	OnEmbedding func(machine int, f []graph.VertexID)
 }
 
 // RunEngine executes one engine through the registry and normalizes
@@ -101,23 +70,15 @@ func RunEngine(spec RunSpec) Uniform {
 		budget = cluster.NewMemBudget(spec.Part.M, spec.BudgetBytes)
 	}
 	metrics := cluster.NewMetrics(spec.Part.M)
-	ctx := spec.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	res, err := engine.Execute(ctx, e, spec.Artifacts, engine.Request{
-		Part:        spec.Part,
-		Pattern:     spec.Query,
-		Metrics:     metrics,
-		Budget:      budget,
-		OnEmbedding: spec.OnEmbedding,
-		Workers:     spec.Workers,
+	res, err := engine.Execute(context.Background(), e, spec.Artifacts, engine.Request{
+		Part:    spec.Part,
+		Pattern: spec.Query,
+		Metrics: metrics,
+		Budget:  budget,
 	})
 	u.Total = res.Total
 	u.Seconds = res.Seconds
 	u.OOM = res.OOM
-	u.TreeNodes = res.TreeNodes
-	u.Profile = res.Profile
 	u.CommMB = float64(metrics.TotalBytes()) / (1 << 20)
 	u.PeakMB = float64(res.PeakMemBytes) / (1 << 20)
 	if err != nil {

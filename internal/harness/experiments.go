@@ -379,7 +379,7 @@ func Robustness(dataset string, machines int, scale float64, budgetBytes int64, 
 	return t, nil
 }
 
-// Ablations runs the reproduction's own ablation suite (DESIGN.md):
+// Ablations runs the reproduction's own ablation suite:
 // SM-E on/off, foreign-vertex cache on/off, proximity versus random
 // grouping — quantifying each design choice the paper argues for.
 func Ablations(dataset string, machines int, scale float64, query string) (*Table, error) {

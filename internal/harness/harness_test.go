@@ -10,8 +10,8 @@ import (
 	"rads/internal/pattern"
 )
 
-// Tests use tiny scales so CI stays fast; the benchmarks in
-// bench_test.go run the paper-sized analogs.
+// Tests use tiny scales so CI stays fast; radsbench -exp runs the
+// paper-sized analogs.
 const tinyScale = 0.25
 
 func TestTable1Profiles(t *testing.T) {

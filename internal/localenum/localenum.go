@@ -10,7 +10,7 @@
 // linear merge, galloping on skewed lists, lower-bound skip for
 // symmetry-breaking constraints). TurboIso's candidate-region and NEC
 // machinery are performance refinements of the same exploration and
-// are not needed for the reproduction (documented in DESIGN.md).
+// are not needed for the reproduction.
 //
 // The core type is the reusable Enumerator: all state — the partial
 // embedding, a used-vertex bitset, and per-level candidate scratch —

@@ -15,7 +15,6 @@ package partition
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 
 	"rads/internal/graph"
@@ -351,11 +350,4 @@ func argmin(xs []int) int {
 		}
 	}
 	return best
-}
-
-// SortVertices sorts a vertex slice ascending in place and returns it;
-// convenience for deterministic iteration in callers and tests.
-func SortVertices(vs []graph.VertexID) []graph.VertexID {
-	sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
-	return vs
 }

@@ -112,14 +112,18 @@ func TestCatalogPanics(t *testing.T) {
 	}
 }
 
-func TestParseFormatRoundTrip(t *testing.T) {
+// codecPatterns is the catalogue sample the text-codec tests share.
+func codecPatterns() []*Pattern {
 	pats := []*Pattern{
 		Triangle(), Path(4), Cycle(5), Star(3), CompleteGraph(4),
 		CompleteBipartite(2, 2), RunningExample(),
 	}
 	pats = append(pats, QuerySet()...)
-	pats = append(pats, CliqueQuerySet()...)
-	for _, p := range pats {
+	return append(pats, CliqueQuerySet()...)
+}
+
+func TestParseFormatRoundTrip(t *testing.T) {
+	for _, p := range codecPatterns() {
 		s := Format(p)
 		q, err := Parse(s)
 		if err != nil {
@@ -136,25 +140,55 @@ func TestParseFormatRoundTrip(t *testing.T) {
 	}
 }
 
+// badPatternTexts are inputs Parse must reject; FuzzParse seeds from
+// them too.
+var badPatternTexts = []string{
+	"",          // no colons
+	"name:3",    // missing edges field
+	":3:0-1",    // empty name
+	"p:x:0-1",   // bad count
+	"p:0:",      // n < 1
+	"p:300:0-1", // n > 127 (VertexID is int8)
+	"p:3:0",     // bad edge token
+	"p:3:0-1-2", // we split on first dash only: "1-2" not a number
+	"p:3:0-3",   // endpoint out of range
+	"p:3:1-1",   // self loop
+	"p:3:a-b",   // non-numeric
+}
+
 func TestParseErrors(t *testing.T) {
-	bad := []string{
-		"",          // no colons
-		"name:3",    // missing edges field
-		":3:0-1",    // empty name
-		"p:x:0-1",   // bad count
-		"p:0:",      // n < 1
-		"p:300:0-1", // n > 127 (VertexID is int8)
-		"p:3:0",     // bad edge token
-		"p:3:0-1-2", // we split on first dash only: "1-2" not a number
-		"p:3:0-3",   // endpoint out of range
-		"p:3:1-1",   // self loop
-		"p:3:a-b",   // non-numeric
-	}
-	for _, s := range bad {
+	for _, s := range badPatternTexts {
 		if _, err := Parse(s); err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", s)
 		}
 	}
+}
+
+// FuzzParse drives the text codec with arbitrary client input, as
+// radserve's query path does: Parse never panics, and whatever it
+// accepts Format writes back in a form that re-parses to the same text.
+func FuzzParse(f *testing.F) {
+	for _, p := range codecPatterns() {
+		f.Add(Format(p))
+	}
+	for _, s := range append(badPatternTexts,
+		" tri : 3 : 0-1 , 1-2 , 0-2 ", "p:127:0-126,126-0", "p:1:") {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		p, err := Parse(s)
+		if err != nil {
+			return
+		}
+		text := Format(p)
+		q, err := Parse(text)
+		if err != nil {
+			t.Fatalf("Parse(%q) ok, but its Format %q does not re-parse: %v", s, text, err)
+		}
+		if again := Format(q); again != text {
+			t.Fatalf("Parse(%q): Format %q re-parses to %q", s, text, again)
+		}
+	})
 }
 
 func TestParseToleratesWhitespace(t *testing.T) {

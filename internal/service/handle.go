@@ -101,17 +101,6 @@ func (h *Handle) Result(ctx context.Context) (Result, error) {
 	}
 }
 
-// TryResult returns the outcome without blocking; ok is false while
-// the query is still in flight.
-func (h *Handle) TryResult() (res Result, err error, ok bool) {
-	select {
-	case <-h.done:
-		return h.res, h.err, true
-	default:
-		return Result{}, nil, false
-	}
-}
-
 func (h *Handle) complete(res Result) {
 	h.res = res
 	if h.emb != nil {

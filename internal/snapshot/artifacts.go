@@ -87,7 +87,13 @@ func ReadArtifacts(dir string) (map[string]engine.Artifact, error) {
 	if err := dec.Decode(&n); err != nil {
 		return nil, fmt.Errorf("snapshot: artifacts: truncated or corrupt count: %w", decodeErr(err))
 	}
-	out := make(map[string]engine.Artifact, n)
+	if n < 0 {
+		return nil, fmt.Errorf("snapshot: artifacts: corrupt count %d", n)
+	}
+	// n is whatever the file says: the map grows as entries actually
+	// decode, so a corrupt count costs a truncation error below, not an
+	// allocation sized by it.
+	out := make(map[string]engine.Artifact)
 	for i := 0; i < n; i++ {
 		var e artifactEntry
 		if err := dec.Decode(&e); err != nil {

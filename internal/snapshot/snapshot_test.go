@@ -1,10 +1,13 @@
 package snapshot_test
 
 import (
+	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 
 	"rads/internal/engine"
@@ -255,5 +258,51 @@ func TestTruncatedArtifactsRejected(t *testing.T) {
 	}
 	if _, err := snapshot.ReadArtifacts(dir); err == nil {
 		t.Fatal("ReadArtifacts accepted a truncated file")
+	}
+}
+
+// TestArtifactsCountNotTrusted feeds ReadArtifacts a file that is only
+// a valid header and an entry count — huge or negative, no entries. The
+// count must not size an allocation: the huge one is the ordinary
+// truncation error, the negative one is rejected outright.
+func TestArtifactsCountNotTrusted(t *testing.T) {
+	for _, tc := range []struct {
+		count   int
+		wantErr string
+	}{
+		{1 << 28, "truncated after 0 of 268435456 entries"},
+		{-1, "corrupt count -1"},
+	} {
+		dir := t.TempDir()
+		f, err := os.Create(snapshot.ArtifactsPath(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc := gob.NewEncoder(f)
+		// Field-for-field the package's unexported file header.
+		hdr := struct {
+			Magic   string
+			Version int
+		}{"RADSARTS", snapshot.Version}
+		if err := enc.Encode(hdr); err != nil {
+			t.Fatal(err)
+		}
+		if err := enc.Encode(tc.count); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err = snapshot.ReadArtifacts(dir)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("count %d: err = %v, want one containing %q", tc.count, err, tc.wantErr)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("count %d: ReadArtifacts allocated %d bytes on a file with no entries", tc.count, grew)
+		}
 	}
 }
