@@ -111,7 +111,6 @@ func run(specPath, snapDir, machineList, listen string, workers int, dsDir, debu
 	events.RegisterMetrics(reg)
 	buildinfo.Register(reg)
 	log.Printf("build %s", buildinfo.String())
-	graph.SetKernelCounting(true)
 	reg.CounterVecFunc("rads_kernel_selections_total",
 		"Adaptive intersection kernel selections.", "kernel", graph.KernelCounts)
 	handleLatency := reg.HistogramVec("rads_handle_seconds",

@@ -391,7 +391,7 @@ func budCandidates(g graph.Store, p *pattern.Pattern, f []graph.VertexID, bud pa
 	for _, w := range p.Adj(bud) {
 		lists = append(lists, g.Adj(f[w]))
 	}
-	cands := graph.IntersectMany(nil, lists...)
+	cands := graph.IntersectManyU32(nil, lists...)
 	kept := cands[:0]
 	for _, v := range cands {
 		if !used[v] && g.Degree(v) >= p.Degree(bud) {

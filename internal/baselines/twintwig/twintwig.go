@@ -13,6 +13,7 @@ package twintwig
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"time"
 
@@ -130,13 +131,9 @@ func RunJoin(part *partition.Partition, p *pattern.Pattern, units []JoinUnit, cf
 
 	for round, unit := range units {
 		unitVerts := unit.Verts
-		// New layout = union, sorted; join key = intersection, through
-		// the shared sorted-set kernel (unit layouts are anchor-first,
-		// so sort a copy before intersecting).
-		sortedUnit := append([]pattern.VertexID(nil), unitVerts...)
-		sort.Slice(sortedUnit, func(i, j int) bool { return sortedUnit[i] < sortedUnit[j] })
+		// New layout = union, sorted; join key = intersection.
 		newVerts := unionSorted(prevVerts, unitVerts)
-		keyVerts := graph.IntersectSorted(nil, prevVerts, sortedUnit)
+		keyVerts := joinKey(prevVerts, unitVerts)
 
 		// Positions for key extraction and row building.
 		prevPos := positions(prevVerts)
@@ -382,6 +379,19 @@ func unionSorted(a, b []pattern.VertexID) []pattern.VertexID {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
+}
+
+// joinKey returns the query vertices of sorted layout prev that unit
+// also matches, ascending. Layouts hold a handful of pattern vertices,
+// so a scan per vertex is all it takes.
+func joinKey(prev, unit []pattern.VertexID) []pattern.VertexID {
+	var key []pattern.VertexID
+	for _, v := range prev {
+		if slices.Contains(unit, v) {
+			key = append(key, v)
+		}
+	}
+	return key
 }
 
 func positions(verts []pattern.VertexID) map[pattern.VertexID]int {

@@ -5,7 +5,6 @@ import (
 
 	"rads/internal/baselines/common"
 	"rads/internal/gen"
-	"rads/internal/graph"
 	"rads/internal/partition"
 	"rads/internal/pattern"
 )
@@ -125,12 +124,11 @@ func TestUnionSorted(t *testing.T) {
 }
 
 func TestJoinKeyViaSharedKernel(t *testing.T) {
-	// The join key is computed with the shared graph.IntersectSorted
-	// kernel over sorted pattern-vertex lists (twintwig's own map-based
-	// intersectVerts was deleted in its favour).
-	got := graph.IntersectSorted(nil,
+	// The join key follows the sorted previous layout whatever order the
+	// unit lists its vertices in (unit layouts are anchor-first).
+	got := joinKey(
 		[]pattern.VertexID{0, 2, 4, 6},
-		[]pattern.VertexID{2, 3, 6},
+		[]pattern.VertexID{6, 3, 2},
 	)
 	if len(got) != 2 || got[0] != 2 || got[1] != 6 {
 		t.Fatalf("intersect = %v, want [2 6]", got)

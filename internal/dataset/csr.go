@@ -16,9 +16,7 @@
 //     graphs by name instead of ad-hoc file flags.
 //
 // The CSR type below implements graph.Store, so every engine, the
-// partitioner and the local enumerator run on it unchanged — and its
-// single flat int32 neighbour array is exactly the SIMD-friendly
-// layout the ROADMAP wants for the branchless-merge kernel follow-up.
+// partitioner and the local enumerator run on it unchanged.
 package dataset
 
 import (
@@ -39,10 +37,7 @@ type CSR struct {
 	maxDeg int
 }
 
-var (
-	_ graph.Store         = (*CSR)(nil)
-	_ graph.FlatAdjacency = (*CSR)(nil)
-)
+var _ graph.Store = (*CSR)(nil)
 
 // NewCSR wraps an offsets + neighbours pair as a CSR after validating
 // the structural invariants: monotone offsets covering nbr exactly,
@@ -148,12 +143,6 @@ func (c *CSR) Edges(fn func(u, v graph.VertexID) bool) {
 		}
 	}
 }
-
-// FlatAdjacency reports that every Adj slice aliases the single flat
-// 32-bit neighbour array — the graph.FlatAdjacency marker that routes
-// intersection through the width-specialised CSR kernels
-// (graph.KernelsFor).
-func (c *CSR) FlatAdjacency() bool { return true }
 
 // SizeBytes is the store's resident footprint (the two arrays).
 func (c *CSR) SizeBytes() int64 {

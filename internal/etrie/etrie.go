@@ -46,15 +46,12 @@ const VertexBytes = 4
 // Trie is an embedding trie for results of a fixed query pattern.
 // The zero value is not usable; call New.
 type Trie struct {
-	depth     int // number of query vertices = levels
 	nodeCount int
 	peakNodes int
 }
 
-// New returns an empty trie for patterns with depth query vertices.
-func New(depth int) *Trie {
-	return &Trie{depth: depth}
-}
+// New returns an empty trie.
+func New() *Trie { return &Trie{} }
 
 // Node creates a detached node mapping some query vertex to data
 // vertex v, below parent (nil for a root). The node is not part of the

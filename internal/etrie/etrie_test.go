@@ -37,7 +37,7 @@ func buildPaths(t *Trie, paths [][]graph.VertexID) []*Node {
 func TestExample6Figure5(t *testing.T) {
 	// Example 6: three ECs of P0 sharing prefixes:
 	// (v0,v1,v2), (v0,v1,v9), (v0,v9,v11).
-	tr := New(3)
+	tr := New()
 	leaves := buildPaths(tr, [][]graph.VertexID{
 		{0, 1, 2}, {0, 1, 9}, {0, 9, 11},
 	})
@@ -65,7 +65,7 @@ func TestExample6Figure5(t *testing.T) {
 
 func TestRemoveCascades(t *testing.T) {
 	// Single chain: removing the leaf removes everything.
-	tr := New(3)
+	tr := New()
 	leaves := buildPaths(tr, [][]graph.VertexID{{5, 6, 7}})
 	tr.Remove(leaves[0])
 	if tr.NodeCount() != 0 {
@@ -74,7 +74,7 @@ func TestRemoveCascades(t *testing.T) {
 }
 
 func TestRemoveStopsAtSharedAncestor(t *testing.T) {
-	tr := New(3)
+	tr := New()
 	leaves := buildPaths(tr, [][]graph.VertexID{{1, 2, 3}, {1, 2, 4}})
 	tr.Remove(leaves[0])
 	// Shared prefix (1,2) survives plus leaf 4.
@@ -87,14 +87,14 @@ func TestRemoveStopsAtSharedAncestor(t *testing.T) {
 }
 
 func TestLinkPanics(t *testing.T) {
-	tr := New(2)
+	tr := New()
 	n := tr.Node(nil, 1)
 	tr.Link(n)
 	assertPanics(t, func() { tr.Link(n) })
 }
 
 func TestRemovePanicsOnInternalNode(t *testing.T) {
-	tr := New(2)
+	tr := New()
 	root := tr.Node(nil, 1)
 	tr.Link(root)
 	child := tr.Node(root, 2)
@@ -103,13 +103,13 @@ func TestRemovePanicsOnInternalNode(t *testing.T) {
 }
 
 func TestRemovePanicsOnDetachedNode(t *testing.T) {
-	tr := New(2)
+	tr := New()
 	n := tr.Node(nil, 1)
 	assertPanics(t, func() { tr.Remove(n) })
 }
 
 func TestLevelAndPeak(t *testing.T) {
-	tr := New(3)
+	tr := New()
 	leaves := buildPaths(tr, [][]graph.VertexID{{0, 1, 2}})
 	if Level(leaves[0]) != 2 {
 		t.Errorf("Level = %d, want 2", Level(leaves[0]))
@@ -124,7 +124,7 @@ func TestLevelAndPeak(t *testing.T) {
 }
 
 func TestAppendPathReuse(t *testing.T) {
-	tr := New(3)
+	tr := New()
 	leaves := buildPaths(tr, [][]graph.VertexID{{7, 8, 9}})
 	buf := make([]graph.VertexID, 0, 8)
 	buf = tr.AppendPath(buf, leaves[0])
@@ -178,7 +178,7 @@ func TestCompressionProperty(t *testing.T) {
 			}
 			distinctPrefixes++
 		}
-		tr := New(depth)
+		tr := New()
 		buildPaths(tr, paths)
 		if tr.NodeCount() != distinctPrefixes {
 			t.Fatalf("trial %d: NodeCount = %d, want %d distinct prefixes", trial, tr.NodeCount(), distinctPrefixes)
@@ -194,7 +194,7 @@ func TestCompressionProperty(t *testing.T) {
 func TestInsertRemoveStress(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 20; trial++ {
-		tr := New(4)
+		tr := New()
 		var paths [][]graph.VertexID
 		n := 1 + rng.Intn(40)
 		seen := make(map[[4]graph.VertexID]bool)
@@ -223,7 +223,7 @@ func TestInsertRemoveStress(t *testing.T) {
 func TestEVIExample2(t *testing.T) {
 	// Example 2: two ECs share undetermined edge (v1,v2); if it fails,
 	// both are filtered.
-	tr := New(3)
+	tr := New()
 	leaves := buildPaths(tr, [][]graph.VertexID{{0, 1, 2}, {3, 1, 2}})
 	evi := NewEVI()
 	e := graph.Edge{U: 1, V: 2}
@@ -241,7 +241,7 @@ func TestEVIExample2(t *testing.T) {
 }
 
 func TestEVINormalizesKeys(t *testing.T) {
-	tr := New(2)
+	tr := New()
 	leaves := buildPaths(tr, [][]graph.VertexID{{0, 1}})
 	evi := NewEVI()
 	evi.Add(graph.Edge{U: 9, V: 4}, leaves[0])
@@ -251,7 +251,7 @@ func TestEVINormalizesKeys(t *testing.T) {
 }
 
 func TestEVISkipsDeadLeaves(t *testing.T) {
-	tr := New(2)
+	tr := New()
 	leaves := buildPaths(tr, [][]graph.VertexID{{0, 1}, {0, 2}})
 	evi := NewEVI()
 	e1 := graph.Edge{U: 1, V: 2}
@@ -273,7 +273,7 @@ func TestEVISkipsDeadLeaves(t *testing.T) {
 
 func TestEVIEdgesSortedAndReset(t *testing.T) {
 	evi := NewEVI()
-	tr := New(2)
+	tr := New()
 	leaves := buildPaths(tr, [][]graph.VertexID{{0, 1}})
 	evi.Add(graph.Edge{U: 5, V: 2}, leaves[0])
 	evi.Add(graph.Edge{U: 1, V: 9}, leaves[0])
@@ -304,7 +304,7 @@ func assertPanics(t *testing.T, f func()) {
 func BenchmarkTrieInsertRemove(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tr := New(4)
+		tr := New()
 		var leaves []*Node
 		for a := 0; a < 16; a++ {
 			na := tr.Node(nil, graph.VertexID(a))

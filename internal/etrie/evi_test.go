@@ -80,7 +80,7 @@ func newEVIModel(t *testing.T, seed int64, span int32) *eviModel {
 	return &eviModel{
 		t: t, rng: rand.New(rand.NewSource(seed)), span: span,
 		got: NewEVI(), want: &mapEVI{m: map[graph.Edge][]*Node{}},
-		gotT: New(2), wantT: New(2),
+		gotT: New(), wantT: New(),
 	}
 }
 
@@ -262,7 +262,7 @@ func relink(t *Trie, leaves []*Node) {
 }
 
 func segmentFixture(nLeaves, nEdges int) (*Trie, []*Node, []graph.Edge) {
-	t := New(2)
+	t := New()
 	leaves := make([]*Node, nLeaves)
 	for i := range leaves {
 		leaves[i] = t.Node(nil, graph.VertexID(i))

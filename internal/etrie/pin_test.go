@@ -21,7 +21,7 @@ func buildChain(t *Trie, vs ...graph.VertexID) []*Node {
 }
 
 func TestPinBlocksCascade(t *testing.T) {
-	tr := New(3)
+	tr := New()
 	chain := buildChain(tr, 0, 1, 2)
 	root, mid, leaf := chain[0], chain[1], chain[2]
 
@@ -44,7 +44,7 @@ func TestPinBlocksCascade(t *testing.T) {
 }
 
 func TestUnpinKeepsNodeWithSurvivors(t *testing.T) {
-	tr := New(3)
+	tr := New()
 	root := tr.Node(nil, 0)
 	tr.Link(root)
 	tr.Pin(root)
@@ -61,7 +61,7 @@ func TestUnpinKeepsNodeWithSurvivors(t *testing.T) {
 }
 
 func TestPinUnpinInterleavedWithChildren(t *testing.T) {
-	tr := New(2)
+	tr := New()
 	root := tr.Node(nil, 7)
 	tr.Link(root)
 	tr.Pin(root)
@@ -82,7 +82,7 @@ func TestPinUnpinInterleavedWithChildren(t *testing.T) {
 }
 
 func TestPinPanicsOnDeadNode(t *testing.T) {
-	tr := New(1)
+	tr := New()
 	n := tr.Node(nil, 0)
 	tr.Link(n)
 	tr.Remove(n)
@@ -95,7 +95,7 @@ func TestPinPanicsOnDeadNode(t *testing.T) {
 }
 
 func TestUnpinPanicsOnUnlinkedNode(t *testing.T) {
-	tr := New(1)
+	tr := New()
 	n := tr.Node(nil, 0)
 	defer func() {
 		if recover() == nil {
@@ -106,7 +106,7 @@ func TestUnpinPanicsOnUnlinkedNode(t *testing.T) {
 }
 
 func TestNodeCountStableUnderPin(t *testing.T) {
-	tr := New(2)
+	tr := New()
 	root := tr.Node(nil, 0)
 	tr.Link(root)
 	before := tr.NodeCount()

@@ -19,7 +19,7 @@ func (g *Graph) TrianglesPerVertex() []int64 {
 	for u := range g.adj {
 		for _, v := range g.adj[u] {
 			if VertexID(u) < v {
-				buf = IntersectSorted(buf, g.adj[u], g.adj[v])
+				buf = IntersectSortedU32(buf, g.adj[u], g.adj[v])
 				for _, w := range buf {
 					// Count each triangle once per vertex: restrict to w > v
 					// so the triangle {u,v,w} with u<v<w is seen exactly once,

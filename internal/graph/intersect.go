@@ -1,43 +1,21 @@
-// Adaptive sorted-set intersection kernels.
+// Sorted-slice search helpers, and the generic intersection family.
 //
-// Neighbourhood intersection is the hot operation of every enumeration
-// engine in this repository: candidate generation intersects the
-// adjacency lists of all already-matched neighbours, and symmetry
-// breaking restricts candidates to an interval. These kernels are the
-// single shared implementation — RADS's local enumerator, Crystal's bud
-// candidates and TwinTwig's join-key computation all run on them, so
-// one benchmark surface covers every engine.
-//
-// Three regimes, chosen adaptively:
-//
-//   - linear merge for comparably sized lists (branch-predictable,
-//     cache-friendly);
-//   - galloping (exponential search, as in Timsort and HUGE's
-//     leapfrog-style intersections) when one list is much shorter than
-//     the other: O(|small| * log |large|) instead of O(|small|+|large|),
-//     the decisive regime on power-law graphs where a candidate list
-//     meets a hub's adjacency list;
-//   - k-way folding that orders lists by length so the running result
-//     stays as small as possible from the first pairwise step.
-//
-// All kernels write into a caller-provided destination slice and
-// allocate only when its capacity is insufficient, so steady-state
-// enumeration loops run allocation-free. The destination may alias the
-// first input list (dst = IntersectSorted(dst, dst, b) folds in place):
-// every kernel writes output position w only after all reads of input
-// positions < w are complete.
+// SearchSorted and ContainsSorted serve every package that probes an
+// adjacency list. The intersection functions below them are NOT what
+// enumeration runs on: product code intersects through the concrete
+// 4-byte kernels of intersect32.go. The generic IntersectSorted and
+// IntersectMany (with their merge and gallop bodies) remain only
+// because the nested benchmark module compiles against them for its
+// "generic" micro rows; they have no product caller, are not counted,
+// and go when those rows do.
 package graph
 
 import "cmp"
 
-// gallopRatioGeneric is the size skew at which galloping beats the
-// linear merge for the generic cmp.Ordered kernels. Benchmarks on
-// skewed lists (see BenchmarkIntersect* at the repository root) put
-// the crossover between 4x and 16x; 8 is a robust middle that keeps
-// the adaptive kernel within a few percent of the best choice at every
-// ratio. The 32-bit CSR kernels use their own bench-derived threshold
-// (gallopRatioU32 in intersect32.go) — the branchless merge moves the
-// crossover, so one hard-coded constant cannot serve both widths.
+// gallopRatioGeneric is the size skew at which the generic adaptive
+// kernel gallops instead of merging. It differs from gallopRatioU32
+// (intersect32.go, where the sweep behind both is recorded) because
+// the crossover depends on the element width and the merge body.
 const gallopRatioGeneric = 8
 
 // SearchSorted returns the smallest index i with a[i] >= v, or len(a).
@@ -54,20 +32,6 @@ func SearchSorted[V cmp.Ordered](a []V, v V) int {
 	return lo
 }
 
-// searchSortedAfter returns the smallest index i with a[i] > v, or len(a).
-func searchSortedAfter[V cmp.Ordered](a []V, v V) int {
-	lo, hi := 0, len(a)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if a[mid] <= v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
 // ContainsSorted reports whether ascending slice a contains v.
 func ContainsSorted[V cmp.Ordered](a []V, v V) bool {
 	i := SearchSorted(a, v)
@@ -75,18 +39,17 @@ func ContainsSorted[V cmp.Ordered](a []V, v V) bool {
 }
 
 // IntersectSorted writes the intersection of two ascending slices into
-// dst (truncated first) and returns it. The kernel is adaptive: it
-// gallops when one list is at least gallopRatio times longer than the
-// other and merges linearly otherwise. dst may alias a.
+// dst (truncated first) and returns it, galloping when one list is at
+// least gallopRatioGeneric times longer than the other and merging
+// linearly otherwise. dst may alias a. Kept for the benchmark module
+// (see the file comment).
 func IntersectSorted[V cmp.Ordered](dst, a, b []V) []V {
 	if len(a) > len(b) {
 		a, b = b, a
 	}
 	if len(b) >= gallopRatioGeneric*len(a) {
-		countGallop()
 		return IntersectSortedGallop(dst, a, b)
 	}
-	countMerge()
 	return IntersectSortedMerge(dst, a, b)
 }
 
@@ -163,62 +126,23 @@ func expSearch[V cmp.Ordered](a []V, lo int, v V) int {
 	return lo2
 }
 
-// IntersectSortedFrom is IntersectSorted restricted to elements
-// strictly greater than lb: both lists are first advanced past lb with
-// a binary search, which turns symmetry-breaking constraints
-// (candidate > f[other]) into an O(log) skip instead of a per-element
-// filter. dst may alias a.
-func IntersectSortedFrom[V cmp.Ordered](dst, a, b []V, lb V) []V {
-	a = a[searchSortedAfter(a, lb):]
-	b = b[searchSortedAfter(b, lb):]
-	return IntersectSorted(dst, a, b)
-}
-
 // IntersectMany intersects any number of ascending lists into dst,
-// folding pairwise from the two shortest upward so the running result
-// is as small as possible at every step. lists is reordered in place
-// (ascending length) — callers pass scratch. Zero lists intersect to
-// the empty set. dst must NOT alias any of the lists: the length sort
-// can move an aliased list to a late fold position, where writing the
-// running result into dst would clobber it before it is read.
+// folding pairwise from the two shortest upward. lists is reordered in
+// place (ascending length) and dst must not alias any of them. Kept for
+// the benchmark module (see the file comment).
 func IntersectMany[V cmp.Ordered](dst []V, lists ...[]V) []V {
-	return intersectMany(dst, lists, false, *new(V))
-}
-
-// IntersectManyFrom is IntersectMany restricted to elements strictly
-// greater than lb (see IntersectSortedFrom). lists is reordered in
-// place.
-func IntersectManyFrom[V cmp.Ordered](dst []V, lb V, lists ...[]V) []V {
-	return intersectMany(dst, lists, true, lb)
-}
-
-func intersectMany[V cmp.Ordered](dst []V, lists [][]V, bounded bool, lb V) []V {
 	if len(lists) == 0 {
 		return dst[:0]
 	}
-	if len(lists) > 2 {
-		countKWay()
-	}
-	// Insertion sort by length: k is the pattern degree (tiny), and
-	// sort.Slice would allocate in the steady-state loop.
 	for i := 1; i < len(lists); i++ {
 		for j := i; j > 0 && len(lists[j]) < len(lists[j-1]); j-- {
 			lists[j], lists[j-1] = lists[j-1], lists[j]
 		}
 	}
-	if bounded {
-		first := lists[0]
-		first = first[searchSortedAfter(first, lb):]
-		if len(lists) == 1 {
-			return append(dst[:0], first...)
-		}
-		dst = IntersectSortedFrom(dst, first, lists[1], lb)
-	} else {
-		if len(lists) == 1 {
-			return append(dst[:0], lists[0]...)
-		}
-		dst = IntersectSorted(dst, lists[0], lists[1])
+	if len(lists) == 1 {
+		return append(dst[:0], lists[0]...)
 	}
+	dst = IntersectSorted(dst, lists[0], lists[1])
 	for i := 2; i < len(lists) && len(dst) > 0; i++ {
 		dst = IntersectSorted(dst, dst, lists[i])
 	}

@@ -1,81 +1,109 @@
-// Width-specialised intersection kernels for the flat CSR layout.
+// Adaptive sorted-set intersection kernels.
 //
-// The generic kernels in intersect.go serve any cmp.Ordered element —
-// the right surface for the synthetic in-memory Graph, whose tests run
-// them over int8 and strings. The CSR store (internal/dataset)
-// guarantees more: every Adj call returns a slice of one flat 32-bit
-// neighbour array, so the hot loop can commit to the 4-byte element
-// width. The kernels here exploit that:
+// Neighbourhood intersection is the hot operation of every enumeration
+// engine in this repository: candidate generation intersects the
+// adjacency lists of all already-matched neighbours, and symmetry
+// breaking restricts candidates to an interval. These kernels are the
+// one family product code calls — RADS's local enumerator and R-Meef
+// rounds, Crystal's bud candidates, the triangle counters — on every
+// store: VertexID is a 4-byte integer whether the adjacency slice
+// views a flat CSR array or a per-vertex allocation, so there is
+// nothing to dispatch on.
 //
-//   - IntersectSortedMergeU32 is the linear merge monomorphised to the
-//     4-byte width, with a pre-sized destination so the steady-state
-//     loop has neither append growth checks nor gcshape dictionary
-//     indirection (generic instantiation shares code across same-shape
-//     types through a runtime dictionary; the concrete kernel inlines
-//     clean) — measured ~5-7% faster than the generic merge on real
-//     CSR rows;
-//   - IntersectSortedGallopU32 is the galloping kernel monomorphised
-//     to the flat neighbour slice, with the exponential and binary
-//     search windows inlined on uint-indexed 32-bit loads;
-//   - the From / Many variants mirror the generic surface so callers
-//     switch wholesale.
+// Three regimes, chosen adaptively:
 //
-// VertexID is a non-negative 32-bit integer (dense IDs), so signed and
-// unsigned comparisons agree — "uint32-specialised" here means the
-// 4-byte element width and the flat-array layout, not a type change.
+//   - linear merge for comparably sized lists (branch-predictable,
+//     cache-friendly);
+//   - galloping (exponential search, as in Timsort and HUGE's
+//     leapfrog-style intersections) when one list is much shorter than
+//     the other: O(|small| * log |large|) instead of O(|small|+|large|),
+//     the decisive regime on power-law graphs where a candidate list
+//     meets a hub's adjacency list;
+//   - k-way folding that orders lists by length so the running result
+//     stays as small as possible from the first pairwise step.
 //
-// Dispatch is by provenance, not per call: KernelsFor(store) returns a
-// Kernels value that routes to this file when the store declares the
-// flat layout (FlatAdjacency) and to the generic kernels otherwise, so
-// synthetic graphs keep their proven path and CSR-backed enumeration
-// gets the specialised one. All kernels follow the package contract:
-// output goes into caller scratch, allocation only on insufficient
-// capacity, and the destination may alias the first input.
+// The kernels are written against the concrete element type rather
+// than cmp.Ordered: a generic instantiation shares code across
+// same-shape types through a runtime dictionary, the concrete merge
+// inlines clean and pre-sizes its destination, and measured ~5-7%
+// faster than the generic merge on real CSR rows.
+//
+// All kernels write into a caller-provided destination slice and
+// allocate only when its capacity is insufficient, so steady-state
+// enumeration loops run allocation-free. The destination may alias the
+// first input list (dst = IntersectSortedU32(dst, dst, b) folds in
+// place): every kernel writes output position w only after all reads
+// of input positions < w are complete.
 package graph
 
-// gallopRatioU32 is the size skew at which the specialised gallop
-// overtakes the merge kernel on the flat 32-bit layout. Swept with a
-// fixed 157-entry row against real CSR rows of a power-law graph at
-// 1x-64x its degree: the merge wins through 4x skew (393-440 ns vs
-// gallop's 480 ns at 4x) and gallop wins from 8x up (570-580 ns vs
-// 744-851 ns), stable across reruns. 6 splits the measured band. Two
-// traps when re-sweeping: a subsampled hub row spreads its values thin
-// and flatters gallop with skips enumeration never sees, and a row
-// intersected with itself at ratio 1 flatters merge (equal elements
-// halve its step count) — use distinct real rows. The generic kernels
-// keep their own bench-derived default (gallopRatioGeneric = 8 in
-// intersect.go) — the constants are per element width, not shared.
+// gallopRatioU32 is the size skew at which the gallop overtakes the
+// merge kernel. Swept with a fixed 157-entry row against real CSR rows
+// of a power-law graph at 1x-64x its degree: the merge wins through 4x
+// skew (393-440 ns vs gallop's 480 ns at 4x) and gallop wins from 8x
+// up (570-580 ns vs 744-851 ns), stable across reruns. 6 splits the
+// measured band. Two traps when re-sweeping: a subsampled hub row
+// spreads its values thin and flatters gallop with skips enumeration
+// never sees, and a row intersected with itself at ratio 1 flatters
+// merge (equal elements halve its step count) — use distinct real
+// rows.
 const gallopRatioU32 = 6
 
+// KernelTally counts the adaptive selections made through it: pairwise
+// intersections that merged, pairwise intersections that galloped, and
+// folds of three or more lists (whose pairwise steps count as well).
+// It is a plain value owned by whoever runs the intersections — one
+// per localenum.Enumerator, one per R-Meef region group or split shard
+// — so counting costs an increment, with no atomic and no shared cache
+// line, and the sums folded upward (Add) are exact per query.
+type KernelTally struct {
+	Merge, Gallop, KWay int64
+}
+
+// Add folds o into t.
+func (t *KernelTally) Add(o KernelTally) {
+	t.Merge += o.Merge
+	t.Gallop += o.Gallop
+	t.KWay += o.KWay
+}
+
+// Map returns the tally under the label values of
+// rads_kernel_selections_total, the keys of Profile.Kernels.
+func (t KernelTally) Map() map[string]int64 {
+	return map[string]int64{"merge_u32": t.Merge, "gallop_u32": t.Gallop, "kway_u32": t.KWay}
+}
+
 // IntersectSortedU32 writes the intersection of two ascending VertexID
-// slices into dst (truncated first) and returns it — the 32-bit
-// counterpart of IntersectSorted, dispatched via KernelsFor when both
-// inputs come from a flat CSR store. It gallops when one list is at
-// least gallopRatioU32 times longer than the other and runs the
-// pre-sized merge otherwise. dst may alias a.
-func IntersectSortedU32(dst, a, b []VertexID) []VertexID {
+// slices into dst (truncated first) and returns it. It gallops when
+// one list is at least gallopRatioU32 times longer than the other and
+// runs the pre-sized merge otherwise. dst may alias a.
+func (t *KernelTally) IntersectSortedU32(dst, a, b []VertexID) []VertexID {
 	small, large := a, b
 	if len(small) > len(large) {
 		small, large = large, small
 	}
 	if len(large) >= gallopRatioU32*len(small) {
-		countGallopU32()
+		t.Gallop++
 		return IntersectSortedGallopU32(dst, small, large)
 	}
-	countMergeU32()
+	t.Merge++
 	// Merge cost is symmetric, so a and b stay in caller order.
 	return IntersectSortedMergeU32(dst, a, b)
 }
 
-// IntersectSortedMergeU32 is the linear-merge intersection on the flat
-// 32-bit layout: the destination is pre-sized to the largest possible
-// result, so the loop body is three predictable branches and an
-// indexed store — no append growth checks, no gcshape dictionary (the
-// concrete instantiation is what buys the measured edge over the
-// generic merge; see the package comment). dst may alias a or b: the
-// write cursor w advances only on a match, which also advances both
-// read cursors, so w <= min(i, j) holds throughout and every store
-// lands at an index both inputs have already passed.
+// IntersectSortedU32 is the adaptive pairwise kernel for callers that
+// keep no tally.
+func IntersectSortedU32(dst, a, b []VertexID) []VertexID {
+	var t KernelTally
+	return t.IntersectSortedU32(dst, a, b)
+}
+
+// IntersectSortedMergeU32 is the linear-merge intersection: the
+// destination is pre-sized to the largest possible result, so the loop
+// body is three predictable branches and an indexed store — no append
+// growth checks, no gcshape dictionary (see the file comment). dst may
+// alias a or b: the write cursor w advances only on a match, which
+// also advances both read cursors, so w <= min(i, j) holds throughout
+// and every store lands at an index both inputs have already passed.
 //
 // A branchless speculative-store variant (store the left element every
 // iteration, advance all three cursors by comparison results) was
@@ -110,8 +138,9 @@ func IntersectSortedMergeU32(dst, a, b []VertexID) []VertexID {
 
 // IntersectSortedGallopU32 intersects by iterating the small list and
 // exponentially searching the large one from a monotonically advancing
-// lower bound — the generic gallop monomorphised to the flat 32-bit
-// neighbour slice. dst may alias small or large.
+// lower bound — O(|small| * log(|large|/|small|)) comparisons, the
+// winning regime when |small| << |large| (a refined candidate list
+// against a hub's adjacency list). dst may alias small or large.
 func IntersectSortedGallopU32(dst, small, large []VertexID) []VertexID {
 	dst = dst[:0]
 	lo := 0
@@ -159,115 +188,56 @@ func expSearchU32(a []VertexID, lo int, v VertexID) int {
 	return lo2
 }
 
-// searchSortedAfterU32 returns the smallest index i with a[i] > v, or
-// len(a) — the 32-bit twin of searchSortedAfter.
-func searchSortedAfterU32(a []VertexID, v VertexID) int {
-	lo, hi := 0, len(a)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if a[mid] <= v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// IntersectSortedFromU32 is IntersectSortedU32 restricted to elements
-// strictly greater than lb: both lists are first advanced past lb with
-// a binary search (the symmetry-breaking skip). dst may alias a.
-func IntersectSortedFromU32(dst, a, b []VertexID, lb VertexID) []VertexID {
-	a = a[searchSortedAfterU32(a, lb):]
-	b = b[searchSortedAfterU32(b, lb):]
-	return IntersectSortedU32(dst, a, b)
-}
-
-// IntersectManyU32 intersects any number of ascending lists into dst,
-// folding pairwise from the two shortest upward on the 32-bit kernels.
-// lists is reordered in place (callers pass scratch); dst must NOT
-// alias any list.
-func IntersectManyU32(dst []VertexID, lists ...[]VertexID) []VertexID {
-	return intersectManyU32(dst, lists, false, 0)
-}
-
-// IntersectManyFromU32 is IntersectManyU32 restricted to elements
-// strictly greater than lb. lists is reordered in place.
-func IntersectManyFromU32(dst []VertexID, lb VertexID, lists ...[]VertexID) []VertexID {
-	return intersectManyU32(dst, lists, true, lb)
-}
-
-func intersectManyU32(dst []VertexID, lists [][]VertexID, bounded bool, lb VertexID) []VertexID {
+// IntersectManyFromU32 intersects any number of ascending lists into
+// dst, keeping the elements strictly greater than lb < math.MaxInt32 —
+// a symmetry-breaking constraint (candidate > f[other]) becomes a
+// binary search instead of a per-element filter; lb < 0 (no vertex is
+// negative) keeps everything. It folds pairwise from the two shortest
+// upward so the running result is as small as possible at every step.
+// lists is reordered in place (ascending length) — callers pass
+// scratch. Zero lists intersect to the empty set. dst must NOT alias
+// any of the lists: the length sort can move an aliased list to a late
+// fold position, where writing the running result into dst would
+// clobber it before it is read.
+func (t *KernelTally) IntersectManyFromU32(dst []VertexID, lb VertexID, lists ...[]VertexID) []VertexID {
 	if len(lists) == 0 {
 		return dst[:0]
 	}
 	if len(lists) > 2 {
-		countKWayU32()
+		t.KWay++
 	}
+	// Insertion sort by length: k is the pattern degree (tiny), and
+	// sort.Slice would allocate in the steady-state loop.
 	for i := 1; i < len(lists); i++ {
 		for j := i; j > 0 && len(lists[j]) < len(lists[j-1]); j-- {
 			lists[j], lists[j-1] = lists[j-1], lists[j]
 		}
 	}
-	if bounded {
-		first := lists[0]
-		first = first[searchSortedAfterU32(first, lb):]
-		if len(lists) == 1 {
-			return append(dst[:0], first...)
-		}
-		dst = IntersectSortedFromU32(dst, first, lists[1], lb)
-	} else {
-		if len(lists) == 1 {
-			return append(dst[:0], lists[0]...)
-		}
-		dst = IntersectSortedU32(dst, lists[0], lists[1])
+	// Only the first pairwise step needs the bound: everything folded
+	// into its result afterwards can only shrink it.
+	first := lists[0]
+	if lb >= 0 {
+		first = first[SearchSorted(first, lb+1):]
 	}
+	if len(lists) == 1 {
+		return append(dst[:0], first...)
+	}
+	second := lists[1]
+	if lb >= 0 {
+		second = second[SearchSorted(second, lb+1):]
+	}
+	dst = t.IntersectSortedU32(dst, first, second)
 	for i := 2; i < len(lists) && len(dst) > 0; i++ {
 		// The running result folds in place: dst aliases the adaptive
 		// kernel's first input, which its contract permits.
-		dst = IntersectSortedU32(dst, dst, lists[i])
+		dst = t.IntersectSortedU32(dst, dst, lists[i])
 	}
 	return dst
 }
 
-// FlatAdjacency is the opt-in marker a Store implements when every Adj
-// slice is a view of one flat 32-bit neighbour array (dataset.CSR).
-// KernelsFor uses it to route intersection through the specialised
-// kernels above; stores with per-vertex allocations (the in-memory
-// Graph) stay on the generic path.
-type FlatAdjacency interface {
-	// FlatAdjacency reports whether the store's Adj slices alias one
-	// contiguous 32-bit neighbour array.
-	FlatAdjacency() bool
-}
-
-// Kernels routes intersection calls to the kernel family matched to a
-// store's layout: the 32-bit specialised kernels for flat CSR stores,
-// the generic adaptive kernels otherwise. It is a value (one bool), so
-// callers resolve it once at construction and pay a single predictable
-// branch per intersection — no indirect calls, no per-call type
-// assertions in the hot loop.
-type Kernels struct {
-	flat bool
-}
-
-// KernelsFor returns the kernel set matched to s's layout. A nil store
-// gets the generic set.
-func KernelsFor(s Store) Kernels {
-	if f, ok := s.(FlatAdjacency); ok && f.FlatAdjacency() {
-		return Kernels{flat: true}
-	}
-	return Kernels{}
-}
-
-// Flat reports whether this set routes to the 32-bit CSR kernels.
-func (k Kernels) Flat() bool { return k.flat }
-
-// IntersectManyFrom folds k lists shortest-first above a strict lower
-// bound. lists is reordered in place; dst must not alias any list.
-func (k Kernels) IntersectManyFrom(dst []VertexID, lb VertexID, lists ...[]VertexID) []VertexID {
-	if k.flat {
-		return IntersectManyFromU32(dst, lb, lists...)
-	}
-	return IntersectManyFrom(dst, lb, lists...)
+// IntersectManyU32 is the unbounded k-way fold for callers that keep
+// no tally.
+func IntersectManyU32(dst []VertexID, lists ...[]VertexID) []VertexID {
+	var t KernelTally
+	return t.IntersectManyFromU32(dst, -1, lists...)
 }

@@ -2,14 +2,14 @@ package graph
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 )
 
-// TestIntersectU32KernelsAgree is the parity check of the 32-bit CSR
-// kernels against both the map-based reference and the generic kernels
-// they specialise, across the size regimes the adaptive dispatch
-// distinguishes.
+// TestIntersectU32KernelsAgree is the parity check of the kernels
+// against the map-based reference, across the size regimes the
+// adaptive selection distinguishes.
 func TestIntersectU32KernelsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(321))
 	for trial := 0; trial < 300; trial++ {
@@ -21,13 +21,12 @@ func TestIntersectU32KernelsAgree(t *testing.T) {
 			want = []VertexID{}
 		}
 		for name, got := range map[string][]VertexID{
-			"adaptive":     IntersectSortedU32(nil, a, b),
-			"merge":        IntersectSortedMergeU32(nil, a, b),
-			"merge_swap":   IntersectSortedMergeU32(nil, b, a),
-			"gallop":       IntersectSortedGallopU32(nil, a, b),
-			"swapped":      IntersectSortedU32(nil, b, a),
-			"generic":      IntersectSorted(nil, a, b),
-			"kernels_flat": Kernels{flat: true}.IntersectManyFrom(nil, -1, a, b),
+			"adaptive":   IntersectSortedU32(nil, a, b),
+			"merge":      IntersectSortedMergeU32(nil, a, b),
+			"merge_swap": IntersectSortedMergeU32(nil, b, a),
+			"gallop":     IntersectSortedGallopU32(nil, a, b),
+			"swapped":    IntersectSortedU32(nil, b, a),
+			"many_from":  new(KernelTally).IntersectManyFromU32(nil, -1, a, b),
 		} {
 			if !equalVerts(got, want) {
 				t.Fatalf("trial %d %s: got %v, want %v (a=%v b=%v)", trial, name, got, want, a, b)
@@ -36,23 +35,24 @@ func TestIntersectU32KernelsAgree(t *testing.T) {
 	}
 }
 
-// TestIntersectU32FromParity pins the From variants to the generic ones
-// over random lower bounds, including bounds outside the value space.
+// TestIntersectU32FromParity pins the bounded pairwise step to the
+// reference over random lower bounds, including bounds outside the
+// value space.
 func TestIntersectU32FromParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 200; trial++ {
 		a := randSorted(rng, rng.Intn(50), 120)
 		b := randSorted(rng, rng.Intn(50), 120)
 		lb := VertexID(rng.Intn(140) - 10)
-		want := IntersectSortedFrom(nil, a, b, lb)
-		got := IntersectSortedFromU32(nil, a, b, lb)
+		want := refIntersect([][]VertexID{a, b}, true, lb)
+		got := new(KernelTally).IntersectManyFromU32(nil, lb, a, b)
 		if !(len(got) == 0 && len(want) == 0) && !equalVerts(got, want) {
 			t.Fatalf("trial %d: FromU32(lb=%d) got %v, want %v", trial, lb, got, want)
 		}
 	}
 }
 
-// TestIntersectManyU32Parity pins the k-way fold to the generic one on
+// TestIntersectManyU32Parity pins the k-way fold to the reference on
 // random list collections, bounded and unbounded.
 func TestIntersectManyU32Parity(t *testing.T) {
 	rng := rand.New(rand.NewSource(88))
@@ -65,18 +65,16 @@ func TestIntersectManyU32Parity(t *testing.T) {
 		lb := VertexID(rng.Intn(95) - 3)
 
 		scratch := make([][]VertexID, k)
-		copy(scratch, lists)
-		want := IntersectMany(nil, scratch...)
+		want := refIntersect(lists, false, 0)
 		copy(scratch, lists)
 		got := IntersectManyU32(nil, scratch...)
 		if !(len(got) == 0 && len(want) == 0) && !equalVerts(got, want) {
 			t.Fatalf("trial %d: ManyU32 got %v, want %v", trial, got, want)
 		}
 
+		wantLB := refIntersect(lists, true, lb)
 		copy(scratch, lists)
-		wantLB := IntersectManyFrom(nil, lb, scratch...)
-		copy(scratch, lists)
-		gotLB := IntersectManyFromU32(nil, lb, scratch...)
+		gotLB := new(KernelTally).IntersectManyFromU32(nil, lb, scratch...)
 		if !(len(gotLB) == 0 && len(wantLB) == 0) && !equalVerts(gotLB, wantLB) {
 			t.Fatalf("trial %d: ManyFromU32(lb=%d) got %v, want %v", trial, lb, gotLB, wantLB)
 		}
@@ -86,9 +84,9 @@ func TestIntersectManyU32Parity(t *testing.T) {
 	}
 }
 
-// FuzzIntersectU32Parity fuzzes the parity of the adaptive 32-bit
-// kernel (and its merge regime) against the generic kernel on sorted
-// deduplicated slices decoded from raw bytes.
+// FuzzIntersectU32Parity fuzzes the parity of the adaptive kernel (and
+// each of its regimes) against the reference on sorted deduplicated
+// slices decoded from raw bytes.
 func FuzzIntersectU32Parity(f *testing.F) {
 	f.Add([]byte{1, 2, 3}, []byte{2, 3, 4})
 	f.Add([]byte{}, []byte{0, 0, 255})
@@ -96,10 +94,11 @@ func FuzzIntersectU32Parity(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ra, rb []byte) {
 		a := sortedFromBytes(ra)
 		b := sortedFromBytes(rb)
-		want := IntersectSorted(nil, a, b)
+		want := refIntersect([][]VertexID{a, b}, false, 0)
 		for name, got := range map[string][]VertexID{
 			"adaptive": IntersectSortedU32(nil, a, b),
 			"merge":    IntersectSortedMergeU32(nil, a, b),
+			"gallop":   IntersectSortedGallopU32(nil, a, b),
 		} {
 			if !(len(got) == 0 && len(want) == 0) && !equalVerts(got, want) {
 				t.Fatalf("%s: got %v, want %v (a=%v b=%v)", name, got, want, a, b)
@@ -122,7 +121,7 @@ func sortedFromBytes(raw []byte) []VertexID {
 }
 
 // TestIntersectU32InPlaceFold checks the dst-aliases-a contract of the
-// 32-bit kernels in the fold pattern the k-way path relies on, hitting
+// kernels in the fold pattern the k-way path relies on, hitting
 // both the merge and gallop regimes.
 func TestIntersectU32InPlaceFold(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
@@ -142,9 +141,9 @@ func TestIntersectU32InPlaceFold(t *testing.T) {
 }
 
 // TestIntersectU32KernelsZeroAlloc is the allocation regression test of
-// every 32-bit variant: with a warm destination of sufficient capacity
-// (the merge kernel pre-sizes it to min(len(a), len(b))), each must run
-// allocation-free.
+// every variant, tallied or not: with a warm destination of sufficient
+// capacity (the merge kernel pre-sizes it to min(len(a), len(b))), each
+// must run allocation-free.
 func TestIntersectU32KernelsZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	a := randSorted(rng, 64, 4096)
@@ -152,7 +151,7 @@ func TestIntersectU32KernelsZeroAlloc(t *testing.T) {
 	dst := make([]VertexID, 0, 64)
 	lists := [][]VertexID{a, b, b}
 	scratch := make([][]VertexID, 3)
-	kern := Kernels{flat: true}
+	var tally KernelTally
 
 	cases := []struct {
 		name string
@@ -161,18 +160,14 @@ func TestIntersectU32KernelsZeroAlloc(t *testing.T) {
 		{"IntersectSortedU32", func() { dst = IntersectSortedU32(dst, a, b) }},
 		{"IntersectSortedMergeU32", func() { dst = IntersectSortedMergeU32(dst, a, b) }},
 		{"IntersectSortedGallopU32", func() { dst = IntersectSortedGallopU32(dst, a, b) }},
-		{"IntersectSortedFromU32", func() { dst = IntersectSortedFromU32(dst, a, b, 1024) }},
+		{"KernelTally.IntersectSortedU32", func() { dst = tally.IntersectSortedU32(dst, a, b) }},
 		{"IntersectManyU32", func() {
 			copy(scratch, lists)
 			dst = IntersectManyU32(dst, scratch...)
 		}},
-		{"IntersectManyFromU32", func() {
+		{"KernelTally.IntersectManyFromU32", func() {
 			copy(scratch, lists)
-			dst = IntersectManyFromU32(dst, 1024, scratch...)
-		}},
-		{"Kernels.IntersectManyFrom", func() {
-			copy(scratch, lists)
-			dst = kern.IntersectManyFrom(dst, 1024, scratch...)
+			dst = tally.IntersectManyFromU32(dst, 1024, scratch...)
 		}},
 	}
 	for _, tc := range cases {
@@ -183,68 +178,47 @@ func TestIntersectU32KernelsZeroAlloc(t *testing.T) {
 	}
 }
 
-// flatStore is a minimal Store stub declaring the flat layout;
-// plainStore is the same without the marker. They pin KernelsFor's
-// dispatch rule without importing the real CSR (dataset depends on
-// graph, not the reverse; dataset's tests assert CSR carries the
-// marker).
-type flatStore struct{ Store }
-
-func (flatStore) FlatAdjacency() bool { return true }
-
-type deniedFlatStore struct{ Store }
-
-func (deniedFlatStore) FlatAdjacency() bool { return false }
-
-func TestKernelsForDispatch(t *testing.T) {
-	g := FromEdges(4, []Edge{{U: 0, V: 1}, {U: 1, V: 2}})
-	if KernelsFor(g).Flat() {
-		t.Error("plain Graph dispatched to the flat kernels")
-	}
-	if KernelsFor(nil).Flat() {
-		t.Error("nil store dispatched to the flat kernels")
-	}
-	if !KernelsFor(flatStore{g}).Flat() {
-		t.Error("FlatAdjacency store did not dispatch to the flat kernels")
-	}
-	if KernelsFor(deniedFlatStore{g}).Flat() {
-		t.Error("FlatAdjacency()==false store dispatched to the flat kernels")
-	}
-}
-
-// TestKernelsRouteCounters pins the observable difference between the
-// two routes: the flat kernel set bumps the *_u32 selection counters,
-// the generic set bumps the generic ones.
-func TestKernelsRouteCounters(t *testing.T) {
-	SetKernelCounting(true)
-	defer SetKernelCounting(false)
+// TestKernelTally pins what a tally counts: every pairwise step under
+// the regime the size skew selects (gallop from gallopRatioU32 up, merge
+// below), and one k-way per fold of three or more lists. The free
+// functions count nowhere; the process totals move only when a finished
+// run's tally is added to them.
+func TestKernelTally(t *testing.T) {
 	small := []VertexID{1, 2, 3}
-	large := make([]VertexID, 100)
-	for i := range large {
-		large[i] = VertexID(i * 2)
+	at := make([]VertexID, gallopRatioU32*len(small))
+	for i := range at {
+		at[i] = VertexID(i * 2)
+	}
+	below := at[:len(at)-1]
+
+	var tally KernelTally
+	tally.IntersectSortedU32(nil, small, at)
+	if want := (KernelTally{Gallop: 1}); tally != want {
+		t.Errorf("skew at the ratio: %+v, want %+v", tally, want)
+	}
+	tally.IntersectSortedU32(nil, below, small) // either argument order
+	if want := (KernelTally{Gallop: 1, Merge: 1}); tally != want {
+		t.Errorf("skew below the ratio: %+v, want %+v", tally, want)
+	}
+	tally.IntersectManyFromU32(nil, -1, small, at)
+	if want := (KernelTally{Gallop: 2, Merge: 1}); tally != want {
+		t.Errorf("two lists are no k-way: %+v, want %+v", tally, want)
+	}
+	tally.IntersectManyFromU32(nil, 0, small, small, at, small)
+	if want := (KernelTally{Gallop: 3, Merge: 3, KWay: 1}); tally != want {
+		t.Errorf("four lists: %+v, want %+v (one k-way, three pairwise steps)", tally, want)
 	}
 
 	before := KernelCounts()
-	flat := Kernels{flat: true}
-	flat.IntersectManyFrom(nil, -1, small, large) // gallop_u32: 100 >= 6*3
-	flat.IntersectManyFrom(nil, -1, small, small) // merge_u32
-	flat.IntersectManyFrom(nil, -1, small, small, small)
+	SetKernelCounting(true) // no switch left to flip
+	IntersectSortedU32(nil, small, at)
+	IntersectManyU32(nil, small, small, at)
+	if d := KernelCountsDelta(before); d != nil {
+		t.Errorf("untallied calls moved the process totals: %v", d)
+	}
+	tally.AddToProcessTotals()
 	d := KernelCountsDelta(before)
-	if d["gallop_u32"] == 0 || d["merge_u32"] == 0 || d["kway_u32"] == 0 {
-		t.Errorf("flat route delta %v, want all three *_u32 counters bumped", d)
-	}
-	if d["gallop"] != 0 || d["kway"] != 0 {
-		t.Errorf("flat route delta %v leaked into generic counters", d)
-	}
-
-	before = KernelCounts()
-	var gen Kernels
-	gen.IntersectManyFrom(nil, -1, small, large)
-	d = KernelCountsDelta(before)
-	if d["gallop"] == 0 {
-		t.Errorf("generic route delta %v, want gallop bumped", d)
-	}
-	if d["gallop_u32"] != 0 {
-		t.Errorf("generic route delta %v leaked into u32 counters", d)
+	if !reflect.DeepEqual(d, tally.Map()) {
+		t.Errorf("process totals moved by %v, want %v", d, tally.Map())
 	}
 }

@@ -1,94 +1,48 @@
 package graph
 
-import "sync/atomic"
+import "sync"
 
-// Kernel-selection counters: how often the adaptive intersection
-// picked each regime. They exist for observability — the serving
-// processes (radserve, radsworker) enable them and export the totals
-// as a /metrics family and per-query deltas in Result.Profile — and
-// stay OFF by default so benchmark loops pay only a relaxed atomic
-// load per intersection.
-//
-// The counters are process-wide, so per-query deltas sampled around a
-// run are approximate under concurrent queries; that is the documented
-// trade-off for keeping the hot path to a single predictable branch.
-var (
-	kernelCounting atomic.Bool
-	kernelMerge    atomic.Int64
-	kernelGallop   atomic.Int64
-	kernelKWay     atomic.Int64
-	kernelMerge32  atomic.Int64
-	kernelGallop32 atomic.Int64
-	kernelKWay32   atomic.Int64
-)
+// processKernels is the process-wide sum of the tallies of finished
+// RADS machine runs, the source of rads_kernel_selections_total. A run
+// touches it once, when it ends — never per intersection.
+var processKernels struct {
+	sync.Mutex
+	KernelTally
+}
 
-// SetKernelCounting turns kernel-selection counting on or off
-// process-wide.
-func SetKernelCounting(on bool) { kernelCounting.Store(on) }
+// AddToProcessTotals adds a finished run's tally to the process totals.
+func (t KernelTally) AddToProcessTotals() {
+	processKernels.Lock()
+	processKernels.Add(t)
+	processKernels.Unlock()
+}
 
-// KernelCounts returns the cumulative selection counts per kernel:
-// "merge", "gallop", "kway" for the generic cmp.Ordered kernels and
-// "merge_u32", "gallop_u32", "kway_u32" for the 32-bit CSR
-// specialisations (intersect32.go). The map is freshly allocated.
+// KernelCounts returns the process totals by kernel label ("merge_u32",
+// "gallop_u32", "kway_u32"). The map is freshly allocated.
 func KernelCounts() map[string]int64 {
-	return map[string]int64{
-		"merge":      kernelMerge.Load(),
-		"gallop":     kernelGallop.Load(),
-		"kway":       kernelKWay.Load(),
-		"merge_u32":  kernelMerge32.Load(),
-		"gallop_u32": kernelGallop32.Load(),
-		"kway_u32":   kernelKWay32.Load(),
-	}
+	processKernels.Lock()
+	defer processKernels.Unlock()
+	return processKernels.Map()
 }
 
 // KernelCountsDelta subtracts an earlier KernelCounts sample from the
-// current counts, dropping zero entries; nil when nothing ran.
+// current totals, dropping zero entries; nil when nothing ran. Runs in
+// flight contribute nothing until they end. Kept for the benchmark
+// module, which samples the totals around its traced passes.
 func KernelCountsDelta(before map[string]int64) map[string]int64 {
-	now := KernelCounts()
-	out := make(map[string]int64, len(now))
-	for k, v := range now {
+	var out map[string]int64
+	for k, v := range KernelCounts() {
 		if d := v - before[k]; d > 0 {
+			if out == nil {
+				out = make(map[string]int64)
+			}
 			out[k] = d
 		}
-	}
-	if len(out) == 0 {
-		return nil
 	}
 	return out
 }
 
-func countMerge() {
-	if kernelCounting.Load() {
-		kernelMerge.Add(1)
-	}
-}
-
-func countGallop() {
-	if kernelCounting.Load() {
-		kernelGallop.Add(1)
-	}
-}
-
-func countKWay() {
-	if kernelCounting.Load() {
-		kernelKWay.Add(1)
-	}
-}
-
-func countMergeU32() {
-	if kernelCounting.Load() {
-		kernelMerge32.Add(1)
-	}
-}
-
-func countGallopU32() {
-	if kernelCounting.Load() {
-		kernelGallop32.Add(1)
-	}
-}
-
-func countKWayU32() {
-	if kernelCounting.Load() {
-		kernelKWay32.Add(1)
-	}
-}
+// SetKernelCounting does nothing: selections are always counted, in the
+// tally of whoever runs them. Kept because the benchmark module calls
+// it.
+func SetKernelCounting(bool) {}

@@ -87,7 +87,7 @@ func CountTrianglesOf(g Store) int64 {
 	var buf []VertexID
 	for u := range fwd {
 		for _, v := range fwd[u] {
-			buf = IntersectSorted(buf, fwd[u], fwd[v])
+			buf = IntersectSortedU32(buf, fwd[u], fwd[v])
 			total += int64(len(buf))
 		}
 	}

@@ -23,6 +23,7 @@ func TestEnumeratorReuseMatchesSingleShot(t *testing.T) {
 			st := e.Run(func([]graph.VertexID) bool { return true }, graph.VertexID(v))
 			got.Embeddings += st.Embeddings
 			got.TreeNodes += st.TreeNodes
+			got.Kernels.Add(st.Kernels)
 		}
 		if got != want {
 			t.Errorf("%s: per-candidate reuse %+v != single shot %+v", q.Name, got, want)

@@ -53,6 +53,7 @@ type Stats struct {
 	TreeNodes  int64 // successful partial matches, including full ones;
 	// equals the node count if results were stored in an embedding trie
 	// (the Section 6 memory estimator uses exactly this quantity).
+	Kernels graph.KernelTally // intersection-kernel selections made
 }
 
 // Enumerate finds embeddings of p in g, honouring opts, and calls fn
@@ -89,7 +90,6 @@ const noUpperBound = graph.VertexID(math.MaxInt32)
 // per goroutine.
 type Enumerator struct {
 	g       graph.Store
-	kern    graph.Kernels // intersection kernels matched to g's layout
 	p       *pattern.Pattern
 	order   []pattern.VertexID
 	allowed func(graph.VertexID) bool
@@ -123,7 +123,6 @@ func New(g graph.Store, p *pattern.Pattern, opts Options) *Enumerator {
 	}
 	e := &Enumerator{
 		g:       g,
-		kern:    graph.KernelsFor(g),
 		p:       p,
 		order:   order,
 		allowed: opts.Allowed,
@@ -279,7 +278,7 @@ func (e *Enumerator) extend(i int) {
 			lists = append(lists, e.g.Adj(e.f[w]))
 		}
 		e.lists = lists
-		e.cand[i] = e.kern.IntersectManyFrom(e.cand[i], lb, lists...)
+		e.cand[i] = e.stats.Kernels.IntersectManyFromU32(e.cand[i], lb, lists...)
 		cands = e.cand[i]
 	}
 

@@ -219,9 +219,9 @@ type Profile struct {
 	Phases []PhaseStat `json:"phases"`
 	// Machines breaks the run down per machine (RADS runs only).
 	Machines []MachineStat `json:"machines,omitempty"`
-	// Kernels counts adaptive-intersection kernel selections during
-	// the run (approximate under concurrent queries: the counters are
-	// process-wide and sampled before/after).
+	// Kernels counts the run's own intersection-kernel selections
+	// (RADS runs only), summed over its machines' workers — exact per
+	// query, in-process and in cluster mode.
 	Kernels map[string]int64 `json:"kernels,omitempty"`
 	// Steals is the total number of region groups stolen.
 	Steals int `json:"steals,omitempty"`

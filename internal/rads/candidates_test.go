@@ -79,9 +79,9 @@ func TestExpandRoundAllocatesOnlyTrieNodes(t *testing.T) {
 		}
 		st.created = st.created[:0]
 	}
-	before := st.nodes
+	before := st.DistNodes
 	pass() // grows the scratch to its high-water mark
-	linked := st.nodes - before
+	linked := st.DistNodes - before
 	if linked == 0 {
 		t.Fatal("the round produced nothing; graph too sparse for the test")
 	}
@@ -156,9 +156,9 @@ func TestFlushSegmentAllocatesOnlyItsMessages(t *testing.T) {
 	if undetermined == 0 {
 		t.Fatal("nothing was left to the EVI; the test needs a cold cache")
 	}
-	nodes, calls, found, live := st.nodes, metrics.MessagesByKind()["verifyE"], st.distCount, st.trie.NodeCount()
+	nodes, calls, found, live := st.DistNodes, metrics.MessagesByKind()["verifyE"], st.Distributed, st.trie.NodeCount()
 	pass()
-	nodes, calls, found = st.nodes-nodes, metrics.MessagesByKind()["verifyE"]-calls, st.distCount-found
+	nodes, calls, found = st.DistNodes-nodes, metrics.MessagesByKind()["verifyE"]-calls, st.Distributed-found
 	if calls == 0 || found == 0 || len(e.deferred) == 0 {
 		t.Fatalf("%d verifyE calls, %d embeddings a pass, %d deferred vertices; want all three", calls, found, len(e.deferred))
 	}
@@ -204,7 +204,7 @@ func TestSMEEmbeddingsStayOnOwnedVertices(t *testing.T) {
 			if err := m.runSME(c1); err != nil {
 				t.Fatal(err)
 			}
-			found += m.smeCount
+			found += m.SME
 			want += localenum.Count(g, p, localenum.Options{
 				Order:           localenum.GreedyOrderFrom(p, e.pl.Units[0].Piv),
 				StartCandidates: c1,

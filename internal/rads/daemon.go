@@ -230,22 +230,14 @@ func (d *Machine) runQuery(r *RunQueryRequest) (cluster.Message, error) {
 	}
 
 	resp := &RunQueryResponse{
-		SME:            m.smeCount,
-		Distributed:    m.distCount,
-		SMENodes:       m.smeNodes,
-		DistNodes:      m.distNodes,
-		Stat:           m.stat(),
-		ELBytesCum:     m.elCum,
-		ETBytesCum:     m.etCum,
-		ELBytesPeak:    m.elPeak,
-		ETBytesPeak:    m.etPeak,
-		Rounds:         eng.pl.NumRounds(),
-		Workers:        eng.workers(),
-		DeferredEnds:   len(eng.deferred),
-		FrontierSplits: m.frontierSplits,
-		Spans:          trace.Spans(),
-		CacheHits:      m.view.hits.Load(),
-		CacheMisses:    m.view.misses.Load(),
+		Counters:     m.Counters,
+		Stat:         m.stat(),
+		Rounds:       eng.pl.NumRounds(),
+		Workers:      eng.workers(),
+		DeferredEnds: len(eng.deferred),
+		Spans:        trace.Spans(),
+		CacheHits:    m.view.hits.Load(),
+		CacheMisses:  m.view.misses.Load(),
 	}
 	if cfg.Budget != nil {
 		resp.PeakMemBytes = cfg.Budget.MaxPeak()
@@ -281,7 +273,7 @@ func (d *Machine) observeQuery(m *machine, runErr error) {
 	d.obsQueries.With(outcome).Inc()
 	d.obsSteals.Add(int64(m.groupsStolen))
 	d.obsGroups.Add(int64(m.groupsFormed))
-	d.obsTreeNodes.Add(m.smeNodes + m.distNodes)
+	d.obsTreeNodes.Add(m.SMENodes + m.DistNodes)
 	d.obsCacheHits.Add(m.view.hits.Load())
 	d.obsCacheMisses.Add(m.view.misses.Load())
 }

@@ -39,15 +39,16 @@ type diffCase struct {
 }
 
 func (c diffCase) String() string {
+	_, csr := c.g.(*dataset.CSR)
 	return fmt.Sprintf("%s n=%d m=%d csr=%v × %s × machines=%d workers=%d huge=%d tight=%v tcp=%v stream=%v noSME=%v noEVC=%v noCache=%v noLB=%v",
-		c.model, c.g.NumVertices(), c.g.NumEdges(), graph.KernelsFor(c.g).Flat(), c.p, c.machines,
+		c.model, c.g.NumVertices(), c.g.NumEdges(), csr, c.p, c.machines,
 		c.cfg.Workers, c.cfg.HugeFrontier, c.tight, c.tcp, c.stream,
 		c.cfg.DisableSME, c.cfg.DisableEndVertexCounting, c.cfg.DisableCache, c.cfg.DisableLoadBalancing)
 }
 
 // csrTwin ingests g's edge list the way radsprep does, so the twin has
-// the same edges behind the flat store, the U32 kernels and (with
-// degree ordering) a different labelling.
+// the same edges behind the flat store and (with degree ordering) a
+// different labelling.
 func csrTwin(t *testing.T, g *graph.Graph, degreeOrder bool) *dataset.CSR {
 	t.Helper()
 	var sb strings.Builder

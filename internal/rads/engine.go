@@ -127,16 +127,17 @@ type Config struct {
 	OnEmbedding func(machine int, f []graph.VertexID)
 }
 
-// Result reports everything the paper's experiments measure.
-type Result struct {
-	Total       int64 // embeddings found (SME + Distributed)
-	SME         int64 // found by single-machine enumeration
-	Distributed int64 // found by R-Meef rounds
+// Counters is the additive part of a run's result: what one region
+// group, one split shard, one machine and the whole run each tally.
+// Every level folds the one below with merge — in this process, and
+// inside RunQueryResponse over the wire.
+type Counters struct {
+	SME         int64 // embeddings found by single-machine enumeration
+	Distributed int64 // embeddings found by R-Meef rounds
 
-	Elapsed time.Duration
-
-	CommBytes    int64
-	CommMessages int64
+	// Successful partial matches: SM-E recursion nodes and
+	// embedding-trie nodes linked by R-Meef.
+	SMENodes, DistNodes int64
 
 	// Compression accounting (Tables 3 and 4): cumulative bytes the
 	// intermediate results would occupy as plain embedding lists (EL)
@@ -145,17 +146,47 @@ type Result struct {
 	ELBytesCum, ETBytesCum   int64
 	ELBytesPeak, ETBytesPeak int64
 
+	// FrontierSplits counts rounds whose frontier exceeded the
+	// HugeFrontier threshold and were expanded across the worker pool
+	// instead of on the owning pool worker.
+	FrontierSplits int64
+
+	// Kernels counts the intersection-kernel selections of SM-E and of
+	// R-Meef candidate generation.
+	Kernels graph.KernelTally
+}
+
+// merge folds o into c: sums, except the peaks, which take the maximum.
+func (c *Counters) merge(o *Counters) {
+	c.SME += o.SME
+	c.Distributed += o.Distributed
+	c.SMENodes += o.SMENodes
+	c.DistNodes += o.DistNodes
+	c.ELBytesCum += o.ELBytesCum
+	c.ETBytesCum += o.ETBytesCum
+	c.ELBytesPeak = max(c.ELBytesPeak, o.ELBytesPeak)
+	c.ETBytesPeak = max(c.ETBytesPeak, o.ETBytesPeak)
+	c.FrontierSplits += o.FrontierSplits
+	c.Kernels.Add(o.Kernels)
+}
+
+// Result reports everything the paper's experiments measure.
+type Result struct {
+	Total int64 // embeddings found (SME + Distributed)
+
+	Counters
+
+	Elapsed time.Duration
+
+	CommBytes    int64
+	CommMessages int64
+
 	PeakMemBytes int64 // budget high-water mark (max over machines)
 
 	RegionGroups int // total region groups formed
 	StolenGroups int // groups processed via shareR
 	Rounds       int // rounds per region group (= plan units)
 	Workers      int // enumeration workers per machine this run used
-
-	// FrontierSplits counts rounds whose frontier exceeded the
-	// HugeFrontier threshold and were expanded across the worker pool
-	// instead of on the owning pool worker.
-	FrontierSplits int64
 
 	// Machines is the per-machine breakdown (elapsed, tree nodes linked,
 	// region groups formed and stolen), indexed by machine id —
@@ -168,10 +199,9 @@ type Result struct {
 	CacheHits   int64
 	CacheMisses int64
 
-	// TreeNodes counts successful partial matches across the run: SM-E
-	// recursion nodes plus embedding-trie nodes linked by R-Meef. It is
-	// the engine-agnostic work measure behind the harness's
-	// tree-nodes/sec metric.
+	// TreeNodes counts successful partial matches across the run
+	// (SMENodes + DistNodes). It is the engine-agnostic work measure
+	// behind the harness's tree-nodes/sec metric.
 	TreeNodes int64
 
 	// DeferredEnds is the number of end vertices the run counted by
@@ -494,25 +524,15 @@ func (e *engine) run() (*Result, error) {
 		Workers:      e.workers(),
 	}
 	for _, m := range e.machines {
-		res.Total += m.smeCount + m.distCount
-		res.SME += m.smeCount
-		res.Distributed += m.distCount
-		res.TreeNodes += m.smeNodes + m.distNodes
-		res.ELBytesCum += m.elCum
-		res.ETBytesCum += m.etCum
-		if m.elPeak > res.ELBytesPeak {
-			res.ELBytesPeak = m.elPeak
-		}
-		if m.etPeak > res.ETBytesPeak {
-			res.ETBytesPeak = m.etPeak
-		}
+		res.merge(&m.Counters)
 		res.RegionGroups += m.groupsFormed
 		res.StolenGroups += m.groupsStolen
 		res.Machines = append(res.Machines, m.stat())
 		res.CacheHits += m.view.hits.Load()
 		res.CacheMisses += m.view.misses.Load()
-		res.FrontierSplits += m.frontierSplits
 	}
+	res.Total = res.SME + res.Distributed
+	res.TreeNodes = res.SMENodes + res.DistNodes
 	if e.cfg.Budget != nil {
 		res.PeakMemBytes = e.cfg.Budget.MaxPeak()
 	}

@@ -9,7 +9,6 @@ import (
 
 	"rads/internal/cluster"
 	eng "rads/internal/engine"
-	"rads/internal/graph"
 	"rads/internal/obs"
 	"rads/internal/partition"
 	"rads/internal/pattern"
@@ -112,7 +111,6 @@ func (apiEngine) Prepare(_ *partition.Partition, p *pattern.Pattern) (eng.Artifa
 }
 
 func (e apiEngine) Run(ctx context.Context, req eng.Request) (eng.Result, error) {
-	kernels0 := graph.KernelCounts()
 	start := time.Now()
 	trace, pl, err := beginRun(e, req)
 	if err != nil {
@@ -135,12 +133,12 @@ func (e apiEngine) Run(ctx context.Context, req eng.Request) (eng.Result, error)
 		return eng.Result{}, err
 	}
 	prof := trace.Snapshot(elapsed)
-	prof.Kernels = graph.KernelCountsDelta(kernels0)
 	if oom {
 		return eng.Result{Seconds: elapsed.Seconds(), OOM: true, PeakMemBytes: req.Budget.MaxPeak(), Profile: prof}, nil
 	}
 	prof.Steals = res.StolenGroups
 	prof.Machines = res.Machines
+	prof.Kernels = res.Kernels.Map()
 	return eng.Result{Total: res.Total, Seconds: elapsed.Seconds(), TreeNodes: res.TreeNodes,
 		FrontierSplits: res.FrontierSplits, PeakMemBytes: res.PeakMemBytes,
 		Profile: prof}, nil

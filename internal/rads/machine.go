@@ -36,28 +36,14 @@ type machine struct {
 
 	queue *groupQueue // unprocessed region groups (shared with daemon)
 
-	// Results. distCount/distNodes and the compression accounting are
-	// merged from per-group state under mu; smeCount/smeNodes are merged
-	// from per-worker shards at the SM-E barrier.
-	mu        sync.Mutex
-	smeCount  int64
-	distCount int64
-	elapsed   time.Duration
-
-	// Tree-node accounting: SM-E recursion nodes and R-Meef trie nodes.
-	smeNodes  int64
-	distNodes int64
-
-	// Compression accounting.
-	elCum, etCum   int64
-	elPeak, etPeak int64
+	// Results: region groups merge their counters in under mu as they
+	// complete, the SM-E worker shards at the SM-E barrier.
+	mu sync.Mutex
+	Counters
+	elapsed time.Duration
 
 	groupsFormed int
 	groupsStolen int
-
-	// frontierSplits counts rounds expanded across the worker pool
-	// because their frontier exceeded the HugeFrontier threshold.
-	frontierSplits int64
 
 	// embMu serializes OnEmbedding delivery within this machine so
 	// streaming consumers observe one well-ordered stream per machine
@@ -77,7 +63,7 @@ func (m *machine) stat() obs.MachineStat {
 	return obs.MachineStat{
 		Machine:   m.id,
 		Seconds:   m.elapsed.Seconds(),
-		TreeNodes: m.smeNodes + m.distNodes,
+		TreeNodes: m.SMENodes + m.DistNodes,
 		Groups:    m.groupsFormed,
 		Stolen:    m.groupsStolen,
 	}
@@ -177,7 +163,10 @@ func (m *machine) run() (err error) {
 		}
 	}()
 	start := time.Now()
-	defer func() { m.elapsed = time.Since(start) }()
+	defer func() {
+		m.elapsed = time.Since(start)
+		m.Kernels.AddToProcessTotals()
+	}()
 	machSp := m.e.cfg.Trace.Start("execute/machine", m.id, -1)
 	defer machSp.End()
 
@@ -305,7 +294,7 @@ func (m *machine) processGroups() error {
 // out across the worker pool; every worker reuses one enumerator
 // (frame, bitset and candidate scratch allocated once), so the
 // steady-state loop is allocation-free. Counter shards merge at the
-// barrier; per-candidate tree-node sampling feeds the Section 6 memory
+// barrier; the tree nodes per candidate feed the Section 6 memory
 // estimator exactly as in the sequential path.
 func (m *machine) runSME(c1 []graph.VertexID) error {
 	owned := func(v graph.VertexID) bool { return m.e.part.Owner[v] == int32(m.id) }
@@ -321,8 +310,7 @@ func (m *machine) runSME(c1 []graph.VertexID) error {
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	errs := make([]error, workers)
-	counts := make([]int64, workers)
-	nodes := make([]int64, workers)
+	shards := make([]Counters, workers)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -342,23 +330,21 @@ func (m *machine) runSME(c1 []graph.VertexID) error {
 					return
 				}
 				st := en.Run(fn, c1[i])
-				counts[w] += st.Embeddings
-				nodes[w] += st.TreeNodes
+				shards[w].SME += st.Embeddings
+				shards[w].SMENodes += st.TreeNodes
+				shards[w].Kernels.Add(st.Kernels)
 			}
 		}(w)
 	}
 	wg.Wait()
-	var totalNodes int64
-	for w := 0; w < workers; w++ {
+	for w := range shards {
 		if errs[w] != nil {
 			return errs[w]
 		}
-		m.smeCount += counts[w]
-		totalNodes += nodes[w]
+		m.merge(&shards[w])
 	}
-	m.smeNodes += totalNodes
 	if len(c1) > 0 {
-		m.avgNodesPerCandidate = float64(totalNodes) / float64(len(c1))
+		m.avgNodesPerCandidate = float64(m.SMENodes) / float64(len(c1))
 	}
 	return nil
 }

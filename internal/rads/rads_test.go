@@ -377,3 +377,45 @@ func mustRandomStar(t *testing.T, p *pattern.Pattern, seed int64) *plan.Plan {
 	}
 	return pl
 }
+
+// TestKernelTallyIsPerRun: a run's kernel tally is its own. Two
+// different patterns enumerated at the same time over the same
+// partition each report exactly what they report alone (one worker per
+// machine and no stealing, so a run's selections are deterministic).
+func TestKernelTallyIsPerRun(t *testing.T) {
+	part := partition.KWay(gen.PowerLaw(500, 8, 2.5, 120, 11), 3, 99)
+	cfg := Config{Workers: 1, DisableLoadBalancing: true}
+	queries := []*pattern.Pattern{pattern.ByName("q2"), pattern.ByName("q5")}
+	solo := make([]graph.KernelTally, len(queries))
+	for i, q := range queries {
+		res, err := Run(part, q, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		solo[i] = res.Kernels
+		if solo[i].Merge+solo[i].Gallop == 0 {
+			t.Fatalf("%s tallied no intersection: %+v", q.Name, solo[i])
+		}
+	}
+	if solo[0] == solo[1] {
+		t.Fatalf("both patterns tally %+v; the test needs two that differ", solo[0])
+	}
+	for round := 0; round < 3; round++ {
+		var wg sync.WaitGroup
+		for i, q := range queries {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				res, err := Run(part, q, cfg)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if res.Kernels != solo[i] {
+					t.Errorf("%s beside another query: %+v, alone %+v", q.Name, res.Kernels, solo[i])
+				}
+			}()
+		}
+		wg.Wait()
+	}
+}

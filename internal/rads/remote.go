@@ -189,12 +189,11 @@ func (c *ClusterEngine) Run(ctx context.Context, req eng.Request) (eng.Result, e
 	foldSp := trace.Start("fold", -1, -1)
 	var res eng.Result
 	res.Seconds = secs
+	var sum Counters
 	var steals int
 	machines := make([]obs.MachineStat, 0, c.m)
 	for t, r := range resps {
-		res.Total += r.SME + r.Distributed
-		res.TreeNodes += r.SMENodes + r.DistNodes
-		res.FrontierSplits += r.FrontierSplits
+		sum.merge(&r.Counters)
 		if r.OOM {
 			res.OOM = true
 		}
@@ -216,18 +215,20 @@ func (c *ClusterEngine) Run(ctx context.Context, req eng.Request) (eng.Result, e
 		steals += st.Stolen
 	}
 	foldSp.End()
-	if res.OOM {
-		// Like the in-process engine, an out-of-budget run reports OOM
-		// and no count — partial per-machine totals would be misleading.
-		res.Total = 0
-		res.TreeNodes = 0
+	// Like the in-process engine, an out-of-budget run reports OOM and
+	// no count — partial per-machine totals would be misleading.
+	if !res.OOM {
+		res.Total = sum.SME + sum.Distributed
+		res.TreeNodes = sum.SMENodes + sum.DistNodes
 	}
+	res.FrontierSplits = sum.FrontierSplits
 	prof := trace.Snapshot(time.Since(start))
 	// Stitched spans arrive per machine in fold order; re-sort into one
 	// cross-machine timeline.
 	obs.SortSpans(prof.Spans)
 	prof.Steals = steals
 	prof.Machines = machines
+	prof.Kernels = sum.Kernels.Map()
 	res.Profile = prof
 	return res, nil
 }

@@ -16,9 +16,9 @@ import (
 const trieNodeBytes = etrie.NodeBytes
 
 // groupState carries the per-region-group R-Meef state (Algorithm 4).
-// It also shards every counter the group mutates — concurrent groups
-// on one machine's worker pool never touch shared machine state until
-// the merge at the end of processGroup.
+// It also shards every counter the group mutates (Counters) —
+// concurrent groups on one machine's worker pool never touch shared
+// machine state until the merge at the end of processGroup.
 type groupState struct {
 	trie *etrie.Trie
 	evi  *etrie.EVI
@@ -73,15 +73,9 @@ type groupState struct {
 	// claims the pool at most once at a time.
 	sub bool
 
-	// splits counts rounds this group expanded across the worker pool.
-	splits int64
-
-	// Per-group result shards, merged into the machine when the group
-	// completes.
-	distCount      int64
-	nodes          int64 // trie nodes linked (tree-node accounting)
-	elCum, etCum   int64
-	elPeak, etPeak int64
+	// Counters is the group's (or split shard's) result shard, merged
+	// into the machine (the group) when it completes.
+	Counters
 
 	chargedTrie int64 // budget bytes currently charged for the trie
 }
@@ -114,7 +108,7 @@ func newFrame(n int) frame {
 func (m *machine) newGroupState() *groupState {
 	n := m.e.p.N()
 	return &groupState{
-		trie:      etrie.New(len(m.e.redOrder)),
+		trie:      etrie.New(),
 		evi:       etrie.NewEVI(),
 		view:      m.view,
 		frame:     newFrame(n),
@@ -182,7 +176,7 @@ func (m *machine) processGroup(group []graph.VertexID, worker int) error {
 	for _, v := range group {
 		root := st.trie.Node(nil, v)
 		st.trie.Link(root)
-		st.nodes++
+		st.DistNodes++
 		roots = append(roots, root)
 	}
 
@@ -194,17 +188,7 @@ func (m *machine) processGroup(group []graph.VertexID, worker int) error {
 	e.cfg.Budget.Release(m.id, st.chargedTrie)
 	st.chargedTrie = 0
 	m.mu.Lock()
-	m.distCount += st.distCount
-	m.distNodes += st.nodes
-	m.elCum += st.elCum
-	m.etCum += st.etCum
-	if st.elPeak > m.elPeak {
-		m.elPeak = st.elPeak
-	}
-	if st.etPeak > m.etPeak {
-		m.etPeak = st.etPeak
-	}
-	m.frontierSplits += st.splits
+	m.merge(&st.Counters)
 	m.mu.Unlock()
 	return err
 }
@@ -324,7 +308,7 @@ func (m *machine) expandRoundParallel(st *groupState, round int, frontier []*etr
 	e := m.e
 	sp := e.cfg.Trace.Start("execute/splitRound", m.id, -1)
 	defer sp.End()
-	st.splits++
+	st.FrontierSplits++
 
 	guards := make([]*etrie.Node, 0, len(frontier))
 	for _, n := range frontier {
@@ -393,16 +377,7 @@ func (m *machine) expandRoundParallel(st *groupState, round int, frontier []*etr
 		e.cfg.Budget.Release(m.id, sub.chargedTrie)
 		sub.chargedTrie = 0
 		sub.unpinTo(0)
-		st.distCount += sub.distCount
-		st.nodes += sub.nodes
-		st.elCum += sub.elCum
-		st.etCum += sub.etCum
-		if sub.elPeak > st.elPeak {
-			st.elPeak = sub.elPeak
-		}
-		if sub.etPeak > st.etPeak {
-			st.etPeak = sub.etPeak
-		}
+		st.merge(&sub.Counters)
 		if errs[w] != nil && firstErr == nil {
 			firstErr = errs[w]
 		}
@@ -493,7 +468,7 @@ func (m *machine) emitResults(st *groupState, frontier []*etrie.Node) error {
 			continue
 		}
 		if len(e.deferred) == 0 {
-			st.distCount++
+			st.Distributed++
 			if e.cfg.OnEmbedding != nil {
 				st.pathBuf = st.trie.AppendPath(st.pathBuf[:0], leaf)
 				for j, v := range st.pathBuf {
@@ -514,7 +489,7 @@ func (m *machine) emitResults(st *groupState, frontier []*etrie.Node) error {
 		for j, v := range st.pathBuf {
 			st.f[e.redOrder[j]] = v
 		}
-		st.distCount += m.countDeferred(st, 0)
+		st.Distributed += m.countDeferred(st, 0)
 		for j := range st.pathBuf {
 			st.f[e.redOrder[j]] = -1
 		}
@@ -746,7 +721,7 @@ func (m *machine) adjEnum(st *groupState, round, li int, parent *etrie.Node, lea
 	unk := st.unk[li][:0]
 	for _, w := range e.verif[pos] {
 		if adj, ok := st.adjKnown(st.f[w]); ok {
-			st.cand[li] = graph.IntersectSortedU32(st.cand[li], cands, window(adj, lb, ub))
+			st.cand[li] = st.Kernels.IntersectSortedU32(st.cand[li], cands, window(adj, lb, ub))
 			cands = st.cand[li]
 		} else {
 			unk = append(unk, w)
@@ -791,7 +766,7 @@ func (m *machine) adjEnum(st *groupState, round, li int, parent *etrie.Node, lea
 		if li == len(leaves)-1 {
 			// EC of P_round complete (Algorithm 2 lines 16-19).
 			st.trie.Link(node)
-			st.nodes++
+			st.DistNodes++
 			st.created = append(st.created, node)
 			for _, levelEdges := range st.pending[:li+1] {
 				for _, de := range levelEdges {
@@ -804,7 +779,7 @@ func (m *machine) adjEnum(st *groupState, round, li int, parent *etrie.Node, lea
 			deeper, err = m.adjEnum(st, round, li+1, node, leaves, pivAdj)
 			if deeper {
 				st.trie.Link(node)
-				st.nodes++
+				st.DistNodes++
 				produced = true
 			}
 		}
@@ -879,14 +854,10 @@ func (m *machine) recordRoundStats(st *groupState, round, alive int) {
 	prefix := int64(m.e.redPrefix[round])
 	el := int64(alive) * prefix * etrie.VertexBytes
 	et := st.trie.Bytes()
-	st.elCum += el
-	st.etCum += et
-	if el > st.elPeak {
-		st.elPeak = el
-	}
-	if et > st.etPeak {
-		st.etPeak = et
-	}
+	st.ELBytesCum += el
+	st.ETBytesCum += et
+	st.ELBytesPeak = max(st.ELBytesPeak, el)
+	st.ETBytesPeak = max(st.ETBytesPeak, et)
 }
 
 // chargeTrie reconciles the budget charge with the trie's current size.

@@ -1,9 +1,12 @@
 package rads
 
 import (
+	"context"
+	"reflect"
 	"testing"
 
 	"rads/internal/cluster"
+	eng "rads/internal/engine"
 	"rads/internal/gen"
 	"rads/internal/localenum"
 	"rads/internal/partition"
@@ -61,5 +64,69 @@ func TestRunOverTCPWithPressure(t *testing.T) {
 	}
 	if res.Total != want {
 		t.Errorf("total %d, oracle %d", res.Total, want)
+	}
+}
+
+// noStealing switches work stealing off in every query the coordinator
+// dispatches: which machine runs a region group decides which adjacency
+// lists candidate generation can intersect, so only a run without
+// stealing has one right kernel tally.
+type noStealing struct{ cluster.Transport }
+
+func (n noStealing) Call(from, to int, req cluster.Message) (cluster.Message, error) {
+	if r, ok := req.(*RunQueryRequest); ok {
+		pinned := *r
+		pinned.DisableLoadBalancing = true
+		req = &pinned
+	}
+	return n.Transport.Call(from, to, req)
+}
+
+// TestClusterProfileCarriesKernels: the machines' kernel tallies cross
+// the control plane in RunQueryResponse and fold into the coordinator's
+// profile — a cluster-mode query reports exactly the selections of the
+// same query run in this process.
+func TestClusterProfileCarriesKernels(t *testing.T) {
+	g := gen.PowerLaw(400, 8, 2.7, 100, 67)
+	part := partition.KWay(g, 3, 7)
+	srv, err := cluster.NewTCPServer("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	var spec cluster.ClusterSpec
+	for range part.M {
+		spec.Machines = append(spec.Machines, srv.Addr())
+	}
+	for id := range part.M {
+		client := cluster.NewTCPClient(spec, nil)
+		defer client.Close()
+		srv.Register(id, NewMachine(id, part, client, MachineOptions{}).Handle)
+	}
+	coord := cluster.NewTCPClient(spec, nil)
+	defer coord.Close()
+	ce := NewClusterEngine(noStealing{coord}, part.M)
+
+	for _, name := range []string{"q2", "q4"} {
+		q := pattern.ByName(name)
+		local, err := Run(part, q, Config{Workers: 1, DisableLoadBalancing: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		remote, err := ce.Run(context.Background(), eng.Request{
+			Part: part, Pattern: q, Workers: 1, Metrics: cluster.NewMetrics(part.M),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if remote.Total != local.Total {
+			t.Fatalf("%s: cluster counted %d, in-process %d", name, remote.Total, local.Total)
+		}
+		if local.Kernels.Merge+local.Kernels.Gallop == 0 {
+			t.Fatalf("%s: in-process run tallied no intersection: %+v", name, local.Kernels)
+		}
+		if got, want := remote.Profile.Kernels, local.Kernels.Map(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: cluster profile kernels %v, in-process run %v", name, got, want)
+		}
 	}
 }

@@ -71,26 +71,17 @@ func (r *RunQueryRequest) MessageKind() string { return "runQuery" }
 // coordinator — the per-machine slice of everything rads.Result
 // aggregates.
 type RunQueryResponse struct {
-	SME         int64
-	Distributed int64
-	SMENodes    int64
-	DistNodes   int64
+	// Counters is the machine's additive result, kernel-selection tally
+	// included; the coordinator merges the machines' into the run's.
+	Counters
 
 	// Stat is the machine's row of the query profile (elapsed, tree
 	// nodes, region groups formed and stolen).
 	Stat obs.MachineStat
 
-	ELBytesCum, ETBytesCum   int64
-	ELBytesPeak, ETBytesPeak int64
-
 	Rounds       int
 	Workers      int
 	DeferredEnds int
-
-	// FrontierSplits counts this machine's R-Meef rounds expanded
-	// across its worker pool because the region-group frontier exceeded
-	// the HugeFrontier threshold.
-	FrontierSplits int64
 
 	PeakMemBytes int64
 
@@ -121,7 +112,7 @@ type RunQueryResponse struct {
 
 // ByteSize counts the fixed-width fields plus the span payload.
 func (r *RunQueryResponse) ByteSize() int {
-	n := 22*8 + 1
+	n := 25*8 + 1
 	for i := range r.Spans {
 		n += len(r.Spans[i].Name) + 4*8
 	}

@@ -8,6 +8,7 @@ import (
 	"rads/internal/cluster"
 	"rads/internal/engine"
 	"rads/internal/gen"
+	"rads/internal/graph"
 	"rads/internal/obs"
 	"rads/internal/partition"
 	"rads/internal/pattern"
@@ -31,10 +32,14 @@ func TestControlPlaneKindsSurviveTCP(t *testing.T) {
 				GroupMemTarget: 8 << 10, HugeFrontier: -1, DisableSME: true, DisableLoadBalancing: true,
 			},
 			&rads.RunQueryResponse{
-				SME: 1, Distributed: 2, SMENodes: 3, DistNodes: 4,
-				Stat:       obs.MachineStat{Machine: 1, Seconds: 0.25, TreeNodes: 7, Groups: 3, Stolen: 1},
-				ELBytesCum: 5, ETBytesCum: 6, ELBytesPeak: 7, ETBytesPeak: 8, Rounds: 2, Workers: 2,
-				FrontierSplits: 1, PeakMemBytes: 9, OOM: true, CommBytes: 10, CommMessages: 11,
+				Counters: rads.Counters{
+					SME: 1, Distributed: 2, SMENodes: 3, DistNodes: 4,
+					ELBytesCum: 5, ETBytesCum: 6, ELBytesPeak: 7, ETBytesPeak: 8, FrontierSplits: 1,
+					Kernels: graph.KernelTally{Merge: 14, Gallop: 15, KWay: 16},
+				},
+				Stat:   obs.MachineStat{Machine: 1, Seconds: 0.25, TreeNodes: 7, Groups: 3, Stolen: 1},
+				Rounds: 2, Workers: 2,
+				PeakMemBytes: 9, OOM: true, CommBytes: 10, CommMessages: 11,
 				CacheHits: 12, CacheMisses: 13,
 				Spans: []obs.Span{{Name: "execute/group", Machine: 1, Worker: 0, StartNs: 5, DurNs: 9}},
 			},
@@ -97,8 +102,8 @@ func (cannedTransport) Close() error { return nil }
 func TestSpanlessResponseAndPlanningWall(t *testing.T) {
 	part := partition.KWay(gen.Community(3, 12, 0.3, 5), 3, 7)
 	ce := rads.NewClusterEngine(cannedTransport{&rads.RunQueryResponse{
-		SME: 2, Distributed: 3, SMENodes: 5, DistNodes: 7,
-		Stat: obs.MachineStat{Machine: 99, Seconds: 0.5, TreeNodes: 12, Groups: 4, Stolen: 1},
+		Counters: rads.Counters{SME: 2, Distributed: 3, SMENodes: 5, DistNodes: 7},
+		Stat:     obs.MachineStat{Machine: 99, Seconds: 0.5, TreeNodes: 12, Groups: 4, Stolen: 1},
 	}}, part.M)
 
 	for i := 0; i < 50; i++ {

@@ -2,13 +2,16 @@ package service_test
 
 import (
 	"context"
+	"os"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"rads/internal/obs"
+	"rads/internal/partition"
 	"rads/internal/pattern"
+	"rads/internal/rads"
 	"rads/internal/service"
 )
 
@@ -153,5 +156,54 @@ func TestSlowQueryRing(t *testing.T) {
 	}
 	if slow := svc.SlowProfiles(10); len(slow) != 1 {
 		t.Errorf("slow ring holds %d profiles, want 1", len(slow))
+	}
+}
+
+// TestREADMEMetricCatalogue keeps README's metric table equal to what
+// the code registers: every family of a service.Open registry and of a
+// rads.NewMachine registry has a row, and every row names a family one
+// of them registers — apart from the families cmd/radsworker's main
+// adds on top of its machines' registry, listed here by name.
+func TestREADMEMetricCatalogue(t *testing.T) {
+	workerMain := map[string]bool{"rads_handle_seconds": true}
+
+	registered := make(map[string]bool)
+	svc := openService(t, service.Config{Machines: 2})
+	machineReg := obs.NewRegistry()
+	rads.NewMachine(0, partition.KWay(testGraph(), 2, 1), nil, rads.MachineOptions{Obs: machineReg})
+	for _, reg := range []*obs.Registry{svc.Metrics(), machineReg} {
+		for _, fam := range reg.Export() {
+			registered[fam.Name] = true
+		}
+	}
+
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, ok := strings.Cut(string(readme), "| family | type | labels | meaning |\n")
+	if !ok {
+		t.Fatal("README has no metric table")
+	}
+	documented := make(map[string]bool)
+	for _, row := range strings.Split(table, "\n")[1:] { // [0] is the |---| rule
+		if !strings.HasPrefix(row, "|") {
+			break
+		}
+		names := strings.Split(strings.SplitN(row, "|", 3)[1], ",")
+		for _, name := range names {
+			documented[strings.Trim(name, " `")] = true
+		}
+	}
+
+	for name := range registered {
+		if !documented[name] {
+			t.Errorf("family %s is registered but has no row in README's metric table", name)
+		}
+	}
+	for name := range documented {
+		if !registered[name] && !workerMain[name] {
+			t.Errorf("README's metric table lists %s, which neither service.Open nor rads.NewMachine registers", name)
+		}
 	}
 }

@@ -289,10 +289,8 @@ func (s *Service) initObs() {
 			}
 			return out
 		})
-	// Kernel counters are process-wide (the intersection kernels have no
-	// per-query identity); serving processes turn counting on and expose
-	// the totals.
-	graph.SetKernelCounting(true)
+	// Every RADS machine run in this process adds its exact tally to
+	// these totals when it ends.
 	reg.CounterVecFunc("rads_kernel_selections_total",
 		"Adaptive intersection kernel selections.", "kernel", graph.KernelCounts)
 }
