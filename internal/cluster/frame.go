@@ -184,7 +184,7 @@ func appendFrame(dst []byte, f frame) ([]byte, error) {
 	}
 	switch m := f.msg.(type) {
 	case *VerifyERequest:
-		dst = slices.Grow(dst, len(m.Edges)*edgeWire)
+		dst = slices.Grow(dst, len(m.Edges)*EdgeWire)
 		for _, e := range m.Edges {
 			dst = binary.LittleEndian.AppendUint32(dst, uint32(e.U))
 			dst = binary.LittleEndian.AppendUint32(dst, uint32(e.V))
@@ -261,16 +261,16 @@ func decodeFrame(body []byte) (frame, error) {
 	}
 	switch f.kind {
 	case kindVerifyEReq:
-		if len(p)%edgeWire != 0 {
-			return bad("%d trailing bytes after %d edges", len(p)%edgeWire, len(p)/edgeWire)
+		if len(p)%EdgeWire != 0 {
+			return bad("%d trailing bytes after %d edges", len(p)%EdgeWire, len(p)/EdgeWire)
 		}
 		m := &VerifyERequest{}
-		if n := len(p) / edgeWire; n > 0 {
+		if n := len(p) / EdgeWire; n > 0 {
 			m.Edges = make([]graph.Edge, n)
 			for i := range m.Edges {
 				m.Edges[i] = graph.Edge{
-					U: graph.VertexID(binary.LittleEndian.Uint32(p[i*edgeWire:])),
-					V: graph.VertexID(binary.LittleEndian.Uint32(p[i*edgeWire+vertexWire:])),
+					U: graph.VertexID(binary.LittleEndian.Uint32(p[i*EdgeWire:])),
+					V: graph.VertexID(binary.LittleEndian.Uint32(p[i*EdgeWire+VertexWire:])),
 				}
 			}
 		}
@@ -299,15 +299,15 @@ func decodeFrame(body []byte) (frame, error) {
 		// exactly.
 		lists, total := 0, 0
 		for q := p; len(q) > 0; lists++ {
-			if len(q) < vertexWire {
+			if len(q) < VertexWire {
 				return bad("%d trailing bytes after %d lists", len(q), lists)
 			}
 			n := int(binary.LittleEndian.Uint32(q))
-			if n > (len(q)-vertexWire)/vertexWire {
-				return bad("list %d announces %d vertices, %d bytes remain", lists, n, len(q)-vertexWire)
+			if n > (len(q)-VertexWire)/VertexWire {
+				return bad("list %d announces %d vertices, %d bytes remain", lists, n, len(q)-VertexWire)
 			}
 			total += n
-			q = q[vertexWire*(n+1):]
+			q = q[VertexWire*(n+1):]
 		}
 		m := &FetchVResponse{}
 		if lists > 0 {
@@ -317,9 +317,9 @@ func decodeFrame(body []byte) (frame, error) {
 				n := int(binary.LittleEndian.Uint32(p))
 				m.Adj[i] = flat[:n:n]
 				for j := range m.Adj[i] {
-					m.Adj[i][j] = graph.VertexID(binary.LittleEndian.Uint32(p[vertexWire*(j+1):]))
+					m.Adj[i][j] = graph.VertexID(binary.LittleEndian.Uint32(p[VertexWire*(j+1):]))
 				}
-				flat, p = flat[n:], p[vertexWire*(n+1):]
+				flat, p = flat[n:], p[VertexWire*(n+1):]
 			}
 		}
 		f.msg = m
@@ -378,7 +378,7 @@ func decodeFrame(body []byte) (frame, error) {
 }
 
 func appendVertices(dst []byte, vs []graph.VertexID) []byte {
-	dst = slices.Grow(dst, len(vs)*vertexWire)
+	dst = slices.Grow(dst, len(vs)*VertexWire)
 	for _, v := range vs {
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(v))
 	}
@@ -388,15 +388,15 @@ func appendVertices(dst []byte, vs []graph.VertexID) []byte {
 // decodeVertices reads a payload tail that is nothing but vertex IDs;
 // an empty one decodes to nil.
 func decodeVertices(p []byte) ([]graph.VertexID, error) {
-	if len(p)%vertexWire != 0 {
-		return nil, fmt.Errorf("%d trailing bytes after %d vertices", len(p)%vertexWire, len(p)/vertexWire)
+	if len(p)%VertexWire != 0 {
+		return nil, fmt.Errorf("%d trailing bytes after %d vertices", len(p)%VertexWire, len(p)/VertexWire)
 	}
 	if len(p) == 0 {
 		return nil, nil
 	}
-	vs := make([]graph.VertexID, len(p)/vertexWire)
+	vs := make([]graph.VertexID, len(p)/VertexWire)
 	for i := range vs {
-		vs[i] = graph.VertexID(binary.LittleEndian.Uint32(p[i*vertexWire:]))
+		vs[i] = graph.VertexID(binary.LittleEndian.Uint32(p[i*VertexWire:]))
 	}
 	return vs, nil
 }

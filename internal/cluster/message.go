@@ -28,10 +28,12 @@ type Message interface {
 	ByteSize() int
 }
 
+// Accounted widths. The first three are exported for RADS's pull rule,
+// which prices a verifyE edge against a fetchV list in these bytes.
 const (
-	vertexWire = 4 // bytes per vertex ID on the wire
-	edgeWire   = 8 // bytes per edge (two vertex IDs)
-	boolWire   = 1
+	VertexWire = 4 // bytes per vertex ID on the wire
+	EdgeWire   = 8 // bytes per edge (two vertex IDs)
+	BoolWire   = 1
 	intWire    = 8
 )
 
@@ -41,14 +43,14 @@ type VerifyERequest struct {
 	Edges []graph.Edge
 }
 
-func (r *VerifyERequest) ByteSize() int { return len(r.Edges) * edgeWire }
+func (r *VerifyERequest) ByteSize() int { return len(r.Edges) * EdgeWire }
 
 // VerifyEResponse carries one existence bit per requested edge.
 type VerifyEResponse struct {
 	Exists []bool
 }
 
-func (r *VerifyEResponse) ByteSize() int { return len(r.Exists) * boolWire }
+func (r *VerifyEResponse) ByteSize() int { return len(r.Exists) * BoolWire }
 
 // FetchVRequest asks for the adjacency lists of vertices owned by the
 // target machine (daemon functionality (2)).
@@ -56,7 +58,7 @@ type FetchVRequest struct {
 	Vertices []graph.VertexID
 }
 
-func (r *FetchVRequest) ByteSize() int { return len(r.Vertices) * vertexWire }
+func (r *FetchVRequest) ByteSize() int { return len(r.Vertices) * VertexWire }
 
 // FetchVResponse returns one adjacency list per requested vertex.
 type FetchVResponse struct {
@@ -66,7 +68,7 @@ type FetchVResponse struct {
 func (r *FetchVResponse) ByteSize() int {
 	n := 0
 	for _, a := range r.Adj {
-		n += vertexWire * (len(a) + 1) // list plus its length header
+		n += VertexWire * (len(a) + 1) // list plus its length header
 	}
 	return n
 }
@@ -97,7 +99,7 @@ type ShareRResponse struct {
 	Group []graph.VertexID
 }
 
-func (r *ShareRResponse) ByteSize() int { return boolWire + len(r.Group)*vertexWire }
+func (r *ShareRResponse) ByteSize() int { return BoolWire + len(r.Group)*VertexWire }
 
 // ShuffleRequest delivers a batch of partial-embedding rows to the
 // target machine. The join- and exploration-based baselines (TwinTwig,
@@ -111,7 +113,7 @@ type ShuffleRequest struct {
 func (r *ShuffleRequest) ByteSize() int {
 	n := intWire
 	for _, row := range r.Rows {
-		n += vertexWire * (len(row) + 1)
+		n += VertexWire * (len(row) + 1)
 	}
 	return n
 }

@@ -26,93 +26,14 @@ func hostedEngine(t *testing.T, part *partition.Partition, p *pattern.Pattern, c
 	return e
 }
 
-// TestExpandRoundAllocatesOnlyTrieNodes guards the per-candidate path:
-// with every adjacency list the round touches known — owned, or in the
-// fetched cache the lock-free slots publish — expanding a frontier
-// through a one-leaf unit that has verification edges must allocate
-// exactly the trie nodes it links: no used-set, no undetermined-edge
-// slices, no candidate buffers after the first pass.
-func TestExpandRoundAllocatesOnlyTrieNodes(t *testing.T) {
-	g := gen.Community(3, 14, 0.4, 7)
-	part := partition.KWay(g, 2, 3)
-	e := hostedEngine(t, part, pattern.ByName("q1"), Config{})
-	round := len(e.pl.Units) - 1
-	if round == 0 || len(e.unitLeaves[round]) != 1 || len(e.verif[e.redPos[e.unitLeaves[round][0]]]) == 0 {
-		t.Fatalf("plan %v: want a last round with one leaf and a verification edge", e.pl.Units)
-	}
-	m := e.machines[0]
-	// A fully warm cache: nothing is left to the EVI.
-	for x := 0; x < g.NumVertices(); x++ {
-		if v := graph.VertexID(x); !m.view.owned(v) {
-			if err := m.view.insertPinned(v, g.Adj(v)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-
-	// Build the frontier of the last round by expanding the earlier
-	// ones, guard-pinning it so removing its children leaves it alive.
-	st := m.newGroupState()
+// frontierOf drives rounds 0..round-1 of machine m's own vertices by
+// hand — fetch, expand, verify, filter — and returns the live results
+// entering `round`, guard-pinned so that removing their children leaves
+// them alive.
+func frontierOf(t *testing.T, m *machine, st *groupState, round int) []*etrie.Node {
+	t.Helper()
 	var frontier []*etrie.Node
-	for _, v := range part.Vertices(m.id) {
-		root := st.trie.Node(nil, v)
-		st.trie.Link(root)
-		frontier = append(frontier, root)
-	}
-	for r := 0; r < round; r++ {
-		if err := m.expandRound(st, r, frontier); err != nil {
-			t.Fatal(err)
-		}
-		frontier = append([]*etrie.Node(nil), st.created...)
-		st.created = st.created[:0]
-	}
-	for _, n := range frontier {
-		st.trie.Pin(n)
-	}
-
-	pass := func() {
-		if err := m.expandRound(st, round, frontier); err != nil {
-			t.Fatal(err)
-		}
-		for _, n := range st.created {
-			st.trie.Remove(n)
-		}
-		st.created = st.created[:0]
-	}
-	before := st.DistNodes
-	pass() // grows the scratch to its high-water mark
-	linked := st.DistNodes - before
-	if linked == 0 {
-		t.Fatal("the round produced nothing; graph too sparse for the test")
-	}
-	if st.evi.Len() != 0 {
-		t.Fatalf("%d undetermined edges under a fully warm cache", st.evi.Len())
-	}
-	if allocs := testing.AllocsPerRun(5, pass); allocs != float64(linked) {
-		t.Errorf("expandRound allocates %v/pass, want the %d trie nodes it links", allocs, linked)
-	}
-}
-
-// TestFlushSegmentAllocatesOnlyItsMessages is the verify-plane twin of
-// the test above: with a cold cache the same round leaves its
-// verification edges to the EVI, and a warm flushSegment — index,
-// per-owner edge lists, survivor list, the deferred-pivot fetch — must
-// allocate nothing beyond the trie nodes the round links and what the
-// verifyE exchanges carry over LocalTransport: a request, a response
-// and its bit slice each.
-func TestFlushSegmentAllocatesOnlyItsMessages(t *testing.T) {
-	g := gen.Community(3, 14, 0.4, 7)
-	part := partition.KWay(g, 3, 3)
-	metrics := cluster.NewMetrics(part.M)
-	// q5 ends in a round with a verification edge and has a deferred end
-	// vertex, so the flush also runs the deferred-pivot fetch phase.
-	e := hostedEngine(t, part, pattern.ByName("q5"), Config{Metrics: metrics, Transport: cluster.NewLocalTransport(metrics)})
-	round := len(e.pl.Units) - 1
-	m := e.machines[0]
-
-	st := m.newGroupState()
-	var frontier []*etrie.Node
-	for _, v := range part.Vertices(m.id) {
+	for _, v := range m.e.part.Vertices(m.id) {
 		root := st.trie.Node(nil, v)
 		st.trie.Link(root)
 		frontier = append(frontier, root)
@@ -138,6 +59,79 @@ func TestFlushSegmentAllocatesOnlyItsMessages(t *testing.T) {
 	for _, n := range frontier {
 		st.trie.Pin(n)
 	}
+	return frontier
+}
+
+// TestExpandRoundAllocatesOnlyTrieNodes guards the per-candidate path:
+// with every adjacency list the round touches known — owned, or in the
+// fetched cache the lock-free slots publish — expanding a frontier
+// through a one-leaf unit that has verification edges must allocate
+// exactly the trie nodes it links: no used-set, no undetermined-edge
+// slices, no candidate buffers after the first pass.
+func TestExpandRoundAllocatesOnlyTrieNodes(t *testing.T) {
+	g := gen.Community(3, 14, 0.4, 7)
+	part := partition.KWay(g, 2, 3)
+	e := hostedEngine(t, part, pattern.ByName("q1"), Config{})
+	round := len(e.pl.Units) - 1
+	if round == 0 || len(e.unitLeaves[round]) != 1 || len(e.verif[e.redPos[e.unitLeaves[round][0]]]) == 0 {
+		t.Fatalf("plan %v: want a last round with one leaf and a verification edge", e.pl.Units)
+	}
+	m := e.machines[0]
+	// A fully warm cache: nothing is left to the EVI.
+	for x := 0; x < g.NumVertices(); x++ {
+		if v := graph.VertexID(x); !m.view.owned(v) {
+			if err := m.view.insertPinned(v, g.Adj(v)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	st := m.newGroupState()
+	frontier := frontierOf(t, m, st, round)
+
+	pass := func() {
+		if err := m.expandRound(st, round, frontier); err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range st.created {
+			st.trie.Remove(n)
+		}
+		st.created = st.created[:0]
+	}
+	before := st.DistNodes
+	pass() // grows the scratch to its high-water mark
+	linked := st.DistNodes - before
+	if linked == 0 {
+		t.Fatal("the round produced nothing; graph too sparse for the test")
+	}
+	if st.evi.Len() != 0 {
+		t.Fatalf("%d undetermined edges under a fully warm cache", st.evi.Len())
+	}
+	if allocs := testing.AllocsPerRun(5, pass); allocs != float64(linked) {
+		t.Errorf("expandRound allocates %v/pass, want the %d trie nodes it links", allocs, linked)
+	}
+}
+
+// TestFlushSegmentAllocatesOnlyItsMessages is the verify-plane twin of
+// the test above: with a cold cache the round leaves the verification
+// edges whose pull the cost rule declined to the EVI (the fetch phase
+// here is the product's, pulls included), and a warm flushSegment — index,
+// per-owner edge lists, survivor list, the deferred-pivot fetch — must
+// allocate nothing beyond the trie nodes the round links and what the
+// verifyE exchanges carry over LocalTransport: a request, a response
+// and its bit slice each.
+func TestFlushSegmentAllocatesOnlyItsMessages(t *testing.T) {
+	g := gen.Community(3, 14, 0.4, 7)
+	part := partition.KWay(g, 3, 3)
+	metrics := cluster.NewMetrics(part.M)
+	// q5 ends in a round with a verification edge and has a deferred end
+	// vertex, so the flush also runs the deferred-pivot fetch phase.
+	e := hostedEngine(t, part, pattern.ByName("q5"), Config{Metrics: metrics, Transport: cluster.NewLocalTransport(metrics)})
+	round := len(e.pl.Units) - 1
+	m := e.machines[0]
+
+	st := m.newGroupState()
+	frontier := frontierOf(t, m, st, round)
 	if err := m.fetchForeignPivots(st, round, frontier); err != nil {
 		t.Fatal(err)
 	}
@@ -153,8 +147,8 @@ func TestFlushSegmentAllocatesOnlyItsMessages(t *testing.T) {
 		}
 	}
 	pass() // grows the scratch, fetches what emitResults needs
-	if undetermined == 0 {
-		t.Fatal("nothing was left to the EVI; the test needs a cold cache")
+	if undetermined == 0 || st.PulledLists == 0 {
+		t.Fatalf("%d edges left to the EVI, %d lists pulled; the test needs a cold cache the rule pulls some of and declines the rest", undetermined, st.PulledLists)
 	}
 	nodes, calls, found, live := st.DistNodes, metrics.MessagesByKind()["verifyE"], st.Distributed, st.trie.NodeCount()
 	pass()

@@ -54,6 +54,9 @@ type Machine struct {
 	obsTreeNodes    *obs.Counter
 	obsCacheHits    *obs.Counter
 	obsCacheMisses  *obs.Counter
+	obsVerifyEdges  *obs.Counter
+	obsPulledLists  *obs.Counter
+	obsPulledEdges  *obs.Counter
 
 	runMu sync.Mutex              // serializes runQuery
 	cur   atomic.Pointer[machine] // active query's per-machine state, nil when idle
@@ -75,7 +78,8 @@ type MachineOptions struct {
 	Metrics *cluster.Metrics
 	// Obs, when set, receives the machine's serving metrics: query
 	// latency, queue wait (time serialized behind an earlier query),
-	// steal/group/tree-node counters and adjacency-cache hit rates.
+	// steal/group/tree-node counters, adjacency-cache hit rates and the
+	// verify-or-pull tallies.
 	// Machines hosted in one process share one registry.
 	Obs *obs.Registry
 	// Events, when set, receives the machine's operational journal
@@ -119,6 +123,12 @@ func NewMachine(id int, part *partition.Partition, tr cluster.Transport, opts Ma
 			"Adjacency-cache hits in fetch phases.")
 		d.obsCacheMisses = reg.Counter("rads_cache_misses_total",
 			"Adjacency-cache misses (fetched over the network).")
+		d.obsVerifyEdges = reg.Counter("rads_verify_edges_total",
+			"Undetermined edges sent to verifyE.")
+		d.obsPulledLists = reg.Counter("rads_pulled_lists_total",
+			"Verification neighbours' adjacency lists pulled ahead of a round instead of asked about.")
+		d.obsPulledEdges = reg.Counter("rads_pulled_edges_total",
+			"verifyE edges the pull rule counted its pulls to pre-empt.")
 	}
 	return d
 }
@@ -276,6 +286,9 @@ func (d *Machine) observeQuery(m *machine, runErr error) {
 	d.obsTreeNodes.Add(m.SMENodes + m.DistNodes)
 	d.obsCacheHits.Add(m.view.hits.Load())
 	d.obsCacheMisses.Add(m.view.misses.Load())
+	d.obsVerifyEdges.Add(m.VerifyEdges)
+	d.obsPulledLists.Add(m.PulledLists)
+	d.obsPulledEdges.Add(m.PulledEdges)
 }
 
 // PartitionFingerprint hashes a partition's identity — machine count

@@ -32,7 +32,13 @@
 // neighbours whose list is unknown, which the candidate's own list
 // decides or the EVI defers to verifyE. Which embedding candidates,
 // trie nodes and undetermined edges exist is independent of how the
-// candidates were generated.
+// candidates were generated — but not of which lists are readable, and
+// there this engine departs from the paper's "always verify": ahead of
+// each round the fetch phase also pulls the list of a verification
+// neighbour matched in an earlier round when the edges the round would
+// otherwise file against it cost more wire bytes than the list
+// (choosePulls), so the candidates those edges would have doomed are
+// never built, filed or sent. Counters reports both sides.
 package rads
 
 import (
@@ -72,16 +78,17 @@ type Config struct {
 	Budget *cluster.MemBudget
 	// GroupMemTarget is Phi, the estimated intermediate-result bytes
 	// one region group may occupy (Section 6). 0 derives it from the
-	// budget (a quarter of it) or falls back to 4 MiB.
+	// budget (an eighth of it) or falls back to 4 MiB.
 	GroupMemTarget int64
 	// Workers is the number of concurrent enumeration workers per
 	// simulated machine: SM-E candidates and region groups fan out
 	// across a pool of this size, each worker owning one reusable
-	// enumerator and one adjacency-cache view. 0 derives a default from
-	// GOMAXPROCS and the machine count (at least 1); 1 reproduces the
-	// seed's fully sequential per-machine behaviour. Counts are
-	// identical at any setting — workers only share the group queue and
-	// commutative counters.
+	// enumerator; the adjacency-cache view is the machine's, shared by
+	// the pool. 0 derives a default from GOMAXPROCS and the machine
+	// count (at least 1); 1 reproduces the seed's fully sequential
+	// per-machine behaviour. Counts are identical at any setting —
+	// workers only share the group queue, the view and commutative
+	// counters.
 	Workers int
 	// HugeFrontier is the frontier size (live results entering a round)
 	// at which one region group's expansion is split across the
@@ -151,6 +158,13 @@ type Counters struct {
 	// instead of on the owning pool worker.
 	FrontierSplits int64
 
+	// The verify plane's two sides (see choosePulls): VerifyEdges are
+	// the undetermined edges sent to verifyE; PulledLists the adjacency
+	// lists of verification neighbours fetched ahead of a round because
+	// asking edge by edge would have cost more; PulledEdges the edges the
+	// rule counted those pulls to pre-empt (its asks, summed).
+	VerifyEdges, PulledLists, PulledEdges int64
+
 	// Kernels counts the intersection-kernel selections of SM-E and of
 	// R-Meef candidate generation.
 	Kernels graph.KernelTally
@@ -167,6 +181,9 @@ func (c *Counters) merge(o *Counters) {
 	c.ELBytesPeak = max(c.ELBytesPeak, o.ELBytesPeak)
 	c.ETBytesPeak = max(c.ETBytesPeak, o.ETBytesPeak)
 	c.FrontierSplits += o.FrontierSplits
+	c.VerifyEdges += o.VerifyEdges
+	c.PulledLists += o.PulledLists
+	c.PulledEdges += o.PulledEdges
 	c.Kernels.Add(o.Kernels)
 }
 
@@ -260,12 +277,25 @@ type engine struct {
 	// unitLeaves[i] = non-deferred leaves of unit i in matching order.
 	unitLeaves [][]pattern.VertexID
 
+	// pulls[i] holds, per leaf of unit i with a verification edge into
+	// the rounds before it, what choosePulls needs to price that edge.
+	pulls [][]pullLeaf
+
 	machines []*machine
 }
 
 type posCons struct {
 	other pattern.VertexID
 	less  bool // require f[this] < f[other]
+}
+
+// pullLeaf is one unit leaf seen from before its round: the trie-path
+// positions of its prefix verification neighbours — vertices matched in
+// an earlier round that the leaf must be adjacent to — and the part of
+// its symmetry window those earlier rounds already fix.
+type pullLeaf struct {
+	at   []int
+	cons []posCons
 }
 
 func newEngine(part *partition.Partition, p *pattern.Pattern, cfg Config) (*engine, error) {
@@ -441,6 +471,28 @@ func (e *engine) precompute() {
 			}
 		}
 		e.unitLeaves[i] = leaves
+	}
+
+	e.pulls = make([][]pullLeaf, len(e.pl.Units))
+	for i := 1; i < len(e.pl.Units); i++ {
+		prefix := e.redPrefix[i-1]
+		for _, u := range e.unitLeaves[i] {
+			var pl pullLeaf
+			for _, w := range e.verif[e.redPos[u]] {
+				if e.redPos[w] < prefix {
+					pl.at = append(pl.at, e.redPos[w])
+				}
+			}
+			if len(pl.at) == 0 {
+				continue
+			}
+			for _, c := range e.cons2[e.redPos[u]] {
+				if e.redPos[c.other] < prefix {
+					pl.cons = append(pl.cons, c)
+				}
+			}
+			e.pulls[i] = append(e.pulls[i], pl)
+		}
 	}
 }
 

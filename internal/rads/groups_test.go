@@ -167,7 +167,7 @@ func TestViewDiscipline(t *testing.T) {
 	if err := v.insertPinned(foreign, g.Adj(foreign)); err != nil {
 		t.Fatal(err)
 	}
-	st.logPin(foreign)
+	st.logPin(foreign, false)
 	if _, ok := v.cachedAdj(foreign); !ok {
 		t.Error("insertPinned did not cache")
 	}
@@ -181,7 +181,7 @@ func TestViewDiscipline(t *testing.T) {
 		t.Error("pinned adjacency evicted by dropAll")
 	}
 	// Once the frame unpins, the next drop evicts it.
-	st.unpinTo(0)
+	st.unpinTo(0, 0)
 	v.dropAll()
 	if _, ok := v.cachedAdj(foreign); ok {
 		t.Error("dropAll kept an unpinned entry")

@@ -19,9 +19,9 @@ import (
 // from other machines, and steals work when idle. Within the machine,
 // SM-E candidates and region groups fan out across a bounded pool of
 // engine.workers() goroutines; each pool worker owns one reusable
-// enumerator and one adjacency-cache view, so workers never contend on
-// scratch state — only on the group queue and the merge of commutative
-// counters.
+// enumerator and each region group its own groupState, so workers never
+// contend on scratch state — only on the group queue, the shared
+// adjacency-cache view and the merge of commutative counters.
 type machine struct {
 	e  *engine
 	id int
@@ -30,7 +30,7 @@ type machine struct {
 	// plus the fetched-adjacency cache, shared by all pool workers under
 	// its lock so each foreign vertex crosses the network once per
 	// machine, not once per worker. Groups pin the lists they fetched
-	// for their in-flight rounds (groupState.pinned), so a concurrent
+	// for their in-flight rounds (groupState.pinLog), so a concurrent
 	// group's cache-pressure drop never invalidates them mid-use.
 	view *view
 

@@ -31,6 +31,9 @@ type groupState struct {
 	// them), so everything a round depends on stays determinable — and
 	// budget-charged — until its frame completes.
 	pinLog []graph.VertexID
+	// pullLog is pinLog for the optional pins of choosePulls, kept apart
+	// because relieve may release them all before their frames end.
+	pullLog []graph.VertexID
 
 	// created collects the EC leaves of the current flush segment: the
 	// results produced since the last verify & filter.
@@ -54,6 +57,7 @@ type groupState struct {
 	// hands to the next one — a round's list is dead before that round
 	// flushes again, since only deeper rounds run in between.
 	pivots    []graph.VertexID
+	asks      []uint64 // choosePulls' (neighbour, edges) pairs, neighbour in the high half
 	fetchFrom [][]graph.VertexID
 	askEdges  [][]graph.Edge
 	next      [][]*etrie.Node
@@ -234,17 +238,36 @@ func (st *groupState) degreeAtLeast(x graph.VertexID, d int) bool {
 }
 
 // logPin records one acquired view pin for frame-scoped release.
-func (st *groupState) logPin(x graph.VertexID) {
-	st.pinLog = append(st.pinLog, x)
+func (st *groupState) logPin(x graph.VertexID, optional bool) {
+	if optional {
+		st.pullLog = append(st.pullLog, x)
+	} else {
+		st.pinLog = append(st.pinLog, x)
+	}
 }
 
-// unpinTo releases every pin recorded after the marker (a former
-// len(pinLog)), letting the next dropAll evict those entries.
-func (st *groupState) unpinTo(marker int) {
+// unpinTo releases every pin recorded after the markers (a former
+// len(pinLog) and len(pullLog)), letting the next dropAll evict those
+// entries.
+func (st *groupState) unpinTo(marker, pullMarker int) {
 	for _, x := range st.pinLog[marker:] {
 		st.view.unpin(x)
 	}
 	st.pinLog = st.pinLog[:marker]
+	pullMarker = min(pullMarker, len(st.pullLog)) // relieve may have got there first
+	for _, x := range st.pullLog[pullMarker:] {
+		st.view.unpin(x)
+	}
+	st.pullLog = st.pullLog[:pullMarker]
+}
+
+// relieve is the last resort before a failed charge fails the run: it
+// gives up what nothing depends on — the group's pulled lists, whose
+// edges fall back to the EVI, and every cache entry no frame pins — so
+// that pulls never cost a budget the run would otherwise have met.
+func (st *groupState) relieve() {
+	st.unpinTo(len(st.pinLog), 0)
+	st.view.dropAll()
 }
 
 // runRounds executes rounds round..l for the given frontier (live
@@ -255,8 +278,8 @@ func (m *machine) runRounds(st *groupState, round int, frontier []*etrie.Node) e
 	// Frame-scoped pins: everything this round (and the emit frame)
 	// pins is released when the frame completes, keeping the overlay's
 	// resident set bounded by the in-flight recursion.
-	marker := len(st.pinLog)
-	defer st.unpinTo(marker)
+	marker, pullMarker := len(st.pinLog), len(st.pullLog)
+	defer st.unpinTo(marker, pullMarker)
 	if round == len(e.pl.Units) {
 		return m.emitResults(st, frontier)
 	}
@@ -376,7 +399,7 @@ func (m *machine) expandRoundParallel(st *groupState, round int, frontier []*etr
 		// so partial work stays accounted).
 		e.cfg.Budget.Release(m.id, sub.chargedTrie)
 		sub.chargedTrie = 0
-		sub.unpinTo(0)
+		sub.unpinTo(0, 0)
 		st.merge(&sub.Counters)
 		if errs[w] != nil && firstErr == nil {
 			firstErr = errs[w]
@@ -415,9 +438,7 @@ func (m *machine) flushSegment(st *groupState, round int) error {
 	if err := m.chargeTrie(st); err != nil {
 		return err
 	}
-	if e.cfg.DisableCache {
-		st.view.dropAll()
-	} else if b := e.cfg.Budget; b != nil && b.Limit() > 0 && b.Used(m.id) > b.Limit()*3/4 {
+	if e.cfg.DisableCache || m.underPressure() {
 		// The paper's cache-release valve: "when more data vertices
 		// need to be fetched, we may release some previously cached
 		// data vertices if necessary". Dropping the cache between
@@ -542,12 +563,13 @@ func (m *machine) fetchDeferredPivots(st *groupState, frontier []*etrie.Node) er
 			st.addPivot(st.pathBuf[e.redPos[piv]])
 		}
 	}
-	return m.fetchPivots(st, "fetchV (deferred pivots)")
+	return m.fetchPivots(st, "fetchV (deferred pivots)", false)
 }
 
 // fetchForeignPivots gathers the pivot data vertices of the round that
 // are neither owned nor cached and fetches their adjacency lists
-// (Section 3.2 "Expand").
+// (Section 3.2 "Expand"), then the verification neighbours choosePulls
+// finds cheaper to pull than to ask about.
 func (m *machine) fetchForeignPivots(st *groupState, round int, frontier []*etrie.Node) error {
 	e := m.e
 	var pivPos int
@@ -564,7 +586,111 @@ func (m *machine) fetchForeignPivots(st *groupState, round int, frontier []*etri
 		st.pathBuf = st.trie.AppendPath(st.pathBuf[:0], leaf)
 		st.addPivot(st.pathBuf[pivPos])
 	}
-	return m.fetchPivots(st, "fetchV")
+	if err := m.fetchPivots(st, "fetchV", false); err != nil {
+		return err
+	}
+	if !m.choosePulls(st, round, frontier) {
+		return nil
+	}
+	return m.fetchPivots(st, "fetchV (verification neighbours)", true)
+}
+
+// underPressure reports whether the machine's accounted memory is past
+// three quarters of its budget: the point at which the cache is dropped
+// between rounds and optional pulls stop.
+func (m *machine) underPressure() bool {
+	b := m.e.cfg.Budget
+	return b.Limit() > 0 && b.Used(m.id) > b.Limit()*3/4
+}
+
+// pullPays is the cost rule of choosePulls, in the wire bytes cluster
+// accounts: leaving asks edges to verifyE costs an edge out and a bit
+// back each; pulling the list instead is expected to cost a vertex out
+// and avgDeg vertices plus a length header back.
+func pullPays(asks int64, avgDeg float64) bool {
+	return float64((cluster.EdgeWire+cluster.BoolWire)*asks) >= cluster.VertexWire*(avgDeg+2)
+}
+
+// choosePulls decides, once the round's pivots are resident, which
+// prefix verification neighbours to fetch ahead of the expansion, and
+// queues them in st.pivots (reporting whether there are any). A
+// neighbour x whose list this machine cannot read leaves every edge
+// (candidate, x) with an equally unreadable candidate to the EVI: a
+// trie node, an index entry and a verifyE round trip for an embedding
+// candidate that mostly dies there. With x's list resident adjEnum
+// intersects it instead and the candidate is never built. asks[x] is
+// the number of edges the expansion would file — per frontier embedding
+// carrying x and per leaf that must be adjacent to it, the unreadable,
+// unmatched vertices of the pivot's list inside the part of the leaf's
+// symmetry window the prefix fixes — and x is pulled when asking costs
+// at least what its list is expected to (pullPays). Pulls are optional,
+// so memory pressure sheds them first: none are chosen past the valve,
+// and fetchPivots skips one it cannot charge. What is declined or shed
+// stays on the EVI path, as do sibling-leaf edges.
+func (m *machine) choosePulls(st *groupState, round int, frontier []*etrie.Node) bool {
+	e := m.e
+	st.pivots = st.pivots[:0]
+	pulls := e.pulls[round]
+	if len(pulls) == 0 || m.underPressure() {
+		return false
+	}
+	pivPos := e.redPos[e.pl.Units[round].Piv]
+	asks := st.asks[:0]
+	for _, leaf := range frontier {
+		if leaf.Dead() {
+			continue
+		}
+		st.pathBuf = st.trie.AppendPath(st.pathBuf[:0], leaf)
+		path := st.pathBuf
+		filled := false
+		for _, pl := range pulls {
+			n := int64(-1) // the leaf's count, taken when a neighbour first needs it
+			for _, at := range pl.at {
+				x := path[at]
+				if _, ok := st.adjKnown(x); ok {
+					continue
+				}
+				if n < 0 {
+					if !filled {
+						for j, v := range path {
+							st.f[e.redOrder[j]] = v
+						}
+						filled = true
+					}
+					n = 0
+					lb, ub := st.bounds(pl.cons)
+					for _, v := range window(st.mustAdj(path[pivPos]), lb, ub) {
+						if _, ok := st.adjKnown(v); !ok && !st.matched(v) {
+							n++
+						}
+					}
+				}
+				if n > 0 {
+					asks = append(asks, uint64(x)<<32|uint64(n))
+				}
+			}
+		}
+		if filled {
+			for j := range path {
+				st.f[e.redOrder[j]] = -1
+			}
+		}
+	}
+	st.asks = asks
+
+	// Fold the pairs by neighbour: sorted, a neighbour's pairs are one run.
+	slices.Sort(asks)
+	for i := 0; i < len(asks); {
+		x, n := asks[i]>>32, int64(0)
+		for ; i < len(asks) && asks[i]>>32 == x; i++ {
+			n += int64(uint32(asks[i]))
+		}
+		if pullPays(n, e.avgDeg) {
+			st.pivots = append(st.pivots, graph.VertexID(x))
+			st.PulledEdges += n
+		}
+	}
+	return len(st.pivots) > 0
 }
 
 // addPivot queues v for the fetch phase unless this machine owns it.
@@ -578,8 +704,10 @@ func (st *groupState) addPivot(v graph.VertexID) {
 
 // fetchPivots pins the foreign vertices in st.pivots that the cache
 // holds and fetches the rest, one batched fetchV request per remote
-// machine in machine order, vertices ascending.
-func (m *machine) fetchPivots(st *groupState, what string) error {
+// machine in machine order, vertices ascending. An optional fetch (the
+// pulls of choosePulls) sheds a list the budget has no room for instead
+// of failing; nothing depends on it being resident.
+func (m *machine) fetchPivots(st *groupState, what string, optional bool) error {
 	e := m.e
 	// One fetch phase at a time per machine: a concurrent group's fetch
 	// completes (and inserts) before this need-computation runs, so each
@@ -596,7 +724,7 @@ func (m *machine) fetchPivots(st *groupState, what string) error {
 		// fetch again, so a cache hit is not taken.
 		if !e.cfg.DisableCache && st.view.pinCached(v) {
 			st.view.hits.Add(1)
-			st.logPin(v) // keep it resident past any cache drop
+			st.logPin(v, optional) // keep it resident past any cache drop
 			continue
 		}
 		st.view.misses.Add(1)
@@ -619,13 +747,23 @@ func (m *machine) fetchPivots(st *groupState, what string) error {
 		}
 		adj := resp.(*cluster.FetchVResponse).Adj
 		if len(adj) != len(vs) {
-			return fmt.Errorf("fetchV to %d: got %d lists for %d vertices", owner, len(adj), len(vs))
+			return fmt.Errorf("%s to %d: got %d lists for %d vertices", what, owner, len(adj), len(vs))
 		}
 		for i, v := range vs {
-			if err := st.view.insertPinned(v, adj[i]); err != nil {
-				return err
+			err := st.view.insertPinned(v, adj[i])
+			if err != nil && optional {
+				continue // shed: its edges fall back to the EVI
 			}
-			st.logPin(v)
+			if err != nil {
+				st.relieve()
+				if err = st.view.insertPinned(v, adj[i]); err != nil {
+					return err
+				}
+			}
+			st.logPin(v, optional)
+			if optional {
+				st.PulledLists++
+			}
 		}
 	}
 	return nil
@@ -829,6 +967,7 @@ func (m *machine) verifyAndFilter(st *groupState) error {
 		if len(edges) == 0 {
 			continue
 		}
+		st.VerifyEdges += int64(len(edges))
 		resp, err := e.tr.Call(m.id, owner, &cluster.VerifyERequest{Edges: edges})
 		if err != nil {
 			return fmt.Errorf("verifyE to %d: %w", owner, err)
@@ -865,8 +1004,12 @@ func (m *machine) chargeTrie(st *groupState) error {
 	cur := st.trie.Bytes()
 	switch {
 	case cur > st.chargedTrie:
-		if err := m.e.cfg.Budget.Charge(m.id, cur-st.chargedTrie); err != nil {
-			return err
+		grown := cur - st.chargedTrie
+		if err := m.e.cfg.Budget.Charge(m.id, grown); err != nil {
+			st.relieve()
+			if err = m.e.cfg.Budget.Charge(m.id, grown); err != nil {
+				return err
+			}
 		}
 	case cur < st.chargedTrie:
 		m.e.cfg.Budget.Release(m.id, st.chargedTrie-cur)

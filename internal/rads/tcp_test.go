@@ -82,6 +82,29 @@ func (n noStealing) Call(from, to int, req cluster.Message) (cluster.Message, er
 	return n.Transport.Call(from, to, req)
 }
 
+// loopbackFleet hosts every machine of part behind one TCP server, each
+// with its own outgoing client, and returns the coordinator's client.
+func loopbackFleet(t *testing.T, part *partition.Partition, opts MachineOptions) cluster.Transport {
+	t.Helper()
+	srv, err := cluster.NewTCPServer("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	var spec cluster.ClusterSpec
+	for range part.M {
+		spec.Machines = append(spec.Machines, srv.Addr())
+	}
+	for id := range part.M {
+		client := cluster.NewTCPClient(spec, nil)
+		t.Cleanup(func() { client.Close() })
+		srv.Register(id, NewMachine(id, part, client, opts).Handle)
+	}
+	coord := cluster.NewTCPClient(spec, nil)
+	t.Cleanup(func() { coord.Close() })
+	return coord
+}
+
 // TestClusterProfileCarriesKernels: the machines' kernel tallies cross
 // the control plane in RunQueryResponse and fold into the coordinator's
 // profile — a cluster-mode query reports exactly the selections of the
@@ -89,23 +112,7 @@ func (n noStealing) Call(from, to int, req cluster.Message) (cluster.Message, er
 func TestClusterProfileCarriesKernels(t *testing.T) {
 	g := gen.PowerLaw(400, 8, 2.7, 100, 67)
 	part := partition.KWay(g, 3, 7)
-	srv, err := cluster.NewTCPServer("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	var spec cluster.ClusterSpec
-	for range part.M {
-		spec.Machines = append(spec.Machines, srv.Addr())
-	}
-	for id := range part.M {
-		client := cluster.NewTCPClient(spec, nil)
-		defer client.Close()
-		srv.Register(id, NewMachine(id, part, client, MachineOptions{}).Handle)
-	}
-	coord := cluster.NewTCPClient(spec, nil)
-	defer coord.Close()
-	ce := NewClusterEngine(noStealing{coord}, part.M)
+	ce := NewClusterEngine(noStealing{loopbackFleet(t, part, MachineOptions{})}, part.M)
 
 	for _, name := range []string{"q2", "q4"} {
 		q := pattern.ByName(name)

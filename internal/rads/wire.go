@@ -112,7 +112,7 @@ type RunQueryResponse struct {
 
 // ByteSize counts the fixed-width fields plus the span payload.
 func (r *RunQueryResponse) ByteSize() int {
-	n := 25*8 + 1
+	n := 28*8 + 1
 	for i := range r.Spans {
 		n += len(r.Spans[i].Name) + 4*8
 	}

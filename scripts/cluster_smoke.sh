@@ -93,7 +93,7 @@ start_serve
 SERVE_PID=${PIDS[-1]}
 
 echo "== query: cluster RADS vs in-process baseline (conformance patterns)"
-for q in triangle 'square:4:0-1,1-2,2-3,3-0' q1; do
+for q in triangle 'square:4:0-1,1-2,2-3,3-0' q1 q4; do
     remote=$(total_of "$q" RADS)
     local_=$(total_of "$q" TwinTwig)
     echo "   $q: cluster RADS=$remote, in-process TwinTwig=$local_"
@@ -160,6 +160,9 @@ for family in \
     'rads_handle_seconds_count{kind="runQuery"}' \
     'rads_transport_bytes_total{kind=' \
     'rads_cache_hits_total' \
+    'rads_verify_edges_total' \
+    'rads_pulled_lists_total' \
+    'rads_pulled_edges_total' \
     'rads_steals_total' \
     'rads_events_total{type="query_start"}' \
     'rads_events_total{type="query_done"}' \
@@ -169,6 +172,14 @@ for family in \
         echo "$wmetrics"; exit 1
     fi
 done
+# The RADS queries above made the verify-or-pull choice in this worker
+# process: some verification neighbours' lists were cheaper to pull.
+pulled=$(awk '$1 == "rads_pulled_lists_total" {print $2}' <<<"$wmetrics")
+if [ "${pulled:-0}" -le 0 ]; then
+    echo "FAIL: worker pulled no verification neighbours (rads_pulled_lists_total=${pulled:-absent})"
+    grep -E '^rads_(pulled|verify)_' <<<"$wmetrics" || true; exit 1
+fi
+echo "   worker 1 pulled $pulled lists"
 # The worker's journal replays its query executions.
 wevents=$(curl -fs "http://$W1DBG/debug/events?type=query_done")
 python3 - "$wevents" <<'EOF'
