@@ -125,12 +125,6 @@ type Request struct {
 	// default; engines without intra-machine parallelism ignore it.
 	// Results must be identical at any setting.
 	Workers int
-	// HugeFrontier tunes the huge-group frontier split for engines that
-	// support it (RADS): a round whose frontier reaches this size is
-	// expanded across the machine's worker pool instead of one worker.
-	// 0 lets the engine pick its default; negative disables the split.
-	// Results must be identical at any setting. Other engines ignore it.
-	HugeFrontier int
 	// Trace, if non-nil, receives the run's phase spans (plan, fetch,
 	// verifyE, region groups, stealing). Engines that support tracing
 	// record into it and build Result.Profile from it; a nil Trace is
@@ -159,9 +153,9 @@ type Result struct {
 	// (tree-nodes/sec).
 	TreeNodes int64
 	// FrontierSplits counts R-Meef rounds whose region-group frontier
-	// exceeded Request.HugeFrontier and were expanded across the worker
-	// pool instead of on one worker; 0 for engines without the
-	// optimisation.
+	// reached RADS's fixed huge-frontier threshold and were expanded
+	// across the worker pool instead of on one worker; 0 for engines
+	// without the optimisation.
 	FrontierSplits int64
 	// PeakMemBytes is the run's accounted memory high-water mark (max
 	// over machines), when the engine can report one. For in-process

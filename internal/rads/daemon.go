@@ -200,17 +200,11 @@ func (d *Machine) runQuery(r *RunQueryRequest) (cluster.Message, error) {
 	}
 	trace := obs.NewTrace()
 	cfg := Config{
-		Plan:                     r.Plan,
-		Transport:                d.tr,
-		Workers:                  workers,
-		Trace:                    trace,
-		GroupMemTarget:           r.GroupMemTarget,
-		HugeFrontier:             r.HugeFrontier,
-		DisableSME:               r.DisableSME,
-		DisableEndVertexCounting: r.DisableEndVertexCounting,
-		DisableCache:             r.DisableCache,
-		RandomGrouping:           r.RandomGrouping,
-		DisableLoadBalancing:     r.DisableLoadBalancing,
+		Plan:                 r.Plan,
+		Transport:            d.tr,
+		Workers:              workers,
+		Trace:                trace,
+		DisableLoadBalancing: r.DisableLoadBalancing,
 	}
 	if r.BudgetBytes > 0 {
 		cfg.Budget = cluster.NewMemBudget(d.part.M, r.BudgetBytes)

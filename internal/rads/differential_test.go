@@ -33,6 +33,7 @@ type diffCase struct {
 	machines int
 	partSeed int64
 	cfg      Config
+	huge     int  // the huge-frontier threshold: the default, or 1 to split every round
 	tight    bool // run under a budget sized from a probe of the same case
 	tcp      bool
 	stream   bool
@@ -42,7 +43,7 @@ func (c diffCase) String() string {
 	_, csr := c.g.(*dataset.CSR)
 	return fmt.Sprintf("%s n=%d m=%d csr=%v × %s × machines=%d workers=%d huge=%d tight=%v tcp=%v stream=%v noSME=%v noEVC=%v noCache=%v noLB=%v",
 		c.model, c.g.NumVertices(), c.g.NumEdges(), csr, c.p, c.machines,
-		c.cfg.Workers, c.cfg.HugeFrontier, c.tight, c.tcp, c.stream,
+		c.cfg.Workers, c.huge, c.tight, c.tcp, c.stream,
 		c.cfg.DisableSME, c.cfg.DisableEndVertexCounting, c.cfg.DisableCache, c.cfg.DisableLoadBalancing)
 }
 
@@ -101,7 +102,7 @@ func drawDiffCase(t *testing.T, rng *rand.Rand) diffCase {
 	c.machines = 2 + rng.Intn(3)
 	c.partSeed = rng.Int63()
 	c.cfg.Workers = []int{1, 4}[rng.Intn(2)]
-	c.cfg.HugeFrontier = rng.Intn(2) // 0: the default threshold; 1: every round splits
+	c.huge = []int{defaultHugeFrontier, 1}[rng.Intn(2)]
 	c.cfg.DisableSME = rng.Intn(2) == 0
 	c.cfg.DisableEndVertexCounting = rng.Intn(3) == 0
 	c.cfg.DisableCache = rng.Intn(4) == 0
@@ -140,7 +141,7 @@ func (c diffCase) run(t *testing.T) (int64, [][]graph.VertexID) {
 		}
 	}
 	if !c.tight {
-		res, err := Run(part, c.p, cfg)
+		res, err := runSplitting(part, c.p, cfg, c.huge)
 		if err != nil {
 			t.Fatalf("run: %v", err)
 		}
@@ -153,7 +154,7 @@ func (c diffCase) run(t *testing.T) (int64, [][]graph.VertexID) {
 	// flushes keep the trie inside it.
 	probe := cluster.NewMemBudget(part.M, 0)
 	cfg.Budget = probe
-	res, err := Run(part, c.p, cfg)
+	res, err := runSplitting(part, c.p, cfg, c.huge)
 	if err != nil {
 		t.Fatalf("probe run: %v", err)
 	}
@@ -167,7 +168,7 @@ func (c diffCase) run(t *testing.T) (int64, [][]graph.VertexID) {
 	for {
 		streamed = streamed[:0]
 		cfg.Budget = cluster.NewMemBudget(part.M, limit)
-		res, err = Run(part, c.p, cfg)
+		res, err = runSplitting(part, c.p, cfg, c.huge)
 		if errors.Is(err, cluster.ErrOutOfMemory) && !deterministic {
 			limit *= 2
 			continue
@@ -217,7 +218,7 @@ func checkStreamed(t *testing.T, g graph.Store, p *pattern.Pattern, streamed [][
 // TestDifferentialAgainstOracle is the RADS slice of the randomised
 // differential suite: random graphs (map-backed or the ingested CSR
 // twin) × random connected patterns or the q1–q8/cq1–cq4 catalogue ×
-// Workers × HugeFrontier × budget × the SM-E, end-vertex, cache,
+// Workers × huge-frontier threshold × budget × the SM-E, end-vertex, cache,
 // stealing and streaming switches × transport, every total against
 // localenum.Count on its default order. Time-boxed; -short (and so the
 // -race CI step) runs the first seconds of the same sequence.

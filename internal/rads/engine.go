@@ -90,16 +90,6 @@ type Config struct {
 	// workers only share the group queue, the view and commutative
 	// counters.
 	Workers int
-	// HugeFrontier is the frontier size (live results entering a round)
-	// at which one region group's expansion is split across the
-	// machine's worker pool instead of running on the single pool worker
-	// that owns the group. Hub-seeded groups concentrate most of a
-	// machine's work into one group; without the split that group
-	// serialises the machine no matter how many Workers it has. 0
-	// derives the default (4096); negative disables splitting. Counts
-	// are identical at any setting — the split only shards scratch state
-	// and counters, merged at the round barrier.
-	HugeFrontier int
 	// Trace, if non-nil, receives the run's phase spans: top-level
 	// "plan"/"execute"/"fold" tile the run; "execute/..." sub-phases
 	// (sme, grouping, group, steal, fetchV, verifyE, machine) carry
@@ -153,9 +143,9 @@ type Counters struct {
 	ELBytesCum, ETBytesCum   int64
 	ELBytesPeak, ETBytesPeak int64
 
-	// FrontierSplits counts rounds whose frontier exceeded the
-	// HugeFrontier threshold and were expanded across the worker pool
-	// instead of on the owning pool worker.
+	// FrontierSplits counts rounds whose frontier reached hugeFrontier
+	// live results and were expanded across the worker pool instead of
+	// on the owning pool worker.
 	FrontierSplits int64
 
 	// The verify plane's two sides (see choosePulls): VerifyEdges are
@@ -281,6 +271,16 @@ type engine struct {
 	// the rounds before it, what choosePulls needs to price that edge.
 	pulls [][]pullLeaf
 
+	// hugeFrontier is the frontier size (live results entering a round)
+	// at which one region group's expansion is split across the
+	// machine's worker pool instead of running on the single pool worker
+	// that owns the group. Hub-seeded groups concentrate most of a
+	// machine's work into one group; without the split that group
+	// serialises the machine no matter how many Workers it has. Counts
+	// are identical at any threshold — the split only shards scratch
+	// state and counters, merged at the round barrier.
+	hugeFrontier int
+
 	machines []*machine
 }
 
@@ -323,6 +323,8 @@ func newEngine(part *partition.Partition, p *pattern.Pattern, cfg Config) (*engi
 		metrics: metrics,
 		tr:      cfg.Transport,
 		avgDeg:  part.G.AvgDegree(),
+
+		hugeFrontier: defaultHugeFrontier,
 	}
 	if eng.tr == nil {
 		eng.tr = cluster.NewLocalTransport(metrics)
@@ -517,19 +519,6 @@ func (e *engine) workers() int {
 // well under the time a goroutine hand-off costs, and groups that small
 // already interleave with other groups on the pool.
 const defaultHugeFrontier = 4096
-
-// hugeFrontier resolves Config.HugeFrontier: 0 means the default
-// threshold, negative disables splitting (returns 0).
-func (e *engine) hugeFrontier() int {
-	switch {
-	case e.cfg.HugeFrontier > 0:
-		return e.cfg.HugeFrontier
-	case e.cfg.HugeFrontier < 0:
-		return 0
-	default:
-		return defaultHugeFrontier
-	}
-}
 
 func (e *engine) groupMemTarget() int64 {
 	if e.cfg.GroupMemTarget > 0 {

@@ -117,15 +117,14 @@ func (e apiEngine) Run(ctx context.Context, req eng.Request) (eng.Result, error)
 		return eng.Result{}, err
 	}
 	res, err := Run(req.Part, req.Pattern, Config{
-		Context:      ctx,
-		Plan:         pl,
-		Metrics:      req.Metrics,
-		Budget:       req.Budget,
-		OnEmbedding:  req.OnEmbedding,
-		Workers:      req.Workers,
-		HugeFrontier: req.HugeFrontier,
-		Transport:    req.Transport,
-		Trace:        trace,
+		Context:     ctx,
+		Plan:        pl,
+		Metrics:     req.Metrics,
+		Budget:      req.Budget,
+		OnEmbedding: req.OnEmbedding,
+		Workers:     req.Workers,
+		Transport:   req.Transport,
+		Trace:       trace,
 	})
 	elapsed := time.Since(start)
 	oom := errors.Is(err, cluster.ErrOutOfMemory)

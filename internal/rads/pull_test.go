@@ -150,25 +150,17 @@ func TestPullsNeverCostABudget(t *testing.T) {
 	for _, name := range queries {
 		q := pattern.ByName(name)
 		want := localenum.Count(g, q, localenum.Options{})
-		attempt := func(limit int64, pulls bool) (*Result, error) {
-			e := hostedEngine(t, part, q, Config{
-				Workers: 1, DisableLoadBalancing: true, Budget: cluster.NewMemBudget(part.M, limit),
-			})
-			if !pulls {
-				e.pulls = make([][]pullLeaf, len(e.pl.Units))
-			}
-			return e.run()
-		}
+		noPulls := func(e *engine) { e.pulls = make([][]pullLeaf, len(e.pl.Units)) }
 		survived := 0
 		var tightest *Result
-		for limit := top; limit >= 4<<10; limit = limit * 3 / 4 {
-			if _, err := attempt(limit, false); err != nil {
+		for _, limit := range ladder(top) {
+			if _, err := budgetedRun(t, part, q, limit, noPulls); err != nil {
 				if !errors.Is(err, cluster.ErrOutOfMemory) {
 					t.Fatal(err)
 				}
 				continue
 			}
-			res, err := attempt(limit, true)
+			res, err := budgetedRun(t, part, q, limit, nil)
 			if err != nil {
 				t.Errorf("%s under %d B: completes without pulls, with them: %v", name, limit, err)
 				continue

@@ -121,12 +121,11 @@ func (c *ClusterEngine) Run(ctx context.Context, req eng.Request) (eng.Result, e
 		return eng.Result{}, err
 	}
 	wire := &RunQueryRequest{
-		Pattern:      pattern.Format(req.Pattern),
-		Plan:         pl,
-		QueryID:      req.QueryID,
-		Workers:      req.Workers,
-		BudgetBytes:  req.Budget.Limit(),
-		HugeFrontier: req.HugeFrontier,
+		Pattern:     pattern.Format(req.Pattern),
+		Plan:        pl,
+		QueryID:     req.QueryID,
+		Workers:     req.Workers,
+		BudgetBytes: req.Budget.Limit(),
 	}
 
 	execStart := time.Now()

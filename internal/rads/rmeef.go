@@ -46,11 +46,6 @@ type groupState struct {
 	// kept for the group's lifetime.
 	spare []frame
 
-	// pending[li] holds the undetermined edges the candidate at leaf
-	// level li added to the current adjEnum chain. Dead at every flush
-	// point, so not part of the frame.
-	pending [][]graph.Edge
-
 	// Scratch of the verify plane, reused by every segment of the group:
 	// the foreign pivots of a fetch phase, what to ask each owner for
 	// (indexed by machine id), and per round the survivors flushSegment
@@ -65,11 +60,11 @@ type groupState struct {
 	// flushNodes bounds the number of EC leaves a flush segment may
 	// accumulate before verification and deeper rounds run for it.
 	// This is the reproduction's extension of the Section 6 memory
-	// control below single-candidate granularity: a hub candidate whose
-	// one-round expansion would not fit in the group memory target is
-	// processed in several verify-filter-descend segments instead of
-	// materializing the whole round. 0 disables segmentation (the
-	// paper's plain per-round batching).
+	// control below single-candidate granularity: a segment closes
+	// after any candidate at any leaf level, so a hub pivot whose one
+	// first-leaf candidate spans deg² leaves is processed in several
+	// verify-filter-descend segments instead of materializing them all.
+	// 0 disables segmentation (the paper's plain per-round batching).
 	flushNodes int
 
 	// sub marks a per-worker shard state of a split round
@@ -86,22 +81,25 @@ type groupState struct {
 
 // frame is the scratch one expansion loop ranges over. Deeper rounds
 // re-enter adjEnum at level 0 from a mid-round flush while the outer
-// loop is still reading its own, so midFlush swaps the whole frame.
+// loops are still reading their own, so midFlush swaps the whole frame.
 type frame struct {
 	f       []graph.VertexID // partial embedding indexed by query vertex, -1 when unmatched
 	pathBuf []graph.VertexID // trie-path scratch
-	// Per leaf level: the intersected candidate list, and the
-	// verification neighbours whose adjacency list was unknown when it
-	// was built.
-	cand [][]graph.VertexID
-	unk  [][]pattern.VertexID
+	// Per leaf level: the intersected candidate list, the verification
+	// neighbours whose adjacency list was unknown when it was built, and
+	// the undetermined edges the level's current candidate added to the
+	// adjEnum chain.
+	cand    [][]graph.VertexID
+	unk     [][]pattern.VertexID
+	pending [][]graph.Edge
 }
 
 func newFrame(n int) frame {
 	fr := frame{
-		f:    make([]graph.VertexID, n),
-		cand: make([][]graph.VertexID, n),
-		unk:  make([][]pattern.VertexID, n),
+		f:       make([]graph.VertexID, n),
+		cand:    make([][]graph.VertexID, n),
+		unk:     make([][]pattern.VertexID, n),
+		pending: make([][]graph.Edge, n),
 	}
 	for i := range fr.f {
 		fr.f[i] = -1
@@ -116,7 +114,6 @@ func (m *machine) newGroupState() *groupState {
 		evi:       etrie.NewEVI(),
 		view:      m.view,
 		frame:     newFrame(n),
-		pending:   make([][]graph.Edge, n),
 		fetchFrom: make([][]graph.VertexID, m.e.part.M),
 		askEdges:  make([][]graph.Edge, m.e.part.M),
 		next:      make([][]*etrie.Node, len(m.e.pl.Units)),
@@ -297,7 +294,7 @@ func (m *machine) runRounds(st *groupState, round int, frontier []*etrie.Node) e
 	// frontier is sharded across the pool; the shards resolve their
 	// subtrees completely (expand, verify, descend), so on return the
 	// round — and everything below it — is done.
-	if thr := e.hugeFrontier(); thr > 0 && !st.sub && len(frontier) >= thr && e.workers() > 1 {
+	if !st.sub && len(frontier) >= e.hugeFrontier && e.workers() > 1 {
 		return m.expandRoundParallel(st, round, frontier)
 	}
 	if err := m.expandRound(st, round, frontier); err != nil {
@@ -827,10 +824,10 @@ func (m *machine) expandRound(st *groupState, round int, frontier []*etrie.Node)
 // undetermined — so the ECs, trie nodes and EVI entries are those of
 // testing every pivot neighbour against every verification edge.
 //
-// At the top level it honours the flush limit: between candidate
-// subtrees, if the current segment has grown past flushNodes, the
-// segment is verified, filtered and descended before expansion
-// continues.
+// Every level honours the flush limit: after a candidate, if the
+// current segment has grown past flushNodes, the segment is verified,
+// filtered and descended before expansion continues — so one hub
+// candidate's deg² leaves close several segments, not one.
 func (m *machine) adjEnum(st *groupState, round, li int, parent *etrie.Node, leaves []pattern.VertexID, pivAdj []graph.VertexID) (bool, error) {
 	e := m.e
 	u := leaves[li]
@@ -841,14 +838,15 @@ func (m *machine) adjEnum(st *groupState, round, li int, parent *etrie.Node, lea
 	}
 
 	// Flush points are those of a walk over the whole pivot list — on
-	// entry, and after a candidate whenever more of the list follows —
-	// so segment boundaries, and the ET/EL accounting cut at them, do
-	// not depend on how many neighbours candidate generation skips.
-	// They are safe: no partially-built chain is open (the previous
-	// candidate's subtree is fully linked), and the pinned parent
-	// survives the descent.
-	flushes := li == 0 && st.flushNodes > 0
-	if flushes && len(st.created) >= st.flushNodes {
+	// entry to the first level, and after a candidate whenever more of
+	// the list follows — so segment boundaries, and the ET/EL accounting
+	// cut at them, do not depend on how many neighbours candidate
+	// generation skips. They are safe: the previous candidate's subtree
+	// is fully linked, and every open chain node above it — the frontier
+	// parent and one per shallower level — is linked and pinned, so the
+	// descent's removals stop there.
+	flushes := st.flushNodes > 0
+	if flushes && li == 0 && len(st.created) >= st.flushNodes {
 		if err := m.midFlush(st, round); err != nil {
 			return produced, err
 		}
@@ -913,10 +911,15 @@ func (m *machine) adjEnum(st *groupState, round, li int, parent *etrie.Node, lea
 			}
 			produced = true
 		} else {
+			// Linked and pinned before the descent, so a flush below can
+			// consume the node's children without removing it; Unpin
+			// removes it when nothing under it is left.
+			st.trie.Link(node)
+			st.trie.Pin(node)
 			var deeper bool
 			deeper, err = m.adjEnum(st, round, li+1, node, leaves, pivAdj)
+			st.trie.Unpin(node)
 			if deeper {
-				st.trie.Link(node)
 				st.DistNodes++
 				produced = true
 			}

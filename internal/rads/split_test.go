@@ -11,6 +11,18 @@ import (
 	"rads/internal/pattern"
 )
 
+// runSplitting is Run with the huge-frontier threshold at thr, so small
+// graphs split their rounds.
+func runSplitting(part *partition.Partition, p *pattern.Pattern, cfg Config, thr int) (*Result, error) {
+	e, err := newEngine(part, p, cfg)
+	if err != nil {
+		return nil, err
+	}
+	e.hugeFrontier = thr
+	e.spawnMachines()
+	return e.run()
+}
+
 // TestFrontierSplitParity is the count-parity oracle test of the
 // huge-group frontier split: with the threshold forced low enough that
 // essentially every round splits, counts must match the sequential
@@ -26,11 +38,10 @@ func TestFrontierSplitParity(t *testing.T) {
 			t.Fatalf("%s: oracle found nothing; test graph too sparse", name)
 		}
 		for _, w := range []int{1, 2, 8} {
-			res, err := Run(part, p, Config{
-				DisableSME:   true, // all candidates through R-Meef rounds
-				Workers:      w,
-				HugeFrontier: 2,
-			})
+			res, err := runSplitting(part, p, Config{
+				DisableSME: true, // all candidates through R-Meef rounds
+				Workers:    w,
+			}, 2)
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", name, w, err)
 			}
@@ -57,13 +68,12 @@ func TestFrontierSplitUnderMemoryPressure(t *testing.T) {
 	part := partition.KWay(g, 3, 9)
 	p := pattern.ByName("q4")
 	want := oracleCount(g, p)
-	res, err := Run(part, p, Config{
+	res, err := runSplitting(part, p, Config{
 		DisableSME:     true,
 		Workers:        4,
-		HugeFrontier:   2,
 		GroupMemTarget: 4096, // a handful of trie nodes per segment
 		Budget:         cluster.NewMemBudget(part.M, 64<<20),
-	})
+	}, 2)
 	if err != nil {
 		t.Fatalf("split under pressure: %v", err)
 	}
@@ -72,27 +82,6 @@ func TestFrontierSplitUnderMemoryPressure(t *testing.T) {
 	}
 	if res.FrontierSplits == 0 {
 		t.Error("no frontier split fired")
-	}
-}
-
-// TestFrontierSplitDisabled pins the negative-threshold escape hatch.
-func TestFrontierSplitDisabled(t *testing.T) {
-	g := gen.Community(4, 12, 0.35, 8)
-	p := pattern.ByName("q1")
-	want := oracleCount(g, p)
-	res, err := Run(partition.KWay(g, 3, 5), p, Config{
-		DisableSME:   true,
-		Workers:      4,
-		HugeFrontier: -1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Total != want {
-		t.Errorf("Total = %d, want %d", res.Total, want)
-	}
-	if res.FrontierSplits != 0 {
-		t.Errorf("HugeFrontier=-1 still split %d rounds", res.FrontierSplits)
 	}
 }
 
@@ -106,10 +95,9 @@ func TestFrontierSplitStreaming(t *testing.T) {
 	want := oracleCount(g, p)
 	seen := make(map[[8]int32]int)
 	var mu sync.Mutex
-	res, err := Run(part, p, Config{
-		DisableSME:   true,
-		Workers:      8,
-		HugeFrontier: 2,
+	res, err := runSplitting(part, p, Config{
+		DisableSME: true,
+		Workers:    8,
 		OnEmbedding: func(machine int, f []graph.VertexID) {
 			var key [8]int32
 			for i, v := range f {
@@ -119,7 +107,7 @@ func TestFrontierSplitStreaming(t *testing.T) {
 			seen[key]++
 			mu.Unlock()
 		},
-	})
+	}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,27 +33,20 @@ type RunQueryRequest struct {
 	// new gob field it decodes as 0 against older coordinators.
 	QueryID uint64
 
-	// Config knobs that survive the wire. Workers 0 lets the hosting
-	// daemon pick its own default (its share of the process's CPUs).
-	// HugeFrontier follows Config.HugeFrontier semantics (0 default,
-	// negative disables); as a new gob field it decodes as 0 — the
-	// default — against older coordinators.
-	Workers        int
-	BudgetBytes    int64
-	GroupMemTarget int64
-	HugeFrontier   int
-
-	DisableSME               bool
-	DisableEndVertexCounting bool
-	DisableCache             bool
-	RandomGrouping           bool
-	DisableLoadBalancing     bool
+	// What the coordinator sets of the machine's Config. Workers 0 lets
+	// the hosting daemon pick its own default (its share of the
+	// process's CPUs); BudgetBytes 0 is unlimited. DisableLoadBalancing
+	// is never set by the coordinator, only by a transport in between —
+	// a loopback fleet whose message tallies must be byte-deterministic.
+	Workers              int
+	BudgetBytes          int64
+	DisableLoadBalancing bool
 }
 
 // ByteSize estimates the wire size: the pattern text, the plan's
 // integer payload, and the fixed knobs.
 func (r *RunQueryRequest) ByteSize() int {
-	n := len(r.Pattern) + 8*5 + 5
+	n := len(r.Pattern) + 8*3 + 1
 	if r.Plan != nil {
 		n += 8 * (len(r.Plan.Order) + len(r.Plan.Pos) + len(r.Plan.PrefixLen))
 		for i := range r.Plan.Units {

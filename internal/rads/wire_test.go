@@ -29,7 +29,7 @@ func TestControlPlaneKindsSurviveTCP(t *testing.T) {
 		{
 			&rads.RunQueryRequest{
 				Pattern: p.String(), Plan: pl, QueryID: 77, Workers: 2, BudgetBytes: 512 << 10,
-				GroupMemTarget: 8 << 10, HugeFrontier: -1, DisableSME: true, DisableLoadBalancing: true,
+				DisableLoadBalancing: true,
 			},
 			&rads.RunQueryResponse{
 				Counters: rads.Counters{

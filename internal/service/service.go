@@ -640,8 +640,8 @@ type Stats struct {
 	// (tree-nodes/sec against UptimeSec).
 	TreeNodesTotal int64 `json:"tree_nodes_total"`
 	// FrontierSplits accumulates R-Meef rounds expanded across the
-	// worker pool because a region group's frontier exceeded the
-	// HugeFrontier threshold.
+	// worker pool because a region group's frontier reached RADS's
+	// huge-frontier threshold.
 	FrontierSplits int64 `json:"frontier_splits"`
 
 	// Prepared-artifact cache (the generalization of the old RADS-only
