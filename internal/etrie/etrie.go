@@ -6,9 +6,10 @@
 //
 // Following Definition 11, a node stores only its data vertex, a parent
 // pointer and a child counter; the address of a leaf node is the unique
-// ID of the result it represents, retrieval walks parent pointers, and
-// removal cascades: deleting a leaf decrements its parent's counter and
-// recursively removes parents whose counter reaches zero.
+// ID of the result it represents while the node is live (a removed
+// node's storage is handed out again), retrieval walks parent pointers,
+// and removal cascades: deleting a leaf decrements its parent's counter
+// and recursively removes parents whose counter reaches zero.
 package etrie
 
 import (
@@ -31,7 +32,8 @@ type Node struct {
 
 // Dead reports whether the node has been removed from the trie. The
 // EVI may hold references to leaves that an earlier failed edge already
-// removed; filtering must skip them.
+// removed; filtering must skip them. The answer holds only until the
+// trie's next Node call (see Remove).
 func (n *Node) Dead() bool { return n.dead }
 
 // NodeBytes is the accounted in-memory footprint of one trie node:
@@ -45,10 +47,19 @@ const VertexBytes = 4
 
 // Trie is an embedding trie for results of a fixed query pattern.
 // The zero value is not usable; call New.
+//
+// Nodes come from the trie's own slabs: Node hands out a removed node
+// first and the next slot of the current chunk otherwise, so a trie that
+// builds and resolves segment after segment stops allocating once its
+// slabs hold its peak of live nodes.
 type Trie struct {
 	nodeCount int
-	peakNodes int
+	free      *Node  // removed nodes, chained through Parent
+	slab      []Node // unused tail of the newest chunk
 }
+
+// chunkNodes is the number of nodes one slab chunk holds (6 KiB).
+const chunkNodes = 256
 
 // New returns an empty trie.
 func New() *Trie { return &Trie{} }
@@ -57,7 +68,17 @@ func New() *Trie { return &Trie{} }
 // vertex v, below parent (nil for a root). The node is not part of the
 // trie until Link is called.
 func (t *Trie) Node(parent *Node, v graph.VertexID) *Node {
-	return &Node{V: v, Parent: parent}
+	n := t.free
+	if n != nil {
+		t.free = n.Parent
+	} else {
+		if len(t.slab) == 0 {
+			t.slab = make([]Node, chunkNodes)
+		}
+		n, t.slab = &t.slab[0], t.slab[1:]
+	}
+	*n = Node{V: v, Parent: parent}
+	return n
 }
 
 // Link inserts a detached node into the trie, incrementing its
@@ -72,15 +93,18 @@ func (t *Trie) Link(n *Node) {
 		n.Parent.childCount++
 	}
 	t.nodeCount++
-	if t.nodeCount > t.peakNodes {
-		t.peakNodes = t.nodeCount
-	}
 }
 
 // Remove deletes a linked node and cascades upward: every ancestor
 // whose child counter drops to zero is removed too (Section 5.1,
 // "Removal"). Removing a node that still has children panics — only
 // results (leaves) may be removed directly.
+//
+// Every removed node goes back to the trie for reuse. A removed node
+// reports Dead until the trie's next Node call, which may hand its
+// storage out again; its Parent is not kept. So a caller may test a
+// node it holds for Dead only if no Node call on this trie happened
+// since the node was last known live.
 func (t *Trie) Remove(n *Node) {
 	for n != nil {
 		if !n.linked || n.dead {
@@ -92,6 +116,7 @@ func (t *Trie) Remove(n *Node) {
 		n.dead = true
 		t.nodeCount--
 		p := n.Parent
+		n.Parent, t.free = t.free, n
 		if p == nil {
 			return
 		}
@@ -131,14 +156,10 @@ func (t *Trie) Unpin(n *Node) {
 // NodeCount returns the number of live linked nodes.
 func (t *Trie) NodeCount() int { return t.nodeCount }
 
-// PeakNodes returns the high-water mark of live nodes.
-func (t *Trie) PeakNodes() int { return t.peakNodes }
-
-// Bytes returns the accounted current footprint of the trie.
+// Bytes returns the accounted current footprint of the trie: its live
+// nodes. The slabs also keep removed nodes for reuse, so the trie holds
+// at most the storage of its peak of live nodes plus one chunk.
 func (t *Trie) Bytes() int64 { return int64(t.nodeCount) * NodeBytes }
-
-// PeakBytes returns the accounted peak footprint of the trie.
-func (t *Trie) PeakBytes() int64 { return int64(t.peakNodes) * NodeBytes }
 
 // Path returns the root-to-leaf data-vertex path identified by leaf
 // ("Retrieval" in Section 5.1). The path has length level+1, where the
@@ -159,16 +180,6 @@ func (t *Trie) AppendPath(dst []graph.VertexID, leaf *Node) []graph.VertexID {
 		dst[i], dst[j] = dst[j], dst[i]
 	}
 	return dst
-}
-
-// Level returns the level of a node (root = 0).
-func Level(n *Node) int {
-	l := 0
-	for n.Parent != nil {
-		l++
-		n = n.Parent
-	}
-	return l
 }
 
 // EVI is the edge verification index of Definition 5: undetermined

@@ -108,18 +108,67 @@ func TestRemovePanicsOnDetachedNode(t *testing.T) {
 	assertPanics(t, func() { tr.Remove(n) })
 }
 
-func TestLevelAndPeak(t *testing.T) {
+// TestRemovedNodesAreRecycled pins the slab contract: a removed node
+// stays Dead until the trie's next Node call, which hands its storage
+// out again; no chunk is added while removed nodes wait for reuse; and
+// a warm Node/Link/Remove cycle allocates nothing.
+func TestRemovedNodesAreRecycled(t *testing.T) {
 	tr := New()
-	leaves := buildPaths(tr, [][]graph.VertexID{{0, 1, 2}})
-	if Level(leaves[0]) != 2 {
-		t.Errorf("Level = %d, want 2", Level(leaves[0]))
+	leaves := buildPaths(tr, [][]graph.VertexID{{0, 1, 2}, {0, 1, 3}, {0, 4, 5}})
+	tr.Remove(leaves[2]) // cascades: 5 and 4 go, the shared root stays
+	if !leaves[2].Dead() || leaves[0].Dead() || leaves[1].Dead() {
+		t.Fatal("wrong leaves dead")
 	}
-	tr.Remove(leaves[0])
-	if tr.PeakNodes() != 3 {
-		t.Errorf("PeakNodes = %d, want 3", tr.PeakNodes())
+	if tr.NodeCount() != 4 || tr.Bytes() != 4*NodeBytes {
+		t.Fatalf("NodeCount = %d, Bytes = %d after removing two nodes of six", tr.NodeCount(), tr.Bytes())
 	}
-	if tr.Bytes() != 0 || tr.PeakBytes() != 3*NodeBytes {
-		t.Errorf("Bytes = %d, PeakBytes = %d", tr.Bytes(), tr.PeakBytes())
+	spare := len(tr.slab)
+	reused := map[*Node]bool{}
+	for i := 0; i < 2; i++ {
+		n := tr.Node(nil, graph.VertexID(10+i))
+		if n.Dead() || n.V != graph.VertexID(10+i) || n.Parent != nil {
+			t.Fatalf("recycled node %d handed out as %+v", i, *n)
+		}
+		reused[n] = true
+	}
+	if !reused[leaves[2]] || len(tr.slab) != spare {
+		t.Fatalf("two Node calls after two removals: removed leaf reused %v, chunk slots used %d", reused[leaves[2]], spare-len(tr.slab))
+	}
+	if tr.Node(nil, 12); len(tr.slab) != spare-1 {
+		t.Fatalf("with nothing left to recycle Node took %d chunk slots, want 1", spare-len(tr.slab))
+	}
+	if got := tr.Path(leaves[0]); !reflect.DeepEqual(got, []graph.VertexID{0, 1, 2}) {
+		t.Errorf("surviving Path = %v", got)
+	}
+
+	// Three levels of 4 × 16 × 8 nodes, linked then resolved leaf by leaf.
+	cycle := New()
+	var built []*Node
+	build := func() {
+		built = built[:0]
+		for a := 0; a < 4; a++ {
+			na := cycle.Node(nil, graph.VertexID(a))
+			cycle.Link(na)
+			for b := 0; b < 16; b++ {
+				nb := cycle.Node(na, graph.VertexID(b))
+				cycle.Link(nb)
+				for c := 0; c < 8; c++ {
+					nc := cycle.Node(nb, graph.VertexID(c))
+					cycle.Link(nc)
+					built = append(built, nc)
+				}
+			}
+		}
+		for _, n := range built {
+			cycle.Remove(n)
+		}
+		if cycle.NodeCount() != 0 {
+			t.Fatalf("NodeCount = %d after resolving every leaf", cycle.NodeCount())
+		}
+	}
+	build()
+	if allocs := testing.AllocsPerRun(10, build); allocs != 0 {
+		t.Errorf("warm Node/Link/Remove cycle allocates %v times", allocs)
 	}
 }
 

@@ -24,7 +24,7 @@ func BenchmarkEVISegment(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				eviSegment(evi, t, leaves, edges, 33)
 				b.StopTimer()
-				relink(t, leaves)
+				recycle(t, leaves)
 				b.StartTimer()
 			}
 		})

@@ -64,6 +64,9 @@ func (e *mapEVI) Reset() { clear(e.m) }
 
 // eviModel drives the index and the reference in lockstep, each on its
 // own trie of identically shaped leaves, and compares every answer.
+// Both tries recycle removed leaves in the same order, so a
+// registration that outlives its leaf aliases the same new leaf on
+// both sides.
 type eviModel struct {
 	t          *testing.T
 	rng        *rand.Rand
@@ -250,14 +253,18 @@ func eviSegment(e *EVI, t *Trie, leaves []*Node, edges []graph.Edge, keepEvery i
 	e.Reset()
 }
 
-// relink brings the leaves a segment removed back, so the next run of
-// the cycle starts from the same trie.
-func relink(t *Trie, leaves []*Node) {
+// recycle removes the leaves a segment left alive and links fresh ones
+// in their place, so the next run of the cycle starts from the same
+// trie shape — on the storage the trie recycled.
+func recycle(t *Trie, leaves []*Node) {
 	for _, n := range leaves {
-		if n.dead {
-			n.dead, n.linked = false, false
-			t.Link(n)
+		if !n.Dead() {
+			t.Remove(n)
 		}
+	}
+	for i := range leaves {
+		leaves[i] = t.Node(nil, graph.VertexID(i))
+		t.Link(leaves[i])
 	}
 }
 
@@ -283,7 +290,7 @@ func TestEVIWarmCycleAllocatesNothing(t *testing.T) {
 	evi := NewEVI()
 	cycle := func() {
 		eviSegment(evi, tr, leaves, edges, 33)
-		relink(tr, leaves)
+		recycle(tr, leaves)
 	}
 	cycle()
 	if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {

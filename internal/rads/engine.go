@@ -78,7 +78,10 @@ type Config struct {
 	Budget *cluster.MemBudget
 	// GroupMemTarget is Phi, the estimated intermediate-result bytes
 	// one region group may occupy (Section 6). 0 derives it from the
-	// budget (an eighth of it) or falls back to 4 MiB.
+	// budget (an eighth of it) or falls back to 4 MiB. Half of it sizes
+	// a group's flush segments, which close at 4096 embedding
+	// candidates at the latest: under the 4 MiB fallback the cap, not
+	// the target, bounds a segment.
 	GroupMemTarget int64
 	// Workers is the number of concurrent enumeration workers per
 	// simulated machine: SM-E candidates and region groups fan out
@@ -517,7 +520,10 @@ func (e *engine) workers() int {
 // across the pool pays for the per-worker state it shards: below a few
 // thousand frontier nodes the segment usually verifies and descends in
 // well under the time a goroutine hand-off costs, and groups that small
-// already interleave with other groups on the pool.
+// already interleave with other groups on the pool. It also caps a
+// flush segment (processGroup), so a full segment is exactly what the
+// split shards and R-Meef's working set stays segment-sized when the
+// group memory target is large.
 const defaultHugeFrontier = 4096
 
 func (e *engine) groupMemTarget() int64 {

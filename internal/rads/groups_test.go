@@ -1,15 +1,130 @@
 package rads
 
 import (
+	"slices"
+	"sort"
 	"testing"
 
 	"rads/internal/gen"
 	"rads/internal/graph"
 	"rads/internal/partition"
+	"rads/internal/pattern"
 )
 
 func constEst(bytes int64) func(graph.VertexID) int64 {
 	return func(graph.VertexID) int64 { return bytes }
+}
+
+// mapProximityGroups is proximityGroups as it was built on three maps a
+// group — remaining candidates, the group's neighbourhood and the
+// frontier counts. It stays as the reference the dense version must
+// reproduce group for group.
+func mapProximityGroups(g graph.Store, cands []graph.VertexID, est func(graph.VertexID) int64, target int64) [][]graph.VertexID {
+	remaining := make(map[graph.VertexID]bool, len(cands))
+	for _, v := range cands {
+		remaining[v] = true
+	}
+	var groups [][]graph.VertexID
+	sorted := append([]graph.VertexID(nil), cands...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	for _, seed := range sorted {
+		if !remaining[seed] {
+			continue
+		}
+		delete(remaining, seed)
+		rg := []graph.VertexID{seed}
+		phi := est(seed)
+		adjSet := make(map[graph.VertexID]bool)
+		frontier := make(map[graph.VertexID]int)
+		grow := func(w graph.VertexID) {
+			for _, x := range g.Adj(w) {
+				if adjSet[x] {
+					continue
+				}
+				adjSet[x] = true
+				for _, y := range g.Adj(x) {
+					if remaining[y] {
+						frontier[y]++
+					}
+				}
+			}
+		}
+		grow(seed)
+		for phi < target {
+			best, bestScore := graph.VertexID(-1), -1.0
+			for v, c := range frontier {
+				score := float64(c) / float64(len(g.Adj(v)))
+				if score > bestScore || (score == bestScore && v < best) {
+					best, bestScore = v, score
+				}
+			}
+			if best < 0 {
+				break
+			}
+			cost := est(best)
+			if phi+cost > target {
+				break
+			}
+			delete(remaining, best)
+			delete(frontier, best)
+			rg = append(rg, best)
+			phi += cost
+			grow(best)
+		}
+		groups = append(groups, rg)
+	}
+	return groups
+}
+
+// TestProximityGroupsMatchMapReference: on five generators × two
+// partitions, with the machine's own degree-scaled estimate and a
+// target that packs several candidates a group, the dense grouping
+// forms exactly the reference's groups, in the same order.
+func TestProximityGroupsMatchMapReference(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"powerlaw", gen.PowerLaw(600, 6, 2.3, 50, 3)},
+		{"community", gen.Community(6, 30, 0.25, 3)},
+		{"rmat", gen.RMAT(9, 4, 3)},
+		{"barabasi", gen.BarabasiAlbert(500, 3, 3)},
+		{"road", gen.RoadNet(20, 20, 3)},
+	} {
+		for _, machines := range []int{2, 4} {
+			part := partition.KWay(tc.g, machines, 5)
+			e := hostedEngine(t, part, pattern.ByName("q1"), Config{})
+			for _, m := range e.machines {
+				var cands []graph.VertexID
+				for _, v := range part.Vertices(m.id) {
+					if tc.g.Degree(v) >= 2 {
+						cands = append(cands, v)
+					}
+				}
+				for _, target := range []int64{1, 64 << 10} {
+					got := proximityGroups(tc.g, cands, m.estBytes, target)
+					want := mapProximityGroups(tc.g, cands, m.estBytes, target)
+					if !slices.EqualFunc(got, want, slices.Equal) {
+						t.Fatalf("%s on %d machines, machine %d, target %d: %d groups, reference %d, first difference at %d",
+							tc.name, machines, m.id, target, len(got), len(want), firstDiff(got, want))
+					}
+					if target > 1 && len(got) >= len(cands) {
+						t.Errorf("%s on %d machines, machine %d: %d groups for %d candidates; the target packs nothing",
+							tc.name, machines, m.id, len(got), len(cands))
+					}
+				}
+			}
+		}
+	}
+}
+
+func firstDiff(a, b [][]graph.VertexID) int {
+	for i := range min(len(a), len(b)) {
+		if !slices.Equal(a[i], b[i]) {
+			return i
+		}
+	}
+	return min(len(a), len(b))
 }
 
 func TestProximityGroupsPartitionCandidates(t *testing.T) {

@@ -2,7 +2,7 @@ package rads
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,12 +19,20 @@ import (
 // from other machines, and steals work when idle. Within the machine,
 // SM-E candidates and region groups fan out across a bounded pool of
 // engine.workers() goroutines; each pool worker owns one reusable
-// enumerator and each region group its own groupState, so workers never
-// contend on scratch state — only on the group queue, the shared
-// adjacency-cache view and the merge of commutative counters.
+// enumerator and each running region group (or split shard) its own
+// groupState, so workers never contend on scratch state — only on the
+// group queue, the shared adjacency-cache view, the machine's list of
+// idle group states and the merge of commutative counters.
 type machine struct {
 	e  *engine
 	id int
+
+	// states holds the clean group states of finished groups and split
+	// shards for the next ones (takeState/keepState). It lives and dies
+	// with the machine, which serves one query: a process-wide pool
+	// would keep every state's largest working set across queries.
+	statesMu sync.Mutex
+	states   []*groupState
 
 	// view is the machine's local-knowledge discipline: own partition
 	// plus the fetched-adjacency cache, shared by all pool workers under
@@ -484,47 +492,63 @@ func (m *machine) stealPhase() error {
 // grow each group by the candidate with the highest proximity
 // (fraction of its neighbours adjacent to the group) until the
 // estimated memory phi(rg) would exceed the target.
+//
+// The per-vertex state is dense and stamped with the (1-based) id of
+// the group being grown, so nothing is cleared between groups:
+// inAdj[x] == id puts x in the union of the group's neighbourhoods, and
+// seen[y] == id makes hits[y] the number of y's neighbours in it —
+// y's proximity numerator, kept for the remaining candidates near the
+// group, which touched lists in first-touch order.
 func proximityGroups(g graph.Store, cands []graph.VertexID, est func(graph.VertexID) int64, target int64) [][]graph.VertexID {
-	remaining := make(map[graph.VertexID]bool, len(cands))
+	n := g.NumVertices()
+	remaining := make([]bool, n)
 	for _, v := range cands {
 		remaining[v] = true
 	}
+	inAdj, seen, hits := make([]int32, n), make([]int32, n), make([]int32, n)
+	var touched []graph.VertexID
+	var id int32
+	grow := func(w graph.VertexID) {
+		for _, x := range g.Adj(w) {
+			if inAdj[x] == id {
+				continue
+			}
+			inAdj[x] = id
+			for _, y := range g.Adj(x) {
+				if !remaining[y] {
+					continue
+				}
+				if seen[y] != id {
+					seen[y], hits[y] = id, 0
+					touched = append(touched, y)
+				}
+				hits[y]++
+			}
+		}
+	}
+
 	var groups [][]graph.VertexID
 	// Deterministic iteration: process candidates in sorted order.
-	sorted := append([]graph.VertexID(nil), cands...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-
+	sorted := slices.Clone(cands)
+	slices.Sort(sorted)
 	for _, seed := range sorted {
 		if !remaining[seed] {
 			continue
 		}
-		delete(remaining, seed)
+		remaining[seed] = false
+		id = int32(len(groups) + 1)
+		touched = touched[:0]
 		rg := []graph.VertexID{seed}
 		phi := est(seed)
-		// adjSet: union of neighbours of the group.
-		adjSet := make(map[graph.VertexID]bool)
-		// frontier[v] = |adj(v) ∩ adjSet| for remaining candidates near
-		// the group; updated incrementally as the group grows.
-		frontier := make(map[graph.VertexID]int)
-		grow := func(w graph.VertexID) {
-			for _, x := range g.Adj(w) {
-				if adjSet[x] {
-					continue
-				}
-				adjSet[x] = true
-				for _, y := range g.Adj(x) {
-					if remaining[y] {
-						frontier[y]++
-					}
-				}
-			}
-		}
 		grow(seed)
 		for phi < target {
-			// argmax proximity over the frontier.
+			// argmax proximity over the frontier; ties go to the smaller id.
 			best, bestScore := graph.VertexID(-1), -1.0
-			for v, c := range frontier {
-				score := float64(c) / float64(len(g.Adj(v)))
+			for _, v := range touched {
+				if !remaining[v] {
+					continue // joined the group since it was touched
+				}
+				score := float64(hits[v]) / float64(len(g.Adj(v)))
 				if score > bestScore || (score == bestScore && v < best) {
 					best, bestScore = v, score
 				}
@@ -536,8 +560,7 @@ func proximityGroups(g graph.Store, cands []graph.VertexID, est func(graph.Verte
 			if phi+cost > target {
 				break // Alg. 3 line 8-9: would overflow; leave it for later
 			}
-			delete(remaining, best)
-			delete(frontier, best)
+			remaining[best] = false
 			rg = append(rg, best)
 			phi += cost
 			grow(best)

@@ -18,7 +18,10 @@ const trieNodeBytes = etrie.NodeBytes
 // groupState carries the per-region-group R-Meef state (Algorithm 4).
 // It also shards every counter the group mutates (Counters) —
 // concurrent groups on one machine's worker pool never touch shared
-// machine state until the merge at the end of processGroup.
+// machine state until the merge at the end of processGroup. A machine
+// hands a finished group's state to its next group or split shard
+// (takeState/keepState), so the trie's slabs, the index and every
+// scratch list below keep the capacity one flush segment grew them to.
 type groupState struct {
 	trie *etrie.Trie
 	evi  *etrie.EVI
@@ -38,6 +41,8 @@ type groupState struct {
 	// created collects the EC leaves of the current flush segment: the
 	// results produced since the last verify & filter.
 	created []*etrie.Node
+	// roots is processGroup's round-0 frontier.
+	roots []*etrie.Node
 
 	frame // scratch of the expansion loop currently running
 
@@ -57,6 +62,11 @@ type groupState struct {
 	askEdges  [][]graph.Edge
 	next      [][]*etrie.Node
 
+	// Scratch of expandRoundParallel when this state coordinates a split.
+	guards []*etrie.Node
+	subs   []*groupState
+	errs   []error
+
 	// flushNodes bounds the number of EC leaves a flush segment may
 	// accumulate before verification and deeper rounds run for it.
 	// This is the reproduction's extension of the Section 6 memory
@@ -64,7 +74,9 @@ type groupState struct {
 	// after any candidate at any leaf level, so a hub pivot whose one
 	// first-leaf candidate spans deg² leaves is processed in several
 	// verify-filter-descend segments instead of materializing them all.
-	// 0 disables segmentation (the paper's plain per-round batching).
+	// processGroup sizes it from the group memory target and caps it at
+	// defaultHugeFrontier; 0 (tests driving a round by hand) disables
+	// segmentation, the paper's plain per-round batching.
 	flushNodes int
 
 	// sub marks a per-worker shard state of a split round
@@ -120,6 +132,38 @@ func (m *machine) newGroupState() *groupState {
 	}
 }
 
+// takeState hands out a group state for one region group or split
+// shard: one a finished group or shard gave back, or a new one. Every
+// state of a machine is shaped by its one query — frame width, unit
+// count, machine count — so a reused state fits as it is.
+func (m *machine) takeState() *groupState {
+	m.statesMu.Lock()
+	defer m.statesMu.Unlock()
+	n := len(m.states)
+	if n == 0 {
+		return m.newGroupState()
+	}
+	st := m.states[n-1]
+	m.states[n-1] = nil
+	m.states = m.states[:n-1]
+	return st
+}
+
+// keepState gives st back for reuse if it is clean — an empty trie, no
+// view pins, an empty index — as every group and shard that completes
+// leaves it; a state an error left otherwise is dropped. The caller has
+// released st's budget charge and merged its counters.
+func (m *machine) keepState(st *groupState) {
+	if st.trie.NodeCount() != 0 || len(st.pinLog)+len(st.pullLog) != 0 || st.evi.Len() != 0 {
+		return
+	}
+	st.Counters = Counters{}
+	st.chargedTrie, st.flushNodes, st.sub = 0, 0, false
+	m.statesMu.Lock()
+	m.states = append(m.states, st)
+	m.statesMu.Unlock()
+}
+
 // matched reports whether data vertex v is already in the partial
 // embedding — a scan of at most |V_P| entries, which beats a hash
 // probe at the pattern sizes subgraph enumeration runs on.
@@ -161,25 +205,24 @@ func (m *machine) processGroup(group []graph.VertexID, worker int) error {
 	e := m.e
 	groupSp := e.cfg.Trace.Start("execute/group", m.id, worker)
 	defer groupSp.End()
-	st := m.newGroupState()
-	if target := e.groupMemTarget(); target > 0 {
-		// Leave half the target as headroom for the segment being built.
-		st.flushNodes = int(target / (2 * trieNodeBytes))
-		if st.flushNodes < 1 {
-			st.flushNodes = 1
-		}
-	}
+	st := m.takeState()
+	// Leave half the target as headroom for the segment being built, and
+	// close a segment at the split threshold at the latest: a full
+	// segment is then what the split path shards, and an unbudgeted
+	// group's working set is one segment, not the whole group's target.
+	st.flushNodes = int(min(max(e.groupMemTarget()/(2*trieNodeBytes), 1), defaultHugeFrontier))
 
 	// Round 0: the frontier is the group's candidates of dp0.piv mapped
 	// as single-vertex partial embeddings. For stolen groups the
 	// candidates are foreign, so round 0 also prefetches them.
-	roots := make([]*etrie.Node, 0, len(group))
+	roots := st.roots[:0]
 	for _, v := range group {
 		root := st.trie.Node(nil, v)
 		st.trie.Link(root)
 		st.DistNodes++
 		roots = append(roots, root)
 	}
+	st.roots = roots
 
 	err := m.runRounds(st, 0, roots)
 
@@ -191,6 +234,7 @@ func (m *machine) processGroup(group []graph.VertexID, worker int) error {
 	m.mu.Lock()
 	m.merge(&st.Counters)
 	m.mu.Unlock()
+	m.keepState(st)
 	return err
 }
 
@@ -306,23 +350,26 @@ func (m *machine) runRounds(st *groupState, round int, frontier []*etrie.Node) e
 }
 
 // expandRoundParallel expands one huge frontier across the machine's
-// worker pool. Each worker owns a shard groupState — its own trie
-// accounting, EVI, embedding frame, scratch and counter shards — and
-// claims disjoint frontier chunks from an atomic cursor, so workers
-// share only the view (mutex-guarded), the budget (mutex-guarded) and
-// the transport. Chunks run the unchanged sequential machinery
-// (expandRound + flushSegment), which resolves each chunk's entire
-// subtree down to emitted results before the next chunk is claimed.
+// worker pool. Each worker owns a shard groupState, taken from the
+// machine — its own trie, EVI, embedding frame, scratch and counter
+// shards — and claims disjoint frontier chunks from an atomic cursor,
+// so workers share only the view (mutex-guarded), the budget
+// (mutex-guarded) and the transport. Chunks run the unchanged
+// sequential machinery (expandRound + flushSegment), which resolves
+// each chunk's entire subtree down to emitted results before the next
+// chunk is claimed.
 //
-// Trie safety: nodes are free-standing (the Trie is accounting), so a
-// worker linking children under a frontier node F touches only F's
-// child counter — and disjoint chunks make F worker-exclusive. Shared
+// Trie safety: a worker's nodes come from its own trie's slabs and
+// reach the coordinator's nodes only through Parent, so a worker
+// linking children under a frontier node F touches only F's child
+// counter — and disjoint chunks make F worker-exclusive. Shared
 // ancestors of the frontier are protected by guard pins: the
 // coordinator pins every frontier node before the fan-out, so a
 // worker-side removal cascade stops at F (its counter never reaches
-// zero) and cannot cross into nodes another worker can see. After the
-// barrier the coordinator drops the guards single-threaded, which
-// removes frontier nodes whose whole subtree resolved — the same
+// zero) and cannot cross into nodes another worker can see; each
+// worker removes, and so recycles, only nodes its own trie created.
+// After the barrier the coordinator drops the guards single-threaded,
+// which removes frontier nodes whose whole subtree resolved — the same
 // semantics expandRound's per-parent Unpin gives the sequential path.
 func (m *machine) expandRoundParallel(st *groupState, round int, frontier []*etrie.Node) error {
 	e := m.e
@@ -330,7 +377,7 @@ func (m *machine) expandRoundParallel(st *groupState, round int, frontier []*etr
 	defer sp.End()
 	st.FrontierSplits++
 
-	guards := make([]*etrie.Node, 0, len(frontier))
+	guards := st.guards[:0]
 	for _, n := range frontier {
 		if n.Dead() {
 			continue
@@ -338,6 +385,7 @@ func (m *machine) expandRoundParallel(st *groupState, round int, frontier []*etr
 		st.trie.Pin(n)
 		guards = append(guards, n)
 	}
+	st.guards = guards
 
 	workers := e.workers()
 	// Small chunks load-balance the skew this path exists for (one hub
@@ -348,13 +396,14 @@ func (m *machine) expandRoundParallel(st *groupState, round int, frontier []*etr
 		chunk = 1
 	}
 
-	subs := make([]*groupState, workers)
-	errs := make([]error, workers)
+	subs := slices.Grow(st.subs[:0], workers)[:workers]
+	errs := slices.Grow(st.errs[:0], workers)[:workers]
+	st.subs, st.errs = subs, errs
 	var cursor atomic.Int64
 	var aborted atomic.Bool
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		sub := m.newGroupState()
+		sub := m.takeState()
 		sub.flushNodes, sub.sub = st.flushNodes, true
 		subs[w] = sub
 		wg.Add(1)
@@ -398,10 +447,13 @@ func (m *machine) expandRoundParallel(st *groupState, round int, frontier []*etr
 		sub.chargedTrie = 0
 		sub.unpinTo(0, 0)
 		st.merge(&sub.Counters)
+		m.keepState(sub)
 		if errs[w] != nil && firstErr == nil {
 			firstErr = errs[w]
 		}
 	}
+	clear(subs) // the shards' states are the machine's again
+	clear(errs)
 	for _, n := range guards {
 		st.trie.Unpin(n)
 	}
