@@ -1,11 +1,11 @@
-// Command gendata writes the synthetic dataset analogs to disk in the
-// paper's plain-text format ("each line represents an adjacency-list
-// of a vertex") or as an edge list.
+// Command gendata writes the synthetic dataset analogs to disk as edge
+// lists ("u v" per line), the format radserve -graph and radsprep
+// ingest read.
 //
 // Usage:
 //
-//	gendata -dataset RoadNet -o roadnet.adj
-//	gendata -dataset LiveJournal -format edges -scale 2 -o lj.txt
+//	gendata -dataset RoadNet -o roadnet.txt
+//	gendata -dataset LiveJournal -scale 2 -o lj.txt
 package main
 
 import (
@@ -21,17 +21,16 @@ func main() {
 	var (
 		dataset = flag.String("dataset", "DBLP", "dataset analog (RoadNet DBLP LiveJournal UK2002)")
 		out     = flag.String("o", "", "output file (default stdout)")
-		format  = flag.String("format", "adjacency", "adjacency | edges")
 		scale   = flag.Float64("scale", 1.0, "dataset scale factor")
 	)
 	flag.Parse()
-	if err := run(*dataset, *out, *format, *scale); err != nil {
+	if err := run(*dataset, *out, *scale); err != nil {
 		fmt.Fprintln(os.Stderr, "gendata:", err)
 		os.Exit(1)
 	}
 }
 
-func run(dataset, out, format string, scale float64) error {
+func run(dataset, out string, scale float64) error {
 	d, err := harness.DatasetByName(dataset)
 	if err != nil {
 		return err
@@ -46,15 +45,7 @@ func run(dataset, out, format string, scale float64) error {
 		defer f.Close()
 		w = f
 	}
-	switch format {
-	case "adjacency":
-		err = graph.WriteAdjacency(w, g)
-	case "edges":
-		err = graph.WriteEdgeList(w, g)
-	default:
-		return fmt.Errorf("unknown format %q", format)
-	}
-	if err != nil {
+	if err := graph.WriteEdgeList(w, g); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "gendata: wrote %s (%d vertices, %d edges)\n", dataset, g.NumVertices(), g.NumEdges())

@@ -20,7 +20,7 @@ import (
 // and driven through the jobs.Manager.
 type jobsServer struct {
 	mgr *jobs.Manager
-	g   graph.Store
+	g   *graph.Graph
 	// source names the graph being served (dataset name or edge-list
 	// path); a request naming a different dataset is rejected rather
 	// than silently censusing the wrong graph.

@@ -22,7 +22,7 @@ import (
 )
 
 // newJobsTestServer serves g with a job plane configured by cfg.
-func newJobsTestServer(t *testing.T, g graph.Store, cfg jobs.Config) (*httptest.Server, *jobsServer) {
+func newJobsTestServer(t *testing.T, g *graph.Graph, cfg jobs.Config) (*httptest.Server, *jobsServer) {
 	t.Helper()
 	svc, err := service.Open(g, service.Config{Machines: 2, MaxConcurrent: 2})
 	if err != nil {

@@ -11,9 +11,9 @@
 //
 // -dataset resolves built-in synthetic analogs first, then real
 // ingested .radsgraph datasets by name in the -registry directory
-// (see cmd/radsprep). Registry datasets are served from the compact
-// CSR store and produce dataset-backed snapshots: shards reference
-// the .radsgraph by checksum instead of re-encoding adjacency.
+// (see cmd/radsprep). A snapshot references a registry dataset's
+// .radsgraph by checksum; any other graph is written into the snapshot
+// as graph.radsgraph and referenced the same way.
 //
 // With -snapshot DIR the service warm-starts: if DIR holds a snapshot
 // it is loaded (no re-partitioning, border distances and prepared
@@ -150,12 +150,12 @@ func main() {
 func loadPartition(o options) (*partition.Partition, error) {
 	if o.snapDir != "" && snapshot.Exists(o.snapDir) {
 		start := time.Now()
-		part, man, err := snapshot.OpenPartition(o.snapDir, o.registry)
+		parts, man, err := snapshot.OpenShards(o.snapDir, nil, o.registry)
 		switch {
 		case err == nil:
 			log.Printf("snapshot %s: %d machines, %d vertices, %d edges (source %s), loaded in %v — no re-partitioning",
 				o.snapDir, man.Machines, man.Vertices, man.Edges, man.Source, time.Since(start).Round(time.Millisecond))
-			return part, nil
+			return parts[0], nil
 		case errors.Is(err, snapshot.ErrVersion):
 			// A snapshot from an older binary is a cache miss, not a
 			// fatal condition: the graph source is in hand, so rebuild
@@ -165,7 +165,7 @@ func loadPartition(o options) (*partition.Partition, error) {
 			return nil, err
 		}
 	}
-	var g graph.Store
+	var g *graph.Graph
 	var source string
 	var ds *dataset.Manifest
 	if o.graphFile != "" {
@@ -188,7 +188,7 @@ func loadPartition(o options) (*partition.Partition, error) {
 		}
 		source = o.dataset
 		if ds != nil {
-			log.Printf("dataset %s: CSR store from registry %s (%s)", ds.Name, o.registry, ds.Checksum)
+			log.Printf("dataset %s: graph from registry %s (%s)", ds.Name, o.registry, ds.Checksum)
 		}
 	}
 	log.Printf("graph %s: %d vertices, %d edges", source, g.NumVertices(), g.NumEdges())
@@ -197,10 +197,10 @@ func loadPartition(o options) (*partition.Partition, error) {
 		start := time.Now()
 		var err error
 		if ds != nil {
-			// Dataset-backed snapshot: shards reference the .radsgraph
-			// by checksum instead of re-encoding adjacency. Record an
-			// absolute path so local workers open it directly; remote
-			// ones search their own -dataset-dir.
+			// The snapshot references the registered .radsgraph by
+			// checksum instead of copying it. Record an absolute path so
+			// local workers open it directly; remote ones search their
+			// own -dataset-dir.
 			man := *ds
 			if !filepath.IsAbs(man.Path) {
 				if abs, aerr := filepath.Abs(filepath.Join(o.registry, man.Path)); aerr == nil {

@@ -147,9 +147,9 @@ func runIngest(args []string) error {
 	return nil
 }
 
-// resolve loads a CSR either from an explicit .radsgraph path or from
+// resolve loads a graph either from an explicit .radsgraph path or from
 // a registry by name.
-func resolve(pos []string, registry string) (*dataset.CSR, dataset.Manifest, error) {
+func resolve(pos []string, registry string) (*graph.Graph, dataset.Manifest, error) {
 	if len(pos) != 1 {
 		return nil, dataset.Manifest{}, fmt.Errorf("need one .radsgraph path or dataset name")
 	}
@@ -192,7 +192,7 @@ func runStats(args []string) error {
 		fmt.Printf("checksum   %s\n", man.Checksum)
 	}
 	if *triangles {
-		fmt.Printf("triangles  %d\n", graph.CountTrianglesOf(c))
+		fmt.Printf("triangles  %d\n", c.CountTriangles())
 	}
 	return nil
 }

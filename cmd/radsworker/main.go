@@ -46,7 +46,7 @@ func main() {
 		machines  = flag.String("machines", "", "comma-separated machine ids to host (default: all at -listen)")
 		listen    = flag.String("listen", "", "listen address (default: the hosted machines' spec entry)")
 		workers   = flag.Int("workers", 0, "enumeration workers per hosted machine (0 = GOMAXPROCS/hosted)")
-		dsDir     = flag.String("dataset-dir", "", "extra directory searched for .radsgraph files referenced by dataset-backed snapshots")
+		dsDir     = flag.String("dataset-dir", "", "extra directory searched for the .radsgraph file a snapshot references")
 		debugAddr = flag.String("debug-addr", "", "optional HTTP listener serving /metrics, /healthz and /debug/pprof")
 		callTO    = flag.Duration("call-timeout", 10*time.Second, "per-RPC deadline for worker-to-worker calls (0 = unbounded)")
 		retries   = flag.Int("rpc-retries", 3, "attempts per idempotent worker-to-worker RPC (fetchV/verifyE); 1 disables retries")
@@ -91,9 +91,9 @@ func run(specPath, snapDir, machineList, listen string, workers int, dsDir, debu
 			c.Close()
 		}
 	}()
-	// Dataset-backed snapshots resolve the CSR file by recorded path,
-	// the snapshot directory, then -dataset-dir — always pinned to the
-	// manifest checksum, so every worker enumerates the same bytes.
+	// The snapshot's graph resolves by recorded path, the snapshot
+	// directory, then -dataset-dir — always pinned to the manifest
+	// checksum, so every worker enumerates the same bytes.
 	// OpenShards loads and validates that file once, shared across
 	// every machine this worker hosts.
 	parts, man, err := snapshot.OpenShards(snapDir, ids, dsDir)

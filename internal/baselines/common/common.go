@@ -235,7 +235,7 @@ func (c *ConstraintChecker) Check(f []graph.VertexID) bool {
 }
 
 // Oracle is re-exported for baseline self-checks in examples.
-func Oracle(g graph.Store, p *pattern.Pattern) int64 {
+func Oracle(g *graph.Graph, p *pattern.Pattern) int64 {
 	return localenum.Count(g, p, localenum.Options{})
 }
 

@@ -41,7 +41,7 @@ type Index struct {
 
 // BuildIndex enumerates every clique of size 2..maxSize. Each clique
 // is stored once with ascending vertices.
-func BuildIndex(g graph.Store, maxSize int) *Index {
+func BuildIndex(g *graph.Graph, maxSize int) *Index {
 	idx := &Index{MaxSize: maxSize, Cliques: make(map[int][][]graph.VertexID)}
 	var cur []graph.VertexID
 	var grow func(cand []graph.VertexID)
@@ -386,7 +386,7 @@ func IndexSizeFor(p *pattern.Pattern) int {
 // neighbours through the shared k-way kernel (which orders the lists
 // by length and gallops on skew — the decisive case when a bud hangs
 // off a hub), then drops used and low-degree vertices.
-func budCandidates(g graph.Store, p *pattern.Pattern, f []graph.VertexID, bud pattern.VertexID, used map[graph.VertexID]bool, lists [][]graph.VertexID) []graph.VertexID {
+func budCandidates(g *graph.Graph, p *pattern.Pattern, f []graph.VertexID, bud pattern.VertexID, used map[graph.VertexID]bool, lists [][]graph.VertexID) []graph.VertexID {
 	lists = lists[:0]
 	for _, w := range p.Adj(bud) {
 		lists = append(lists, g.Adj(f[w]))

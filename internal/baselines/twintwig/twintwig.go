@@ -308,7 +308,7 @@ func RunJoin(part *partition.Partition, p *pattern.Pattern, units []JoinUnit, cf
 // va: every other unit vertex is matched within adj(va) (stars) or
 // checked via the unit's edge list (cliques, for SEED). Rows follow
 // the unit.Verts layout.
-func enumUnit(g graph.Store, p *pattern.Pattern, unit JoinUnit, va graph.VertexID) []common.Row {
+func enumUnit(g *graph.Graph, p *pattern.Pattern, unit JoinUnit, va graph.VertexID) []common.Row {
 	if g.Degree(va) < p.Degree(unit.Verts[0]) {
 		return nil
 	}

@@ -18,8 +18,8 @@
 // pool in contiguous ranges through an atomic cursor. Workers keep
 // mask-keyed local counts and fold them into the shared tally at range
 // boundaries, where cancellation is also checked and progress
-// reported. A census runs on any graph.Store — the synthetic analogs
-// and ingested CSR datasets alike.
+// reported. A census runs on any graph — the synthetic analogs and
+// ingested datasets alike.
 package census
 
 import (
@@ -141,7 +141,7 @@ type Result struct {
 // them by canonical class. On cancellation it returns the partial
 // result alongside the context's error, so callers can surface what
 // was counted before the abort.
-func Run(ctx context.Context, g graph.Store, cfg Config) (*Result, error) {
+func Run(ctx context.Context, g *graph.Graph, cfg Config) (*Result, error) {
 	if g == nil {
 		return nil, errors.New("census: nil graph")
 	}
@@ -368,7 +368,7 @@ func (c *classMemo) key(mask uint32) string {
 // enumerator is one worker's reusable ESU machinery: all scratch is
 // allocated once and reused across every root it processes.
 type enumerator struct {
-	g  graph.Store
+	g  *graph.Graph
 	k  int
 	st *state
 
@@ -392,7 +392,7 @@ type enumerator struct {
 	stopped   bool
 }
 
-func newEnumerator(g graph.Store, k int, st *state) *enumerator {
+func newEnumerator(g *graph.Graph, k int, st *state) *enumerator {
 	e := &enumerator{
 		g:      g,
 		k:      k,
@@ -534,7 +534,7 @@ func (e *enumerator) extend(ext []graph.VertexID) {
 // canonical class. Exponential — test- and smoke-sized graphs only.
 // ESU must agree with it exactly (the Kavosh-parity check from the
 // motif literature).
-func BruteForce(g graph.Store, k int) Histogram {
+func BruteForce(g *graph.Graph, k int) Histogram {
 	n := g.NumVertices()
 	h := make(Histogram)
 	if k < 1 || k > n {
@@ -561,7 +561,7 @@ func BruteForce(g graph.Store, k int) Histogram {
 
 // inducedMask packs the induced adjacency of vs and reports whether
 // the induced subgraph is connected.
-func inducedMask(g graph.Store, vs []graph.VertexID) (uint32, bool) {
+func inducedMask(g *graph.Graph, vs []graph.VertexID) (uint32, bool) {
 	var mask uint32
 	bit := 0
 	var compo uint32 // adjacency closure bitmap over vs indices

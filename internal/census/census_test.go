@@ -34,7 +34,7 @@ func loadKarate(t testing.TB) *graph.Graph {
 func TestESUMatchesBruteForce(t *testing.T) {
 	graphs := []struct {
 		name string
-		g    graph.Store
+		g    *graph.Graph
 	}{
 		{"er12", gen.ErdosRenyi(12, 0.25, 1)},
 		{"er10dense", gen.ErdosRenyi(10, 0.5, 2)},

@@ -16,7 +16,7 @@ import (
 	"rads/internal/pattern"
 )
 
-func ingestString(t *testing.T, input string, opt Options) (*CSR, Stats) {
+func ingestString(t *testing.T, input string, opt Options) (*graph.Graph, Stats) {
 	t.Helper()
 	c, st, err := IngestReaders(strings.NewReader(input), strings.NewReader(input), opt)
 	if err != nil {
@@ -40,13 +40,13 @@ func TestIngestKarate(t *testing.T) {
 	if c.MaxDegree() != 17 {
 		t.Errorf("max degree = %d, want 17", c.MaxDegree())
 	}
-	if got := graph.CountTrianglesOf(c); got != 45 {
+	if got := c.CountTriangles(); got != 45 {
 		t.Errorf("triangles = %d, want 45", got)
 	}
 }
 
 // TestIngestMatchesReadEdgeList: ingestion must be count-equivalent to
-// the seed adjacency-list reader on the same file (IDs differ — the
+// the text edge-list reader on the same file (IDs differ — the
 // ingester relabels densely — but subgraph counts are isomorphism
 // invariant).
 func TestIngestMatchesReadEdgeList(t *testing.T) {
@@ -63,13 +63,13 @@ func TestIngestMatchesReadEdgeList(t *testing.T) {
 		t.Fatal(err)
 	}
 	if g.NumEdges() != c.NumEdges() {
-		t.Fatalf("edge count: seed reader %d, ingester %d", g.NumEdges(), c.NumEdges())
+		t.Fatalf("edge count: edge-list reader %d, ingester %d", g.NumEdges(), c.NumEdges())
 	}
 	for _, p := range []*pattern.Pattern{pattern.Triangle(), pattern.New("square", 4, 0, 1, 1, 2, 2, 3, 3, 0)} {
 		a := localenum.Count(g, p, localenum.Options{})
 		b := localenum.Count(c, p, localenum.Options{})
 		if a != b {
-			t.Errorf("%s: seed store %d, CSR store %d", p.Name, a, b)
+			t.Errorf("%s: edge-list reader %d, ingester %d", p.Name, a, b)
 		}
 	}
 }
@@ -140,8 +140,8 @@ func TestDegreeOrderRelabel(t *testing.T) {
 				v, c.Degree(graph.VertexID(v)), v-1, c.Degree(graph.VertexID(v-1)))
 		}
 	}
-	// Counts are isomorphism-invariant, so the relabeled store must
-	// agree with the first-seen-order store.
+	// Counts are isomorphism-invariant, so the relabeled graph must
+	// agree with the first-seen-order one.
 	plain, _, err := Ingest(filepath.Join("testdata", "karate.txt"), Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -284,6 +284,8 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
+// TestNewCSRRejectsInvalid: the checked constructor every decoded or
+// ingested array passes through refuses each broken invariant.
 func TestNewCSRRejectsInvalid(t *testing.T) {
 	cases := []struct {
 		name string
@@ -296,29 +298,16 @@ func TestNewCSRRejectsInvalid(t *testing.T) {
 		{"self-loop", []int64{0, 1, 2}, []graph.VertexID{0, 1}},
 		{"out-of-range", []int64{0, 1, 2}, []graph.VertexID{5, 0}},
 		{"odd-arcs", []int64{0, 1}, []graph.VertexID{0}},
+		{"offset-beyond-nbr", []int64{0, 100, 2}, []graph.VertexID{1, 0}},
 	}
 	for _, tc := range cases[1:] {
-		if _, err := NewCSR(tc.off, tc.nbr); err == nil {
+		if _, err := graph.NewCSR(tc.off, tc.nbr); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}
 	// True asymmetry: 0 lists 1, but 1 lists nothing.
-	if _, err := NewCSR([]int64{0, 1, 1, 2}, []graph.VertexID{1, 0}); err == nil {
+	if _, err := graph.NewCSR([]int64{0, 1, 1, 2}, []graph.VertexID{1, 0}); err == nil {
 		t.Error("asymmetric arcs accepted")
-	}
-}
-
-func TestFromStore(t *testing.T) {
-	g, err := graph.ReadEdgeList(strings.NewReader("0 1\n1 2\n2 0\n2 3\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := FromStore(g)
-	if c.NumVertices() != g.NumVertices() || c.NumEdges() != g.NumEdges() || c.MaxDegree() != g.MaxDegree() {
-		t.Fatalf("FromStore changed shape")
-	}
-	if localenum.Count(c, pattern.Triangle(), localenum.Options{}) != localenum.Count(g, pattern.Triangle(), localenum.Options{}) {
-		t.Error("FromStore changed counts")
 	}
 }
 

@@ -45,10 +45,10 @@ var ErrFormatVersion = errors.New("dataset: .radsgraph format version mismatch")
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// WriteFile persists c at path in .radsgraph format. degreeOrdered
-// records whether the store was relabeled hub-first at ingest time
+// WriteFile persists g at path in .radsgraph format. degreeOrdered
+// records whether the graph was relabeled hub-first at ingest time
 // (metadata only; it does not change how the file loads).
-func WriteFile(path string, c *CSR, degreeOrdered bool) error {
+func WriteFile(path string, g *graph.Graph, degreeOrdered bool) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("dataset: %w", err)
@@ -56,7 +56,8 @@ func WriteFile(path string, c *CSR, degreeOrdered bool) error {
 	crc := crc32.New(castagnoli)
 	bw := bufio.NewWriterSize(io.MultiWriter(f, crc), 1<<20)
 
-	n := c.NumVertices()
+	n := g.NumVertices()
+	off, nbr := g.CSR()
 	var flags uint32
 	if degreeOrdered {
 		flags |= flagDegOrd
@@ -66,21 +67,21 @@ func WriteFile(path string, c *CSR, degreeOrdered bool) error {
 	binary.LittleEndian.PutUint32(hdr[8:12], FormatVersion)
 	binary.LittleEndian.PutUint32(hdr[12:16], flags)
 	binary.LittleEndian.PutUint64(hdr[16:24], uint64(n))
-	binary.LittleEndian.PutUint64(hdr[24:32], uint64(len(c.nbr)))
-	binary.LittleEndian.PutUint64(hdr[32:40], uint64(c.maxDeg))
+	binary.LittleEndian.PutUint64(hdr[24:32], uint64(len(nbr)))
+	binary.LittleEndian.PutUint64(hdr[32:40], uint64(g.MaxDegree()))
 	if _, err := bw.Write(hdr); err != nil {
 		f.Close()
 		return fmt.Errorf("dataset: %w", err)
 	}
 	var scratch [8]byte
-	for _, o := range c.off {
+	for _, o := range off {
 		binary.LittleEndian.PutUint64(scratch[:8], uint64(o))
 		if _, err := bw.Write(scratch[:8]); err != nil {
 			f.Close()
 			return fmt.Errorf("dataset: %w", err)
 		}
 	}
-	for _, v := range c.nbr {
+	for _, v := range nbr {
 		binary.LittleEndian.PutUint32(scratch[:4], uint32(v))
 		if _, err := bw.Write(scratch[:4]); err != nil {
 			f.Close()
@@ -104,22 +105,24 @@ func WriteFile(path string, c *CSR, degreeOrdered bool) error {
 
 // OpenFile loads a .radsgraph in one read, validates the header,
 // length and trailing checksum, and revalidates the structural CSR
-// invariants. It returns the store plus whether the file records a
+// invariants. It returns the graph plus whether the file records a
 // degree-ordered relabeling.
-func OpenFile(path string) (*CSR, bool, error) {
+func OpenFile(path string) (*graph.Graph, bool, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, false, fmt.Errorf("dataset: %w", err)
 	}
-	c, degOrd, err := decode(raw)
+	g, degOrd, err := decode(raw)
 	if err != nil {
 		return nil, false, fmt.Errorf("dataset: %s: %w", path, err)
 	}
-	return c, degOrd, nil
+	return g, degOrd, nil
 }
 
-// decode parses .radsgraph bytes (the whole file).
-func decode(raw []byte) (*CSR, bool, error) {
+// decode parses .radsgraph bytes (the whole file). Whatever it accepts
+// re-encodes to the same bytes: unknown flag bits are refused, not
+// dropped.
+func decode(raw []byte) (*graph.Graph, bool, error) {
 	if len(raw) < headerSize+4 {
 		return nil, false, fmt.Errorf("truncated: %d bytes is smaller than any valid .radsgraph", len(raw))
 	}
@@ -130,6 +133,9 @@ func decode(raw []byte) (*CSR, bool, error) {
 		return nil, false, fmt.Errorf("%w: file has version %d, this binary reads %d", ErrFormatVersion, v, FormatVersion)
 	}
 	flags := binary.LittleEndian.Uint32(raw[12:16])
+	if flags&^flagDegOrd != 0 {
+		return nil, false, fmt.Errorf("unknown flag bits %#x", flags&^flagDegOrd)
+	}
 	n := binary.LittleEndian.Uint64(raw[16:24])
 	arcs := binary.LittleEndian.Uint64(raw[24:32])
 	maxDeg := binary.LittleEndian.Uint64(raw[32:40])
@@ -166,12 +172,12 @@ func decode(raw []byte) (*CSR, bool, error) {
 		nbr[i] = graph.VertexID(binary.LittleEndian.Uint32(body[p:]))
 		p += 4
 	}
-	c, err := NewCSR(off, nbr)
+	g, err := graph.NewCSR(off, nbr)
 	if err != nil {
 		return nil, false, err
 	}
-	if int(maxDeg) != c.maxDeg {
-		return nil, false, fmt.Errorf("header claims max degree %d, arrays say %d", maxDeg, c.maxDeg)
+	if maxDeg != uint64(g.MaxDegree()) {
+		return nil, false, fmt.Errorf("header claims max degree %d, arrays say %d", maxDeg, g.MaxDegree())
 	}
-	return c, flags&flagDegOrd != 0, nil
+	return g, flags&flagDegOrd != 0, nil
 }

@@ -37,7 +37,7 @@ type Stats struct {
 	DegreeOrd  bool   `json:"degree_ord"` // DegreeOrder was applied
 }
 
-// Ingest streams the SNAP-style edge list at path into a CSR store in
+// Ingest streams the SNAP-style edge list at path into a graph in
 // two passes: pass 1 assigns dense IDs (first-seen order) and counts
 // degrees, pass 2 counting-sorts every arc directly into its CSR slot.
 // Comments ('#' or '%'), blank lines, self-loops and duplicate edges
@@ -45,7 +45,7 @@ type Stats struct {
 // Peak transient memory is O(vertices) for the relabeling map plus the
 // final arrays — no edge map is ever built, per Silvestri's streaming
 // I/O argument.
-func Ingest(path string, opt Options) (*CSR, Stats, error) {
+func Ingest(path string, opt Options) (*graph.Graph, Stats, error) {
 	f1, err := os.Open(path)
 	if err != nil {
 		return nil, Stats{}, fmt.Errorf("dataset: %w", err)
@@ -65,7 +65,7 @@ func Ingest(path string, opt Options) (*CSR, Stats, error) {
 
 // IngestReaders is Ingest over two independent readers of the same
 // byte stream (two passes over one file; tests feed bytes.Readers).
-func IngestReaders(pass1, pass2 io.Reader, opt Options) (*CSR, Stats, error) {
+func IngestReaders(pass1, pass2 io.Reader, opt Options) (*graph.Graph, Stats, error) {
 	var st Stats
 	st.DegreeOrd = opt.DegreeOrder
 
@@ -149,46 +149,23 @@ func IngestReaders(pass1, pass2 io.Reader, opt Options) (*CSR, Stats, error) {
 		return nil, st, fmt.Errorf("pass 2 saw %d edge lines, pass 1 saw %d — file changed mid-ingest", lines2, st.Lines)
 	}
 
-	// Per-vertex sort + dedup, compacting the flat array in place.
-	// Regions only shrink, so the left-to-right write pointer never
-	// overtakes the read region.
-	out := make([]int64, n+1)
-	maxDeg := 0
-	var w int64
-	for v := 0; v < n; v++ {
-		row := flat[off[v]:cursor[v]]
-		slices.Sort(row)
-		start := w
-		for i, u := range row {
-			if i == 0 || row[i-1] != u {
-				flat[w] = u
-				w++
-			} else {
-				st.Duplicates++
-			}
-		}
-		out[v+1] = w
-		if d := int(w - start); d > maxDeg {
-			maxDeg = d
-		}
-	}
-	st.Duplicates /= 2 // each duplicate undirected edge was dropped from both endpoints
-	st.Edges = w / 2
-	st.MaxDegree = maxDeg
-
-	final := flat[:w]
+	off, nbr, dropped := graph.CompactRows(off, cursor, flat)
+	// Each duplicate undirected edge was dropped from both endpoints.
+	st.Duplicates = dropped / 2
 	if opt.DegreeOrder {
 		// Relabel only now, on the deduplicated degrees: sorting by the
 		// duplicate-inclusive pass-1 counts would let a much-repeated
 		// edge hoist a low-degree vertex above true hubs, breaking the
 		// documented descending-degree invariant.
-		out, final = degreeRelabel(out, final)
+		off, nbr = degreeRelabel(off, nbr)
 	}
-	c, err := NewCSR(out, final)
+	g, err := graph.NewCSR(off, nbr)
 	if err != nil {
 		return nil, st, fmt.Errorf("ingest produced an invalid CSR: %w", err)
 	}
-	return c, st, nil
+	st.Edges = g.NumEdges()
+	st.MaxDegree = g.MaxDegree()
+	return g, st, nil
 }
 
 // degreeRelabel permutes a finished CSR so dense IDs descend by

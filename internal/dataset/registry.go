@@ -12,14 +12,15 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"rads/internal/graph"
 )
 
 // Manifest describes one registered dataset: where its .radsgraph
 // lives, the checksum that pins the exact bytes, and the stats callers
 // want without opening the file. One JSON file per dataset
-// ("<name>.json" next to the graph by convention); snapshot shards
-// embed the same structure to reference a dataset by checksum instead
-// of re-encoding adjacency.
+// ("<name>.json" next to the graph by convention); a snapshot manifest
+// embeds the same structure to reference its graph by checksum.
 type Manifest struct {
 	Name string `json:"name"`
 	// Path locates the .radsgraph file; relative paths resolve against
@@ -54,9 +55,9 @@ func ChecksumFile(path string) (string, error) {
 	return "sha256:" + hex.EncodeToString(h.Sum(nil)), nil
 }
 
-// NewManifest builds the manifest for an ingested store already
-// written to graphPath.
-func NewManifest(name, graphPath string, c *CSR, st Stats, source string) (Manifest, error) {
+// NewManifest builds the manifest for a graph already written to
+// graphPath.
+func NewManifest(name, graphPath string, g *graph.Graph, st Stats, source string) (Manifest, error) {
 	sum, err := ChecksumFile(graphPath)
 	if err != nil {
 		return Manifest{}, err
@@ -65,9 +66,9 @@ func NewManifest(name, graphPath string, c *CSR, st Stats, source string) (Manif
 		Name:          name,
 		Path:          filepath.Base(graphPath),
 		Checksum:      sum,
-		Vertices:      c.NumVertices(),
-		Edges:         c.NumEdges(),
-		MaxDegree:     c.MaxDegree(),
+		Vertices:      g.NumVertices(),
+		Edges:         g.NumEdges(),
+		MaxDegree:     g.MaxDegree(),
 		DegreeOrdered: st.DegreeOrd,
 		Source:        source,
 		Created:       time.Now().UTC().Format(time.RFC3339),
@@ -87,7 +88,7 @@ func WriteManifest(dir string, m Manifest) error {
 }
 
 // Registry is a directory of dataset manifests. It lists what is
-// registered and resolves names to checksum-verified CSR stores —
+// registered and resolves names to checksum-verified graphs —
 // the shared lookup behind `radserve -dataset`, `radsbench -dataset`
 // and `radsprep stats/verify`.
 type Registry struct {
@@ -146,24 +147,23 @@ func (r *Registry) Manifest(name string) (Manifest, bool) {
 	return m, ok
 }
 
-// Open resolves name to its CSR store: locate the .radsgraph through
-// the manifest, verify the recorded checksum against the bytes on
-// disk, then load. Any divergence — missing file, swapped bytes,
-// foreign version — is a loud error.
-func (r *Registry) Open(name string) (*CSR, Manifest, error) {
+// Open resolves name to its graph: locate the .radsgraph through the
+// manifest, verify the recorded checksum against the bytes on disk,
+// then load. Any divergence — missing file, swapped bytes, foreign
+// version — is a loud error.
+func (r *Registry) Open(name string) (*graph.Graph, Manifest, error) {
 	m, ok := r.mans[name]
 	if !ok {
 		return nil, Manifest{}, fmt.Errorf("dataset: %q is not in registry %s (have: %s)",
 			name, r.dir, strings.Join(r.Names(), " "))
 	}
-	c, err := m.Open(r.dir)
-	return c, m, err
+	g, err := m.Open(r.dir)
+	return g, m, err
 }
 
 // Open loads and checksum-verifies the manifest's graph, resolving a
-// relative Path against baseDir. It is shared by registry lookups and
-// dataset-backed snapshot shards.
-func (m Manifest) Open(baseDir string) (*CSR, error) {
+// relative Path against baseDir (the registry directory).
+func (m Manifest) Open(baseDir string) (*graph.Graph, error) {
 	path := m.Path
 	if !filepath.IsAbs(path) {
 		path = filepath.Join(baseDir, path)
@@ -176,7 +176,7 @@ func (m Manifest) Open(baseDir string) (*CSR, error) {
 // it to search several directories for a dataset that moved between
 // machines — the checksum, not the path, is the dataset's identity.
 // The file is read once: the same bytes are hashed and decoded.
-func (m Manifest) OpenAt(path string) (*CSR, error) {
+func (m Manifest) OpenAt(path string) (*graph.Graph, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("dataset: %w", err)
@@ -188,13 +188,13 @@ func (m Manifest) OpenAt(path string) (*CSR, error) {
 				path, got, m.Checksum, m.Name)
 		}
 	}
-	c, _, err := decode(raw)
+	g, _, err := decode(raw)
 	if err != nil {
 		return nil, fmt.Errorf("dataset: %s: %w", path, err)
 	}
-	if c.NumVertices() != m.Vertices || c.NumEdges() != m.Edges {
+	if g.NumVertices() != m.Vertices || g.NumEdges() != m.Edges {
 		return nil, fmt.Errorf("dataset: %s: file has %d vertices / %d edges, manifest %q records %d / %d",
-			path, c.NumVertices(), c.NumEdges(), m.Name, m.Vertices, m.Edges)
+			path, g.NumVertices(), g.NumEdges(), m.Name, m.Vertices, m.Edges)
 	}
-	return c, nil
+	return g, nil
 }

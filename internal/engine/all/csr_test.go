@@ -1,13 +1,14 @@
-// CSR-store conformance: every registered engine must produce
-// identical embedding counts whether the partition's graph is the seed
-// adjacency-list store or the dataset backend's CSR store — on a
-// committed *real* edge list (Zachary's karate club), ingested through
-// the same radsprep pipeline (streaming ingest, .radsgraph round trip,
-// optional degree-descending relabel) that production datasets take.
+// Ingest-path conformance: every registered engine must produce
+// identical embedding counts on a committed *real* edge list
+// (Zachary's karate club) whether it was read as text with its own
+// vertex IDs or ingested through the radsprep pipeline (streaming
+// ingest, .radsgraph round trip, first-seen or degree-descending
+// relabel) that production datasets take.
 package all_test
 
 import (
 	"context"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -21,10 +22,10 @@ import (
 
 const karatePath = "../../dataset/testdata/karate.txt"
 
-// loadKarateCSR ingests the fixture and round-trips it through the
-// .radsgraph codec, so the store under test is exactly what a server
+// ingestKarate ingests the fixture and round-trips it through the
+// .radsgraph codec, so the graph under test is exactly what a server
 // would load from disk.
-func loadKarateCSR(t *testing.T, degreeOrder bool) *dataset.CSR {
+func ingestKarate(t *testing.T, degreeOrder bool) *graph.Graph {
 	t.Helper()
 	c, st, err := dataset.Ingest(karatePath, dataset.Options{DegreeOrder: degreeOrder})
 	if err != nil {
@@ -41,22 +42,25 @@ func loadKarateCSR(t *testing.T, degreeOrder bool) *dataset.CSR {
 	return c2
 }
 
-// seedStoreFrom rebuilds the same labeled graph in the seed
-// adjacency-list representation, so the two partitions are
-// vertex-for-vertex identical and engine counts must match exactly.
-func seedStoreFrom(c *dataset.CSR) *graph.Graph {
-	b := graph.NewBuilder(c.NumVertices())
-	c.Edges(func(u, v graph.VertexID) bool {
-		b.AddEdge(u, v)
-		return true
-	})
-	return b.Build()
+// readKarate reads the fixture as text, keeping its own vertex IDs.
+func readKarate(t *testing.T) *graph.Graph {
+	t.Helper()
+	f, err := os.Open(karatePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	g, err := graph.ReadEdgeList(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
 }
 
 // TestConformanceCSRStoreParity is the acceptance gate of the dataset
-// backend: identical counts from every engine on the CSR store and
-// the seed store, with and without the hub-first relabeling, across
-// the conformance queries.
+// backend: identical counts from every engine on the ingested graph
+// and the text-read one, under the first-seen and the hub-first
+// relabeling, across the conformance queries.
 func TestConformanceCSRStoreParity(t *testing.T) {
 	for _, degOrder := range []bool{false, true} {
 		name := "first-seen"
@@ -64,35 +68,35 @@ func TestConformanceCSRStoreParity(t *testing.T) {
 			name = "degree-ordered"
 		}
 		t.Run(name, func(t *testing.T) {
-			csr := loadKarateCSR(t, degOrder)
-			seed := seedStoreFrom(csr)
+			ing := ingestKarate(t, degOrder)
+			read := readKarate(t)
 			tr := conformanceTransport(t, 4)
-			csrPart := partition.KWay(csr, 4, 7)
-			seedPart := partition.KWay(seed, 4, 7)
+			ingPart := partition.KWay(ing, 4, 7)
+			readPart := partition.KWay(read, 4, 7)
 			for _, q := range conformanceQueries() {
-				want := localenum.Count(seed, q, localenum.Options{})
+				want := localenum.Count(read, q, localenum.Options{})
 				if want == 0 {
 					t.Fatalf("%s: oracle found nothing on karate", q.Name)
 				}
-				if got := localenum.Count(csr, q, localenum.Options{}); got != want {
-					t.Fatalf("%s: local enumerator counts %d on CSR, %d on seed store", q.Name, got, want)
+				if got := localenum.Count(ing, q, localenum.Options{}); got != want {
+					t.Fatalf("%s: local enumerator counts %d ingested, %d as read", q.Name, got, want)
 				}
 				for _, ename := range engine.Names() {
 					e, ok := engine.Lookup(ename)
 					if !ok {
 						t.Fatalf("Lookup(%q) failed", ename)
 					}
-					resCSR, err := e.Run(context.Background(), engine.Request{Part: csrPart, Pattern: q, Transport: tr})
+					resIng, err := e.Run(context.Background(), engine.Request{Part: ingPart, Pattern: q, Transport: tr})
 					if err != nil {
-						t.Fatalf("%s/%s on CSR: %v", ename, q.Name, err)
+						t.Fatalf("%s/%s ingested: %v", ename, q.Name, err)
 					}
-					resSeed, err := e.Run(context.Background(), engine.Request{Part: seedPart, Pattern: q, Transport: tr})
+					resRead, err := e.Run(context.Background(), engine.Request{Part: readPart, Pattern: q, Transport: tr})
 					if err != nil {
-						t.Fatalf("%s/%s on seed store: %v", ename, q.Name, err)
+						t.Fatalf("%s/%s as read: %v", ename, q.Name, err)
 					}
-					if resCSR.Total != want || resSeed.Total != want {
-						t.Errorf("%s/%s: CSR %d, seed %d, oracle %d",
-							ename, q.Name, resCSR.Total, resSeed.Total, want)
+					if resIng.Total != want || resRead.Total != want {
+						t.Errorf("%s/%s: ingested %d, as read %d, oracle %d",
+							ename, q.Name, resIng.Total, resRead.Total, want)
 					}
 				}
 			}

@@ -1,47 +1,48 @@
 package graph
 
-// CountTriangles returns the number of triangles in the graph using
-// the degree-ordered merge algorithm: each triangle {a,b,c} is counted
-// exactly once at its lowest-ranked vertex. Runs in O(m^1.5) like the
-// standard forward algorithm.
+// CountTriangles returns the number of triangles in the graph with the
+// standard forward algorithm: each triangle is counted once, at its
+// lowest-ranked corner under a degree-then-ID order, in O(m^1.5).
 //
-// Triangle counts drive two parts of the reproduction: dataset
+// Triangle counts drive three parts of the reproduction: dataset
 // profiling (the paper's RoadNet has almost no triangles, which is why
-// Crystal's clique index is useless there) and the Crystal baseline's
-// index-size accounting (Table 2).
-func (g *Graph) CountTriangles() int64 { return CountTrianglesOf(g) }
-
-// TrianglesPerVertex returns, for every vertex, the number of
-// triangles it participates in.
-func (g *Graph) TrianglesPerVertex() []int64 {
-	counts := make([]int64, g.NumVertices())
-	var buf []VertexID
-	for u := range g.adj {
-		for _, v := range g.adj[u] {
-			if VertexID(u) < v {
-				buf = IntersectSortedU32(buf, g.adj[u], g.adj[v])
-				for _, w := range buf {
-					// Count each triangle once per vertex: restrict to w > v
-					// so the triangle {u,v,w} with u<v<w is seen exactly once,
-					// then credit all three corners.
-					if w > v {
-						counts[u]++
-						counts[v]++
-						counts[w]++
-					}
-				}
+// Crystal's clique index is useless there), the Crystal baseline's
+// index-size accounting (Table 2), and the oracle the dataset smoke
+// check compares engine counts against.
+func (g *Graph) CountTriangles() int64 {
+	n := g.NumVertices()
+	// Rank vertices by (degree, id): forward edges point from lower to
+	// higher rank, so each triangle is counted exactly once.
+	rank := func(v VertexID) uint64 {
+		return uint64(g.Degree(v))<<32 | uint64(uint32(v))
+	}
+	fwd := make([][]VertexID, n)
+	for u := 0; u < n; u++ {
+		uu := VertexID(u)
+		ru := rank(uu)
+		for _, v := range g.Adj(uu) {
+			if rank(v) > ru {
+				fwd[u] = append(fwd[u], v)
 			}
 		}
 	}
-	return counts
+	var total int64
+	var buf []VertexID
+	for u := range fwd {
+		for _, v := range fwd[u] {
+			buf = IntersectSortedU32(buf, fwd[u], fwd[v])
+			total += int64(len(buf))
+		}
+	}
+	return total
 }
 
 // GlobalClusteringCoefficient returns 3*triangles / wedges (the
 // transitivity of the graph), or 0 for graphs without wedges.
 func (g *Graph) GlobalClusteringCoefficient() float64 {
 	wedges := int64(0)
-	for _, a := range g.adj {
-		d := int64(len(a))
+	for v := 0; v < g.NumVertices(); v++ {
+		d := int64(g.Degree(VertexID(v)))
 		wedges += d * (d - 1) / 2
 	}
 	if wedges == 0 {
@@ -50,56 +51,32 @@ func (g *Graph) GlobalClusteringCoefficient() float64 {
 	return 3 * float64(g.CountTriangles()) / float64(wedges)
 }
 
-// DegeneracyOrder returns the vertices in degeneracy (smallest-last)
-// order: repeatedly remove a vertex of minimum remaining degree. The
-// position of a vertex in the returned slice is its rank. This is the
-// standard bucket-queue implementation and runs in O(n + m).
-func (g *Graph) DegeneracyOrder() []VertexID {
-	order, _ := g.degeneracy()
-	return order
-}
-
 // Degeneracy returns the graph degeneracy: the maximum, over the
 // smallest-last removal, of the degree at removal time. A graph of
 // degeneracy d has no (d+2)-clique, which bounds the clique sizes the
 // Crystal index can contain.
 func (g *Graph) Degeneracy() int {
-	_, d := g.degeneracy()
-	return d
-}
-
-// degeneracy is the Batagelj-Zaversnik core decomposition: a counting
-// sort of vertices by degree, then repeated removal of the minimum,
-// maintaining sorted order with swap updates. O(n + m).
-func (g *Graph) degeneracy() ([]VertexID, int) {
-	order, core := g.coreDecompose()
+	_, core := g.coreDecompose()
 	degeneracy := 0
 	for _, c := range core {
-		if c > degeneracy {
-			degeneracy = c
-		}
+		degeneracy = max(degeneracy, c)
 	}
-	return order, degeneracy
+	return degeneracy
 }
 
-// CoreNumbers returns the k-core number of every vertex: the largest k
-// such that the vertex survives in the subgraph where every remaining
-// vertex has degree >= k.
-func (g *Graph) CoreNumbers() []int {
-	_, core := g.coreDecompose()
-	return core
-}
-
+// coreDecompose is the Batagelj-Zaversnik core decomposition: a
+// counting sort of vertices by degree, then repeated removal of the
+// minimum, maintaining sorted order with swap updates, in O(n + m). It
+// returns the removal (smallest-last) order and every vertex's k-core
+// number: the largest k such that the vertex survives in the subgraph
+// where every remaining vertex has degree >= k.
 func (g *Graph) coreDecompose() ([]VertexID, []int) {
 	n := g.NumVertices()
 	deg := make([]int, n)
-	maxDeg := 0
-	for v := range g.adj {
-		deg[v] = len(g.adj[v])
-		if deg[v] > maxDeg {
-			maxDeg = deg[v]
-		}
+	for v := range deg {
+		deg[v] = g.Degree(VertexID(v))
 	}
+	maxDeg := g.MaxDegree()
 	// bin[d] = index in vert of the first vertex with degree d.
 	bin := make([]int, maxDeg+2)
 	for _, d := range deg {
@@ -113,7 +90,7 @@ func (g *Graph) coreDecompose() ([]VertexID, []int) {
 	}
 	vert := make([]VertexID, n) // vertices sorted by current degree
 	pos := make([]int, n)       // position of v in vert
-	for v := range g.adj {
+	for v := range deg {
 		pos[v] = bin[deg[v]]
 		vert[pos[v]] = VertexID(v)
 		bin[deg[v]]++
@@ -131,7 +108,7 @@ func (g *Graph) coreDecompose() ([]VertexID, []int) {
 			k = deg[v]
 		}
 		core[v] = k
-		for _, w := range g.adj[v] {
+		for _, w := range g.Adj(v) {
 			if deg[w] > deg[v] {
 				// Swap w with the first vertex of its degree bucket, then
 				// shrink the bucket by one: w's degree drops.
@@ -148,51 +125,6 @@ func (g *Graph) coreDecompose() ([]VertexID, []int) {
 		}
 	}
 	return vert, core
-}
-
-// DegreeHistogram returns hist where hist[d] = number of vertices of
-// degree d.
-func (g *Graph) DegreeHistogram() []int {
-	hist := make([]int, g.MaxDegree()+1)
-	for _, a := range g.adj {
-		hist[len(a)]++
-	}
-	return hist
-}
-
-// Density returns 2m / (n*(n-1)), the fraction of possible edges
-// present; 0 for graphs with fewer than two vertices.
-func (g *Graph) Density() float64 {
-	n := float64(g.NumVertices())
-	if n < 2 {
-		return 0
-	}
-	return 2 * float64(g.m) / (n * (n - 1))
-}
-
-// InducedSubgraph returns the subgraph induced by keep, with vertices
-// renumbered densely in the order given, plus the old-ID lookup table.
-// Vertices listed twice are an error in the caller; the second copy is
-// ignored.
-func (g *Graph) InducedSubgraph(keep []VertexID) (*Graph, []VertexID) {
-	idx := make(map[VertexID]int32, len(keep))
-	old := make([]VertexID, 0, len(keep))
-	for _, v := range keep {
-		if _, dup := idx[v]; dup {
-			continue
-		}
-		idx[v] = int32(len(old))
-		old = append(old, v)
-	}
-	b := NewBuilder(len(old))
-	for newU, u := range old {
-		for _, w := range g.adj[u] {
-			if newW, ok := idx[w]; ok && int32(newU) < newW {
-				b.AddEdge(VertexID(newU), VertexID(newW))
-			}
-		}
-	}
-	return b.Build(), old
 }
 
 // Relabel returns a copy of g with vertex v renamed to perm[v].

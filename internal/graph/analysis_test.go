@@ -74,30 +74,6 @@ func TestCountTrianglesMatchesBrute(t *testing.T) {
 	}
 }
 
-func TestTrianglesPerVertex(t *testing.T) {
-	// K4: every vertex is in C(3,2) = 3 triangles.
-	g := FromEdges(4, []Edge{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}})
-	for v, c := range g.TrianglesPerVertex() {
-		if c != 3 {
-			t.Errorf("K4 vertex %d: %d triangles, want 3", v, c)
-		}
-	}
-}
-
-func TestTrianglesPerVertexSumsToThreeTimesTotal(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < 30; i++ {
-		g := randomGraph(rng, 40)
-		var sum int64
-		for _, c := range g.TrianglesPerVertex() {
-			sum += c
-		}
-		if want := 3 * g.CountTriangles(); sum != want {
-			t.Fatalf("graph %d: per-vertex sum %d, want %d", i, sum, want)
-		}
-	}
-}
-
 func TestGlobalClusteringCoefficient(t *testing.T) {
 	if c := FromEdges(3, []Edge{{0, 1}, {1, 2}, {0, 2}}).GlobalClusteringCoefficient(); c != 1 {
 		t.Errorf("triangle transitivity = %v, want 1", c)
@@ -131,7 +107,7 @@ func TestDegeneracyOrderIsPermutation(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 30; i++ {
 		g := randomGraph(rng, 50)
-		order := g.DegeneracyOrder()
+		order, _ := g.coreDecompose()
 		if len(order) != g.NumVertices() {
 			t.Fatalf("order has %d entries, want %d", len(order), g.NumVertices())
 		}
@@ -152,7 +128,7 @@ func TestDegeneracyOrderProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 30; i++ {
 		g := randomGraph(rng, 50)
-		order := g.DegeneracyOrder()
+		order, _ := g.coreDecompose()
 		d := g.Degeneracy()
 		removed := make([]bool, g.NumVertices())
 		for _, v := range order {
@@ -177,7 +153,7 @@ func TestCoreNumbers(t *testing.T) {
 		{3, 4}, {4, 5}, // path hanging off
 	})
 	want := []int{3, 3, 3, 3, 1, 1}
-	got := g.CoreNumbers()
+	_, got := g.coreDecompose()
 	for v := range want {
 		if got[v] != want[v] {
 			t.Errorf("core[%d] = %d, want %d", v, got[v], want[v])
@@ -192,7 +168,7 @@ func TestCoreNumbersDefinition(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for i := 0; i < 20; i++ {
 		g := randomGraph(rng, 30)
-		core := g.CoreNumbers()
+		_, core := g.coreDecompose()
 		maxCore := 0
 		for _, c := range core {
 			if c > maxCore {
@@ -235,92 +211,6 @@ func bruteKCore(g *Graph, k int) []bool {
 		}
 	}
 	return in
-}
-
-func TestDegreeHistogram(t *testing.T) {
-	g := FromEdges(4, []Edge{{0, 1}, {0, 2}, {0, 3}}) // star
-	hist := g.DegreeHistogram()
-	if hist[1] != 3 || hist[3] != 1 {
-		t.Errorf("star histogram = %v, want 3 vertices of degree 1 and 1 of degree 3", hist)
-	}
-	var total int
-	for _, c := range hist {
-		total += c
-	}
-	if total != g.NumVertices() {
-		t.Errorf("histogram sums to %d, want %d", total, g.NumVertices())
-	}
-}
-
-func TestDensity(t *testing.T) {
-	k4 := FromEdges(4, []Edge{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}})
-	if d := k4.Density(); d != 1 {
-		t.Errorf("K4 density = %v, want 1", d)
-	}
-	empty := FromEdges(10, nil)
-	if d := empty.Density(); d != 0 {
-		t.Errorf("empty density = %v, want 0", d)
-	}
-	if d := FromEdges(1, nil).Density(); d != 0 {
-		t.Errorf("single-vertex density = %v, want 0", d)
-	}
-}
-
-func TestInducedSubgraph(t *testing.T) {
-	// 5-cycle; induce {0,1,2}: keeps the path 0-1-2.
-	g := FromEdges(5, []Edge{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}})
-	sub, old := g.InducedSubgraph([]VertexID{0, 1, 2})
-	if sub.NumVertices() != 3 || sub.NumEdges() != 2 {
-		t.Fatalf("induced n=%d m=%d, want 3 and 2", sub.NumVertices(), sub.NumEdges())
-	}
-	if old[0] != 0 || old[1] != 1 || old[2] != 2 {
-		t.Errorf("old map %v, want [0 1 2]", old)
-	}
-	if !sub.HasEdge(0, 1) || !sub.HasEdge(1, 2) || sub.HasEdge(0, 2) {
-		t.Errorf("induced subgraph edges wrong")
-	}
-	// Duplicates in keep are ignored.
-	sub2, _ := g.InducedSubgraph([]VertexID{0, 0, 1})
-	if sub2.NumVertices() != 2 {
-		t.Errorf("dup keep produced %d vertices, want 2", sub2.NumVertices())
-	}
-}
-
-func TestInducedSubgraphEdgeCount(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for i := 0; i < 20; i++ {
-		g := randomGraph(rng, 30)
-		n := g.NumVertices()
-		keep := make([]VertexID, 0, n/2+1)
-		for v := 0; v < n; v++ {
-			if rng.Intn(2) == 0 {
-				keep = append(keep, VertexID(v))
-			}
-		}
-		sub, old := g.InducedSubgraph(keep)
-		// Every induced edge maps to an original edge, and every original
-		// edge inside keep is induced.
-		var wantEdges int64
-		inKeep := make(map[VertexID]bool)
-		for _, v := range keep {
-			inKeep[v] = true
-		}
-		g.Edges(func(u, v VertexID) bool {
-			if inKeep[u] && inKeep[v] {
-				wantEdges++
-			}
-			return true
-		})
-		if sub.NumEdges() != wantEdges {
-			t.Fatalf("graph %d: induced edges %d, want %d", i, sub.NumEdges(), wantEdges)
-		}
-		sub.Edges(func(u, v VertexID) bool {
-			if !g.HasEdge(old[u], old[v]) {
-				t.Fatalf("graph %d: induced edge (%d,%d) not in original", i, old[u], old[v])
-			}
-			return true
-		})
-	}
 }
 
 func TestRelabelPreservesStructure(t *testing.T) {

@@ -1,8 +1,8 @@
 package graph
 
-// BFSFrom runs a breadth-first search from source src and returns the
-// distance (in hops) to every vertex; unreachable vertices get -1.
-func (g *Graph) BFSFrom(src VertexID) []int32 {
+// BFS runs a breadth-first search from src and returns the hop distance
+// to every vertex; unreachable vertices get -1.
+func BFS(g *Graph, src VertexID) []int32 {
 	dist := make([]int32, g.NumVertices())
 	for i := range dist {
 		dist[i] = -1
@@ -13,7 +13,7 @@ func (g *Graph) BFSFrom(src VertexID) []int32 {
 	for len(queue) > 0 {
 		u := queue[0]
 		queue = queue[1:]
-		for _, v := range g.adj[u] {
+		for _, v := range g.Adj(u) {
 			if dist[v] < 0 {
 				dist[v] = dist[u] + 1
 				queue = append(queue, v)
@@ -21,48 +21,6 @@ func (g *Graph) BFSFrom(src VertexID) []int32 {
 		}
 	}
 	return dist
-}
-
-// MultiSourceBFS returns, for every vertex, the hop distance to the
-// nearest source, or -1 if no source is reachable. This computes the
-// border distance BD_{Gt}(v) of Definition 1 when the sources are the
-// border vertices of a partition.
-func (g *Graph) MultiSourceBFS(sources []VertexID) []int32 {
-	dist := make([]int32, g.NumVertices())
-	for i := range dist {
-		dist[i] = -1
-	}
-	queue := make([]VertexID, 0, len(sources))
-	for _, s := range sources {
-		if dist[s] < 0 {
-			dist[s] = 0
-			queue = append(queue, s)
-		}
-	}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, v := range g.adj[u] {
-			if dist[v] < 0 {
-				dist[v] = dist[u] + 1
-				queue = append(queue, v)
-			}
-		}
-	}
-	return dist
-}
-
-// Eccentricity returns the maximum finite BFS distance from v
-// (the "span" of Definition 2 when applied to a query pattern).
-func (g *Graph) Eccentricity(v VertexID) int {
-	dist := g.BFSFrom(v)
-	max := 0
-	for _, d := range dist {
-		if int(d) > max {
-			max = int(d)
-		}
-	}
-	return max
 }
 
 // ApproxDiameter estimates the graph diameter with k rounds of the
@@ -77,15 +35,15 @@ func (g *Graph) ApproxDiameter(k int) int {
 	}
 	// Start from the max-degree vertex: most likely to be central.
 	start := VertexID(0)
-	for v := range g.adj {
-		if len(g.adj[v]) > len(g.adj[start]) {
+	for v := 0; v < g.NumVertices(); v++ {
+		if g.Degree(VertexID(v)) > g.Degree(start) {
 			start = VertexID(v)
 		}
 	}
 	best := 0
 	cur := start
 	for i := 0; i < k; i++ {
-		dist := g.BFSFrom(cur)
+		dist := BFS(g, cur)
 		far, fd := cur, int32(0)
 		for v, d := range dist {
 			if d > fd {
@@ -119,7 +77,7 @@ func (g *Graph) ConnectedComponents() ([]int32, int) {
 		for len(queue) > 0 {
 			u := queue[0]
 			queue = queue[1:]
-			for _, v := range g.adj[u] {
+			for _, v := range g.Adj(u) {
 				if comp[v] < 0 {
 					comp[v] = next
 					queue = append(queue, v)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -192,47 +193,28 @@ func TestContainsSorted(t *testing.T) {
 
 func TestBFSFrom(t *testing.T) {
 	g := path(5)
-	dist := g.BFSFrom(0)
+	dist := BFS(g, 0)
 	want := []int32{0, 1, 2, 3, 4}
 	if !reflect.DeepEqual(dist, want) {
-		t.Errorf("BFSFrom(0) = %v, want %v", dist, want)
+		t.Errorf("BFS from 0 = %v, want %v", dist, want)
 	}
 }
 
 func TestBFSUnreachable(t *testing.T) {
 	g := FromEdges(4, []Edge{{0, 1}}) // 2, 3 isolated
-	dist := g.BFSFrom(0)
+	dist := BFS(g, 0)
 	if dist[2] != -1 || dist[3] != -1 {
 		t.Errorf("unreachable distances = %v, want -1", dist[2:])
 	}
 }
 
-func TestMultiSourceBFS(t *testing.T) {
-	g := path(7)
-	dist := g.MultiSourceBFS([]VertexID{0, 6})
-	want := []int32{0, 1, 2, 3, 2, 1, 0}
-	if !reflect.DeepEqual(dist, want) {
-		t.Errorf("MultiSourceBFS = %v, want %v", dist, want)
-	}
-}
-
-func TestMultiSourceBFSNoSources(t *testing.T) {
-	g := path(3)
-	dist := g.MultiSourceBFS(nil)
-	for v, d := range dist {
-		if d != -1 {
-			t.Errorf("dist[%d] = %d, want -1", v, d)
-		}
-	}
-}
-
 func TestEccentricityAndDiameter(t *testing.T) {
 	g := path(6)
-	if got := g.Eccentricity(0); got != 5 {
-		t.Errorf("Eccentricity(0) = %d, want 5", got)
-	}
-	if got := g.Eccentricity(3); got != 3 {
-		t.Errorf("Eccentricity(3) = %d, want 3", got)
+	// A vertex's eccentricity is its largest BFS distance.
+	for v, want := range map[VertexID]int32{0: 5, 3: 3} {
+		if got := slices.Max(BFS(g, v)); got != want {
+			t.Errorf("eccentricity(%d) = %d, want %d", v, got, want)
+		}
 	}
 	if got := g.ApproxDiameter(4); got != 5 {
 		t.Errorf("ApproxDiameter = %d, want 5", got)
@@ -253,6 +235,8 @@ func TestConnectedComponents(t *testing.T) {
 	}
 }
 
+// TestAdjacencyRoundTrip: a built graph's CSR arrays round-trip through
+// the checked constructor unchanged, maximum degree included.
 func TestAdjacencyRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	b := NewBuilder(50)
@@ -260,16 +244,14 @@ func TestAdjacencyRoundTrip(t *testing.T) {
 		b.AddEdge(VertexID(rng.Intn(50)), VertexID(rng.Intn(50)))
 	}
 	g := b.Build()
-
-	var buf bytes.Buffer
-	if err := WriteAdjacency(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := ReadAdjacency(&buf)
+	g2, err := NewCSR(g.CSR())
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertSameGraph(t, g, g2)
+	if g2.MaxDegree() != g.MaxDegree() {
+		t.Errorf("MaxDegree = %d, want %d", g2.MaxDegree(), g.MaxDegree())
+	}
 }
 
 func TestEdgeListRoundTrip(t *testing.T) {
@@ -312,15 +294,6 @@ func TestReadEdgeListErrors(t *testing.T) {
 	g, err := ReadEdgeList(bytes.NewBufferString("# comment\n\n0 1\n"))
 	if err != nil || g.NumEdges() != 1 {
 		t.Errorf("comment handling failed: %v %v", g, err)
-	}
-}
-
-func TestReadAdjacencyErrors(t *testing.T) {
-	if _, err := ReadAdjacency(bytes.NewBufferString("x 1 2\n")); err == nil {
-		t.Error("want error for bad vertex id")
-	}
-	if _, err := ReadAdjacency(bytes.NewBufferString("0 z\n")); err == nil {
-		t.Error("want error for bad neighbour id")
 	}
 }
 

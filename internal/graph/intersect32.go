@@ -5,10 +5,8 @@
 // adjacency lists of all already-matched neighbours, and symmetry
 // breaking restricts candidates to an interval. These kernels are the
 // one family product code calls — RADS's local enumerator and R-Meef
-// rounds, Crystal's bud candidates, the triangle counters — on every
-// store: VertexID is a 4-byte integer whether the adjacency slice
-// views a flat CSR array or a per-vertex allocation, so there is
-// nothing to dispatch on.
+// rounds, Crystal's bud candidates, the triangle counter — over rows
+// of the one flat neighbour array, so there is nothing to dispatch on.
 //
 // Three regimes, chosen adaptively:
 //

@@ -8,97 +8,9 @@ import (
 	"strings"
 )
 
-// WriteAdjacency writes the graph in the paper's on-disk plain-text
-// format: "each line represents an adjacency-list of a vertex" —
-// the vertex ID followed by its neighbours, space separated.
-func WriteAdjacency(w io.Writer, g *Graph) error {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	for v := 0; v < g.NumVertices(); v++ {
-		if _, err := fmt.Fprintf(bw, "%d", v); err != nil {
-			return err
-		}
-		for _, u := range g.Adj(VertexID(v)) {
-			if _, err := fmt.Fprintf(bw, " %d", u); err != nil {
-				return err
-			}
-		}
-		if err := bw.WriteByte('\n'); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadAdjacency parses the format written by WriteAdjacency. Vertices
-// may appear in any order; the vertex count is the max ID seen plus one.
-// Each undirected edge may appear on one or both endpoint lines.
-// Malformed input fails with a line-numbered error instead of being
-// silently repaired: negative IDs are rejected, and so is a second row
-// for a vertex that already had one (merging the two would mask a
-// corrupt or concatenated file).
-func ReadAdjacency(r io.Reader) (*Graph, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	type row struct {
-		v     VertexID
-		neigh []VertexID
-	}
-	var rows []row
-	seen := make(map[VertexID]int) // vertex -> line of its row
-	maxID := VertexID(-1)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		v64, err := strconv.ParseInt(fields[0], 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("graph: line %d: bad vertex id %q: %w", lineNo, fields[0], err)
-		}
-		if v64 < 0 {
-			return nil, fmt.Errorf("graph: line %d: negative vertex id %d", lineNo, v64)
-		}
-		rw := row{v: VertexID(v64)}
-		if first, dup := seen[rw.v]; dup {
-			return nil, fmt.Errorf("graph: line %d: duplicate row for vertex %d (first on line %d)", lineNo, rw.v, first)
-		}
-		seen[rw.v] = lineNo
-		if rw.v > maxID {
-			maxID = rw.v
-		}
-		for _, f := range fields[1:] {
-			u64, err := strconv.ParseInt(f, 10, 32)
-			if err != nil {
-				return nil, fmt.Errorf("graph: line %d: bad neighbour id %q: %w", lineNo, f, err)
-			}
-			if u64 < 0 {
-				return nil, fmt.Errorf("graph: line %d: negative neighbour id %d", lineNo, u64)
-			}
-			u := VertexID(u64)
-			if u > maxID {
-				maxID = u
-			}
-			rw.neigh = append(rw.neigh, u)
-		}
-		rows = append(rows, rw)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("graph: read: %w", err)
-	}
-	b := NewBuilder(int(maxID) + 1)
-	for _, rw := range rows {
-		for _, u := range rw.neigh {
-			b.AddEdge(rw.v, u)
-		}
-	}
-	return b.Build(), nil
-}
-
 // WriteEdgeList writes "u v" per line for every undirected edge (u < v),
-// a common interchange format for the SNAP datasets the paper uses.
+// the interchange format of the SNAP datasets the paper uses and the
+// one text format every tool here reads.
 func WriteEdgeList(w io.Writer, g *Graph) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	var werr error

@@ -5,42 +5,8 @@ import (
 	"testing"
 )
 
-// ReadAdjacency must reject malformed input with line-numbered errors
+// ReadEdgeList must reject malformed input with line-numbered errors
 // instead of silently repairing it.
-func TestReadAdjacencyRejectsNegativeIDs(t *testing.T) {
-	if _, err := ReadAdjacency(strings.NewReader("0 1\n-2 0\n")); err == nil || !strings.Contains(err.Error(), "line 2") {
-		t.Errorf("negative vertex id: err = %v, want line-2 error", err)
-	}
-	if _, err := ReadAdjacency(strings.NewReader("0 1\n1 0 -3\n")); err == nil || !strings.Contains(err.Error(), "line 2") {
-		t.Errorf("negative neighbour id: err = %v, want line-2 error", err)
-	}
-}
-
-func TestReadAdjacencyRejectsDuplicateRows(t *testing.T) {
-	in := "# header\n0 1 2\n1 0\n0 2\n"
-	_, err := ReadAdjacency(strings.NewReader(in))
-	if err == nil {
-		t.Fatal("duplicate row for vertex 0 silently merged")
-	}
-	msg := err.Error()
-	if !strings.Contains(msg, "line 4") || !strings.Contains(msg, "line 2") || !strings.Contains(msg, "vertex 0") {
-		t.Errorf("error %q should name both lines and the vertex", msg)
-	}
-}
-
-func TestReadAdjacencyStillAcceptsValidInput(t *testing.T) {
-	// Rows in any order, edges listed on one or both endpoint lines,
-	// comments and blanks — all still fine.
-	in := "# ok\n2 0\n\n0 1 2\n1 0\n"
-	g, err := ReadAdjacency(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumVertices() != 3 || g.NumEdges() != 2 {
-		t.Errorf("got %d vertices / %d edges, want 3 / 2", g.NumVertices(), g.NumEdges())
-	}
-}
-
 func TestReadEdgeListRejectsNegativeIDs(t *testing.T) {
 	if _, err := ReadEdgeList(strings.NewReader("0 1\n-1 2\n")); err == nil || !strings.Contains(err.Error(), "line 2") {
 		t.Errorf("negative id: err = %v, want line-2 error", err)

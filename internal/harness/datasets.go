@@ -73,14 +73,14 @@ func DatasetByName(name string) (Dataset, error) {
 	return Dataset{}, fmt.Errorf("harness: unknown dataset %q", name)
 }
 
-// LoadStore resolves a dataset name to a graph store: the synthetic
+// LoadStore resolves a dataset name to a graph: the synthetic
 // analogs above first, then — when registryDir is non-empty — the
 // real-graph dataset registry of ingested .radsgraph files. Registry
-// datasets come back with their manifest (radserve threads it into
-// dataset-backed snapshots); synthetic ones return a nil manifest.
+// datasets come back with their manifest (radserve's snapshots
+// reference the file through it); synthetic ones return a nil manifest.
 // Scale applies only to the generated analogs — a real graph is
 // whatever size it is.
-func LoadStore(name, registryDir string, scale float64) (graph.Store, *dataset.Manifest, error) {
+func LoadStore(name, registryDir string, scale float64) (*graph.Graph, *dataset.Manifest, error) {
 	var reg *dataset.Registry
 	if registryDir != "" {
 		// Open the registry up front: an unreadable registry must fail

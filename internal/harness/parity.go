@@ -11,13 +11,13 @@ import (
 	"rads/internal/pattern"
 )
 
-// CountParity runs every registered engine on p over the given store
+// CountParity runs every registered engine on p over the given graph
 // (partitioned across machines with the deterministic KWay seed) and
 // checks each count against the single-machine oracle. It is the
 // dataset smoke check of CI: an ingested .radsgraph must produce
 // oracle-identical counts from every engine, or the run fails. The
 // returned table reports one row per engine either way.
-func CountParity(store graph.Store, datasetName string, p *pattern.Pattern, machines int) (*Table, error) {
+func CountParity(store *graph.Graph, datasetName string, p *pattern.Pattern, machines int) (*Table, error) {
 	part := partition.KWay(store, machines, 7)
 	want := localenum.Count(store, p, localenum.Options{})
 	t := &Table{

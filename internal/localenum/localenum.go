@@ -60,7 +60,7 @@ type Stats struct {
 // with each full embedding f where f[u] is the data vertex matched to
 // query vertex u. The slice is reused; copy it to retain. Enumeration
 // stops early if fn returns false.
-func Enumerate(g graph.Store, p *pattern.Pattern, opts Options, fn func(f []graph.VertexID) bool) Stats {
+func Enumerate(g *graph.Graph, p *pattern.Pattern, opts Options, fn func(f []graph.VertexID) bool) Stats {
 	if p.N() == 0 {
 		return Stats{}
 	}
@@ -68,7 +68,7 @@ func Enumerate(g graph.Store, p *pattern.Pattern, opts Options, fn func(f []grap
 }
 
 // Count returns the number of embeddings of p in g under opts.
-func Count(g graph.Store, p *pattern.Pattern, opts Options) int64 {
+func Count(g *graph.Graph, p *pattern.Pattern, opts Options) int64 {
 	st := Enumerate(g, p, opts, func([]graph.VertexID) bool { return true })
 	return st.Embeddings
 }
@@ -89,7 +89,7 @@ const noUpperBound = graph.VertexID(math.MaxInt32)
 // allocating. An Enumerator is NOT safe for concurrent use; create one
 // per goroutine.
 type Enumerator struct {
-	g       graph.Store
+	g       *graph.Graph
 	p       *pattern.Pattern
 	order   []pattern.VertexID
 	allowed func(graph.VertexID) bool
@@ -111,7 +111,7 @@ type Enumerator struct {
 
 // New builds an Enumerator for p over g. The returned enumerator owns
 // all its scratch state; Run may be called any number of times.
-func New(g graph.Store, p *pattern.Pattern, opts Options) *Enumerator {
+func New(g *graph.Graph, p *pattern.Pattern, opts Options) *Enumerator {
 	n := p.N()
 	order := opts.Order
 	if order == nil {
@@ -417,7 +417,7 @@ func GreedyOrderFrom(p *pattern.Pattern, start pattern.VertexID) []pattern.Verte
 // BruteForce counts embeddings by checking every injective assignment,
 // with no candidate propagation at all. It is an independent oracle for
 // the test suite; only use it on tiny graphs.
-func BruteForce(g graph.Store, p *pattern.Pattern, cons []pattern.OrderConstraint) int64 {
+func BruteForce(g *graph.Graph, p *pattern.Pattern, cons []pattern.OrderConstraint) int64 {
 	if cons == nil {
 		cons = p.SymmetryBreaking()
 	}

@@ -23,7 +23,7 @@ import (
 // Partition records the assignment of every vertex of a data graph to
 // one of m machines, plus the derived per-machine structures RADS needs.
 type Partition struct {
-	G     graph.Store
+	G     *graph.Graph
 	M     int     // number of machines
 	Owner []int32 // Owner[v] = machine owning v
 
@@ -36,7 +36,7 @@ type Partition struct {
 
 // New builds a Partition from an ownership vector. It validates that
 // every owner is in [0, m).
-func New(g graph.Store, m int, owner []int32) (*Partition, error) {
+func New(g *graph.Graph, m int, owner []int32) (*Partition, error) {
 	if len(owner) != g.NumVertices() {
 		return nil, fmt.Errorf("partition: owner length %d != vertices %d", len(owner), g.NumVertices())
 	}
@@ -186,7 +186,7 @@ func (p *Partition) Balance() float64 {
 
 // Hash assigns vertex v to machine v % m: no locality at all. This is
 // the control partitioner for ablations.
-func Hash(g graph.Store, m int) *Partition {
+func Hash(g *graph.Graph, m int) *Partition {
 	owner := make([]int32, g.NumVertices())
 	for v := range owner {
 		owner[v] = int32(v % m)
@@ -201,7 +201,7 @@ func Hash(g graph.Store, m int) *Partition {
 // KWay partitions g into m contiguous parts by multi-seed BFS region
 // growing followed by boundary refinement, a light-weight stand-in for
 // METIS multilevel k-way. Deterministic given seed.
-func KWay(g graph.Store, m int, seed int64) *Partition {
+func KWay(g *graph.Graph, m int, seed int64) *Partition {
 	n := g.NumVertices()
 	owner := make([]int32, n)
 	for i := range owner {
@@ -307,7 +307,7 @@ func KWay(g graph.Store, m int, seed int64) *Partition {
 // refine runs `passes` sweeps of greedy boundary refinement: move a
 // vertex to the neighbouring part holding most of its neighbours when
 // that reduces the edge cut without unbalancing parts beyond 15%.
-func refine(g graph.Store, owner []int32, m, passes int) {
+func refine(g *graph.Graph, owner []int32, m, passes int) {
 	n := g.NumVertices()
 	size := make([]int, m)
 	for _, o := range owner {

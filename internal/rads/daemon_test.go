@@ -17,9 +17,10 @@ import (
 
 // hostCluster builds the full multi-process topology inside one test
 // binary: the partition is snapshotted to disk, every machine daemon
-// is constructed from its own snapshot shard (never the full graph),
-// daemons are spread over two TCP servers the way two radsworker
-// processes would host them, and a coordinator client fronts the lot.
+// is constructed from its own snapshot shard on a graph of its owned
+// rows only (ownedRowsShard), daemons are spread over two TCP servers
+// the way two radsworker processes would host them, and a coordinator
+// client fronts the lot.
 func hostCluster(t *testing.T, part *partition.Partition) *rads.ClusterEngine {
 	t.Helper()
 	return hostClusterWrapped(t, part, nil, nil)
@@ -58,10 +59,7 @@ func hostClusterWrapped(t *testing.T, part *partition.Partition,
 		}
 	}
 	for id := 0; id < part.M; id++ {
-		shard, man, err := snapshot.OpenShard(dir, id)
-		if err != nil {
-			t.Fatal(err)
-		}
+		shard, man := ownedRowsShard(t, dir, id)
 		metrics := cluster.NewMetrics(part.M)
 		var client cluster.Transport = cluster.NewTCPClient(spec, metrics)
 		if wrapWorker != nil {
@@ -92,6 +90,33 @@ func hostClusterWrapped(t *testing.T, part *partition.Partition,
 		t.Fatal(err)
 	}
 	return ce
+}
+
+// ownedRowsShard opens machine id's shard from the snapshot in dir and
+// rehosts it on a graph holding only the machine's owned rows plus the
+// reverse stubs those rows imply: exactly the adjacency the
+// distribution discipline lets machine id read. A daemon that reads a
+// foreign row sees it cut down to its edges into id and miscounts, so
+// the cluster tests fail on any foreign read.
+func ownedRowsShard(t *testing.T, dir string, id int) (*partition.Partition, snapshot.Manifest) {
+	t.Helper()
+	parts, man, err := snapshot.OpenShards(dir, []int{id})
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := parts[0]
+	b := graph.NewBuilder(full.G.NumVertices())
+	for _, v := range full.Vertices(id) {
+		for _, u := range full.G.Adj(v) {
+			b.AddEdge(v, u)
+		}
+	}
+	shard, err := partition.New(b.Build(), full.M, full.Owner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shard.InstallBorderDistances(id, full.BorderDistances(id))
+	return shard, man
 }
 
 // TestClusterEngineMatchesOracle is the heart of the multi-process

@@ -28,7 +28,7 @@ const diffSeedEnv = "RADS_DIFF_SEED"
 // diffCase is one point of the differential space, drawn from a seed.
 type diffCase struct {
 	model    string
-	g        graph.Store
+	g        *graph.Graph
 	p        *pattern.Pattern
 	machines int
 	partSeed int64
@@ -40,17 +40,16 @@ type diffCase struct {
 }
 
 func (c diffCase) String() string {
-	_, csr := c.g.(*dataset.CSR)
-	return fmt.Sprintf("%s n=%d m=%d csr=%v × %s × machines=%d workers=%d huge=%d tight=%v tcp=%v stream=%v noSME=%v noEVC=%v noCache=%v noLB=%v",
-		c.model, c.g.NumVertices(), c.g.NumEdges(), csr, c.p, c.machines,
+	return fmt.Sprintf("%s n=%d m=%d × %s × machines=%d workers=%d huge=%d tight=%v tcp=%v stream=%v noSME=%v noEVC=%v noCache=%v noLB=%v",
+		c.model, c.g.NumVertices(), c.g.NumEdges(), c.p, c.machines,
 		c.cfg.Workers, c.huge, c.tight, c.tcp, c.stream,
 		c.cfg.DisableSME, c.cfg.DisableEndVertexCounting, c.cfg.DisableCache, c.cfg.DisableLoadBalancing)
 }
 
-// csrTwin ingests g's edge list the way radsprep does, so the twin has
-// the same edges behind the flat store and (with degree ordering) a
-// different labelling.
-func csrTwin(t *testing.T, g *graph.Graph, degreeOrder bool) *dataset.CSR {
+// ingestedTwin ingests g's edge list the way radsprep does, so the twin
+// has the same edges under the ingester's labelling: first-seen order,
+// or hub-first with degree ordering.
+func ingestedTwin(t *testing.T, g *graph.Graph, degreeOrder bool) *graph.Graph {
 	t.Helper()
 	var sb strings.Builder
 	g.Edges(func(u, v graph.VertexID) bool {
@@ -89,7 +88,7 @@ func drawDiffCase(t *testing.T, rng *rand.Rand) diffCase {
 	}
 	c.g = g
 	if rng.Intn(2) == 0 {
-		c.g = csrTwin(t, g, rng.Intn(2) == 0)
+		c.g = ingestedTwin(t, g, rng.Intn(2) == 0)
 	}
 
 	if rng.Intn(3) == 0 {
@@ -189,7 +188,7 @@ func (c diffCase) run(t *testing.T) (int64, [][]graph.VertexID) {
 
 // checkStreamed verifies that the streamed embeddings are want distinct
 // symmetry-broken embeddings of p in g.
-func checkStreamed(t *testing.T, g graph.Store, p *pattern.Pattern, streamed [][]graph.VertexID, want int64) {
+func checkStreamed(t *testing.T, g *graph.Graph, p *pattern.Pattern, streamed [][]graph.VertexID, want int64) {
 	t.Helper()
 	if int64(len(streamed)) != want {
 		t.Errorf("streamed %d embeddings, oracle %d", len(streamed), want)
@@ -216,8 +215,8 @@ func checkStreamed(t *testing.T, g graph.Store, p *pattern.Pattern, streamed [][
 }
 
 // TestDifferentialAgainstOracle is the RADS slice of the randomised
-// differential suite: random graphs (map-backed or the ingested CSR
-// twin) × random connected patterns or the q1–q8/cq1–cq4 catalogue ×
+// differential suite: random graphs (as generated, or relabelled by
+// the ingester) × random connected patterns or the q1–q8/cq1–cq4 catalogue ×
 // Workers × huge-frontier threshold × budget × the SM-E, end-vertex, cache,
 // stealing and streaming switches × transport, every total against
 // localenum.Count on its default order. Time-boxed; -short (and so the

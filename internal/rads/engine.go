@@ -232,7 +232,7 @@ func Run(part *partition.Partition, p *pattern.Pattern, cfg Config) (*Result, er
 }
 
 type engine struct {
-	g    graph.Store
+	g    *graph.Graph
 	part *partition.Partition
 	p    *pattern.Pattern
 	pl   *plan.Plan

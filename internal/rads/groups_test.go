@@ -19,7 +19,7 @@ func constEst(bytes int64) func(graph.VertexID) int64 {
 // group — remaining candidates, the group's neighbourhood and the
 // frontier counts. It stays as the reference the dense version must
 // reproduce group for group.
-func mapProximityGroups(g graph.Store, cands []graph.VertexID, est func(graph.VertexID) int64, target int64) [][]graph.VertexID {
+func mapProximityGroups(g *graph.Graph, cands []graph.VertexID, est func(graph.VertexID) int64, target int64) [][]graph.VertexID {
 	remaining := make(map[graph.VertexID]bool, len(cands))
 	for _, v := range cands {
 		remaining[v] = true

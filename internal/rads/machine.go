@@ -499,7 +499,7 @@ func (m *machine) stealPhase() error {
 // seen[y] == id makes hits[y] the number of y's neighbours in it —
 // y's proximity numerator, kept for the remaining candidates near the
 // group, which touched lists in first-touch order.
-func proximityGroups(g graph.Store, cands []graph.VertexID, est func(graph.VertexID) int64, target int64) [][]graph.VertexID {
+func proximityGroups(g *graph.Graph, cands []graph.VertexID, est func(graph.VertexID) int64, target int64) [][]graph.VertexID {
 	n := g.NumVertices()
 	remaining := make([]bool, n)
 	for _, v := range cands {

@@ -113,10 +113,7 @@ func hostObservedCluster(t *testing.T, part *partition.Partition) (*rads.Cluster
 		spec.Machines = append(spec.Machines, srv.Addr())
 	}
 	for id := 0; id < part.M; id++ {
-		shard, man, err := snapshot.OpenShard(dir, id)
-		if err != nil {
-			t.Fatal(err)
-		}
+		shard, man := ownedRowsShard(t, dir, id)
 		metrics := cluster.NewMetrics(part.M)
 		client := cluster.NewTCPClient(spec, metrics)
 		t.Cleanup(func() { client.Close() })

@@ -188,7 +188,7 @@ type Service struct {
 
 // Open loads g into a new Service: partitions it across cfg.Machines
 // with the KWay partitioner and warms the per-machine resident state.
-func Open(g graph.Store, cfg Config) (*Service, error) {
+func Open(g *graph.Graph, cfg Config) (*Service, error) {
 	if g == nil || g.NumVertices() == 0 {
 		return nil, errors.New("service: empty data graph")
 	}

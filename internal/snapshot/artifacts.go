@@ -4,6 +4,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -12,6 +13,12 @@ import (
 )
 
 const artifactsMagic = "RADSARTS"
+
+// header opens the artifact file's gob stream.
+type header struct {
+	Magic   string
+	Version int
+}
 
 // artifactEntry is one cache entry on disk. The artifact travels as a
 // gob interface value: every concrete artifact type (rads.PlanArtifact,
@@ -102,4 +109,12 @@ func ReadArtifacts(dir string) (map[string]engine.Artifact, error) {
 		out[e.Key] = e.Art
 	}
 	return out, nil
+}
+
+// decodeErr normalizes gob's bare EOFs on truncated input.
+func decodeErr(err error) error {
+	if errors.Is(err, io.EOF) {
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }

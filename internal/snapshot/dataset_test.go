@@ -1,6 +1,7 @@
 package snapshot_test
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -17,8 +18,8 @@ import (
 
 // writeDatasetFixture ingests the committed karate fixture into dir as
 // a registered .radsgraph and returns its manifest (Path relative to
-// dir) plus the CSR store.
-func writeDatasetFixture(t *testing.T, dir string) (dataset.Manifest, *dataset.CSR) {
+// dir) plus the graph.
+func writeDatasetFixture(t *testing.T, dir string) (dataset.Manifest, *graph.Graph) {
 	t.Helper()
 	c, st, err := dataset.Ingest(filepath.Join("..", "dataset", "testdata", "karate.txt"), dataset.Options{})
 	if err != nil {
@@ -38,9 +39,9 @@ func writeDatasetFixture(t *testing.T, dir string) (dataset.Manifest, *dataset.C
 	return man, c
 }
 
-// TestDatasetBackedSnapshot: shards of a dataset-backed snapshot carry
-// no adjacency, reference the .radsgraph by checksum, and restore
-// partitions that enumerate identically to the original.
+// TestDatasetBackedSnapshot: a dataset-backed snapshot references the
+// .radsgraph by checksum and restores partitions that enumerate
+// identically to the original.
 func TestDatasetBackedSnapshot(t *testing.T) {
 	dsDir := t.TempDir()
 	man, c := writeDatasetFixture(t, dsDir)
@@ -53,10 +54,11 @@ func TestDatasetBackedSnapshot(t *testing.T) {
 	}
 
 	// Coordinator warm start (recorded path is absolute → found directly).
-	full, fman, err := snapshot.OpenPartition(snapDir)
+	parts, fman, err := snapshot.OpenShards(snapDir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	full := parts[0]
 	if fman.Dataset == nil || fman.Dataset.Checksum != man.Checksum {
 		t.Fatalf("manifest dataset ref = %+v, want checksum %s", fman.Dataset, man.Checksum)
 	}
@@ -70,7 +72,7 @@ func TestDatasetBackedSnapshot(t *testing.T) {
 	}
 
 	// Worker shard open: same graph, machine's border distances warm.
-	shard, _, err := snapshot.OpenShard(snapDir, 1)
+	shard, _, err := openShard(snapDir, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,13 +102,13 @@ func TestDatasetSnapshotSearchDirs(t *testing.T) {
 	}
 
 	// No search dir: must fail loudly, naming the dataset.
-	if _, _, err := snapshot.OpenPartition(snapDir); err == nil {
+	if _, _, err := snapshot.OpenShards(snapDir, nil); err == nil {
 		t.Fatal("open succeeded without the dataset being findable")
 	}
 
 	// With the worker's -dataset-dir: found by base name, verified by
 	// checksum.
-	shard, _, err := snapshot.OpenShard(snapDir, 0, dsDir)
+	shard, _, err := openShard(snapDir, 0, dsDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,14 +125,15 @@ func TestDatasetSnapshotSearchDirs(t *testing.T) {
 	if err := dataset.WriteFile(filepath.Join(evil, "karate.radsgraph"), small, false); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := snapshot.OpenShard(snapDir, 0, evil); err == nil || !strings.Contains(err.Error(), "checksum") {
+	if _, _, err := openShard(snapDir, 0, evil); err == nil || !strings.Contains(err.Error(), "checksum") {
 		t.Fatalf("swapped dataset bytes: err = %v, want checksum mismatch", err)
 	}
 }
 
-// TestDatasetSnapshotAgainstPlainSnapshot: a dataset-backed snapshot
-// and a plain one over the same store restore partitions with equal
-// counts — the two persistence paths may never diverge.
+// TestDatasetSnapshotAgainstPlainSnapshot: Write, which copies the
+// graph into the snapshot, and WriteDataset, which references a
+// registered file, take one path: the same shards, the same graph bytes
+// by checksum, the same restored partition.
 func TestDatasetSnapshotAgainstPlainSnapshot(t *testing.T) {
 	dsDir := t.TempDir()
 	man, c := writeDatasetFixture(t, dsDir)
@@ -143,32 +146,33 @@ func TestDatasetSnapshotAgainstPlainSnapshot(t *testing.T) {
 	if err := snapshot.WriteDataset(dsSnapDir, part, "karate", man); err != nil {
 		t.Fatal(err)
 	}
-	// Dataset-backed shards must not re-encode adjacency: with the
-	// same partition and border distances, each must be smaller than
-	// its adjacency-carrying plain sibling.
 	for t2 := 0; t2 < part.M; t2++ {
 		name := fmt.Sprintf("shard-%03d.snap", t2)
-		pi, err := os.Stat(filepath.Join(plainDir, name))
+		a, err := os.ReadFile(filepath.Join(plainDir, name))
 		if err != nil {
 			t.Fatal(err)
 		}
-		di, err := os.Stat(filepath.Join(dsSnapDir, name))
+		b, err := os.ReadFile(filepath.Join(dsSnapDir, name))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if di.Size() >= pi.Size() {
-			t.Errorf("%s: dataset-backed %d bytes >= plain %d — adjacency re-encoded?", name, di.Size(), pi.Size())
+		if !bytes.Equal(a, b) {
+			t.Errorf("%s differs between the two snapshots", name)
 		}
 	}
 
-	plain, _, err := snapshot.OpenPartition(plainDir)
+	plainParts, pman, err := snapshot.OpenShards(plainDir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	backed, _, err := snapshot.OpenPartition(dsSnapDir)
+	if pman.Dataset == nil || pman.Dataset.Checksum != man.Checksum {
+		t.Fatalf("Write recorded graph %+v, want the dataset's checksum %s", pman.Dataset, man.Checksum)
+	}
+	backedParts, _, err := snapshot.OpenShards(dsSnapDir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	plain, backed := plainParts[0], backedParts[0]
 	for _, q := range []*pattern.Pattern{pattern.Triangle(), pattern.New("square", 4, 0, 1, 1, 2, 2, 3, 3, 0)} {
 		a := localenum.Count(plain.G, q, localenum.Options{})
 		b := localenum.Count(backed.G, q, localenum.Options{})
@@ -176,27 +180,12 @@ func TestDatasetSnapshotAgainstPlainSnapshot(t *testing.T) {
 			t.Errorf("%s: plain snapshot %d, dataset-backed %d", q.Name, a, b)
 		}
 	}
-	var adjChecks int
-	for v := 0; v < plain.G.NumVertices(); v++ {
-		a, b := plain.G.Adj(graph.VertexID(v)), backed.G.Adj(graph.VertexID(v))
-		if len(a) != len(b) {
-			t.Fatalf("vertex %d: degree %d vs %d", v, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("vertex %d: adjacency diverges", v)
-			}
-			adjChecks++
-		}
-	}
-	if adjChecks == 0 {
-		t.Fatal("no adjacency compared")
-	}
+	sameAdjacency(t, plain.G, backed.G)
 }
 
 // TestOpenShardsSharesDatasetGraph: a worker hosting several machines
-// of a dataset-backed snapshot must get one shared CSR-backed
-// partition, not one full copy per machine.
+// must get one shared partition, not one full copy of the graph per
+// machine.
 func TestOpenShardsSharesDatasetGraph(t *testing.T) {
 	dsDir := t.TempDir()
 	man, c := writeDatasetFixture(t, dsDir)
@@ -223,8 +212,7 @@ func TestOpenShardsSharesDatasetGraph(t *testing.T) {
 		t.Fatalf("shared partition counts %d triangles, want 45", got)
 	}
 
-	// Plain snapshots keep per-shard graphs (each shard only has its
-	// owned adjacency, so sharing would be wrong).
+	// The same holds when the graph was copied into the snapshot.
 	plainDir := t.TempDir()
 	if err := snapshot.Write(plainDir, part, "karate"); err != nil {
 		t.Fatal(err)
@@ -233,7 +221,7 @@ func TestOpenShardsSharesDatasetGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pparts[0] == pparts[1] {
-		t.Fatal("plain shards must not share a partition")
+	if pparts[0] != pparts[1] {
+		t.Fatal("shards of a Write snapshot should share one partition")
 	}
 }

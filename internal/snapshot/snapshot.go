@@ -1,40 +1,52 @@
 // Package snapshot is the warm-start codec of the resident service: it
-// persists a partitioned data graph — one shard file per machine, each
-// carrying the machine's adjacency lists, the full ownership vector and
-// the machine's memoized border distances — plus the prepared-artifact
-// cache, so a restarted radserve (or a freshly booted radsworker)
-// loads its state from disk instead of re-partitioning and re-deriving
-// it.
+// persists a partitioned data graph — the graph itself as a .radsgraph
+// file referenced by checksum, and one shard file per machine carrying
+// the full ownership vector and the machine's memoized border
+// distances — plus the prepared-artifact cache, so a restarted radserve
+// (or a freshly booted radsworker) loads its state from disk instead of
+// re-partitioning and re-deriving it.
 //
 // Layout of a snapshot directory:
 //
-//	manifest.json   global metadata (version, machine count, graph stats)
-//	shard-000.snap  machine 0: owner vector, owned adjacency, border distances
-//	shard-001.snap  ...
-//	artifacts.snap  optional: serialized engine.ArtifactCache entries
+//	manifest.json    global metadata (version, machine count, graph stats,
+//	                 the graph's dataset manifest: path and checksum)
+//	graph.radsgraph  the graph, unless it is a registered dataset
+//	                 referenced from elsewhere
+//	shard-000.snap   machine 0: owner vector, border distances
+//	shard-001.snap   ...
+//	artifacts.snap   optional: serialized engine.ArtifactCache entries
 //
-// Shard files are gob streams behind a magic+version header (the
-// binary sibling of graph.WriteAdjacency's text format). The format is
-// versioned: a reader confronted with a different version refuses
-// loudly (ErrVersion) instead of misinterpreting bytes, and truncated
-// files surface as errors, never as silently smaller graphs.
+// A shard is a fixed-width little-endian body guarded the way a
+// .radsgraph is:
 //
-// A shard is self-sufficient for hosting its machine: the shard graph
-// has the global vertex count, complete adjacency lists for owned
-// vertices (including edges to foreign endpoints, per Section 2's "an
-// edge resides in a machine if either endpoint does"), and only the
-// implied stubs elsewhere — exactly the local knowledge the RADS
-// distribution discipline permits.
+//	magic     [8]byte  "RADSSHRD"
+//	version   uint32   Version
+//	id        uint32   the machine
+//	machines  uint32
+//	n         uint32   vertices
+//	owner     n × int32
+//	bd        k × int32  the machine's border distances (Definition 1),
+//	                     one per owned vertex in ascending vertex order
+//	                     (k = the number of owner entries equal to id)
+//	crc       uint32   CRC-32C of every preceding byte
+//
+// The format is versioned: a reader confronted with a different version
+// refuses loudly (ErrVersion) instead of misinterpreting bytes, every
+// length is checked against the bytes that remain before anything is
+// allocated, and truncated or bit-flipped files surface as errors,
+// never as silently smaller partitions.
 package snapshot
 
 import (
-	"encoding/gob"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
+	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -44,21 +56,23 @@ import (
 )
 
 // Version is the on-disk format version this binary reads and writes.
-// Version 2 added dataset-backed shards: when the partitioned graph
-// came from a registered .radsgraph dataset, shards carry only the
-// ownership vector and border distances and the manifest references
-// the dataset by checksum — the adjacency is never re-encoded.
-const Version = 2
+// Version 3 made every snapshot reference its graph by checksum and
+// replaced the gob shard stream with the fixed-width body above.
+const Version = 3
 
 const (
 	shardMagic    = "RADSSHRD"
+	shardHeader   = 8 + 4 + 4 + 4 + 4
 	manifestName  = "manifest.json"
 	artifactsName = "artifacts.snap"
+	graphName     = "graph.radsgraph"
 )
 
 // ErrVersion marks a snapshot written by an incompatible format
 // version. Callers test with errors.Is and re-partition from source.
 var ErrVersion = errors.New("snapshot: format version mismatch")
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Manifest is the global metadata of a snapshot directory.
 type Manifest struct {
@@ -70,36 +84,21 @@ type Manifest struct {
 	Source    string  `json:"source,omitempty"`
 	Created   string  `json:"created,omitempty"`
 
-	// Dataset, when set, identifies the .radsgraph file the partition
-	// was built over. Shards then omit adjacency (ExternalGraph) and
-	// every open loads the CSR store instead, verified against the
-	// recorded checksum.
+	// Dataset identifies the .radsgraph file the partition was built
+	// over: graph.radsgraph inside the snapshot directory, or a
+	// registered dataset elsewhere. Every open loads it, verified
+	// against the recorded checksum.
 	Dataset *dataset.Manifest `json:"dataset,omitempty"`
 }
 
-// header guards every binary snapshot file.
-type header struct {
-	Magic   string
-	Version int
-}
-
-// shardPayload is the gob body of one shard file.
-type shardPayload struct {
-	ID       int
-	M        int
-	Vertices int     // global vertex count
-	Owner    []int32 // full ownership vector (every machine needs it)
-
-	// ExternalGraph: the adjacency lives in the dataset referenced by
-	// the snapshot manifest, not in this shard; Owned and Adj are empty.
-	ExternalGraph bool
-
-	// Owned vertices and their complete adjacency lists, parallel.
-	Owned []graph.VertexID
-	Adj   [][]graph.VertexID
+// shard is one machine's decoded shard file.
+type shard struct {
+	ID, M int
+	Owner []int32 // full ownership vector (every machine needs it)
 
 	// BorderDist is machine ID's memoized border-distance map
-	// (Definition 1), persisted so a worker never re-runs the BFS.
+	// (Definition 1), persisted so a worker never re-runs the BFS. It
+	// has exactly one entry per owned vertex.
 	BorderDist map[graph.VertexID]int32
 }
 
@@ -109,28 +108,27 @@ func Exists(dir string) bool {
 	return err == nil
 }
 
-// Write persists part into dir (created if needed): one shard file
-// per machine, then the manifest. The manifest is the commit point —
-// written last, via rename — so an interrupted Write leaves a
-// directory that Exists() reports false (or keeps its previous,
-// complete manifest) instead of a half-written snapshot that mixes
-// new and stale shards. Border distances are computed here if the
-// partition has not memoized them yet — paying the BFS at snapshot
-// time is the point.
+// Write persists part into dir (created if needed): the graph as
+// graph.radsgraph, one shard file per machine, then the manifest, which
+// references the graph by checksum exactly as WriteDataset references
+// a registered dataset. The manifest is the commit point — written
+// last, via rename — so an interrupted Write leaves a directory that
+// Exists() reports false (or keeps its previous, complete manifest)
+// instead of a half-written snapshot that mixes new and stale files.
+// Border distances are computed here if the partition has not memoized
+// them yet — paying the BFS at snapshot time is the point.
 func Write(dir string, part *partition.Partition, source string) error {
 	return write(dir, part, source, nil)
 }
 
 // WriteDataset persists a partition whose graph came from a registered
-// .radsgraph dataset. Shards then carry only the ownership vector and
-// border distances — the adjacency is the dataset's CSR file,
-// referenced from the manifest by checksum, so the snapshot stays
-// O(n) on disk however large the graph is and every reader is
-// guaranteed to enumerate over the exact bytes the coordinator
-// partitioned. The caller resolves ds.Path first (absolute, or
-// relative to dir): workers on the same host open it directly, workers
-// elsewhere search their own -dataset-dir by file name and rely on the
-// checksum for identity.
+// .radsgraph dataset: the manifest references that file by checksum
+// instead of copying it, so the snapshot stays O(n) on disk however
+// large the graph is and every reader is guaranteed to enumerate over
+// the exact bytes the coordinator partitioned. The caller resolves
+// ds.Path first (absolute, or relative to dir): workers on the same
+// host open it directly, workers elsewhere search their own
+// -dataset-dir by file name and rely on the checksum for identity.
 func WriteDataset(dir string, part *partition.Partition, source string, ds dataset.Manifest) error {
 	return write(dir, part, source, &ds)
 }
@@ -139,7 +137,7 @@ func write(dir string, part *partition.Partition, source string, ds *dataset.Man
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("snapshot: %w", err)
 	}
-	// Invalidate any previous manifest first: the shards about to be
+	// Invalidate any previous manifest first: the files about to be
 	// overwritten no longer match it. The artifact dump goes with it —
 	// prepared artifacts are bound to the partition being replaced, and
 	// seeding them against a different graph would silently corrupt
@@ -149,9 +147,21 @@ func write(dir string, part *partition.Partition, source string, ds *dataset.Man
 			return fmt.Errorf("snapshot: %w", err)
 		}
 	}
+	if ds == nil {
+		path := filepath.Join(dir, graphName)
+		if err := dataset.WriteFile(path, part.G, false); err != nil {
+			return fmt.Errorf("snapshot: %w", err)
+		}
+		m, err := dataset.NewManifest("graph", path, part.G, dataset.Stats{}, source)
+		if err != nil {
+			return fmt.Errorf("snapshot: %w", err)
+		}
+		ds = &m
+	}
 	for t := 0; t < part.M; t++ {
-		if err := writeShard(dir, part, t, ds != nil); err != nil {
-			return err
+		s := shard{ID: t, M: part.M, Owner: part.Owner, BorderDist: part.BorderDistances(t)}
+		if err := os.WriteFile(shardPath(dir, t), encodeShard(&s), 0o644); err != nil {
+			return fmt.Errorf("snapshot: shard %d: %w", t, err)
 		}
 	}
 	man := Manifest{
@@ -182,37 +192,79 @@ func shardPath(dir string, t int) string {
 	return filepath.Join(dir, fmt.Sprintf("shard-%03d.snap", t))
 }
 
-func writeShard(dir string, part *partition.Partition, t int, external bool) error {
-	owned := part.Vertices(t)
-	pay := shardPayload{
-		ID:            t,
-		M:             part.M,
-		Vertices:      part.G.NumVertices(),
-		Owner:         part.Owner,
-		ExternalGraph: external,
-		BorderDist:    part.BorderDistances(t),
+// encodeShard renders s in the shard format of the package comment.
+func encodeShard(s *shard) []byte {
+	n := len(s.Owner)
+	buf := make([]byte, shardHeader, shardHeader+4*(n+len(s.BorderDist))+4)
+	copy(buf, shardMagic)
+	le := binary.LittleEndian
+	le.PutUint32(buf[8:], Version)
+	le.PutUint32(buf[12:], uint32(s.ID))
+	le.PutUint32(buf[16:], uint32(s.M))
+	le.PutUint32(buf[20:], uint32(n))
+	for _, o := range s.Owner {
+		buf = le.AppendUint32(buf, uint32(o))
 	}
-	if !external {
-		pay.Owned = owned
-		pay.Adj = make([][]graph.VertexID, len(owned))
-		for i, v := range owned {
-			pay.Adj[i] = part.G.Adj(v)
+	for v, o := range s.Owner {
+		if int(o) == s.ID {
+			buf = le.AppendUint32(buf, uint32(s.BorderDist[graph.VertexID(v)]))
 		}
 	}
-	f, err := os.Create(shardPath(dir, t))
-	if err != nil {
-		return fmt.Errorf("snapshot: %w", err)
+	return le.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
+}
+
+// decodeShard parses a whole shard file. Whatever it accepts,
+// encodeShard renders back to the same bytes.
+func decodeShard(raw []byte) (*shard, error) {
+	le := binary.LittleEndian
+	if len(raw) < shardHeader+4 {
+		return nil, fmt.Errorf("truncated: %d bytes is smaller than any valid shard", len(raw))
 	}
-	enc := gob.NewEncoder(f)
-	if err := enc.Encode(header{Magic: shardMagic, Version: Version}); err != nil {
-		f.Close()
-		return fmt.Errorf("snapshot: shard %d: %w", t, err)
+	if string(raw[:8]) != shardMagic {
+		return nil, fmt.Errorf("not a rads shard file (magic %q)", raw[:8])
 	}
-	if err := enc.Encode(pay); err != nil {
-		f.Close()
-		return fmt.Errorf("snapshot: shard %d: %w", t, err)
+	if v := le.Uint32(raw[8:]); v != Version {
+		return nil, fmt.Errorf("%w: shard has version %d, this binary reads %d", ErrVersion, v, Version)
 	}
-	return f.Close()
+	id, m, n := le.Uint32(raw[12:]), le.Uint32(raw[16:]), le.Uint32(raw[20:])
+	if id >= m || m > math.MaxInt32 {
+		return nil, fmt.Errorf("machine %d outside a fleet of %d", id, m)
+	}
+	body := raw[shardHeader : len(raw)-4]
+	if int64(n) > int64(len(body))/4 {
+		return nil, fmt.Errorf("header claims %d vertices, impossible for a %d-byte shard", n, len(raw))
+	}
+	owners, rest := body[:4*int(n)], body[4*int(n):]
+	var k int
+	for i := 0; i < len(owners); i += 4 {
+		if le.Uint32(owners[i:]) == id {
+			k++
+		}
+	}
+	if len(rest) != 4*k {
+		return nil, fmt.Errorf("truncated or oversized: %d owned vertices imply %d bytes of border distances, shard has %d",
+			k, 4*k, len(rest))
+	}
+	if got, want := crc32.Checksum(raw[:len(raw)-4], castagnoli), le.Uint32(raw[len(raw)-4:]); got != want {
+		return nil, fmt.Errorf("checksum mismatch: shard carries %08x, content hashes to %08x", want, got)
+	}
+	s := &shard{ID: int(id), M: int(m), Owner: make([]int32, n), BorderDist: make(map[graph.VertexID]int32, k)}
+	for v := range s.Owner {
+		o := le.Uint32(owners[4*v:])
+		if o >= m {
+			return nil, fmt.Errorf("vertex %d has owner %d outside [0,%d)", v, o, m)
+		}
+		s.Owner[v] = int32(o)
+		if o == id {
+			d := int32(le.Uint32(rest))
+			if d < 0 {
+				return nil, fmt.Errorf("vertex %d has border distance %d", v, d)
+			}
+			s.BorderDist[graph.VertexID(v)] = d
+			rest = rest[4:]
+		}
+	}
+	return s, nil
 }
 
 // ReadManifest loads and version-checks dir's manifest.
@@ -228,114 +280,36 @@ func ReadManifest(dir string) (Manifest, error) {
 	if man.Version != Version {
 		return man, fmt.Errorf("%w: manifest has version %d, this binary reads %d", ErrVersion, man.Version, Version)
 	}
+	if man.Machines < 1 {
+		return man, fmt.Errorf("snapshot: manifest lists %d machines", man.Machines)
+	}
 	return man, nil
 }
 
-func readShard(dir string, t int) (*shardPayload, error) {
-	f, err := os.Open(shardPath(dir, t))
+func readShard(dir string, t int) (*shard, error) {
+	raw, err := os.ReadFile(shardPath(dir, t))
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: %w", err)
 	}
-	defer f.Close()
-	dec := gob.NewDecoder(f)
-	var h header
-	if err := dec.Decode(&h); err != nil {
-		return nil, fmt.Errorf("snapshot: shard %d: truncated or corrupt header: %w", t, decodeErr(err))
+	s, err := decodeShard(raw)
+	if err != nil {
+		return nil, fmt.Errorf("snapshot: shard %d: %w", t, err)
 	}
-	if h.Magic != shardMagic {
-		return nil, fmt.Errorf("snapshot: shard %d: not a rads shard file (magic %q)", t, h.Magic)
+	if s.ID != t {
+		return nil, fmt.Errorf("snapshot: shard file %d carries machine %d", t, s.ID)
 	}
-	if h.Version != Version {
-		return nil, fmt.Errorf("%w: shard %d has version %d, this binary reads %d", ErrVersion, t, h.Version, Version)
-	}
-	var pay shardPayload
-	if err := dec.Decode(&pay); err != nil {
-		return nil, fmt.Errorf("snapshot: shard %d: truncated or corrupt payload: %w", t, decodeErr(err))
-	}
-	if pay.ID != t {
-		return nil, fmt.Errorf("snapshot: shard file %d carries machine %d", t, pay.ID)
-	}
-	if len(pay.Owner) != pay.Vertices || len(pay.Owned) != len(pay.Adj) {
-		return nil, fmt.Errorf("snapshot: shard %d: inconsistent payload", t)
-	}
-	return &pay, nil
+	return s, nil
 }
 
-// decodeErr normalizes gob's bare EOFs on truncated input.
-func decodeErr(err error) error {
-	if errors.Is(err, io.EOF) {
-		return io.ErrUnexpectedEOF
-	}
-	return err
-}
-
-// OpenShard loads machine id's shard from dir as a shard-backed
-// Partition: the graph has complete adjacency for owned vertices (plus
-// the reverse stubs those edges imply) and the machine's border
-// distances pre-installed. Hosting any other machine on it would
-// violate the distribution discipline. Dataset-backed shards load the
-// referenced CSR store instead (checksum-verified); datasetDirs are
-// extra directories searched for the .radsgraph file by name, for
-// workers whose filesystem layout differs from the coordinator's.
-func OpenShard(dir string, id int, datasetDirs ...string) (*partition.Partition, Manifest, error) {
-	man, err := ReadManifest(dir)
-	if err != nil {
-		return nil, man, err
-	}
-	pay, err := readShard(dir, id)
-	if err != nil {
-		return nil, man, err
-	}
-	if pay.M != man.Machines {
-		return nil, man, fmt.Errorf("snapshot: shard %d says %d machines, manifest %d", id, pay.M, man.Machines)
-	}
-	if pay.ExternalGraph {
-		g, err := openDatasetGraph(dir, man, datasetDirs)
-		if err != nil {
-			return nil, man, fmt.Errorf("snapshot: shard %d: %w", id, err)
-		}
-		part, err := partition.New(g, pay.M, pay.Owner)
-		if err != nil {
-			return nil, man, fmt.Errorf("snapshot: shard %d: %w", id, err)
-		}
-		part.InstallBorderDistances(id, pay.BorderDist)
-		return part, man, nil
-	}
-	part, err := shardPartition(pay)
-	if err != nil {
-		return nil, man, err
-	}
-	return part, man, nil
-}
-
-// shardPartition rebuilds a plain shard's partition from its decoded
-// payload: the owned adjacency (plus implied reverse stubs), the full
-// ownership vector and the machine's memoized border distances.
-func shardPartition(pay *shardPayload) (*partition.Partition, error) {
-	b := graph.NewBuilder(pay.Vertices)
-	for i, v := range pay.Owned {
-		for _, u := range pay.Adj[i] {
-			b.AddEdge(v, u)
-		}
-	}
-	part, err := partition.New(b.Build(), pay.M, pay.Owner)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: shard %d: %w", pay.ID, err)
-	}
-	part.InstallBorderDistances(pay.ID, pay.BorderDist)
-	return part, nil
-}
-
-// openDatasetGraph resolves a dataset-backed snapshot's CSR store: the
-// manifest-recorded path first (absolute or relative to the snapshot
-// directory), then the file's base name under the snapshot directory
-// and each extra search directory. Wherever the bytes are found, the
-// recorded checksum must match — the dataset's identity travels with
-// the snapshot, not the path.
-func openDatasetGraph(dir string, man Manifest, datasetDirs []string) (*dataset.CSR, error) {
+// openGraph resolves a snapshot's graph: the manifest-recorded path
+// first (absolute or relative to the snapshot directory), then the
+// file's base name under the snapshot directory and each extra search
+// directory. Wherever the bytes are found, the recorded checksum must
+// match — the graph's identity travels with the snapshot, not the path.
+func openGraph(dir string, man Manifest, datasetDirs []string) (*graph.Graph, error) {
 	ds := man.Dataset
 	if ds == nil {
-		return nil, errors.New("snapshot: shard references an external dataset but the manifest records none")
+		return nil, errors.New("snapshot: the manifest records no graph")
 	}
 	candidates := []string{ds.Path}
 	if !filepath.IsAbs(ds.Path) {
@@ -353,9 +327,9 @@ func openDatasetGraph(dir string, man Manifest, datasetDirs []string) (*dataset.
 		if _, err := os.Stat(path); errors.Is(err, os.ErrNotExist) {
 			continue
 		}
-		c, err := ds.OpenAt(path)
+		g, err := ds.OpenAt(path)
 		if err == nil {
-			return c, nil
+			return g, nil
 		}
 		if firstErr == nil {
 			firstErr = err
@@ -368,105 +342,49 @@ func openDatasetGraph(dir string, man Manifest, datasetDirs []string) (*dataset.
 		ds.Name, ds.Checksum, strings.Join(candidates, ", "))
 }
 
-// OpenShards opens several machines' shards at once — the radsworker
-// boot path. For plain snapshots it is per-shard OpenShard. For
-// dataset-backed snapshots the CSR file is resolved, checksum-verified
-// and loaded exactly once, and one shared Partition hosts every
-// requested machine (each machine's persisted border distances
-// installed): hosting k machines costs one copy of the graph, not k.
-// Sharing is safe — machines only read the partition, and the
-// in-process engine already runs all its machines over one Partition.
+// OpenShards opens the shards of the machines in ids — every machine
+// of the snapshot when ids is nil — over one shared Partition: the
+// referenced graph is resolved, checksum-verified and loaded exactly
+// once, and each requested machine's persisted border distances are
+// installed, so the first query pays no BFS either. Hosting k machines
+// costs one copy of the graph, not k. Sharing is safe — machines only
+// read the partition, and the in-process engine already runs all its
+// machines over one Partition. datasetDirs are extra directories
+// searched for the .radsgraph file by name, for workers whose
+// filesystem layout differs from the coordinator's.
 func OpenShards(dir string, ids []int, datasetDirs ...string) ([]*partition.Partition, Manifest, error) {
 	man, err := ReadManifest(dir)
 	if err != nil {
 		return nil, man, err
 	}
-	parts := make([]*partition.Partition, len(ids))
-	var shared *partition.Partition
-	for i, id := range ids {
-		pay, err := readShard(dir, id)
-		if err != nil {
-			return nil, man, err
+	if ids == nil {
+		for t := 0; t < man.Machines; t++ {
+			ids = append(ids, t)
 		}
-		if pay.M != man.Machines {
-			return nil, man, fmt.Errorf("snapshot: shard %d says %d machines, manifest %d", id, pay.M, man.Machines)
-		}
-		if !pay.ExternalGraph {
-			// Plain shard: its own graph of owned adjacency, built from
-			// the payload already decoded above (no second read).
-			part, err := shardPartition(pay)
-			if err != nil {
-				return nil, man, err
-			}
-			parts[i] = part
-			continue
-		}
-		if shared == nil {
-			g, err := openDatasetGraph(dir, man, datasetDirs)
-			if err != nil {
-				return nil, man, fmt.Errorf("snapshot: shard %d: %w", id, err)
-			}
-			shared, err = partition.New(g, pay.M, pay.Owner)
-			if err != nil {
-				return nil, man, fmt.Errorf("snapshot: shard %d: %w", id, err)
-			}
-		}
-		shared.InstallBorderDistances(id, pay.BorderDist)
-		parts[i] = shared
 	}
-	return parts, man, nil
-}
-
-// OpenPartition reassembles the full partition from every shard —
-// the coordinator's warm start. Each machine's persisted border
-// distances are installed, so the first query pays no BFS either.
-func OpenPartition(dir string, datasetDirs ...string) (*partition.Partition, Manifest, error) {
-	man, err := ReadManifest(dir)
+	g, err := openGraph(dir, man, datasetDirs)
 	if err != nil {
 		return nil, man, err
 	}
-	var owner []int32
-	var b *graph.Builder
-	var g graph.Store
-	bds := make([]map[graph.VertexID]int32, man.Machines)
-	for t := 0; t < man.Machines; t++ {
-		pay, err := readShard(dir, t)
+	parts := make([]*partition.Partition, len(ids))
+	var part *partition.Partition
+	for i, id := range ids {
+		s, err := readShard(dir, id)
 		if err != nil {
 			return nil, man, err
 		}
-		if pay.ExternalGraph {
-			if g == nil {
-				g, err = openDatasetGraph(dir, man, datasetDirs)
-				if err != nil {
-					return nil, man, err
-				}
-				owner = pay.Owner
-			}
-		} else {
-			if b == nil {
-				b = graph.NewBuilder(pay.Vertices)
-				owner = pay.Owner
-			}
-			for i, v := range pay.Owned {
-				for _, u := range pay.Adj[i] {
-					b.AddEdge(v, u)
-				}
-			}
+		if s.M != man.Machines {
+			return nil, man, fmt.Errorf("snapshot: shard %d says %d machines, manifest %d", id, s.M, man.Machines)
 		}
-		bds[t] = pay.BorderDist
-	}
-	if g == nil {
-		if b == nil {
-			return nil, man, fmt.Errorf("snapshot: manifest lists no machines")
+		if part == nil {
+			if part, err = partition.New(g, s.M, s.Owner); err != nil {
+				return nil, man, fmt.Errorf("snapshot: shard %d: %w", id, err)
+			}
+		} else if !slices.Equal(s.Owner, part.Owner) {
+			return nil, man, fmt.Errorf("snapshot: shard %d disagrees with shard %d on vertex ownership", id, ids[0])
 		}
-		g = b.Build()
+		part.InstallBorderDistances(id, s.BorderDist)
+		parts[i] = part
 	}
-	part, err := partition.New(g, man.Machines, owner)
-	if err != nil {
-		return nil, man, fmt.Errorf("snapshot: %w", err)
-	}
-	for t, bd := range bds {
-		part.InstallBorderDistances(t, bd)
-	}
-	return part, man, nil
+	return parts, man, nil
 }

@@ -1,12 +1,15 @@
 package snapshot_test
 
 import (
+	"encoding/binary"
 	"encoding/gob"
 	"encoding/json"
 	"errors"
+	"maps"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -26,9 +29,32 @@ func testPartition(t *testing.T) *partition.Partition {
 	return partition.KWay(g, 3, 7)
 }
 
+// openShard opens machine id's shard the way a worker hosting only
+// that machine does.
+func openShard(dir string, id int, datasetDirs ...string) (*partition.Partition, snapshot.Manifest, error) {
+	parts, man, err := snapshot.OpenShards(dir, []int{id}, datasetDirs...)
+	if err != nil {
+		return nil, man, err
+	}
+	return parts[0], man, nil
+}
+
+// sameAdjacency fails t unless a and b store the same rows.
+func sameAdjacency(t *testing.T, a, b *graph.Graph) {
+	t.Helper()
+	if a.NumVertices() != b.NumVertices() || a.NumEdges() != b.NumEdges() {
+		t.Fatalf("graph %d/%d, want %d/%d", b.NumVertices(), b.NumEdges(), a.NumVertices(), a.NumEdges())
+	}
+	for v := 0; v < a.NumVertices(); v++ {
+		if !slices.Equal(a.Adj(graph.VertexID(v)), b.Adj(graph.VertexID(v))) {
+			t.Fatalf("adj(%d) = %v, want %v", v, b.Adj(graph.VertexID(v)), a.Adj(graph.VertexID(v)))
+		}
+	}
+}
+
 // TestShardRoundTrip writes a snapshot and checks each shard restores
-// the machine's exact local knowledge: owned vertices, complete owned
-// adjacency, ownership vector and memoized border distances.
+// the machine's exact local knowledge: the graph, the ownership vector
+// and the machine's memoized border distances.
 func TestShardRoundTrip(t *testing.T) {
 	part := testPartition(t)
 	dir := t.TempDir()
@@ -39,77 +65,50 @@ func TestShardRoundTrip(t *testing.T) {
 		t.Fatal("Exists = false after Write")
 	}
 	for id := 0; id < part.M; id++ {
-		shard, man, err := snapshot.OpenShard(dir, id)
+		shard, man, err := openShard(dir, id)
 		if err != nil {
-			t.Fatalf("OpenShard(%d): %v", id, err)
+			t.Fatalf("shard %d: %v", id, err)
 		}
 		if man.Machines != part.M || man.Vertices != part.G.NumVertices() || man.Edges != part.G.NumEdges() {
 			t.Fatalf("manifest %+v does not match source", man)
 		}
-		if shard.M != part.M || shard.G.NumVertices() != part.G.NumVertices() {
-			t.Fatalf("shard %d shape: M=%d n=%d", id, shard.M, shard.G.NumVertices())
+		if shard.M != part.M || !slices.Equal(shard.Owner, part.Owner) {
+			t.Fatalf("shard %d: M=%d, owner vector differs", id, shard.M)
 		}
-		for v, o := range part.Owner {
-			if shard.Owner[v] != o {
-				t.Fatalf("shard %d: owner[%d] = %d, want %d", id, v, shard.Owner[v], o)
-			}
-		}
-		// Owned adjacency is byte-identical.
-		for _, v := range part.Vertices(id) {
-			want, got := part.G.Adj(v), shard.G.Adj(v)
-			if len(want) != len(got) {
-				t.Fatalf("shard %d: adj(%d) has %d entries, want %d", id, v, len(got), len(want))
-			}
-			for i := range want {
-				if want[i] != got[i] {
-					t.Fatalf("shard %d: adj(%d)[%d] = %d, want %d", id, v, i, got[i], want[i])
-				}
-			}
-		}
+		sameAdjacency(t, part.G, shard.G)
 		// Border distances restored exactly (no BFS on this path, but
 		// equality against a fresh computation proves fidelity).
-		want := part.BorderDistances(id)
-		got := shard.BorderDistances(id)
-		if len(want) != len(got) {
-			t.Fatalf("shard %d: %d border distances, want %d", id, len(got), len(want))
-		}
-		for v, d := range want {
-			if got[v] != d {
-				t.Fatalf("shard %d: bd[%d] = %d, want %d", id, v, got[v], d)
-			}
+		if want, got := part.BorderDistances(id), shard.BorderDistances(id); !maps.Equal(want, got) {
+			t.Fatalf("shard %d: border distances %v, want %v", id, got, want)
 		}
 	}
 }
 
-// TestOpenPartitionRebuildsFullGraph checks the coordinator warm path:
-// all shards merged reproduce the original graph and partition.
-func TestOpenPartitionRebuildsFullGraph(t *testing.T) {
+// TestOpenShardsRebuildsFullGraph checks the coordinator warm path:
+// every machine opened at once reproduces the original graph and
+// partition, with every machine's border distances installed.
+func TestOpenShardsRebuildsFullGraph(t *testing.T) {
 	part := testPartition(t)
 	dir := t.TempDir()
 	if err := snapshot.Write(dir, part, "test"); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := snapshot.OpenPartition(dir)
+	parts, _, err := snapshot.OpenShards(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.G.NumVertices() != part.G.NumVertices() || got.G.NumEdges() != part.G.NumEdges() {
-		t.Fatalf("rebuilt graph %d/%d, want %d/%d",
-			got.G.NumVertices(), got.G.NumEdges(), part.G.NumVertices(), part.G.NumEdges())
+	if len(parts) != part.M {
+		t.Fatalf("opened %d machines, want %d", len(parts), part.M)
 	}
-	for v := 0; v < part.G.NumVertices(); v++ {
-		a, b := part.G.Adj(graph.VertexID(v)), got.G.Adj(graph.VertexID(v))
-		if len(a) != len(b) {
-			t.Fatalf("adj(%d): %d vs %d neighbours", v, len(b), len(a))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("adj(%d) differs at %d", v, i)
-			}
-		}
-	}
+	got := parts[0]
+	sameAdjacency(t, part.G, got.G)
 	if got.EdgeCut() != part.EdgeCut() {
 		t.Fatalf("edge cut %d, want %d", got.EdgeCut(), part.EdgeCut())
+	}
+	for id := 0; id < part.M; id++ {
+		if !maps.Equal(part.BorderDistances(id), got.BorderDistances(id)) {
+			t.Fatalf("machine %d: border distances differ", id)
+		}
 	}
 }
 
@@ -178,8 +177,7 @@ func TestReadArtifactsMissingFile(t *testing.T) {
 }
 
 // TestVersionMismatchRejected: a future (or past) format version is
-// refused with ErrVersion everywhere — manifest, shard and artifact
-// readers.
+// refused with ErrVersion, in the manifest and in a shard.
 func TestVersionMismatchRejected(t *testing.T) {
 	part := testPartition(t)
 	dir := t.TempDir()
@@ -201,11 +199,28 @@ func TestVersionMismatchRejected(t *testing.T) {
 	if err := os.WriteFile(manPath, b2, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := snapshot.OpenPartition(dir); !errors.Is(err, snapshot.ErrVersion) {
-		t.Fatalf("OpenPartition err = %v, want ErrVersion", err)
+	if _, _, err := snapshot.OpenShards(dir, nil); !errors.Is(err, snapshot.ErrVersion) {
+		t.Fatalf("OpenShards err = %v, want ErrVersion", err)
 	}
-	if _, _, err := snapshot.OpenShard(dir, 0); !errors.Is(err, snapshot.ErrVersion) {
-		t.Fatalf("OpenShard err = %v, want ErrVersion", err)
+	if _, _, err := openShard(dir, 0); !errors.Is(err, snapshot.ErrVersion) {
+		t.Fatalf("one shard: err = %v, want ErrVersion", err)
+	}
+
+	// A shard of another version behind a current manifest.
+	if err := snapshot.Write(dir, part, "test"); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "shard-001.snap")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(raw[8:], snapshot.Version-1)
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := openShard(dir, 1); !errors.Is(err, snapshot.ErrVersion) {
+		t.Fatalf("old shard: err = %v, want ErrVersion", err)
 	}
 }
 
@@ -226,11 +241,11 @@ func TestTruncatedShardRejected(t *testing.T) {
 		if err := os.WriteFile(path, b[:keep], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := snapshot.OpenShard(dir, 0); err == nil {
-			t.Fatalf("OpenShard accepted a shard truncated to %d bytes", keep)
+		if _, _, err := openShard(dir, 0); err == nil {
+			t.Fatalf("a shard truncated to %d bytes opened", keep)
 		}
-		if _, _, err := snapshot.OpenPartition(dir); err == nil {
-			t.Fatalf("OpenPartition accepted a shard truncated to %d bytes", keep)
+		if _, _, err := snapshot.OpenShards(dir, nil); err == nil {
+			t.Fatalf("OpenShards accepted a shard truncated to %d bytes", keep)
 		}
 	}
 }
