@@ -61,7 +61,7 @@ func runCount(ds, registry, patName string, machines int, scale float64) error {
 	if ds == "" {
 		return fmt.Errorf("-exp count needs -dataset")
 	}
-	store, _, err := harness.LoadStore(ds, registry, scale)
+	store, _, err := harness.LoadStore("", ds, registry, scale)
 	if err != nil {
 		return err
 	}

@@ -1,7 +1,6 @@
 // Command radserve exposes the resident query service over HTTP: it
 // loads and partitions a data graph once at startup, then serves many
-// pattern queries against it — the serving-system counterpart to the
-// batch-shaped radsrun.
+// pattern queries against it.
 //
 // Usage:
 //
@@ -60,9 +59,7 @@ import (
 
 	"rads/internal/buildinfo"
 	"rads/internal/cluster"
-	"rads/internal/dataset"
 	"rads/internal/engine"
-	"rads/internal/graph"
 	"rads/internal/harness"
 	"rads/internal/jobs"
 	"rads/internal/obs"
@@ -165,37 +162,21 @@ func loadPartition(o options) (*partition.Partition, error) {
 			return nil, err
 		}
 	}
-	var g *graph.Graph
-	var source string
-	var ds *dataset.Manifest
+	g, ds, err := harness.LoadStore(o.graphFile, o.dataset, o.registry, o.scale)
+	if err != nil {
+		return nil, err
+	}
+	source := o.dataset
 	if o.graphFile != "" {
-		f, err := os.Open(o.graphFile)
-		if err != nil {
-			return nil, err
-		}
-		var err2 error
-		g, err2 = graph.ReadEdgeList(f)
-		f.Close()
-		if err2 != nil {
-			return nil, err2
-		}
 		source = o.graphFile
-	} else {
-		var err error
-		g, ds, err = harness.LoadStore(o.dataset, o.registry, o.scale)
-		if err != nil {
-			return nil, err
-		}
-		source = o.dataset
-		if ds != nil {
-			log.Printf("dataset %s: graph from registry %s (%s)", ds.Name, o.registry, ds.Checksum)
-		}
+	}
+	if ds != nil {
+		log.Printf("dataset %s: graph from registry %s (%s)", ds.Name, o.registry, ds.Checksum)
 	}
 	log.Printf("graph %s: %d vertices, %d edges", source, g.NumVertices(), g.NumEdges())
 	part := partition.KWay(g, o.machines, service.DefaultPartitionSeed)
 	if o.snapDir != "" {
 		start := time.Now()
-		var err error
 		if ds != nil {
 			// The snapshot references the registered .radsgraph by
 			// checksum instead of copying it. Record an absolute path so

@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"strings"
@@ -29,13 +30,13 @@ func main() {
 		seed      = flag.Int64("seed", 1, "seed for the random baseline plans")
 	)
 	flag.Parse()
-	if err := run(*queryName, *compare, *seed); err != nil {
+	if err := run(os.Stdout, *queryName, *compare, *seed); err != nil {
 		fmt.Fprintln(os.Stderr, "radsplan:", err)
 		os.Exit(1)
 	}
 }
 
-func run(queryName string, compare bool, seed int64) error {
+func run(w io.Writer, queryName string, compare bool, seed int64) error {
 	q := pattern.ByName(queryName)
 	if q == nil && strings.Contains(queryName, ":") {
 		var err error
@@ -48,21 +49,21 @@ func run(queryName string, compare bool, seed int64) error {
 		return fmt.Errorf("unknown query %q", queryName)
 	}
 
-	fmt.Printf("pattern %s: %d vertices, %d edges, diameter %d, max clique %d, |Aut| = %d\n",
+	fmt.Fprintf(w, "pattern %s: %d vertices, %d edges, diameter %d, max clique %d, |Aut| = %d\n",
 		q.Name, q.N(), q.NumEdges(), q.Diameter(), q.MaxCliqueSize(), q.AutomorphismCount())
-	fmt.Println("vertex  degree  span")
+	fmt.Fprintln(w, "vertex  degree  span")
 	for u := 0; u < q.N(); u++ {
 		uv := pattern.VertexID(u)
-		fmt.Printf("  u%-5d %-7d %d\n", u, q.Degree(uv), q.Span(uv))
+		fmt.Fprintf(w, "  u%-5d %-7d %d\n", u, q.Degree(uv), q.Span(uv))
 	}
 	if cons := q.SymmetryBreaking(); len(cons) > 0 {
 		var parts []string
 		for _, c := range cons {
 			parts = append(parts, fmt.Sprintf("f(u%d) < f(u%d)", c.Less, c.Greater))
 		}
-		fmt.Printf("symmetry breaking: %s\n", strings.Join(parts, ", "))
+		fmt.Fprintf(w, "symmetry breaking: %s\n", strings.Join(parts, ", "))
 	} else {
-		fmt.Println("symmetry breaking: none (pattern is rigid)")
+		fmt.Fprintln(w, "symmetry breaking: none (pattern is rigid)")
 	}
 
 	pl, err := plan.Compute(q)
@@ -73,8 +74,8 @@ func run(queryName string, compare bool, seed int64) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("\noptimized plan (c_P = %d rounds):\n", minRounds)
-	describe(pl)
+	fmt.Fprintf(w, "\noptimized plan (c_P = %d rounds):\n", minRounds)
+	describe(w, pl)
 
 	if !compare {
 		return nil
@@ -84,26 +85,26 @@ func run(queryName string, compare bool, seed int64) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("\nRanS baseline (%d rounds, random stars):\n", rans.NumRounds())
-	describe(rans)
+	fmt.Fprintf(w, "\nRanS baseline (%d rounds, random stars):\n", rans.NumRounds())
+	describe(w, rans)
 	ranm, err := plan.RandomMinRound(q, rng)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("\nRanM baseline (%d rounds, unoptimized minimum):\n", ranm.NumRounds())
-	describe(ranm)
+	fmt.Fprintf(w, "\nRanM baseline (%d rounds, unoptimized minimum):\n", ranm.NumRounds())
+	describe(w, ranm)
 	return nil
 }
 
-func describe(pl *plan.Plan) {
+func describe(w io.Writer, pl *plan.Plan) {
 	for i, dp := range pl.Units {
-		fmt.Printf("  round %d: pivot u%d, leaves %s — %d expansion, %d sibling, %d cross-unit edges\n",
+		fmt.Fprintf(w, "  round %d: pivot u%d, leaves %s — %d expansion, %d sibling, %d cross-unit edges\n",
 			i, dp.Piv, verts(dp.LF), len(pl.Star[i]), len(pl.Sib[i]), len(pl.Cross[i]))
 	}
-	fmt.Printf("  matching order: %s\n", verts(pl.Order))
-	fmt.Printf("  verification score (formula 3, rho=1): %.3f; full score (formula 4): %.3f\n",
+	fmt.Fprintf(w, "  matching order: %s\n", verts(pl.Order))
+	fmt.Fprintf(w, "  verification score (formula 3, rho=1): %.3f; full score (formula 4): %.3f\n",
 		pl.ScoreVerification(), pl.Score())
-	fmt.Printf("  starting vertex u%d has span %d\n", pl.Order[0], pl.P.Span(pl.Order[0]))
+	fmt.Fprintf(w, "  starting vertex u%d has span %d\n", pl.Order[0], pl.P.Span(pl.Order[0]))
 }
 
 func verts(vs []pattern.VertexID) string {

@@ -1,10 +1,12 @@
 // Command radsprep takes raw real-world graphs into the serving stack:
 // it streams a SNAP-style edge list into the compact .radsgraph CSR
 // format, registers the result in a dataset registry, and inspects or
-// verifies existing files.
+// verifies existing files. It also writes the synthetic dataset
+// analogs out as edge lists, the input ingest and radserve -graph read.
 //
 // Usage:
 //
+//	radsprep gen -dataset RoadNet -scale 0.5 -o roadnet.txt
 //	radsprep ingest edges.txt -o lj.radsgraph -name lj [-degree-order] [-registry datasets/]
 //	radsprep stats lj.radsgraph
 //	radsprep stats -registry datasets/ lj
@@ -20,14 +22,17 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 
 	"rads/internal/dataset"
 	"rads/internal/graph"
+	"rads/internal/harness"
 )
 
 func main() {
@@ -37,6 +42,8 @@ func main() {
 	}
 	var err error
 	switch os.Args[1] {
+	case "gen":
+		err = runGen(os.Args[2:])
 	case "ingest":
 		err = runIngest(os.Args[2:])
 	case "stats":
@@ -74,10 +81,64 @@ func parseMixed(fs *flag.FlagSet, args []string) []string {
 func usage() {
 	fmt.Fprintf(os.Stderr, `radsprep prepares real-graph datasets for the RADS serving stack.
 
+  radsprep gen    -dataset NAME [-scale S] [-o FILE]
   radsprep ingest <edges.txt> [-o FILE] [-name NAME] [-degree-order] [-registry DIR]
   radsprep stats  <file.radsgraph | -registry DIR NAME> [-triangles]
   radsprep verify <file.radsgraph | -registry DIR NAME>
 `)
+}
+
+func runGen(args []string) error {
+	fs := flag.NewFlagSet("gen", flag.ExitOnError)
+	name := fs.String("dataset", "DBLP", "dataset analog (RoadNet DBLP LiveJournal UK2002)")
+	out := fs.String("o", "", "output edge-list file (default stdout)")
+	scale := fs.Float64("scale", 1.0, "dataset scale factor")
+	if pos := parseMixed(fs, args); len(pos) != 0 {
+		return fmt.Errorf("gen takes no positional arguments (got %q)", pos)
+	}
+	d, err := harness.DatasetByName(*name)
+	if err != nil {
+		return err
+	}
+	g := d.Build(*scale)
+	w := os.Stdout
+	if *out != "" {
+		f, err := os.Create(*out)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		w = f
+	}
+	if err := writeEdgeList(w, g); err != nil {
+		return err
+	}
+	if *out != "" {
+		if err := w.Close(); err != nil {
+			return err
+		}
+	}
+	fmt.Fprintf(os.Stderr, "wrote %s (%d vertices, %d edges)\n", *name, g.NumVertices(), g.NumEdges())
+	return nil
+}
+
+// writeEdgeList writes "u v" per line for every undirected edge (u < v),
+// the interchange format of the SNAP datasets the paper uses and the
+// one text format every tool here reads.
+func writeEdgeList(w io.Writer, g *graph.Graph) error {
+	bw := bufio.NewWriterSize(w, 1<<16)
+	var werr error
+	g.Edges(func(u, v graph.VertexID) bool {
+		if _, err := fmt.Fprintf(bw, "%d %d\n", u, v); err != nil {
+			werr = err
+			return false
+		}
+		return true
+	})
+	if werr != nil {
+		return werr
+	}
+	return bw.Flush()
 }
 
 func runIngest(args []string) error {

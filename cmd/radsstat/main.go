@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"rads/internal/gen"
-	"rads/internal/graph"
 	"rads/internal/harness"
 	"rads/internal/partition"
 	"rads/internal/rads"
@@ -115,25 +114,13 @@ func runFleet(addr string) error {
 }
 
 func run(dataset, graphFile string, machines int, scale float64, partitioner string, maxSpan int) error {
-	var g *graph.Graph
+	g, _, err := harness.LoadStore(graphFile, dataset, "", scale)
+	if err != nil {
+		return err
+	}
 	name := dataset
 	if graphFile != "" {
-		f, err := os.Open(graphFile)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		g, err = graph.ReadEdgeList(f)
-		if err != nil {
-			return err
-		}
 		name = graphFile
-	} else {
-		d, err := harness.DatasetByName(dataset)
-		if err != nil {
-			return err
-		}
-		g = d.Build(scale)
 	}
 
 	fmt.Println(gen.Profile(name, g))

@@ -141,15 +141,17 @@ func TestBaselinesShuffleButRADSDoesNot(t *testing.T) {
 }
 
 func TestPSgLOOMUnderBudget(t *testing.T) {
-	// No memory control: PSgL must die under a tight budget on a dense
-	// query (the paper's Figure 11 failures).
+	// No memory control: PSgL and TwinTwig must die under a tight
+	// budget on a dense query (the paper's Figure 11 failures).
 	g := gen.Community(4, 12, 0.5, 29)
 	part := partition.Hash(g, 3)
 	q := pattern.ByName("q4")
-	budget := cluster.NewMemBudget(3, 2048)
-	_, err := psgl.Run(part, q, common.Config{Budget: budget})
-	if !errors.Is(err, cluster.ErrOutOfMemory) {
-		t.Errorf("err = %v, want ErrOutOfMemory", err)
+	for _, name := range []string{"psgl", "twintwig"} {
+		budget := cluster.NewMemBudget(3, 2048)
+		_, err := engines()[name](part, q, common.Config{Budget: budget})
+		if !errors.Is(err, cluster.ErrOutOfMemory) {
+			t.Errorf("%s: err = %v, want ErrOutOfMemory", name, err)
+		}
 	}
 }
 

@@ -234,7 +234,7 @@ func (c *ConstraintChecker) Check(f []graph.VertexID) bool {
 	return true
 }
 
-// Oracle is re-exported for baseline self-checks in examples.
+// Oracle is the single-machine count the baselines are checked against.
 func Oracle(g *graph.Graph, p *pattern.Pattern) int64 {
 	return localenum.Count(g, p, localenum.Options{})
 }

@@ -7,7 +7,7 @@
 // transport carrying length-prefixed frames — the data plane
 // hand-encoded in the fixed widths ByteSize accounts, the control plane
 // as gob payloads (frame.go) — demonstrating that the protocol is
-// genuinely serializable (examples/tcpcluster).
+// genuinely serializable (TestRunOverTCP in internal/rads).
 //
 // The paper implements this layer with MPICH2 + Boost.Asio; the
 // substitution and the wire format are documented in README.md

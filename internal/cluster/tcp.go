@@ -473,7 +473,7 @@ func (t *TCPClient) Close() error {
 	return nil
 }
 
-// TCPTransport is the all-in-one form used by tests and examples: one
+// TCPTransport is the all-in-one form used by tests: one
 // loopback TCPServer per machine plus a TCPClient joined by the
 // derived ClusterSpec, in a single process. It proves the protocol is
 // fully serializable; multi-process deployments build the same pieces
@@ -499,9 +499,6 @@ func NewTCPTransport(m int, metrics *Metrics) (*TCPTransport, error) {
 	t.client = NewTCPClient(t.spec, metrics)
 	return t, nil
 }
-
-// Addr returns the listen address of machine id (useful in examples).
-func (t *TCPTransport) Addr(id int) string { return t.spec.Machines[id] }
 
 // Register installs the daemon handler for machine id.
 func (t *TCPTransport) Register(id int, h Handler) {

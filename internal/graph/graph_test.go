@@ -254,36 +254,6 @@ func TestAdjacencyRoundTrip(t *testing.T) {
 	}
 }
 
-func TestEdgeListRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	b := NewBuilder(40)
-	for i := 0; i < 100; i++ {
-		b.AddEdge(VertexID(rng.Intn(40)), VertexID(rng.Intn(40)))
-	}
-	g := b.Build()
-
-	var buf bytes.Buffer
-	if err := WriteEdgeList(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := ReadEdgeList(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The round-tripped graph may have fewer trailing isolated vertices;
-	// compare edges only.
-	if g2.NumEdges() != g.NumEdges() {
-		t.Fatalf("edges = %d, want %d", g2.NumEdges(), g.NumEdges())
-	}
-	g.Edges(func(u, v VertexID) bool {
-		if !g2.HasEdge(u, v) {
-			t.Errorf("missing edge (%d,%d)", u, v)
-			return false
-		}
-		return true
-	})
-}
-
 func TestReadEdgeListErrors(t *testing.T) {
 	if _, err := ReadEdgeList(bytes.NewBufferString("1\n")); err == nil {
 		t.Error("want error for short line")

@@ -8,25 +8,6 @@ import (
 	"strings"
 )
 
-// WriteEdgeList writes "u v" per line for every undirected edge (u < v),
-// the interchange format of the SNAP datasets the paper uses and the
-// one text format every tool here reads.
-func WriteEdgeList(w io.Writer, g *Graph) error {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	var werr error
-	g.Edges(func(u, v VertexID) bool {
-		if _, err := fmt.Fprintf(bw, "%d %d\n", u, v); err != nil {
-			werr = err
-			return false
-		}
-		return true
-	})
-	if werr != nil {
-		return werr
-	}
-	return bw.Flush()
-}
-
 // ReadEdgeList parses "u v" per line (comments with '#' allowed).
 func ReadEdgeList(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)

@@ -6,6 +6,7 @@ package harness
 
 import (
 	"fmt"
+	"os"
 
 	"rads/internal/dataset"
 	"rads/internal/gen"
@@ -73,14 +74,28 @@ func DatasetByName(name string) (Dataset, error) {
 	return Dataset{}, fmt.Errorf("harness: unknown dataset %q", name)
 }
 
-// LoadStore resolves a dataset name to a graph: the synthetic
-// analogs above first, then — when registryDir is non-empty — the
+// LoadStore resolves the graph a command was pointed at. A non-empty
+// graphFile is an edge list ("u v" per line) that overrides name and
+// registryDir. Otherwise name is looked up among the synthetic analogs
+// above first, then — when registryDir is non-empty — in the
 // real-graph dataset registry of ingested .radsgraph files. Registry
 // datasets come back with their manifest (radserve's snapshots
-// reference the file through it); synthetic ones return a nil manifest.
-// Scale applies only to the generated analogs — a real graph is
-// whatever size it is.
-func LoadStore(name, registryDir string, scale float64) (*graph.Graph, *dataset.Manifest, error) {
+// reference the file through it); edge lists and synthetic analogs
+// return a nil manifest. Scale applies only to the generated analogs —
+// a real graph is whatever size it is.
+func LoadStore(graphFile, name, registryDir string, scale float64) (*graph.Graph, *dataset.Manifest, error) {
+	if graphFile != "" {
+		f, err := os.Open(graphFile)
+		if err != nil {
+			return nil, nil, err
+		}
+		defer f.Close()
+		g, err := graph.ReadEdgeList(f)
+		if err != nil {
+			return nil, nil, err
+		}
+		return g, nil, nil
+	}
 	var reg *dataset.Registry
 	if registryDir != "" {
 		// Open the registry up front: an unreadable registry must fail
@@ -105,7 +120,7 @@ func LoadStore(name, registryDir string, scale float64) (*graph.Graph, *dataset.
 		return d.Build(scale), nil, nil
 	}
 	if reg == nil {
-		return nil, nil, fmt.Errorf("harness: unknown dataset %q (built-in: RoadNet DBLP LiveJournal UK2002; pass -registry to resolve real datasets)", name)
+		return nil, nil, fmt.Errorf("harness: unknown dataset %q (built-in: RoadNet DBLP LiveJournal UK2002; real datasets resolve through a registry)", name)
 	}
 	c, man, err := reg.Open(name)
 	if err != nil {

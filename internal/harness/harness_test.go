@@ -2,6 +2,8 @@ package harness
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -58,6 +60,40 @@ func TestPerfComparisonSmall(t *testing.T) {
 		if u.Total != base {
 			t.Errorf("%s disagrees: %d vs %d", u.Engine, u.Total, base)
 		}
+	}
+}
+
+// TestLoadStoreEdgeList pins the -graph path radserve and radsstat
+// share: an edge-list file overrides the dataset name and the registry
+// (neither is consulted), and comes back without a manifest.
+func TestLoadStoreEdgeList(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "edges.txt")
+	if err := os.WriteFile(path, []byte("# square plus a chord\n0 1\n1 2\n2 3\n3 0\n0 2\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	g, man, err := LoadStore(path, "nope", filepath.Join(t.TempDir(), "no-registry"), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if man != nil {
+		t.Errorf("manifest = %+v, want nil for an edge list", man)
+	}
+	if g.NumVertices() != 4 || g.NumEdges() != 5 || g.CountTriangles() != 2 {
+		t.Errorf("got %d vertices, %d edges, %d triangles; want 4, 5, 2",
+			g.NumVertices(), g.NumEdges(), g.CountTriangles())
+	}
+
+	if _, _, err := LoadStore(filepath.Join(t.TempDir(), "missing.txt"), "DBLP", "", 1); err == nil {
+		t.Error("missing edge-list file: want error, not the DBLP analog")
+	}
+	if err := os.WriteFile(path, []byte("0 x\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := LoadStore(path, "DBLP", "", 1); err == nil {
+		t.Error("malformed edge list: want error")
+	}
+	if _, _, err := LoadStore("", "nope", "", 1); err == nil {
+		t.Error("unknown dataset without a graph file: want error")
 	}
 }
 

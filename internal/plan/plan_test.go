@@ -267,6 +267,35 @@ func TestRandomMinRoundHasMinimumRounds(t *testing.T) {
 			checkPlanInvariants(t, pl)
 		}
 	}
+
+	// On the paper's running example the optimized plan is a
+	// minimum-round plan that no random draw outscores: three RanS then
+	// three RanM draws from seed 1.
+	p := pattern.RunningExample()
+	minR, err := MinimumRounds(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt, err := Compute(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if opt.NumRounds() != minR {
+		t.Errorf("%s: optimized plan has %d rounds, want %d", p.Name, opt.NumRounds(), minR)
+	}
+	rng = rand.New(rand.NewSource(1))
+	for i, draw := range []func(*pattern.Pattern, *rand.Rand) (*Plan, error){
+		RandomStar, RandomStar, RandomStar, RandomMinRound, RandomMinRound, RandomMinRound,
+	} {
+		pl, err := draw(p, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pl.Score() > opt.Score() {
+			t.Errorf("%s: draw %d (%d rounds) scores %.3f, above the optimized plan's %.3f",
+				p.Name, i, pl.NumRounds(), pl.Score(), opt.Score())
+		}
+	}
 }
 
 func TestSingleEdgePattern(t *testing.T) {

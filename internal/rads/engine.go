@@ -69,7 +69,8 @@ type Config struct {
 	// Plan overrides the Section 4 planner (used by the Figure 13
 	// RanS/RanM ablation). Nil computes the optimized plan.
 	Plan *plan.Plan
-	// Transport overrides the in-process transport (examples use TCP).
+	// Transport overrides the in-process transport (a TCP client, or a
+	// fault injector in tests).
 	Transport cluster.Transport
 	// Metrics receives communication accounting; nil allocates one.
 	Metrics *cluster.Metrics

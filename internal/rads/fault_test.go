@@ -5,9 +5,11 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"rads/internal/cluster"
 	"rads/internal/gen"
+	"rads/internal/localenum"
 	"rads/internal/partition"
 	"rads/internal/pattern"
 )
@@ -37,6 +39,18 @@ func TestTransportFaultsAbortCleanly(t *testing.T) {
 	part := partition.KWay(g, 3, 99)
 	q := pattern.ByName("q4")
 	wantErr := errors.New("network down")
+
+	// Latency alone is not a fault: a slow network leaves the count
+	// the oracle's.
+	slow := &cluster.FaultyTransport{Inner: cluster.NewLocalTransport(nil), Latency: 200 * time.Microsecond}
+	res, err := Run(part, q, Config{Transport: slow, DisableSME: true})
+	if err != nil {
+		t.Fatalf("latency only: %v", err)
+	}
+	if want := localenum.Count(g, q, localenum.Options{}); res.Total != want || slow.Calls() == 0 {
+		t.Errorf("latency only: Total = %d over %d delayed calls, want %d over some", res.Total, slow.Calls(), want)
+	}
+	slow.Close()
 
 	for _, kind := range []string{"fetchV", "verifyE"} {
 		ft := &faultTransport{

@@ -1,8 +1,7 @@
 // Package service is the resident query layer: a long-lived,
 // concurrency-safe front end over the enumeration engines.
 //
-// Every batch entry point in this repository (radsrun, radsbench, the
-// examples) historically paid the full setup cost per query — load the
+// A batch entry point pays the full setup cost per query — load the
 // data graph, partition it, compute border distances, plan the
 // pattern, run, exit. RADS itself is deliberately stateful across
 // rounds (cached adjacency, region groups), and a serving system

@@ -3,7 +3,8 @@
 # radsprep, verify the .radsgraph structurally and by checksum, then
 # require every registered engine to reproduce the oracle's counts on
 # it via `radsbench -exp count` — triangle and a 4-vertex query, on
-# both the first-seen and the degree-ordered relabeling.
+# both the first-seen and the degree-ordered relabeling — and the same
+# for an analog written by radsprep gen.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -26,5 +27,11 @@ for ds in karate karate-hubs; do
     "$tmp/radsbench" -exp count -registry "$tmp/reg" -dataset "$ds" -pattern "$pat" -machines 4
   done
 done
+
+# A generated analog takes the same path: radsprep gen writes the edge
+# list, ingest registers it, and every engine must match the oracle.
+"$tmp/radsprep" gen -dataset RoadNet -scale 0.1 -o "$tmp/road.txt"
+"$tmp/radsprep" ingest "$tmp/road.txt" -o "$tmp/reg/road.radsgraph" -name road -registry "$tmp/reg"
+"$tmp/radsbench" -exp count -registry "$tmp/reg" -dataset road -pattern q4 -machines 4
 
 echo "dataset smoke OK"
