@@ -259,7 +259,6 @@ func run(o options) error {
 	}
 
 	// Cluster mode: front remote radsworker daemons for RADS queries.
-	var clusterHealth rads.HealthReporter
 	var clusterEng *rads.ClusterEngine
 	if o.specPath != "" {
 		spec, err := cluster.LoadSpec(o.specPath)
@@ -324,18 +323,12 @@ func run(o options) error {
 			},
 		})
 		defer ce.Close()
-		clusterEng, clusterHealth = ce, ce
-		var remote engine.Engine = ce
+		clusterEng = ce
 		if o.fallback {
-			local, ok := engine.Lookup("RADS")
-			if !ok {
-				return errors.New("cluster-fallback: no in-process RADS engine registered")
-			}
-			fb := &rads.FallbackEngine{Cluster: ce, Local: local}
-			remote, clusterHealth = fb, fb
+			ce.EnableFallback()
 			log.Printf("cluster mode: degraded-mode fallback to the in-process engine enabled")
 		}
-		if err := svc.Register(remote); err != nil {
+		if err := svc.Register(ce); err != nil {
 			return err
 		}
 		log.Printf("cluster mode: RADS queries dispatch to remote workers (%s)", strings.Join(spec.Machines, " "))
@@ -357,7 +350,7 @@ func run(o options) error {
 	})
 	defer js.Close()
 
-	srv := obs.NewHTTPServer(o.addr, newMux(svc, js, clusterHealth, clusterEng, events))
+	srv := obs.NewHTTPServer(o.addr, newMux(svc, js, clusterEng, events))
 	errCh := make(chan error, 1)
 	go func() {
 		log.Printf("listening on %s", o.addr)
@@ -406,13 +399,13 @@ func run(o options) error {
 }
 
 // newMux wires the HTTP surface over a service and a job plane; split
-// out so tests can drive it through httptest. health is the cluster
-// health reporter in cluster mode, nil otherwise; ce is the cluster
-// coordinator engine behind the fleet endpoints (/metrics/cluster,
-// /debug/cluster), nil outside cluster mode; events is the journal
-// behind /debug/events, nil to leave the route unregistered.
-func newMux(svc *service.Service, js *jobsServer, health rads.HealthReporter, ce *rads.ClusterEngine, events *obs.EventLog) *http.ServeMux {
-	s := &server{svc: svc, health: health, cluster: ce}
+// out so tests can drive it through httptest. ce is the cluster
+// coordinator engine in cluster mode — the health view in /healthz and
+// /stats and the fleet endpoints (/metrics/cluster, /debug/cluster) —
+// nil otherwise; events is the journal behind /debug/events, nil to
+// leave the route unregistered.
+func newMux(svc *service.Service, js *jobsServer, ce *rads.ClusterEngine, events *obs.EventLog) *http.ServeMux {
+	s := &server{svc: svc, cluster: ce}
 	mux := http.NewServeMux()
 	if js != nil {
 		js.register(mux)
@@ -434,7 +427,6 @@ func newMux(svc *service.Service, js *jobsServer, health rads.HealthReporter, ce
 
 type server struct {
 	svc     *service.Service
-	health  rads.HealthReporter
 	cluster *rads.ClusterEngine
 }
 
@@ -450,8 +442,8 @@ func (s *server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		"version": buildinfo.Version,
 		"commit":  buildinfo.Commit,
 	}
-	if s.health != nil {
-		report := s.health.HealthReport()
+	if s.cluster != nil {
+		report := s.cluster.HealthReport()
 		if !report.Healthy {
 			out["status"] = "degraded"
 		}
@@ -642,13 +634,13 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, errors.New("use GET"))
 		return
 	}
-	if s.health == nil {
+	if s.cluster == nil {
 		writeJSON(w, http.StatusOK, s.svc.Stats())
 		return
 	}
 	// Embed so the cluster view rides alongside the flat service stats
 	// without changing their shape.
-	report := s.health.HealthReport()
+	report := s.cluster.HealthReport()
 	writeJSON(w, http.StatusOK, struct {
 		service.Stats
 		Cluster *rads.ClusterHealth `json:"cluster"`

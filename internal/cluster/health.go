@@ -62,16 +62,11 @@ type workerState struct {
 	everHeard bool
 }
 
-// NewHealthTracker tracks m workers. threshold is the consecutive
-// failures that open a breaker (minimum 1); cooldown is how long an
-// open breaker waits before allowing a half-open probe.
+// NewHealthTracker tracks m workers. threshold (at least 1) is the
+// consecutive failures that open a breaker; cooldown is how long an
+// open breaker waits before allowing a half-open probe. The caller
+// resolves defaults (rads.ClusterEngine.StartHealth does).
 func NewHealthTracker(m, threshold int, cooldown time.Duration) *HealthTracker {
-	if threshold < 1 {
-		threshold = 1
-	}
-	if cooldown <= 0 {
-		cooldown = 4 * time.Second
-	}
 	return &HealthTracker{
 		threshold: threshold,
 		cooldown:  cooldown,

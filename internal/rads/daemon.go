@@ -16,22 +16,21 @@ import (
 	"rads/internal/pattern"
 )
 
-// Machine is one hostable RADS machine: the per-machine daemon of
-// Section 3.1 extracted from the monolithic in-process engine so it
-// can live in its own OS process. It owns the machine's slice of the
-// partitioned graph (a full partition in-process, a snapshot-loaded
-// shard in a radsworker), serves the data-plane daemon requests
-// (verifyE, fetchV, checkR, shareR) at all times, and executes
-// coordinator-driven queries: a RunQueryRequest makes it build the
-// per-query engine state, run SM-E + region groups + work stealing
-// exactly as the in-process machine would, and reply with its result
-// slice.
+// Machine hosts one RADS machine: the per-machine daemon of Section
+// 3.1. It holds the machine's slice of the partitioned graph (the full
+// partition in-process, a snapshot-loaded shard in a radsworker) and
+// serves the data-plane requests (verifyE, fetchV, checkR, shareR)
+// against it and against cur, the query's machine while one runs. Both
+// coordinators host machines through it: Run registers one Machine per
+// slot on its transport with cur set to the run's machine; in a worker
+// process a RunQueryRequest makes the Machine build the query's engine
+// state and machine, run it and reply with its result slice.
 //
 // Handle is safe for concurrent calls (the transport serves it from
-// many connections at once); queries themselves are serialized. The
-// wire now carries the coordinator's QueryID for attribution (traces,
-// journal events), but per-query daemon state is still single-slot,
-// so the coordinator runs one cluster query at a time.
+// many connections at once); queries themselves are serialized, since
+// cur holds one query at a time, so the coordinator runs one cluster
+// query at a time. The wire's QueryID attributes the worker's traces
+// and journal events to the query.
 type Machine struct {
 	id   int
 	part *partition.Partition
@@ -136,8 +135,10 @@ func NewMachine(id int, part *partition.Partition, tr cluster.Transport, opts Ma
 // ID returns the hosted machine id.
 func (d *Machine) ID() int { return d.id }
 
-// Handle is the daemon entry point: register it on the transport (or
-// TCP server) under the machine's id.
+// Handle is the daemon thread, the one entry point for every request
+// kind: the four of Section 3.1, served concurrently with the machine's
+// own enumeration, and the coordinator's ping, runQuery and statsPull.
+// Register it on the transport (or TCP server) under the machine's id.
 func (d *Machine) Handle(from int, req cluster.Message) (cluster.Message, error) {
 	switch r := req.(type) {
 	case *cluster.PingRequest:
@@ -233,56 +234,41 @@ func (d *Machine) runQuery(r *RunQueryRequest) (cluster.Message, error) {
 		d.events.Recordf("query_done", d.id, "query %d ok in %s", r.QueryID, m.elapsed)
 	}
 
-	resp := &RunQueryResponse{
-		Counters:     m.Counters,
-		Stat:         m.stat(),
-		Rounds:       eng.pl.NumRounds(),
-		Workers:      eng.workers(),
-		DeferredEnds: len(eng.deferred),
-		Spans:        trace.Spans(),
-		CacheHits:    m.view.hits.Load(),
-		CacheMisses:  m.view.misses.Load(),
-	}
-	if cfg.Budget != nil {
-		resp.PeakMemBytes = cfg.Budget.MaxPeak()
-	}
+	resp := m.response(runErr)
+	resp.Spans = trace.Spans()
 	if d.metrics != nil {
 		resp.CommBytes = d.metrics.TotalBytes() - commBytes0
 		resp.CommMessages = d.metrics.TotalMessages() - commMsgs0
 	}
-	d.observeQuery(m, runErr)
-	if runErr != nil {
-		if errors.Is(runErr, cluster.ErrOutOfMemory) {
-			resp.OOM = true
-			return resp, nil
-		}
+	d.observeQuery(resp, runErr)
+	if runErr != nil && !resp.OOM {
 		return nil, runErr
 	}
 	return resp, nil
 }
 
 // observeQuery feeds one finished query into the registry families.
-func (d *Machine) observeQuery(m *machine, runErr error) {
+func (d *Machine) observeQuery(r *RunQueryResponse, runErr error) {
 	if d.obsQueryLatency == nil {
 		return
 	}
-	d.obsQueryLatency.Observe(m.elapsed.Seconds())
+	d.obsQueryLatency.Observe(r.Stat.Seconds)
 	outcome := "ok"
 	switch {
-	case errors.Is(runErr, cluster.ErrOutOfMemory):
+	case r.OOM:
 		outcome = "oom"
 	case runErr != nil:
 		outcome = "error"
 	}
 	d.obsQueries.With(outcome).Inc()
-	d.obsSteals.Add(int64(m.groupsStolen))
-	d.obsGroups.Add(int64(m.groupsFormed))
-	d.obsTreeNodes.Add(m.SMENodes + m.DistNodes)
-	d.obsCacheHits.Add(m.view.hits.Load())
-	d.obsCacheMisses.Add(m.view.misses.Load())
-	d.obsVerifyEdges.Add(m.VerifyEdges)
-	d.obsPulledLists.Add(m.PulledLists)
-	d.obsPulledEdges.Add(m.PulledEdges)
+	d.obsSteals.Add(int64(r.Stat.Stolen))
+	d.obsGroups.Add(int64(r.Stat.Groups))
+	d.obsTreeNodes.Add(r.Stat.TreeNodes)
+	d.obsCacheHits.Add(r.CacheHits)
+	d.obsCacheMisses.Add(r.CacheMisses)
+	d.obsVerifyEdges.Add(r.VerifyEdges)
+	d.obsPulledLists.Add(r.PulledLists)
+	d.obsPulledEdges.Add(r.PulledEdges)
 }
 
 // PartitionFingerprint hashes a partition's identity — machine count

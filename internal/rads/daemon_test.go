@@ -93,30 +93,15 @@ func hostClusterWrapped(t *testing.T, part *partition.Partition,
 }
 
 // ownedRowsShard opens machine id's shard from the snapshot in dir and
-// rehosts it on a graph holding only the machine's owned rows plus the
-// reverse stubs those rows imply: exactly the adjacency the
-// distribution discipline lets machine id read. A daemon that reads a
-// foreign row sees it cut down to its edges into id and miscounts, so
-// the cluster tests fail on any foreign read.
+// rehosts it on its owned rows only (rads.OwnedRows), so the cluster
+// tests fail on any foreign read.
 func ownedRowsShard(t *testing.T, dir string, id int) (*partition.Partition, snapshot.Manifest) {
 	t.Helper()
 	parts, man, err := snapshot.OpenShards(dir, []int{id})
 	if err != nil {
 		t.Fatal(err)
 	}
-	full := parts[0]
-	b := graph.NewBuilder(full.G.NumVertices())
-	for _, v := range full.Vertices(id) {
-		for _, u := range full.G.Adj(v) {
-			b.AddEdge(v, u)
-		}
-	}
-	shard, err := partition.New(b.Build(), full.M, full.Owner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shard.InstallBorderDistances(id, full.BorderDistances(id))
-	return shard, man
+	return rads.OwnedRows(t, parts[0], id), man
 }
 
 // TestClusterEngineMatchesOracle is the heart of the multi-process
@@ -192,36 +177,6 @@ func TestClusterEngineOOM(t *testing.T) {
 	want := localenum.Count(g, q, localenum.Options{})
 	if !res.OOM && res.Total != want {
 		t.Errorf("finished under budget but counted %d, oracle %d", res.Total, want)
-	}
-}
-
-// TestStolenGroupsRunOnWorkerPool pins the ROADMAP fix: work stealing
-// now hands stolen groups to the per-machine worker pool. Forced
-// imbalance (one group per candidate, no SM-E) plus Workers > 1 must
-// still match the oracle, and stealing must actually have happened for
-// the assertion to mean anything.
-func TestStolenGroupsRunOnWorkerPool(t *testing.T) {
-	g := gen.Community(5, 10, 0.35, 23)
-	part := partition.KWay(g, 4, 7)
-	q := pattern.ByName("q2")
-	want := localenum.Count(g, q, localenum.Options{})
-	stole := false
-	for rep := 0; rep < 3 && !stole; rep++ {
-		res, err := rads.Run(part, q, rads.Config{
-			DisableSME:     true,
-			GroupMemTarget: 1,
-			Workers:        4,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Total != want {
-			t.Fatalf("rep %d: Total = %d, want %d", rep, res.Total, want)
-		}
-		stole = res.StolenGroups > 0
-	}
-	if !stole {
-		t.Skip("no steals happened in 3 runs; scheduling too even to exercise the path")
 	}
 }
 

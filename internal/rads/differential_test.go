@@ -1,6 +1,7 @@
 package rads
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -13,6 +14,7 @@ import (
 
 	"rads/internal/cluster"
 	"rads/internal/dataset"
+	eng "rads/internal/engine"
 	"rads/internal/gen"
 	"rads/internal/graph"
 	"rads/internal/localenum"
@@ -116,11 +118,10 @@ func drawDiffCase(t *testing.T, rng *rand.Rand) diffCase {
 	return c
 }
 
-// run executes the case and returns the total plus the embeddings
-// streamed (nil unless c.stream).
-func (c diffCase) run(t *testing.T) (int64, [][]graph.VertexID) {
+// run executes the case and returns the total, the embeddings streamed
+// (nil unless c.stream) and the budget it held (0 unless c.tight).
+func (c diffCase) run(t *testing.T, part *partition.Partition) (int64, [][]graph.VertexID, int64) {
 	t.Helper()
-	part := partition.KWay(c.g, c.machines, c.partSeed)
 	cfg := c.cfg
 	if c.tcp {
 		tr, err := cluster.NewTCPTransport(part.M, nil)
@@ -144,7 +145,7 @@ func (c diffCase) run(t *testing.T) (int64, [][]graph.VertexID) {
 		if err != nil {
 			t.Fatalf("run: %v", err)
 		}
-		return res.Total, streamed
+		return res.Total, streamed, 0
 	}
 
 	// Size the budget from an accounted, unlimited probe of the same
@@ -183,7 +184,87 @@ func (c diffCase) run(t *testing.T) (int64, [][]graph.VertexID) {
 	if res.PeakMemBytes > limit {
 		t.Errorf("peak %d above the budget %d", res.PeakMemBytes, limit)
 	}
-	return res.Total, streamed
+	return res.Total, streamed, limit
+}
+
+// onFleet reports whether the wire can carry the case: a
+// RunQueryRequest sets Workers, the budget and (through noStealing)
+// DisableLoadBalancing — no stream and no other switch.
+func (c diffCase) onFleet() bool {
+	return !c.stream && !c.cfg.DisableSME && !c.cfg.DisableEndVertexCounting &&
+		!c.cfg.DisableCache && !c.cfg.RandomGrouping
+}
+
+// runFleet runs the case the way cluster mode does: one Machine per id,
+// each hosted on its owned rows only (OwnedRows), so a foreign adjacency
+// read miscounts, behind a ClusterEngine — over TCP when the case drew
+// it. A budget (the one the in-process run held) doubles on OOM: the
+// wire carries the budget but not the case's group memory target, so
+// the machines size their groups from the budget instead.
+func (c diffCase) runFleet(t *testing.T, part *partition.Partition, budget int64) int64 {
+	t.Helper()
+	var tr interface {
+		cluster.Transport
+		Register(int, cluster.Handler)
+	} = cluster.NewLocalTransport(nil)
+	if c.tcp {
+		tcp, err := cluster.NewTCPTransport(part.M, nil)
+		if err != nil {
+			t.Fatalf("tcp transport: %v", err)
+		}
+		defer tcp.Close()
+		tr = tcp
+	}
+	for id := range part.M {
+		d := NewMachine(id, OwnedRows(t, part, id), tr, MachineOptions{AvgDegree: part.G.AvgDegree()})
+		tr.Register(id, d.Handle)
+	}
+	var coord cluster.Transport = tr
+	if c.cfg.DisableLoadBalancing {
+		coord = noStealing{tr}
+	}
+	ce := NewClusterEngine(coord, part.M)
+	for {
+		var b *cluster.MemBudget
+		if budget > 0 {
+			b = cluster.NewMemBudget(part.M, budget)
+		}
+		res, err := ce.Run(context.Background(), eng.Request{
+			Part: part, Pattern: c.p, Workers: c.cfg.Workers, Budget: b,
+		})
+		if err != nil {
+			t.Fatalf("fleet run: %v", err)
+		}
+		if res.OOM {
+			budget *= 2
+			continue
+		}
+		if budget > 0 && res.PeakMemBytes > budget {
+			t.Errorf("fleet peak %d above the budget %d", res.PeakMemBytes, budget)
+		}
+		return res.Total
+	}
+}
+
+// OwnedRows rehosts machine id's slot of part on a graph holding only
+// the machine's owned rows plus the reverse stubs those rows imply:
+// exactly the adjacency the distribution discipline lets machine id
+// read. A machine that reads a foreign row sees it cut down to its edges
+// into id and miscounts, so the fleet tests fail on any foreign read.
+func OwnedRows(t testing.TB, part *partition.Partition, id int) *partition.Partition {
+	t.Helper()
+	b := graph.NewBuilder(part.G.NumVertices())
+	for _, v := range part.Vertices(id) {
+		for _, u := range part.G.Adj(v) {
+			b.AddEdge(v, u)
+		}
+	}
+	shard, err := partition.New(b.Build(), part.M, part.Owner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shard.InstallBorderDistances(id, part.BorderDistances(id))
+	return shard
 }
 
 // checkStreamed verifies that the streamed embeddings are want distinct
@@ -219,7 +300,9 @@ func checkStreamed(t *testing.T, g *graph.Graph, p *pattern.Pattern, streamed []
 // the ingester) × random connected patterns or the q1–q8/cq1–cq4 catalogue ×
 // Workers × huge-frontier threshold × budget × the SM-E, end-vertex, cache,
 // stealing and streaming switches × transport, every total against
-// localenum.Count on its default order. Time-boxed; -short (and so the
+// localenum.Count on its default order. Every case the wire can carry
+// also runs on a fleet of hosted Machines behind a ClusterEngine, the
+// path cluster mode serves (runFleet). Time-boxed; -short (and so the
 // -race CI step) runs the first seconds of the same sequence.
 func TestDifferentialAgainstOracle(t *testing.T) {
 	seed := int64(20191)
@@ -235,7 +318,7 @@ func TestDifferentialAgainstOracle(t *testing.T) {
 	}
 	t.Logf("seed %d", seed)
 	deadline := time.Now().Add(box)
-	i := 0
+	i, fleet := 0, 0
 	// One test, no subtests: how many cases fit the box depends on the
 	// machine, and the suite's list of test names must not.
 	for ; i < maxCases && time.Now().Before(deadline) && !t.Failed(); i++ {
@@ -244,17 +327,24 @@ func TestDifferentialAgainstOracle(t *testing.T) {
 		if want > 1<<17 {
 			c.stream = false // a tree pattern on a hub: too many to hold
 		}
-		got, streamed := c.run(t)
+		part := partition.KWay(c.g, c.machines, c.partSeed)
+		got, streamed, budget := c.run(t, part)
 		if got != want {
 			t.Errorf("total %d, oracle %d", got, want)
 		}
 		if c.stream {
 			checkStreamed(t, c.g, c.p, streamed, want)
 		}
+		if c.onFleet() {
+			fleet++
+			if got := c.runFleet(t, part, budget); got != want {
+				t.Errorf("fleet total %d, oracle %d", got, want)
+			}
+		}
 		if t.Failed() {
 			t.Logf("case %d: %v", i, c)
 			t.Logf("replay it as case 0: %s=%d go test -run TestDifferentialAgainstOracle ./internal/rads", diffSeedEnv, seed+int64(i))
 		}
 	}
-	t.Logf("%d cases", i)
+	t.Logf("%d cases, %d also on the fleet", i, fleet)
 }

@@ -24,6 +24,16 @@
 // only edge-verification bits and adjacency lists, which is the
 // paper's central design point.
 //
+// One machine path serves two coordinators. A machine (machine.go) is
+// one query's per-machine program; a Machine (daemon.go) hosts it, and
+// Machine.Handle is the one daemon thread answering verifyE, fetchV,
+// checkR and shareR. Run is the in-process coordinator: it hosts every
+// machine of the partition on one transport and runs them itself.
+// ClusterEngine (remote.go) is the fleet's: worker processes host the
+// Machines, and a runQuery message makes each build and run its
+// machine. Either way every machine reports one RunQueryResponse, and
+// fold turns them into the run's Result.
+//
 // Inside a round, candidates are intersected, then verified (adjEnum):
 // the pivot's adjacency list, cut to the symmetry-breaking window, is
 // intersected with the list of every verification neighbour the
@@ -222,7 +232,9 @@ type Result struct {
 }
 
 // Run enumerates p in the partitioned data graph and returns aggregate
-// results. It is the public entry point of the RADS system.
+// results. It is the public entry point of the RADS system. A run that
+// outgrows its budget fails with an error wrapping
+// cluster.ErrOutOfMemory and returns its partial Result beside it.
 func Run(part *partition.Partition, p *pattern.Pattern, cfg Config) (*Result, error) {
 	eng, err := newEngine(part, p, cfg)
 	if err != nil {
@@ -338,16 +350,19 @@ func newEngine(part *partition.Partition, p *pattern.Pattern, cfg Config) (*engi
 	return eng, nil
 }
 
-// spawnMachines creates one machine per partition slot and registers
-// its daemon handler on the transport — the in-process deployment,
-// where this engine hosts the whole cluster. A multi-process
-// deployment skips this: each worker daemon builds its own engine from
-// the shipped query and hosts exactly one machine (see Machine).
+// spawnMachines builds one machine per partition slot and hosts each
+// behind the daemon handler a worker process hosts (Machine.Handle) —
+// the in-process deployment, where this engine is the whole cluster and
+// run is its coordinator. The fleet skips this: each worker's Machine
+// builds its own engine from the shipped query and runs its one slot
+// (Machine.runQuery).
 func (e *engine) spawnMachines() {
 	for t := 0; t < e.part.M; t++ {
 		m := newMachine(e, t)
 		e.machines = append(e.machines, m)
-		e.tr.Register(t, m.handle)
+		d := &Machine{id: t, part: e.part}
+		d.cur.Store(m)
+		e.tr.Register(t, d.Handle)
 	}
 }
 
@@ -539,6 +554,9 @@ func (e *engine) groupMemTarget() int64 {
 	return 4 << 20
 }
 
+// run is the in-process coordinator: it runs every machine at once and
+// folds their results. No runQuery message is sent — the machines are
+// in this process — so the transport tallies only the data plane.
 func (e *engine) run() (*Result, error) {
 	if e.ownTr {
 		defer e.tr.Close()
@@ -546,43 +564,65 @@ func (e *engine) run() (*Result, error) {
 	start := time.Now()
 	execSp := e.cfg.Trace.Start("execute", -1, -1)
 	var wg sync.WaitGroup
+	resps := make([]*RunQueryResponse, len(e.machines))
 	errs := make([]error, len(e.machines))
 	for i, m := range e.machines {
 		wg.Add(1)
 		go func(i int, m *machine) {
 			defer wg.Done()
 			errs[i] = m.run()
+			resps[i] = m.response(errs[i])
 		}(i, m)
 	}
 	wg.Wait()
 	execSp.End()
-	for _, err := range errs {
-		if err != nil {
+	for i, err := range errs {
+		if err != nil && !resps[i].OOM {
 			return nil, err
 		}
 	}
+	elapsed := time.Since(start)
 	foldSp := e.cfg.Trace.Start("fold", -1, -1)
 	defer foldSp.End()
+	res, err := fold(resps)
+	res.Elapsed = elapsed
+	res.CommBytes = e.metrics.TotalBytes()
+	res.CommMessages = e.metrics.TotalMessages()
+	return res, err
+}
+
+// fold is the one reduction from per-machine results to the run's, for
+// both coordinators: engine.run folds its machines' responses,
+// ClusterEngine.Run its workers'. Counters merge (sums; peaks take the
+// maximum), the budget peak is the largest machine's and each machine's
+// Stat becomes its Machines row. A machine that ran out of its budget
+// fails the run with an error wrapping cluster.ErrOutOfMemory, returned
+// beside the folded Result, whose peak and rows stay meaningful.
+func fold(resps []*RunQueryResponse) (*Result, error) {
 	res := &Result{
-		Elapsed:      time.Since(start),
-		CommBytes:    e.metrics.TotalBytes(),
-		CommMessages: e.metrics.TotalMessages(),
-		Rounds:       e.pl.NumRounds(),
-		DeferredEnds: len(e.deferred),
-		Workers:      e.workers(),
+		Rounds:       resps[0].Rounds,
+		Workers:      resps[0].Workers,
+		DeferredEnds: resps[0].DeferredEnds,
+		Machines:     make([]obs.MachineStat, len(resps)),
 	}
-	for _, m := range e.machines {
-		res.merge(&m.Counters)
-		res.RegionGroups += m.groupsFormed
-		res.StolenGroups += m.groupsStolen
-		res.Machines = append(res.Machines, m.stat())
-		res.CacheHits += m.view.hits.Load()
-		res.CacheMisses += m.view.misses.Load()
+	oom := -1
+	for t, r := range resps {
+		res.merge(&r.Counters)
+		res.PeakMemBytes = max(res.PeakMemBytes, r.PeakMemBytes)
+		res.RegionGroups += r.Stat.Groups
+		res.StolenGroups += r.Stat.Stolen
+		res.CacheHits += r.CacheHits
+		res.CacheMisses += r.CacheMisses
+		res.Machines[t] = r.Stat
+		res.Machines[t].Machine = t
+		if r.OOM && oom < 0 {
+			oom = t
+		}
 	}
 	res.Total = res.SME + res.Distributed
 	res.TreeNodes = res.SMENodes + res.DistNodes
-	if e.cfg.Budget != nil {
-		res.PeakMemBytes = e.cfg.Budget.MaxPeak()
+	if oom >= 0 {
+		return res, fmt.Errorf("%w: machine %d: %w", ErrAborted, oom, cluster.ErrOutOfMemory)
 	}
 	return res, nil
 }

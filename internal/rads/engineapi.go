@@ -126,21 +126,33 @@ func (e apiEngine) Run(ctx context.Context, req eng.Request) (eng.Result, error)
 		Transport:   req.Transport,
 		Trace:       trace,
 	})
-	elapsed := time.Since(start)
+	return engineResult(trace, start, res, err)
+}
+
+// engineResult is the one step from a folded RADS run to the engine
+// API, shared by the in-process engine and ClusterEngine: the counts,
+// peak and splits of res, and a Profile of the trace — its spans in one
+// start-ordered timeline (a cluster's arrive stitched per machine) —
+// plus the per-machine rows, steals and kernel tallies. An
+// out-of-budget run is an outcome, Result.OOM, with no count: partial
+// per-machine totals would mislead.
+func engineResult(trace *obs.Trace, start time.Time, res *Result, err error) (eng.Result, error) {
 	oom := errors.Is(err, cluster.ErrOutOfMemory)
 	if err != nil && !oom {
 		return eng.Result{}, err
 	}
+	elapsed := time.Since(start)
 	prof := trace.Snapshot(elapsed)
-	if oom {
-		return eng.Result{Seconds: elapsed.Seconds(), OOM: true, PeakMemBytes: req.Budget.MaxPeak(), Profile: prof}, nil
-	}
+	obs.SortSpans(prof.Spans)
 	prof.Steals = res.StolenGroups
 	prof.Machines = res.Machines
 	prof.Kernels = res.Kernels.Map()
-	return eng.Result{Total: res.Total, Seconds: elapsed.Seconds(), TreeNodes: res.TreeNodes,
-		FrontierSplits: res.FrontierSplits, PeakMemBytes: res.PeakMemBytes,
-		Profile: prof}, nil
+	out := eng.Result{Seconds: elapsed.Seconds(), OOM: oom, PeakMemBytes: res.PeakMemBytes,
+		FrontierSplits: res.FrontierSplits, Profile: prof}
+	if !oom {
+		out.Total, out.TreeNodes = res.Total, res.TreeNodes
+	}
+	return out, nil
 }
 
 func init() { eng.Register(apiEngine{}) }

@@ -3,6 +3,7 @@ package rads
 import (
 	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"rads/internal/gen"
@@ -342,4 +343,60 @@ func TestViewEdgeKnown(t *testing.T) {
 func mustPartition(t *testing.T, g *graph.Graph, m int) *partition.Partition {
 	t.Helper()
 	return partition.KWay(g, m, 3)
+}
+
+// TestStolenGroupsRunOnWorkerPool drives work stealing by hand through
+// the daemon handler: machines 0 and 1 form their region groups (one per
+// candidate, no SM-E) but never run them, so machines 2 and 3 — which
+// run their own groups and then steal, also from each other — must take
+// every one of them via checkR/shareR and chew them on their worker
+// pools. The fold of all four machines must match the oracle.
+func TestStolenGroupsRunOnWorkerPool(t *testing.T) {
+	g := gen.Community(5, 10, 0.35, 23)
+	part := partition.KWay(g, 4, 7)
+	q := pattern.ByName("q2")
+	e := hostedEngine(t, part, q, Config{DisableSME: true, Workers: 4})
+	idle := 0
+	for _, m := range e.machines {
+		_, c2 := m.splitCandidates()
+		groups := chunkGroups(c2, 1)
+		m.groupsFormed = len(groups)
+		m.queue.Fill(groups)
+		if m.id < 2 {
+			idle += len(groups)
+		}
+	}
+	if idle == 0 {
+		t.Fatal("machines 0 and 1 formed no groups to steal")
+	}
+
+	var wg sync.WaitGroup
+	errs := make([]error, part.M)
+	for _, m := range e.machines[2:] {
+		wg.Add(1)
+		go func(m *machine) {
+			defer wg.Done()
+			if errs[m.id] = m.processGroups(); errs[m.id] == nil {
+				errs[m.id] = m.stealPhase()
+			}
+		}(m)
+	}
+	wg.Wait()
+	resps := make([]*RunQueryResponse, part.M)
+	for i, m := range e.machines {
+		if errs[i] != nil {
+			t.Fatalf("machine %d: %v", i, errs[i])
+		}
+		resps[i] = m.response(nil)
+	}
+	res, err := fold(resps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.StolenGroups < idle {
+		t.Errorf("%d groups stolen, want at least the idle machines' %d", res.StolenGroups, idle)
+	}
+	if want := oracleCount(g, q); res.Total != want {
+		t.Errorf("Total = %d, oracle %d", res.Total, want)
+	}
 }

@@ -41,13 +41,6 @@ type ClusterHealth struct {
 	Workers        []cluster.WorkerHealth `json:"workers"`
 }
 
-// HealthReporter is anything that can snapshot cluster health —
-// ClusterEngine directly, or FallbackEngine decorating it with the
-// degraded-mode flag. radserve holds one to feed /healthz and /stats.
-type HealthReporter interface {
-	HealthReport() ClusterHealth
-}
-
 // HealthOptions configures StartHealth. The zero value gets sane
 // defaults.
 type HealthOptions struct {
@@ -80,8 +73,8 @@ type clusterHealth struct {
 
 // StartHealth builds the per-worker breaker tracker and starts the
 // background heartbeat loop. Call once, after WaitReady, before
-// serving; pair with Close. Without StartHealth the engine behaves as
-// before this subsystem existed: no health gate, no breaker.
+// serving; pair with Close. Without StartHealth there is no health
+// gate and no breaker: every worker counts as up.
 func (c *ClusterEngine) StartHealth(opts HealthOptions) {
 	if opts.Interval <= 0 {
 		opts.Interval = 2 * time.Second
@@ -205,9 +198,11 @@ func (c *ClusterEngine) HealthReport() ClusterHealth {
 	if c.health == nil {
 		return ClusterHealth{Healthy: true}
 	}
+	healthy := c.health.tracker.AllUp()
 	return ClusterHealth{
-		Healthy: c.health.tracker.AllUp(),
-		Workers: c.health.tracker.Report(),
+		Healthy:        healthy,
+		FallbackActive: c.fallback && !healthy,
+		Workers:        c.health.tracker.Report(),
 	}
 }
 

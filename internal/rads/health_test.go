@@ -203,10 +203,11 @@ func TestClusterEngineHealthGateAndRecovery(t *testing.T) {
 	}
 }
 
-// TestFallbackEngineServesWhileDegraded: with -cluster-fallback
-// semantics, queries route to the in-process engine during an outage
-// and back to the cluster after recovery — correct counts throughout.
-func TestFallbackEngineServesWhileDegraded(t *testing.T) {
+// TestClusterEngineFallbackServesWhileDegraded: with the fallback leg
+// enabled (radserve -cluster-fallback), queries run in-process during an
+// outage and on the cluster again after recovery — correct counts
+// throughout.
+func TestClusterEngineFallbackServesWhileDegraded(t *testing.T) {
 	g := gen.Community(3, 14, 0.35, 67)
 	part := partition.KWay(g, 3, 7)
 	var flaky *flakyTransport
@@ -220,17 +221,13 @@ func TestFallbackEngineServesWhileDegraded(t *testing.T) {
 		Cooldown:         30 * time.Millisecond,
 	})
 	defer ce.Close()
-	local, ok := engine.Lookup("RADS")
-	if !ok {
-		t.Fatal("no in-process RADS engine registered")
-	}
-	fb := &rads.FallbackEngine{Cluster: ce, Local: local}
+	ce.EnableFallback()
 
 	q := pattern.Triangle()
 	want := localenum.Count(g, q, localenum.Options{})
 	run := func(label string) {
 		t.Helper()
-		res, err := fb.Run(context.Background(), engine.Request{Part: part, Pattern: q, Metrics: cluster.NewMetrics(part.M)})
+		res, err := ce.Run(context.Background(), engine.Request{Part: part, Pattern: q, Metrics: cluster.NewMetrics(part.M)})
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
@@ -240,24 +237,24 @@ func TestFallbackEngineServesWhileDegraded(t *testing.T) {
 	}
 
 	run("healthy cluster")
-	if fb.FallbackActive() {
+	if ce.FallbackActive() {
 		t.Error("fallback active while healthy")
 	}
 
 	flaky.fail.Store(true)
 	waitFor(t, "breakers to open", func() bool { return !ce.Healthy() })
 	run("degraded (local leg)")
-	if !fb.FallbackActive() {
+	if !ce.FallbackActive() {
 		t.Error("fallback not active during outage")
 	}
-	if rep := fb.HealthReport(); !rep.FallbackActive || rep.Healthy {
+	if rep := ce.HealthReport(); !rep.FallbackActive || rep.Healthy {
 		t.Errorf("degraded report: %+v", rep)
 	}
 
 	flaky.fail.Store(false)
 	waitFor(t, "breakers to close", ce.Healthy)
 	run("recovered cluster")
-	if rep := fb.HealthReport(); rep.FallbackActive || !rep.Healthy {
+	if rep := ce.HealthReport(); rep.FallbackActive || !rep.Healthy {
 		t.Errorf("recovered report: %+v", rep)
 	}
 }

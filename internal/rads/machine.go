@@ -1,6 +1,7 @@
 package rads
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -14,9 +15,10 @@ import (
 	"rads/internal/partition"
 )
 
-// machine is one worker of the simulated cluster: it owns a partition,
-// runs SM-E then R-Meef over its region groups, serves daemon requests
-// from other machines, and steals work when idle. Within the machine,
+// machine is one query's state on one machine: it enumerates from the
+// machine's partition slot, running SM-E then R-Meef over its region
+// groups, and steals work when idle, while the Machine hosting it
+// (daemon.go) answers the other machines' requests. Within the machine,
 // SM-E candidates and region groups fan out across a bounded pool of
 // engine.workers() goroutines; each pool worker owns one reusable
 // enumerator and each running region group (or split shard) its own
@@ -64,16 +66,27 @@ type machine struct {
 	avgNodesPerCandidate float64
 }
 
-// stat is the machine's row of Profile.Machines — the one per-machine
-// fold, whether the machine ran in this process (engine.run) or behind
-// a daemon (RunQueryResponse.Stat).
-func (m *machine) stat() obs.MachineStat {
-	return obs.MachineStat{
-		Machine:   m.id,
-		Seconds:   m.elapsed.Seconds(),
-		TreeNodes: m.SMENodes + m.DistNodes,
-		Groups:    m.groupsFormed,
-		Stolen:    m.groupsStolen,
+// response is the machine's result slice, the one per-machine result
+// of both coordinators: the in-process engine folds it as is, a hosted
+// Machine ships it back in reply to runQuery. runErr is what run
+// returned; an out-of-budget run is an outcome (OOM), not an error.
+func (m *machine) response(runErr error) *RunQueryResponse {
+	return &RunQueryResponse{
+		Counters: m.Counters,
+		Stat: obs.MachineStat{
+			Machine:   m.id,
+			Seconds:   m.elapsed.Seconds(),
+			TreeNodes: m.SMENodes + m.DistNodes,
+			Groups:    m.groupsFormed,
+			Stolen:    m.groupsStolen,
+		},
+		Rounds:       m.e.pl.NumRounds(),
+		Workers:      m.e.workers(),
+		DeferredEnds: len(m.e.deferred),
+		PeakMemBytes: m.e.cfg.Budget.Peak(m.id),
+		OOM:          errors.Is(runErr, cluster.ErrOutOfMemory),
+		CacheHits:    m.view.hits.Load(),
+		CacheMisses:  m.view.misses.Load(),
 	}
 }
 
@@ -142,26 +155,6 @@ func serveFetchV(part *partition.Partition, id int, r *cluster.FetchVRequest) (c
 		adj[i] = part.G.Adj(v)
 	}
 	return &cluster.FetchVResponse{Adj: adj}, nil
-}
-
-// handle is the daemon thread: it serves the four request kinds of
-// Section 3.1 concurrently with the machine's own enumeration.
-func (m *machine) handle(from int, req cluster.Message) (cluster.Message, error) {
-	switch r := req.(type) {
-	case *cluster.VerifyERequest:
-		return serveVerifyE(m.e.part, m.id, r)
-	case *cluster.FetchVRequest:
-		return serveFetchV(m.e.part, m.id, r)
-	case *cluster.CheckRRequest:
-		return &cluster.CheckRResponse{Unprocessed: m.queue.Len()}, nil
-	case *cluster.ShareRRequest:
-		if g, ok := m.queue.Pop(); ok {
-			return &cluster.ShareRResponse{OK: true, Group: g}, nil
-		}
-		return &cluster.ShareRResponse{OK: false}, nil
-	default:
-		return nil, fmt.Errorf("machine %d: unknown request %T", m.id, req)
-	}
 }
 
 func (m *machine) run() (err error) {

@@ -9,25 +9,29 @@ import (
 
 	"rads/internal/cluster"
 	eng "rads/internal/engine"
-	"rads/internal/obs"
 	"rads/internal/partition"
 	"rads/internal/pattern"
 )
 
-// ClusterEngine is the coordinator side of a multi-process RADS
-// deployment: it implements engine.Engine by computing the execution
-// plan once, fanning a RunQueryRequest out to every remote machine
-// daemon over the transport (normally a cluster.TCPClient built from
-// the address book), and aggregating the per-machine responses into
-// one result. The machines talk to each other directly — verifyE,
-// fetchV, checkR and shareR never pass through the coordinator; only
-// the control plane does.
+// ClusterEngine is the fleet's coordinator: it implements engine.Engine
+// by computing the execution plan once, sending a RunQueryRequest to
+// every machine's daemon over the transport (normally a
+// cluster.TCPClient built from the address book), and folding the
+// machines' responses — the same per-machine results, through the same
+// fold, as the in-process Run. The machines talk to each other directly:
+// verifyE, fetchV, checkR and shareR never pass through the
+// coordinator; only the control plane does.
 //
-// Per-query daemon state is still single-slot, so the coordinator
-// serializes cluster queries: concurrent Run calls queue on an
-// internal mutex (the resident service's admission queue sits in
-// front of this anyway). The wire does carry the service's QueryID
-// now, so workers attribute traces and journal events per query.
+// A Machine holds one query at a time, so the coordinator serializes
+// cluster queries: concurrent Run calls queue on an internal mutex (the
+// resident service's admission queue sits in front of this anyway).
+// The wire carries the service's QueryID, so workers attribute traces
+// and journal events per query.
+//
+// With EnableFallback, Run serves queries in this process instead while
+// the fleet is degraded — correct counts, since both legs enumerate the
+// same partition and a failed dispatch discards every partial count,
+// at the capacity of one process.
 //
 // Capabilities are narrower than the in-process engine's: embeddings
 // are counted on the workers and never cross the wire, so streaming
@@ -39,8 +43,11 @@ type ClusterEngine struct {
 
 	// health, when StartHealth has run, carries the per-worker breaker
 	// tracker and heartbeat loop (see health.go). Nil means no health
-	// gating — the pre-subsystem behavior.
+	// gating.
 	health *clusterHealth
+	// fallback routes queries to the in-process engine while the fleet
+	// is degraded (EnableFallback).
+	fallback bool
 
 	mu sync.Mutex
 }
@@ -98,8 +105,35 @@ func (c *ClusterEngine) WaitReady(part *partition.Partition, deadline time.Durat
 	return nil
 }
 
-// Run executes one query across the remote machines.
+// EnableFallback turns on degraded-mode serving: while any worker's
+// breaker is open, or when a dispatch finds a worker down before its
+// breaker does, Run serves the query with the in-process engine on the
+// coordinator's partition. Fallback queries run outside the cluster
+// mutex, so they do not queue behind each other. Call before serving.
+func (c *ClusterEngine) EnableFallback() { c.fallback = true }
+
+// FallbackActive reports whether queries are currently served in this
+// process.
+func (c *ClusterEngine) FallbackActive() bool { return c.fallback && !c.Healthy() }
+
+// Run executes one query across the remote machines, or in this process
+// while the fallback leg is active.
 func (c *ClusterEngine) Run(ctx context.Context, req eng.Request) (eng.Result, error) {
+	if err := eng.ValidateRequest(c, req); err != nil {
+		return eng.Result{}, err
+	}
+	if c.FallbackActive() {
+		return apiEngine{}.Run(ctx, req)
+	}
+	res, err := c.runRemote(ctx, req)
+	if c.fallback && errors.Is(err, ErrWorkerDown) {
+		return apiEngine{}.Run(ctx, req)
+	}
+	return res, err
+}
+
+// runRemote is one query dispatched to every machine and folded.
+func (c *ClusterEngine) runRemote(ctx context.Context, req eng.Request) (eng.Result, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err := ctx.Err(); err != nil {
@@ -128,7 +162,6 @@ func (c *ClusterEngine) Run(ctx context.Context, req eng.Request) (eng.Result, e
 		BudgetBytes: req.Budget.Limit(),
 	}
 
-	execStart := time.Now()
 	execSp := trace.Start("execute", -1, -1)
 	// Anchor for stitching remote spans: each worker's trace clock
 	// starts when its runQuery begins, which is (to within dispatch
@@ -169,7 +202,6 @@ func (c *ClusterEngine) Run(ctx context.Context, req eng.Request) (eng.Result, e
 	}
 	wg.Wait()
 	execSp.End()
-	secs := time.Since(execStart).Seconds()
 	// When a worker dies mid-query, its surviving peers often fail too
 	// (their fetchV/verifyE calls to the dead machine error out, which
 	// they report as remote errors). Prefer the root cause: a
@@ -186,48 +218,14 @@ func (c *ClusterEngine) Run(ctx context.Context, req eng.Request) (eng.Result, e
 	}
 
 	foldSp := trace.Start("fold", -1, -1)
-	var res eng.Result
-	res.Seconds = secs
-	var sum Counters
-	var steals int
-	machines := make([]obs.MachineStat, 0, c.m)
 	for t, r := range resps {
-		sum.merge(&r.Counters)
-		if r.OOM {
-			res.OOM = true
-		}
-		// Fold the per-worker budget high-water marks into the result:
-		// the workers' MemBudgets live in their own processes, so this
-		// is the coordinator's only view of them.
-		if r.PeakMemBytes > res.PeakMemBytes {
-			res.PeakMemBytes = r.PeakMemBytes
-		}
 		req.Metrics.AccountRemote(t, r.CommBytes, r.CommMessages)
 		// Stitch the worker's sub-phase spans into the coordinator
 		// timeline, re-anchored at the execute dispatch offset and
-		// re-attributed to machine t. A worker that shipped no spans
-		// contributes no sub-phases.
+		// re-attributed to machine t.
 		trace.AddRemoteSpans(t, execBase, r.Spans)
-		st := r.Stat
-		st.Machine = t
-		machines = append(machines, st)
-		steals += st.Stolen
 	}
+	res, err := fold(resps)
 	foldSp.End()
-	// Like the in-process engine, an out-of-budget run reports OOM and
-	// no count — partial per-machine totals would be misleading.
-	if !res.OOM {
-		res.Total = sum.SME + sum.Distributed
-		res.TreeNodes = sum.SMENodes + sum.DistNodes
-	}
-	res.FrontierSplits = sum.FrontierSplits
-	prof := trace.Snapshot(time.Since(start))
-	// Stitched spans arrive per machine in fold order; re-sort into one
-	// cross-machine timeline.
-	obs.SortSpans(prof.Spans)
-	prof.Steals = steals
-	prof.Machines = machines
-	prof.Kernels = sum.Kernels.Map()
-	res.Profile = prof
-	return res, nil
+	return engineResult(trace, start, res, err)
 }

@@ -29,8 +29,7 @@ type RunQueryRequest struct {
 
 	// QueryID is the coordinator-side query identifier (minted by the
 	// service), crossing the wire so remote machines attribute their
-	// traces and journal events to the query. 0 = unattributed; as a
-	// new gob field it decodes as 0 against older coordinators.
+	// traces and journal events to the query. 0 = unattributed.
 	QueryID uint64
 
 	// What the coordinator sets of the machine's Config. Workers 0 lets
@@ -60,9 +59,10 @@ func (r *RunQueryRequest) ByteSize() int {
 // MessageKind names the message for per-kind accounting.
 func (r *RunQueryRequest) MessageKind() string { return "runQuery" }
 
-// RunQueryResponse carries one machine's results back to the
-// coordinator — the per-machine slice of everything rads.Result
-// aggregates.
+// RunQueryResponse is one machine's result slice — the per-machine
+// part of everything rads.Result aggregates, built by the machine
+// itself (machine.response) and folded by fold. A worker ships it back
+// to the coordinator; the in-process Run folds it without a message.
 type RunQueryResponse struct {
 	// Counters is the machine's additive result, kernel-selection tally
 	// included; the coordinator merges the machines' into the run's.
