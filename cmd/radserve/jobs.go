@@ -86,11 +86,8 @@ func (js *jobsServer) censusFactory(req jobRequest) (string, jobs.Runner, error)
 			CheckpointEvery: 250 * time.Millisecond,
 			Trace:           up.Trace(),
 		})
-		if res != nil && err != nil {
-			// Cancelled: hand the partial result back as the final
-			// checkpoint so the job reports exactly what was counted.
-			return res, err
-		}
+		// Cancelled: hand the partial result back as the final
+		// checkpoint so the job reports exactly what was counted.
 		return res, err
 	}
 	return desc, run, nil

@@ -76,9 +76,3 @@ func TestBudgetAbortsAsOOM(t *testing.T) {
 		t.Fatalf("err = %v, want ErrOutOfMemory", err)
 	}
 }
-
-func TestRowContains(t *testing.T) {
-	if !rowContains(common.Row{7, 2}, 2) || rowContains(common.Row{7, 2}, 3) {
-		t.Error("rowContains misbehaves")
-	}
-}

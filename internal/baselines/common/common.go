@@ -1,7 +1,11 @@
 // Package common provides the synchronous dataflow substrate shared by
 // the baseline engines (PSgL, TwinTwig, SEED, Crystal, BigJoin): a
-// superstep driver with barriers, per-machine shuffle inboxes, and
-// memory accounting for cached intermediate results.
+// superstep driver with barriers, the one exchange that moves
+// intermediate rows between machines (Send routes, shuffles and counts
+// them; Receive drains and charges them in the next superstep), memory
+// accounting for cached intermediate results, the one result tail
+// (Result, Finish), and the vertex-at-a-time level plan PSgL and
+// BigJoin expand with (Levels).
 //
 // The paper's central criticism of these systems is that they shuffle
 // and cache intermediate results and synchronize between rounds; this
@@ -12,10 +16,12 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"time"
 
 	"rads/internal/cluster"
 	"rads/internal/graph"
 	"rads/internal/localenum"
+	"rads/internal/partition"
 	"rads/internal/pattern"
 )
 
@@ -26,24 +32,26 @@ type Row = []graph.VertexID
 // RowBytes is the accounted size of a row of length n.
 func RowBytes(n int) int64 { return int64(n)*4 + 8 }
 
-// Inbox collects shuffled rows addressed to one machine.
-type Inbox struct {
+// inbox collects the shuffled rows addressed to one machine, one
+// buffer per superstep parity, so that a machine can receive the rows
+// sent in the previous superstep while its peers already send the next.
+type inbox struct {
 	mu   sync.Mutex
-	rows []Row
+	rows [2][]Row
 }
 
-// Put appends rows (called by the daemon handler).
-func (in *Inbox) Put(rows []Row) {
+// put appends rows sent in superstep step.
+func (in *inbox) put(step int, rows []Row) {
 	in.mu.Lock()
-	in.rows = append(in.rows, rows...)
+	in.rows[step&1] = append(in.rows[step&1], rows...)
 	in.mu.Unlock()
 }
 
-// Drain removes and returns all rows.
-func (in *Inbox) Drain() []Row {
+// drain removes and returns the rows sent in superstep step.
+func (in *inbox) drain(step int) []Row {
 	in.mu.Lock()
-	rows := in.rows
-	in.rows = nil
+	rows := in.rows[step&1]
+	in.rows[step&1] = nil
 	in.mu.Unlock()
 	return rows
 }
@@ -51,17 +59,21 @@ func (in *Inbox) Drain() []Row {
 // Runtime wires m machines with inboxes over a transport and runs
 // synchronous supersteps.
 type Runtime struct {
-	M       int
-	Tr      cluster.Transport
-	Metrics *cluster.Metrics
-	Budget  *cluster.MemBudget
-	ctx     context.Context
-	inboxes []*Inbox
-	ownTr   bool
+	M        int
+	Tr       cluster.Transport
+	Metrics  *cluster.Metrics
+	Budget   *cluster.MemBudget
+	ctx      context.Context
+	inboxes  []*inbox
+	ownTr    bool
+	start    time.Time
+	step     int     // supersteps started
+	shuffled []int64 // rows each machine has sent
 }
 
 // NewRuntime builds the dataflow runtime from cfg. If cfg.Transport is
-// nil an in-process transport is created (and closed by Close).
+// nil an in-process transport is created (and closed by Close). The
+// run's elapsed time counts from here.
 func NewRuntime(m int, cfg Config) *Runtime {
 	metrics := cfg.Metrics
 	if metrics == nil {
@@ -73,32 +85,35 @@ func NewRuntime(m int, cfg Config) *Runtime {
 		tr = cluster.NewLocalTransport(metrics)
 		own = true
 	}
-	rt := &Runtime{M: m, Tr: tr, Metrics: metrics, Budget: cfg.Budget, ctx: cfg.Context, ownTr: own}
+	rt := &Runtime{M: m, Tr: tr, Metrics: metrics, Budget: cfg.Budget, ctx: cfg.Context, ownTr: own,
+		start: time.Now(), shuffled: make([]int64, m)}
 	for i := 0; i < m; i++ {
-		inbox := &Inbox{}
-		rt.inboxes = append(rt.inboxes, inbox)
+		in := &inbox{}
+		rt.inboxes = append(rt.inboxes, in)
 		id := i
 		tr.Register(id, func(from int, req cluster.Message) (cluster.Message, error) {
 			sh, ok := req.(*cluster.ShuffleRequest)
 			if !ok {
 				return nil, fmt.Errorf("baseline machine %d: unexpected %T", id, req)
 			}
-			inbox.Put(sh.Rows)
+			in.put(sh.Round, sh.Rows)
 			return &cluster.ShuffleResponse{}, nil
 		})
 	}
 	return rt
 }
 
-// Close releases the transport if the runtime owns it.
+// Close drops rows nobody received and releases the transport if the
+// runtime owns it.
 func (rt *Runtime) Close() {
+	for _, in := range rt.inboxes {
+		in.drain(0)
+		in.drain(1)
+	}
 	if rt.ownTr {
 		rt.Tr.Close()
 	}
 }
-
-// Inbox returns machine id's inbox.
-func (rt *Runtime) Inbox(id int) *Inbox { return rt.inboxes[id] }
 
 // Superstep runs fn concurrently on every machine and barriers until
 // all complete — the synchronization delay the paper attributes to
@@ -113,6 +128,7 @@ func (rt *Runtime) Superstep(fn func(id int) error) error {
 			return err
 		}
 	}
+	rt.step++
 	var wg sync.WaitGroup
 	errs := make([]error, rt.M)
 	for i := 0; i < rt.M; i++ {
@@ -131,23 +147,77 @@ func (rt *Runtime) Superstep(fn func(id int) error) error {
 	return nil
 }
 
-// Shuffle sends each destination's batch as a single ShuffleRequest.
-// Rows addressed to the sender go straight to its own inbox without
-// network accounting (local hand-off).
-func (rt *Runtime) Shuffle(from, round int, batches map[int][]Row) error {
-	for to, rows := range batches {
-		if len(rows) == 0 {
+// Send is the sending half of the exchange, called by machine id inside
+// a superstep: it routes each row to the machine to picks, ships each
+// destination's batch as one ShuffleRequest stamped with the
+// superstep, and counts the rows as shuffled intermediate results.
+// Rows addressed to id itself stay in its own inbox without network
+// accounting (local hand-off). The receivers collect the rows with
+// Receive in the next superstep (or never: Close drops them).
+func (rt *Runtime) Send(id int, rows []Row, to func(Row) int) error {
+	rt.shuffled[id] += int64(len(rows))
+	batches := make([][]Row, rt.M)
+	for _, row := range rows {
+		t := to(row)
+		batches[t] = append(batches[t], row)
+	}
+	for t, batch := range batches {
+		if len(batch) == 0 {
 			continue
 		}
-		if to == from {
-			rt.inboxes[to].Put(rows)
+		if t == id {
+			rt.inboxes[id].put(rt.step, batch)
 			continue
 		}
-		if _, err := rt.Tr.Call(from, to, &cluster.ShuffleRequest{Round: round, Rows: rows}); err != nil {
+		if _, err := rt.Tr.Call(id, t, &cluster.ShuffleRequest{Round: rt.step, Rows: batch}); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// Receive is the receiving half of the exchange, called by machine id
+// in the superstep after the Sends: it drains the rows they addressed
+// to id and charges them to id's budget as rows of the given width.
+// The machine may Send again in the same superstep.
+func (rt *Runtime) Receive(id, width int) ([]Row, error) {
+	rows := rt.inboxes[id].drain(rt.step - 1)
+	return rows, rt.ChargeRows(id, len(rows), width)
+}
+
+// ByOwner routes a row to the machine that owns its vertex at
+// position at.
+func ByOwner(part *partition.Partition, at int) func(Row) int {
+	return func(row Row) int { return int(part.Owner[row[at]]) }
+}
+
+// Result is the run's record for total embeddings found over the given
+// rounds: the elapsed time, traffic, shuffled rows and budget peak are
+// the runtime's own.
+func (rt *Runtime) Result(total int64, rounds int) *Result {
+	res := &Result{
+		Total:          total,
+		Rounds:         rounds,
+		ElapsedSeconds: time.Since(rt.start).Seconds(),
+		CommBytes:      rt.Metrics.TotalBytes(),
+		CommMessages:   rt.Metrics.TotalMessages(),
+		PeakMemBytes:   rt.Budget.MaxPeak(),
+	}
+	for _, n := range rt.shuffled {
+		res.IntermediateRows += n
+	}
+	return res
+}
+
+// Finish releases every machine's final rows, of the given width, and
+// returns the Result counting them as the embeddings found.
+func (rt *Runtime) Finish(rows [][]Row, width, rounds int) *Result {
+	var total int64
+	for id, r := range rows {
+		total += int64(len(r))
+		rt.ReleaseRows(id, len(r), width)
+	}
+	return rt.Result(total, rounds)
 }
 
 // ChargeRows accounts rows of width w cached at machine id.

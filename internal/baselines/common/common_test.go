@@ -12,46 +12,74 @@ import (
 )
 
 func TestInboxPutDrain(t *testing.T) {
-	in := &Inbox{}
-	in.Put([]Row{{1, 2}, {3}})
-	in.Put([]Row{{4}})
-	rows := in.Drain()
+	in := &inbox{}
+	in.put(1, []Row{{1, 2}, {3}})
+	in.put(1, []Row{{4}})
+	in.put(2, []Row{{5}})
+	rows := in.drain(1)
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	if len(in.Drain()) != 0 {
+	if len(in.drain(1)) != 0 {
 		t.Error("second drain should be empty")
+	}
+	if rows := in.drain(2); len(rows) != 1 || rows[0][0] != 5 {
+		t.Errorf("next superstep's rows = %v", rows)
 	}
 }
 
 func TestRuntimeShuffleDelivers(t *testing.T) {
-	rt := NewRuntime(3, Config{})
+	budget := cluster.NewMemBudget(3, 0)
+	rt := NewRuntime(3, Config{Budget: budget})
 	defer rt.Close()
 	err := rt.Superstep(func(id int) error {
 		if id != 0 {
 			return nil
 		}
-		return rt.Shuffle(0, 1, map[int][]Row{
-			1: {{10}},
-			2: {{20}, {21}},
-			0: {{30}}, // self: local hand-off
-		})
+		// Route by the row's first vertex: 10 → 1, 20/21 → 2, 30 → 0
+		// (self: local hand-off).
+		rows := []Row{{10, 7}, {20, 7}, {30, 7}, {21, 7}}
+		return rt.Send(0, rows, func(row Row) int { return int(row[0]/10) % 3 })
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rt.Inbox(1).Drain(); len(got) != 1 || got[0][0] != 10 {
-		t.Errorf("inbox 1 = %v", got)
+	got := make([][]Row, 3)
+	err = rt.Superstep(func(id int) (err error) {
+		got[id], err = rt.Receive(id, 2)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := rt.Inbox(2).Drain(); len(got) != 2 {
-		t.Errorf("inbox 2 = %v", got)
+	if len(got[1]) != 1 || got[1][0][0] != 10 {
+		t.Errorf("inbox 1 = %v", got[1])
 	}
-	if got := rt.Inbox(0).Drain(); len(got) != 1 || got[0][0] != 30 {
-		t.Errorf("inbox 0 = %v", got)
+	if len(got[2]) != 2 || got[2][0][0] != 20 || got[2][1][0] != 21 {
+		t.Errorf("inbox 2 = %v", got[2])
 	}
-	// Self hand-off must not count as network traffic.
-	if rt.Metrics.TotalMessages() != 2 {
-		t.Errorf("messages = %d, want 2", rt.Metrics.TotalMessages())
+	if len(got[0]) != 1 || got[0][0][0] != 30 {
+		t.Errorf("inbox 0 = %v", got[0])
+	}
+	// Receive charges what arrived, at the given width.
+	for id, want := range []int64{1, 1, 2} {
+		if used := budget.Used(id); used != want*RowBytes(2) {
+			t.Errorf("machine %d: used = %d, want %d", id, used, want*RowBytes(2))
+		}
+	}
+	// Self hand-off must not count as network traffic; every sent row
+	// counts as shuffled.
+	res := rt.Finish(got, 2, 2)
+	if res.CommMessages != 2 || res.IntermediateRows != 4 || res.Total != 4 || res.Rounds != 2 {
+		t.Errorf("result = %+v, want 2 messages, 4 rows, total 4, 2 rounds", res)
+	}
+	if res.PeakMemBytes != 2*RowBytes(2) {
+		t.Errorf("peak = %d, want %d", res.PeakMemBytes, 2*RowBytes(2))
+	}
+	for id := 0; id < 3; id++ {
+		if used := budget.Used(id); used != 0 {
+			t.Errorf("machine %d: Finish left %d bytes charged", id, used)
+		}
 	}
 }
 

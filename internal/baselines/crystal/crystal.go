@@ -22,7 +22,6 @@ package crystal
 
 import (
 	"sort"
-	"time"
 
 	"rads/internal/baselines/common"
 	"rads/internal/graph"
@@ -174,7 +173,6 @@ type compressed struct {
 // the fly if cfg.Index is nil (real deployments precompute it — the
 // harness does too, so benchmarks charge only query time).
 func Run(part *partition.Partition, p *pattern.Pattern, cfg Config) (*common.Result, error) {
-	start := time.Now()
 	rt := common.NewRuntime(part.M, cfg.Config)
 	defer rt.Close()
 	g := part.G
@@ -196,7 +194,6 @@ func Run(part *partition.Partition, p *pattern.Pattern, cfg Config) (*common.Res
 		}
 	}
 	check := common.NewConstraintChecker(p)
-	res := &common.Result{Rounds: 1}
 
 	// Phase 1: core embeddings per machine, anchored at local vertices.
 	// When the core induces a clique the index supplies them directly
@@ -256,8 +253,7 @@ func Run(part *partition.Partition, p *pattern.Pattern, cfg Config) (*common.Res
 	// Phase 2: attach bud candidate sets (compressed), shuffle the
 	// compressed results once (the core-crystal join round), expand and
 	// count.
-	var totals []int64 = make([]int64, part.M)
-	interRows := make([]int64, part.M)
+	totals := make([]int64, part.M)
 	err = rt.Superstep(func(id int) error {
 		f := make([]graph.VertexID, p.N())
 		lists := make([][]graph.VertexID, 0, p.N())
@@ -301,23 +297,20 @@ func Run(part *partition.Partition, p *pattern.Pattern, cfg Config) (*common.Res
 		}
 		defer rt.Budget.Release(id, compBytes)
 		// Model the single core-crystal join shuffle: compressed rows
-		// move once, hashed by the first core vertex.
-		batches := make(map[int][]common.Row)
-		for _, c := range comp {
-			row := append(common.Row(nil), c.core...)
+		// move once, hashed by the first core vertex. Nobody receives
+		// them (they count as traffic; the expansion below already
+		// produces the final counts), so they are never charged.
+		rows := make([]common.Row, len(comp))
+		for i, c := range comp {
+			rows[i] = append(common.Row(nil), c.core...)
 			for _, bc := range c.buds {
-				row = append(row, graph.VertexID(len(bc)))
-				row = append(row, bc...)
-			}
-			to := int(c.core[0]) % part.M
-			if to != id {
-				batches[to] = append(batches[to], row)
+				rows[i] = append(rows[i], graph.VertexID(len(bc)))
+				rows[i] = append(rows[i], bc...)
 			}
 		}
-		if err := rt.Shuffle(id, 1, batches); err != nil {
+		if err := rt.Send(id, rows, func(row common.Row) int { return int(row[0]) % part.M }); err != nil {
 			return err
 		}
-		interRows[id] += int64(len(comp))
 
 		// Expansion: backtracking over bud assignments with injectivity
 		// and constraints — this buffer is Crystal's memory Achilles
@@ -343,24 +336,12 @@ func Run(part *partition.Partition, p *pattern.Pattern, cfg Config) (*common.Res
 	if err != nil {
 		return nil, err
 	}
-	// Discard the shuffled copies (they were counted as traffic; the
-	// expansion above already produced the final counts) and release
-	// the core-embedding charges.
+	var total int64
 	for id := 0; id < part.M; id++ {
-		rt.Inbox(id).Drain()
-		if coreChargers[id] != nil {
-			coreChargers[id].ReleaseAll()
-		}
-		res.Total += totals[id]
-		res.IntermediateRows += interRows[id]
+		coreChargers[id].ReleaseAll()
+		total += totals[id]
 	}
-	res.ElapsedSeconds = time.Since(start).Seconds()
-	res.CommBytes = rt.Metrics.TotalBytes()
-	res.CommMessages = rt.Metrics.TotalMessages()
-	if cfg.Budget != nil {
-		res.PeakMemBytes = cfg.Budget.MaxPeak()
-	}
-	return res, nil
+	return rt.Result(total, 1), nil
 }
 
 // Config extends the common baseline config with the prebuilt index.

@@ -11,183 +11,72 @@
 package psgl
 
 import (
-	"time"
-
 	"rads/internal/baselines/common"
-	"rads/internal/graph"
-	"rads/internal/localenum"
 	"rads/internal/partition"
 	"rads/internal/pattern"
 )
 
 // Run enumerates p over the partitioned graph with the PSgL strategy
-// and returns the uniform baseline result.
+// and returns the uniform baseline result. Each level is three
+// supersteps: rows travel to the owner of their anchor vertex, which
+// expands them; every candidate travels to its own owner, which checks
+// its degree and its edges to all other matched neighbours in one hop.
 func Run(part *partition.Partition, p *pattern.Pattern, cfg common.Config) (*common.Result, error) {
-	start := time.Now()
 	rt := common.NewRuntime(part.M, cfg)
 	defer rt.Close()
+	g, n := part.G, p.N()
+	lv := common.NewLevels(p)
 
-	order := localenum.GreedyOrder(p)
-	n := p.N()
-	pos := make([]int, n)
-	for i, u := range order {
-		pos[u] = i
-	}
-	// anchor[k] = matching-order position of the earliest-matched
-	// pattern neighbour of order[k]; its owner machine hosts the
-	// expansion of level k.
-	anchor := make([]int, n)
-	// verifyNbr[k] = positions of all earlier-matched neighbours of
-	// order[k]; edges to them are verified at the candidate's owner.
-	verifyNbr := make([][]int, n)
-	for k := 1; k < n; k++ {
-		u := order[k]
-		anchor[k] = -1
-		for _, w := range p.Adj(u) {
-			if pos[w] < k {
-				verifyNbr[k] = append(verifyNbr[k], pos[w])
-				if anchor[k] < 0 || pos[w] < anchor[k] {
-					anchor[k] = pos[w]
-				}
-			}
-		}
-	}
-	check := common.NewConstraintChecker(p)
-	// Constraint endpoints by level, on the full-f layout.
-	fBuf := make([][]graph.VertexID, part.M)
-	for i := range fBuf {
-		fBuf[i] = make([]graph.VertexID, n)
-	}
-
-	g := part.G
-	res := &common.Result{Rounds: n}
-
-	// cur[id]: verified partial matches of length k held at machine id
+	// cur[id]: verified partial matches of width k held at machine id
 	// (each row lives at the owner of its most recent vertex).
-	cur := make([][]common.Row, part.M)
-	interRows := make([]int64, part.M) // per-machine to avoid races
-
-	// Level 0: local candidates of order[0].
-	u0 := order[0]
-	err := rt.Superstep(func(id int) error {
-		for _, v := range part.Vertices(id) {
-			if g.Degree(v) < p.Degree(u0) {
-				continue
-			}
-			cur[id] = append(cur[id], common.Row{v})
-		}
-		return rt.ChargeRows(id, len(cur[id]), 1)
-	})
+	cur, err := lv.Seed(rt, part)
 	if err != nil {
 		return nil, err
 	}
-
 	for k := 1; k < n; k++ {
-		u := order[k]
-		ak := anchor[k]
-
-		// Phase A: route rows to the owner of the anchor vertex. The
-		// drain happens in a separate superstep: draining while peers
-		// are still shuffling would race.
-		err = rt.Superstep(func(id int) error {
-			batches := make(map[int][]common.Row)
-			for _, row := range cur[id] {
-				to := int(part.Owner[row[ak]])
-				batches[to] = append(batches[to], row)
-			}
+		u := lv.Order[k]
+		err := rt.Superstep(func(id int) error {
 			rt.ReleaseRows(id, len(cur[id]), k)
-			cur[id] = nil
-			return rt.Shuffle(id, 2*k, batches)
+			return rt.Send(id, cur[id], common.ByOwner(part, lv.Anchor[k]))
 		})
 		if err != nil {
 			return nil, err
 		}
-		atAnchor := make([][]common.Row, part.M)
 		err = rt.Superstep(func(id int) error {
-			atAnchor[id] = rt.Inbox(id).Drain()
-			interRows[id] += int64(len(atAnchor[id]))
-			return rt.ChargeRows(id, len(atAnchor[id]), k)
-		})
-		if err != nil {
-			return nil, err
-		}
-
-		// Phase B: expand at the anchor owner, route candidates to
-		// their owners for verification.
-		err = rt.Superstep(func(id int) error {
-			rows := atAnchor[id]
-			batches := make(map[int][]common.Row)
+			rows, err := rt.Receive(id, k)
+			if err != nil {
+				return err
+			}
 			defer rt.ReleaseRows(id, len(rows), k)
-			// Candidate rows are charged as they are produced: a level
-			// that explodes must abort mid-expansion, not after.
 			charger := rt.NewCharger(id, k+1)
 			defer charger.ReleaseAll()
-			f := fBuf[id]
-			for _, row := range rows {
-				va := row[ak]
-				for i := range f {
-					f[i] = -1
-				}
-				for i, v := range row {
-					f[order[i]] = v
-				}
-				for _, v := range g.Adj(va) {
-					if contains(row, v) {
-						continue
-					}
-					f[u] = v
-					if !check.Check(f) {
-						continue
-					}
-					next := make(common.Row, k+1)
-					copy(next, row)
-					next[k] = v
-					if err := charger.Add(1); err != nil {
-						return err
-					}
-					batches[int(part.Owner[v])] = append(batches[int(part.Owner[v])], next)
-				}
-				f[u] = -1
+			next, err := lv.Expand(g, rows, k, charger)
+			if err != nil {
+				return err
 			}
-			return rt.Shuffle(id, 2*k+1, batches)
-		})
-		if err != nil {
-			return nil, err
-		}
-
-		// Phase C: verify at the candidate owner; survivors form the
-		// next level's rows. Drain first (its own barrier), then verify.
-		atOwner := make([][]common.Row, part.M)
-		err = rt.Superstep(func(id int) error {
-			atOwner[id] = rt.Inbox(id).Drain()
-			interRows[id] += int64(len(atOwner[id]))
-			return rt.ChargeRows(id, len(atOwner[id]), k+1)
+			return rt.Send(id, next, common.ByOwner(part, k))
 		})
 		if err != nil {
 			return nil, err
 		}
 		err = rt.Superstep(func(id int) error {
-			rows := atOwner[id]
+			rows, err := rt.Receive(id, k+1)
+			if err != nil {
+				return err
+			}
 			defer rt.ReleaseRows(id, len(rows), k+1)
 			kept := rows[:0]
+		verify:
 			for _, row := range rows {
-				v := row[k]
-				if g.Degree(v) < p.Degree(u) {
+				if g.Degree(row[k]) < p.Degree(u) {
 					continue
 				}
-				ok := true
-				for _, wp := range verifyNbr[k] {
-					if wp == ak {
-						continue // expansion edge holds by construction
-					}
-					if !g.HasEdge(v, row[wp]) {
-						ok = false
-						break
+				for _, at := range lv.Checks[k] {
+					if !g.HasEdge(row[k], row[at]) {
+						continue verify
 					}
 				}
-				if ok {
-					kept = append(kept, row)
-				}
+				kept = append(kept, row)
 			}
 			cur[id] = kept
 			return rt.ChargeRows(id, len(kept), k+1)
@@ -196,26 +85,5 @@ func Run(part *partition.Partition, p *pattern.Pattern, cfg common.Config) (*com
 			return nil, err
 		}
 	}
-
-	for id := 0; id < part.M; id++ {
-		res.Total += int64(len(cur[id]))
-		res.IntermediateRows += interRows[id]
-		rt.ReleaseRows(id, len(cur[id]), n)
-	}
-	res.ElapsedSeconds = time.Since(start).Seconds()
-	res.CommBytes = rt.Metrics.TotalBytes()
-	res.CommMessages = rt.Metrics.TotalMessages()
-	if cfg.Budget != nil {
-		res.PeakMemBytes = cfg.Budget.MaxPeak()
-	}
-	return res, nil
-}
-
-func contains(row common.Row, v graph.VertexID) bool {
-	for _, x := range row {
-		if x == v {
-			return true
-		}
-	}
-	return false
+	return rt.Finish(cur, n, n), nil
 }

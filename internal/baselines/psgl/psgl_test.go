@@ -7,7 +7,6 @@ import (
 	"rads/internal/baselines/common"
 	"rads/internal/cluster"
 	"rads/internal/gen"
-	"rads/internal/graph"
 	"rads/internal/partition"
 	"rads/internal/pattern"
 )
@@ -77,15 +76,4 @@ func TestBudgetAbortsAsOOM(t *testing.T) {
 	if !errors.Is(err, cluster.ErrOutOfMemory) {
 		t.Fatalf("err = %v, want ErrOutOfMemory", err)
 	}
-}
-
-func TestContains(t *testing.T) {
-	row := common.Row{3, 1, 4}
-	if !contains(row, 4) || contains(row, 2) {
-		t.Error("contains misbehaves")
-	}
-	if contains(nil, 0) {
-		t.Error("contains(nil) should be false")
-	}
-	_ = graph.VertexID(0)
 }

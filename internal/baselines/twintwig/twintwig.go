@@ -15,7 +15,6 @@ import (
 	"hash/fnv"
 	"slices"
 	"sort"
-	"time"
 
 	"rads/internal/baselines/common"
 	"rads/internal/graph"
@@ -114,20 +113,21 @@ func unitsToJoin(units []Unit) []JoinUnit {
 }
 
 // RunJoin is the multi-round hash-join dataflow shared by TwinTwig and
-// SEED (SEED passes richer units).
+// SEED (SEED passes richer units). A round is three supersteps: every
+// machine embeds the unit locally and sends the previous results to
+// their join machine; the join machines receive them while every
+// machine sends its unit rows; the join machines receive those and
+// join.
 func RunJoin(part *partition.Partition, p *pattern.Pattern, units []JoinUnit, cfg common.Config) (*common.Result, error) {
-	start := time.Now()
 	rt := common.NewRuntime(part.M, cfg)
 	defer rt.Close()
 	g := part.G
 	check := common.NewConstraintChecker(p)
-	res := &common.Result{Rounds: len(units)}
 
 	// Layouts: matched query vertices of P_{i} in sorted order.
 	var prevVerts []pattern.VertexID
 	// cur[id] = R(P_{i-1}) rows held at machine id, laid out by prevVerts.
 	cur := make([][]common.Row, part.M)
-	interRows := make([]int64, part.M)
 
 	for round, unit := range units {
 		unitVerts := unit.Verts
@@ -139,100 +139,65 @@ func RunJoin(part *partition.Partition, p *pattern.Pattern, units []JoinUnit, cf
 		prevPos := positions(prevVerts)
 		unitPos := positions(unitVerts)
 		newPos := positions(newVerts)
+		byKey := func(pos map[pattern.VertexID]int) func(common.Row) int {
+			return func(row common.Row) int { return keyTarget(row, pos, keyVerts, part.M) }
+		}
 
-		// Local star/clique embeddings of this unit, then shuffle both
-		// sides by key hash.
+		// Local star/clique embeddings of this unit. In round 0 they,
+		// in the sorted layout, are R(P_0); later the previous results
+		// leave for their join machine.
 		starRows := make([][]common.Row, part.M)
 		err := rt.Superstep(func(id int) error {
 			charger := rt.NewCharger(id, len(unitVerts))
-			defer charger.ReleaseAll()
 			for _, va := range part.Vertices(id) {
 				rows := enumUnit(g, p, unit, va)
 				if err := charger.Add(len(rows)); err != nil {
+					charger.ReleaseAll()
 					return err
 				}
 				starRows[id] = append(starRows[id], rows...)
 			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-
-		// Round 0: no join; the star rows ARE R(P_0).
-		if round == 0 {
-			for id := range starRows {
-				cur[id] = starRows[id]
-				if err := rt.ChargeRows(id, len(cur[id]), len(unitVerts)); err != nil {
-					return nil, err
+			charger.ReleaseAll()
+			if round == 0 {
+				perm := layoutPerm(unitVerts, newVerts)
+				for _, row := range starRows[id] {
+					cur[id] = append(cur[id], permute(row, perm))
 				}
-			}
-			prevVerts = append([]pattern.VertexID(nil), unitVerts...)
-			sort.Slice(prevVerts, func(i, j int) bool { return prevVerts[i] < prevVerts[j] })
-			// Rows must follow sorted layout.
-			perm := layoutPerm(unitVerts, prevVerts)
-			for id := range cur {
-				for ri, row := range cur[id] {
-					cur[id][ri] = permute(row, perm)
-				}
-			}
-			continue
-		}
-		// Phase A: shuffle previous results by join key, then drain.
-		prevIn := make([][]common.Row, part.M)
-		err = rt.Superstep(func(id int) error {
-			batches := make(map[int][]common.Row)
-			for _, row := range cur[id] {
-				to := keyTarget(row, prevPos, keyVerts, part.M)
-				batches[to] = append(batches[to], row)
+				return rt.ChargeRows(id, len(cur[id]), len(unitVerts))
 			}
 			rt.ReleaseRows(id, len(cur[id]), len(prevVerts))
-			cur[id] = nil
-			return rt.Shuffle(id, 2*round, batches)
+			return rt.Send(id, cur[id], byKey(prevPos))
 		})
 		if err != nil {
 			return nil, err
 		}
-		err = rt.Superstep(func(id int) error {
-			prevIn[id] = rt.Inbox(id).Drain()
-			interRows[id] += int64(len(prevIn[id]))
-			return rt.ChargeRows(id, len(prevIn[id]), len(prevVerts))
-		})
-		if err != nil {
-			return nil, err
+		if round == 0 {
+			prevVerts = newVerts
+			continue
 		}
-
-		// Phase B: shuffle this round's star rows by key, then drain.
-		starIn := make([][]common.Row, part.M)
-		err = rt.Superstep(func(id int) error {
-			batches := make(map[int][]common.Row)
-			for _, row := range starRows[id] {
-				to := keyTarget(row, unitPos, keyVerts, part.M)
-				batches[to] = append(batches[to], row)
+		prevIn := make([][]common.Row, part.M)
+		err = rt.Superstep(func(id int) (err error) {
+			if prevIn[id], err = rt.Receive(id, len(prevVerts)); err != nil {
+				return err
 			}
-			starRows[id] = nil
-			return rt.Shuffle(id, 2*round+1, batches)
-		})
-		if err != nil {
-			return nil, err
-		}
-		err = rt.Superstep(func(id int) error {
-			starIn[id] = rt.Inbox(id).Drain()
-			interRows[id] += int64(len(starIn[id]))
-			return rt.ChargeRows(id, len(starIn[id]), len(unitVerts))
+			return rt.Send(id, starRows[id], byKey(unitPos))
 		})
 		if err != nil {
 			return nil, err
 		}
 
-		// Phase C: hash join — bucket star rows by key, probe with the
+		// Hash join: bucket the unit rows by key, probe with the
 		// previous results.
 		err = rt.Superstep(func(id int) error {
+			starIn, err := rt.Receive(id, len(unitVerts))
+			if err != nil {
+				return err
+			}
 			defer rt.ReleaseRows(id, len(prevIn[id]), len(prevVerts))
-			defer rt.ReleaseRows(id, len(starIn[id]), len(unitVerts))
+			defer rt.ReleaseRows(id, len(starIn), len(unitVerts))
 			buckets := make(map[string][]common.Row)
 			var kb []byte
-			for _, srow := range starIn[id] {
+			for _, srow := range starIn {
 				kb = appendKey(kb[:0], srow, unitPos, keyVerts)
 				buckets[string(kb)] = append(buckets[string(kb)], srow)
 			}
@@ -289,19 +254,7 @@ func RunJoin(part *partition.Partition, p *pattern.Pattern, units []JoinUnit, cf
 	if err != nil {
 		return nil, err
 	}
-
-	for id := 0; id < part.M; id++ {
-		res.Total += int64(len(cur[id]))
-		res.IntermediateRows += interRows[id]
-		rt.ReleaseRows(id, len(cur[id]), len(prevVerts))
-	}
-	res.ElapsedSeconds = time.Since(start).Seconds()
-	res.CommBytes = rt.Metrics.TotalBytes()
-	res.CommMessages = rt.Metrics.TotalMessages()
-	if cfg.Budget != nil {
-		res.PeakMemBytes = cfg.Budget.MaxPeak()
-	}
-	return res, nil
+	return rt.Finish(cur, len(prevVerts), len(units)), nil
 }
 
 // enumUnit enumerates the unit's embeddings anchored at local vertex

@@ -42,21 +42,21 @@ type RetryPolicy struct {
 	// first. Values below 2 disable retries.
 	MaxAttempts int
 	// BaseBackoff is the sleep before the first retry; each further
-	// retry doubles it. Jitter of up to 50% is added to keep a fleet of
-	// retriers from synchronizing. Zero defaults to 50ms.
+	// retry doubles it, up to maxBackoff. Jitter of up to 50% is added
+	// to keep a fleet of retriers from synchronizing. Zero defaults to
+	// 50ms.
 	BaseBackoff time.Duration
-	// MaxBackoff caps the doubled backoff. Zero defaults to 2s.
-	MaxBackoff time.Duration
-	// Retryable decides per message kind; nil uses DefaultRetryable.
-	Retryable func(kind string) bool
 	// OnRetry, when set, is notified before every retry sleep (label =
 	// message kind). radserve points it at a
 	// rads_cluster_rpc_retries_total counter family.
 	OnRetry func(kind string)
 }
 
-// RetryTransport wraps a Transport with retry-with-backoff for
-// idempotent message kinds. Application-level errors (ErrRemote — the
+// maxBackoff caps the doubled backoff.
+const maxBackoff = 2 * time.Second
+
+// RetryTransport wraps a Transport with retry-with-backoff for the
+// idempotent message kinds DefaultRetryable names. Application-level errors (ErrRemote — the
 // request was delivered and answered) are never retried: only
 // transport failures (dial errors, timeouts, severed connections) are
 // transient. Composes over any Transport, so tests stack it on a
@@ -104,13 +104,9 @@ func (t *RetryTransport) backoff(attempt int) time.Duration {
 	if base <= 0 {
 		base = 50 * time.Millisecond
 	}
-	max := t.Policy.MaxBackoff
-	if max <= 0 {
-		max = 2 * time.Second
-	}
 	d := base << uint(attempt)
-	if d > max || d <= 0 {
-		d = max
+	if d > maxBackoff || d <= 0 {
+		d = maxBackoff
 	}
 	// Up to 50% jitter so synchronized failures don't retry in lockstep.
 	t.rngMu.Lock()
@@ -124,10 +120,6 @@ func (t *RetryTransport) backoff(attempt int) time.Duration {
 func (t *RetryTransport) Call(from, to int, req Message) (Message, error) {
 	t.init()
 	kind := Kind(req)
-	retryable := t.Policy.Retryable
-	if retryable == nil {
-		retryable = DefaultRetryable
-	}
 	attempts := t.Policy.MaxAttempts
 	if attempts < 1 {
 		attempts = 1
@@ -152,7 +144,7 @@ func (t *RetryTransport) Call(from, to int, req Message) (Message, error) {
 		// Delivered-and-answered errors are deterministic; retrying
 		// them re-asks a question that will answer the same way (or,
 		// worse, re-runs a non-idempotent handler that already ran).
-		if !retryable(kind) || errors.Is(err, ErrRemote) {
+		if !DefaultRetryable(kind) || errors.Is(err, ErrRemote) {
 			return nil, err
 		}
 	}

@@ -345,7 +345,7 @@ func (f *family) write(b *strings.Builder) {
 		writeHistogram(b, f.name, "", "", f.hist)
 	case "countervec":
 		for _, k := range sortedKeys(f.cvec) {
-			fmt.Fprintf(b, "%s{%s=%q} %d\n", f.name, f.label, escapeLabel(k), f.cvec[k].Value())
+			fmt.Fprintf(b, "%s{%s=%q} %d\n", f.name, f.label, k, f.cvec[k].Value())
 		}
 	case "countervecfunc":
 		vals := f.cvecFn()
@@ -355,7 +355,7 @@ func (f *family) write(b *strings.Builder) {
 		}
 		sort.Strings(keys)
 		for _, k := range keys {
-			fmt.Fprintf(b, "%s{%s=%q} %d\n", f.name, f.label, escapeLabel(k), vals[k])
+			fmt.Fprintf(b, "%s{%s=%q} %d\n", f.name, f.label, k, vals[k])
 		}
 	case "gaugevecfunc":
 		vals := f.gvecFn()
@@ -365,11 +365,11 @@ func (f *family) write(b *strings.Builder) {
 		}
 		sort.Strings(keys)
 		for _, k := range keys {
-			fmt.Fprintf(b, "%s{%s=%q} %s\n", f.name, f.label, escapeLabel(k), fmtFloat(vals[k]))
+			fmt.Fprintf(b, "%s{%s=%q} %s\n", f.name, f.label, k, fmtFloat(vals[k]))
 		}
 	case "histogramvec":
 		for _, k := range sortedKeys(f.hvec) {
-			lbl := fmt.Sprintf("%s=%q", f.label, escapeLabel(k))
+			lbl := fmt.Sprintf("%s=%q", f.label, k)
 			writeHistogram(b, f.name, "{"+lbl+"}", lbl+",", f.hvec[k])
 		}
 	}
@@ -409,13 +409,6 @@ func fmtFloat(v float64) string {
 func escapeHelp(s string) string {
 	s = strings.ReplaceAll(s, `\`, `\\`)
 	return strings.ReplaceAll(s, "\n", `\n`)
-}
-
-func escapeLabel(s string) string {
-	// %q in the callers handles quoting/escaping of ", \ and newlines;
-	// nothing further needed. Kept as a hook for stripping invalid
-	// UTF-8 should label values ever carry user input.
-	return s
 }
 
 // Handler returns an http.Handler serving the registry in Prometheus

@@ -193,7 +193,7 @@ func WriteFleet(w io.Writer, local *Registry, fleet []MachineFamilies) error {
 func writeSeries(b *strings.Builder, name, typ, prefix, label string, s SeriesSnapshot) {
 	lbl := prefix
 	if label != "" {
-		kv := fmt.Sprintf("%s=%q", label, escapeLabel(s.Label))
+		kv := fmt.Sprintf("%s=%q", label, s.Label)
 		if lbl != "" {
 			lbl += "," + kv
 		} else {

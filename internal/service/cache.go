@@ -21,13 +21,11 @@ type cacheEntry struct {
 }
 
 // newResultCache returns a cache of at most capacity entries, or nil
-// (caching disabled) when capacity < 0.
+// (caching disabled) when capacity < 0. Config.withDefaults maps 0 to
+// the default capacity.
 func newResultCache(capacity int) *resultCache {
 	if capacity < 0 {
 		return nil
-	}
-	if capacity == 0 {
-		capacity = 256
 	}
 	return &resultCache{cap: capacity, ll: list.New(), idx: make(map[string]*list.Element)}
 }
