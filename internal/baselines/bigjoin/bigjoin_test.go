@@ -2,11 +2,13 @@ package bigjoin
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"rads/internal/baselines/common"
 	"rads/internal/cluster"
 	"rads/internal/gen"
+	"rads/internal/graph"
 	"rads/internal/partition"
 	"rads/internal/pattern"
 )
@@ -74,5 +76,38 @@ func TestBudgetAbortsAsOOM(t *testing.T) {
 	}
 	if !errors.Is(err, cluster.ErrOutOfMemory) {
 		t.Fatalf("err = %v, want ErrOutOfMemory", err)
+	}
+}
+
+// TestRowContains pins the row-membership rule BigJoin's expansion
+// relies on: a vertex already bound in a row is never bound again. On
+// K4 every anchor's adjacency holds the row's other vertices, so a
+// path's rows are its embeddings only if those are skipped.
+func TestRowContains(t *testing.T) {
+	g := gen.Clique(4)
+	p := pattern.Path(4)
+	rt := common.NewRuntime(1, common.Config{})
+	defer rt.Close()
+	lv := common.NewLevels(p)
+	var rows []common.Row
+	for v := range g.NumVertices() {
+		rows = append(rows, common.Row{graph.VertexID(v)})
+	}
+	for k := 1; k < p.N(); k++ {
+		next, err := lv.Expand(g, rows, k, rt.NewCharger(0, k+1))
+		if err != nil {
+			t.Fatalf("level %d: %v", k, err)
+		}
+		rows = next
+	}
+	for _, row := range rows {
+		for i, v := range row {
+			if slices.Contains(row[:i], v) {
+				t.Errorf("row %v repeats vertex %d", row, v)
+			}
+		}
+	}
+	if want := common.Oracle(g, p); int64(len(rows)) != want {
+		t.Errorf("%d rows, oracle = %d", len(rows), want)
 	}
 }

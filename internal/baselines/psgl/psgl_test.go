@@ -2,11 +2,13 @@ package psgl
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"rads/internal/baselines/common"
 	"rads/internal/cluster"
 	"rads/internal/gen"
+	"rads/internal/graph"
 	"rads/internal/partition"
 	"rads/internal/pattern"
 )
@@ -75,5 +77,39 @@ func TestBudgetAbortsAsOOM(t *testing.T) {
 	}
 	if !errors.Is(err, cluster.ErrOutOfMemory) {
 		t.Fatalf("err = %v, want ErrOutOfMemory", err)
+	}
+}
+
+// TestContains pins the row-membership rule PSgL's expansion relies on:
+// a vertex already in a row is never proposed for it again. On K4 every
+// anchor's adjacency holds the row's other vertices, so a path's
+// rows are its embeddings only if those are skipped.
+func TestContains(t *testing.T) {
+	g := gen.Clique(4)
+	for _, p := range []*pattern.Pattern{pattern.Path(4), pattern.Path(5)} {
+		rt := common.NewRuntime(1, common.Config{})
+		lv := common.NewLevels(p)
+		var rows []common.Row
+		for v := range g.NumVertices() {
+			rows = append(rows, common.Row{graph.VertexID(v)})
+		}
+		for k := 1; k < p.N(); k++ {
+			next, err := lv.Expand(g, rows, k, rt.NewCharger(0, k+1))
+			if err != nil {
+				t.Fatalf("%s level %d: %v", p.Name, k, err)
+			}
+			rows = next
+		}
+		rt.Close()
+		for _, row := range rows {
+			for i, v := range row {
+				if slices.Contains(row[:i], v) {
+					t.Errorf("%s: row %v repeats vertex %d", p.Name, row, v)
+				}
+			}
+		}
+		if want := common.Oracle(g, p); int64(len(rows)) != want {
+			t.Errorf("%s: %d rows, oracle = %d", p.Name, len(rows), want)
+		}
 	}
 }
