@@ -145,7 +145,7 @@ func runIngest(args []string) error {
 	fs := flag.NewFlagSet("ingest", flag.ExitOnError)
 	out := fs.String("o", "", "output .radsgraph path (default: input with .radsgraph extension)")
 	name := fs.String("name", "", "dataset name for the registry manifest (default: output base name)")
-	degOrder := fs.Bool("degree-order", false, "relabel vertices hub-first (descending degree) for cache locality")
+	degOrder := fs.Bool("degree-order", false, "relabel vertices hub-first (descending degree): hot lists share cache pages, and matches are rooted at their lowest-degree vertex")
 	registry := fs.String("registry", "", "registry directory for the manifest (default: the output's directory)")
 	noManifest := fs.Bool("no-manifest", false, "skip writing the registry manifest")
 	pos := parseMixed(fs, args)

@@ -152,16 +152,16 @@ func TestRowBytes(t *testing.T) {
 }
 
 func TestConstraintChecker(t *testing.T) {
-	p := pattern.Triangle() // constraints: u0<u1, u0<u2, u1<u2
+	p := pattern.Triangle() // constraints: u1<u0, u2<u0, u2<u1
 	c := NewConstraintChecker(p)
 	cases := []struct {
 		f    []graph.VertexID
 		want bool
 	}{
-		{[]graph.VertexID{1, 2, 3}, true},
-		{[]graph.VertexID{2, 1, 3}, false},
-		{[]graph.VertexID{1, -1, -1}, true},  // unmatched ignored
-		{[]graph.VertexID{5, -1, 3}, false},  // u0<u2 violated
+		{[]graph.VertexID{3, 2, 1}, true},
+		{[]graph.VertexID{3, 1, 2}, false},
+		{[]graph.VertexID{-1, -1, 1}, true},  // unmatched ignored
+		{[]graph.VertexID{3, -1, 5}, false},  // u2<u0 violated
 		{[]graph.VertexID{-1, -1, -1}, true}, // nothing matched
 	}
 	for _, tc := range cases {

@@ -34,66 +34,66 @@ func TestBaselinesSameWork(t *testing.T) {
 		oom           bool
 		want          work
 	}{
-		{"psgl", "q1", 0, false, work{1363, 51799, 4, 444104, 48, 665316}},
-		{"psgl", "q1", mib, false, work{1363, 51799, 4, 444104, 48, 665316}},
-		{"psgl", "q2", 0, false, work{13381, 24707, 4, 198680, 60, 255648}},
-		{"psgl", "q2", mib, false, work{13381, 24707, 4, 198680, 60, 255648}},
-		{"psgl", "q3", 0, false, work{10024, 369836, 5, 3960144, 60, 6165520}},
+		{"psgl", "q1", 0, false, work{1363, 7994, 4, 72184, 60, 64128}},
+		{"psgl", "q1", mib, false, work{1363, 7994, 4, 72184, 60, 64128}},
+		{"psgl", "q2", 0, false, work{13381, 24292, 4, 203912, 60, 255648}},
+		{"psgl", "q2", mib, false, work{13381, 24292, 4, 203912, 60, 255648}},
+		{"psgl", "q3", 0, false, work{10024, 86311, 5, 974556, 84, 1380664}},
 		{"psgl", "q3", mib, true, work{}},
-		{"psgl", "q4", 0, false, work{13576, 272490, 5, 3052484, 84, 3202608}},
+		{"psgl", "q4", 0, false, work{13576, 248461, 5, 2778760, 84, 4281056}},
 		{"psgl", "q4", mib, true, work{}},
-		{"psgl", "cq1", 0, false, work{29, 11269, 4, 83310, 58, 51812}},
-		{"psgl", "cq1", mib, false, work{29, 11269, 4, 83310, 58, 51812}},
-		{"psgl", "cq2", 0, false, work{2933, 21559, 5, 175875, 83, 104464}},
-		{"psgl", "cq2", mib, false, work{2933, 21559, 5, 175875, 83, 104464}},
-		{"bigjoin", "q1", 0, false, work{1363, 53162, 4, 659172, 60, 671652}},
-		{"bigjoin", "q1", mib, false, work{1363, 53162, 4, 659172, 60, 671652}},
-		{"bigjoin", "q2", 0, false, work{13381, 25381, 4, 213428, 72, 193364}},
-		{"bigjoin", "q2", mib, false, work{13381, 25381, 4, 213428, 72, 193364}},
-		{"bigjoin", "q3", 0, false, work{10024, 379860, 5, 6195276, 72, 6189572}},
+		{"psgl", "cq1", 0, false, work{29, 2483, 4, 16265, 57, 11020}},
+		{"psgl", "cq1", mib, false, work{29, 2483, 4, 16265, 57, 11020}},
+		{"psgl", "cq2", 0, false, work{2933, 13988, 5, 120794, 82, 67840}},
+		{"psgl", "cq2", mib, false, work{2933, 13988, 5, 120794, 82, 67840}},
+		{"bigjoin", "q1", 0, false, work{1363, 9357, 4, 100512, 72, 62376}},
+		{"bigjoin", "q1", mib, false, work{1363, 9357, 4, 100512, 72, 62376}},
+		{"bigjoin", "q2", 0, false, work{13381, 24966, 4, 204980, 72, 193364}},
+		{"bigjoin", "q2", mib, false, work{13381, 24966, 4, 204980, 72, 193364}},
+		{"bigjoin", "q3", 0, false, work{10024, 96335, 5, 1482336, 96, 1385200}},
 		{"bigjoin", "q3", mib, true, work{}},
-		{"bigjoin", "q4", 0, false, work{13576, 286730, 5, 4209252, 108, 3205772}},
+		{"bigjoin", "q4", 0, false, work{13576, 262701, 5, 4024672, 108, 4290716}},
 		{"bigjoin", "q4", mib, true, work{}},
-		{"bigjoin", "cq1", 0, false, work{29, 11804, 4, 103271, 87, 76052}},
-		{"bigjoin", "cq1", mib, false, work{29, 11804, 4, 103271, 87, 76052}},
-		{"bigjoin", "cq2", 0, false, work{2933, 23180, 5, 214978, 118, 118552}},
-		{"bigjoin", "cq2", mib, false, work{2933, 23180, 5, 214978, 118, 118552}},
-		{"twintwig", "q1", 0, false, work{1363, 59483, 3, 825400, 48, 373744}},
-		{"twintwig", "q1", mib, false, work{1363, 59483, 3, 825400, 48, 373744}},
+		{"bigjoin", "cq1", 0, false, work{29, 2779, 4, 19872, 84, 8472}},
+		{"bigjoin", "cq1", mib, false, work{29, 2779, 4, 19872, 84, 8472}},
+		{"bigjoin", "cq2", 0, false, work{2933, 14995, 5, 128300, 116, 69440}},
+		{"bigjoin", "cq2", mib, false, work{2933, 14995, 5, 128300, 116, 69440}},
+		{"twintwig", "q1", 0, false, work{1363, 22219, 3, 269300, 48, 146880}},
+		{"twintwig", "q1", mib, false, work{1363, 22219, 3, 269300, 48, 146880}},
 		{"twintwig", "q2", 0, false, work{13381, 207092, 3, 3084328, 48, 2052024}},
 		{"twintwig", "q2", mib, true, work{}},
-		{"twintwig", "q3", 0, false, work{10024, 369982, 4, 6432116, 72, 2732628}},
-		{"twintwig", "q3", mib, true, work{}},
-		{"twintwig", "q4", 0, false, work{13576, 254619, 4, 4374620, 72, 2852656}},
+		{"twintwig", "q3", 0, false, work{10024, 63878, 4, 1019816, 72, 379428}},
+		{"twintwig", "q3", mib, false, work{10024, 63878, 4, 1019816, 72, 379428}},
+		{"twintwig", "q4", 0, false, work{13576, 266221, 4, 4548704, 72, 2085784}},
 		{"twintwig", "q4", mib, true, work{}},
-		{"twintwig", "cq1", 0, false, work{29, 38117, 3, 462568, 48, 243600}},
-		{"twintwig", "cq1", mib, false, work{29, 38117, 3, 462568, 48, 243600}},
-		{"twintwig", "cq2", 0, false, work{2933, 1607947, 4, 28652456, 72, 25450688}},
+		{"twintwig", "cq1", 0, false, work{29, 36747, 3, 441568, 48, 243600}},
+		{"twintwig", "cq1", mib, false, work{29, 36747, 3, 441568, 48, 243600}},
+		{"twintwig", "cq2", 0, false, work{2933, 1594100, 4, 28455296, 72, 25450688}},
 		{"twintwig", "cq2", mib, true, work{}},
 		{"seed", "q1", 0, false, work{1363, 29884, 2, 357720, 24, 285720}},
 		{"seed", "q1", mib, false, work{1363, 29884, 2, 357720, 24, 285720}},
 		{"seed", "q2", 0, false, work{13381, 2632, 2, 29228, 24, 135664}},
 		{"seed", "q2", mib, false, work{13381, 2632, 2, 29228, 24, 135664}},
-		{"seed", "q3", 0, false, work{10024, 340383, 3, 5925896, 48, 2565904}},
-		{"seed", "q3", mib, true, work{}},
-		{"seed", "q4", 0, false, work{13576, 172152, 3, 2994968, 48, 1851672}},
-		{"seed", "q4", mib, true, work{}},
+		{"seed", "q3", 0, false, work{10024, 71543, 3, 1086152, 48, 523836}},
+		{"seed", "q3", mib, false, work{10024, 71543, 3, 1086152, 48, 523836}},
+		{"seed", "q4", 0, false, work{13576, 82084, 3, 1374416, 48, 634876}},
+		{"seed", "q4", mib, false, work{13576, 82084, 3, 1374416, 48, 634876}},
 		{"seed", "cq1", 0, false, work{29, 0, 1, 0, 0, 10080}},
 		{"seed", "cq1", mib, false, work{29, 0, 1, 0, 0, 10080}},
 		{"seed", "cq2", 0, false, work{2933, 1860, 2, 21513, 21, 43968}},
 		{"seed", "cq2", mib, false, work{2933, 1860, 2, 21513, 21, 43968}},
-		{"crystal", "q1", 0, false, work{1363, 1494, 1, 31728, 12, 166428}},
-		{"crystal", "q1", mib, false, work{1363, 1494, 1, 31728, 12, 166428}},
-		{"crystal", "q2", 0, false, work{13381, 680, 1, 41568, 12, 43888}},
-		{"crystal", "q2", mib, false, work{13381, 680, 1, 41568, 12, 43888}},
-		{"crystal", "q3", 0, false, work{10024, 9603, 1, 228136, 12, 1910212}},
+		{"crystal", "q1", 0, false, work{1363, 2153, 1, 42424, 12, 167860}},
+		{"crystal", "q1", mib, false, work{1363, 2153, 1, 42424, 12, 167860}},
+		{"crystal", "q2", 0, false, work{13381, 680, 1, 41568, 12, 39568}},
+		{"crystal", "q2", mib, false, work{13381, 680, 1, 41568, 12, 39568}},
+		{"crystal", "q3", 0, false, work{10024, 16745, 1, 370964, 12, 1917564}},
 		{"crystal", "q3", mib, true, work{}},
-		{"crystal", "q4", 0, false, work{13576, 2698, 1, 72948, 12, 221700}},
-		{"crystal", "q4", mib, false, work{13576, 2698, 1, 72948, 12, 221700}},
-		{"crystal", "cq1", 0, false, work{29, 78, 1, 1052, 8, 16616}},
-		{"crystal", "cq1", mib, false, work{29, 78, 1, 1052, 8, 16616}},
-		{"crystal", "cq2", 0, false, work{2933, 234, 1, 17607, 11, 39196}},
-		{"crystal", "cq2", mib, false, work{2933, 234, 1, 17607, 11, 39196}},
+		{"crystal", "q4", 0, false, work{13576, 1548, 1, 58272, 12, 181708}},
+		{"crystal", "q4", mib, false, work{13576, 1548, 1, 58272, 12, 181708}},
+		{"crystal", "cq1", 0, false, work{29, 78, 1, 1613, 9, 16568}},
+		{"crystal", "cq1", mib, false, work{29, 78, 1, 1613, 9, 16568}},
+		{"crystal", "cq2", 0, false, work{2933, 234, 1, 17607, 11, 36016}},
+		{"crystal", "cq2", mib, false, work{2933, 234, 1, 17607, 11, 36016}},
 	}
 	g := gen.PowerLaw(300, 5, 2.5, 30, 1)
 	part := partition.KWay(g, 4, 7)

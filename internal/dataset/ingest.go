@@ -20,7 +20,11 @@ type Options struct {
 	// put most intersection work on the hubs; clustering them at the
 	// front of the neighbour array keeps the hot lists within a few
 	// cache-resident pages (the locality lever HUGE builds its whole
-	// store around). Counts are isomorphism-invariant, so enumeration
+	// store around). It also decides where matches start:
+	// pattern.SymmetryBreaking gives each orbit's pick vertex the
+	// largest ID, which on this numbering is the lowest degree, so
+	// every engine roots its matches where candidate lists are
+	// shortest. Counts are isomorphism-invariant, so enumeration
 	// results are unchanged.
 	DegreeOrder bool
 }

@@ -22,6 +22,7 @@ package localenum
 
 import (
 	"math"
+	"slices"
 
 	"rads/internal/graph"
 	"rads/internal/pattern"
@@ -369,9 +370,15 @@ func maxDegreeVertex(p *pattern.Pattern) pattern.VertexID {
 
 // GreedyOrderFrom returns the connectivity-aware matching order that
 // starts at the given query vertex: repeatedly the vertex with the
-// most already-ordered neighbours (ties: higher degree, then smaller
-// ID), so every level intersects as many adjacency lists as the
-// pattern allows. RADS roots it at the plan's first pivot for SM-E —
+// most already-ordered neighbours, so every level intersects as many
+// adjacency lists as the pattern allows. Ties go to, in turn, a vertex
+// of degree > 1 (an end vertex adds no intersection for later levels),
+// a neighbour of the start vertex, the higher degree, the smaller ID.
+// The start-neighbour rule expands from the start's own list: under
+// pattern.SymmetryBreaking on a hub-first store the start is matched to
+// the embedding's lowest-degree vertex, whose list is the shortest to
+// take candidates from, while a path walked away from it runs through
+// the hubs. RADS roots it at the plan's first pivot for SM-E —
 // Proposition 1 fixes the start vertex, not the rest of the order.
 func GreedyOrderFrom(p *pattern.Pattern, start pattern.VertexID) []pattern.VertexID {
 	n := p.N()
@@ -379,8 +386,21 @@ func GreedyOrderFrom(p *pattern.Pattern, start pattern.VertexID) []pattern.Verte
 	placed := make([]bool, n)
 	order = append(order, start)
 	placed[start] = true
+	// rank orders tied candidates: larger ranks first.
+	rank := func(u pattern.VertexID) [3]int {
+		var r [3]int
+		if p.Degree(u) > 1 {
+			r[0] = 1
+		}
+		if p.HasEdge(u, start) {
+			r[1] = 1
+		}
+		r[2] = p.Degree(u)
+		return r
+	}
 	for len(order) < n {
 		bestU, bestScore := pattern.VertexID(-1), -1
+		var bestRank [3]int
 		for u := 0; u < n; u++ {
 			if placed[u] {
 				continue
@@ -394,9 +414,9 @@ func GreedyOrderFrom(p *pattern.Pattern, start pattern.VertexID) []pattern.Verte
 			if score == 0 {
 				continue // keep order connected when possible
 			}
-			if score > bestScore ||
-				(score == bestScore && p.Degree(pattern.VertexID(u)) > p.Degree(bestU)) {
-				bestU, bestScore = pattern.VertexID(u), score
+			r := rank(pattern.VertexID(u))
+			if score > bestScore || (score == bestScore && slices.Compare(r[:], bestRank[:]) > 0) {
+				bestU, bestScore, bestRank = pattern.VertexID(u), score, r
 			}
 		}
 		if bestU < 0 {

@@ -108,13 +108,13 @@ func TestAllowedRestriction(t *testing.T) {
 }
 
 func TestStartCandidatesRestriction(t *testing.T) {
-	g := gen.Clique(4) // triangles: each contains its minimum vertex as start
+	g := gen.Clique(4) // triangles: each contains its maximum vertex as start
 	p := pattern.Triangle()
-	// With symmetry breaking u0 < u1 < u2, the start (u0) is the minimum
-	// vertex; starting only from vertex 0 finds triangles containing 0.
-	got := Count(g, p, Options{StartCandidates: []graph.VertexID{0}})
+	// With symmetry breaking u2 < u1 < u0, the start (u0) is the maximum
+	// vertex; starting only from vertex 3 finds triangles containing 3.
+	got := Count(g, p, Options{StartCandidates: []graph.VertexID{3}})
 	if got != 3 {
-		t.Errorf("start-restricted = %d, want 3 (triangles containing v0)", got)
+		t.Errorf("start-restricted = %d, want 3 (triangles containing v3)", got)
 	}
 }
 

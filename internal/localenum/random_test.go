@@ -152,8 +152,24 @@ func TestCountOnlyMatchesCallbackMode(t *testing.T) {
 // TestGreedyOrderFrom: the order is a permutation that starts at the
 // requested vertex and keeps every later vertex adjacent to an earlier
 // one, from every start of catalogue and random patterns; GreedyOrder
-// is the same rule rooted at the highest-degree vertex.
+// is the same rule rooted at the highest-degree vertex. Among equally
+// connected vertices the start's neighbours come first and end
+// vertices last, so the catalogue's plan starts give these orders.
 func TestGreedyOrderFrom(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		start pattern.VertexID
+		want  []pattern.VertexID
+	}{
+		{"q1", 0, []pattern.VertexID{0, 1, 3, 2}},
+		{"q3", 0, []pattern.VertexID{0, 1, 4, 2, 3}},
+		{"q4", 1, []pattern.VertexID{1, 2, 0, 3, 4}},
+		{"q5", 0, []pattern.VertexID{0, 1, 2, 3, 4, 5}},
+	} {
+		if got := GreedyOrderFrom(pattern.ByName(tc.name), tc.start); !slices.Equal(got, tc.want) {
+			t.Errorf("%s from %d: order %v, want %v", tc.name, tc.start, got, tc.want)
+		}
+	}
 	rng := rand.New(rand.NewSource(7))
 	patterns := append(pattern.QuerySet(), pattern.CliqueQuerySet()...)
 	for i := 0; i < 40; i++ {

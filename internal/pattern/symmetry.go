@@ -63,8 +63,17 @@ type OrderConstraint struct {
 // SymmetryBreaking returns a constraint set that keeps exactly one
 // embedding per automorphism class, using the Grochow-Kellis procedure
 // the paper cites ([8]): repeatedly pick the smallest vertex with a
-// non-trivial orbit, constrain it below its whole orbit, then restrict
+// non-trivial orbit, constrain it above its whole orbit, then restrict
 // the group to that vertex's stabilizer.
+//
+// The pick takes the largest data-vertex ID of its orbit, not the
+// smallest: stores are numbered hub-first (dataset.Options.DegreeOrder),
+// so the largest ID is the lowest-degree vertex of the orbit's image.
+// The plans of the query catalogue start at a pick wherever the start
+// vertex has a non-trivial orbit (q1, q3, q4, q6-q8, the cliques), so
+// their embeddings are rooted where candidate lists are shortest, not
+// at a hub. On numbering that is not hub-first the choice is only a
+// relabelling. Every engine reads this one definition.
 func (p *Pattern) SymmetryBreaking() []OrderConstraint {
 	auts := p.Automorphisms()
 	var cons []OrderConstraint
@@ -96,7 +105,7 @@ func (p *Pattern) SymmetryBreaking() []OrderConstraint {
 		sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
 		for _, v := range members {
 			if v != VertexID(pick) {
-				cons = append(cons, OrderConstraint{Less: VertexID(pick), Greater: v})
+				cons = append(cons, OrderConstraint{Less: v, Greater: VertexID(pick)})
 			}
 		}
 		// Stabilizer of pick.

@@ -75,20 +75,23 @@ func TestSymmetryBreakingIdentityOnAsymmetric(t *testing.T) {
 // there exists a constraint (x < y) with a(x) > a(y) for SOME total
 // order... that form is data-dependent, so instead we check the
 // standard sufficient condition: applying any non-identity automorphism
-// to the identity assignment violates at least one constraint.
+// to the reference embedding violates at least one constraint. The
+// reference embedding is the mirrored identity m(u) = n-1-u, since each
+// orbit's pick takes the largest ID.
 func TestSymmetryBreakingKillsAutomorphisms(t *testing.T) {
 	for _, q := range append(append(QuerySet(), CliqueQuerySet()...), RunningExample(), Triangle()) {
 		cons := q.SymmetryBreaking()
+		m := mirror(q.N())
 		for _, a := range q.Automorphisms() {
 			if isIdentity(a) {
 				continue
 			}
-			// The "embedding" f(u) = a(u) (mapping onto the pattern
+			// The "embedding" f(u) = m(a(u)) (mapping onto the pattern
 			// itself) must violate a constraint, otherwise the same
 			// subgraph image would be reported twice.
 			violated := false
 			for _, c := range cons {
-				if a[c.Less] > a[c.Greater] {
+				if m[a[c.Less]] > m[a[c.Greater]] {
 					violated = true
 					break
 				}
@@ -100,18 +103,29 @@ func TestSymmetryBreakingKillsAutomorphisms(t *testing.T) {
 	}
 }
 
-// And the identity must always survive.
+// And the reference embedding must always survive.
 func TestSymmetryBreakingKeepsIdentity(t *testing.T) {
 	for _, q := range append(QuerySet(), CliqueQuerySet()...) {
+		m := mirror(q.N())
 		for _, c := range q.SymmetryBreaking() {
-			if c.Less >= c.Greater {
-				// Constraint on identity embedding: f(u)=u, so we need
-				// Less < Greater as vertex IDs for identity to satisfy it.
-				// Grochow-Kellis picks orbit minimum, guaranteeing this.
-				t.Errorf("%s: constraint %v not satisfied by identity", q.Name, c)
+			if m[c.Less] >= m[c.Greater] {
+				// Constraint on the mirrored identity f(u) = n-1-u: it
+				// satisfies Less < Greater only if Less > Greater as
+				// vertex IDs. Grochow-Kellis picks the orbit minimum and
+				// puts it above its orbit, guaranteeing this.
+				t.Errorf("%s: constraint %v not satisfied by the mirrored identity", q.Name, c)
 			}
 		}
 	}
+}
+
+// mirror returns the permutation u -> n-1-u.
+func mirror(n int) []VertexID {
+	m := make([]VertexID, n)
+	for u := range m {
+		m[u] = VertexID(n - 1 - u)
+	}
+	return m
 }
 
 func isIdentity(a []VertexID) bool {

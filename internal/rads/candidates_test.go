@@ -17,7 +17,7 @@ import (
 // but not run, for tests that drive one phase by hand.
 func hostedEngine(t *testing.T, part *partition.Partition, p *pattern.Pattern, cfg Config) *engine {
 	t.Helper()
-	e, err := newEngine(part, p, cfg)
+	e, err := newEngine(part, p, p.SymmetryBreaking(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

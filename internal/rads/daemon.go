@@ -195,6 +195,9 @@ func (d *Machine) runQuery(r *RunQueryRequest) (cluster.Message, error) {
 	if err != nil {
 		return nil, fmt.Errorf("machine %d: bad pattern: %w", d.id, err)
 	}
+	if err := checkConstraints(p, r.Constraints); err != nil {
+		return nil, fmt.Errorf("machine %d: %w", d.id, err)
+	}
 	workers := r.Workers
 	if workers <= 0 {
 		workers = d.workers
@@ -210,7 +213,7 @@ func (d *Machine) runQuery(r *RunQueryRequest) (cluster.Message, error) {
 	if r.BudgetBytes > 0 {
 		cfg.Budget = cluster.NewMemBudget(d.part.M, r.BudgetBytes)
 	}
-	eng, err := newEngine(d.part, p, cfg)
+	eng, err := newEngine(d.part, p, r.Constraints, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("machine %d: %w", d.id, err)
 	}
@@ -245,6 +248,26 @@ func (d *Machine) runQuery(r *RunQueryRequest) (cluster.Message, error) {
 		return nil, runErr
 	}
 	return resp, nil
+}
+
+// checkConstraints vets a request's symmetry-breaking constraints: each
+// names two distinct vertices of p, and a pattern with automorphisms
+// must come with some — a request without them is from a coordinator
+// that predates shipping them, and enumerating under the machine's own
+// convention could miscount.
+func checkConstraints(p *pattern.Pattern, cons []pattern.OrderConstraint) error {
+	for _, c := range cons {
+		if c.Less < 0 || int(c.Less) >= p.N() || c.Greater < 0 || int(c.Greater) >= p.N() || c.Less == c.Greater {
+			return fmt.Errorf("constraint %v is not over two distinct vertices of the %d-vertex pattern", c, p.N())
+		}
+	}
+	if len(cons) > 0 {
+		return nil
+	}
+	if auts := p.AutomorphismCount(); auts > 1 {
+		return fmt.Errorf("request carries no symmetry-breaking constraints for %s, which has %d automorphisms; upgrade the coordinator", p.Name, auts)
+	}
+	return nil
 }
 
 // observeQuery feeds one finished query into the registry families.

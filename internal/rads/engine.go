@@ -236,7 +236,7 @@ type Result struct {
 // outgrows its budget fails with an error wrapping
 // cluster.ErrOutOfMemory and returns its partial Result beside it.
 func Run(part *partition.Partition, p *pattern.Pattern, cfg Config) (*Result, error) {
-	eng, err := newEngine(part, p, cfg)
+	eng, err := newEngine(part, p, p.SymmetryBreaking(), cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -314,7 +314,10 @@ type pullLeaf struct {
 	cons []posCons
 }
 
-func newEngine(part *partition.Partition, p *pattern.Pattern, cfg Config) (*engine, error) {
+// newEngine builds the query's engine state. cons are the symmetry-breaking
+// constraints every machine of the run must share: the in-process Run
+// derives them, a hosted Machine takes the coordinator's.
+func newEngine(part *partition.Partition, p *pattern.Pattern, cons []pattern.OrderConstraint, cfg Config) (*engine, error) {
 	if !p.IsConnected() {
 		return nil, fmt.Errorf("rads: pattern %s is not connected", p.Name)
 	}
@@ -335,7 +338,7 @@ func newEngine(part *partition.Partition, p *pattern.Pattern, cfg Config) (*engi
 		p:       p,
 		pl:      pl,
 		cfg:     cfg,
-		cons:    p.SymmetryBreaking(),
+		cons:    cons,
 		metrics: metrics,
 		tr:      cfg.Transport,
 		avgDeg:  part.G.AvgDegree(),

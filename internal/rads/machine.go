@@ -355,9 +355,14 @@ func (m *machine) runSME(c1 []graph.VertexID) error {
 // usage"): the average trie-node count sampled during SM-E times the
 // accounted node size, scaled by the candidate's degree relative to
 // the graph average. The degree scaling is our refinement of the
-// paper's flat average: on skewed graphs a hub candidate spawns far
-// more intermediate results than the mean, and a flat estimate packs
-// hubs into oversized region groups that blow the memory budget.
+// paper's flat average. Symmetry breaking puts the start vertex above
+// the rest of its orbit in ID, so on a hub-first store a hub candidate
+// roots few embeddings when that orbit covers the pattern (q1, q3: on
+// the benchmark fixture the top degree decile of candidates builds
+// fewer trie bytes than the middle ones). Where it does not (q4, q5) a
+// top-decile candidate still builds 13-24x the trie bytes of a median
+// one, and a flat estimate packs hubs into region groups that raise
+// the budgeted peak (enum_tcp: 0.094 -> 0.107 MiB without the scaling).
 func (m *machine) estBytes(v graph.VertexID) int64 {
 	avg := m.avgNodesPerCandidate
 	if avg <= 0 {

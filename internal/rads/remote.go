@@ -157,6 +157,7 @@ func (c *ClusterEngine) runRemote(ctx context.Context, req eng.Request) (eng.Res
 	wire := &RunQueryRequest{
 		Pattern:     pattern.Format(req.Pattern),
 		Plan:        pl,
+		Constraints: req.Pattern.SymmetryBreaking(),
 		QueryID:     req.QueryID,
 		Workers:     req.Workers,
 		BudgetBytes: req.Budget.Limit(),

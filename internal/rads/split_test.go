@@ -14,7 +14,7 @@ import (
 // runSplitting is Run with the huge-frontier threshold at thr, so small
 // graphs split their rounds.
 func runSplitting(part *partition.Partition, p *pattern.Pattern, cfg Config, thr int) (*Result, error) {
-	e, err := newEngine(part, p, cfg)
+	e, err := newEngine(part, p, p.SymmetryBreaking(), cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package rads
 import (
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 
 	"rads/internal/cluster"
@@ -80,6 +81,73 @@ func (n noStealing) Call(from, to int, req cluster.Message) (cluster.Message, er
 		req = &pinned
 	}
 	return n.Transport.Call(from, to, req)
+}
+
+// reconstrained rewrites the symmetry-breaking constraints of every
+// query the coordinator dispatches.
+type reconstrained struct {
+	cluster.Transport
+	rewrite func([]pattern.OrderConstraint) []pattern.OrderConstraint
+}
+
+func (r reconstrained) Call(from, to int, req cluster.Message) (cluster.Message, error) {
+	if q, ok := req.(*RunQueryRequest); ok {
+		re := *q
+		re.Constraints = r.rewrite(q.Constraints)
+		req = &re
+	}
+	return r.Transport.Call(from, to, req)
+}
+
+// TestFleetEnumeratesUnderShippedConstraints: workers enumerate under
+// the constraints the coordinator ships, not their own. Fed the mirrored
+// set — every constraint reversed, the opposite but equally valid
+// convention — the fleet still counts the oracle's total, with other
+// work than under the coordinator's own set. A request that carries no
+// constraints for a symmetric pattern, or one naming a vertex the
+// pattern lacks, is refused.
+func TestFleetEnumeratesUnderShippedConstraints(t *testing.T) {
+	part := partition.KWay(ingestedTwin(t, gen.PowerLaw(400, 8, 2.7, 100, 67), true), 3, 7)
+	fleet := noStealing{loopbackFleet(t, part, MachineOptions{Workers: 1})}
+	q := pattern.ByName("q1")
+	want := localenum.Count(part.G, q, localenum.Options{})
+	run := func(tr cluster.Transport) (eng.Result, error) {
+		return NewClusterEngine(tr, part.M).Run(context.Background(), eng.Request{Part: part, Pattern: q, Workers: 1})
+	}
+
+	own, err := run(fleet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mirrored, err := run(reconstrained{fleet, func(cons []pattern.OrderConstraint) []pattern.OrderConstraint {
+		out := make([]pattern.OrderConstraint, len(cons))
+		for i, c := range cons {
+			out[i] = pattern.OrderConstraint{Less: c.Greater, Greater: c.Less}
+		}
+		return out
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if own.Total != want || mirrored.Total != want {
+		t.Fatalf("fleet counted %d under the coordinator's constraints, %d under the mirrored ones; oracle %d", own.Total, mirrored.Total, want)
+	}
+	if own.TreeNodes == mirrored.TreeNodes {
+		t.Errorf("mirrored constraints linked the same %d tree nodes: the workers did not enumerate under them", own.TreeNodes)
+	}
+
+	for _, tc := range []struct {
+		cons []pattern.OrderConstraint
+		want string
+	}{
+		{nil, "no symmetry-breaking constraints"},
+		{[]pattern.OrderConstraint{{Less: 0, Greater: 9}}, "not over two distinct vertices"},
+	} {
+		_, err = run(reconstrained{fleet, func([]pattern.OrderConstraint) []pattern.OrderConstraint { return tc.cons }})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("request with constraints %v: err = %v, want %q", tc.cons, err, tc.want)
+		}
+	}
 }
 
 // loopbackFleet hosts every machine of part behind one TCP server, each

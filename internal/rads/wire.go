@@ -4,6 +4,7 @@ import (
 	"encoding/gob"
 
 	"rads/internal/obs"
+	"rads/internal/pattern"
 	"rads/internal/plan"
 )
 
@@ -27,6 +28,14 @@ type RunQueryRequest struct {
 	Pattern string
 	Plan    *plan.Plan
 
+	// Constraints are the coordinator's symmetry-breaking constraints
+	// (pattern.SymmetryBreaking), which every machine enumerates under.
+	// A machine holding one convention and a coordinator another would
+	// count some embeddings twice and others never, so the machine does
+	// not derive its own: a request for a pattern with automorphisms
+	// that carries none is refused.
+	Constraints []pattern.OrderConstraint
+
 	// QueryID is the coordinator-side query identifier (minted by the
 	// service), crossing the wire so remote machines attribute their
 	// traces and journal events to the query. 0 = unattributed.
@@ -42,10 +51,10 @@ type RunQueryRequest struct {
 	DisableLoadBalancing bool
 }
 
-// ByteSize estimates the wire size: the pattern text, the plan's
-// integer payload, and the fixed knobs.
+// ByteSize estimates the wire size: the pattern text, the constraints,
+// the plan's integer payload, and the fixed knobs.
 func (r *RunQueryRequest) ByteSize() int {
-	n := len(r.Pattern) + 8*3 + 1
+	n := len(r.Pattern) + 8*3 + 1 + 16*len(r.Constraints)
 	if r.Plan != nil {
 		n += 8 * (len(r.Plan.Order) + len(r.Plan.Pos) + len(r.Plan.PrefixLen))
 		for i := range r.Plan.Units {

@@ -28,7 +28,7 @@ func TestControlPlaneKindsSurviveTCP(t *testing.T) {
 	exchanges := []struct{ req, resp cluster.Message }{
 		{
 			&rads.RunQueryRequest{
-				Pattern: p.String(), Plan: pl, QueryID: 77, Workers: 2, BudgetBytes: 512 << 10,
+				Pattern: p.String(), Plan: pl, Constraints: p.SymmetryBreaking(), QueryID: 77, Workers: 2, BudgetBytes: 512 << 10,
 				DisableLoadBalancing: true,
 			},
 			&rads.RunQueryResponse{
