@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
@@ -59,13 +60,15 @@ func FuzzIngest(f *testing.F) {
 				t.Fatalf("degree-ordered ingest: vertex %d has degree %d, above vertex %d's %d", v, d, v-1, prev)
 			}
 		}
-		// Where the edge-list reader also accepts the input (small non-negative
-		// IDs), edge counts must match: both dedup and drop self-loops. It
-		// sizes the graph by the largest ID, so larger IDs are not tried.
-		if !smallIDs(input) {
+		// Where the edge-list reader also accepts the input (non-negative
+		// 32-bit IDs), edge counts must match: both dedup and drop
+		// self-loops. The reader sizes its graph by the largest ID, so it
+		// reads the input relabelled to dense IDs.
+		dense, ok := denseIDs(input)
+		if !ok {
 			return
 		}
-		if g, gerr := graph.ReadEdgeList(strings.NewReader(input)); gerr == nil {
+		if g, gerr := graph.ReadEdgeList(strings.NewReader(dense)); gerr == nil {
 			if g.NumEdges() != c.NumEdges() {
 				t.Fatalf("edge-list reader counts %d edges, ingester %d", g.NumEdges(), c.NumEdges())
 			}
@@ -73,15 +76,36 @@ func FuzzIngest(f *testing.F) {
 	})
 }
 
-// smallIDs reports whether every numeric field of input is at most
-// 1<<16, the range in which graph.ReadEdgeList's dense graph stays small.
-func smallIDs(input string) bool {
-	for _, f := range strings.Fields(input) {
-		if n, err := strconv.ParseInt(f, 10, 64); err == nil && n > 1<<16 {
-			return false
+// denseIDs rewrites input for graph.ReadEdgeList: every vertex field
+// the reader would accept becomes a dense ID, numbered in first-seen
+// order, and every other line and field is kept. The relabelling is a
+// bijection, so the reader rejects the same lines and counts the same
+// edges and self-loops. ok is false for input the reader's scanner
+// cannot split into lines.
+func denseIDs(input string) (out string, ok bool) {
+	ids := make(map[int64]int)
+	var b strings.Builder
+	sc := bufio.NewScanner(strings.NewReader(input))
+	sc.Buffer(make([]byte, 1<<20), 1<<24) // graph.ReadEdgeList's limits
+	for sc.Scan() {
+		line := strings.TrimSpace(sc.Text())
+		if fields := strings.Fields(line); len(fields) >= 2 && !strings.HasPrefix(line, "#") {
+			for i := range fields[:2] {
+				if n, err := strconv.ParseInt(fields[i], 10, 32); err == nil && n >= 0 {
+					id, seen := ids[n]
+					if !seen {
+						id = len(ids)
+						ids[n] = id
+					}
+					fields[i] = strconv.Itoa(id)
+				}
+			}
+			line = strings.Join(fields, " ")
 		}
+		b.WriteString(line)
+		b.WriteByte('\n')
 	}
-	return true
+	return b.String(), sc.Err() == nil
 }
 
 // FuzzDecodeGraph throws arbitrary bytes at the .radsgraph decoder,

@@ -24,8 +24,9 @@ type Options struct {
 	// pattern.SymmetryBreaking gives each orbit's pick vertex the
 	// largest ID, which on this numbering is the lowest degree, so
 	// every engine roots its matches where candidate lists are
-	// shortest. Counts are isomorphism-invariant, so enumeration
-	// results are unchanged.
+	// shortest. It is off by default, and the first-seen numbering
+	// gives no such guarantee. Counts are isomorphism-invariant, so
+	// enumeration results are the same either way.
 	DegreeOrder bool
 }
 

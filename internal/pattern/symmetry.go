@@ -67,13 +67,16 @@ type OrderConstraint struct {
 // the group to that vertex's stabilizer.
 //
 // The pick takes the largest data-vertex ID of its orbit, not the
-// smallest: stores are numbered hub-first (dataset.Options.DegreeOrder),
-// so the largest ID is the lowest-degree vertex of the orbit's image.
-// The plans of the query catalogue start at a pick wherever the start
+// smallest. On a store numbered hub-first (dataset.Options.DegreeOrder,
+// which radsprep -degree-order and the benchmark fixture apply) the
+// largest ID is the lowest-degree vertex of the orbit's image. The
+// plans of the query catalogue start at a pick wherever the start
 // vertex has a non-trivial orbit (q1, q3, q4, q6-q8, the cliques), so
-// their embeddings are rooted where candidate lists are shortest, not
-// at a hub. On numbering that is not hub-first the choice is only a
-// relabelling. Every engine reads this one definition.
+// there their embeddings are rooted where candidate lists are
+// shortest, not at a hub. Other numberings (first-seen ingests,
+// generated graphs, edge lists loaded directly) get no such
+// guarantee: counts are the same, but a match may be rooted at a hub.
+// Every engine reads this one definition.
 func (p *Pattern) SymmetryBreaking() []OrderConstraint {
 	auts := p.Automorphisms()
 	var cons []OrderConstraint

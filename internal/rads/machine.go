@@ -80,13 +80,14 @@ func (m *machine) response(runErr error) *RunQueryResponse {
 			Groups:    m.groupsFormed,
 			Stolen:    m.groupsStolen,
 		},
-		Rounds:       m.e.pl.NumRounds(),
-		Workers:      m.e.workers(),
-		DeferredEnds: len(m.e.deferred),
-		PeakMemBytes: m.e.cfg.Budget.Peak(m.id),
-		OOM:          errors.Is(runErr, cluster.ErrOutOfMemory),
-		CacheHits:    m.view.hits.Load(),
-		CacheMisses:  m.view.misses.Load(),
+		Rounds:             m.e.pl.NumRounds(),
+		Workers:            m.e.workers(),
+		DeferredEnds:       len(m.e.deferred),
+		PeakMemBytes:       m.e.cfg.Budget.Peak(m.id),
+		AppliedConstraints: len(m.e.cons),
+		OOM:                errors.Is(runErr, cluster.ErrOutOfMemory),
+		CacheHits:          m.view.hits.Load(),
+		CacheMisses:        m.view.misses.Load(),
 	}
 }
 

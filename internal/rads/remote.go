@@ -195,6 +195,11 @@ func (c *ClusterEngine) runRemote(ctx context.Context, req eng.Request) (eng.Res
 				errs[t] = fmt.Errorf("rads: machine %d replied %T", t, resp)
 				return
 			}
+			if r.AppliedConstraints != len(wire.Constraints) {
+				errs[t] = fmt.Errorf("rads: machine %d enumerated under %d symmetry-breaking constraints, not the %d sent; upgrade the worker",
+					t, r.AppliedConstraints, len(wire.Constraints))
+				return
+			}
 			// Account the control-plane exchange itself, so /stats shows
 			// runQuery traffic alongside the folded worker data plane.
 			req.Metrics.Account(cluster.Coordinator, t, wire, r, wire.MessageKind())

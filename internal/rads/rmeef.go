@@ -1,6 +1,7 @@
 package rads
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -329,7 +330,23 @@ func (m *machine) runRounds(st *groupState, round int, frontier []*etrie.Node) e
 		// of P_round are exactly the results of P_{round-1}.
 		return m.runRounds(st, round+1, frontier)
 	}
-	if err := m.fetchForeignPivots(st, round, frontier); err != nil {
+	// The round keeps its foreign pivots' lists pinned until it
+	// returns. When they are hubs' lists they can fill the budget and
+	// leave no room for the segment the round builds, so if the fetch
+	// runs out of memory, or leaves less than a group's target free,
+	// the round lets them go and runs its frontier in halves, each
+	// pinning only its own pivots.
+	err := m.fetchForeignPivots(st, round, frontier)
+	if len(frontier) > 1 && (errors.Is(err, cluster.ErrOutOfMemory) || err == nil && m.crowded()) {
+		st.unpinTo(marker, pullMarker)
+		st.view.dropAll()
+		half := len(frontier) / 2
+		if err := m.runRounds(st, round, frontier[:half]); err != nil {
+			return err
+		}
+		return m.runRounds(st, round, frontier[half:])
+	}
+	if err != nil {
 		return err
 	}
 	// Huge-group frontier parallelism: a hub-seeded group can hold most
@@ -650,6 +667,14 @@ func (m *machine) fetchForeignPivots(st *groupState, round int, frontier []*etri
 func (m *machine) underPressure() bool {
 	b := m.e.cfg.Budget
 	return b.Limit() > 0 && b.Used(m.id) > b.Limit()*3/4
+}
+
+// crowded reports whether the machine's accounted memory leaves less
+// than one group's memory target free: too little for the segment a
+// round builds once its pivots are resident.
+func (m *machine) crowded() bool {
+	b := m.e.cfg.Budget
+	return b.Limit() > 0 && b.Used(m.id) > b.Limit()-m.e.groupMemTarget()
 }
 
 // pullPays is the cost rule of choosePulls, in the wire bytes cluster

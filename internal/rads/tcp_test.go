@@ -99,13 +99,29 @@ func (r reconstrained) Call(from, to int, req cluster.Message) (cluster.Message,
 	return r.Transport.Call(from, to, req)
 }
 
+// unechoed answers runQuery as a worker built before requests carried
+// constraints would: its response does not report the constraints it
+// enumerated under.
+type unechoed struct{ cluster.Transport }
+
+func (u unechoed) Call(from, to int, req cluster.Message) (cluster.Message, error) {
+	resp, err := u.Transport.Call(from, to, req)
+	if r, ok := resp.(*RunQueryResponse); ok {
+		old := *r
+		old.AppliedConstraints = 0
+		resp = &old
+	}
+	return resp, err
+}
+
 // TestFleetEnumeratesUnderShippedConstraints: workers enumerate under
 // the constraints the coordinator ships, not their own. Fed the mirrored
 // set — every constraint reversed, the opposite but equally valid
 // convention — the fleet still counts the oracle's total, with other
 // work than under the coordinator's own set. A request that carries no
 // constraints for a symmetric pattern, or one naming a vertex the
-// pattern lacks, is refused.
+// pattern lacks, is refused, and so is a response that does not echo
+// how many constraints the worker applied.
 func TestFleetEnumeratesUnderShippedConstraints(t *testing.T) {
 	part := partition.KWay(ingestedTwin(t, gen.PowerLaw(400, 8, 2.7, 100, 67), true), 3, 7)
 	fleet := noStealing{loopbackFleet(t, part, MachineOptions{Workers: 1})}
@@ -147,6 +163,9 @@ func TestFleetEnumeratesUnderShippedConstraints(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("request with constraints %v: err = %v, want %q", tc.cons, err, tc.want)
 		}
+	}
+	if _, err := run(unechoed{fleet}); err == nil || !strings.Contains(err.Error(), "upgrade the worker") {
+		t.Errorf("response without the applied constraints: err = %v, want a refusal", err)
 	}
 }
 

@@ -87,6 +87,13 @@ type RunQueryResponse struct {
 
 	PeakMemBytes int64
 
+	// AppliedConstraints is the number of symmetry-breaking constraints
+	// the machine enumerated under. The coordinator refuses a response
+	// whose count differs from the constraints it sent: a worker built
+	// before requests carried them decodes the request without them,
+	// enumerates under its own convention and leaves this field 0.
+	AppliedConstraints int
+
 	// OOM reports that this machine died of its memory budget — an
 	// outcome, not an error, exactly as in the in-process engine.
 	OOM bool
@@ -114,7 +121,7 @@ type RunQueryResponse struct {
 
 // ByteSize counts the fixed-width fields plus the span payload.
 func (r *RunQueryResponse) ByteSize() int {
-	n := 28*8 + 1
+	n := 29*8 + 1
 	for i := range r.Spans {
 		n += len(r.Spans[i].Name) + 4*8
 	}

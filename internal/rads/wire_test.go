@@ -40,7 +40,7 @@ func TestControlPlaneKindsSurviveTCP(t *testing.T) {
 				},
 				Stat:   obs.MachineStat{Machine: 1, Seconds: 0.25, TreeNodes: 7, Groups: 3, Stolen: 1},
 				Rounds: 2, Workers: 2,
-				PeakMemBytes: 9, OOM: true, CommBytes: 10, CommMessages: 11,
+				PeakMemBytes: 9, AppliedConstraints: 2, OOM: true, CommBytes: 10, CommMessages: 11,
 				CacheHits: 12, CacheMisses: 13,
 				Spans: []obs.Span{{Name: "execute/group", Machine: 1, Worker: 0, StartNs: 5, DurNs: 9}},
 			},
@@ -103,8 +103,9 @@ func (cannedTransport) Close() error { return nil }
 func TestSpanlessResponseAndPlanningWall(t *testing.T) {
 	part := partition.KWay(gen.Community(3, 12, 0.3, 5), 3, 7)
 	ce := rads.NewClusterEngine(cannedTransport{&rads.RunQueryResponse{
-		Counters: rads.Counters{SME: 2, Distributed: 3, SMENodes: 5, DistNodes: 7},
-		Stat:     obs.MachineStat{Machine: 99, Seconds: 0.5, TreeNodes: 12, Groups: 4, Stolen: 1},
+		Counters:           rads.Counters{SME: 2, Distributed: 3, SMENodes: 5, DistNodes: 7},
+		Stat:               obs.MachineStat{Machine: 99, Seconds: 0.5, TreeNodes: 12, Groups: 4, Stolen: 1},
+		AppliedConstraints: len(pattern.ByName("q4").SymmetryBreaking()),
 	}}, part.M)
 
 	for i := 0; i < 50; i++ {
