@@ -32,9 +32,13 @@ import (
 // trip, the one control message whose latency is watched.) A handler
 // error travels as kindError with the text as payload.
 //
-// There is no version byte: radsworker and radserve are built from
-// this repository, and WaitReady refuses a fleet whose partition
-// fingerprints differ, so there is no second build to negotiate with.
+// There is no version byte on a frame. A fleet agrees on one
+// WireContract instead, checked once when a coordinator joins its
+// workers: every ping reply carries the responder's number and
+// rads.ClusterEngine.WaitReady refuses a worker that reports another.
+// A worker built before replies carried it sends a 24-byte ping reply,
+// which this decoder refuses as malformed, so WaitReady reports that
+// worker unreachable at its deadline.
 const (
 	kindVerifyEReq byte = iota + 1
 	kindVerifyEResp
@@ -80,10 +84,13 @@ func kept(buf []byte) []byte {
 // arrive, so an announced length costs nothing until it is backed.
 const readChunk = 64 << 10
 
-var (
-	errFrameTooLarge = errors.New("frame exceeds the cap")
-	errMalformed     = errors.New("malformed frame")
-)
+var errFrameTooLarge = errors.New("frame exceeds the cap")
+
+// ErrMalformed marks a frame the decoder refuses. A peer built to
+// another wire contract sends such frames (a pre-contract worker's ping
+// reply is 24 bytes, not 32), so the coordinator refuses that worker
+// instead of retrying it.
+var ErrMalformed = errors.New("malformed frame")
 
 // frame is one decoded wire frame. from and to are meaningful on
 // request kinds, errText on kindError, msg on everything else.
@@ -213,6 +220,7 @@ func appendFrame(dst []byte, f frame) ([]byte, error) {
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(m.Machine))
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(m.Vertices))
 		dst = binary.LittleEndian.AppendUint64(dst, m.PartitionHash)
+		dst = binary.LittleEndian.AppendUint64(dst, m.Contract)
 	case nil:
 		dst = append(dst, f.errText...)
 	default:
@@ -244,20 +252,20 @@ func tooLarge(msg Message, n int) error {
 // are actually there.
 func decodeFrame(body []byte) (frame, error) {
 	if len(body) == 0 {
-		return frame{}, fmt.Errorf("%w: empty frame", errMalformed)
+		return frame{}, fmt.Errorf("%w: empty frame", ErrMalformed)
 	}
 	f := frame{kind: body[0]}
 	p := body[1:]
 	if isRequestKind(f.kind) {
 		if len(p) < 8 {
-			return frame{}, fmt.Errorf("%w: kind %d: %d bytes where from/to belong", errMalformed, f.kind, len(p))
+			return frame{}, fmt.Errorf("%w: kind %d: %d bytes where from/to belong", ErrMalformed, f.kind, len(p))
 		}
 		f.from = int(int32(binary.LittleEndian.Uint32(p)))
 		f.to = int(int32(binary.LittleEndian.Uint32(p[4:])))
 		p = p[8:]
 	}
 	bad := func(format string, args ...any) (frame, error) {
-		return frame{}, fmt.Errorf("%w: kind %d: %s", errMalformed, body[0], fmt.Sprintf(format, args...))
+		return frame{}, fmt.Errorf("%w: kind %d: %s", ErrMalformed, body[0], fmt.Sprintf(format, args...))
 	}
 	switch f.kind {
 	case kindVerifyEReq:
@@ -350,13 +358,14 @@ func decodeFrame(body []byte) (frame, error) {
 		}
 		f.msg = &ShareRResponse{OK: p[0] == 1, Group: vs}
 	case kindPingResp:
-		if len(p) != 3*intWire {
-			return bad("want %d bytes, got %d", 3*intWire, len(p))
+		if len(p) != 4*intWire {
+			return bad("want %d bytes, got %d", 4*intWire, len(p))
 		}
 		f.msg = &PingResponse{
 			Machine:       int(int64(binary.LittleEndian.Uint64(p))),
 			Vertices:      int(int64(binary.LittleEndian.Uint64(p[intWire:]))),
 			PartitionHash: binary.LittleEndian.Uint64(p[2*intWire:]),
+			Contract:      binary.LittleEndian.Uint64(p[3*intWire:]),
 		}
 	case kindGobReq, kindGobResp:
 		r := bytes.NewReader(p)
@@ -372,7 +381,7 @@ func decodeFrame(body []byte) (frame, error) {
 	case kindError:
 		f.errText = string(p)
 	default:
-		return frame{}, fmt.Errorf("%w: unknown kind tag %d", errMalformed, f.kind)
+		return frame{}, fmt.Errorf("%w: unknown kind tag %d", ErrMalformed, f.kind)
 	}
 	return f, nil
 }

@@ -41,7 +41,7 @@ func sampleMessages() []Message {
 		&ShuffleRequest{Round: 3, Rows: [][]graph.VertexID{{1, 2}, {3}}},
 		&ShuffleResponse{},
 		&PingRequest{},
-		&PingResponse{Machine: 2, Vertices: 2400, PartitionHash: 0xdeadbeefcafe},
+		&PingResponse{Machine: 2, Vertices: 2400, PartitionHash: 0xdeadbeefcafe, Contract: WireContract},
 	}
 }
 
@@ -175,18 +175,19 @@ func TestDecodeFrameRejects(t *testing.T) {
 		{"checkR reply short", []byte{kindCheckRResp, 1, 2, 3}, "want 8 bytes, got 3"},
 		{"shareR reply without OK", []byte{kindShareRResp}, "OK byte"},
 		{"shareR reply trailing", []byte{kindShareRResp, 1, 1, 2, 3, 4, 5}, "1 trailing bytes"},
-		{"ping reply short", []byte{kindPingResp, 1, 2, 3}, "want 24 bytes, got 3"},
+		{"ping reply short", []byte{kindPingResp, 1, 2, 3}, "want 32 bytes, got 3"},
+		{"ping reply without a contract", append([]byte{kindPingResp}, make([]byte, 24)...), "want 32 bytes, got 24"},
 		{"gob garbage", []byte{kindGobResp, 1, 2, 3}, "gob payload"},
 	}
 	for _, c := range cases {
 		_, err := decodeFrame(c.body)
-		if !errors.Is(err, errMalformed) || !strings.Contains(err.Error(), c.want) {
+		if !errors.Is(err, ErrMalformed) || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: err = %v, want malformed frame naming %q", c.name, err, c.want)
 		}
 	}
 	// Trailing bytes behind a well-formed gob payload.
 	b := mustFrame(t, frame{kind: kindGobResp, msg: &ShuffleResponse{}})
-	if _, err := decodeFrame(append(b[4:], 0)); !errors.Is(err, errMalformed) || !strings.Contains(err.Error(), "trailing") {
+	if _, err := decodeFrame(append(b[4:], 0)); !errors.Is(err, ErrMalformed) || !strings.Contains(err.Error(), "trailing") {
 		t.Errorf("gob payload with a trailing byte: %v", err)
 	}
 }

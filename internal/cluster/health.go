@@ -102,12 +102,19 @@ func (h *HealthTracker) ReportSuccess(machine int) {
 
 // ReportFailure records a failed RPC to machine. Crossing the
 // threshold — or failing a half-open probe — opens the breaker.
-func (h *HealthTracker) ReportFailure(machine int) {
+func (h *HealthTracker) ReportFailure(machine int) { h.fail(machine, false) }
+
+// Refuse opens machine's breaker at once: the worker answered, but the
+// coordinator must not dispatch to it (it reports another wire
+// contract or partition). A later probe it passes closes the breaker.
+func (h *HealthTracker) Refuse(machine int) { h.fail(machine, true) }
+
+func (h *HealthTracker) fail(machine int, open bool) {
 	h.mu.Lock()
 	w := &h.workers[machine]
 	wasUp := w.state == BreakerClosed
 	w.failures++
-	if w.state == BreakerHalfOpen || w.failures >= h.threshold {
+	if open || w.state == BreakerHalfOpen || w.failures >= h.threshold {
 		w.state = BreakerOpen
 		w.openedAt = time.Now()
 	}

@@ -129,11 +129,19 @@ type PingRequest struct{}
 
 func (r *PingRequest) ByteSize() int { return 1 }
 
-// PingResponse reports the responding machine's identity and a
-// fingerprint of the partition it hosts, so a misrouted address book —
-// or workers booted from a different snapshot than the coordinator —
-// is caught at startup rather than surfacing as silently inconsistent
-// query results.
+// WireContract numbers what the messages between a coordinator and its
+// workers mean: the frame layouts of this package and the control-plane
+// messages of the packages above it (rads.RunQueryRequest and its
+// reply). Bump it with any change a peer built at the old number would
+// misread or silently ignore; a worker reports it in every ping, and
+// the coordinator refuses a fleet whose workers report another.
+const WireContract uint64 = 1
+
+// PingResponse reports the responding machine's identity, the wire
+// contract it was built to and a fingerprint of the partition it hosts,
+// so a misrouted address book, a worker from another build or workers
+// booted from a different snapshot than the coordinator are caught at
+// startup rather than surfacing as silently inconsistent query results.
 type PingResponse struct {
 	Machine int
 	// Vertices is the global vertex count of the hosted partition.
@@ -142,9 +150,11 @@ type PingResponse struct {
 	// rads.PartitionFingerprint); equal hashes mean the same
 	// vertex-to-machine assignment.
 	PartitionHash uint64
+	// Contract is the responder's WireContract.
+	Contract uint64
 }
 
-func (r *PingResponse) ByteSize() int { return 3 * intWire }
+func (r *PingResponse) ByteSize() int { return 4 * intWire }
 
 // Handler serves requests arriving at one machine — the paper's daemon
 // thread. Implementations must be safe for concurrent calls.

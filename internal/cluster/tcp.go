@@ -161,7 +161,7 @@ func (s *TCPServer) answer(body []byte) frame {
 		return errorFrame(err.Error())
 	}
 	if !isRequestKind(req.kind) {
-		return errorFrame(fmt.Sprintf("%v: kind %d is not a request", errMalformed, req.kind))
+		return errorFrame(fmt.Sprintf("%v: kind %d is not a request", ErrMalformed, req.kind))
 	}
 	s.mu.RLock()
 	h, ok := s.handlers[req.to]
@@ -367,7 +367,7 @@ func (t *TCPClient) Call(from, to int, req Message) (Message, error) {
 	}
 	reply, err := decodeFrame(body)
 	if err == nil && (isRequestKind(reply.kind) || conn.br.Buffered() != 0) {
-		err = fmt.Errorf("%w: kind %d with %d unsolicited bytes behind it where one reply belongs", errMalformed, reply.kind, conn.br.Buffered())
+		err = fmt.Errorf("%w: kind %d with %d unsolicited bytes behind it where one reply belongs", ErrMalformed, reply.kind, conn.br.Buffered())
 	}
 	if err != nil {
 		// The frame boundary held, but a peer that sends this cannot be

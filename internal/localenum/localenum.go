@@ -52,8 +52,7 @@ type Options struct {
 type Stats struct {
 	Embeddings int64 // full embeddings reported
 	TreeNodes  int64 // successful partial matches, including full ones;
-	// equals the node count if results were stored in an embedding trie
-	// (the Section 6 memory estimator uses exactly this quantity).
+	// equals the node count if results were stored in an embedding trie.
 	Kernels graph.KernelTally // intersection-kernel selections made
 }
 

@@ -64,8 +64,9 @@ type Machine struct {
 // MachineOptions tunes a hosted machine.
 type MachineOptions struct {
 	// AvgDegree is the global data graph's average degree, recorded at
-	// snapshot time; a shard cannot derive it and the Section 6 memory
-	// estimator needs it. 0 falls back to the hosted graph's own figure.
+	// snapshot time; a shard cannot derive it and the pull rule
+	// (pullPays) prices a pulled list by it. 0 falls back to the hosted
+	// graph's own figure.
 	AvgDegree float64
 	// Workers is the default enumeration worker count for queries that
 	// do not request one (0 = GOMAXPROCS, the whole process; hosts
@@ -146,6 +147,7 @@ func (d *Machine) Handle(from int, req cluster.Message) (cluster.Message, error)
 			Machine:       d.id,
 			Vertices:      d.part.G.NumVertices(),
 			PartitionHash: PartitionFingerprint(d.part),
+			Contract:      cluster.WireContract,
 		}, nil
 	case *cluster.VerifyERequest:
 		return serveVerifyE(d.part, d.id, r)
@@ -311,7 +313,9 @@ func PartitionFingerprint(part *partition.Partition) uint64 {
 // deadline — workers may still be starting when the coordinator comes
 // up. Application-level replies (cluster.ErrRemote, e.g. "machine N is
 // not hosted here" from a misrouted spec) fail immediately: the worker
-// is up and will answer the same way forever. It returns the machine's
+// is up and will answer the same way forever. So does a reply the
+// decoder refuses (cluster.ErrMalformed), which is what a worker built
+// to an older wire contract sends. It returns the machine's
 // ping response for consistency checks.
 func Ping(tr cluster.Transport, to int, until time.Time) (*cluster.PingResponse, error) {
 	for {
@@ -326,7 +330,7 @@ func Ping(tr cluster.Transport, to int, until time.Time) (*cluster.PingResponse,
 			}
 			return pr, nil
 		}
-		if errors.Is(err, cluster.ErrRemote) {
+		if errors.Is(err, cluster.ErrRemote) || errors.Is(err, cluster.ErrMalformed) {
 			return nil, fmt.Errorf("rads: ping %d: %w", to, err)
 		}
 		if !time.Now().Before(until) {

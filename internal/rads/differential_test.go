@@ -37,14 +37,15 @@ type diffCase struct {
 	cfg      Config
 	huge     int  // the huge-frontier threshold: the default, or 1 to split every round
 	tight    bool // run under a budget sized from a probe of the same case
+	segment  int  // a tight case's engine.segment, a few trie nodes; 0 derives it
 	tcp      bool
 	stream   bool
 }
 
 func (c diffCase) String() string {
-	return fmt.Sprintf("%s n=%d m=%d × %s × machines=%d workers=%d huge=%d tight=%v tcp=%v stream=%v noSME=%v noEVC=%v noCache=%v noLB=%v",
+	return fmt.Sprintf("%s n=%d m=%d × %s × machines=%d workers=%d huge=%d tight=%v segment=%d tcp=%v stream=%v noSME=%v noEVC=%v noCache=%v noLB=%v",
 		c.model, c.g.NumVertices(), c.g.NumEdges(), c.p, c.machines,
-		c.cfg.Workers, c.huge, c.tight, c.tcp, c.stream,
+		c.cfg.Workers, c.huge, c.tight, c.segment, c.tcp, c.stream,
 		c.cfg.DisableSME, c.cfg.DisableEndVertexCounting, c.cfg.DisableCache, c.cfg.DisableLoadBalancing)
 }
 
@@ -113,7 +114,7 @@ func drawDiffCase(t *testing.T, rng *rand.Rand) diffCase {
 	c.stream = rng.Intn(3) == 0
 	if c.tight {
 		// A few trie nodes per segment: every hub flushes mid-round.
-		c.cfg.GroupMemTarget = int64(48 << rng.Intn(6))
+		c.segment = 1 << rng.Intn(6)
 	}
 	return c
 }
@@ -141,7 +142,7 @@ func (c diffCase) run(t *testing.T, part *partition.Partition) (int64, [][]graph
 		}
 	}
 	if !c.tight {
-		res, err := runSplitting(part, c.p, cfg, c.huge)
+		res, err := c.runOnce(part, cfg)
 		if err != nil {
 			t.Fatalf("run: %v", err)
 		}
@@ -154,7 +155,7 @@ func (c diffCase) run(t *testing.T, part *partition.Partition) (int64, [][]graph
 	// flushes keep the trie inside it.
 	probe := cluster.NewMemBudget(part.M, 0)
 	cfg.Budget = probe
-	res, err := runSplitting(part, c.p, cfg, c.huge)
+	res, err := c.runOnce(part, cfg)
 	if err != nil {
 		t.Fatalf("probe run: %v", err)
 	}
@@ -168,7 +169,7 @@ func (c diffCase) run(t *testing.T, part *partition.Partition) (int64, [][]graph
 	for {
 		streamed = streamed[:0]
 		cfg.Budget = cluster.NewMemBudget(part.M, limit)
-		res, err = runSplitting(part, c.p, cfg, c.huge)
+		res, err = c.runOnce(part, cfg)
 		if errors.Is(err, cluster.ErrOutOfMemory) && !deterministic {
 			limit *= 2
 			continue
@@ -187,6 +188,17 @@ func (c diffCase) run(t *testing.T, part *partition.Partition) (int64, [][]graph
 	return res.Total, streamed, limit
 }
 
+// runOnce runs the case's pattern under cfg with its huge-frontier
+// threshold and, when it drew one, its segment.
+func (c diffCase) runOnce(part *partition.Partition, cfg Config) (*Result, error) {
+	return runTuned(part, c.p, cfg, func(e *engine) {
+		e.hugeFrontier = c.huge
+		if c.segment > 0 {
+			e.segment = c.segment
+		}
+	})
+}
+
 // onFleet reports whether the wire can carry the case: a
 // RunQueryRequest sets Workers, the budget and (through noStealing)
 // DisableLoadBalancing — no stream and no other switch.
@@ -199,8 +211,8 @@ func (c diffCase) onFleet() bool {
 // each hosted on its owned rows only (OwnedRows), so a foreign adjacency
 // read miscounts, behind a ClusterEngine — over TCP when the case drew
 // it. A budget (the one the in-process run held) doubles on OOM: the
-// wire carries the budget but not the case's group memory target, so
-// the machines size their groups from the budget instead.
+// wire carries the budget but not the case's segment, so the machines
+// derive theirs from the budget instead.
 func (c diffCase) runFleet(t *testing.T, part *partition.Partition, budget int64) int64 {
 	t.Helper()
 	var tr interface {

@@ -10,7 +10,9 @@
 //     the proposition constrains where an embedding starts, not the
 //     order the rest of it is matched in.
 //  2. The remaining candidates are split into region groups by greedy
-//     proximity grouping under a memory estimate (Section 6, Alg. 3).
+//     proximity grouping (Section 6, Alg. 3), each group at most one
+//     segment of candidates (engine.segment) and at most a worker's
+//     share of the machine's.
 //  3. Each region group runs R-Meef (Section 3.2, Alg. 4): one round
 //     per decomposition unit of the execution plan; each round expands
 //     cached embeddings through the unit (Alg. 1/2), batches fetchV
@@ -84,16 +86,9 @@ type Config struct {
 	Transport cluster.Transport
 	// Metrics receives communication accounting; nil allocates one.
 	Metrics *cluster.Metrics
-	// Budget is the per-machine memory budget (Phi's source); nil is
-	// unlimited.
+	// Budget is the per-machine memory budget; nil is unlimited. Its
+	// limit sizes R-Meef's batches (engine.segment).
 	Budget *cluster.MemBudget
-	// GroupMemTarget is Phi, the estimated intermediate-result bytes
-	// one region group may occupy (Section 6). 0 derives it from the
-	// budget (an eighth of it) or falls back to 4 MiB. Half of it sizes
-	// a group's flush segments, which close at 4096 embedding
-	// candidates at the latest: under the 4 MiB fallback the cap, not
-	// the target, bounds a segment.
-	GroupMemTarget int64
 	// Workers is the number of concurrent enumeration workers per
 	// simulated machine: SM-E candidates and region groups fan out
 	// across a pool of this size, each worker owning one reusable
@@ -256,11 +251,11 @@ type engine struct {
 	tr      cluster.Transport
 	ownTr   bool // we created the transport and must close it
 
-	// avgDeg is the data graph's global average degree, feeding the
-	// Section 6 memory estimator. It defaults to g.AvgDegree(), but a
-	// remote machine daemon hosting only its shard overrides it with
-	// the figure recorded at snapshot time — a shard graph's own
-	// average says nothing about the whole graph.
+	// avgDeg is the data graph's global average degree, the expected
+	// length of a pulled list in the pull rule (pullPays). It defaults
+	// to g.AvgDegree(), but a remote machine daemon hosting only its
+	// shard overrides it with the figure recorded at snapshot time — a
+	// shard graph's own average says nothing about the whole graph.
 	avgDeg float64
 
 	// End-vertex counting (the paper's Exp-3 "end vertices"
@@ -296,6 +291,16 @@ type engine struct {
 	// are identical at any threshold — the split only shards scratch
 	// state and counters, merged at the round barrier.
 	hugeFrontier int
+
+	// segment is the one size R-Meef's memory control is built on, in
+	// trie nodes, a worker's share: a flush segment closes at segment EC
+	// leaves, a region group holds at most segment candidates (its roots
+	// are trie nodes too; regionGroups also keeps a group per worker),
+	// and a round whose pinned pivot lists leave less than four segments
+	// a worker free runs in halves (crowded).
+	// newEngine derives it from the budget (segmentFor); tests that need
+	// other batches on small graphs set it in-package.
+	segment int
 
 	machines []*machine
 }
@@ -345,6 +350,7 @@ func newEngine(part *partition.Partition, p *pattern.Pattern, cons []pattern.Ord
 
 		hugeFrontier: defaultHugeFrontier,
 	}
+	eng.segment = segmentFor(cfg.Budget, eng.workers())
 	if eng.tr == nil {
 		eng.tr = cluster.NewLocalTransport(metrics)
 		eng.ownTr = true
@@ -539,22 +545,23 @@ func (e *engine) workers() int {
 // across the pool pays for the per-worker state it shards: below a few
 // thousand frontier nodes the segment usually verifies and descends in
 // well under the time a goroutine hand-off costs, and groups that small
-// already interleave with other groups on the pool. It also caps a
-// flush segment (processGroup), so a full segment is exactly what the
-// split shards and R-Meef's working set stays segment-sized when the
-// group memory target is large.
+// already interleave with other groups on the pool. It is also the
+// unbudgeted segment, so a full segment is exactly what the split
+// shards.
 const defaultHugeFrontier = 4096
 
-func (e *engine) groupMemTarget() int64 {
-	if e.cfg.GroupMemTarget > 0 {
-		return e.cfg.GroupMemTarget
+// segmentFor derives engine.segment from the budget and the machine's
+// workers, which run a group each side by side: a thirty-second of the
+// limit in trie nodes, shared among the workers, at least one and at
+// most defaultHugeFrontier; unbudgeted, defaultHugeFrontier. A
+// segment's leaves and a group's roots are then each a small share of
+// the budget, and what crowds it is left to the round's halving and to
+// relieve.
+func segmentFor(b *cluster.MemBudget, workers int) int {
+	if b.Limit() <= 0 {
+		return defaultHugeFrontier
 	}
-	if e.cfg.Budget != nil && e.cfg.Budget.Limit() > 0 {
-		// Conservative: the Section 6 estimate is approximate, so leave
-		// ample headroom between one group's estimate and the budget.
-		return e.cfg.Budget.Limit() / 8
-	}
-	return 4 << 20
+	return int(max(1, min(b.Limit()/(32*trieNodeBytes*int64(workers)), defaultHugeFrontier)))
 }
 
 // run is the in-process coordinator: it runs every machine at once and

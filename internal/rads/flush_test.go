@@ -27,7 +27,7 @@ func TestFlushSegmentsPreserveCounts(t *testing.T) {
 	queries := append(pattern.QuerySet(), pattern.Triangle())
 	for _, q := range queries {
 		want := localenum.Count(g, q, localenum.Options{})
-		res, err := Run(part, q, Config{GroupMemTarget: 1})
+		res, err := runSegmented(part, q, Config{}, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", q.Name, err)
 		}
@@ -51,7 +51,7 @@ func TestFlushSegmentsMatchUnsegmented(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tight, err := Run(part, q, Config{GroupMemTarget: 1 << 10})
+	tight, err := runSegmented(part, q, Config{}, 21)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,8 +63,8 @@ func TestFlushSegmentsMatchUnsegmented(t *testing.T) {
 	}
 }
 
-// TestSegmentedPeakBelowUnsegmented: with a small group target the
-// live trie peak must come down accordingly.
+// TestSegmentedPeakBelowUnsegmented: with a small segment the live trie
+// peak must come down accordingly.
 func TestSegmentedPeakBelowUnsegmented(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second q6 runs: skipped in -short mode")
@@ -74,11 +74,11 @@ func TestSegmentedPeakBelowUnsegmented(t *testing.T) {
 	q := pattern.ByName("q6")
 
 	loose := cluster.NewMemBudget(part.M, 0)
-	if _, err := Run(part, q, Config{Budget: loose, GroupMemTarget: 1 << 30}); err != nil {
+	if _, err := Run(part, q, Config{Budget: loose}); err != nil {
 		t.Fatal(err)
 	}
 	tight := cluster.NewMemBudget(part.M, 0)
-	if _, err := Run(part, q, Config{Budget: tight, GroupMemTarget: 64 << 10}); err != nil {
+	if _, err := runSegmented(part, q, Config{Budget: tight}, 1365); err != nil {
 		t.Fatal(err)
 	}
 	if tight.MaxPeak() >= loose.MaxPeak() {
@@ -140,8 +140,7 @@ func TestEmitResultsStreamsViaCallback(t *testing.T) {
 
 	var mu sync.Mutex
 	seen := make(map[string]int)
-	res, err := Run(part, q, Config{
-		GroupMemTarget: 1, // tightest segmentation
+	res, err := runSegmented(part, q, Config{
 		OnEmbedding: func(machine int, f []graph.VertexID) {
 			// Validate the embedding against the pattern's edges.
 			for _, e := range q.Edges() {
@@ -154,7 +153,7 @@ func TestEmitResultsStreamsViaCallback(t *testing.T) {
 			seen[key]++
 			mu.Unlock()
 		},
-	})
+	}, 1) // tightest segmentation
 	if err != nil {
 		t.Fatal(err)
 	}

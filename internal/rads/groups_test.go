@@ -1,26 +1,24 @@
 package rads
 
 import (
+	"fmt"
 	"slices"
 	"sort"
 	"sync"
 	"testing"
 
+	"rads/internal/cluster"
 	"rads/internal/gen"
 	"rads/internal/graph"
 	"rads/internal/partition"
 	"rads/internal/pattern"
 )
 
-func constEst(bytes int64) func(graph.VertexID) int64 {
-	return func(graph.VertexID) int64 { return bytes }
-}
-
 // mapProximityGroups is proximityGroups as it was built on three maps a
 // group — remaining candidates, the group's neighbourhood and the
 // frontier counts. It stays as the reference the dense version must
 // reproduce group for group.
-func mapProximityGroups(g *graph.Graph, cands []graph.VertexID, est func(graph.VertexID) int64, target int64) [][]graph.VertexID {
+func mapProximityGroups(g *graph.Graph, cands []graph.VertexID, size int) [][]graph.VertexID {
 	remaining := make(map[graph.VertexID]bool, len(cands))
 	for _, v := range cands {
 		remaining[v] = true
@@ -34,7 +32,6 @@ func mapProximityGroups(g *graph.Graph, cands []graph.VertexID, est func(graph.V
 		}
 		delete(remaining, seed)
 		rg := []graph.VertexID{seed}
-		phi := est(seed)
 		adjSet := make(map[graph.VertexID]bool)
 		frontier := make(map[graph.VertexID]int)
 		grow := func(w graph.VertexID) {
@@ -51,7 +48,7 @@ func mapProximityGroups(g *graph.Graph, cands []graph.VertexID, est func(graph.V
 			}
 		}
 		grow(seed)
-		for phi < target {
+		for len(rg) < size {
 			best, bestScore := graph.VertexID(-1), -1.0
 			for v, c := range frontier {
 				score := float64(c) / float64(len(g.Adj(v)))
@@ -62,14 +59,9 @@ func mapProximityGroups(g *graph.Graph, cands []graph.VertexID, est func(graph.V
 			if best < 0 {
 				break
 			}
-			cost := est(best)
-			if phi+cost > target {
-				break
-			}
 			delete(remaining, best)
 			delete(frontier, best)
 			rg = append(rg, best)
-			phi += cost
 			grow(best)
 		}
 		groups = append(groups, rg)
@@ -78,9 +70,9 @@ func mapProximityGroups(g *graph.Graph, cands []graph.VertexID, est func(graph.V
 }
 
 // TestProximityGroupsMatchMapReference: on five generators × two
-// partitions, with the machine's own degree-scaled estimate and a
-// target that packs several candidates a group, the dense grouping
-// forms exactly the reference's groups, in the same order.
+// partitions, with singleton groups and with a size that packs several
+// candidates a group, the dense grouping forms exactly the reference's
+// groups, in the same order.
 func TestProximityGroupsMatchMapReference(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -94,24 +86,23 @@ func TestProximityGroupsMatchMapReference(t *testing.T) {
 	} {
 		for _, machines := range []int{2, 4} {
 			part := partition.KWay(tc.g, machines, 5)
-			e := hostedEngine(t, part, pattern.ByName("q1"), Config{})
-			for _, m := range e.machines {
+			for id := range machines {
 				var cands []graph.VertexID
-				for _, v := range part.Vertices(m.id) {
+				for _, v := range part.Vertices(id) {
 					if tc.g.Degree(v) >= 2 {
 						cands = append(cands, v)
 					}
 				}
-				for _, target := range []int64{1, 64 << 10} {
-					got := proximityGroups(tc.g, cands, m.estBytes, target)
-					want := mapProximityGroups(tc.g, cands, m.estBytes, target)
+				for _, size := range []int{1, 16} {
+					got := proximityGroups(tc.g, cands, size)
+					want := mapProximityGroups(tc.g, cands, size)
 					if !slices.EqualFunc(got, want, slices.Equal) {
-						t.Fatalf("%s on %d machines, machine %d, target %d: %d groups, reference %d, first difference at %d",
-							tc.name, machines, m.id, target, len(got), len(want), firstDiff(got, want))
+						t.Fatalf("%s on %d machines, machine %d, size %d: %d groups, reference %d, first difference at %d",
+							tc.name, machines, id, size, len(got), len(want), firstDiff(got, want))
 					}
-					if target > 1 && len(got) >= len(cands) {
-						t.Errorf("%s on %d machines, machine %d: %d groups for %d candidates; the target packs nothing",
-							tc.name, machines, m.id, len(got), len(cands))
+					if size > 1 && len(got) >= len(cands) {
+						t.Errorf("%s on %d machines, machine %d: %d groups for %d candidates; the size packs nothing",
+							tc.name, machines, id, len(got), len(cands))
 					}
 				}
 			}
@@ -134,16 +125,15 @@ func TestProximityGroupsPartitionCandidates(t *testing.T) {
 	for v := 0; v < g.NumVertices(); v += 2 {
 		cands = append(cands, graph.VertexID(v))
 	}
-	groups := proximityGroups(g, cands, constEst(10), 100)
+	groups := proximityGroups(g, cands, 10)
 	seen := make(map[graph.VertexID]bool)
 	total := 0
 	for _, rg := range groups {
 		if len(rg) == 0 {
 			t.Fatal("empty region group")
 		}
-		// phi bound: 10 bytes per candidate, 100 target -> <= 10 each.
 		if len(rg) > 10 {
-			t.Errorf("group of %d exceeds phi bound", len(rg))
+			t.Errorf("group of %d exceeds the size bound", len(rg))
 		}
 		for _, v := range rg {
 			if seen[v] {
@@ -171,7 +161,7 @@ func TestProximityGroupsKeepNeighboursTogether(t *testing.T) {
 	b.AddEdge(5, 6) // thin bridge
 	g := b.Build()
 	cands := []graph.VertexID{0, 1, 2, 7, 8, 9}
-	groups := proximityGroups(g, cands, constEst(10), 30) // 3 per group
+	groups := proximityGroups(g, cands, 3)
 	if len(groups) != 2 {
 		t.Fatalf("groups = %v, want 2", groups)
 	}
@@ -193,9 +183,61 @@ func TestProximityGroupsKeepNeighboursTogether(t *testing.T) {
 func TestProximityGroupsSingletonWhenTargetTiny(t *testing.T) {
 	g := gen.Clique(6)
 	cands := []graph.VertexID{0, 1, 2, 3}
-	groups := proximityGroups(g, cands, constEst(100), 1)
+	groups := proximityGroups(g, cands, 1)
 	if len(groups) != 4 {
 		t.Fatalf("groups = %d, want one per candidate", len(groups))
+	}
+}
+
+// TestRegionGroupsHoldOneSegment: unbudgeted and under two budgets, by
+// proximity and in random chunks, at one and at three workers, with
+// stealing off and on, every machine's region groups cover its R-Meef
+// candidates and none holds more than the engine's segment of them,
+// nor more than a worker's share — of a group a worker, or two with
+// stealing on; where the candidates outnumber that bound, groups fill
+// up to it, so every worker (and a thief) finds a group.
+func TestRegionGroupsHoldOneSegment(t *testing.T) {
+	g := gen.PowerLaw(2000, 6, 2.3, 50, 5)
+	part := partition.KWay(g, 2, 3)
+	for _, limit := range []int64{0, 64 << 10, 512 << 10} {
+		for _, random := range []bool{false, true} {
+			for _, workers := range []int{1, 3} {
+				for _, steal := range []bool{false, true} {
+					e := hostedEngine(t, part, pattern.ByName("q1"), Config{
+						DisableSME: true, RandomGrouping: random, Workers: workers, DisableLoadBalancing: !steal,
+						Budget: cluster.NewMemBudget(part.M, limit),
+					})
+					if want := segmentFor(e.cfg.Budget, workers); e.segment != want {
+						t.Fatalf("limit %d: segment %d, want %d", limit, e.segment, want)
+					}
+					shares := workers
+					if steal {
+						shares *= 2
+					}
+					for _, m := range e.machines {
+						_, c2 := m.splitCandidates()
+						bound := min(e.segment, (len(c2)+shares-1)/shares)
+						groups := m.regionGroups(c2)
+						covered, largest := 0, 0
+						for _, rg := range groups {
+							covered += len(rg)
+							largest = max(largest, len(rg))
+						}
+						cell := fmt.Sprintf("limit %d random %v workers %d steal %v machine %d", limit, random, workers, steal, m.id)
+						if covered != len(c2) {
+							t.Errorf("%s: groups cover %d of %d candidates", cell, covered, len(c2))
+						}
+						if largest > bound || len(c2) > bound && largest < bound {
+							t.Errorf("%s: largest of %d groups holds %d candidates, segment %d, %d candidates",
+								cell, len(groups), largest, e.segment, len(c2))
+						}
+						if len(c2) >= shares && len(groups) < shares {
+							t.Errorf("%s: %d groups for %d shares", cell, len(groups), shares)
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -138,6 +138,10 @@ func (c *ClusterEngine) StartHealth(opts HealthOptions) {
 // heartbeatLoop sweeps every worker at the configured interval.
 // Sweeps are sequential (no overlap); within a sweep the pings run in
 // parallel so one slow worker doesn't starve detection of the others.
+// A worker that answers but fails admit, or whose reply the decoder
+// refuses — restarted from another build or snapshot since WaitReady —
+// is refused: its breaker opens at once, so gateHealth turns queries
+// away from it.
 func (c *ClusterEngine) heartbeatLoop(interval time.Duration) {
 	h := c.health
 	defer close(h.done)
@@ -158,13 +162,21 @@ func (c *ClusterEngine) heartbeatLoop(interval time.Duration) {
 			go func(t int) {
 				defer wg.Done()
 				began := time.Now()
-				_, err := c.tr.Call(cluster.Coordinator, t, &cluster.PingRequest{})
+				resp, err := c.tr.Call(cluster.Coordinator, t, &cluster.PingRequest{})
+				if errors.Is(err, cluster.ErrMalformed) {
+					h.tracker.Refuse(t)
+					return
+				}
 				if err != nil {
 					h.tracker.ReportFailure(t)
 					return
 				}
 				if h.hbLatency != nil {
 					h.hbLatency.Observe(time.Since(began).Seconds())
+				}
+				if pr, ok := resp.(*cluster.PingResponse); !ok || c.admit(t, pr) != nil {
+					h.tracker.Refuse(t)
+					return
 				}
 				h.tracker.ReportSuccess(t)
 			}(t)

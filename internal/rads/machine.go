@@ -59,11 +59,6 @@ type machine struct {
 	// streaming consumers observe one well-ordered stream per machine
 	// regardless of Workers.
 	embMu sync.Mutex
-
-	// Memory-estimate sample from SM-E (Section 6): average embedding
-	// trie nodes per processed candidate. Written once at the SM-E
-	// barrier, read-only afterwards.
-	avgNodesPerCandidate float64
 }
 
 // response is the machine's result slice, the one per-machine result
@@ -80,14 +75,13 @@ func (m *machine) response(runErr error) *RunQueryResponse {
 			Groups:    m.groupsFormed,
 			Stolen:    m.groupsStolen,
 		},
-		Rounds:             m.e.pl.NumRounds(),
-		Workers:            m.e.workers(),
-		DeferredEnds:       len(m.e.deferred),
-		PeakMemBytes:       m.e.cfg.Budget.Peak(m.id),
-		AppliedConstraints: len(m.e.cons),
-		OOM:                errors.Is(runErr, cluster.ErrOutOfMemory),
-		CacheHits:          m.view.hits.Load(),
-		CacheMisses:        m.view.misses.Load(),
+		Rounds:       m.e.pl.NumRounds(),
+		Workers:      m.e.workers(),
+		DeferredEnds: len(m.e.deferred),
+		PeakMemBytes: m.e.cfg.Budget.Peak(m.id),
+		OOM:          errors.Is(runErr, cluster.ErrOutOfMemory),
+		CacheHits:    m.view.hits.Load(),
+		CacheMisses:  m.view.misses.Load(),
 	}
 }
 
@@ -174,8 +168,7 @@ func (m *machine) run() (err error) {
 
 	c1, c2 := m.splitCandidates()
 
-	// SM-E (Section 3.1), one candidate at a time so the per-candidate
-	// trie-cost samples feed the Section 6 memory estimator.
+	// SM-E (Section 3.1).
 	if len(c1) > 0 {
 		smeSp := m.e.cfg.Trace.Start("execute/sme", m.id, -1)
 		err := m.runSME(c1)
@@ -187,13 +180,7 @@ func (m *machine) run() (err error) {
 
 	// Region groups (Section 6).
 	grpSp := m.e.cfg.Trace.Start("execute/grouping", m.id, -1)
-	target := m.e.groupMemTarget()
-	var groups [][]graph.VertexID
-	if m.e.cfg.RandomGrouping {
-		groups = chunkGroups(c2, m.groupSizeFor(target))
-	} else {
-		groups = proximityGroups(m.e.g, c2, m.estBytes, target)
-	}
+	groups := m.regionGroups(c2)
 	m.groupsFormed = len(groups)
 	m.queue.Fill(groups)
 	grpSp.End()
@@ -296,8 +283,7 @@ func (m *machine) processGroups() error {
 // out across the worker pool; every worker reuses one enumerator
 // (frame, bitset and candidate scratch allocated once), so the
 // steady-state loop is allocation-free. Counter shards merge at the
-// barrier; the tree nodes per candidate feed the Section 6 memory
-// estimator exactly as in the sequential path.
+// barrier.
 func (m *machine) runSME(c1 []graph.VertexID) error {
 	owned := func(v graph.VertexID) bool { return m.e.part.Owner[v] == int32(m.id) }
 	var fn func(f []graph.VertexID) bool
@@ -345,53 +331,7 @@ func (m *machine) runSME(c1 []graph.VertexID) error {
 		}
 		m.merge(&shards[w])
 	}
-	if len(c1) > 0 {
-		m.avgNodesPerCandidate = float64(m.SMENodes) / float64(len(c1))
-	}
 	return nil
-}
-
-// estBytes estimates the intermediate-result bytes of the results
-// originated from one candidate vertex (Section 6, "Estimating memory
-// usage"): the average trie-node count sampled during SM-E times the
-// accounted node size, scaled by the candidate's degree relative to
-// the graph average. The degree scaling is our refinement of the
-// paper's flat average. Symmetry breaking puts the start vertex above
-// the rest of its orbit in ID, so on a hub-first store a hub candidate
-// roots few embeddings when that orbit covers the pattern (q1, q3: on
-// the benchmark fixture the top degree decile of candidates builds
-// fewer trie bytes than the middle ones). Where it does not (q4, q5) a
-// top-decile candidate still builds 13-24x the trie bytes of a median
-// one, and a flat estimate packs hubs into region groups that raise
-// the budgeted peak (enum_tcp: 0.094 -> 0.107 MiB without the scaling).
-func (m *machine) estBytes(v graph.VertexID) int64 {
-	avg := m.avgNodesPerCandidate
-	if avg <= 0 {
-		avg = 256 // no SM-E sample (DisableSME or empty C1): coarse default
-	}
-	est := avg * float64(trieNodeBytes)
-	if ad := m.e.avgDeg; ad > 0 && v >= 0 {
-		skew := float64(m.e.g.Degree(v)) / ad
-		if skew > 1 {
-			// Results grow super-linearly in the pivot degree; square
-			// the skew but cap it to keep groups from degenerating.
-			skew *= skew
-			if skew > 256 {
-				skew = 256
-			}
-			est *= skew
-		}
-	}
-	return int64(est)
-}
-
-func (m *machine) groupSizeFor(target int64) int {
-	per := m.estBytes(-1) // flat estimate: random grouping has no locality
-	n := int(target / per)
-	if n < 1 {
-		n = 1
-	}
-	return n
 }
 
 // stealPhase implements the load balancer (Section 3.1 checkR/shareR):
@@ -487,10 +427,32 @@ func (m *machine) stealPhase() error {
 
 // --- region grouping (Section 6, Algorithm 3) ---
 
+// regionGroups splits the R-Meef candidates c2 into region groups of at
+// most engine.segment candidates each: by proximity, or in arbitrary
+// chunks under the RandomGrouping ablation. The paper sizes a group
+// from an estimate of its intermediate results; here flush segments,
+// the crowded round's halving and relieve bound what a group builds,
+// so the group is bounded like a segment, by the trie nodes its roots
+// take. A group is also the unit the pool and stealing hand out, so a
+// machine with fewer candidates than its workers' segments still forms
+// a group per worker, and with stealing on one more per worker, which
+// the pool or a thief takes once a worker is done.
+func (m *machine) regionGroups(c2 []graph.VertexID) [][]graph.VertexID {
+	n := m.e.workers()
+	if !m.e.cfg.DisableLoadBalancing {
+		n *= 2
+	}
+	size := max(1, min(m.e.segment, (len(c2)+n-1)/n))
+	if m.e.cfg.RandomGrouping {
+		return chunkGroups(c2, size)
+	}
+	return proximityGroups(m.e.g, c2, size)
+}
+
 // proximityGroups partitions candidates into region groups: greedily
 // grow each group by the candidate with the highest proximity
-// (fraction of its neighbours adjacent to the group) until the
-// estimated memory phi(rg) would exceed the target.
+// (fraction of its neighbours adjacent to the group) until it holds
+// size candidates.
 //
 // The per-vertex state is dense and stamped with the (1-based) id of
 // the group being grown, so nothing is cleared between groups:
@@ -498,7 +460,7 @@ func (m *machine) stealPhase() error {
 // seen[y] == id makes hits[y] the number of y's neighbours in it —
 // y's proximity numerator, kept for the remaining candidates near the
 // group, which touched lists in first-touch order.
-func proximityGroups(g *graph.Graph, cands []graph.VertexID, est func(graph.VertexID) int64, target int64) [][]graph.VertexID {
+func proximityGroups(g *graph.Graph, cands []graph.VertexID, size int) [][]graph.VertexID {
 	n := g.NumVertices()
 	remaining := make([]bool, n)
 	for _, v := range cands {
@@ -538,9 +500,8 @@ func proximityGroups(g *graph.Graph, cands []graph.VertexID, est func(graph.Vert
 		id = int32(len(groups) + 1)
 		touched = touched[:0]
 		rg := []graph.VertexID{seed}
-		phi := est(seed)
 		grow(seed)
-		for phi < target {
+		for len(rg) < size {
 			// argmax proximity over the frontier; ties go to the smaller id.
 			best, bestScore := graph.VertexID(-1), -1.0
 			for _, v := range touched {
@@ -555,13 +516,8 @@ func proximityGroups(g *graph.Graph, cands []graph.VertexID, est func(graph.Vert
 			if best < 0 {
 				break // no candidate within distance 2 of the group
 			}
-			cost := est(best)
-			if phi+cost > target {
-				break // Alg. 3 line 8-9: would overflow; leave it for later
-			}
 			remaining[best] = false
 			rg = append(rg, best)
-			phi += cost
 			grow(best)
 		}
 		groups = append(groups, rg)

@@ -23,8 +23,19 @@ func oracleCount(g *graph.Graph, p *pattern.Pattern) int64 {
 
 func runRADS(t *testing.T, g *graph.Graph, p *pattern.Pattern, m int, cfg Config) *Result {
 	t.Helper()
+	res, err := Run(partition.KWay(g, m, 99), p, cfg)
+	if err != nil {
+		t.Fatalf("%s on %d machines: %v", p.Name, m, err)
+	}
+	return res
+}
+
+// runRADSSegmented is runRADS with engine.segment at nodes: region
+// groups of at most nodes candidates, flush segments of nodes leaves.
+func runRADSSegmented(t *testing.T, g *graph.Graph, p *pattern.Pattern, m int, cfg Config, nodes int) *Result {
+	t.Helper()
 	part := partition.KWay(g, m, 99)
-	res, err := Run(part, p, cfg)
+	res, err := runSegmented(part, p, cfg, nodes)
 	if err != nil {
 		t.Fatalf("%s on %d machines: %v", p.Name, m, err)
 	}
@@ -191,15 +202,15 @@ func TestRegionGroupsBoundMemoryAndStayCorrect(t *testing.T) {
 	g := gen.Community(4, 12, 0.35, 13)
 	p := pattern.ByName("q4")
 	want := oracleCount(g, p)
-	// Tiny group target: many groups, same answer.
-	res := runRADS(t, g, p, 3, Config{GroupMemTarget: 1}) // 1 byte -> 1 candidate per group
+	// One-node segments: one candidate per group, same answer.
+	res := runRADSSegmented(t, g, p, 3, Config{}, 1)
 	if res.Total != want {
 		t.Errorf("Total = %d, want %d", res.Total, want)
 	}
 	if res.RegionGroups < 3 {
 		t.Errorf("expected many region groups, got %d", res.RegionGroups)
 	}
-	big := runRADS(t, g, p, 3, Config{GroupMemTarget: 1 << 30})
+	big := runRADS(t, g, p, 3, Config{})
 	if big.Total != want {
 		t.Errorf("big groups Total = %d, want %d", big.Total, want)
 	}
@@ -212,7 +223,7 @@ func TestRandomGroupingCorrect(t *testing.T) {
 	g := gen.Community(4, 10, 0.35, 17)
 	p := pattern.ByName("q2")
 	want := oracleCount(g, p)
-	res := runRADS(t, g, p, 3, Config{RandomGrouping: true, GroupMemTarget: 4096})
+	res := runRADSSegmented(t, g, p, 3, Config{RandomGrouping: true}, 4)
 	if res.Total != want {
 		t.Errorf("Total = %d, want %d", res.Total, want)
 	}
@@ -237,11 +248,11 @@ func TestLoadBalancingStealsAndStaysCorrect(t *testing.T) {
 	g := gen.Community(5, 10, 0.35, 23)
 	p := pattern.ByName("q2")
 	want := oracleCount(g, p)
-	res := runRADS(t, g, p, 4, Config{DisableSME: true, GroupMemTarget: 1})
+	res := runRADSSegmented(t, g, p, 4, Config{DisableSME: true}, 1)
 	if res.Total != want {
 		t.Errorf("Total = %d, want %d", res.Total, want)
 	}
-	noSteal := runRADS(t, g, p, 4, Config{DisableSME: true, GroupMemTarget: 1, DisableLoadBalancing: true})
+	noSteal := runRADSSegmented(t, g, p, 4, Config{DisableSME: true, DisableLoadBalancing: true}, 1)
 	if noSteal.Total != want {
 		t.Errorf("no-steal Total = %d, want %d", noSteal.Total, want)
 	}
@@ -253,7 +264,7 @@ func TestMemoryBudgetOOM(t *testing.T) {
 	// Absurdly small budget must fail with ErrOutOfMemory.
 	part := partition.KWay(g, 3, 99)
 	budget := cluster.NewMemBudget(3, 64)
-	_, err := Run(part, p, Config{Budget: budget, DisableSME: true, GroupMemTarget: 1 << 30})
+	_, err := Run(part, p, Config{Budget: budget, DisableSME: true})
 	if !errors.Is(err, cluster.ErrOutOfMemory) {
 		t.Fatalf("err = %v, want ErrOutOfMemory", err)
 	}
@@ -268,7 +279,7 @@ func TestMemoryBudgetRegionGroupsSurvive(t *testing.T) {
 	part := partition.KWay(g, 3, 99)
 
 	budget := cluster.NewMemBudget(3, 1<<20)
-	res, err := Run(part, p, Config{Budget: budget, GroupMemTarget: 32 << 10})
+	res, err := Run(part, p, Config{Budget: budget})
 	if err != nil {
 		t.Fatalf("budgeted run failed: %v", err)
 	}

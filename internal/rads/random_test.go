@@ -44,17 +44,17 @@ func TestRandomPatternsAgainstOracle(t *testing.T) {
 		part := partition.KWay(g, machines, rng.Int63())
 		want := localenum.Count(g, p, localenum.Options{})
 
-		cfg := Config{}
+		cfg, segment := Config{}, defaultHugeFrontier
 		switch i % 4 {
 		case 1:
 			cfg.DisableSME = true
 		case 2:
-			cfg.GroupMemTarget = 1 << 10 // force segmentation
+			segment = 21 // force segmentation
 		case 3:
 			cfg.DisableEndVertexCounting = true
 			cfg.RandomGrouping = true
 		}
-		res, err := Run(part, p, cfg)
+		res, err := runSegmented(part, p, cfg, segment)
 		if err != nil {
 			t.Fatalf("case %d (%s, m=%d, cfg=%+v): %v", i, p, machines, cfg, err)
 		}

@@ -48,6 +48,11 @@ type ClusterEngine struct {
 	// fallback routes queries to the in-process engine while the fleet
 	// is degraded (EnableFallback).
 	fallback bool
+	// joined is the partition WaitReady admitted the fleet on, and
+	// joinedHash its fingerprint: the heartbeat holds every worker's
+	// ping to them for as long as the coordinator runs (admit).
+	joined     *partition.Partition
+	joinedHash uint64
 
 	mu sync.Mutex
 }
@@ -78,29 +83,41 @@ func (c *ClusterEngine) Prepare(_ *partition.Partition, p *pattern.Pattern) (eng
 
 // WaitReady pings every machine until it responds or the shared
 // deadline passes (one budget for the whole cluster, not per machine)
-// — called once at ingress startup so a booting cluster fails loudly
-// instead of on the first query. When part is non-nil, every worker's
-// partition fingerprint must match it: a worker booted from a
-// different snapshot than the coordinator would otherwise serve
-// silently inconsistent counts.
+// — called once at ingress startup, before StartHealth, so a booting
+// cluster fails loudly instead of on the first query. Every worker must
+// pass admit: report this build's cluster.WireContract and, when part
+// is non-nil, part's fingerprint. The heartbeat holds workers restarted
+// later to the same check.
 func (c *ClusterEngine) WaitReady(part *partition.Partition, deadline time.Duration) error {
 	until := time.Now().Add(deadline)
-	var wantHash uint64
+	c.joined = part
 	if part != nil {
-		wantHash = PartitionFingerprint(part)
+		c.joinedHash = PartitionFingerprint(part)
 	}
 	for t := 0; t < c.m; t++ {
 		pr, err := Ping(c.tr, t, until)
 		if err != nil {
 			return err
 		}
-		if part == nil {
-			continue
+		if err := c.admit(t, pr); err != nil {
+			return err
 		}
-		if pr.Vertices != part.G.NumVertices() || pr.PartitionHash != wantHash {
-			return fmt.Errorf("rads: machine %d hosts a different partition (%d vertices, hash %x) than the coordinator (%d vertices, hash %x) — workers and ingress must load the same snapshot",
-				t, pr.Vertices, pr.PartitionHash, part.G.NumVertices(), wantHash)
-		}
+	}
+	return nil
+}
+
+// admit checks worker t's ping reply against the coordinator: a worker
+// built to another cluster.WireContract would misread queries and
+// miscount, and one booted from a different snapshot than the partition
+// WaitReady joined on would serve silently inconsistent counts.
+func (c *ClusterEngine) admit(t int, pr *cluster.PingResponse) error {
+	if pr.Contract != cluster.WireContract {
+		return fmt.Errorf("rads: machine %d speaks wire contract %d, the coordinator %d — workers and ingress must be built from the same source",
+			t, pr.Contract, cluster.WireContract)
+	}
+	if p := c.joined; p != nil && (pr.Vertices != p.G.NumVertices() || pr.PartitionHash != c.joinedHash) {
+		return fmt.Errorf("rads: machine %d hosts a different partition (%d vertices, hash %x) than the coordinator (%d vertices, hash %x) — workers and ingress must load the same snapshot",
+			t, pr.Vertices, pr.PartitionHash, p.G.NumVertices(), c.joinedHash)
 	}
 	return nil
 }
@@ -193,11 +210,6 @@ func (c *ClusterEngine) runRemote(ctx context.Context, req eng.Request) (eng.Res
 			r, ok := resp.(*RunQueryResponse)
 			if !ok {
 				errs[t] = fmt.Errorf("rads: machine %d replied %T", t, resp)
-				return
-			}
-			if r.AppliedConstraints != len(wire.Constraints) {
-				errs[t] = fmt.Errorf("rads: machine %d enumerated under %d symmetry-breaking constraints, not the %d sent; upgrade the worker",
-					t, r.AppliedConstraints, len(wire.Constraints))
 				return
 			}
 			// Account the control-plane exchange itself, so /stats shows

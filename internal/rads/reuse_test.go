@@ -30,13 +30,14 @@ func TestGroupStateReuse(t *testing.T) {
 	metrics := cluster.NewMetrics(part.M)
 	e := hostedEngine(t, part, p, Config{
 		Workers: 1, DisableSME: true, // every candidate through region groups
-		GroupMemTarget: 64 << 10, Budget: budget,
+		Budget:  budget,
 		Metrics: metrics, Transport: cluster.NewLocalTransport(metrics),
 	})
+	e.segment = 32 // several groups a machine, several segments a group
 	groups := make([][][]graph.VertexID, part.M)
 	for i, m := range e.machines {
 		_, c2 := m.splitCandidates()
-		groups[i] = proximityGroups(e.g, c2, m.estBytes, e.groupMemTarget())
+		groups[i] = m.regionGroups(c2)
 	}
 	runGroups := func(m *machine) error {
 		for _, grp := range groups[m.id] {

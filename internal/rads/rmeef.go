@@ -75,9 +75,9 @@ type groupState struct {
 	// after any candidate at any leaf level, so a hub pivot whose one
 	// first-leaf candidate spans deg² leaves is processed in several
 	// verify-filter-descend segments instead of materializing them all.
-	// processGroup sizes it from the group memory target and caps it at
-	// defaultHugeFrontier; 0 (tests driving a round by hand) disables
-	// segmentation, the paper's plain per-round batching.
+	// processGroup sets it to engine.segment; 0 (tests driving a round
+	// by hand) disables segmentation, the paper's plain per-round
+	// batching.
 	flushNodes int
 
 	// sub marks a per-worker shard state of a split round
@@ -207,11 +207,7 @@ func (m *machine) processGroup(group []graph.VertexID, worker int) error {
 	groupSp := e.cfg.Trace.Start("execute/group", m.id, worker)
 	defer groupSp.End()
 	st := m.takeState()
-	// Leave half the target as headroom for the segment being built, and
-	// close a segment at the split threshold at the latest: a full
-	// segment is then what the split path shards, and an unbudgeted
-	// group's working set is one segment, not the whole group's target.
-	st.flushNodes = int(min(max(e.groupMemTarget()/(2*trieNodeBytes), 1), defaultHugeFrontier))
+	st.flushNodes = e.segment
 
 	// Round 0: the frontier is the group's candidates of dp0.piv mapped
 	// as single-vertex partial embeddings. For stolen groups the
@@ -333,9 +329,9 @@ func (m *machine) runRounds(st *groupState, round int, frontier []*etrie.Node) e
 	// The round keeps its foreign pivots' lists pinned until it
 	// returns. When they are hubs' lists they can fill the budget and
 	// leave no room for the segment the round builds, so if the fetch
-	// runs out of memory, or leaves less than a group's target free,
-	// the round lets them go and runs its frontier in halves, each
-	// pinning only its own pivots.
+	// runs out of memory, or crowds the budget, the round lets them go
+	// and runs its frontier in halves, each pinning only its own
+	// pivots.
 	err := m.fetchForeignPivots(st, round, frontier)
 	if len(frontier) > 1 && (errors.Is(err, cluster.ErrOutOfMemory) || err == nil && m.crowded()) {
 		st.unpinTo(marker, pullMarker)
@@ -670,11 +666,18 @@ func (m *machine) underPressure() bool {
 }
 
 // crowded reports whether the machine's accounted memory leaves less
-// than one group's memory target free: too little for the segment a
-// round builds once its pivots are resident.
+// than four segments' trie bytes a worker free: too little for the
+// segment a round builds, and the segments deeper rounds build under
+// it, once its pivots are resident. segmentFor makes that at most an
+// eighth of the budget; the cap binds only where the segment is clamped
+// to one node (budgets under 768 B a worker) or set by a test. A
+// crowded machine is thus under pressure, so it has taken no optional
+// pulls, and halving its round never trades a pulled list for trie
+// nodes.
 func (m *machine) crowded() bool {
 	b := m.e.cfg.Budget
-	return b.Limit() > 0 && b.Used(m.id) > b.Limit()-m.e.groupMemTarget()
+	free := min(4*int64(m.e.workers()*m.e.segment)*trieNodeBytes, b.Limit()/8)
+	return b.Limit() > 0 && b.Used(m.id) > b.Limit()-free
 }
 
 // pullPays is the cost rule of choosePulls, in the wire bytes cluster

@@ -15,14 +15,15 @@ import (
 
 // radsWork is the deterministic part of a one-worker, no-stealing RADS
 // run: where the embeddings were found, the tree nodes each side linked,
-// the region groups, the verify plane's two sides, and the data-plane
-// traffic by message kind.
+// the region groups, the verify plane's two sides, the data-plane
+// traffic by message kind, and the budget's high-water mark.
 type radsWork struct {
 	Total, SME, Distributed, SMENodes, DistNodes int64
 	RegionGroups                                 int
 	VerifyEdges, PulledLists                     int64
 	VerifyEMsgs, VerifyEBytes                    int64
 	FetchVMsgs, FetchVBytes                      int64
+	PeakMemBytes                                 int64
 }
 
 // hubFirstBlocks has the shape of the benchmark's enumeration fixture:
@@ -57,16 +58,16 @@ func TestRADSSameWork(t *testing.T) {
 		limit int64
 		want  radsWork
 	}{
-		{"q1", 0, radsWork{18923, 12287, 6636, 31587, 16335, 8, 5, 4, 1, 45, 11, 18084}},
-		{"q1", 512 << 10, radsWork{18923, 12287, 6636, 31587, 16344, 21, 15, 12, 6, 135, 24, 18084}},
-		{"q2", 0, radsWork{158358, 108199, 50159, 128958, 8586, 12, 3439, 0, 4, 30951, 0, 0}},
-		{"q2", 512 << 10, radsWork{158358, 108199, 50159, 128958, 8586, 53, 3617, 0, 44, 32553, 0, 0}},
-		{"q3", 0, radsWork{180753, 117733, 63020, 215729, 114074, 8, 0, 0, 0, 0, 24, 29560}},
-		{"q3", 512 << 10, radsWork{180753, 117733, 63020, 215729, 114074, 107, 0, 5, 0, 0, 117, 29560}},
-		{"q4", 0, radsWork{138039, 87709, 50330, 154251, 95601, 6, 774, 347, 18, 6966, 20, 22468}},
-		{"q4", 512 << 10, radsWork{138039, 87709, 50330, 154251, 91594, 80, 716, 380, 64, 6444, 78, 23036}},
-		{"q5", 0, radsWork{2745545, 1700432, 1045113, 1859154, 88798, 27, 1748, 482, 34, 15732, 34, 28900}},
-		{"q5", 512 << 10, radsWork{2745545, 1700432, 1045113, 1859154, 88173, 568, 1266, 540, 303, 11394, 191, 28028}},
+		{"q1", 0, radsWork{18923, 12287, 6636, 31587, 16335, 8, 5, 4, 1, 45, 11, 18084, 123796}},
+		{"q1", 512 << 10, radsWork{18923, 12287, 6636, 31587, 16337, 8, 7, 4, 2, 63, 19, 18084, 44812}},
+		{"q2", 0, radsWork{158358, 108199, 50159, 128958, 8586, 12, 3439, 0, 4, 30951, 0, 0, 42384}},
+		{"q2", 512 << 10, radsWork{158358, 108199, 50159, 128958, 8586, 12, 3529, 0, 9, 31761, 0, 0, 24480}},
+		{"q3", 0, radsWork{180753, 117733, 63020, 215729, 114074, 8, 0, 0, 0, 0, 24, 29560, 271792}},
+		{"q3", 512 << 10, radsWork{180753, 117733, 63020, 215729, 114074, 8, 0, 0, 0, 0, 56, 29560, 65644}},
+		{"q4", 0, radsWork{138039, 87709, 50330, 154251, 95601, 6, 774, 347, 18, 6966, 20, 22468, 204236}},
+		{"q4", 512 << 10, radsWork{138039, 87709, 50330, 154251, 89055, 6, 408, 368, 49, 3672, 68, 22232, 41504}},
+		{"q5", 0, radsWork{2745545, 1700432, 1045113, 1859154, 90949, 6, 3536, 392, 16, 31824, 17, 28992, 232172}},
+		{"q5", 512 << 10, radsWork{2745545, 1700432, 1045113, 1859154, 88957, 6, 1945, 450, 63, 17505, 47, 27948, 62156}},
 	}
 	part := hubFirstBlocks(t)
 	for _, c := range cells {
@@ -84,6 +85,7 @@ func TestRADSSameWork(t *testing.T) {
 				res.Total, res.SME, res.Distributed, res.SMENodes, res.DistNodes,
 				res.RegionGroups, res.VerifyEdges, res.PulledLists,
 				msgs["verifyE"], bytes["verifyE"], msgs["fetchV"], bytes["fetchV"],
+				res.PeakMemBytes,
 			}
 			if got != c.want {
 				t.Errorf("work = %+v, want %+v", got, c.want)

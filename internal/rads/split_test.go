@@ -11,16 +11,28 @@ import (
 	"rads/internal/pattern"
 )
 
-// runSplitting is Run with the huge-frontier threshold at thr, so small
-// graphs split their rounds.
-func runSplitting(part *partition.Partition, p *pattern.Pattern, cfg Config, thr int) (*Result, error) {
+// runTuned is Run with adjust applied to the engine before its machines
+// are built: the in-package seam for the sizes a Config does not set.
+func runTuned(part *partition.Partition, p *pattern.Pattern, cfg Config, adjust func(*engine)) (*Result, error) {
 	e, err := newEngine(part, p, p.SymmetryBreaking(), cfg)
 	if err != nil {
 		return nil, err
 	}
-	e.hugeFrontier = thr
+	adjust(e)
 	e.spawnMachines()
 	return e.run()
+}
+
+// runSplitting is Run with the huge-frontier threshold at thr, so small
+// graphs split their rounds.
+func runSplitting(part *partition.Partition, p *pattern.Pattern, cfg Config, thr int) (*Result, error) {
+	return runTuned(part, p, cfg, func(e *engine) { e.hugeFrontier = thr })
+}
+
+// runSegmented is Run with engine.segment at nodes, so small graphs
+// flush mid-round and form small region groups.
+func runSegmented(part *partition.Partition, p *pattern.Pattern, cfg Config, nodes int) (*Result, error) {
+	return runTuned(part, p, cfg, func(e *engine) { e.segment = nodes })
 }
 
 // TestFrontierSplitParity is the count-parity oracle test of the
@@ -60,20 +72,22 @@ func TestFrontierSplitParity(t *testing.T) {
 }
 
 // TestFrontierSplitUnderMemoryPressure drives the split through the
-// paths that share mutable machinery across shards: a tiny group memory
-// target forces mid-round flushes inside every shard, and a budget
-// keeps the cache valve and trie charges active concurrently.
+// paths that share mutable machinery across shards: a tiny segment
+// forces mid-round flushes inside every shard, and a budget keeps the
+// cache valve and trie charges active concurrently.
 func TestFrontierSplitUnderMemoryPressure(t *testing.T) {
 	g := gen.PowerLaw(200, 6, 2.4, 100, 23)
 	part := partition.KWay(g, 3, 9)
 	p := pattern.ByName("q4")
 	want := oracleCount(g, p)
-	res, err := runSplitting(part, p, Config{
-		DisableSME:     true,
-		Workers:        4,
-		GroupMemTarget: 4096, // a handful of trie nodes per segment
-		Budget:         cluster.NewMemBudget(part.M, 64<<20),
-	}, 2)
+	res, err := runTuned(part, p, Config{
+		DisableSME: true,
+		Workers:    4,
+		Budget:     cluster.NewMemBudget(part.M, 64<<20),
+	}, func(e *engine) {
+		e.hugeFrontier = 2
+		e.segment = 85 // a handful of trie nodes per segment
+	})
 	if err != nil {
 		t.Fatalf("split under pressure: %v", err)
 	}

@@ -2,9 +2,13 @@ package rads
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"rads/internal/cluster"
 	eng "rads/internal/engine"
@@ -55,11 +59,10 @@ func TestRunOverTCPWithPressure(t *testing.T) {
 	q := pattern.ByName("q2")
 	want := localenum.Count(g, q, localenum.Options{})
 	budget := cluster.NewMemBudget(part.M, 8<<20)
-	res, err := Run(part, q, Config{
-		Transport:      tr,
-		Budget:         budget,
-		GroupMemTarget: 32 << 10,
-	})
+	res, err := runSegmented(part, q, Config{
+		Transport: tr,
+		Budget:    budget,
+	}, 682)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,19 +102,112 @@ func (r reconstrained) Call(from, to int, req cluster.Message) (cluster.Message,
 	return r.Transport.Call(from, to, req)
 }
 
-// unechoed answers runQuery as a worker built before requests carried
-// constraints would: its response does not report the constraints it
-// enumerated under.
-type unechoed struct{ cluster.Transport }
+// otherContract answers machine 1's pings as a worker built to another
+// wire contract would — from the start, or once swapped is set: with
+// the next contract number or, pre-contract, with a reply the decoder
+// refuses (a 24-byte ping reply where 32 belong).
+type otherContract struct {
+	cluster.Transport
+	swapped   *atomic.Bool
+	malformed bool
+}
 
-func (u unechoed) Call(from, to int, req cluster.Message) (cluster.Message, error) {
-	resp, err := u.Transport.Call(from, to, req)
-	if r, ok := resp.(*RunQueryResponse); ok {
-		old := *r
-		old.AppliedConstraints = 0
-		resp = &old
+func (o otherContract) Call(from, to int, req cluster.Message) (cluster.Message, error) {
+	_, ping := req.(*cluster.PingRequest)
+	if !ping || to != 1 || o.swapped != nil && !o.swapped.Load() {
+		return o.Transport.Call(from, to, req)
+	}
+	if o.malformed {
+		return nil, fmt.Errorf("cluster: receive from 1: %w: kind ping: 24 bytes, want 32", cluster.ErrMalformed)
+	}
+	resp, err := o.Transport.Call(from, to, req)
+	if pr, ok := resp.(*cluster.PingResponse); ok {
+		other := *pr
+		other.Contract++
+		resp = &other
 	}
 	return resp, err
+}
+
+// TestWaitReadyRefusesOtherContract: a fleet joins when every worker's
+// ping, over TCP, reports this build's wire contract, and is refused by
+// name when one reports another — with a partition to compare and
+// without — or sends a reply the decoder refuses, well before the
+// deadline.
+func TestWaitReadyRefusesOtherContract(t *testing.T) {
+	part := partition.KWay(gen.Community(3, 12, 0.3, 5), 3, 7)
+	fleet := loopbackFleet(t, part, MachineOptions{Workers: 1})
+	if err := NewClusterEngine(fleet, part.M).WaitReady(part, time.Second); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []*partition.Partition{part, nil} {
+		err := NewClusterEngine(otherContract{fleet, nil, false}, part.M).WaitReady(p, time.Second)
+		if err == nil || !strings.Contains(err.Error(), "machine 1 speaks wire contract") {
+			t.Errorf("partition %v: err = %v, want machine 1 refused for its wire contract", p != nil, err)
+		}
+	}
+	began := time.Now()
+	err := NewClusterEngine(otherContract{fleet, nil, true}, part.M).WaitReady(part, time.Minute)
+	if !errors.Is(err, cluster.ErrMalformed) || !strings.Contains(err.Error(), "ping 1") {
+		t.Errorf("pre-contract worker: err = %v, want machine 1 refused for a malformed reply", err)
+	}
+	if waited := time.Since(began); waited > 10*time.Second {
+		t.Errorf("pre-contract worker refused after %v, want at once", waited)
+	}
+}
+
+// TestHeartbeatRefusesOtherContract: a worker that joined and later
+// answers pings with another wire contract, or with a reply the decoder
+// refuses — restarted from another build while the ingress runs — is
+// marked down by the next heartbeat, not after a streak of failures,
+// and queries are refused naming it instead of being dispatched to it.
+// Answering with this build's contract again brings it back.
+func TestHeartbeatRefusesOtherContract(t *testing.T) {
+	part := partition.KWay(gen.Community(3, 12, 0.3, 5), 3, 7)
+	fleet := loopbackFleet(t, part, MachineOptions{Workers: 1})
+	q := pattern.Triangle()
+	want := localenum.Count(part.G, q, localenum.Options{})
+	until := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	for _, malformed := range []bool{false, true} {
+		var swapped atomic.Bool
+		ce := NewClusterEngine(otherContract{fleet, &swapped, malformed}, part.M)
+		if err := ce.WaitReady(part, time.Second); err != nil {
+			t.Fatal(err)
+		}
+		// A threshold no run reaches: only a refusal opens a breaker.
+		ce.StartHealth(HealthOptions{Interval: 10 * time.Millisecond, FailureThreshold: 1 << 20})
+		run := func() (eng.Result, error) {
+			return ce.Run(context.Background(), eng.Request{Part: part, Pattern: q, Workers: 1})
+		}
+
+		if res, err := run(); err != nil || res.Total != want {
+			t.Fatalf("malformed %v: joined fleet: total %d, err %v; oracle %d", malformed, res.Total, err, want)
+		}
+		swapped.Store(true)
+		until("machine 1 to be refused", func() bool { return !ce.Healthy() })
+		for _, w := range ce.HealthReport().Workers {
+			if w.Up != (w.Machine != 1) {
+				t.Errorf("malformed %v: worker %d up = %v after machine 1 changed its contract", malformed, w.Machine, w.Up)
+			}
+		}
+		var down *WorkerDownError
+		if _, err := run(); !errors.As(err, &down) || down.Machine != 1 {
+			t.Errorf("malformed %v: query on a fleet with a refused worker: err = %v, want machine 1 down", malformed, err)
+		}
+		swapped.Store(false)
+		until("machine 1 to be readmitted", ce.Healthy)
+		if res, err := run(); err != nil || res.Total != want {
+			t.Errorf("malformed %v: readmitted fleet: total %d, err %v; oracle %d", malformed, res.Total, err, want)
+		}
+		ce.Close()
+	}
 }
 
 // TestFleetEnumeratesUnderShippedConstraints: workers enumerate under
@@ -120,8 +216,7 @@ func (u unechoed) Call(from, to int, req cluster.Message) (cluster.Message, erro
 // convention — the fleet still counts the oracle's total, with other
 // work than under the coordinator's own set. A request that carries no
 // constraints for a symmetric pattern, or one naming a vertex the
-// pattern lacks, is refused, and so is a response that does not echo
-// how many constraints the worker applied.
+// pattern lacks, is refused.
 func TestFleetEnumeratesUnderShippedConstraints(t *testing.T) {
 	part := partition.KWay(ingestedTwin(t, gen.PowerLaw(400, 8, 2.7, 100, 67), true), 3, 7)
 	fleet := noStealing{loopbackFleet(t, part, MachineOptions{Workers: 1})}
@@ -163,9 +258,6 @@ func TestFleetEnumeratesUnderShippedConstraints(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("request with constraints %v: err = %v, want %q", tc.cons, err, tc.want)
 		}
-	}
-	if _, err := run(unechoed{fleet}); err == nil || !strings.Contains(err.Error(), "upgrade the worker") {
-		t.Errorf("response without the applied constraints: err = %v, want a refusal", err)
 	}
 }
 

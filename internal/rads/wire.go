@@ -87,13 +87,6 @@ type RunQueryResponse struct {
 
 	PeakMemBytes int64
 
-	// AppliedConstraints is the number of symmetry-breaking constraints
-	// the machine enumerated under. The coordinator refuses a response
-	// whose count differs from the constraints it sent: a worker built
-	// before requests carried them decodes the request without them,
-	// enumerates under its own convention and leaves this field 0.
-	AppliedConstraints int
-
 	// OOM reports that this machine died of its memory budget — an
 	// outcome, not an error, exactly as in the in-process engine.
 	OOM bool
@@ -114,14 +107,14 @@ type RunQueryResponse struct {
 	// the coordinator stitches them into its cross-cluster timeline and
 	// derives the per-phase aggregate from them. It is the one trace
 	// encoding on the wire: both binaries build from this repository and
-	// WaitReady checks partition fingerprints, so there is no other
-	// build to stay compatible with.
+	// WaitReady checks the wire contract, so there is no other build
+	// to stay compatible with.
 	Spans []obs.Span
 }
 
 // ByteSize counts the fixed-width fields plus the span payload.
 func (r *RunQueryResponse) ByteSize() int {
-	n := 29*8 + 1
+	n := 28*8 + 1
 	for i := range r.Spans {
 		n += len(r.Spans[i].Name) + 4*8
 	}

@@ -70,6 +70,11 @@ func TestQueryProfileAndRegistry(t *testing.T) {
 		t.Errorf("cache hit profile not retained: %v", hp)
 	}
 
+	// A query's admission slot is released just after its result is
+	// delivered, so the running gauge reaches 0 a moment after Result.
+	for deadline := time.Now().Add(5 * time.Second); svc.Stats().Running != 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	var b strings.Builder
 	if err := svc.Metrics().WritePrometheus(&b); err != nil {
 		t.Fatal(err)
