@@ -157,12 +157,9 @@ func TestConformanceWorkerParallelism(t *testing.T) {
 	}
 }
 
-// TestConformanceFrontierSplit sweeps every engine across worker widths
-// 1, 2 and 8 and checks oracle parity. Whether a RADS round splits is
-// up to its fixed huge-frontier threshold; split parity on forced
-// splits is tested inside internal/rads, where the threshold can be
-// lowered.
-func TestConformanceFrontierSplit(t *testing.T) {
+// TestConformanceWorkerWidths sweeps every engine across worker widths
+// 1, 2 and 8 and checks oracle parity.
+func TestConformanceWorkerWidths(t *testing.T) {
 	part := conformancePart(t)
 	tr := conformanceTransport(t, part.M)
 	for _, q := range conformanceQueries() {

@@ -152,10 +152,8 @@ type Result struct {
 	// is the engine-agnostic throughput metric of the bench harness
 	// (tree-nodes/sec).
 	TreeNodes int64
-	// FrontierSplits counts R-Meef rounds whose region-group frontier
-	// reached RADS's fixed huge-frontier threshold and were expanded
-	// across the worker pool instead of on one worker; 0 for engines
-	// without the optimisation.
+	// FrontierSplits is always 0: no engine splits a round across its
+	// workers. It stays because the benchmark module reads it.
 	FrontierSplits int64
 	// PeakMemBytes is the run's accounted memory high-water mark (max
 	// over machines), when the engine can report one. For in-process

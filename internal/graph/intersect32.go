@@ -50,8 +50,7 @@ const gallopRatioU32 = 6
 // intersections that merged, pairwise intersections that galloped, and
 // folds of three or more lists (whose pairwise steps count as well).
 // It is a plain value owned by whoever runs the intersections — one
-// per localenum.Enumerator, one per R-Meef region group or split shard
-// — so counting costs an increment, with no atomic and no shared cache
+// per localenum.Enumerator, one per R-Meef region group — so counting costs an increment, with no atomic and no shared cache
 // line, and the sums folded upward (Add) are exact per query.
 type KernelTally struct {
 	Merge, Gallop, KWay int64

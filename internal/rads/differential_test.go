@@ -35,7 +35,6 @@ type diffCase struct {
 	machines int
 	partSeed int64
 	cfg      Config
-	huge     int  // the huge-frontier threshold: the default, or 1 to split every round
 	tight    bool // run under a budget sized from a probe of the same case
 	segment  int  // a tight case's engine.segment, a few trie nodes; 0 derives it
 	tcp      bool
@@ -43,9 +42,9 @@ type diffCase struct {
 }
 
 func (c diffCase) String() string {
-	return fmt.Sprintf("%s n=%d m=%d × %s × machines=%d workers=%d huge=%d tight=%v segment=%d tcp=%v stream=%v noSME=%v noEVC=%v noCache=%v noLB=%v",
+	return fmt.Sprintf("%s n=%d m=%d × %s × machines=%d workers=%d tight=%v segment=%d tcp=%v stream=%v noSME=%v noEVC=%v noCache=%v noLB=%v",
 		c.model, c.g.NumVertices(), c.g.NumEdges(), c.p, c.machines,
-		c.cfg.Workers, c.huge, c.tight, c.segment, c.tcp, c.stream,
+		c.cfg.Workers, c.tight, c.segment, c.tcp, c.stream,
 		c.cfg.DisableSME, c.cfg.DisableEndVertexCounting, c.cfg.DisableCache, c.cfg.DisableLoadBalancing)
 }
 
@@ -104,7 +103,6 @@ func drawDiffCase(t *testing.T, rng *rand.Rand) diffCase {
 	c.machines = 2 + rng.Intn(3)
 	c.partSeed = rng.Int63()
 	c.cfg.Workers = []int{1, 4}[rng.Intn(2)]
-	c.huge = []int{defaultHugeFrontier, 1}[rng.Intn(2)]
 	c.cfg.DisableSME = rng.Intn(2) == 0
 	c.cfg.DisableEndVertexCounting = rng.Intn(3) == 0
 	c.cfg.DisableCache = rng.Intn(4) == 0
@@ -188,11 +186,10 @@ func (c diffCase) run(t *testing.T, part *partition.Partition) (int64, [][]graph
 	return res.Total, streamed, limit
 }
 
-// runOnce runs the case's pattern under cfg with its huge-frontier
-// threshold and, when it drew one, its segment.
+// runOnce runs the case's pattern under cfg with, when it drew one, its
+// segment.
 func (c diffCase) runOnce(part *partition.Partition, cfg Config) (*Result, error) {
 	return runTuned(part, c.p, cfg, func(e *engine) {
-		e.hugeFrontier = c.huge
 		if c.segment > 0 {
 			e.segment = c.segment
 		}
@@ -310,7 +307,7 @@ func checkStreamed(t *testing.T, g *graph.Graph, p *pattern.Pattern, streamed []
 // TestDifferentialAgainstOracle is the RADS slice of the randomised
 // differential suite: random graphs (as generated, or relabelled by
 // the ingester) × random connected patterns or the q1–q8/cq1–cq4 catalogue ×
-// Workers × huge-frontier threshold × budget × the SM-E, end-vertex, cache,
+// Workers × budget × the SM-E, end-vertex, cache,
 // stealing and streaming switches × transport, every total against
 // localenum.Count on its default order. Every case the wire can carry
 // also runs on a fleet of hosted Machines behind a ClusterEngine, the

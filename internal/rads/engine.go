@@ -19,8 +19,11 @@
 //     requests for foreign pivots, batches verifyE requests for the
 //     edge verification index, and filters failed candidates from the
 //     embedding trie.
-//  4. After local region groups finish, the machine broadcasts checkR
-//     and steals work via shareR from the most loaded machine.
+//  4. The region group is the one unit of parallelism inside a
+//     machine: each pool worker runs one group at a time, popped from
+//     the machine's queue, and once the queue is empty broadcasts
+//     checkR and steals a group via shareR from the most loaded
+//     machine, until no machine has one left.
 //
 // Machines run concurrently and never exchange intermediate results —
 // only edge-verification bits and adjacency lists, which is the
@@ -134,7 +137,7 @@ type Config struct {
 }
 
 // Counters is the additive part of a run's result: what one region
-// group, one split shard, one machine and the whole run each tally.
+// group, one machine and the whole run each tally.
 // Every level folds the one below with merge — in this process, and
 // inside RunQueryResponse over the wire.
 type Counters struct {
@@ -151,11 +154,6 @@ type Counters struct {
 	// machines; plus concurrent peaks.
 	ELBytesCum, ETBytesCum   int64
 	ELBytesPeak, ETBytesPeak int64
-
-	// FrontierSplits counts rounds whose frontier reached hugeFrontier
-	// live results and were expanded across the worker pool instead of
-	// on the owning pool worker.
-	FrontierSplits int64
 
 	// The verify plane's two sides (see choosePulls): VerifyEdges are
 	// the undetermined edges sent to verifyE; PulledLists the adjacency
@@ -179,7 +177,6 @@ func (c *Counters) merge(o *Counters) {
 	c.ETBytesCum += o.ETBytesCum
 	c.ELBytesPeak = max(c.ELBytesPeak, o.ELBytesPeak)
 	c.ETBytesPeak = max(c.ETBytesPeak, o.ETBytesPeak)
-	c.FrontierSplits += o.FrontierSplits
 	c.VerifyEdges += o.VerifyEdges
 	c.PulledLists += o.PulledLists
 	c.PulledEdges += o.PulledEdges
@@ -282,16 +279,6 @@ type engine struct {
 	// the rounds before it, what choosePulls needs to price that edge.
 	pulls [][]pullLeaf
 
-	// hugeFrontier is the frontier size (live results entering a round)
-	// at which one region group's expansion is split across the
-	// machine's worker pool instead of running on the single pool worker
-	// that owns the group. Hub-seeded groups concentrate most of a
-	// machine's work into one group; without the split that group
-	// serialises the machine no matter how many Workers it has. Counts
-	// are identical at any threshold — the split only shards scratch
-	// state and counters, merged at the round barrier.
-	hugeFrontier int
-
 	// segment is the one size R-Meef's memory control is built on, in
 	// trie nodes, a worker's share: a flush segment closes at segment EC
 	// leaves, a region group holds at most segment candidates (its roots
@@ -347,8 +334,6 @@ func newEngine(part *partition.Partition, p *pattern.Pattern, cons []pattern.Ord
 		metrics: metrics,
 		tr:      cfg.Transport,
 		avgDeg:  part.G.AvgDegree(),
-
-		hugeFrontier: defaultHugeFrontier,
 	}
 	eng.segment = segmentFor(cfg.Budget, eng.workers())
 	if eng.tr == nil {
@@ -541,27 +526,26 @@ func (e *engine) workers() int {
 	return w
 }
 
-// defaultHugeFrontier is the frontier size at which splitting a round
-// across the pool pays for the per-worker state it shards: below a few
-// thousand frontier nodes the segment usually verifies and descends in
-// well under the time a goroutine hand-off costs, and groups that small
-// already interleave with other groups on the pool. It is also the
-// unbudgeted segment, so a full segment is exactly what the split
-// shards.
-const defaultHugeFrontier = 4096
+// unbudgetedSegment is engine.segment when no budget sizes it. 4096
+// leaves make a segment's verifyE exchange, and the next round's fetchV,
+// batches of thousands of edges and vertices, which amortise their round
+// trips, while the segment's leaves take 96 KiB of trie
+// (4096·trieNodeBytes) a worker and a hub's deg² leaves still close many
+// segments rather than one.
+const unbudgetedSegment = 4096
 
 // segmentFor derives engine.segment from the budget and the machine's
 // workers, which run a group each side by side: a thirty-second of the
 // limit in trie nodes, shared among the workers, at least one and at
-// most defaultHugeFrontier; unbudgeted, defaultHugeFrontier. A
+// most unbudgetedSegment; unbudgeted, unbudgetedSegment. A
 // segment's leaves and a group's roots are then each a small share of
 // the budget, and what crowds it is left to the round's halving and to
 // relieve.
 func segmentFor(b *cluster.MemBudget, workers int) int {
 	if b.Limit() <= 0 {
-		return defaultHugeFrontier
+		return unbudgetedSegment
 	}
-	return int(max(1, min(b.Limit()/(32*trieNodeBytes*int64(workers)), defaultHugeFrontier)))
+	return int(max(1, min(b.Limit()/(32*trieNodeBytes*int64(workers)), unbudgetedSegment)))
 }
 
 // run is the in-process coordinator: it runs every machine at once and

@@ -147,8 +147,7 @@ func engineResult(trace *obs.Trace, start time.Time, res *Result, err error) (en
 	prof.Steals = res.StolenGroups
 	prof.Machines = res.Machines
 	prof.Kernels = res.Kernels.Map()
-	out := eng.Result{Seconds: elapsed.Seconds(), OOM: oom, PeakMemBytes: res.PeakMemBytes,
-		FrontierSplits: res.FrontierSplits, Profile: prof}
+	out := eng.Result{Seconds: elapsed.Seconds(), OOM: oom, PeakMemBytes: res.PeakMemBytes, Profile: prof}
 	if !oom {
 		out.Total, out.TreeNodes = res.Total, res.TreeNodes
 	}

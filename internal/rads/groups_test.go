@@ -1,11 +1,15 @@
 package rads
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"rads/internal/cluster"
 	"rads/internal/gen"
@@ -253,7 +257,7 @@ func TestChunkGroups(t *testing.T) {
 }
 
 func TestGroupQueueConcurrency(t *testing.T) {
-	q := newGroupQueue()
+	q := new(groupQueue)
 	q.Fill([][]graph.VertexID{{1}, {2}, {3}, {4}})
 	if q.Len() != 4 {
 		t.Fatalf("Len = %d", q.Len())
@@ -389,10 +393,10 @@ func mustPartition(t *testing.T, g *graph.Graph, m int) *partition.Partition {
 
 // TestStolenGroupsRunOnWorkerPool drives work stealing by hand through
 // the daemon handler: machines 0 and 1 form their region groups (one per
-// candidate, no SM-E) but never run them, so machines 2 and 3 — which
-// run their own groups and then steal, also from each other — must take
-// every one of them via checkR/shareR and chew them on their worker
-// pools. The fold of all four machines must match the oracle.
+// candidate, no SM-E) but never run them, so machines 2 and 3 — whose
+// pool workers run their own groups and then steal, also from each
+// other — must take every one of them via checkR/shareR. The fold of
+// all four machines must match the oracle.
 func TestStolenGroupsRunOnWorkerPool(t *testing.T) {
 	g := gen.Community(5, 10, 0.35, 23)
 	part := partition.KWay(g, 4, 7)
@@ -418,9 +422,7 @@ func TestStolenGroupsRunOnWorkerPool(t *testing.T) {
 		wg.Add(1)
 		go func(m *machine) {
 			defer wg.Done()
-			if errs[m.id] = m.processGroups(); errs[m.id] == nil {
-				errs[m.id] = m.stealPhase()
-			}
+			errs[m.id] = m.processGroups()
 		}(m)
 	}
 	wg.Wait()
@@ -440,5 +442,61 @@ func TestStolenGroupsRunOnWorkerPool(t *testing.T) {
 	}
 	if want := oracleCount(g, q); res.Total != want {
 		t.Errorf("Total = %d, oracle %d", res.Total, want)
+	}
+}
+
+// losingThief is a transport on which every other machine always
+// reports an unprocessed group and every shareR loses its race for it,
+// so a thief's checkR/shareR loop never finds the cluster drained.
+type losingThief struct{ checks atomic.Int64 }
+
+func (*losingThief) Register(int, cluster.Handler) {}
+func (*losingThief) Close() error                  { return nil }
+
+func (tr *losingThief) Call(from, to int, req cluster.Message) (cluster.Message, error) {
+	switch req.(type) {
+	case *cluster.CheckRRequest:
+		tr.checks.Add(1)
+		return &cluster.CheckRResponse{Unprocessed: 1}, nil
+	case *cluster.ShareRRequest:
+		return &cluster.ShareRResponse{OK: false}, nil
+	}
+	return nil, fmt.Errorf("unexpected %T", req)
+}
+
+// TestStealLoopEndsOnCancel runs a machine with no groups of its own on
+// a cluster that never drains: its pool workers go straight to stealing
+// and poll forever, until the context is cancelled, which must end
+// processGroups with context.Canceled within a second.
+func TestStealLoopEndsOnCancel(t *testing.T) {
+	g := gen.Community(3, 8, 0.4, 5)
+	part := partition.KWay(g, 3, 7)
+	p := pattern.Triangle()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	tr := new(losingThief)
+	e, err := newEngine(part, p, p.SymmetryBreaking(), Config{Context: ctx, Transport: tr, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := newMachine(e, 0)
+	done := make(chan error, 1)
+	go func() { done <- m.processGroups() }()
+
+	for tr.checks.Load() < 100 {
+		select {
+		case err := <-done:
+			t.Fatalf("processGroups returned %v before the cancel; the cluster never drains", err)
+		case <-time.After(time.Millisecond):
+		}
+	}
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("processGroups = %v, want context.Canceled", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("processGroups still stealing a second after the cancel")
 	}
 }

@@ -20,8 +20,9 @@ import (
 // groups, and steals work when idle, while the Machine hosting it
 // (daemon.go) answers the other machines' requests. Within the machine,
 // SM-E candidates and region groups fan out across a bounded pool of
-// engine.workers() goroutines; each pool worker owns one reusable
-// enumerator and each running region group (or split shard) its own
+// engine.workers() goroutines; the region group is the unit a pool
+// worker takes, from its own machine or by stealing. Each pool worker
+// owns one reusable enumerator and each running region group its own
 // groupState, so workers never contend on scratch state — only on the
 // group queue, the shared adjacency-cache view, the machine's list of
 // idle group states and the merge of commutative counters.
@@ -29,10 +30,10 @@ type machine struct {
 	e  *engine
 	id int
 
-	// states holds the clean group states of finished groups and split
-	// shards for the next ones (takeState/keepState). It lives and dies
-	// with the machine, which serves one query: a process-wide pool
-	// would keep every state's largest working set across queries.
+	// states holds the clean group states of finished groups for the
+	// next ones (takeState/keepState). It lives and dies with the
+	// machine, which serves one query: a process-wide pool would keep
+	// every state's largest working set across queries.
 	statesMu sync.Mutex
 	states   []*groupState
 
@@ -47,7 +48,8 @@ type machine struct {
 	queue *groupQueue // unprocessed region groups (shared with daemon)
 
 	// Results: region groups merge their counters in under mu as they
-	// complete, the SM-E worker shards at the SM-E barrier.
+	// complete, the SM-E worker shards at the SM-E barrier; stealing
+	// workers count their groups under it.
 	mu sync.Mutex
 	Counters
 	elapsed time.Duration
@@ -90,7 +92,7 @@ func newMachine(e *engine, id int) *machine {
 		e:     e,
 		id:    id,
 		view:  newView(e, id),
-		queue: newGroupQueue(),
+		queue: new(groupQueue),
 	}
 }
 
@@ -185,22 +187,9 @@ func (m *machine) run() (err error) {
 	m.queue.Fill(groups)
 	grpSp.End()
 
-	// Process own groups across the worker pool; the daemon may give
-	// some of them away concurrently via shareR.
-	if err := m.processGroups(); err != nil {
-		return err
-	}
-
-	// Work stealing (Section 3.1 checkR/shareR).
-	if !m.e.cfg.DisableLoadBalancing {
-		stealSp := m.e.cfg.Trace.Start("execute/steal", m.id, -1)
-		err := m.stealPhase()
-		stealSp.End()
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	// Process own groups, then stolen ones, across the worker pool; the
+	// daemon may give some of the own ones away concurrently via shareR.
+	return m.processGroups()
 }
 
 // splitCandidates returns this machine's candidates of the starting
@@ -231,12 +220,12 @@ func (m *machine) splitCandidates() (c1, c2 []graph.VertexID) {
 	return c1, c2
 }
 
-// processGroups drains the machine's group queue with engine.workers()
-// pool workers. The pool is a barrier: all workers finish (queue empty
-// or error) before the machine moves on. The first failure (context
-// cancellation, ErrOutOfMemory, transport death) flips an abort flag
-// so sibling workers stop before popping further groups — the prompt
-// abort the sequential loop had.
+// processGroups runs region groups on engine.workers() pool workers
+// until none is left anywhere: each worker pops its machine's queue and,
+// once that is empty and stealing is on, steals groups from the other
+// machines one at a time (steal). The first failure (context
+// cancellation, ErrOutOfMemory, transport death) flips an abort flag so
+// sibling workers stop before taking further groups.
 func (m *machine) processGroups() error {
 	workers := m.e.workers()
 	var wg sync.WaitGroup
@@ -247,16 +236,14 @@ func (m *machine) processGroups() error {
 		go func(w int) {
 			defer wg.Done()
 			for !aborted.Load() {
-				if err := m.e.checkCtx(); err != nil {
-					errs[w] = err
-					aborted.Store(true)
+				g, err := m.nextGroup(w, &aborted)
+				if err == nil && g == nil {
 					return
 				}
-				g, ok := m.queue.Pop()
-				if !ok {
-					return
+				if err == nil {
+					err = m.processGroup(g, w)
 				}
-				if err := m.processGroup(g, w); err != nil {
+				if err != nil {
 					errs[w] = err
 					aborted.Store(true)
 					return
@@ -271,6 +258,66 @@ func (m *machine) processGroups() error {
 		}
 	}
 	return nil
+}
+
+// nextGroup returns worker w's next region group: one of its machine's
+// own, else, with stealing on, one stolen from another machine; nil when
+// there is none left.
+func (m *machine) nextGroup(w int, aborted *atomic.Bool) ([]graph.VertexID, error) {
+	if err := m.e.checkCtx(); err != nil {
+		return nil, err
+	}
+	if g, ok := m.queue.Pop(); ok {
+		return g, nil
+	}
+	if m.e.cfg.DisableLoadBalancing {
+		return nil, nil
+	}
+	return m.steal(w, aborted)
+}
+
+// steal is the load balancer (Section 3.1 checkR/shareR), run by a pool
+// worker whose machine's queue is empty: broadcast checkR, take a group
+// from the most loaded machine via shareR, and poll again when another
+// thief won the race for it. It returns nil once every other machine
+// reports zero unprocessed groups, or once a sibling worker has failed.
+// A worker takes one group per steal, so an idle machine never hoards
+// groups a second thief could take.
+func (m *machine) steal(w int, aborted *atomic.Bool) ([]graph.VertexID, error) {
+	sp := m.e.cfg.Trace.Start("execute/steal", m.id, w)
+	defer sp.End()
+	for !aborted.Load() {
+		if err := m.e.checkCtx(); err != nil {
+			return nil, err
+		}
+		bestMachine, bestLoad := -1, 0
+		for t := 0; t < m.e.part.M; t++ {
+			if t == m.id {
+				continue
+			}
+			resp, err := m.e.tr.Call(m.id, t, &cluster.CheckRRequest{})
+			if err != nil {
+				return nil, fmt.Errorf("checkR to %d: %w", t, err)
+			}
+			if n := resp.(*cluster.CheckRResponse).Unprocessed; n > bestLoad {
+				bestMachine, bestLoad = t, n
+			}
+		}
+		if bestMachine < 0 {
+			return nil, nil // cluster drained
+		}
+		resp, err := m.e.tr.Call(m.id, bestMachine, &cluster.ShareRRequest{})
+		if err != nil {
+			return nil, fmt.Errorf("shareR to %d: %w", bestMachine, err)
+		}
+		if sr := resp.(*cluster.ShareRResponse); sr.OK {
+			m.mu.Lock()
+			m.groupsStolen++
+			m.mu.Unlock()
+			return sr.Group, nil
+		}
+	}
+	return nil, nil
 }
 
 // runSME enumerates every C1 candidate with the single-machine
@@ -330,97 +377,6 @@ func (m *machine) runSME(c1 []graph.VertexID) error {
 			return errs[w]
 		}
 		m.merge(&shards[w])
-	}
-	return nil
-}
-
-// stealPhase implements the load balancer (Section 3.1 checkR/shareR):
-// one stealer goroutine polls the cluster — broadcast checkR, steal a
-// group from the most loaded machine via shareR, repeat until every
-// machine reports zero — and hands each stolen group to the machine's
-// worker pool, so a thief chews stolen groups with the same
-// intra-machine parallelism as its own instead of sequentially on the
-// machine thread. The stealer stays one group ahead of the pool
-// (unbuffered hand-off), so an idle machine never hoards groups a
-// second thief could take.
-func (m *machine) stealPhase() error {
-	workers := m.e.workers()
-	stolen := make(chan []graph.VertexID)
-	var wg sync.WaitGroup
-	var aborted atomic.Bool
-	errs := make([]error, workers+1)
-
-	wg.Add(1)
-	go func() { // stealer
-		defer wg.Done()
-		defer close(stolen)
-		fail := func(err error) {
-			errs[workers] = err
-			aborted.Store(true)
-		}
-		for !aborted.Load() {
-			if err := m.e.checkCtx(); err != nil {
-				fail(err)
-				return
-			}
-			bestMachine, bestLoad := -1, 0
-			for t := 0; t < m.e.part.M; t++ {
-				if t == m.id {
-					continue
-				}
-				resp, err := m.e.tr.Call(m.id, t, &cluster.CheckRRequest{})
-				if err != nil {
-					fail(fmt.Errorf("checkR to %d: %w", t, err))
-					return
-				}
-				if n := resp.(*cluster.CheckRResponse).Unprocessed; n > bestLoad {
-					bestMachine, bestLoad = t, n
-				}
-			}
-			if bestMachine < 0 {
-				return // cluster drained
-			}
-			resp, err := m.e.tr.Call(m.id, bestMachine, &cluster.ShareRRequest{})
-			if err != nil {
-				fail(fmt.Errorf("shareR to %d: %w", bestMachine, err))
-				return
-			}
-			sr := resp.(*cluster.ShareRResponse)
-			if !sr.OK {
-				continue // lost the race; re-check
-			}
-			m.groupsStolen++
-			stolen <- sr.Group
-		}
-	}()
-
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			// Keep draining after an abort so the stealer never blocks
-			// on a hand-off no worker will take.
-			for g := range stolen {
-				if aborted.Load() {
-					continue
-				}
-				if err := m.e.checkCtx(); err != nil {
-					errs[w] = err
-					aborted.Store(true)
-					continue
-				}
-				if err := m.processGroup(g, w); err != nil {
-					errs[w] = err
-					aborted.Store(true)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
 	}
 	return nil
 }
@@ -543,25 +499,19 @@ func chunkGroups(cands []graph.VertexID, size int) [][]graph.VertexID {
 // --- group queue (shared between the machine loop and its daemon) ---
 
 type groupQueue struct {
-	mu     chan struct{} // 1-buffered channel used as a mutex
+	mu     sync.Mutex
 	groups [][]graph.VertexID
 }
 
-func newGroupQueue() *groupQueue {
-	q := &groupQueue{mu: make(chan struct{}, 1)}
-	q.mu <- struct{}{}
-	return q
-}
-
 func (q *groupQueue) Fill(groups [][]graph.VertexID) {
-	<-q.mu
+	q.mu.Lock()
+	defer q.mu.Unlock()
 	q.groups = append(q.groups, groups...)
-	q.mu <- struct{}{}
 }
 
 func (q *groupQueue) Pop() ([]graph.VertexID, bool) {
-	<-q.mu
-	defer func() { q.mu <- struct{}{} }()
+	q.mu.Lock()
+	defer q.mu.Unlock()
 	if len(q.groups) == 0 {
 		return nil, false
 	}
@@ -571,8 +521,8 @@ func (q *groupQueue) Pop() ([]graph.VertexID, bool) {
 }
 
 func (q *groupQueue) Len() int {
-	<-q.mu
-	defer func() { q.mu <- struct{}{} }()
+	q.mu.Lock()
+	defer q.mu.Unlock()
 	return len(q.groups)
 }
 

@@ -3,7 +3,6 @@ package rads
 import (
 	"errors"
 	"math/rand"
-	"sort"
 	"sync"
 	"testing"
 
@@ -28,6 +27,24 @@ func runRADS(t *testing.T, g *graph.Graph, p *pattern.Pattern, m int, cfg Config
 		t.Fatalf("%s on %d machines: %v", p.Name, m, err)
 	}
 	return res
+}
+
+// runTuned is Run with adjust applied to the engine before its machines
+// are built: the in-package seam for the sizes a Config does not set.
+func runTuned(part *partition.Partition, p *pattern.Pattern, cfg Config, adjust func(*engine)) (*Result, error) {
+	e, err := newEngine(part, p, p.SymmetryBreaking(), cfg)
+	if err != nil {
+		return nil, err
+	}
+	adjust(e)
+	e.spawnMachines()
+	return e.run()
+}
+
+// runSegmented is Run with engine.segment at nodes, so small graphs
+// flush mid-round and form small region groups.
+func runSegmented(part *partition.Partition, p *pattern.Pattern, cfg Config, nodes int) (*Result, error) {
+	return runTuned(part, p, cfg, func(e *engine) { e.segment = nodes })
 }
 
 // runRADSSegmented is runRADS with engine.segment at nodes: region
@@ -291,49 +308,40 @@ func TestMemoryBudgetRegionGroupsSurvive(t *testing.T) {
 	}
 }
 
+// TestOnEmbeddingDeliversRealEmbeddings checks that a streaming run on
+// the default configuration delivers each embedding it counts exactly
+// once, and only real embeddings.
 func TestOnEmbeddingDeliversRealEmbeddings(t *testing.T) {
-	g := gen.Community(3, 10, 0.4, 31)
-	p := pattern.ByName("q2")
+	checkStreamingRun(t, gen.Community(3, 10, 0.4, 31), pattern.ByName("q2"), Config{})
+}
+
+// TestFrontierSplitStreaming checks exactly-once streaming when a
+// round's frontier is spread wide: every candidate through region groups
+// (no SM-E) on eight pool workers a machine that steal from each other,
+// so groups a machine's workers run side by side, and groups other
+// machines' workers stole, all emit full embeddings.
+func TestFrontierSplitStreaming(t *testing.T) {
+	checkStreamingRun(t, gen.Community(5, 14, 0.3, 31), pattern.ByName("q1"), Config{DisableSME: true, Workers: 8})
+}
+
+// checkStreamingRun runs p on g over three machines with an OnEmbedding
+// callback and checks the total and the streamed embeddings against the
+// oracle.
+func checkStreamingRun(t *testing.T, g *graph.Graph, p *pattern.Pattern, cfg Config) {
+	t.Helper()
 	var mu sync.Mutex
 	var got [][]graph.VertexID
-	res := runRADS(t, g, p, 3, Config{
-		OnEmbedding: func(machine int, f []graph.VertexID) {
-			mu.Lock()
-			got = append(got, append([]graph.VertexID(nil), f...))
-			mu.Unlock()
-		},
-	})
-	if int64(len(got)) != res.Total {
-		t.Fatalf("callback count %d != Total %d", len(got), res.Total)
+	cfg.OnEmbedding = func(machine int, f []graph.VertexID) {
+		mu.Lock()
+		got = append(got, append([]graph.VertexID(nil), f...))
+		mu.Unlock()
 	}
-	for _, f := range got {
-		for _, e := range p.Edges() {
-			if !g.HasEdge(f[e[0]], f[e[1]]) {
-				t.Fatalf("non-embedding %v reported", f)
-			}
-		}
+	res := runRADS(t, g, p, 3, cfg)
+	want := oracleCount(g, p)
+	if res.Total != want {
+		t.Errorf("%s workers=%d: Total = %d, oracle %d", p.Name, cfg.Workers, res.Total, want)
 	}
-	// All embeddings distinct.
-	sort.Slice(got, func(i, j int) bool {
-		for k := range got[i] {
-			if got[i][k] != got[j][k] {
-				return got[i][k] < got[j][k]
-			}
-		}
-		return false
-	})
-	for i := 1; i < len(got); i++ {
-		same := true
-		for k := range got[i] {
-			if got[i][k] != got[i-1][k] {
-				same = false
-				break
-			}
-		}
-		if same {
-			t.Fatalf("duplicate embedding %v", got[i])
-		}
-	}
+	checkStreamed(t, g, p, got, want)
 }
 
 func TestCompressionAccountingPresent(t *testing.T) {

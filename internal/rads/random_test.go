@@ -44,7 +44,7 @@ func TestRandomPatternsAgainstOracle(t *testing.T) {
 		part := partition.KWay(g, machines, rng.Int63())
 		want := localenum.Count(g, p, localenum.Options{})
 
-		cfg, segment := Config{}, defaultHugeFrontier
+		cfg, segment := Config{}, unbudgetedSegment
 		switch i % 4 {
 		case 1:
 			cfg.DisableSME = true

@@ -17,9 +17,10 @@ import (
 // the first run gave back, so past what its verifyE exchanges carry the
 // run allocates at most a small constant. A group that fails its budget
 // keeps its state out of the machine's reuse list, and the groups run
-// again at a sufficient budget — then across a worker pool that splits
-// every round, so pool goroutines and split shards take and give back
-// states at once — still count what the oracle counts.
+// again at a sufficient budget — then across a worker pool, whose
+// workers take and give back states at once — still count what the
+// oracle counts, and the pool reuses states too: a machine ends with at
+// least one state and no more than it has workers.
 func TestGroupStateReuse(t *testing.T) {
 	g := gen.PowerLaw(400, 8, 2.7, 100, 67)
 	part := partition.KWay(g, 3, 7)
@@ -67,9 +68,9 @@ func TestGroupStateReuse(t *testing.T) {
 				t.Fatalf("machine %d keeps a state that is not clean: %d trie nodes, %d pins, %d edges",
 					m.id, st.trie.NodeCount(), len(st.pinLog)+len(st.pullLog), st.evi.Len())
 			}
-			if st.Counters != (Counters{}) || st.chargedTrie != 0 || st.flushNodes != 0 || st.sub {
-				t.Fatalf("machine %d keeps a state that is not reset: counters %+v, charged %d, flushNodes %d, shard %v",
-					m.id, st.Counters, st.chargedTrie, st.flushNodes, st.sub)
+			if st.Counters != (Counters{}) || st.chargedTrie != 0 || st.flushNodes != 0 {
+				t.Fatalf("machine %d keeps a state that is not reset: counters %+v, charged %d, flushNodes %d",
+					m.id, st.Counters, st.chargedTrie, st.flushNodes)
 			}
 		}
 	}
@@ -123,18 +124,22 @@ func TestGroupStateReuse(t *testing.T) {
 		t.Errorf("after a failed group, counted %d, oracle %d", got, want)
 	}
 
-	e.cfg.Workers, e.hugeFrontier = 4, 2
+	e.cfg.Workers = 4
 	pooled := func(m *machine) error {
 		m.queue.Fill(groups[m.id])
 		return m.processGroups()
 	}
 	if got := count(pooled); got != want {
-		t.Errorf("four workers, every round split: counted %d, oracle %d", got, want)
+		t.Errorf("four workers: counted %d, oracle %d", got, want)
 	}
 	for _, m := range e.machines {
 		clean(m)
+		if len(m.states) == 0 || len(m.states) > e.cfg.Workers {
+			t.Errorf("machine %d: %d groups on %d workers left %d states, want 1 to one a worker",
+				m.id, len(groups[m.id]), e.cfg.Workers, len(m.states))
+		}
 	}
-	if splits := e.machines[0].FrontierSplits; splits == 0 {
-		t.Error("no round split; the pool's shards never took a state")
+	if len(groups[0]) <= e.cfg.Workers {
+		t.Errorf("machine 0 has %d groups for %d workers; the pool needs more to reuse a state", len(groups[0]), e.cfg.Workers)
 	}
 }

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"rads/internal/cluster"
 	"rads/internal/etrie"
@@ -20,9 +18,9 @@ const trieNodeBytes = etrie.NodeBytes
 // It also shards every counter the group mutates (Counters) —
 // concurrent groups on one machine's worker pool never touch shared
 // machine state until the merge at the end of processGroup. A machine
-// hands a finished group's state to its next group or split shard
-// (takeState/keepState), so the trie's slabs, the index and every
-// scratch list below keep the capacity one flush segment grew them to.
+// hands a finished group's state to its next group (takeState,
+// keepState), so the trie's slabs, the index and every scratch list
+// below keep the capacity one flush segment grew them to.
 type groupState struct {
 	trie *etrie.Trie
 	evi  *etrie.EVI
@@ -63,11 +61,6 @@ type groupState struct {
 	askEdges  [][]graph.Edge
 	next      [][]*etrie.Node
 
-	// Scratch of expandRoundParallel when this state coordinates a split.
-	guards []*etrie.Node
-	subs   []*groupState
-	errs   []error
-
 	// flushNodes bounds the number of EC leaves a flush segment may
 	// accumulate before verification and deeper rounds run for it.
 	// This is the reproduction's extension of the Section 6 memory
@@ -80,13 +73,8 @@ type groupState struct {
 	// batching.
 	flushNodes int
 
-	// sub marks a per-worker shard state of a split round
-	// (expandRoundParallel); shards never split again, so one group
-	// claims the pool at most once at a time.
-	sub bool
-
-	// Counters is the group's (or split shard's) result shard, merged
-	// into the machine (the group) when it completes.
+	// Counters is the group's result shard, merged into the machine
+	// when it completes.
 	Counters
 
 	chargedTrie int64 // budget bytes currently charged for the trie
@@ -133,10 +121,10 @@ func (m *machine) newGroupState() *groupState {
 	}
 }
 
-// takeState hands out a group state for one region group or split
-// shard: one a finished group or shard gave back, or a new one. Every
-// state of a machine is shaped by its one query — frame width, unit
-// count, machine count — so a reused state fits as it is.
+// takeState hands out a group state for one region group: one a
+// finished group gave back, or a new one. Every state of a machine is
+// shaped by its one query — frame width, unit count, machine count — so
+// a reused state fits as it is.
 func (m *machine) takeState() *groupState {
 	m.statesMu.Lock()
 	defer m.statesMu.Unlock()
@@ -151,15 +139,15 @@ func (m *machine) takeState() *groupState {
 }
 
 // keepState gives st back for reuse if it is clean — an empty trie, no
-// view pins, an empty index — as every group and shard that completes
-// leaves it; a state an error left otherwise is dropped. The caller has
-// released st's budget charge and merged its counters.
+// view pins, an empty index — as every group that completes leaves it;
+// a state an error left otherwise is dropped. The caller has released
+// st's budget charge and merged its counters.
 func (m *machine) keepState(st *groupState) {
 	if st.trie.NodeCount() != 0 || len(st.pinLog)+len(st.pullLog) != 0 || st.evi.Len() != 0 {
 		return
 	}
 	st.Counters = Counters{}
-	st.chargedTrie, st.flushNodes, st.sub = 0, 0, false
+	st.chargedTrie, st.flushNodes = 0, 0
 	m.statesMu.Lock()
 	m.states = append(m.states, st)
 	m.statesMu.Unlock()
@@ -345,135 +333,12 @@ func (m *machine) runRounds(st *groupState, round int, frontier []*etrie.Node) e
 	if err != nil {
 		return err
 	}
-	// Huge-group frontier parallelism: a hub-seeded group can hold most
-	// of a machine's work in one frontier, serialising the machine on
-	// the single pool worker that owns the group. Past the threshold the
-	// frontier is sharded across the pool; the shards resolve their
-	// subtrees completely (expand, verify, descend), so on return the
-	// round — and everything below it — is done.
-	if !st.sub && len(frontier) >= e.hugeFrontier && e.workers() > 1 {
-		return m.expandRoundParallel(st, round, frontier)
-	}
 	if err := m.expandRound(st, round, frontier); err != nil {
 		return err
 	}
 	// End-of-round flush: verify and filter whatever the expansion
 	// produced since the last mid-round flush, then descend.
 	return m.flushSegment(st, round)
-}
-
-// expandRoundParallel expands one huge frontier across the machine's
-// worker pool. Each worker owns a shard groupState, taken from the
-// machine — its own trie, EVI, embedding frame, scratch and counter
-// shards — and claims disjoint frontier chunks from an atomic cursor,
-// so workers share only the view (mutex-guarded), the budget
-// (mutex-guarded) and the transport. Chunks run the unchanged
-// sequential machinery (expandRound + flushSegment), which resolves
-// each chunk's entire subtree down to emitted results before the next
-// chunk is claimed.
-//
-// Trie safety: a worker's nodes come from its own trie's slabs and
-// reach the coordinator's nodes only through Parent, so a worker
-// linking children under a frontier node F touches only F's child
-// counter — and disjoint chunks make F worker-exclusive. Shared
-// ancestors of the frontier are protected by guard pins: the
-// coordinator pins every frontier node before the fan-out, so a
-// worker-side removal cascade stops at F (its counter never reaches
-// zero) and cannot cross into nodes another worker can see; each
-// worker removes, and so recycles, only nodes its own trie created.
-// After the barrier the coordinator drops the guards single-threaded,
-// which removes frontier nodes whose whole subtree resolved — the same
-// semantics expandRound's per-parent Unpin gives the sequential path.
-func (m *machine) expandRoundParallel(st *groupState, round int, frontier []*etrie.Node) error {
-	e := m.e
-	sp := e.cfg.Trace.Start("execute/splitRound", m.id, -1)
-	defer sp.End()
-	st.FrontierSplits++
-
-	guards := st.guards[:0]
-	for _, n := range frontier {
-		if n.Dead() {
-			continue
-		}
-		st.trie.Pin(n)
-		guards = append(guards, n)
-	}
-	st.guards = guards
-
-	workers := e.workers()
-	// Small chunks load-balance the skew this path exists for (one hub
-	// parent can dwarf a thousand ordinary ones), but each chunk pays a
-	// flush; 8 claims per worker keeps both costs marginal.
-	chunk := len(guards) / (workers * 8)
-	if chunk < 1 {
-		chunk = 1
-	}
-
-	subs := slices.Grow(st.subs[:0], workers)[:workers]
-	errs := slices.Grow(st.errs[:0], workers)[:workers]
-	st.subs, st.errs = subs, errs
-	var cursor atomic.Int64
-	var aborted atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		sub := m.takeState()
-		sub.flushNodes, sub.sub = st.flushNodes, true
-		subs[w] = sub
-		wg.Add(1)
-		go func(w int, sub *groupState) {
-			defer wg.Done()
-			for !aborted.Load() {
-				lo := int(cursor.Add(int64(chunk))) - chunk
-				if lo >= len(guards) {
-					return
-				}
-				hi := lo + chunk
-				if hi > len(guards) {
-					hi = len(guards)
-				}
-				if err := e.checkCtx(); err != nil {
-					errs[w] = err
-					aborted.Store(true)
-					return
-				}
-				if err := m.expandRound(sub, round, guards[lo:hi]); err != nil {
-					errs[w] = err
-					aborted.Store(true)
-					return
-				}
-				if err := m.flushSegment(sub, round); err != nil {
-					errs[w] = err
-					aborted.Store(true)
-					return
-				}
-			}
-		}(w, sub)
-	}
-	wg.Wait()
-
-	var firstErr error
-	for w, sub := range subs {
-		// Release shard charges and any pins an error path left behind,
-		// then merge the shard counters into the group (also on failure,
-		// so partial work stays accounted).
-		e.cfg.Budget.Release(m.id, sub.chargedTrie)
-		sub.chargedTrie = 0
-		sub.unpinTo(0, 0)
-		st.merge(&sub.Counters)
-		m.keepState(sub)
-		if errs[w] != nil && firstErr == nil {
-			firstErr = errs[w]
-		}
-	}
-	clear(subs) // the shards' states are the machine's again
-	clear(errs)
-	for _, n := range guards {
-		st.trie.Unpin(n)
-	}
-	if firstErr != nil {
-		return firstErr
-	}
-	return m.chargeTrie(st)
 }
 
 // flushSegment closes the current segment of round `round`: it

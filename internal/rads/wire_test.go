@@ -34,7 +34,7 @@ func TestControlPlaneKindsSurviveTCP(t *testing.T) {
 			&rads.RunQueryResponse{
 				Counters: rads.Counters{
 					SME: 1, Distributed: 2, SMENodes: 3, DistNodes: 4,
-					ELBytesCum: 5, ETBytesCum: 6, ELBytesPeak: 7, ETBytesPeak: 8, FrontierSplits: 1,
+					ELBytesCum: 5, ETBytesCum: 6, ELBytesPeak: 7, ETBytesPeak: 8,
 					VerifyEdges: 17, PulledLists: 18, PulledEdges: 19,
 					Kernels: graph.KernelTally{Merge: 14, Gallop: 15, KWay: 16},
 				},

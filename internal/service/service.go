@@ -98,7 +98,7 @@ type Config struct {
 	// of every query slower than SlowQuery (radserve logs these).
 	OnSlowQuery func(*obs.Profile)
 	// Events, when set, receives the service's journal entries (slow
-	// queries, frontier splits); nil records nothing (obs.EventLog is
+	// queries); nil records nothing (obs.EventLog is
 	// nil-tolerant).
 	Events *obs.EventLog
 }
@@ -180,9 +180,6 @@ type Service struct {
 	cacheMisses atomic.Int64
 	engineRuns  atomic.Int64
 	treeNodes   atomic.Int64
-	// frontierSplits accumulates FrontierSplits across runs — how often
-	// the huge-group frontier parallelism actually fired.
-	frontierSplits atomic.Int64
 }
 
 // Open loads g into a new Service: partitions it across cfg.Machines
@@ -257,9 +254,6 @@ func (s *Service) initObs() {
 	reg.CounterFunc("rads_tree_nodes_total",
 		"Successful partial matches (search-tree nodes) across all runs.",
 		s.treeNodes.Load)
-	reg.CounterFunc("rads_frontier_splits_total",
-		"R-Meef rounds whose region-group frontier was expanded across the worker pool.",
-		s.frontierSplits.Load)
 	reg.GaugeFunc("rads_queries_running",
 		"Queries currently executing.", func() float64 {
 			return float64(s.gate.Running())
@@ -539,11 +533,6 @@ func (s *Service) serve(ctx context.Context, h *Handle, e engine.Engine, key str
 	s.recordProfile(prof, elapsed)
 
 	s.treeNodes.Add(res.TreeNodes)
-	s.frontierSplits.Add(res.FrontierSplits)
-	if res.FrontierSplits > 0 {
-		s.cfg.Events.Recordf("frontier_split", -1,
-			"query %d (%s): %d huge-group frontier splits", h.id, h.query.Pattern.Name, res.FrontierSplits)
-	}
 	out := Result{
 		Pattern:   h.query.Pattern.Name,
 		Canonical: key,
@@ -638,10 +627,6 @@ type Stats struct {
 	// run that reported them — the service-level throughput numerator
 	// (tree-nodes/sec against UptimeSec).
 	TreeNodesTotal int64 `json:"tree_nodes_total"`
-	// FrontierSplits accumulates R-Meef rounds expanded across the
-	// worker pool because a region group's frontier reached RADS's
-	// huge-frontier threshold.
-	FrontierSplits int64 `json:"frontier_splits"`
 
 	// Prepared-artifact cache (the generalization of the old RADS-only
 	// plan catalog): entries across all engines plus accounted bytes.
@@ -676,7 +661,6 @@ func (s *Service) Stats() Stats {
 		CacheHits:      s.cacheHits.Load(),
 		CacheMisses:    s.cacheMisses.Load(),
 		TreeNodesTotal: s.treeNodes.Load(),
-		FrontierSplits: s.frontierSplits.Load(),
 		CommBytes:      s.commBytes.Load(),
 		CommMessages:   s.commMessages.Load(),
 		CommByKind:     make(map[string]int64),
