@@ -7,19 +7,30 @@
 // k-vertex subgraph is visited exactly once by growing from its
 // minimum-id root through an extension set restricted to ids greater
 // than the root and to exclusive neighbours of the current subgraph.
-// Classification goes through pattern.CanonicalKey — the same labeling
-// that keys the query service's result cache — so census classes and
-// cached motif queries share one vocabulary. Keys are computed at most
-// once per *labeled* adjacency mask (a memo keyed by the packed lower
-// triangle), never per enumerated subgraph.
+// Each worker keeps one byte per vertex, nbr: bit i of nbr[x] is set
+// iff x is adjacent to the i-th vertex of the current subgraph. The
+// bits are set while a new vertex's adjacency list is walked to grow
+// the extension set, and cleared by a second walk on the way back. So
+// nbr[u] == 0 for u above the root is ESU's exclusivity test, and a
+// candidate's induced adjacency to the subgraph is the single load
+// nbr[w] — no edge probe. At the last level a parent looks up its
+// count row (keyed by its own packed adjacency mask) once, and each
+// candidate adds one to the row's slot for its nbr byte, so no map is
+// written per subgraph. Classification goes through
+// pattern.CanonicalKey — the same labeling that keys the query
+// service's result cache — so census classes and cached motif queries
+// share one vocabulary. Keys are computed at most once per *labeled*
+// adjacency mask (a memo keyed by the packed lower triangle, kept for
+// one run), never per enumerated subgraph.
 //
 // Parallelism follows "Shared Memory Parallel Subgraph Enumeration":
 // root vertices are the independent work units, claimed by a worker
 // pool in contiguous ranges through an atomic cursor. Workers keep
-// mask-keyed local counts and fold them into the shared tally at range
-// boundaries, where cancellation is also checked and progress
-// reported. A census runs on any graph — the synthetic analogs and
-// ingested datasets alike.
+// their count rows across ranges and fold them into the shared tally
+// at range boundaries, where progress is reported; inside a range
+// they poll for cancellation every stopCheckMask+1 subgraphs. A census
+// runs on any graph — the synthetic analogs and ingested datasets
+// alike.
 package census
 
 import (
@@ -207,10 +218,10 @@ func Run(ctx context.Context, g *graph.Graph, cfg Config) (*Result, error) {
 				}
 				done := int64(0)
 				for v := lo; v < hi; v++ {
+					e.enumerateRoot(graph.VertexID(v))
 					if e.aborted() {
 						break
 					}
-					e.enumerateRoot(graph.VertexID(v))
 					done++
 				}
 				st.merge(e, done)
@@ -261,16 +272,17 @@ func (st *state) elapsed() time.Duration { return time.Since(st.start) }
 // fires the progress/checkpoint callbacks (rate-limited). Called at
 // every chunk boundary — the cancellation points of the run.
 func (st *state) merge(e *enumerator, rootsDone int64) {
-	if len(e.local) > 0 {
-		st.mu.Lock()
-		for m, c := range e.local {
-			st.masks[m] += c
-		}
-		st.mu.Unlock()
-		for m := range e.local {
-			delete(e.local, m)
+	base := uint32((e.k - 1) * (e.k - 2) / 2)
+	st.mu.Lock()
+	for parent, row := range e.rows {
+		for b, c := range row {
+			if c != 0 {
+				st.masks[parent|uint32(b)<<base] += c
+				row[b] = 0
+			}
 		}
 	}
+	st.mu.Unlock()
 	st.verticesDone.Add(rootsDone)
 	st.subgraphsSeen.Add(e.seenDelta)
 	e.seenDelta = 0
@@ -373,19 +385,18 @@ type enumerator struct {
 	st *state
 
 	root graph.VertexID
-	sub  []graph.VertexID // current subgraph vertices, sub[0] = root
-	// masks[d] packs the induced adjacency of sub[:d+1]: bit
-	// j*(j-1)/2 + i set iff sub[i]~sub[j] (i < j).
+	// nbr[x] has bit i set iff x is adjacent to the subgraph's vertex
+	// at depth i; nbr[u] == 0 && u > root is ESU's exclusivity test.
+	nbr []uint8
+	// masks[d] packs the induced adjacency of the subgraph's first d+1
+	// vertices: bit j*(j-1)/2 + i set iff vertex i ~ vertex j (i < j).
 	masks []uint32
-	// marked flags Vsub ∪ N(Vsub) — the ESU exclusion set. undo[d]
-	// lists vertices marked when sub reached depth d, unmarked on
-	// backtrack.
-	marked []bool
-	undo   [][]graph.VertexID
 	// ext[d] is the extension set at depth d.
 	ext [][]graph.VertexID
-
-	local     map[uint32]int64 // chunk-local mask counts
+	// rows holds the chunk-local counts: rows[m][b] counts the
+	// subgraphs whose first k-1 vertices pack to mask m and whose last
+	// vertex has nbr byte b.
+	rows      map[uint32][]int64
 	seenDelta int64
 	seenTick  int64
 	lastPulse time.Time
@@ -393,29 +404,39 @@ type enumerator struct {
 }
 
 func newEnumerator(g *graph.Graph, k int, st *state) *enumerator {
-	e := &enumerator{
-		g:      g,
-		k:      k,
-		st:     st,
-		sub:    make([]graph.VertexID, 0, k),
-		masks:  make([]uint32, k),
-		marked: make([]bool, g.NumVertices()),
-		undo:   make([][]graph.VertexID, k),
-		ext:    make([][]graph.VertexID, k),
-		local:  make(map[uint32]int64),
+	return &enumerator{
+		g:     g,
+		k:     k,
+		st:    st,
+		nbr:   make([]uint8, g.NumVertices()),
+		masks: make([]uint32, k),
+		ext:   make([][]graph.VertexID, k),
+		rows:  make(map[uint32][]int64),
 	}
-	return e
+}
+
+// row returns the count row of the last-level parent whose packed
+// mask is parent, allocated on the worker's first visit to that mask.
+func (e *enumerator) row(parent uint32) []int64 {
+	r := e.rows[parent]
+	if r == nil {
+		r = make([]int64, 1<<(e.k-1))
+		e.rows[parent] = r
+	}
+	return r
 }
 
 // aborted reports whether this worker has observed cancellation.
 func (e *enumerator) aborted() bool { return e.stopped }
 
-// emit records one completed subgraph whose packed adjacency is mask.
-func (e *enumerator) emit(mask uint32) {
-	e.local[mask]++
-	e.seenDelta++
-	e.seenTick++
-	if e.seenTick&stopCheckMask == 0 {
+// count records n completed subgraphs. Whenever the running tick
+// crosses a multiple of stopCheckMask+1 it polls the stop flag and
+// pulses progress.
+func (e *enumerator) count(n int64) {
+	e.seenDelta += n
+	before := e.seenTick
+	e.seenTick += n
+	if before&^stopCheckMask != e.seenTick&^stopCheckMask {
 		if e.st.stop.Load() {
 			e.stopped = true
 			return
@@ -443,88 +464,65 @@ func (e *enumerator) pulse() {
 }
 
 // enumerateRoot runs ESU from root v: every connected k-subgraph whose
-// minimum vertex is v is emitted exactly once.
+// minimum vertex is v is counted exactly once.
 func (e *enumerator) enumerateRoot(v graph.VertexID) {
 	if e.k == 1 {
-		e.emit(0)
+		e.row(0)[0]++
+		e.count(1)
 		return
 	}
 	e.root = v
-	e.sub = append(e.sub[:0], v)
 	e.masks[0] = 0
-	// Exclusion set starts as {v} ∪ N(v); the initial extension is
-	// every neighbour beyond the root.
-	und := e.undo[0][:0]
-	e.marked[v] = true
-	und = append(und, v)
+	// The initial extension is every neighbour beyond the root.
+	adj := e.g.Adj(v)
 	ext := e.ext[0][:0]
-	for _, u := range e.g.Adj(v) {
-		e.marked[u] = true
-		und = append(und, u)
+	for _, u := range adj {
+		e.nbr[u] = 1
 		if u > v {
 			ext = append(ext, u)
 		}
 	}
-	e.undo[0] = und
 	e.ext[0] = ext
-	e.extend(ext)
-	for _, u := range e.undo[0] {
-		e.marked[u] = false
+	e.extend(1, ext)
+	for _, u := range adj {
+		e.nbr[u] = 0
 	}
 }
 
-// extend is the ESU recursion: grow sub by one vertex from ext, where
-// ext holds only exclusive neighbours (> root) of the current sub.
-func (e *enumerator) extend(ext []graph.VertexID) {
-	d := len(e.sub) // depth of the vertex being added
+// extend is the ESU recursion: grow the depth-d subgraph by one vertex
+// from ext, where ext holds only exclusive neighbours (> root) of it.
+func (e *enumerator) extend(d int, ext []graph.VertexID) {
 	mask := e.masks[d-1]
 	base := uint32(d * (d - 1) / 2)
 	if d == e.k-1 {
-		// Last level: classify without materializing the recursion.
+		// Last level: count each candidate by its induced adjacency.
+		row := e.row(mask)
 		for _, w := range ext {
-			wm := mask
-			for i, s := range e.sub {
-				if e.g.HasEdge(w, s) {
-					wm |= 1 << (base + uint32(i))
-				}
-			}
-			e.emit(wm)
+			row[e.nbr[w]]++
 		}
+		e.count(int64(len(ext)))
 		return
 	}
+	bit := uint8(1) << d
 	for idx, w := range ext {
 		if e.stopped {
 			return
 		}
-		wm := mask
-		for i, s := range e.sub {
-			if e.g.HasEdge(w, s) {
-				wm |= 1 << (base + uint32(i))
+		e.masks[d] = mask | uint32(e.nbr[w])<<base
+		// ext' = remaining ext ∪ exclusive neighbours of w beyond the
+		// root; every neighbour of w takes bit d for the subtree.
+		adj := e.g.Adj(w)
+		nxt := append(e.ext[d][:0], ext[idx+1:]...)
+		for _, u := range adj {
+			if e.nbr[u] == 0 && u > e.root {
+				nxt = append(nxt, u)
 			}
+			e.nbr[u] |= bit
 		}
-		// ext' = remaining ext ∪ exclusive unseen neighbours of w
-		// beyond the root; every newly seen neighbour (any id) joins
-		// the exclusion set for the subtree under w.
-		nxt := e.ext[d][:0]
-		nxt = append(nxt, ext[idx+1:]...)
-		und := e.undo[d][:0]
-		for _, u := range e.g.Adj(w) {
-			if !e.marked[u] {
-				e.marked[u] = true
-				und = append(und, u)
-				if u > e.root {
-					nxt = append(nxt, u)
-				}
-			}
-		}
-		e.undo[d] = und
 		e.ext[d] = nxt
-		e.sub = append(e.sub, w)
-		e.masks[d] = wm
-		e.extend(nxt)
-		e.sub = e.sub[:d]
-		for _, u := range und {
-			e.marked[u] = false
+		e.extend(d+1, nxt)
+		for _, u := range adj {
+			e.nbr[u] &^= bit
 		}
 	}
 }

@@ -31,6 +31,9 @@ func loadKarate(t testing.TB) *graph.Graph {
 // TestESUMatchesBruteForce is the Kavosh-style parity check from the
 // motif literature: on small random graphs, ESU must produce exactly
 // the histogram of the exhaustive all-combinations oracle, for every k.
+// The dense 11-vertex graphs hold subgraphs of every size up to MaxK,
+// the only size whose last vertex uses the top bit of a worker's
+// adjacency byte.
 func TestESUMatchesBruteForce(t *testing.T) {
 	graphs := []struct {
 		name string
@@ -38,6 +41,9 @@ func TestESUMatchesBruteForce(t *testing.T) {
 	}{
 		{"er12", gen.ErdosRenyi(12, 0.25, 1)},
 		{"er10dense", gen.ErdosRenyi(10, 0.5, 2)},
+		{"er11p40", gen.ErdosRenyi(11, 0.4, 40)},
+		{"er11p55", gen.ErdosRenyi(11, 0.55, 41)},
+		{"er11p70", gen.ErdosRenyi(11, 0.7, 42)},
 		{"community", gen.Community(3, 5, 0.4, 3)},
 		{"grid", gen.Grid(4, 3)},
 		{"star+path", graph.FromEdges(8, []graph.Edge{
@@ -45,7 +51,7 @@ func TestESUMatchesBruteForce(t *testing.T) {
 		})},
 	}
 	for _, tc := range graphs {
-		for k := 1; k <= 5; k++ {
+		for k := 1; k <= MaxK; k++ {
 			res, err := Run(context.Background(), tc.g, Config{K: k, Workers: 3, ChunkVertices: 2})
 			if err != nil {
 				t.Fatalf("%s k=%d: %v", tc.name, k, err)
@@ -155,6 +161,58 @@ func TestCancellationReturnsPartial(t *testing.T) {
 	}
 	if res.Subgraphs != res.Histogram.Total() {
 		t.Errorf("partial subgraphs %d != histogram total %d", res.Subgraphs, res.Histogram.Total())
+	}
+}
+
+// TestCancellationInsideHubRoot cancels while one worker is deep inside
+// a single root: the hub of a 3 000-leaf star roots C(3000,3) ≈ 4.5·10⁹
+// 4-subgraphs, so only the stop poll inside the enumeration (not the
+// one at chunk boundaries) can end the run promptly.
+func TestCancellationInsideHubRoot(t *testing.T) {
+	const leaves = 3000
+	edges := make([]graph.Edge, leaves)
+	for i := range edges {
+		edges[i] = graph.Edge{U: 0, V: graph.VertexID(i + 1)}
+	}
+	g := graph.FromEdges(leaves+1, edges)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	time.AfterFunc(50*time.Millisecond, cancel)
+	t0 := time.Now()
+	res, err := Run(ctx, g, Config{K: 4, Workers: 2, ChunkVertices: 1})
+	if took := time.Since(t0); took > 2*time.Second {
+		t.Errorf("cancelled run returned after %v, want < 2s", took)
+	}
+	if err != context.Canceled {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if res == nil || !res.Partial {
+		t.Fatalf("cancelled run must return a partial result, got %+v", res)
+	}
+	if res.Subgraphs == 0 || res.Subgraphs != res.Histogram.Total() {
+		t.Errorf("partial result counted %d subgraphs, histogram total %d; want the hub's prefix",
+			res.Subgraphs, res.Histogram.Total())
+	}
+	if res.VerticesDone >= res.TotalVertices {
+		t.Errorf("interrupted hub root counted as done: %d/%d roots", res.VerticesDone, res.TotalVertices)
+	}
+}
+
+// TestAllocsDoNotGrowWithSubgraphs guards the hot path against
+// per-subgraph allocations: a census of a graph with about six times
+// the subgraphs must allocate about as often.
+func TestAllocsDoNotGrowWithSubgraphs(t *testing.T) {
+	allocs := func(g *graph.Graph) float64 {
+		return testing.AllocsPerRun(3, func() {
+			if _, err := Run(context.Background(), g, Config{K: 4, Workers: 1}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small := allocs(gen.PowerLaw(400, 6, 3.1, 100, 7))
+	large := allocs(gen.PowerLaw(1600, 6, 3.1, 400, 7))
+	if diff := large - small; diff >= 50 || diff <= -50 {
+		t.Errorf("allocations per census: %.0f on the small graph, %.0f on the large one; want within 50", small, large)
 	}
 }
 
