@@ -29,7 +29,7 @@ func newJobsTestServer(t *testing.T, g *graph.Graph, cfg jobs.Config) (*httptest
 		t.Fatal(err)
 	}
 	js := newJobsServer(svc, "test", cfg)
-	ts := httptest.NewServer(newMux(svc, js, nil, nil))
+	ts := httptest.NewServer(newMux(svc, js, nil, nil, nil))
 	t.Cleanup(func() {
 		ts.Close()
 		js.Close()
@@ -416,7 +416,7 @@ func TestJobsShutdownCancelsRunning(t *testing.T) {
 	}
 	defer svc.Close()
 	js := newJobsServer(svc, "test", jobs.Config{})
-	ts := httptest.NewServer(newMux(svc, js, nil, nil))
+	ts := httptest.NewServer(newMux(svc, js, nil, nil, nil))
 	defer ts.Close()
 
 	sub := postJob(t, ts, `{"kind":"census","size":5,"workers":2}`)

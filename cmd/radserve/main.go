@@ -38,6 +38,13 @@
 // the textual form "name:n:u-v,u-v,...". Count queries return one JSON
 // object; stream queries return NDJSON — one {"embedding":[...]} line
 // per match, then a final {"result":{...}} line.
+//
+// An edge list (-graph) or analog (-dataset DBLP) is served hub-first
+// (graph.HubFirst), so matches are rooted at their lowest-degree
+// vertex, but streamed embeddings name each vertex by its ID in the
+// input file, or in the analog's generator: radserve maps them through
+// the relabel's labels, which a -snapshot stores beside its graph. A
+// registry dataset is served, and named, in its own numbering.
 package main
 
 import (
@@ -60,6 +67,7 @@ import (
 	"rads/internal/buildinfo"
 	"rads/internal/cluster"
 	"rads/internal/engine"
+	"rads/internal/graph"
 	"rads/internal/harness"
 	"rads/internal/jobs"
 	"rads/internal/obs"
@@ -144,27 +152,31 @@ func main() {
 // loadPartition resolves the resident partition: from the snapshot
 // when one exists, from the dataset/graph flags otherwise (persisting
 // the result when -snapshot names a directory).
-func loadPartition(o options) (*partition.Partition, error) {
+func loadPartition(o options) (*partition.Partition, []graph.VertexID, error) {
 	if o.snapDir != "" && snapshot.Exists(o.snapDir) {
 		start := time.Now()
 		parts, man, err := snapshot.OpenShards(o.snapDir, nil, o.registry)
+		var labels []graph.VertexID
+		if err == nil {
+			labels, err = snapshot.ReadLabels(o.snapDir)
+		}
 		switch {
 		case err == nil:
 			log.Printf("snapshot %s: %d machines, %d vertices, %d edges (source %s), loaded in %v — no re-partitioning",
 				o.snapDir, man.Machines, man.Vertices, man.Edges, man.Source, time.Since(start).Round(time.Millisecond))
-			return parts[0], nil
+			return parts[0], labels, nil
 		case errors.Is(err, snapshot.ErrVersion):
 			// A snapshot from an older binary is a cache miss, not a
 			// fatal condition: the graph source is in hand, so rebuild
 			// and overwrite (the ErrVersion contract of the codec).
 			log.Printf("snapshot %s is an incompatible format version — re-partitioning from source (%v)", o.snapDir, err)
 		default:
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	g, ds, err := harness.LoadStore(o.graphFile, o.dataset, o.registry, o.scale)
+	g, labels, ds, err := harness.LoadStore(o.graphFile, o.dataset, o.registry, o.scale)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	source := o.dataset
 	if o.graphFile != "" {
@@ -190,14 +202,14 @@ func loadPartition(o options) (*partition.Partition, error) {
 			}
 			err = snapshot.WriteDataset(o.snapDir, part, source, man)
 		} else {
-			err = snapshot.Write(o.snapDir, part, source)
+			err = snapshot.Write(o.snapDir, part, source, labels)
 		}
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		log.Printf("snapshot written to %s (%d shards) in %v", o.snapDir, part.M, time.Since(start).Round(time.Millisecond))
 	}
-	return part, nil
+	return part, labels, nil
 }
 
 func run(o options) error {
@@ -209,7 +221,7 @@ func run(o options) error {
 	if o.snapOnly && o.snapDir == "" {
 		return fmt.Errorf("-snapshot-only needs -snapshot DIR")
 	}
-	part, err := loadPartition(o)
+	part, labels, err := loadPartition(o)
 	if err != nil {
 		return err
 	}
@@ -350,7 +362,7 @@ func run(o options) error {
 	})
 	defer js.Close()
 
-	srv := obs.NewHTTPServer(o.addr, newMux(svc, js, clusterEng, events))
+	srv := obs.NewHTTPServer(o.addr, newMux(svc, js, clusterEng, events, labels))
 	errCh := make(chan error, 1)
 	go func() {
 		log.Printf("listening on %s", o.addr)
@@ -403,9 +415,10 @@ func run(o options) error {
 // coordinator engine in cluster mode — the health view in /healthz and
 // /stats and the fleet endpoints (/metrics/cluster, /debug/cluster) —
 // nil otherwise; events is the journal behind /debug/events, nil to
-// leave the route unregistered.
-func newMux(svc *service.Service, js *jobsServer, ce *rads.ClusterEngine, events *obs.EventLog) *http.ServeMux {
-	s := &server{svc: svc, cluster: ce}
+// leave the route unregistered; labels maps each vertex of the served
+// graph to its ID in the graph's source, nil when the two agree.
+func newMux(svc *service.Service, js *jobsServer, ce *rads.ClusterEngine, events *obs.EventLog, labels []graph.VertexID) *http.ServeMux {
+	s := &server{svc: svc, cluster: ce, labels: labels}
 	mux := http.NewServeMux()
 	if js != nil {
 		js.register(mux)
@@ -428,6 +441,7 @@ func newMux(svc *service.Service, js *jobsServer, ce *rads.ClusterEngine, events
 type server struct {
 	svc     *service.Service
 	cluster *rads.ClusterEngine
+	labels  []graph.VertexID // streamed embeddings name labels[v], not v
 }
 
 // handleHealthz reports ingress liveness, plus the per-machine cluster
@@ -573,7 +587,8 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 // streamResponse writes NDJSON: one {"embedding":[...]} line per match
-// followed by a terminal {"result":{...}} line.
+// followed by a terminal {"result":{...}} line. Embeddings name the
+// vertices by their IDs in the graph's source (s.labels).
 func (s *server) streamResponse(w http.ResponseWriter, ctx context.Context, cancel context.CancelFunc, h *service.Handle, req queryRequest, patternName string) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
@@ -583,6 +598,12 @@ func (s *server) streamResponse(w http.ResponseWriter, ctx context.Context, canc
 	var emitted int64
 	truncated := false
 	for f := range h.Embeddings() {
+		if s.labels != nil {
+			// Each embedding is the handle's own copy: rename in place.
+			for i, v := range f {
+				f[i] = s.labels[v]
+			}
+		}
 		if err := enc.Encode(map[string]any{"embedding": f}); err != nil {
 			cancel() // client went away: abort the engine
 			break

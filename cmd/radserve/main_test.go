@@ -30,7 +30,7 @@ func newTestServer(t *testing.T) (*httptest.Server, *service.Service, int64) {
 		t.Fatal(err)
 	}
 	js := newJobsServer(svc, "test", jobs.Config{})
-	ts := httptest.NewServer(newMux(svc, js, nil, nil))
+	ts := httptest.NewServer(newMux(svc, js, nil, nil, nil))
 	t.Cleanup(func() {
 		ts.Close()
 		js.Close()
@@ -344,7 +344,7 @@ func TestOverloadReturns503(t *testing.T) {
 		<-release
 		return engine.Result{}, nil
 	}})
-	ts := httptest.NewServer(newMux(svc, nil, nil, nil))
+	ts := httptest.NewServer(newMux(svc, nil, nil, nil, nil))
 	defer ts.Close()
 	defer close(release)
 

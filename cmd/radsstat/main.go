@@ -114,7 +114,7 @@ func runFleet(addr string) error {
 }
 
 func run(dataset, graphFile string, machines int, scale float64, partitioner string, maxSpan int) error {
-	g, _, err := harness.LoadStore(graphFile, dataset, "", scale)
+	g, _, _, err := harness.LoadStore(graphFile, dataset, "", scale)
 	if err != nil {
 		return err
 	}

@@ -16,12 +16,13 @@
 // nbr[w] — no edge probe. At the last level a parent looks up its
 // count row (keyed by its own packed adjacency mask) once, and each
 // candidate adds one to the row's slot for its nbr byte, so no map is
-// written per subgraph. Classification goes through
-// pattern.CanonicalKey — the same labeling that keys the query
-// service's result cache — so census classes and cached motif queries
-// share one vocabulary. Keys are computed at most once per *labeled*
-// adjacency mask (a memo keyed by the packed lower triangle, kept for
-// one run), never per enumerated subgraph.
+// written per subgraph. Classes are keyed by pattern.CanonicalKey's
+// string — the same labeling that keys the query service's result
+// cache — so census classes and cached motif queries share one
+// vocabulary. A run classifies each *labeled* adjacency mask once
+// (classMemo, kept for one run), never each enumerated subgraph, and
+// canonicalises only the first mask of each class: the others share
+// its invariant.
 //
 // Parallelism follows "Shared Memory Parallel Subgraph Enumeration":
 // root vertices are the independent work units, claimed by a worker
@@ -37,6 +38,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math/bits"
 	"runtime"
 	"sort"
@@ -318,15 +320,14 @@ func (st *state) report(final bool) {
 	}
 }
 
-// histogram converts the shared mask tally into canonical-class counts.
+// histogram converts the shared mask tally into canonical-class
+// counts. It copies the tally under st.mu and classifies the copy
+// after releasing it, so a checkpoint never holds up a worker's merge.
 func (st *state) histogram() Histogram {
 	st.mu.Lock()
-	defer st.mu.Unlock()
-	h := make(Histogram, len(st.masks))
-	for m, c := range st.masks {
-		h[st.memo.key(m)] += c
-	}
-	return h
+	masks := maps.Clone(st.masks)
+	st.mu.Unlock()
+	return st.memo.histogram(masks)
 }
 
 func (st *state) finalResult(k, workers int) *Result {
@@ -342,39 +343,104 @@ func (st *state) finalResult(k, workers int) *Result {
 	}
 }
 
-// classMemo maps packed adjacency masks to canonical keys. Many masks
-// collapse to one key (every labeling of a class has its own mask), but
-// the domain is tiny — at most 2^(k(k-1)/2) masks, in practice the few
-// dozen that occur — so keys are computed a handful of times per run.
+// classMemo maps packed adjacency masks to canonical keys for one run.
+// Every labelling of a class has its own mask: at k = 7 a census meets
+// tens of thousands of masks but at most 853 classes. So a mask is
+// not canonicalised. Each vertex gets a signature — its degree, how
+// many neighbours it has of each degree, and how many edges join its
+// neighbours — and the sorted signatures are the mask's invariant.
+// Up to MaxK vertices the invariant tells every two classes apart
+// (TestInvariantSeparatesClasses counts it over all 2^21 masks of 7
+// vertices), so it names the class, and only the first mask met with
+// each invariant pays for pattern.CanonicalKey. Raising MaxK needs an
+// isomorphism test within each invariant, or a proof that none is.
 type classMemo struct {
 	k    int
 	mu   sync.Mutex
-	keys map[uint32]string
+	keys map[[MaxK]uint32]string // invariant -> canonical key
 }
 
 func newClassMemo(k int) *classMemo {
-	return &classMemo{k: k, keys: make(map[uint32]string)}
+	return &classMemo{k: k, keys: make(map[[MaxK]uint32]string)}
 }
 
-func (c *classMemo) key(mask uint32) string {
+// histogram sums counts, keyed by packed mask, into class counts.
+func (c *classMemo) histogram(masks map[uint32]int64) Histogram {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if s, ok := c.keys[mask]; ok {
-		return s
+	h := make(Histogram)
+	for m, n := range masks {
+		h[c.key(m)] += n
 	}
+	return h
+}
+
+// key returns the canonical key of mask's class; the caller holds c.mu.
+func (c *classMemo) key(mask uint32) string {
+	adj := unpack(c.k, mask)
+	inv := invariant(c.k, &adj)
+	s, ok := c.keys[inv]
+	if !ok {
+		s = canonicalKey(c.k, &adj)
+		c.keys[inv] = s
+	}
+	return s
+}
+
+// canonicalKey is pattern.CanonicalKey of the k-vertex graph with
+// adjacency rows adj.
+func canonicalKey(k int, adj *[MaxK]uint8) string {
 	var pairs []int
+	for j := 1; j < k; j++ {
+		for i := 0; i < j; i++ {
+			if adj[j]>>i&1 != 0 {
+				pairs = append(pairs, i, j)
+			}
+		}
+	}
+	return pattern.New("census", k, pairs...).CanonicalKey()
+}
+
+// unpack turns a packed lower triangle into adjacency rows: bit j of
+// adj[i] is set iff i ~ j.
+func unpack(k int, mask uint32) [MaxK]uint8 {
+	var adj [MaxK]uint8
 	bit := 0
-	for j := 1; j < c.k; j++ {
+	for j := 1; j < k; j++ {
 		for i := 0; i < j; i++ {
 			if mask&(1<<bit) != 0 {
-				pairs = append(pairs, i, j)
+				adj[i] |= 1 << j
+				adj[j] |= 1 << i
 			}
 			bit++
 		}
 	}
-	s := pattern.New("census", c.k, pairs...).CanonicalKey()
-	c.keys[mask] = s
-	return s
+	return adj
+}
+
+// invariant returns the k vertex signatures of adj, sorted ascending.
+// A signature packs 3 bits of degree, 3 bits per neighbour degree 1..6
+// counting the neighbours of that degree, and 4 bits of edges among
+// the neighbours.
+func invariant(k int, adj *[MaxK]uint8) [MaxK]uint32 {
+	var deg [MaxK]int
+	for v := 0; v < k; v++ {
+		deg[v] = bits.OnesCount8(adj[v])
+	}
+	var sig [MaxK]uint32
+	for v := 0; v < k; v++ {
+		s, inner := uint32(deg[v]), 0
+		for nb := adj[v]; nb != 0; nb &= nb - 1 {
+			u := bits.TrailingZeros8(nb)
+			s += 1 << (3 * deg[u])
+			inner += bits.OnesCount8(adj[u] & adj[v])
+		}
+		sig[v] = s | uint32(inner/2)<<21
+		for j := v; j > 0 && sig[j] < sig[j-1]; j-- {
+			sig[j], sig[j-1] = sig[j-1], sig[j]
+		}
+	}
+	return sig
 }
 
 // enumerator is one worker's reusable ESU machinery: all scratch is
@@ -531,20 +597,21 @@ func (e *enumerator) extend(d int, ext []graph.VertexID) {
 // of vertices, keeps the connected ones, and histograms them by
 // canonical class. Exponential — test- and smoke-sized graphs only.
 // ESU must agree with it exactly (the Kavosh-parity check from the
-// motif literature).
+// motif literature). It canonicalises every distinct mask it meets
+// instead of trusting classMemo's invariant, so it checks that too.
 func BruteForce(g *graph.Graph, k int) Histogram {
 	n := g.NumVertices()
 	h := make(Histogram)
 	if k < 1 || k > n {
 		return h
 	}
-	memo := newClassMemo(k)
+	masks := make(map[uint32]int64)
 	idx := make([]graph.VertexID, k)
 	var rec func(start graph.VertexID, depth int)
 	rec = func(start graph.VertexID, depth int) {
 		if depth == k {
 			if mask, connected := inducedMask(g, idx); connected {
-				h[memo.key(mask)]++
+				masks[mask]++
 			}
 			return
 		}
@@ -554,6 +621,10 @@ func BruteForce(g *graph.Graph, k int) Histogram {
 		}
 	}
 	rec(0, 0)
+	for mask, c := range masks {
+		adj := unpack(k, mask)
+		h[canonicalKey(k, &adj)] += c
+	}
 	return h
 }
 

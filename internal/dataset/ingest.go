@@ -6,7 +6,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"slices"
 	"strconv"
 	"strings"
 
@@ -15,18 +14,15 @@ import (
 
 // Options tunes an ingestion.
 type Options struct {
-	// DegreeOrder relabels the dense IDs so that vertex 0 has the
-	// highest degree and degrees descend from there. Power-law graphs
-	// put most intersection work on the hubs; clustering them at the
-	// front of the neighbour array keeps the hot lists within a few
-	// cache-resident pages (the locality lever HUGE builds its whole
-	// store around). It also decides where matches start:
-	// pattern.SymmetryBreaking gives each orbit's pick vertex the
-	// largest ID, which on this numbering is the lowest degree, so
-	// every engine roots its matches where candidate lists are
-	// shortest. It is off by default, and the first-seen numbering
-	// gives no such guarantee. Counts are isomorphism-invariant, so
-	// enumeration results are the same either way.
+	// DegreeOrder renumbers the dense IDs hub-first (graph.HubFirst):
+	// vertex 0 has the highest degree and degrees descend from there,
+	// so pattern.SymmetryBreaking roots every match at its
+	// lowest-degree vertex. radsprep -degree-order and the benchmark
+	// fixture set it; harness.LoadStore applies the same relabel to
+	// every edge list and analog it loads. It is off by default, so a
+	// registry dataset keeps the first-seen numbering its shards
+	// reference. Counts are isomorphism-invariant, so enumeration
+	// results are the same either way.
 	DegreeOrder bool
 }
 
@@ -157,60 +153,20 @@ func IngestReaders(pass1, pass2 io.Reader, opt Options) (*graph.Graph, Stats, er
 	off, nbr, dropped := graph.CompactRows(off, cursor, flat)
 	// Each duplicate undirected edge was dropped from both endpoints.
 	st.Duplicates = dropped / 2
+	g, err := graph.NewCSR(off, nbr)
+	if err != nil {
+		return nil, st, fmt.Errorf("ingest produced an invalid CSR: %w", err)
+	}
 	if opt.DegreeOrder {
 		// Relabel only now, on the deduplicated degrees: sorting by the
 		// duplicate-inclusive pass-1 counts would let a much-repeated
 		// edge hoist a low-degree vertex above true hubs, breaking the
 		// documented descending-degree invariant.
-		off, nbr = degreeRelabel(off, nbr)
-	}
-	g, err := graph.NewCSR(off, nbr)
-	if err != nil {
-		return nil, st, fmt.Errorf("ingest produced an invalid CSR: %w", err)
+		g, _ = graph.HubFirst(g)
 	}
 	st.Edges = g.NumEdges()
 	st.MaxDegree = g.MaxDegree()
 	return g, st, nil
-}
-
-// degreeRelabel permutes a finished CSR so dense IDs descend by
-// degree (ties: previous ID order, deterministic): perm[old] = new.
-func degreeRelabel(off []int64, nbr []graph.VertexID) ([]int64, []graph.VertexID) {
-	n := len(off) - 1
-	byDeg := make([]int32, n)
-	for i := range byDeg {
-		byDeg[i] = int32(i)
-	}
-	degOf := func(v int32) int64 { return off[v+1] - off[v] }
-	slices.SortFunc(byDeg, func(x, y int32) int {
-		if dx, dy := degOf(x), degOf(y); dx != dy {
-			if dy > dx {
-				return 1
-			}
-			return -1
-		}
-		return int(x - y)
-	})
-	perm := make([]int32, n)
-	newOff := make([]int64, n+1)
-	for newID, oldID := range byDeg {
-		perm[oldID] = int32(newID)
-		newOff[newID+1] = degOf(oldID)
-	}
-	for v := 0; v < n; v++ {
-		newOff[v+1] += newOff[v]
-	}
-	newNbr := make([]graph.VertexID, len(nbr))
-	for oldV := 0; oldV < n; oldV++ {
-		newV := perm[oldV]
-		row := newNbr[newOff[newV]:newOff[newV+1]]
-		copy(row, nbr[off[oldV]:off[oldV+1]])
-		for i, u := range row {
-			row[i] = graph.VertexID(perm[u])
-		}
-		slices.Sort(row)
-	}
-	return newOff, newNbr
 }
 
 // scanEdges streams an edge-list: one "u v [extra...]" pair per line,

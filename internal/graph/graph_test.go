@@ -281,3 +281,34 @@ func assertSameGraph(t *testing.T, a, b *Graph) {
 		}
 	}
 }
+
+// TestHubFirst: the relabel sorts degrees non-increasing, keeps ties
+// in ID order, maps every edge onto an edge of the input, and is the
+// identity on a graph that is already hub-first.
+func TestHubFirst(t *testing.T) {
+	// A path 0-1-2-3 plus a hub 4 joined to 0, 2 and 3.
+	g := FromEdges(5, []Edge{{0, 1}, {1, 2}, {2, 3}, {4, 0}, {4, 2}, {4, 3}})
+	h, labels := HubFirst(g)
+	if g.IsHubFirst() || !h.IsHubFirst() {
+		t.Fatalf("IsHubFirst: input %v, output %v; want false, true", g.IsHubFirst(), h.IsHubFirst())
+	}
+	// Degrees 0:2 1:2 2:3 3:2 4:3, so the order is 2 4 0 1 3.
+	if want := []VertexID{2, 4, 0, 1, 3}; !slices.Equal(labels, want) {
+		t.Fatalf("labels = %v, want %v", labels, want)
+	}
+	if h.NumEdges() != g.NumEdges() || h.MaxDegree() != g.MaxDegree() {
+		t.Fatalf("%d edges, max degree %d; want %d, %d", h.NumEdges(), h.MaxDegree(), g.NumEdges(), g.MaxDegree())
+	}
+	h.Edges(func(u, v VertexID) bool {
+		if !g.HasEdge(labels[u], labels[v]) {
+			t.Errorf("edge (%d,%d) maps to (%d,%d), not an edge of the input", u, v, labels[u], labels[v])
+		}
+		return true
+	})
+	again, same := HubFirst(h)
+	for v := range same {
+		if same[v] != VertexID(v) || !slices.Equal(again.Adj(VertexID(v)), h.Adj(VertexID(v))) {
+			t.Fatalf("relabelling a hub-first graph moved vertex %d to %d", v, same[v])
+		}
+	}
+}

@@ -78,23 +78,29 @@ func DatasetByName(name string) (Dataset, error) {
 // graphFile is an edge list ("u v" per line) that overrides name and
 // registryDir. Otherwise name is looked up among the synthetic analogs
 // above first, then — when registryDir is non-empty — in the
-// real-graph dataset registry of ingested .radsgraph files. Registry
-// datasets come back with their manifest (radserve's snapshots
-// reference the file through it); edge lists and synthetic analogs
-// return a nil manifest. Scale applies only to the generated analogs —
-// a real graph is whatever size it is.
-func LoadStore(graphFile, name, registryDir string, scale float64) (*graph.Graph, *dataset.Manifest, error) {
+// real-graph dataset registry of ingested .radsgraph files. Scale
+// applies only to the generated analogs — a real graph is whatever
+// size it is.
+//
+// Edge lists and analogs come back hub-first (graph.HubFirst), with
+// labels[v] the ID vertex v has in the file or the generator; an edge
+// list keeps its vertex count, isolated gap IDs included. Registry
+// datasets come back in the numbering radsprep gave them, with nil
+// labels and their manifest (radserve's snapshots reference the file
+// through it); edge lists and analogs return a nil manifest.
+func LoadStore(graphFile, name, registryDir string, scale float64) (*graph.Graph, []graph.VertexID, *dataset.Manifest, error) {
 	if graphFile != "" {
 		f, err := os.Open(graphFile)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		defer f.Close()
 		g, err := graph.ReadEdgeList(f)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
-		return g, nil, nil
+		g, labels := graph.HubFirst(g)
+		return g, labels, nil, nil
 	}
 	var reg *dataset.Registry
 	if registryDir != "" {
@@ -104,7 +110,7 @@ func LoadStore(graphFile, name, registryDir string, scale float64) (*graph.Graph
 		var err error
 		reg, err = dataset.OpenRegistry(registryDir)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 	}
 	if d, err := DatasetByName(name); err == nil {
@@ -114,19 +120,20 @@ func LoadStore(graphFile, name, registryDir string, scale float64) (*graph.Graph
 		// benchmark on the wrong graph.
 		if reg != nil {
 			if _, clash := reg.Manifest(name); clash {
-				return nil, nil, fmt.Errorf("harness: %q names both a built-in analog and a dataset in %s — re-register the dataset under another name", name, registryDir)
+				return nil, nil, nil, fmt.Errorf("harness: %q names both a built-in analog and a dataset in %s — re-register the dataset under another name", name, registryDir)
 			}
 		}
-		return d.Build(scale), nil, nil
+		g, labels := graph.HubFirst(d.Build(scale))
+		return g, labels, nil, nil
 	}
 	if reg == nil {
-		return nil, nil, fmt.Errorf("harness: unknown dataset %q (built-in: RoadNet DBLP LiveJournal UK2002; real datasets resolve through a registry)", name)
+		return nil, nil, nil, fmt.Errorf("harness: unknown dataset %q (built-in: RoadNet DBLP LiveJournal UK2002; real datasets resolve through a registry)", name)
 	}
 	c, man, err := reg.Open(name)
 	if err != nil {
-		return nil, nil, fmt.Errorf("harness: %q is neither a built-in analog nor registered in %s: %w", name, registryDir, err)
+		return nil, nil, nil, fmt.Errorf("harness: %q is neither a built-in analog nor registered in %s: %w", name, registryDir, err)
 	}
-	return c, &man, nil
+	return c, nil, &man, nil
 }
 
 func scaleInt(base int, s float64) int {

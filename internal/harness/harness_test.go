@@ -65,36 +65,98 @@ func TestPerfComparisonSmall(t *testing.T) {
 
 // TestLoadStoreEdgeList pins the -graph path radserve and radsstat
 // share: an edge-list file overrides the dataset name and the registry
-// (neither is consulted), and comes back without a manifest.
+// (neither is consulted), comes back hub-first without a manifest, and
+// its labels name the file's vertices.
 func TestLoadStoreEdgeList(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "edges.txt")
-	if err := os.WriteFile(path, []byte("# square plus a chord\n0 1\n1 2\n2 3\n3 0\n0 2\n"), 0o644); err != nil {
+	// A K4 with a tail: vertex 3 is the hub (degree 4) but is seen
+	// late; IDs 5 and 6 are gaps and must survive as isolated vertices.
+	file := "# K4 on 0-3, a tail 3-4-7, and a gap\n0 1\n1 2\n0 2\n4 3\n3 2\n3 0\n3 1\n7 4\n"
+	if err := os.WriteFile(path, []byte(file), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	g, man, err := LoadStore(path, "nope", filepath.Join(t.TempDir(), "no-registry"), 2)
+	g, labels, man, err := LoadStore(path, "nope", filepath.Join(t.TempDir(), "no-registry"), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if man != nil {
 		t.Errorf("manifest = %+v, want nil for an edge list", man)
 	}
-	if g.NumVertices() != 4 || g.NumEdges() != 5 || g.CountTriangles() != 2 {
-		t.Errorf("got %d vertices, %d edges, %d triangles; want 4, 5, 2",
+	fileG, err := graph.ReadEdgeList(strings.NewReader(file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.NumVertices() != 8 || g.NumEdges() != 8 || g.CountTriangles() != 4 {
+		t.Errorf("got %d vertices, %d edges, %d triangles; want 8, 8, 4",
 			g.NumVertices(), g.NumEdges(), g.CountTriangles())
 	}
+	assertHubFirstImage(t, g, labels, fileG)
+	if labels[0] != 3 {
+		t.Errorf("vertex 0 is file ID %d; want the hub, file ID 3", labels[0])
+	}
 
-	if _, _, err := LoadStore(filepath.Join(t.TempDir(), "missing.txt"), "DBLP", "", 1); err == nil {
+	if _, _, _, err := LoadStore(filepath.Join(t.TempDir(), "missing.txt"), "DBLP", "", 1); err == nil {
 		t.Error("missing edge-list file: want error, not the DBLP analog")
 	}
 	if err := os.WriteFile(path, []byte("0 x\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := LoadStore(path, "DBLP", "", 1); err == nil {
+	if _, _, _, err := LoadStore(path, "DBLP", "", 1); err == nil {
 		t.Error("malformed edge list: want error")
 	}
-	if _, _, err := LoadStore("", "nope", "", 1); err == nil {
+	if _, _, _, err := LoadStore("", "nope", "", 1); err == nil {
 		t.Error("unknown dataset without a graph file: want error")
 	}
+}
+
+// TestLoadStoreAnalogHubFirst: a built-in analog comes back hub-first,
+// with labels naming the generator's vertices.
+func TestLoadStoreAnalogHubFirst(t *testing.T) {
+	g, labels, man, err := LoadStore("", "LiveJournal", "", tinyScale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if man != nil {
+		t.Errorf("manifest = %+v, want nil for an analog", man)
+	}
+	d, err := DatasetByName("LiveJournal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertHubFirstImage(t, g, labels, d.Build(tinyScale))
+}
+
+// assertHubFirstImage checks that g is src renumbered hub-first:
+// degrees never rise with the ID, labels is a permutation of src's
+// vertices, and every edge of g names an edge of src (equal edge
+// counts make the map a bijection on edges).
+func assertHubFirstImage(t *testing.T, g *graph.Graph, labels []graph.VertexID, src *graph.Graph) {
+	t.Helper()
+	if g.NumVertices() != src.NumVertices() || g.NumEdges() != src.NumEdges() || len(labels) != g.NumVertices() {
+		t.Fatalf("%d vertices, %d edges, %d labels; the source has %d vertices, %d edges",
+			g.NumVertices(), g.NumEdges(), len(labels), src.NumVertices(), src.NumEdges())
+	}
+	for v := 1; v < g.NumVertices(); v++ {
+		if g.Degree(graph.VertexID(v)) > g.Degree(graph.VertexID(v-1)) {
+			t.Fatalf("degree rises from vertex %d (%d) to %d (%d)", v-1, g.Degree(graph.VertexID(v-1)), v, g.Degree(graph.VertexID(v)))
+		}
+	}
+	seen := make([]bool, len(labels))
+	for v, l := range labels {
+		if l < 0 || int(l) >= len(seen) || seen[l] {
+			t.Fatalf("label %d of vertex %d repeats or is out of range", l, v)
+		}
+		seen[l] = true
+		if g.Degree(graph.VertexID(v)) != src.Degree(l) {
+			t.Fatalf("vertex %d has degree %d, its source vertex %d has %d", v, g.Degree(graph.VertexID(v)), l, src.Degree(l))
+		}
+	}
+	g.Edges(func(u, v graph.VertexID) bool {
+		if !src.HasEdge(labels[u], labels[v]) {
+			t.Fatalf("edge (%d,%d) maps to (%d,%d), not an edge of the source", u, v, labels[u], labels[v])
+		}
+		return true
+	})
 }
 
 func TestPerfComparisonUnknowns(t *testing.T) {

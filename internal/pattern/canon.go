@@ -2,7 +2,7 @@ package pattern
 
 import (
 	"bytes"
-	"fmt"
+	"strconv"
 )
 
 // CanonicalKey returns a string that is equal for two patterns exactly
@@ -25,10 +25,34 @@ func (p *Pattern) CanonicalKey() string {
 	if n == 0 {
 		return "0:"
 	}
+	// The search reads adjacency as an n×n matrix: one load per probe,
+	// where HasEdge scans a list.
+	edge := make([]bool, n*n)
+	for u, nbrs := range p.adj {
+		for _, v := range nbrs {
+			edge[u*n+int(v)] = true
+		}
+	}
+	// twin reports whether u and v are twins: adj(u)\{v} == adj(v)\{u}.
+	// Twins (adjacent or not) are swapped by an automorphism fixing all
+	// other vertices, so they are interchangeable in any vertex ordering.
+	twin := func(u, v int) bool {
+		ru, rv := edge[u*n:u*n+n], edge[v*n:v*n+n]
+		for w := range ru {
+			if ru[w] != rv[w] && w != u && w != v {
+				return false
+			}
+		}
+		return true
+	}
 	var best []byte
 	cur := make([]byte, 0, n*(n-1)/2)
-	perm := make([]VertexID, 0, n)
+	perm := make([]int, 0, n)
 	used := make([]bool, n)
+	// tried holds, level after level, the candidates each open level
+	// has tried so far; a level's own run starts where its parent's
+	// ended and is cut back when the level returns.
+	tried := make([]int, 0, n*(n+1)/2)
 	var rec func()
 	rec = func() {
 		i := len(perm)
@@ -38,28 +62,29 @@ func (p *Pattern) CanonicalKey() string {
 			}
 			return
 		}
-		tried := make([]VertexID, 0, n-i)
+		from := len(tried)
 		for v := 0; v < n; v++ {
 			if used[v] {
 				continue
 			}
 			// Twin elimination: if an already-tried candidate u is
-			// interchangeable with v (same neighbourhood modulo each
-			// other), the subtree under v repeats the one under u.
-			twin := false
-			for _, u := range tried {
-				if p.isTwin(u, VertexID(v)) {
-					twin = true
+			// interchangeable with v, the subtree under v repeats the
+			// one under u.
+			isTwin := false
+			for _, u := range tried[from:] {
+				if twin(u, v) {
+					isTwin = true
 					break
 				}
 			}
-			if twin {
+			if isTwin {
 				continue
 			}
-			tried = append(tried, VertexID(v))
+			tried = append(tried, v)
 			mark := len(cur)
-			for j := 0; j < i; j++ {
-				if p.HasEdge(VertexID(v), perm[j]) {
+			row := edge[v*n : v*n+n]
+			for _, u := range perm {
+				if row[u] {
 					cur = append(cur, '1')
 				} else {
 					cur = append(cur, '0')
@@ -69,7 +94,7 @@ func (p *Pattern) CanonicalKey() string {
 			// falls below the incumbent cannot recover (lexicographic
 			// order on equal-length strings is prefix-monotone).
 			if best == nil || bytes.Compare(cur, best[:len(cur)]) >= 0 {
-				perm = append(perm, VertexID(v))
+				perm = append(perm, v)
 				used[v] = true
 				rec()
 				perm = perm[:len(perm)-1]
@@ -77,33 +102,8 @@ func (p *Pattern) CanonicalKey() string {
 			}
 			cur = cur[:mark]
 		}
+		tried = tried[:from]
 	}
 	rec()
-	return fmt.Sprintf("%d:%s", n, best)
-}
-
-// isTwin reports whether u and v are twins: adj(u)\{v} == adj(v)\{u}.
-// Twins (adjacent or not) are swapped by an automorphism fixing all
-// other vertices, so they are interchangeable in any vertex ordering.
-func (p *Pattern) isTwin(u, v VertexID) bool {
-	if len(p.adj[u]) != len(p.adj[v]) {
-		return false
-	}
-	for _, w := range p.adj[u] {
-		if w == v {
-			continue
-		}
-		if !p.HasEdge(v, w) {
-			return false
-		}
-	}
-	for _, w := range p.adj[v] {
-		if w == u {
-			continue
-		}
-		if !p.HasEdge(u, w) {
-			return false
-		}
-	}
-	return true
+	return strconv.Itoa(n) + ":" + string(best)
 }

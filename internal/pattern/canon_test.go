@@ -1,6 +1,8 @@
 package pattern
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -146,6 +148,131 @@ func TestCanonicalKeyHeavySymmetry(t *testing.T) {
 	for _, p := range []*Pattern{Star(40), CompleteGraph(9), CompleteBipartite(5, 5)} {
 		if p.CanonicalKey() == "" {
 			t.Errorf("%s: empty key", p.Name)
+		}
+	}
+}
+
+// canonicalKeyRef is CanonicalKey as first written, on adjacency lists
+// and HasEdge: the reference its matrix-based search must agree with.
+func canonicalKeyRef(p *Pattern) string {
+	n := p.n
+	if n == 0 {
+		return "0:"
+	}
+	var best []byte
+	cur := make([]byte, 0, n*(n-1)/2)
+	perm := make([]VertexID, 0, n)
+	used := make([]bool, n)
+	var rec func()
+	rec = func() {
+		i := len(perm)
+		if i == n {
+			if best == nil || bytes.Compare(cur, best) > 0 {
+				best = append(best[:0], cur...)
+			}
+			return
+		}
+		tried := make([]VertexID, 0, n-i)
+		for v := 0; v < n; v++ {
+			if used[v] {
+				continue
+			}
+			// Twin elimination: if an already-tried candidate u is
+			// interchangeable with v (same neighbourhood modulo each
+			// other), the subtree under v repeats the one under u.
+			twin := false
+			for _, u := range tried {
+				if isTwinRef(p, u, VertexID(v)) {
+					twin = true
+					break
+				}
+			}
+			if twin {
+				continue
+			}
+			tried = append(tried, VertexID(v))
+			mark := len(cur)
+			for j := 0; j < i; j++ {
+				if p.HasEdge(VertexID(v), perm[j]) {
+					cur = append(cur, '1')
+				} else {
+					cur = append(cur, '0')
+				}
+			}
+			// Prefix pruning: a branch whose partial string already
+			// falls below the incumbent cannot recover (lexicographic
+			// order on equal-length strings is prefix-monotone).
+			if best == nil || bytes.Compare(cur, best[:len(cur)]) >= 0 {
+				perm = append(perm, VertexID(v))
+				used[v] = true
+				rec()
+				perm = perm[:len(perm)-1]
+				used[v] = false
+			}
+			cur = cur[:mark]
+		}
+	}
+	rec()
+	return fmt.Sprintf("%d:%s", n, best)
+}
+
+func isTwinRef(p *Pattern, u, v VertexID) bool {
+	if len(p.adj[u]) != len(p.adj[v]) {
+		return false
+	}
+	for _, w := range p.adj[u] {
+		if w != v && !p.HasEdge(v, w) {
+			return false
+		}
+	}
+	for _, w := range p.adj[v] {
+		if w != u && !p.HasEdge(u, w) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestCanonicalKeyMatchesReference: every graph on up to 6 vertices
+// (each labelling), and random larger ones, get the reference's key.
+func TestCanonicalKeyMatchesReference(t *testing.T) {
+	for n := 1; n <= 6; n++ {
+		for mask := 0; mask < 1<<(n*(n-1)/2); mask++ {
+			var pairs []int
+			bit := 0
+			for j := 1; j < n; j++ {
+				for i := 0; i < j; i++ {
+					if mask&(1<<bit) != 0 {
+						pairs = append(pairs, i, j)
+					}
+					bit++
+				}
+			}
+			p := New("g", n, pairs...)
+			if got, want := p.CanonicalKey(), canonicalKeyRef(p); got != want {
+				t.Fatalf("n=%d mask %#x: key %s, reference %s", n, mask, got, want)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 300; trial++ {
+		n := 7 + rng.Intn(5)
+		var pairs []int
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				if rng.Intn(3) == 0 {
+					pairs = append(pairs, i, j)
+				}
+			}
+		}
+		p := New("g", n, pairs...)
+		if got, want := p.CanonicalKey(), canonicalKeyRef(p); got != want {
+			t.Fatalf("trial %d: key %s, reference %s", trial, got, want)
+		}
+	}
+	for _, p := range []*Pattern{Star(12), CompleteGraph(8), CompleteBipartite(4, 4), RunningExample()} {
+		if got, want := p.CanonicalKey(), canonicalKeyRef(p); got != want {
+			t.Errorf("%s: key %s, reference %s", p.Name, got, want)
 		}
 	}
 }

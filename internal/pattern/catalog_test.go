@@ -320,3 +320,68 @@ func TestFormatDeterministic(t *testing.T) {
 		t.Errorf("Format missing name prefix: %q", a)
 	}
 }
+
+// TestByNameCatalogue pins every built-in name to the pattern it
+// builds (edges in Format's sorted order), and the two suites to their
+// names in order.
+func TestByNameCatalogue(t *testing.T) {
+	want := []string{
+		"q1:4:0-1,0-3,1-2,2-3",
+		"q2:4:0-1,0-2,0-3,1-2",
+		"q3:5:0-1,0-4,1-2,2-3,3-4",
+		"q4:5:0-1,0-2,1-2,1-3,2-4,3-4",
+		"q5:6:0-1,0-2,0-5,1-2,1-3,2-4,3-4",
+		"q6:6:0-1,0-3,0-5,1-2,1-4,2-3,3-4,4-5",
+		"q7:6:0-1,0-3,0-5,1-2,1-4,2-3,2-5,3-4,4-5",
+		"q8:8:0-1,0-3,0-4,1-2,1-5,2-3,2-6,3-7,4-5,4-7,5-6,6-7",
+		"cq1:4:0-1,0-2,0-3,1-2,1-3,2-3",
+		"cq2:5:0-1,0-2,0-3,0-4,1-2,1-3,2-3",
+		"cq3:5:0-1,0-2,0-3,0-4,1-2,3-4",
+		"cq4:5:0-1,0-2,0-3,0-4,1-2,1-3,1-4,2-3,2-4,3-4",
+		"triangle:3:0-1,0-2,1-2",
+		"fig2:10:0-1,0-2,0-7,0-8,0-9,1-2,1-3,1-4,2-5,2-6,3-4,4-5,5-6,8-9",
+	}
+	suites := append(QuerySet(), CliqueQuerySet()...)
+	for i, w := range want {
+		name := w[:strings.IndexByte(w, ':')]
+		p := ByName(name)
+		if p == nil {
+			t.Fatalf("ByName(%q) = nil", name)
+		}
+		if got := Format(p); got != w {
+			t.Errorf("ByName(%q) = %s, want %s", name, got, w)
+		}
+		if i < len(suites) && Format(suites[i]) != w {
+			t.Errorf("suite entry %d = %s, want %s", i, Format(suites[i]), w)
+		}
+	}
+	if len(suites) != 12 {
+		t.Errorf("the suites hold %d queries, want 12", len(suites))
+	}
+	for _, name := range []string{"", "q9", "Q1", "triangle:3:0-1,1-2,0-2"} {
+		if p := ByName(name); p != nil {
+			t.Errorf("ByName(%q) = %s, want nil", name, Format(p))
+		}
+	}
+}
+
+// TestByNameMissIsFree: resolving a textual pattern the way servers
+// do (ByName first, then Parse) allocates no more than Parse alone.
+func TestByNameMissIsFree(t *testing.T) {
+	const s = "r:4:2-0,0-3,3-1,1-2"
+	resolve := func() {
+		if ByName(s) == nil {
+			if _, err := Parse(s); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	parse := func() {
+		if _, err := Parse(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := testing.AllocsPerRun(100, resolve), testing.AllocsPerRun(100, parse); got > want {
+		t.Errorf("ByName then Parse: %.0f allocations, Parse alone %.0f", got, want)
+	}
+}

@@ -35,7 +35,7 @@ func hostClusterWrapped(t *testing.T, part *partition.Partition,
 	wrapWorker, wrapCoord func(cluster.Transport) cluster.Transport) *rads.ClusterEngine {
 	t.Helper()
 	dir := t.TempDir()
-	if err := snapshot.Write(dir, part, "test"); err != nil {
+	if err := snapshot.Write(dir, part, "test", nil); err != nil {
 		t.Fatal(err)
 	}
 

@@ -92,7 +92,7 @@ func TestProfileSubPhasesRecorded(t *testing.T) {
 func hostObservedCluster(t *testing.T, part *partition.Partition) (*rads.ClusterEngine, *obs.Registry) {
 	t.Helper()
 	dir := t.TempDir()
-	if err := snapshot.Write(dir, part, "test"); err != nil {
+	if err := snapshot.Write(dir, part, "test", nil); err != nil {
 		t.Fatal(err)
 	}
 	srv, err := cluster.NewTCPServer("127.0.0.1:0")

@@ -1,6 +1,7 @@
 package snapshot
 
 import (
+	"bytes"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -67,9 +68,16 @@ func WriteArtifacts(dir string, entries map[string]engine.Artifact) error {
 	return f.Close()
 }
 
+// maxArtifactsBytes bounds the artifact file ReadArtifacts accepts. A
+// larger file is refused once one byte more has been read: the dump is
+// a cache, so a refusal costs a cold start, never a wrong answer.
+const maxArtifactsBytes = 256 << 20
+
 // ReadArtifacts loads dir's artifact entries; a missing file is an
 // empty map, not an error (snapshots predating the artifact dump, or
-// a service that never prepared anything).
+// a service that never prepared anything). The file is read whole, so
+// no gob message can claim more bytes than it holds, and bytes after
+// the last entry are refused.
 func ReadArtifacts(dir string) (map[string]engine.Artifact, error) {
 	f, err := os.Open(ArtifactsPath(dir))
 	if err != nil {
@@ -79,7 +87,19 @@ func ReadArtifacts(dir string) (map[string]engine.Artifact, error) {
 		return nil, fmt.Errorf("snapshot: %w", err)
 	}
 	defer f.Close()
-	dec := gob.NewDecoder(f)
+	raw, err := io.ReadAll(io.LimitReader(f, maxArtifactsBytes+1))
+	if err != nil {
+		return nil, fmt.Errorf("snapshot: %w", err)
+	}
+	if len(raw) > maxArtifactsBytes {
+		return nil, fmt.Errorf("snapshot: artifacts: file exceeds %d bytes", maxArtifactsBytes)
+	}
+	return decodeArtifacts(raw)
+}
+
+func decodeArtifacts(raw []byte) (map[string]engine.Artifact, error) {
+	r := bytes.NewReader(raw)
+	dec := gob.NewDecoder(r)
 	var h header
 	if err := dec.Decode(&h); err != nil {
 		return nil, fmt.Errorf("snapshot: artifacts: truncated or corrupt header: %w", decodeErr(err))
@@ -106,7 +126,13 @@ func ReadArtifacts(dir string) (map[string]engine.Artifact, error) {
 		if err := dec.Decode(&e); err != nil {
 			return nil, fmt.Errorf("snapshot: artifacts: truncated after %d of %d entries: %w", i, n, decodeErr(err))
 		}
+		if e.Art == nil {
+			return nil, fmt.Errorf("snapshot: artifacts: entry %q carries no artifact", e.Key)
+		}
 		out[e.Key] = e.Art
+	}
+	if r.Len() != 0 {
+		return nil, fmt.Errorf("snapshot: artifacts: %d bytes after the last of %d entries", r.Len(), n)
 	}
 	return out, nil
 }

@@ -140,7 +140,7 @@ func TestDatasetSnapshotAgainstPlainSnapshot(t *testing.T) {
 	part := partition.KWay(c, 3, 7)
 
 	plainDir, dsSnapDir := t.TempDir(), t.TempDir()
-	if err := snapshot.Write(plainDir, part, "karate"); err != nil {
+	if err := snapshot.Write(plainDir, part, "karate", nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := snapshot.WriteDataset(dsSnapDir, part, "karate", man); err != nil {
@@ -214,7 +214,7 @@ func TestOpenShardsSharesDatasetGraph(t *testing.T) {
 
 	// The same holds when the graph was copied into the snapshot.
 	plainDir := t.TempDir()
-	if err := snapshot.Write(plainDir, part, "karate"); err != nil {
+	if err := snapshot.Write(plainDir, part, "karate", nil); err != nil {
 		t.Fatal(err)
 	}
 	pparts, _, err := snapshot.OpenShards(plainDir, []int{0, 1})

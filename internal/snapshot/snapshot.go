@@ -12,6 +12,8 @@
 //	                 the graph's dataset manifest: path and checksum)
 //	graph.radsgraph  the graph, unless it is a registered dataset
 //	                 referenced from elsewhere
+//	labels.snap      optional: each vertex's ID in the graph's source
+//	                 (labels.go)
 //	shard-000.snap   machine 0: owner vector, border distances
 //	shard-001.snap   ...
 //	artifacts.snap   optional: serialized engine.ArtifactCache entries
@@ -109,16 +111,21 @@ func Exists(dir string) bool {
 }
 
 // Write persists part into dir (created if needed): the graph as
-// graph.radsgraph, one shard file per machine, then the manifest, which
-// references the graph by checksum exactly as WriteDataset references
-// a registered dataset. The manifest is the commit point — written
-// last, via rename — so an interrupted Write leaves a directory that
-// Exists() reports false (or keeps its previous, complete manifest)
-// instead of a half-written snapshot that mixes new and stale files.
-// Border distances are computed here if the partition has not memoized
-// them yet — paying the BFS at snapshot time is the point.
-func Write(dir string, part *partition.Partition, source string) error {
-	return write(dir, part, source, nil)
+// graph.radsgraph, labels (nil, or each vertex's ID in the graph's
+// source) as labels.snap, one shard file per machine, then the
+// manifest, which references the graph by checksum exactly as
+// WriteDataset references a registered dataset. The manifest is the
+// commit point — written last, via rename — so an interrupted Write
+// leaves a directory that Exists() reports false (or keeps its
+// previous, complete manifest) instead of a half-written snapshot that
+// mixes new and stale files. Border distances are computed here if the
+// partition has not memoized them yet — paying the BFS at snapshot
+// time is the point.
+func Write(dir string, part *partition.Partition, source string, labels []graph.VertexID) error {
+	if labels != nil && len(labels) != part.G.NumVertices() {
+		return fmt.Errorf("snapshot: %d labels for %d vertices", len(labels), part.G.NumVertices())
+	}
+	return write(dir, part, source, nil, labels)
 }
 
 // WriteDataset persists a partition whose graph came from a registered
@@ -130,10 +137,10 @@ func Write(dir string, part *partition.Partition, source string) error {
 // host open it directly, workers elsewhere search their own
 // -dataset-dir by file name and rely on the checksum for identity.
 func WriteDataset(dir string, part *partition.Partition, source string, ds dataset.Manifest) error {
-	return write(dir, part, source, &ds)
+	return write(dir, part, source, &ds, nil)
 }
 
-func write(dir string, part *partition.Partition, source string, ds *dataset.Manifest) error {
+func write(dir string, part *partition.Partition, source string, ds *dataset.Manifest, labels []graph.VertexID) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("snapshot: %w", err)
 	}
@@ -141,22 +148,28 @@ func write(dir string, part *partition.Partition, source string, ds *dataset.Man
 	// overwritten no longer match it. The artifact dump goes with it —
 	// prepared artifacts are bound to the partition being replaced, and
 	// seeding them against a different graph would silently corrupt
-	// query results.
-	for _, name := range []string{manifestName, artifactsName} {
+	// query results. So do the labels of the graph being replaced.
+	for _, name := range []string{manifestName, artifactsName, labelsName} {
 		if err := os.Remove(filepath.Join(dir, name)); err != nil && !errors.Is(err, os.ErrNotExist) {
 			return fmt.Errorf("snapshot: %w", err)
 		}
 	}
 	if ds == nil {
 		path := filepath.Join(dir, graphName)
-		if err := dataset.WriteFile(path, part.G, false); err != nil {
+		hubFirst := part.G.IsHubFirst()
+		if err := dataset.WriteFile(path, part.G, hubFirst); err != nil {
 			return fmt.Errorf("snapshot: %w", err)
 		}
-		m, err := dataset.NewManifest("graph", path, part.G, dataset.Stats{}, source)
+		m, err := dataset.NewManifest("graph", path, part.G, dataset.Stats{DegreeOrd: hubFirst}, source)
 		if err != nil {
 			return fmt.Errorf("snapshot: %w", err)
 		}
 		ds = &m
+	}
+	if labels != nil {
+		if err := os.WriteFile(filepath.Join(dir, labelsName), encodeLabels(labels), 0o644); err != nil {
+			return fmt.Errorf("snapshot: labels: %w", err)
+		}
 	}
 	for t := 0; t < part.M; t++ {
 		s := shard{ID: t, M: part.M, Owner: part.Owner, BorderDist: part.BorderDistances(t)}

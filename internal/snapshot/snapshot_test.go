@@ -13,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"rads/internal/dataset"
 	"rads/internal/engine"
 	_ "rads/internal/engine/all" // register engines (and their artifact gob types)
 	"rads/internal/gen"
@@ -58,7 +59,7 @@ func sameAdjacency(t *testing.T, a, b *graph.Graph) {
 func TestShardRoundTrip(t *testing.T) {
 	part := testPartition(t)
 	dir := t.TempDir()
-	if err := snapshot.Write(dir, part, "test"); err != nil {
+	if err := snapshot.Write(dir, part, "test", nil); err != nil {
 		t.Fatal(err)
 	}
 	if !snapshot.Exists(dir) {
@@ -90,7 +91,7 @@ func TestShardRoundTrip(t *testing.T) {
 func TestOpenShardsRebuildsFullGraph(t *testing.T) {
 	part := testPartition(t)
 	dir := t.TempDir()
-	if err := snapshot.Write(dir, part, "test"); err != nil {
+	if err := snapshot.Write(dir, part, "test", nil); err != nil {
 		t.Fatal(err)
 	}
 	parts, _, err := snapshot.OpenShards(dir, nil)
@@ -181,7 +182,7 @@ func TestReadArtifactsMissingFile(t *testing.T) {
 func TestVersionMismatchRejected(t *testing.T) {
 	part := testPartition(t)
 	dir := t.TempDir()
-	if err := snapshot.Write(dir, part, "test"); err != nil {
+	if err := snapshot.Write(dir, part, "test", nil); err != nil {
 		t.Fatal(err)
 	}
 	// Corrupt the manifest version.
@@ -207,7 +208,7 @@ func TestVersionMismatchRejected(t *testing.T) {
 	}
 
 	// A shard of another version behind a current manifest.
-	if err := snapshot.Write(dir, part, "test"); err != nil {
+	if err := snapshot.Write(dir, part, "test", nil); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, "shard-001.snap")
@@ -229,7 +230,7 @@ func TestVersionMismatchRejected(t *testing.T) {
 func TestTruncatedShardRejected(t *testing.T) {
 	part := testPartition(t)
 	dir := t.TempDir()
-	if err := snapshot.Write(dir, part, "test"); err != nil {
+	if err := snapshot.Write(dir, part, "test", nil); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, "shard-000.snap")
@@ -318,6 +319,85 @@ func TestArtifactsCountNotTrusted(t *testing.T) {
 		}
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
 			t.Errorf("count %d: ReadArtifacts allocated %d bytes on a file with no entries", tc.count, grew)
+		}
+	}
+}
+
+// TestLabelsRoundTrip: labels written with a snapshot come back from
+// ReadLabels; a snapshot written without labels (or rewritten without
+// them) reads nil, and so does a directory that never had any. The
+// graph file records the truth about its numbering.
+func TestLabelsRoundTrip(t *testing.T) {
+	g, labels := graph.HubFirst(gen.PowerLaw(120, 4, 2.5, 30, 9))
+	part := partition.KWay(g, 3, 7)
+	dir := t.TempDir()
+	if err := snapshot.Write(dir, part, "test", labels); err != nil {
+		t.Fatal(err)
+	}
+	got, err := snapshot.ReadLabels(dir)
+	if err != nil || !slices.Equal(got, labels) {
+		t.Fatalf("ReadLabels = %d labels, err %v; want the %d written", len(got), err, len(labels))
+	}
+	man, err := snapshot.ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, hubFirst, err := dataset.OpenFile(filepath.Join(dir, man.Dataset.Path)); err != nil || !hubFirst || !man.Dataset.DegreeOrdered {
+		t.Errorf("hub-first graph: file flag %v, manifest %v, err %v; want both true", hubFirst, man.Dataset.DegreeOrdered, err)
+	}
+
+	if err := snapshot.Write(dir, part, "test", labels[1:]); err == nil {
+		t.Error("Write accepted fewer labels than vertices")
+	}
+	plain := testPartition(t)
+	if plain.G.IsHubFirst() {
+		t.Fatal("test partition's graph is already hub-first")
+	}
+	if err := snapshot.Write(dir, plain, "test", nil); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := snapshot.ReadLabels(dir); err != nil || got != nil {
+		t.Errorf("rewritten without labels: ReadLabels = %v, %v; want nil, nil", got, err)
+	}
+	if man, err = snapshot.ReadManifest(dir); err != nil {
+		t.Fatal(err)
+	}
+	if _, hubFirst, err := dataset.OpenFile(filepath.Join(dir, man.Dataset.Path)); err != nil || hubFirst || man.Dataset.DegreeOrdered {
+		t.Errorf("first-seen graph: file flag %v, manifest %v, err %v; want both false", hubFirst, man.Dataset.DegreeOrdered, err)
+	}
+}
+
+// TestCorruptLabelsRejected: a labels file that is cut short, bit
+// flipped or sized for another graph fails ReadLabels.
+func TestCorruptLabelsRejected(t *testing.T) {
+	g, labels := graph.HubFirst(gen.PowerLaw(120, 4, 2.5, 30, 9))
+	dir := t.TempDir()
+	if err := snapshot.Write(dir, partition.KWay(g, 3, 7), "test", labels); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "labels.snap")
+	valid, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := slices.Clone(valid)
+	flipped[20] ^= 0x04
+	// A well-formed file for a graph one vertex smaller.
+	other := t.TempDir()
+	small, smallLabels := graph.HubFirst(gen.PowerLaw(119, 4, 2.5, 30, 9))
+	if err := snapshot.Write(other, partition.KWay(small, 3, 7), "test", smallLabels); err != nil {
+		t.Fatal(err)
+	}
+	smaller, err := os.ReadFile(filepath.Join(other, "labels.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, raw := range map[string][]byte{"truncated": valid[:len(valid)/2], "flipped": flipped, "other graph": smaller} {
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := snapshot.ReadLabels(dir); err == nil {
+			t.Errorf("%s labels file accepted", name)
 		}
 	}
 }
