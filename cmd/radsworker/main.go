@@ -149,8 +149,14 @@ func run(specPath, snapDir, machineList, listen string, workers int, dsDir, debu
 			Events:    events,
 		})
 		srv.Register(id, d.Handle)
-		log.Printf("machine %d: shard loaded (%d owned vertices of %d, %d border-distance entries warm)",
-			id, len(part.Vertices(id)), man.Vertices, len(part.BorderDistances(id)))
+		border := 0
+		for _, v := range part.Vertices(id) {
+			if part.BD[v] == 0 {
+				border++
+			}
+		}
+		log.Printf("machine %d: shard loaded (%d owned vertices of %d, %d of them border vertices)",
+			id, len(part.Vertices(id)), man.Vertices, border)
 	}
 	reg.CounterVecFunc("rads_transport_bytes_total",
 		"Outgoing bytes by message kind, summed over hosted machines.", "kind",

@@ -2,7 +2,10 @@
 // Section 2 of the paper ("Graph Partition & Storage"): every vertex is
 // owned by exactly one machine; an edge resides in a machine if either
 // endpoint does; a vertex is a *border vertex* of its machine if any
-// neighbour is owned elsewhere.
+// neighbour is owned elsewhere. New derives each vertex's border
+// distance (Definition 1) from the graph and the ownership vector alone,
+// in one O(|V|+|E|) pass, into the dense array BD: a machine that holds
+// its owned rows and the owner vector can compute its own.
 //
 // The paper partitions with METIS ("multilevel k-way"). METIS is not
 // available here, so KWay implements a BFS region-growing partitioner
@@ -15,7 +18,6 @@ package partition
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"rads/internal/graph"
 )
@@ -27,15 +29,19 @@ type Partition struct {
 	M     int     // number of machines
 	Owner []int32 // Owner[v] = machine owning v
 
-	verts  [][]graph.VertexID // vertices per machine
-	border [][]graph.VertexID // border vertices per machine (V^b_Gt)
+	// BD[v] is BD_{G_t}(v) of Definition 1 for t = Owner[v]: the
+	// minimum hop distance within G_t, the subgraph induced by t's
+	// vertices, from v to a border vertex of t (one with a neighbour
+	// owned elsewhere). A vertex that reaches no border vertex inside
+	// its part gets NoBorder. It is computed once by New and read-only
+	// from then on.
+	BD []int32
 
-	bdMu sync.Mutex
-	bd   []map[graph.VertexID]int32 // memoized BorderDistances per machine
+	verts [][]graph.VertexID // vertices per machine
 }
 
 // New builds a Partition from an ownership vector. It validates that
-// every owner is in [0, m).
+// every owner is in [0, m) and computes the border distances.
 func New(g *graph.Graph, m int, owner []int32) (*Partition, error) {
 	if len(owner) != g.NumVertices() {
 		return nil, fmt.Errorf("partition: owner length %d != vertices %d", len(owner), g.NumVertices())
@@ -48,107 +54,48 @@ func New(g *graph.Graph, m int, owner []int32) (*Partition, error) {
 		}
 		p.verts[o] = append(p.verts[o], graph.VertexID(v))
 	}
-	p.border = make([][]graph.VertexID, m)
-	for v := 0; v < g.NumVertices(); v++ {
+	p.BD = borderDistances(g, owner)
+	return p, nil
+}
+
+// borderDistances runs one breadth-first search seeded with every
+// border vertex at distance 0. An edge between two parts joins two
+// border vertices, so the search never steps into another part, and
+// each vertex gets the distance a search over its own part alone would
+// give it.
+func borderDistances(g *graph.Graph, owner []int32) []int32 {
+	n := g.NumVertices()
+	bd := make([]int32, n)
+	queue := make([]graph.VertexID, 0, n)
+	for v := range bd {
+		bd[v] = NoBorder
 		o := owner[v]
 		for _, u := range g.Adj(graph.VertexID(v)) {
 			if owner[u] != o {
-				p.border[o] = append(p.border[o], graph.VertexID(v))
+				bd[v] = 0
+				queue = append(queue, graph.VertexID(v))
 				break
 			}
 		}
 	}
-	return p, nil
+	for i := 0; i < len(queue); i++ {
+		u := queue[i]
+		for _, w := range g.Adj(u) {
+			if bd[w] == NoBorder {
+				bd[w] = bd[u] + 1
+				queue = append(queue, w)
+			}
+		}
+	}
+	return bd
 }
 
 // Vertices returns the vertices owned by machine t (sorted ascending).
 func (p *Partition) Vertices(t int) []graph.VertexID { return p.verts[t] }
 
-// Border returns the border vertices of machine t (Definition: a vertex
-// with at least one neighbour owned elsewhere).
-func (p *Partition) Border(t int) []graph.VertexID { return p.border[t] }
-
-// IsBorder reports whether v is a border vertex of its owner.
-func (p *Partition) IsBorder(v graph.VertexID) bool {
-	o := p.Owner[v]
-	for _, u := range p.G.Adj(v) {
-		if p.Owner[u] != o {
-			return true
-		}
-	}
-	return false
-}
-
-// BorderDistances computes BD_{Gt}(v) of Definition 1 for every vertex
-// of machine t: the minimum hop distance *within the subgraph G_t* from
-// v to any border vertex of t. Vertices of other machines get -1; a
-// machine with no border vertices gets distance = +inf, represented as
-// the sentinel NoBorder.
-//
-// The result is memoized: border distances depend only on the (fixed)
-// ownership vector, and a resident service runs many queries against
-// one partition, so each machine's BFS is paid once. Callers share the
-// returned map and must treat it as read-only.
-func (p *Partition) BorderDistances(t int) map[graph.VertexID]int32 {
-	p.bdMu.Lock()
-	if p.bd == nil {
-		p.bd = make([]map[graph.VertexID]int32, p.M)
-	}
-	if d := p.bd[t]; d != nil {
-		p.bdMu.Unlock()
-		return d
-	}
-	p.bdMu.Unlock()
-	d := p.computeBorderDistances(t)
-	p.bdMu.Lock()
-	p.bd[t] = d
-	p.bdMu.Unlock()
-	return d
-}
-
-// InstallBorderDistances seeds machine t's memoized border-distance
-// map without running the BFS — snapshot warm starts restore the
-// distances persisted at partition time so a worker (or a restarted
-// service) never re-derives them. The caller hands over ownership of
-// d, which is treated as read-only from here on.
-func (p *Partition) InstallBorderDistances(t int, d map[graph.VertexID]int32) {
-	p.bdMu.Lock()
-	if p.bd == nil {
-		p.bd = make([]map[graph.VertexID]int32, p.M)
-	}
-	p.bd[t] = d
-	p.bdMu.Unlock()
-}
-
-func (p *Partition) computeBorderDistances(t int) map[graph.VertexID]int32 {
-	// BFS restricted to edges whose both endpoints are owned by t:
-	// the paper defines BD over the partition G_t, whose vertex set is
-	// the vertices owned by t.
-	dist := make(map[graph.VertexID]int32, len(p.verts[t]))
-	for _, v := range p.verts[t] {
-		dist[v] = NoBorder
-	}
-	queue := make([]graph.VertexID, 0, len(p.border[t]))
-	for _, v := range p.border[t] {
-		dist[v] = 0
-		queue = append(queue, v)
-	}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		du := dist[u]
-		for _, w := range p.G.Adj(u) {
-			if p.Owner[w] != int32(t) {
-				continue
-			}
-			if dist[w] == NoBorder {
-				dist[w] = du + 1
-				queue = append(queue, w)
-			}
-		}
-	}
-	return dist
-}
+// BorderDistances does nothing: New computes every border distance
+// into BD. Kept because the benchmark module calls it.
+func (*Partition) BorderDistances(int) {}
 
 // NoBorder is the border distance of a vertex in a machine that has no
 // border vertices at all (a whole connected component owned locally) or

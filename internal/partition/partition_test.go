@@ -2,6 +2,7 @@ package partition
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -49,11 +50,7 @@ func TestKWayBeatsHashOnLocality(t *testing.T) {
 		t.Errorf("KWay cut %d not better than Hash cut %d on a grid", kw.EdgeCut(), h.EdgeCut())
 	}
 	// Locality also means strictly fewer border vertices.
-	kb, hb := 0, 0
-	for t := 0; t < 4; t++ {
-		kb += len(kw.Border(t))
-		hb += len(h.Border(t))
-	}
+	kb, hb := Measure(kw).BorderVertices, Measure(h).BorderVertices
 	if kb >= hb {
 		t.Errorf("KWay border %d not fewer than Hash border %d", kb, hb)
 	}
@@ -77,14 +74,8 @@ func TestBorderVertices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Border(0); len(got) != 1 || got[0] != 1 {
-		t.Errorf("Border(0) = %v, want [1]", got)
-	}
-	if got := p.Border(1); len(got) != 1 || got[0] != 2 {
-		t.Errorf("Border(1) = %v, want [2]", got)
-	}
-	if p.IsBorder(0) || !p.IsBorder(1) || !p.IsBorder(2) || p.IsBorder(3) {
-		t.Error("IsBorder wrong")
+	if want := []int32{1, 0, 0, 1}; !slices.Equal(p.BD, want) {
+		t.Errorf("BD = %v, want %v", p.BD, want)
 	}
 }
 
@@ -99,15 +90,8 @@ func TestBorderDistancesOnPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d0 := p.BorderDistances(0)
-	want := map[graph.VertexID]int32{0: 2, 1: 1, 2: 0}
-	for v, w := range want {
-		if d0[v] != w {
-			t.Errorf("BD(%d) = %d, want %d", v, d0[v], w)
-		}
-	}
-	if _, ok := d0[3]; ok {
-		t.Error("BorderDistances(0) leaked a foreign vertex")
+	if want := []int32{2, 1, 0, 0, 1, 2}; !slices.Equal(p.BD, want) {
+		t.Errorf("BD = %v, want %v", p.BD, want)
 	}
 }
 
@@ -125,10 +109,82 @@ func TestBorderDistancesNoBorder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := p.BorderDistances(0)
-	for v, bd := range d {
+	for v, bd := range p.BD {
 		if bd != NoBorder {
 			t.Errorf("BD(%d) = %d, want NoBorder", v, bd)
+		}
+	}
+}
+
+// referenceBorderDistances is the per-machine search New replaced: a
+// breadth-first search over machine t's vertices alone, seeded with its
+// border vertices. Other machines' vertices read -1.
+func referenceBorderDistances(p *Partition, t int) []int32 {
+	dist := make([]int32, p.G.NumVertices())
+	for v := range dist {
+		dist[v] = -1
+	}
+	var queue []graph.VertexID
+	for _, v := range p.Vertices(t) {
+		dist[v] = NoBorder
+		if isBorder(p, v) {
+			dist[v] = 0
+			queue = append(queue, v)
+		}
+	}
+	for len(queue) > 0 {
+		u := queue[0]
+		queue = queue[1:]
+		for _, w := range p.G.Adj(u) {
+			if p.Owner[w] == int32(t) && dist[w] == NoBorder {
+				dist[w] = dist[u] + 1
+				queue = append(queue, w)
+			}
+		}
+	}
+	return dist
+}
+
+// isBorder reports whether v has a neighbour owned by another machine.
+func isBorder(p *Partition, v graph.VertexID) bool {
+	for _, u := range p.G.Adj(v) {
+		if p.Owner[u] != p.Owner[v] {
+			return true
+		}
+	}
+	return false
+}
+
+// TestBorderDistancesMatchPerMachineSearch compares the one search of
+// New with one search per machine over random graphs, both
+// partitioners and 1..5 machines. The graphs are two disjoint random
+// graphs plus isolated vertices, so some machines own whole components
+// that reach no border vertex.
+func TestBorderDistancesMatchPerMachineSearch(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		a := gen.ErdosRenyi(30+rng.Intn(40), 0.06, seed)
+		c := gen.Community(2, 6+rng.Intn(6), 0.5, seed)
+		n := a.NumVertices() + c.NumVertices() + 3
+		b := graph.NewBuilder(n)
+		a.Edges(func(u, v graph.VertexID) bool { b.AddEdge(u, v); return true })
+		off := graph.VertexID(a.NumVertices())
+		c.Edges(func(u, v graph.VertexID) bool { b.AddEdge(off+u, off+v); return true })
+		g := b.Build()
+		for m := 1; m <= 5; m++ {
+			for name, p := range map[string]*Partition{"Hash": Hash(g, m), "KWay": KWay(g, m, seed)} {
+				if len(p.BD) != n {
+					t.Fatalf("seed %d %s m=%d: %d distances for %d vertices", seed, name, m, len(p.BD), n)
+				}
+				for tm := 0; tm < m; tm++ {
+					for v, want := range referenceBorderDistances(p, tm) {
+						if want >= 0 && p.BD[v] != want {
+							t.Fatalf("seed %d %s m=%d: BD(%d) = %d, the machine-%d search gives %d",
+								seed, name, m, v, p.BD[v], tm, want)
+						}
+					}
+				}
+			}
 		}
 	}
 }
@@ -156,20 +212,18 @@ func TestPartitionProperty(t *testing.T) {
 	}
 }
 
-// Property: border distance 0 iff border vertex; every vertex of a
-// machine appears in BorderDistances.
+// Property: border distance 0 iff border vertex, and a neighbour of
+// the same owner is at most one hop further from the border.
 func TestBorderDistanceProperty(t *testing.T) {
 	g := gen.Community(8, 15, 0.25, 6)
 	p := KWay(g, 3, 6)
-	for tm := 0; tm < 3; tm++ {
-		d := p.BorderDistances(tm)
-		if len(d) != len(p.Vertices(tm)) {
-			t.Fatalf("machine %d: %d distances for %d vertices", tm, len(d), len(p.Vertices(tm)))
+	for v, d := range p.BD {
+		if isB := isBorder(p, graph.VertexID(v)); isB != (d == 0) {
+			t.Errorf("vertex %d: border=%v but BD=%d", v, isB, d)
 		}
-		for _, v := range p.Vertices(tm) {
-			isB := p.IsBorder(v)
-			if isB != (d[v] == 0) {
-				t.Errorf("machine %d vertex %d: border=%v but BD=%d", tm, v, isB, d[v])
+		for _, u := range g.Adj(graph.VertexID(v)) {
+			if p.Owner[u] == p.Owner[v] && p.BD[u] > d+1 {
+				t.Errorf("edge %d-%d inside machine %d: BD %d and %d", v, u, p.Owner[v], d, p.BD[u])
 			}
 		}
 	}
@@ -183,11 +237,6 @@ func checkInvariants(t *testing.T, p *Partition) {
 		for _, v := range p.Vertices(tm) {
 			if p.Owner[v] != int32(tm) {
 				t.Fatalf("vertex %d listed under machine %d but owned by %d", v, tm, p.Owner[v])
-			}
-		}
-		for _, v := range p.Border(tm) {
-			if !p.IsBorder(v) {
-				t.Fatalf("vertex %d in Border(%d) but IsBorder is false", v, tm)
 			}
 		}
 	}

@@ -30,8 +30,10 @@ func Measure(p *Partition) Quality {
 	if m := p.G.NumEdges(); m > 0 {
 		q.CutFraction = float64(q.EdgeCut) / float64(m)
 	}
-	for t := 0; t < p.M; t++ {
-		q.BorderVertices += len(p.Border(t))
+	for _, d := range p.BD {
+		if d == 0 {
+			q.BorderVertices++
+		}
 	}
 	if n := p.G.NumVertices(); n > 0 {
 		q.BorderFraction = float64(q.BorderVertices) / float64(n)
@@ -58,12 +60,9 @@ func SMEFraction(p *Partition, span int) float64 {
 		return 0
 	}
 	eligible := 0
-	for t := 0; t < p.M; t++ {
-		bd := p.BorderDistances(t)
-		for _, v := range p.Vertices(t) {
-			if int(bd[v]) >= span {
-				eligible++
-			}
+	for _, d := range p.BD {
+		if int(d) >= span {
+			eligible++
 		}
 	}
 	return float64(eligible) / float64(n)
@@ -75,16 +74,8 @@ func SMEFraction(p *Partition, span int) float64 {
 // (an entire component fits on one machine) count as >= maxD.
 func BorderDistanceHistogram(p *Partition, maxD int) []int {
 	hist := make([]int, maxD+1)
-	for t := 0; t < p.M; t++ {
-		bd := p.BorderDistances(t)
-		for _, v := range p.Vertices(t) {
-			d, ok := bd[v]
-			if !ok || int(d) > maxD || d < 0 {
-				hist[maxD]++
-				continue
-			}
-			hist[int(d)]++
-		}
+	for _, d := range p.BD {
+		hist[min(int(d), maxD)]++
 	}
 	return hist
 }

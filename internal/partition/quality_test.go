@@ -93,8 +93,10 @@ func TestBorderDistanceHistogram(t *testing.T) {
 	}
 	// hist[0] must equal the number of border vertices.
 	border := 0
-	for t2 := 0; t2 < p.M; t2++ {
-		border += len(p.Border(t2))
+	for v := range p.BD {
+		if isBorder(p, graph.VertexID(v)) {
+			border++
+		}
 	}
 	if hist[0] != border {
 		t.Errorf("hist[0] = %d, border vertices = %d", hist[0], border)

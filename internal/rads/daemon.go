@@ -36,6 +36,10 @@ type Machine struct {
 	part *partition.Partition
 	tr   cluster.Transport
 
+	// fingerprint is PartitionFingerprint(part), hashed on the first
+	// ping or statsPull and kept: the partition never changes.
+	fingerprint func() uint64
+
 	avgDeg  float64
 	workers int
 	metrics *cluster.Metrics
@@ -97,14 +101,15 @@ func NewMachine(id int, part *partition.Partition, tr cluster.Transport, opts Ma
 		w = runtime.GOMAXPROCS(0)
 	}
 	d := &Machine{
-		id:      id,
-		part:    part,
-		tr:      tr,
-		avgDeg:  opts.AvgDegree,
-		workers: w,
-		metrics: opts.Metrics,
-		obsReg:  opts.Obs,
-		events:  opts.Events,
+		id:          id,
+		part:        part,
+		tr:          tr,
+		fingerprint: fingerprintOf(part),
+		avgDeg:      opts.AvgDegree,
+		workers:     w,
+		metrics:     opts.Metrics,
+		obsReg:      opts.Obs,
+		events:      opts.Events,
 	}
 	if reg := opts.Obs; reg != nil {
 		d.obsQueryLatency = reg.HistogramVec("rads_query_seconds",
@@ -146,7 +151,7 @@ func (d *Machine) Handle(from int, req cluster.Message) (cluster.Message, error)
 		return &cluster.PingResponse{
 			Machine:       d.id,
 			Vertices:      d.part.G.NumVertices(),
-			PartitionHash: PartitionFingerprint(d.part),
+			PartitionHash: d.fingerprint(),
 			Contract:      cluster.WireContract,
 		}, nil
 	case *cluster.VerifyERequest:
@@ -172,7 +177,7 @@ func (d *Machine) Handle(from int, req cluster.Message) (cluster.Message, error)
 	case *StatsPullRequest:
 		resp := &StatsPullResponse{
 			Machine:     d.id,
-			Fingerprint: PartitionFingerprint(d.part),
+			Fingerprint: d.fingerprint(),
 		}
 		if d.obsReg != nil {
 			resp.Families = d.obsReg.Export()
@@ -306,6 +311,12 @@ func PartitionFingerprint(part *partition.Partition) uint64 {
 	binary.Write(h, binary.LittleEndian, int64(part.M))
 	binary.Write(h, binary.LittleEndian, part.Owner)
 	return h.Sum64()
+}
+
+// fingerprintOf returns PartitionFingerprint(part), computed on the
+// first call and remembered.
+func fingerprintOf(part *partition.Partition) func() uint64 {
+	return sync.OnceValue(func() uint64 { return PartitionFingerprint(part) })
 }
 
 // Ping verifies that machine `to` of the cluster behind tr is hosted

@@ -260,6 +260,8 @@ func (c diffCase) runFleet(t *testing.T, part *partition.Partition, budget int64
 // exactly the adjacency the distribution discipline lets machine id
 // read. A machine that reads a foreign row sees it cut down to its edges
 // into id and miscounts, so the fleet tests fail on any foreign read.
+// The border distances of id's vertices need nothing else: partition.New
+// derives them from the owned rows and the owner vector.
 func OwnedRows(t testing.TB, part *partition.Partition, id int) *partition.Partition {
 	t.Helper()
 	b := graph.NewBuilder(part.G.NumVertices())
@@ -272,8 +274,24 @@ func OwnedRows(t testing.TB, part *partition.Partition, id int) *partition.Parti
 	if err != nil {
 		t.Fatal(err)
 	}
-	shard.InstallBorderDistances(id, part.BorderDistances(id))
 	return shard
+}
+
+// TestOwnedRowsDeriveBorderDistances: a machine hosted on its owned
+// rows alone derives the same border distance for each of its vertices
+// as the full partition does, under both partitioners.
+func TestOwnedRowsDeriveBorderDistances(t *testing.T) {
+	g := gen.PowerLaw(300, 4, 2.5, 40, 3)
+	for _, part := range []*partition.Partition{partition.Hash(g, 4), partition.KWay(g, 4, 5)} {
+		for id := range part.M {
+			shard := OwnedRows(t, part, id)
+			for _, v := range part.Vertices(id) {
+				if shard.BD[v] != part.BD[v] {
+					t.Fatalf("machine %d: BD(%d) = %d on its owned rows, %d on the whole graph", id, v, shard.BD[v], part.BD[v])
+				}
+			}
+		}
+	}
 }
 
 // checkStreamed verifies that the streamed embeddings are want distinct

@@ -351,10 +351,11 @@ func newEngine(part *partition.Partition, p *pattern.Pattern, cons []pattern.Ord
 // builds its own engine from the shipped query and runs its one slot
 // (Machine.runQuery).
 func (e *engine) spawnMachines() {
+	fingerprint := fingerprintOf(e.part)
 	for t := 0; t < e.part.M; t++ {
 		m := newMachine(e, t)
 		e.machines = append(e.machines, m)
-		d := &Machine{id: t, part: e.part}
+		d := &Machine{id: t, part: e.part, fingerprint: fingerprint}
 		d.cur.Store(m)
 		e.tr.Register(t, d.Handle)
 	}

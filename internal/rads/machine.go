@@ -209,7 +209,7 @@ func (m *machine) splitCandidates() (c1, c2 []graph.VertexID) {
 	if m.e.cfg.DisableSME {
 		return nil, cands
 	}
-	bd := m.e.part.BorderDistances(m.id)
+	bd := m.e.part.BD
 	for _, v := range cands {
 		if int(bd[v]) >= span {
 			c1 = append(c1, v)

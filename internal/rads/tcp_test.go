@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"rads/internal/cluster"
 	eng "rads/internal/engine"
 	"rads/internal/gen"
+	"rads/internal/graph"
 	"rads/internal/localenum"
 	"rads/internal/partition"
 	"rads/internal/pattern"
@@ -153,6 +155,40 @@ func TestWaitReadyRefusesOtherContract(t *testing.T) {
 	}
 	if waited := time.Since(began); waited > 10*time.Second {
 		t.Errorf("pre-contract worker refused after %v, want at once", waited)
+	}
+}
+
+// TestPingCostIndependentOfGraph: a machine answers ping and statsPull
+// with the partition fingerprint it hashed once, so a reply costs the
+// same allocations and bytes on 100 vertices as on 100 000 (hashing the
+// owner vector per reply cost 4 bytes a vertex). The heartbeat pings
+// every worker every few seconds.
+func TestPingCostIndependentOfGraph(t *testing.T) {
+	cost := func(n int) (allocs, bytes float64) {
+		d := NewMachine(1, partition.Hash(graph.NewBuilder(n).Build(), 4), nil, MachineOptions{})
+		reply := func() {
+			for _, req := range []cluster.Message{&cluster.PingRequest{}, &StatsPullRequest{}} {
+				if _, err := d.Handle(cluster.Coordinator, req); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		allocs = testing.AllocsPerRun(100, reply)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 100; i++ {
+			reply()
+		}
+		runtime.ReadMemStats(&after)
+		return allocs, float64(after.TotalAlloc-before.TotalAlloc) / 100
+	}
+	smallAllocs, smallBytes := cost(100)
+	bigAllocs, bigBytes := cost(100_000)
+	if bigAllocs > smallAllocs {
+		t.Errorf("replies allocate %.0f times on 100 000 vertices, %.0f on 100", bigAllocs, smallAllocs)
+	}
+	if bigBytes > smallBytes+1024 {
+		t.Errorf("replies allocate %.0f bytes on 100 000 vertices, %.0f on 100", bigBytes, smallBytes)
 	}
 }
 

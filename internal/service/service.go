@@ -221,11 +221,6 @@ func OpenPartitioned(part *partition.Partition, cfg Config) (*Service, error) {
 	for _, name := range engine.Names() {
 		s.engines[name], _ = engine.Lookup(name)
 	}
-	// Warm the resident state: border distances are query-independent,
-	// so pay each machine's BFS now instead of inside the first query.
-	for t := 0; t < part.M; t++ {
-		part.BorderDistances(t)
-	}
 	return s, nil
 }
 

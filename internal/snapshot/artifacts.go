@@ -2,24 +2,34 @@ package snapshot
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 
 	"rads/internal/engine"
 )
 
-const artifactsMagic = "RADSARTS"
-
-// header opens the artifact file's gob stream.
-type header struct {
-	Magic   string
-	Version int
-}
+// The artifact file is a fixed header, a gob stream and a checksum:
+//
+//	magic    [8]byte  "RADSARTS"
+//	version  uint32   Version
+//	entries  gob      the entry count, then that many artifactEntry values
+//	crc      uint32   CRC-32C of every preceding byte
+//
+// The reader checks the version and the checksum before the gob decoder
+// sees a byte, so a flipped bit is refused instead of restoring another
+// plan under the same key.
+const (
+	artifactsMagic  = "RADSARTS"
+	artifactsHeader = 8 + 4
+)
 
 // artifactEntry is one cache entry on disk. The artifact travels as a
 // gob interface value: every concrete artifact type (rads.PlanArtifact,
@@ -38,34 +48,32 @@ func ArtifactsPath(dir string) string { return filepath.Join(dir, artifactsName)
 // by engine.ArtifactCache.Export) into dir, sorted by key for a
 // deterministic file.
 func WriteArtifacts(dir string, entries map[string]engine.Artifact) error {
+	raw, err := encodeArtifacts(entries)
+	if err != nil {
+		return err
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("snapshot: %w", err)
 	}
-	keys := make([]string, 0, len(entries))
-	for k := range entries {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	f, err := os.Create(ArtifactsPath(dir))
-	if err != nil {
+	if err := os.WriteFile(ArtifactsPath(dir), raw, 0o644); err != nil {
 		return fmt.Errorf("snapshot: %w", err)
 	}
-	enc := gob.NewEncoder(f)
-	if err := enc.Encode(header{Magic: artifactsMagic, Version: Version}); err != nil {
-		f.Close()
-		return fmt.Errorf("snapshot: artifacts: %w", err)
-	}
+	return nil
+}
+
+func encodeArtifacts(entries map[string]engine.Artifact) ([]byte, error) {
+	keys := slices.Sorted(maps.Keys(entries))
+	buf := bytes.NewBuffer(binary.LittleEndian.AppendUint32([]byte(artifactsMagic), Version))
+	enc := gob.NewEncoder(buf)
 	if err := enc.Encode(len(keys)); err != nil {
-		f.Close()
-		return fmt.Errorf("snapshot: artifacts: %w", err)
+		return nil, fmt.Errorf("snapshot: artifacts: %w", err)
 	}
 	for _, k := range keys {
 		if err := enc.Encode(artifactEntry{Key: k, Art: entries[k]}); err != nil {
-			f.Close()
-			return fmt.Errorf("snapshot: artifact %q: %w", k, err)
+			return nil, fmt.Errorf("snapshot: artifact %q: %w", k, err)
 		}
 	}
-	return f.Close()
+	return seal(buf.Bytes()), nil
 }
 
 // maxArtifactsBytes bounds the artifact file ReadArtifacts accepts. A
@@ -75,9 +83,9 @@ const maxArtifactsBytes = 256 << 20
 
 // ReadArtifacts loads dir's artifact entries; a missing file is an
 // empty map, not an error (snapshots predating the artifact dump, or
-// a service that never prepared anything). The file is read whole, so
-// no gob message can claim more bytes than it holds, and bytes after
-// the last entry are refused.
+// a service that never prepared anything). The file is read whole and
+// its checksum verified before decoding, no gob message can claim more
+// bytes than it holds, and bytes after the last entry are refused.
 func ReadArtifacts(dir string) (map[string]engine.Artifact, error) {
 	f, err := os.Open(ArtifactsPath(dir))
 	if err != nil {
@@ -98,18 +106,21 @@ func ReadArtifacts(dir string) (map[string]engine.Artifact, error) {
 }
 
 func decodeArtifacts(raw []byte) (map[string]engine.Artifact, error) {
-	r := bytes.NewReader(raw)
+	if !bytes.HasPrefix(raw, []byte(artifactsMagic)) {
+		return nil, notArtifacts(raw)
+	}
+	if len(raw) < artifactsHeader+4 {
+		return nil, fmt.Errorf("snapshot: artifacts: truncated: %d bytes is smaller than any artifact file", len(raw))
+	}
+	le := binary.LittleEndian
+	if v := le.Uint32(raw[8:]); v != Version {
+		return nil, fmt.Errorf("%w: artifact file has version %d, this binary reads %d", ErrVersion, v, Version)
+	}
+	if got, want := crc32.Checksum(raw[:len(raw)-4], castagnoli), le.Uint32(raw[len(raw)-4:]); got != want {
+		return nil, fmt.Errorf("snapshot: artifacts: checksum mismatch: file carries %08x, content hashes to %08x", want, got)
+	}
+	r := bytes.NewReader(raw[artifactsHeader : len(raw)-4])
 	dec := gob.NewDecoder(r)
-	var h header
-	if err := dec.Decode(&h); err != nil {
-		return nil, fmt.Errorf("snapshot: artifacts: truncated or corrupt header: %w", decodeErr(err))
-	}
-	if h.Magic != artifactsMagic {
-		return nil, fmt.Errorf("snapshot: not a rads artifact file (magic %q)", h.Magic)
-	}
-	if h.Version != Version {
-		return nil, fmt.Errorf("%w: artifact file has version %d, this binary reads %d", ErrVersion, h.Version, Version)
-	}
 	var n int
 	if err := dec.Decode(&n); err != nil {
 		return nil, fmt.Errorf("snapshot: artifacts: truncated or corrupt count: %w", decodeErr(err))
@@ -135,6 +146,21 @@ func decodeArtifacts(raw []byte) (map[string]engine.Artifact, error) {
 		return nil, fmt.Errorf("snapshot: artifacts: %d bytes after the last of %d entries", r.Len(), n)
 	}
 	return out, nil
+}
+
+// notArtifacts explains a file that does not open with the artifact
+// magic. Files before version 4 opened with a gob-encoded header
+// instead; one of those is refused with ErrVersion, like any other
+// version.
+func notArtifacts(raw []byte) error {
+	var old struct {
+		Magic   string
+		Version int
+	}
+	if gob.NewDecoder(bytes.NewReader(raw)).Decode(&old) == nil && old.Magic == artifactsMagic {
+		return fmt.Errorf("%w: artifact file has version %d, this binary reads %d", ErrVersion, old.Version, Version)
+	}
+	return fmt.Errorf("snapshot: not a rads artifact file (it opens with %q)", raw[:min(len(raw), 8)])
 }
 
 // decodeErr normalizes gob's bare EOFs on truncated input.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -71,20 +72,13 @@ func TestDatasetBackedSnapshot(t *testing.T) {
 		}
 	}
 
-	// Worker shard open: same graph, machine's border distances warm.
+	// Worker shard open: same graph, same border distances.
 	shard, _, err := openShard(snapDir, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bd := shard.BorderDistances(1)
-	wantBD := part.BorderDistances(1)
-	if len(bd) != len(wantBD) {
-		t.Fatalf("border distances: %d entries, want %d", len(bd), len(wantBD))
-	}
-	for v, d := range wantBD {
-		if bd[v] != d {
-			t.Fatalf("BD(%d) = %d, want %d", v, bd[v], d)
-		}
+	if !slices.Equal(shard.BD, part.BD) {
+		t.Fatal("the worker's shard derives other border distances")
 	}
 }
 
@@ -201,12 +195,8 @@ func TestOpenShardsSharesDatasetGraph(t *testing.T) {
 	if len(parts) != 2 || parts[0] != parts[1] {
 		t.Fatalf("dataset-backed shards should share one partition, got %p and %p", parts[0], parts[1])
 	}
-	for _, id := range []int{0, 2} {
-		want := part.BorderDistances(id)
-		got := parts[0].BorderDistances(id)
-		if len(got) != len(want) {
-			t.Fatalf("machine %d: %d border distances, want %d", id, len(got), len(want))
-		}
+	if !slices.Equal(parts[0].BD, part.BD) {
+		t.Fatal("the shared partition derives other border distances")
 	}
 	if got := localenum.Count(parts[0].G, pattern.Triangle(), localenum.Options{}); got != 45 {
 		t.Fatalf("shared partition counts %d triangles, want 45", got)

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
-	"hash/crc32"
-	"os"
 	"testing"
 
 	"rads/internal/engine"
@@ -16,6 +14,16 @@ import (
 	"rads/internal/pattern"
 )
 
+// reseal replaces b's trailer with the checksum of the bytes before
+// it, so a forged or mutated body gets past the CRC to the decoder
+// behind it.
+func reseal(b []byte) []byte {
+	if len(b) < 4 {
+		return b
+	}
+	return seal(bytes.Clone(b[:len(b)-4]))
+}
+
 // FuzzReadShard throws arbitrary bytes at the shard decoder, seeded
 // with real shards, their truncations, flipped bits and headers forged
 // with a recomputed checksum. It must never panic, and whatever it
@@ -23,10 +31,9 @@ import (
 func FuzzReadShard(f *testing.F) {
 	part := partition.KWay(gen.Community(3, 8, 0.4, 5), 3, 7)
 	for t := 0; t < part.M; t++ {
-		s := shard{ID: t, M: part.M, Owner: part.Owner, BorderDist: part.BorderDistances(t)}
-		f.Add(encodeShard(&s))
+		f.Add(encodeShard(&shard{ID: t, M: part.M, Owner: part.Owner}))
 	}
-	valid := encodeShard(&shard{ID: 1, M: part.M, Owner: part.Owner, BorderDist: part.BorderDistances(1)})
+	valid := encodeShard(&shard{ID: 1, M: part.M, Owner: part.Owner})
 	f.Add(valid[:len(valid)/2])
 	f.Add(valid[:shardHeader])
 	flipped := bytes.Clone(valid)
@@ -35,14 +42,14 @@ func FuzzReadShard(f *testing.F) {
 	forge := func(off int, v uint32) []byte {
 		b := bytes.Clone(valid)
 		binary.LittleEndian.PutUint32(b[off:], v)
-		binary.LittleEndian.PutUint32(b[len(b)-4:], crc32.Checksum(b[:len(b)-4], castagnoli))
-		return b
+		return reseal(b)
 	}
 	f.Add(forge(12, 7))          // id outside the fleet
 	f.Add(forge(16, 1<<31))      // machines beyond int32
 	f.Add(forge(20, 1<<30))      // n beyond the file
 	f.Add(forge(20, 3))          // n shorter than the owner vector
 	f.Add(forge(shardHeader, 9)) // an owner outside the fleet
+	f.Add(forge(8, 3))           // a version-3 shard
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		s, err := decodeShard(raw)
 		if err != nil {
@@ -71,8 +78,7 @@ func FuzzDecodeLabels(f *testing.F) {
 	forge := func(off int, v uint32) []byte {
 		b := bytes.Clone(valid)
 		binary.LittleEndian.PutUint32(b[off:], v)
-		binary.LittleEndian.PutUint32(b[len(b)-4:], crc32.Checksum(b[:len(b)-4], castagnoli))
-		return b
+		return reseal(b)
 	}
 	f.Add(forge(8, Version+1))                    // another version
 	f.Add(forge(12, 1<<30))                       // n beyond the file
@@ -90,9 +96,12 @@ func FuzzDecodeLabels(f *testing.F) {
 }
 
 // FuzzReadArtifacts throws arbitrary bytes at the artifact decoder,
-// seeded with a real dump of two engines' artifacts, its truncations,
-// a flipped bit and trailing garbage. It must never panic, and every
-// entry it accepts must carry an artifact and survive a rewrite.
+// seeded with a real dump of two engines' artifacts, its truncations, a
+// flipped bit, trailing garbage, and mutated bodies forged behind a
+// valid checksum. Each input is decoded as it is and once more with its
+// trailer recomputed, so mutations also reach the gob decoder behind
+// the checksum. It must never panic, and every entry it accepts must
+// carry an artifact and survive a rewrite.
 func FuzzReadArtifacts(f *testing.F) {
 	part := partition.KWay(gen.Community(3, 8, 0.4, 5), 3, 7)
 	entries := map[string]engine.Artifact{}
@@ -104,11 +113,7 @@ func FuzzReadArtifacts(f *testing.F) {
 		}
 		entries[name] = art
 	}
-	dir := f.TempDir()
-	if err := WriteArtifacts(dir, entries); err != nil {
-		f.Fatal(err)
-	}
-	valid, err := os.ReadFile(ArtifactsPath(dir))
+	valid, err := encodeArtifacts(entries)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -119,29 +124,39 @@ func FuzzReadArtifacts(f *testing.F) {
 	flipped := bytes.Clone(valid)
 	flipped[len(flipped)/3] ^= 0x40
 	f.Add(flipped)
-	var nilEntry bytes.Buffer
-	enc := gob.NewEncoder(&nilEntry)
-	enc.Encode(header{Magic: artifactsMagic, Version: Version})
-	enc.Encode(1)
-	enc.Encode(artifactEntry{Key: "k"})
-	f.Add(nilEntry.Bytes())
-	f.Fuzz(func(t *testing.T, raw []byte) {
-		got, err := decodeArtifacts(raw)
-		if err != nil {
-			return
-		}
-		for k, a := range got {
-			if a == nil {
-				t.Fatalf("accepted entry %q without an artifact", k)
+	f.Add(reseal(flipped))
+	f.Add(reseal(append(bytes.Clone(valid[:len(valid)-4]), 0, 0, 0, 0, 0)))
+	body := func(msgs ...any) []byte {
+		buf := bytes.NewBuffer(binary.LittleEndian.AppendUint32([]byte(artifactsMagic), Version))
+		enc := gob.NewEncoder(buf)
+		for _, m := range msgs {
+			if err := enc.Encode(m); err != nil {
+				f.Fatal(err)
 			}
 		}
-		out := t.TempDir()
-		if err := WriteArtifacts(out, got); err != nil {
-			t.Fatalf("accepted artifacts do not re-encode: %v", err)
-		}
-		again, err := ReadArtifacts(out)
-		if err != nil || len(again) != len(got) {
-			t.Fatalf("accepted artifacts re-read as %d entries, err %v; want %d", len(again), err, len(got))
+		return seal(buf.Bytes())
+	}
+	f.Add(body(1, artifactEntry{Key: "k"})) // an entry without an artifact
+	f.Add(body(1 << 28))                    // a count no entry backs
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		for _, in := range [][]byte{raw, reseal(raw)} {
+			got, err := decodeArtifacts(in)
+			if err != nil {
+				continue
+			}
+			for k, a := range got {
+				if a == nil {
+					t.Fatalf("accepted entry %q without an artifact", k)
+				}
+			}
+			out := t.TempDir()
+			if err := WriteArtifacts(out, got); err != nil {
+				t.Fatalf("accepted artifacts do not re-encode: %v", err)
+			}
+			again, err := ReadArtifacts(out)
+			if err != nil || len(again) != len(got) {
+				t.Fatalf("accepted artifacts re-read as %d entries, err %v; want %d", len(again), err, len(got))
+			}
 		}
 	})
 }

@@ -41,7 +41,7 @@ func encodeLabels(labels []graph.VertexID) []byte {
 	for _, l := range labels {
 		buf = le.AppendUint32(buf, uint32(l))
 	}
-	return le.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
+	return seal(buf)
 }
 
 // decodeLabels parses a whole labels file. Whatever it accepts,

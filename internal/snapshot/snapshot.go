@@ -1,10 +1,11 @@
 // Package snapshot is the warm-start codec of the resident service: it
 // persists a partitioned data graph — the graph itself as a .radsgraph
 // file referenced by checksum, and one shard file per machine carrying
-// the full ownership vector and the machine's memoized border
-// distances — plus the prepared-artifact cache, so a restarted radserve
-// (or a freshly booted radsworker) loads its state from disk instead of
-// re-partitioning and re-deriving it.
+// the full ownership vector — plus the prepared-artifact cache, so a
+// restarted radserve (or a freshly booted radsworker) loads its state
+// from disk instead of re-partitioning. Border distances are not
+// stored: partition.New derives them from the graph and the owner
+// vector in one linear pass.
 //
 // Layout of a snapshot directory:
 //
@@ -14,7 +15,7 @@
 //	                 referenced from elsewhere
 //	labels.snap      optional: each vertex's ID in the graph's source
 //	                 (labels.go)
-//	shard-000.snap   machine 0: owner vector, border distances
+//	shard-000.snap   machine 0: owner vector
 //	shard-001.snap   ...
 //	artifacts.snap   optional: serialized engine.ArtifactCache entries
 //
@@ -27,9 +28,6 @@
 //	machines  uint32
 //	n         uint32   vertices
 //	owner     n × int32
-//	bd        k × int32  the machine's border distances (Definition 1),
-//	                     one per owned vertex in ascending vertex order
-//	                     (k = the number of owner entries equal to id)
 //	crc       uint32   CRC-32C of every preceding byte
 //
 // The format is versioned: a reader confronted with a different version
@@ -59,8 +57,10 @@ import (
 
 // Version is the on-disk format version this binary reads and writes.
 // Version 3 made every snapshot reference its graph by checksum and
-// replaced the gob shard stream with the fixed-width body above.
-const Version = 3
+// replaced the gob shard stream with the fixed-width body above;
+// version 4 dropped the shard's border distances and gave the artifact
+// file a fixed header and a checksum (artifacts.go).
+const Version = 4
 
 const (
 	shardMagic    = "RADSSHRD"
@@ -75,6 +75,12 @@ const (
 var ErrVersion = errors.New("snapshot: format version mismatch")
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// seal appends the CRC-32C of b, the trailer of every binary file in a
+// snapshot directory.
+func seal(b []byte) []byte {
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, castagnoli))
+}
 
 // Manifest is the global metadata of a snapshot directory.
 type Manifest struct {
@@ -97,11 +103,6 @@ type Manifest struct {
 type shard struct {
 	ID, M int
 	Owner []int32 // full ownership vector (every machine needs it)
-
-	// BorderDist is machine ID's memoized border-distance map
-	// (Definition 1), persisted so a worker never re-runs the BFS. It
-	// has exactly one entry per owned vertex.
-	BorderDist map[graph.VertexID]int32
 }
 
 // Exists reports whether dir holds a snapshot (a manifest).
@@ -118,9 +119,7 @@ func Exists(dir string) bool {
 // commit point — written last, via rename — so an interrupted Write
 // leaves a directory that Exists() reports false (or keeps its
 // previous, complete manifest) instead of a half-written snapshot that
-// mixes new and stale files. Border distances are computed here if the
-// partition has not memoized them yet — paying the BFS at snapshot
-// time is the point.
+// mixes new and stale files.
 func Write(dir string, part *partition.Partition, source string, labels []graph.VertexID) error {
 	if labels != nil && len(labels) != part.G.NumVertices() {
 		return fmt.Errorf("snapshot: %d labels for %d vertices", len(labels), part.G.NumVertices())
@@ -172,7 +171,7 @@ func write(dir string, part *partition.Partition, source string, ds *dataset.Man
 		}
 	}
 	for t := 0; t < part.M; t++ {
-		s := shard{ID: t, M: part.M, Owner: part.Owner, BorderDist: part.BorderDistances(t)}
+		s := shard{ID: t, M: part.M, Owner: part.Owner}
 		if err := os.WriteFile(shardPath(dir, t), encodeShard(&s), 0o644); err != nil {
 			return fmt.Errorf("snapshot: shard %d: %w", t, err)
 		}
@@ -208,7 +207,7 @@ func shardPath(dir string, t int) string {
 // encodeShard renders s in the shard format of the package comment.
 func encodeShard(s *shard) []byte {
 	n := len(s.Owner)
-	buf := make([]byte, shardHeader, shardHeader+4*(n+len(s.BorderDist))+4)
+	buf := make([]byte, shardHeader, shardHeader+4*n+4)
 	copy(buf, shardMagic)
 	le := binary.LittleEndian
 	le.PutUint32(buf[8:], Version)
@@ -218,12 +217,7 @@ func encodeShard(s *shard) []byte {
 	for _, o := range s.Owner {
 		buf = le.AppendUint32(buf, uint32(o))
 	}
-	for v, o := range s.Owner {
-		if int(o) == s.ID {
-			buf = le.AppendUint32(buf, uint32(s.BorderDist[graph.VertexID(v)]))
-		}
-	}
-	return le.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
+	return seal(buf)
 }
 
 // decodeShard parses a whole shard file. Whatever it accepts,
@@ -243,39 +237,21 @@ func decodeShard(raw []byte) (*shard, error) {
 	if id >= m || m > math.MaxInt32 {
 		return nil, fmt.Errorf("machine %d outside a fleet of %d", id, m)
 	}
-	body := raw[shardHeader : len(raw)-4]
-	if int64(n) > int64(len(body))/4 {
-		return nil, fmt.Errorf("header claims %d vertices, impossible for a %d-byte shard", n, len(raw))
-	}
-	owners, rest := body[:4*int(n)], body[4*int(n):]
-	var k int
-	for i := 0; i < len(owners); i += 4 {
-		if le.Uint32(owners[i:]) == id {
-			k++
-		}
-	}
-	if len(rest) != 4*k {
-		return nil, fmt.Errorf("truncated or oversized: %d owned vertices imply %d bytes of border distances, shard has %d",
-			k, 4*k, len(rest))
+	owners := raw[shardHeader : len(raw)-4]
+	if int64(len(owners)) != 4*int64(n) {
+		return nil, fmt.Errorf("truncated or oversized: %d vertices imply a %d-byte shard, file has %d",
+			n, shardHeader+4*int64(n)+4, len(raw))
 	}
 	if got, want := crc32.Checksum(raw[:len(raw)-4], castagnoli), le.Uint32(raw[len(raw)-4:]); got != want {
 		return nil, fmt.Errorf("checksum mismatch: shard carries %08x, content hashes to %08x", want, got)
 	}
-	s := &shard{ID: int(id), M: int(m), Owner: make([]int32, n), BorderDist: make(map[graph.VertexID]int32, k)}
+	s := &shard{ID: int(id), M: int(m), Owner: make([]int32, n)}
 	for v := range s.Owner {
 		o := le.Uint32(owners[4*v:])
 		if o >= m {
 			return nil, fmt.Errorf("vertex %d has owner %d outside [0,%d)", v, o, m)
 		}
 		s.Owner[v] = int32(o)
-		if o == id {
-			d := int32(le.Uint32(rest))
-			if d < 0 {
-				return nil, fmt.Errorf("vertex %d has border distance %d", v, d)
-			}
-			s.BorderDist[graph.VertexID(v)] = d
-			rest = rest[4:]
-		}
 	}
 	return s, nil
 }
@@ -358,9 +334,8 @@ func openGraph(dir string, man Manifest, datasetDirs []string) (*graph.Graph, er
 // OpenShards opens the shards of the machines in ids — every machine
 // of the snapshot when ids is nil — over one shared Partition: the
 // referenced graph is resolved, checksum-verified and loaded exactly
-// once, and each requested machine's persisted border distances are
-// installed, so the first query pays no BFS either. Hosting k machines
-// costs one copy of the graph, not k. Sharing is safe — machines only
+// once, and partition.New derives the border distances from it and the
+// owner vector. Hosting k machines costs one copy of the graph, not k. Sharing is safe — machines only
 // read the partition, and the in-process engine already runs all its
 // machines over one Partition. datasetDirs are extra directories
 // searched for the .radsgraph file by name, for workers whose
@@ -396,7 +371,6 @@ func OpenShards(dir string, ids []int, datasetDirs ...string) ([]*partition.Part
 		} else if !slices.Equal(s.Owner, part.Owner) {
 			return nil, man, fmt.Errorf("snapshot: shard %d disagrees with shard %d on vertex ownership", id, ids[0])
 		}
-		part.InstallBorderDistances(id, s.BorderDist)
 		parts[i] = part
 	}
 	return parts, man, nil

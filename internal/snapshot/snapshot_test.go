@@ -1,11 +1,12 @@
 package snapshot_test
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/gob"
 	"encoding/json"
 	"errors"
-	"maps"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -55,7 +56,7 @@ func sameAdjacency(t *testing.T, a, b *graph.Graph) {
 
 // TestShardRoundTrip writes a snapshot and checks each shard restores
 // the machine's exact local knowledge: the graph, the ownership vector
-// and the machine's memoized border distances.
+// and, derived from them, the border distances.
 func TestShardRoundTrip(t *testing.T) {
 	part := testPartition(t)
 	dir := t.TempDir()
@@ -77,17 +78,15 @@ func TestShardRoundTrip(t *testing.T) {
 			t.Fatalf("shard %d: M=%d, owner vector differs", id, shard.M)
 		}
 		sameAdjacency(t, part.G, shard.G)
-		// Border distances restored exactly (no BFS on this path, but
-		// equality against a fresh computation proves fidelity).
-		if want, got := part.BorderDistances(id), shard.BorderDistances(id); !maps.Equal(want, got) {
-			t.Fatalf("shard %d: border distances %v, want %v", id, got, want)
+		if !slices.Equal(shard.BD, part.BD) {
+			t.Fatalf("shard %d: border distances %v, want %v", id, shard.BD, part.BD)
 		}
 	}
 }
 
 // TestOpenShardsRebuildsFullGraph checks the coordinator warm path:
 // every machine opened at once reproduces the original graph and
-// partition, with every machine's border distances installed.
+// partition and its border distances.
 func TestOpenShardsRebuildsFullGraph(t *testing.T) {
 	part := testPartition(t)
 	dir := t.TempDir()
@@ -106,10 +105,8 @@ func TestOpenShardsRebuildsFullGraph(t *testing.T) {
 	if got.EdgeCut() != part.EdgeCut() {
 		t.Fatalf("edge cut %d, want %d", got.EdgeCut(), part.EdgeCut())
 	}
-	for id := 0; id < part.M; id++ {
-		if !maps.Equal(part.BorderDistances(id), got.BorderDistances(id)) {
-			t.Fatalf("machine %d: border distances differ", id)
-		}
+	if !slices.Equal(got.BD, part.BD) {
+		t.Fatal("border distances differ")
 	}
 }
 
@@ -178,7 +175,8 @@ func TestReadArtifactsMissingFile(t *testing.T) {
 }
 
 // TestVersionMismatchRejected: a future (or past) format version is
-// refused with ErrVersion, in the manifest and in a shard.
+// refused with ErrVersion, in the manifest, in a shard and in the
+// artifact file, including the gob-headed artifact file of version 3.
 func TestVersionMismatchRejected(t *testing.T) {
 	part := testPartition(t)
 	dir := t.TempDir()
@@ -222,6 +220,84 @@ func TestVersionMismatchRejected(t *testing.T) {
 	}
 	if _, _, err := openShard(dir, 1); !errors.Is(err, snapshot.ErrVersion) {
 		t.Fatalf("old shard: err = %v, want ErrVersion", err)
+	}
+
+	// An artifact file of another version: the current layout with the
+	// version field changed, and version 3's, which opened with a gob
+	// header and carried no checksum.
+	radsEngine, _ := engine.Lookup("RADS")
+	art, err := radsEngine.Prepare(part, pattern.ByName("q1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := snapshot.WriteArtifacts(dir, map[string]engine.Artifact{"k": art}); err != nil {
+		t.Fatal(err)
+	}
+	raw, err = os.ReadFile(snapshot.ArtifactsPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(raw[8:], snapshot.Version+1)
+	var v3 bytes.Buffer
+	enc := gob.NewEncoder(&v3)
+	enc.Encode(struct {
+		Magic   string
+		Version int
+	}{"RADSARTS", 3})
+	enc.Encode(1)
+	enc.Encode(struct {
+		Key string
+		Art engine.Artifact
+	}{"k", art})
+	for name, b := range map[string][]byte{"next version": resealed(raw), "version 3": v3.Bytes()} {
+		if err := os.WriteFile(snapshot.ArtifactsPath(dir), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := snapshot.ReadArtifacts(dir); !errors.Is(err, snapshot.ErrVersion) {
+			t.Errorf("%s artifact file: err = %v, want ErrVersion", name, err)
+		}
+	}
+}
+
+// resealed returns b with its CRC-32C trailer recomputed.
+func resealed(b []byte) []byte {
+	b = slices.Clone(b[:len(b)-4])
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, crc32.MakeTable(crc32.Castagnoli)))
+}
+
+// TestArtifactBitFlipsRefused flips each bit of a q1 RADS plan dump in
+// turn: the checksum must refuse every variant, so no flipped bit
+// restores a different plan under the same key.
+func TestArtifactBitFlipsRefused(t *testing.T) {
+	radsEngine, _ := engine.Lookup("RADS")
+	art, err := radsEngine.Prepare(testPartition(t), pattern.ByName("q1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := snapshot.WriteArtifacts(dir, map[string]engine.Artifact{"RADS\x00q1": art}); err != nil {
+		t.Fatal(err)
+	}
+	path := snapshot.ArtifactsPath(dir)
+	valid, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	accepted := 0
+	for i := range valid {
+		for bit := 0; bit < 8; bit++ {
+			b := slices.Clone(valid)
+			b[i] ^= 1 << bit
+			if err := os.WriteFile(path, b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := snapshot.ReadArtifacts(dir); err == nil {
+				accepted++
+			}
+		}
+	}
+	if accepted > 0 {
+		t.Errorf("%d of %d single-bit flips of a %d-byte dump were accepted", accepted, 8*len(valid), len(valid))
 	}
 }
 
@@ -289,30 +365,22 @@ func TestArtifactsCountNotTrusted(t *testing.T) {
 		{1 << 28, "truncated after 0 of 268435456 entries"},
 		{-1, "corrupt count -1"},
 	} {
+		// The package's file layout: magic, version, the gob stream (here
+		// only the count) and the checksum.
+		var buf bytes.Buffer
+		buf.WriteString("RADSARTS")
+		buf.Write(binary.LittleEndian.AppendUint32(nil, snapshot.Version))
+		if err := gob.NewEncoder(&buf).Encode(tc.count); err != nil {
+			t.Fatal(err)
+		}
 		dir := t.TempDir()
-		f, err := os.Create(snapshot.ArtifactsPath(dir))
-		if err != nil {
-			t.Fatal(err)
-		}
-		enc := gob.NewEncoder(f)
-		// Field-for-field the package's unexported file header.
-		hdr := struct {
-			Magic   string
-			Version int
-		}{"RADSARTS", snapshot.Version}
-		if err := enc.Encode(hdr); err != nil {
-			t.Fatal(err)
-		}
-		if err := enc.Encode(tc.count); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
+		if err := os.WriteFile(snapshot.ArtifactsPath(dir), resealed(append(buf.Bytes(), 0, 0, 0, 0)), 0o644); err != nil {
 			t.Fatal(err)
 		}
 
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, err = snapshot.ReadArtifacts(dir)
+		_, err := snapshot.ReadArtifacts(dir)
 		runtime.ReadMemStats(&after)
 		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 			t.Errorf("count %d: err = %v, want one containing %q", tc.count, err, tc.wantErr)
