@@ -15,8 +15,8 @@
 // as graph.radsgraph and referenced the same way.
 //
 // With -snapshot DIR the service warm-starts: if DIR holds a snapshot
-// it is loaded (no re-partitioning, border distances and prepared
-// artifacts restored); otherwise the graph is partitioned once and
+// it is loaded (no re-partitioning; engines prepare plans and indexes
+// again on first use); otherwise the graph is partitioned once and
 // persisted there for next time. -snapshot-only writes the snapshot
 // and exits — the handoff point to radsworker processes.
 //
@@ -255,21 +255,6 @@ func run(o options) error {
 	buildinfo.Register(svc.Metrics())
 	log.Printf("build %s", buildinfo.String())
 
-	// Warm-start the prepared-artifact cache from the snapshot.
-	if o.snapDir != "" {
-		arts, err := snapshot.ReadArtifacts(o.snapDir)
-		if err != nil {
-			log.Printf("artifact restore skipped: %v", err)
-		} else {
-			for key, art := range arts {
-				svc.Artifacts().Seed(key, art)
-			}
-			if len(arts) > 0 {
-				log.Printf("restored %d prepared artifacts", len(arts))
-			}
-		}
-	}
-
 	// Cluster mode: front remote radsworker daemons for RADS queries.
 	var clusterEng *rads.ClusterEngine
 	if o.specPath != "" {
@@ -397,16 +382,6 @@ func run(o options) error {
 	// final checkpoints persist and the jobs report cancelled, so a
 	// restart tells clients the truth about interrupted work.
 	js.Close()
-	// Persist prepared artifacts so the next boot answers warm.
-	if o.snapDir != "" {
-		if arts := svc.Artifacts().Export(); len(arts) > 0 {
-			if err := snapshot.WriteArtifacts(o.snapDir, arts); err != nil {
-				log.Printf("artifact persist failed: %v", err)
-			} else {
-				log.Printf("persisted %d prepared artifacts", len(arts))
-			}
-		}
-	}
 	return nil
 }
 

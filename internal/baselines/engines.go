@@ -13,9 +13,7 @@
 package baselines
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 
@@ -27,7 +25,6 @@ import (
 	"rads/internal/baselines/twintwig"
 	"rads/internal/cluster"
 	"rads/internal/engine"
-	"rads/internal/graph"
 	"rads/internal/partition"
 	"rads/internal/pattern"
 )
@@ -85,55 +82,6 @@ type indexArtifact struct {
 
 func (a indexArtifact) SizeBytes() int64 { return a.idx.Bytes() }
 
-// indexWire is the Crystal index as a snapshot stores it: the cliques
-// of size s at BySize[s]. It is a slice, not the index's map, because
-// gob sizes a decoded map by the count the bytes claim, before a single
-// entry has arrived, and a decoded slice only as its entries arrive.
-// No field shares a name with crystal.Index, so an index stored the
-// old way is refused instead of decoding as an empty one.
-type indexWire struct {
-	Largest int
-	BySize  [][][]graph.VertexID
-}
-
-// GobEncode/GobDecode make the artifact snapshot-codable.
-func (a indexArtifact) GobEncode() ([]byte, error) {
-	w := indexWire{Largest: a.idx.MaxSize}
-	for size, cs := range a.idx.Cliques {
-		for len(w.BySize) <= size {
-			w.BySize = append(w.BySize, nil)
-		}
-		w.BySize[size] = cs
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(w); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-func (a *indexArtifact) GobDecode(b []byte) error {
-	var w indexWire
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&w); err != nil {
-		return err
-	}
-	if w.Largest < 0 || len(w.BySize) > w.Largest+1 {
-		return fmt.Errorf("crystal index: cliques of size %d in an index of at most %d", len(w.BySize)-1, w.Largest)
-	}
-	a.idx = &crystal.Index{MaxSize: w.Largest, Cliques: make(map[int][][]graph.VertexID)}
-	for size, cs := range w.BySize {
-		for _, c := range cs {
-			if len(c) != size {
-				return fmt.Errorf("crystal index: a %d-vertex clique listed among size %d", len(c), size)
-			}
-		}
-		if len(cs) > 0 {
-			a.idx.Cliques[size] = cs
-		}
-	}
-	return nil
-}
-
 func crystalPrepare(part *partition.Partition, p *pattern.Pattern) (engine.Artifact, error) {
 	return indexArtifact{idx: crystal.BuildIndex(part.G, crystal.IndexSizeFor(p))}, nil
 }
@@ -163,7 +111,6 @@ func (crystalEngine) ArtifactKey(p *pattern.Pattern) string {
 }
 
 func init() {
-	gob.Register(indexArtifact{})
 	cancellable := engine.Capabilities{Cancellation: true}
 	engine.Register(&baselineEngine{name: "PSgL", caps: cancellable, run: adapt(psgl.Run)})
 	engine.Register(&baselineEngine{name: "TwinTwig", caps: cancellable, run: adapt(twintwig.Run)})

@@ -118,43 +118,6 @@ func (c *ArtifactCache) Get(ctx context.Context, e Engine, part *partition.Parti
 	return ent.art, ent.err
 }
 
-// Export snapshots every completed artifact by cache key — the
-// persistence hook of the warm-start codec. In-flight preparations and
-// nil artifacts are skipped.
-func (c *ArtifactCache) Export() map[string]Artifact {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string]Artifact, len(c.entries))
-	for key, el := range c.entries {
-		ent := el.Value.(*cacheEntry)
-		select {
-		case <-ent.ready:
-			if ent.err == nil && ent.art != nil {
-				out[key] = ent.art
-			}
-		default:
-		}
-	}
-	return out
-}
-
-// Seed installs a ready artifact under an exported cache key — the
-// restore hook of the warm-start codec. An existing entry for the key
-// wins (the live cache is fresher than any snapshot).
-func (c *ArtifactCache) Seed(key string, art Artifact) {
-	if art == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.entries[key]; ok {
-		return
-	}
-	ent := &cacheEntry{key: key, ready: make(chan struct{}), art: art}
-	close(ent.ready)
-	c.entries[key] = c.order.PushFront(ent)
-}
-
 // Len returns the number of cached artifacts (including in-flight
 // preparations).
 func (c *ArtifactCache) Len() int {

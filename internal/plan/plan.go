@@ -92,7 +92,9 @@ func (pl *Plan) String() string {
 // Build assembles a Plan from a unit sequence, validating the
 // execution-plan conditions of Definitions 6 and 7 and deriving all
 // precomputed structure. It returns an error if the sequence is not a
-// valid execution plan for p.
+// valid execution plan for p. It is the one gate for a unit sequence
+// from outside the process (a worker builds the coordinator's plan
+// with it), so it checks every vertex ID before using it as an index.
 func Build(p *pattern.Pattern, units []Unit) (*Plan, error) {
 	if len(units) == 0 {
 		return nil, fmt.Errorf("plan: no units")
@@ -101,28 +103,33 @@ func Build(p *pattern.Pattern, units []Unit) (*Plan, error) {
 	inPrev := make([]bool, p.N()) // vertex in V_{P_{i-1}}
 	seen := make([]bool, p.N())
 	covered := 0
-
-	addVertex := func(u pattern.VertexID) {
-		if !seen[u] {
-			seen[u] = true
-			covered++
-		}
-	}
+	inRange := func(u pattern.VertexID) bool { return u >= 0 && int(u) < p.N() }
 
 	for i, dp := range units {
 		if len(dp.LF) == 0 {
 			return nil, fmt.Errorf("plan: unit %d has empty leaf set", i)
 		}
+		if !inRange(dp.Piv) {
+			return nil, fmt.Errorf("plan: unit %d pivot u%d is not a vertex of the %d-vertex pattern", i, dp.Piv, p.N())
+		}
 		if i == 0 {
-			addVertex(dp.Piv)
+			seen[dp.Piv] = true
+			covered++
 		} else if !inPrev[dp.Piv] {
 			return nil, fmt.Errorf("plan: unit %d pivot u%d not in P_%d", i, dp.Piv, i-1)
 		}
 		var star, sib, cross [][2]pattern.VertexID
 		for j, lf := range dp.LF {
+			if !inRange(lf) {
+				return nil, fmt.Errorf("plan: unit %d leaf u%d is not a vertex of the %d-vertex pattern", i, lf, p.N())
+			}
 			if seen[lf] {
 				return nil, fmt.Errorf("plan: unit %d leaf u%d already appeared", i, lf)
 			}
+			// Marked as it is met, so a leaf repeated within the unit is
+			// refused above like one from an earlier unit.
+			seen[lf] = true
+			covered++
 			if !p.HasEdge(dp.Piv, lf) {
 				return nil, fmt.Errorf("plan: unit %d: (u%d,u%d) is not a pattern edge", i, dp.Piv, lf)
 			}
@@ -140,9 +147,6 @@ func Build(p *pattern.Pattern, units []Unit) (*Plan, error) {
 					cross = append(cross, [2]pattern.VertexID{wv, lf})
 				}
 			}
-		}
-		for _, lf := range dp.LF {
-			addVertex(lf)
 		}
 		pl.Star = append(pl.Star, star)
 		pl.Sib = append(pl.Sib, sib)

@@ -14,6 +14,7 @@ import (
 	"rads/internal/obs"
 	"rads/internal/partition"
 	"rads/internal/pattern"
+	"rads/internal/plan"
 )
 
 // Machine hosts one RADS machine: the per-machine daemon of Section
@@ -205,13 +206,17 @@ func (d *Machine) runQuery(r *RunQueryRequest) (cluster.Message, error) {
 	if err := checkConstraints(p, r.Constraints); err != nil {
 		return nil, fmt.Errorf("machine %d: %w", d.id, err)
 	}
+	pl, err := plan.Build(p, r.Units)
+	if err != nil {
+		return nil, fmt.Errorf("machine %d: refused the coordinator's plan for %s: %w", d.id, p.Name, err)
+	}
 	workers := r.Workers
 	if workers <= 0 {
 		workers = d.workers
 	}
 	trace := obs.NewTrace()
 	cfg := Config{
-		Plan:                 r.Plan,
+		Plan:                 pl,
 		Transport:            d.tr,
 		Workers:              workers,
 		Trace:                trace,

@@ -2,6 +2,8 @@ package rads_test
 
 import (
 	"context"
+	"errors"
+	"strings"
 	"testing"
 
 	"rads/internal/cluster"
@@ -11,6 +13,7 @@ import (
 	"rads/internal/localenum"
 	"rads/internal/partition"
 	"rads/internal/pattern"
+	"rads/internal/plan"
 	"rads/internal/rads"
 	"rads/internal/snapshot"
 )
@@ -137,6 +140,52 @@ func TestClusterEngineMatchesOracle(t *testing.T) {
 		if res2.Total != want {
 			t.Errorf("%s (prepared): %d, want %d", q.Name, res2.Total, want)
 		}
+	}
+}
+
+// TestForgedPlanRefusedOverTCP: a worker builds the plan it is sent
+// from the unit sequence, so a forged sequence is refused with an error
+// naming the plan — not a panic that would end the worker process —
+// and the same worker keeps answering pings and counting correctly.
+func TestForgedPlanRefusedOverTCP(t *testing.T) {
+	g := gen.Community(4, 16, 0.3, 77)
+	part := partition.KWay(g, 4, 7)
+	var coord cluster.Transport
+	ce := hostClusterWrapped(t, part, nil, func(tr cluster.Transport) cluster.Transport {
+		coord = tr
+		return tr
+	})
+	q1 := pattern.ByName("q1")
+	q4, err := plan.Compute(pattern.ByName("q4"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []struct {
+		name  string
+		p     *pattern.Pattern
+		units []plan.Unit
+	}{
+		{"pivot 42", q1, []plan.Unit{{Piv: 42, LF: []pattern.VertexID{1, 3}}}},
+		{"repeated leaf", pattern.ByName("cq1"), []plan.Unit{{Piv: 0, LF: []pattern.VertexID{1, 2, 3, 1}}}},
+		{"q4's units under q1", q1, q4.Units},
+		{"no units", q1, nil},
+	} {
+		_, err := coord.Call(cluster.Coordinator, 0, &rads.RunQueryRequest{
+			Pattern: pattern.Format(f.p), Units: f.units, Constraints: f.p.SymmetryBreaking(), Workers: 1,
+		})
+		if !errors.Is(err, cluster.ErrRemote) || !strings.Contains(err.Error(), "plan") {
+			t.Errorf("%s: err = %v, want a remote error naming the plan", f.name, err)
+		}
+	}
+	if resp, err := coord.Call(cluster.Coordinator, 0, &cluster.PingRequest{}); err != nil {
+		t.Fatalf("ping after the forged plans: %v", err)
+	} else if pr, ok := resp.(*cluster.PingResponse); !ok || pr.Machine != 0 {
+		t.Fatalf("ping after the forged plans answered %+v", resp)
+	}
+	want := localenum.Count(g, q1, localenum.Options{})
+	res, err := ce.Run(context.Background(), engine.Request{Part: part, Pattern: q1, Metrics: cluster.NewMetrics(part.M)})
+	if err != nil || res.Total != want {
+		t.Fatalf("q1 after the forged plans: %d, %v; oracle %d", res.Total, err, want)
 	}
 }
 

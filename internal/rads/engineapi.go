@@ -2,7 +2,6 @@ package rads
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"time"
@@ -14,12 +13,6 @@ import (
 	"rads/internal/pattern"
 	"rads/internal/plan"
 )
-
-func init() {
-	// PlanArtifact crosses process boundaries in the snapshot artifact
-	// codec; the concrete type must be known to gob.
-	gob.Register(PlanArtifact{})
-}
 
 // PlanArtifact is RADS's prepared artifact: a Section 4 execution plan
 // for one exact labeled pattern. Plans are *not* isomorphism-invariant

@@ -173,7 +173,7 @@ func (c *ClusterEngine) runRemote(ctx context.Context, req eng.Request) (eng.Res
 	}
 	wire := &RunQueryRequest{
 		Pattern:     pattern.Format(req.Pattern),
-		Plan:        pl,
+		Units:       pl.Units,
 		Constraints: req.Pattern.SymmetryBreaking(),
 		QueryID:     req.QueryID,
 		Workers:     req.Workers,

@@ -19,14 +19,14 @@ func init() {
 
 // RunQueryRequest is the coordinator -> machine control message: run
 // one RADS query on your shard. The pattern travels in its textual
-// form; the plan is computed once at the coordinator and shipped so
+// form and the coordinator's execution plan as its unit sequence, so
 // every machine executes the identical matching order regardless of
-// which process it lives in. A nil plan makes the machine plan for
-// itself (plan computation is deterministic, but shipping it keeps
-// the coordinator's prepared artifacts authoritative).
+// which process it lives in. The machine derives the rest of the plan
+// with plan.Build, which refuses units that are not an execution plan
+// for the pattern; a request without units is refused too.
 type RunQueryRequest struct {
 	Pattern string
-	Plan    *plan.Plan
+	Units   []plan.Unit
 
 	// Constraints are the coordinator's symmetry-breaking constraints
 	// (pattern.SymmetryBreaking), which every machine enumerates under.
@@ -52,15 +52,11 @@ type RunQueryRequest struct {
 }
 
 // ByteSize estimates the wire size: the pattern text, the constraints,
-// the plan's integer payload, and the fixed knobs.
+// the unit sequence, and the fixed knobs.
 func (r *RunQueryRequest) ByteSize() int {
 	n := len(r.Pattern) + 8*3 + 1 + 16*len(r.Constraints)
-	if r.Plan != nil {
-		n += 8 * (len(r.Plan.Order) + len(r.Plan.Pos) + len(r.Plan.PrefixLen))
-		for i := range r.Plan.Units {
-			n += 8 * (1 + len(r.Plan.Units[i].LF))
-			n += 16 * (len(r.Plan.Star[i]) + len(r.Plan.Sib[i]) + len(r.Plan.Cross[i]))
-		}
+	for i := range r.Units {
+		n += 8 * (1 + len(r.Units[i].LF))
 	}
 	return n
 }

@@ -18,7 +18,9 @@ import (
 
 // TestControlPlaneKindsSurviveTCP: the four messages this package
 // registers ride the cluster frames as gob payloads; each must arrive
-// as it was sent, in both directions of a real loopback exchange.
+// as it was sent, in both directions of a real loopback exchange. The
+// plan travels as its unit sequence: what arrives must build, on the
+// pattern parsed from the arrived text, into the plan that was sent.
 func TestControlPlaneKindsSurviveTCP(t *testing.T) {
 	p := pattern.ByName("q4")
 	pl, err := plan.Compute(p)
@@ -28,7 +30,7 @@ func TestControlPlaneKindsSurviveTCP(t *testing.T) {
 	exchanges := []struct{ req, resp cluster.Message }{
 		{
 			&rads.RunQueryRequest{
-				Pattern: p.String(), Plan: pl, Constraints: p.SymmetryBreaking(), QueryID: 77, Workers: 2, BudgetBytes: 512 << 10,
+				Pattern: pattern.Format(p), Units: pl.Units, Constraints: p.SymmetryBreaking(), QueryID: 77, Workers: 2, BudgetBytes: 512 << 10,
 				DisableLoadBalancing: true,
 			},
 			&rads.RunQueryResponse{
@@ -72,8 +74,22 @@ func TestControlPlaneKindsSurviveTCP(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%T: %v", x.req, err)
 		}
-		if got := <-arrived; !reflect.DeepEqual(got, x.req) {
+		got := <-arrived
+		if !reflect.DeepEqual(got, x.req) {
 			t.Errorf("request arrived as %+v, want %+v", got, x.req)
+		}
+		if r, ok := got.(*rads.RunQueryRequest); ok && r.Units != nil {
+			q, err := pattern.Parse(r.Pattern)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rebuilt, err := plan.Build(q, r.Units)
+			if err != nil {
+				t.Fatalf("arrived units do not build: %v", err)
+			}
+			if !reflect.DeepEqual(rebuilt.Order, pl.Order) || !reflect.DeepEqual(rebuilt.Cross, pl.Cross) || !reflect.DeepEqual(rebuilt.PrefixLen, pl.PrefixLen) {
+				t.Errorf("arrived units build %v, want %v", rebuilt, pl)
+			}
 		}
 		if !reflect.DeepEqual(back, x.resp) {
 			t.Errorf("response arrived as %+v, want %+v", back, x.resp)

@@ -306,11 +306,6 @@ func (s *Service) FindProfile(id uint64) *obs.Profile {
 // Partition exposes the resident partition (read-only by convention).
 func (s *Service) Partition() *partition.Partition { return s.part }
 
-// Artifacts exposes the prepared-artifact cache, for warm-start
-// persistence: a serving binary exports it on shutdown and seeds it on
-// boot through the snapshot codec.
-func (s *Service) Artifacts() *engine.ArtifactCache { return s.artifacts }
-
 // Register adds (or replaces) an engine under its own name; queries
 // name engines by these keys. Its declared capabilities gate admission
 // (unsupported options are rejected at Submit) and its prepared

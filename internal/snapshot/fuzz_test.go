@@ -3,15 +3,11 @@ package snapshot
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"testing"
 
-	"rads/internal/engine"
-	_ "rads/internal/engine/all" // register the engines' artifact gob types
 	"rads/internal/gen"
 	"rads/internal/graph"
 	"rads/internal/partition"
-	"rads/internal/pattern"
 )
 
 // reseal replaces b's trailer with the checksum of the bytes before
@@ -91,72 +87,6 @@ func FuzzDecodeLabels(f *testing.F) {
 		}
 		if got := encodeLabels(labels); !bytes.Equal(got, raw) {
 			t.Fatalf("accepted labels re-encode to %d different bytes (input %d)", len(got), len(raw))
-		}
-	})
-}
-
-// FuzzReadArtifacts throws arbitrary bytes at the artifact decoder,
-// seeded with a real dump of two engines' artifacts, its truncations, a
-// flipped bit, trailing garbage, and mutated bodies forged behind a
-// valid checksum. Each input is decoded as it is and once more with its
-// trailer recomputed, so mutations also reach the gob decoder behind
-// the checksum. It must never panic, and every entry it accepts must
-// carry an artifact and survive a rewrite.
-func FuzzReadArtifacts(f *testing.F) {
-	part := partition.KWay(gen.Community(3, 8, 0.4, 5), 3, 7)
-	entries := map[string]engine.Artifact{}
-	for _, name := range []string{"RADS", "Crystal"} {
-		e, _ := engine.Lookup(name)
-		art, err := e.Prepare(part, pattern.Triangle())
-		if err != nil {
-			f.Fatal(err)
-		}
-		entries[name] = art
-	}
-	valid, err := encodeArtifacts(entries)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(valid)
-	f.Add(valid[:len(valid)/2])
-	f.Add(valid[:len(valid)-1])
-	f.Add(append(bytes.Clone(valid), 0))
-	flipped := bytes.Clone(valid)
-	flipped[len(flipped)/3] ^= 0x40
-	f.Add(flipped)
-	f.Add(reseal(flipped))
-	f.Add(reseal(append(bytes.Clone(valid[:len(valid)-4]), 0, 0, 0, 0, 0)))
-	body := func(msgs ...any) []byte {
-		buf := bytes.NewBuffer(binary.LittleEndian.AppendUint32([]byte(artifactsMagic), Version))
-		enc := gob.NewEncoder(buf)
-		for _, m := range msgs {
-			if err := enc.Encode(m); err != nil {
-				f.Fatal(err)
-			}
-		}
-		return seal(buf.Bytes())
-	}
-	f.Add(body(1, artifactEntry{Key: "k"})) // an entry without an artifact
-	f.Add(body(1 << 28))                    // a count no entry backs
-	f.Fuzz(func(t *testing.T, raw []byte) {
-		for _, in := range [][]byte{raw, reseal(raw)} {
-			got, err := decodeArtifacts(in)
-			if err != nil {
-				continue
-			}
-			for k, a := range got {
-				if a == nil {
-					t.Fatalf("accepted entry %q without an artifact", k)
-				}
-			}
-			out := t.TempDir()
-			if err := WriteArtifacts(out, got); err != nil {
-				t.Fatalf("accepted artifacts do not re-encode: %v", err)
-			}
-			again, err := ReadArtifacts(out)
-			if err != nil || len(again) != len(got) {
-				t.Fatalf("accepted artifacts re-read as %d entries, err %v; want %d", len(again), err, len(got))
-			}
 		}
 	})
 }

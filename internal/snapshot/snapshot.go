@@ -1,11 +1,12 @@
 // Package snapshot is the warm-start codec of the resident service: it
 // persists a partitioned data graph — the graph itself as a .radsgraph
 // file referenced by checksum, and one shard file per machine carrying
-// the full ownership vector — plus the prepared-artifact cache, so a
-// restarted radserve (or a freshly booted radsworker) loads its state
-// from disk instead of re-partitioning. Border distances are not
-// stored: partition.New derives them from the graph and the owner
-// vector in one linear pass.
+// the full ownership vector — so a restarted radserve (or a freshly
+// booted radsworker) loads its state from disk instead of
+// re-partitioning. Nothing derived is stored: partition.New derives the
+// border distances from the graph and the owner vector in one linear
+// pass, and engines prepare their artifacts (execution plans, clique
+// indexes) again on first use, in milliseconds.
 //
 // Layout of a snapshot directory:
 //
@@ -17,7 +18,9 @@
 //	                 (labels.go)
 //	shard-000.snap   machine 0: owner vector
 //	shard-001.snap   ...
-//	artifacts.snap   optional: serialized engine.ArtifactCache entries
+//
+// An artifacts.snap left by an older build, which held the prepared
+// artifacts, is ignored.
 //
 // A shard is a fixed-width little-endian body guarded the way a
 // .radsgraph is:
@@ -58,16 +61,14 @@ import (
 // Version is the on-disk format version this binary reads and writes.
 // Version 3 made every snapshot reference its graph by checksum and
 // replaced the gob shard stream with the fixed-width body above;
-// version 4 dropped the shard's border distances and gave the artifact
-// file a fixed header and a checksum (artifacts.go).
+// version 4 dropped the shard's border distances.
 const Version = 4
 
 const (
-	shardMagic    = "RADSSHRD"
-	shardHeader   = 8 + 4 + 4 + 4 + 4
-	manifestName  = "manifest.json"
-	artifactsName = "artifacts.snap"
-	graphName     = "graph.radsgraph"
+	shardMagic   = "RADSSHRD"
+	shardHeader  = 8 + 4 + 4 + 4 + 4
+	manifestName = "manifest.json"
+	graphName    = "graph.radsgraph"
 )
 
 // ErrVersion marks a snapshot written by an incompatible format
@@ -144,11 +145,9 @@ func write(dir string, part *partition.Partition, source string, ds *dataset.Man
 		return fmt.Errorf("snapshot: %w", err)
 	}
 	// Invalidate any previous manifest first: the files about to be
-	// overwritten no longer match it. The artifact dump goes with it —
-	// prepared artifacts are bound to the partition being replaced, and
-	// seeding them against a different graph would silently corrupt
-	// query results. So do the labels of the graph being replaced.
-	for _, name := range []string{manifestName, artifactsName, labelsName} {
+	// overwritten no longer match it. So do the labels of the graph
+	// being replaced.
+	for _, name := range []string{manifestName, labelsName} {
 		if err := os.Remove(filepath.Join(dir, name)); err != nil && !errors.Is(err, os.ErrNotExist) {
 			return fmt.Errorf("snapshot: %w", err)
 		}

@@ -1,27 +1,18 @@
 package snapshot_test
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"encoding/json"
 	"errors"
-	"hash/crc32"
 	"os"
 	"path/filepath"
-	"runtime"
 	"slices"
-	"strings"
 	"testing"
 
 	"rads/internal/dataset"
-	"rads/internal/engine"
-	_ "rads/internal/engine/all" // register engines (and their artifact gob types)
 	"rads/internal/gen"
 	"rads/internal/graph"
 	"rads/internal/partition"
-	"rads/internal/pattern"
-	"rads/internal/rads"
 	"rads/internal/snapshot"
 )
 
@@ -110,73 +101,8 @@ func TestOpenShardsRebuildsFullGraph(t *testing.T) {
 	}
 }
 
-// TestArtifactRoundTrip persists prepared artifacts of two engines
-// with genuinely different concrete types (RADS plan, Crystal clique
-// index) and restores them through the generic codec.
-func TestArtifactRoundTrip(t *testing.T) {
-	part := testPartition(t)
-	q := pattern.Triangle()
-	entries := map[string]engine.Artifact{}
-	for _, name := range []string{"RADS", "Crystal"} {
-		e, ok := engine.Lookup(name)
-		if !ok {
-			t.Fatalf("engine %s not registered", name)
-		}
-		art, err := e.Prepare(part, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		entries[name+"\x00test"] = art
-	}
-	dir := t.TempDir()
-	if err := snapshot.WriteArtifacts(dir, entries); err != nil {
-		t.Fatal(err)
-	}
-	got, err := snapshot.ReadArtifacts(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(entries) {
-		t.Fatalf("restored %d artifacts, want %d", len(got), len(entries))
-	}
-	for key, want := range entries {
-		art, ok := got[key]
-		if !ok {
-			t.Fatalf("artifact %q missing", key)
-		}
-		if art.SizeBytes() != want.SizeBytes() {
-			t.Errorf("artifact %q: %d bytes, want %d", key, art.SizeBytes(), want.SizeBytes())
-		}
-	}
-	// The restored plan must be usable, not just present.
-	pa, ok := got["RADS\x00test"].(rads.PlanArtifact)
-	if !ok {
-		t.Fatalf("RADS artifact restored as %T", got["RADS\x00test"])
-	}
-	if pa.Plan == nil || len(pa.Plan.Order) != q.N() {
-		t.Fatalf("restored plan malformed: %+v", pa.Plan)
-	}
-	// Seeding a cache with restored artifacts must make them visible.
-	cache := engine.NewArtifactCache(0)
-	for k, a := range got {
-		cache.Seed(k, a)
-	}
-	if cache.Len() != len(got) || cache.SizeBytes() <= 0 {
-		t.Fatalf("seeded cache: len=%d bytes=%d", cache.Len(), cache.SizeBytes())
-	}
-}
-
-// TestReadArtifactsMissingFile: absence is an empty map, not an error.
-func TestReadArtifactsMissingFile(t *testing.T) {
-	got, err := snapshot.ReadArtifacts(t.TempDir())
-	if err != nil || len(got) != 0 {
-		t.Fatalf("got %v, %v; want empty, nil", got, err)
-	}
-}
-
 // TestVersionMismatchRejected: a future (or past) format version is
-// refused with ErrVersion, in the manifest, in a shard and in the
-// artifact file, including the gob-headed artifact file of version 3.
+// refused with ErrVersion, in the manifest and in a shard.
 func TestVersionMismatchRejected(t *testing.T) {
 	part := testPartition(t)
 	dir := t.TempDir()
@@ -221,84 +147,6 @@ func TestVersionMismatchRejected(t *testing.T) {
 	if _, _, err := openShard(dir, 1); !errors.Is(err, snapshot.ErrVersion) {
 		t.Fatalf("old shard: err = %v, want ErrVersion", err)
 	}
-
-	// An artifact file of another version: the current layout with the
-	// version field changed, and version 3's, which opened with a gob
-	// header and carried no checksum.
-	radsEngine, _ := engine.Lookup("RADS")
-	art, err := radsEngine.Prepare(part, pattern.ByName("q1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := snapshot.WriteArtifacts(dir, map[string]engine.Artifact{"k": art}); err != nil {
-		t.Fatal(err)
-	}
-	raw, err = os.ReadFile(snapshot.ArtifactsPath(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	binary.LittleEndian.PutUint32(raw[8:], snapshot.Version+1)
-	var v3 bytes.Buffer
-	enc := gob.NewEncoder(&v3)
-	enc.Encode(struct {
-		Magic   string
-		Version int
-	}{"RADSARTS", 3})
-	enc.Encode(1)
-	enc.Encode(struct {
-		Key string
-		Art engine.Artifact
-	}{"k", art})
-	for name, b := range map[string][]byte{"next version": resealed(raw), "version 3": v3.Bytes()} {
-		if err := os.WriteFile(snapshot.ArtifactsPath(dir), b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := snapshot.ReadArtifacts(dir); !errors.Is(err, snapshot.ErrVersion) {
-			t.Errorf("%s artifact file: err = %v, want ErrVersion", name, err)
-		}
-	}
-}
-
-// resealed returns b with its CRC-32C trailer recomputed.
-func resealed(b []byte) []byte {
-	b = slices.Clone(b[:len(b)-4])
-	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, crc32.MakeTable(crc32.Castagnoli)))
-}
-
-// TestArtifactBitFlipsRefused flips each bit of a q1 RADS plan dump in
-// turn: the checksum must refuse every variant, so no flipped bit
-// restores a different plan under the same key.
-func TestArtifactBitFlipsRefused(t *testing.T) {
-	radsEngine, _ := engine.Lookup("RADS")
-	art, err := radsEngine.Prepare(testPartition(t), pattern.ByName("q1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	if err := snapshot.WriteArtifacts(dir, map[string]engine.Artifact{"RADS\x00q1": art}); err != nil {
-		t.Fatal(err)
-	}
-	path := snapshot.ArtifactsPath(dir)
-	valid, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	accepted := 0
-	for i := range valid {
-		for bit := 0; bit < 8; bit++ {
-			b := slices.Clone(valid)
-			b[i] ^= 1 << bit
-			if err := os.WriteFile(path, b, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := snapshot.ReadArtifacts(dir); err == nil {
-				accepted++
-			}
-		}
-	}
-	if accepted > 0 {
-		t.Errorf("%d of %d single-bit flips of a %d-byte dump were accepted", accepted, 8*len(valid), len(valid))
-	}
 }
 
 // TestTruncatedShardRejected: a shard cut off mid-stream errors out
@@ -323,70 +171,6 @@ func TestTruncatedShardRejected(t *testing.T) {
 		}
 		if _, _, err := snapshot.OpenShards(dir, nil); err == nil {
 			t.Fatalf("OpenShards accepted a shard truncated to %d bytes", keep)
-		}
-	}
-}
-
-// TestTruncatedArtifactsRejected mirrors the shard truncation check
-// for the artifact file.
-func TestTruncatedArtifactsRejected(t *testing.T) {
-	part := testPartition(t)
-	e, _ := engine.Lookup("RADS")
-	art, err := e.Prepare(part, pattern.Triangle())
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	if err := snapshot.WriteArtifacts(dir, map[string]engine.Artifact{"k": art}); err != nil {
-		t.Fatal(err)
-	}
-	path := snapshot.ArtifactsPath(dir)
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, b[:len(b)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := snapshot.ReadArtifacts(dir); err == nil {
-		t.Fatal("ReadArtifacts accepted a truncated file")
-	}
-}
-
-// TestArtifactsCountNotTrusted feeds ReadArtifacts a file that is only
-// a valid header and an entry count — huge or negative, no entries. The
-// count must not size an allocation: the huge one is the ordinary
-// truncation error, the negative one is rejected outright.
-func TestArtifactsCountNotTrusted(t *testing.T) {
-	for _, tc := range []struct {
-		count   int
-		wantErr string
-	}{
-		{1 << 28, "truncated after 0 of 268435456 entries"},
-		{-1, "corrupt count -1"},
-	} {
-		// The package's file layout: magic, version, the gob stream (here
-		// only the count) and the checksum.
-		var buf bytes.Buffer
-		buf.WriteString("RADSARTS")
-		buf.Write(binary.LittleEndian.AppendUint32(nil, snapshot.Version))
-		if err := gob.NewEncoder(&buf).Encode(tc.count); err != nil {
-			t.Fatal(err)
-		}
-		dir := t.TempDir()
-		if err := os.WriteFile(snapshot.ArtifactsPath(dir), resealed(append(buf.Bytes(), 0, 0, 0, 0)), 0o644); err != nil {
-			t.Fatal(err)
-		}
-
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		_, err := snapshot.ReadArtifacts(dir)
-		runtime.ReadMemStats(&after)
-		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-			t.Errorf("count %d: err = %v, want one containing %q", tc.count, err, tc.wantErr)
-		}
-		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
-			t.Errorf("count %d: ReadArtifacts allocated %d bytes on a file with no entries", tc.count, grew)
 		}
 	}
 }

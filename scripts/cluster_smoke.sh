@@ -7,8 +7,10 @@
 #      snapshot shards.
 #   3. A cluster-mode radserve fronts them; a RADS query must execute
 #      on the workers and match an in-process engine bit for bit.
-#   4. radserve is restarted; its first query must be answered from the
-#      snapshot (no re-partitioning) and still match.
+#   4. A client that sends half a request header is disconnected by
+#      the header timeout. radserve is restarted; its first query must
+#      be answered from the snapshot (no re-partitioning) and still
+#      match.
 #
 #   5. Chaos: one worker is wedged (SIGSTOP) and later killed outright;
 #      in-flight queries must fail with a clean typed 503 (never a
@@ -258,6 +260,30 @@ assert len(fps) == 1 and "" not in fps, s
 for w in s["workers"]:
     assert w["up"] and w["breaker"] == "closed", w
 print("   4 workers up, fingerprint", fps.pop())'
+
+echo "== stalled client: half a request header must not hold a connection"
+# radserve's listener sets ReadHeaderTimeout 10s (obs.NewHTTPServer); a
+# client that stops mid-header must be disconnected within 15s.
+python3 - "$ADDR" <<'EOF'
+import socket, sys, time
+host, port = sys.argv[1].rsplit(":", 1)
+s = socket.create_connection((host, int(port)), timeout=5)
+s.sendall(b"GET /healthz HTTP/1.1\r\nHo")
+began = time.monotonic()
+while True:
+    left = 15 - (time.monotonic() - began)
+    if left <= 0:
+        sys.exit("FAIL: radserve kept a stalled connection open for 15s")
+    s.settimeout(left)
+    try:
+        if not s.recv(4096):
+            break
+    except socket.timeout:
+        continue
+    except ConnectionResetError:
+        break
+print("   stalled connection closed after %.1fs" % (time.monotonic() - began))
+EOF
 
 echo "== restart radserve: first query must be warm (no re-partitioning)"
 kill "$SERVE_PID"; wait "$SERVE_PID" 2>/dev/null || true
