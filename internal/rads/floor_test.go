@@ -13,10 +13,10 @@ import (
 )
 
 // ladder is the budget ladder of the budget tests: per-machine limits
-// from top down to 4 KiB, each rung three quarters of the one above.
+// from top down to 256 B, each rung three quarters of the one above.
 func ladder(top int64) []int64 {
 	var rungs []int64
-	for limit := top; limit >= 4<<10; limit = limit * 3 / 4 {
+	for limit := top; limit >= 256; limit = limit * 3 / 4 {
 		rungs = append(rungs, limit)
 	}
 	return rungs
@@ -104,7 +104,7 @@ func TestHubLeavesFlushUnderBudget(t *testing.T) {
 
 // TestBudgetFloors pins the budget floor — the smallest rung of the
 // ladder that completes with the oracle's count — of q1-q4 on five
-// generator families (4207 B is the ladder's bottom rung). A floor may
+// generator families (315 B is the ladder's bottom rung). A floor may
 // fall, never rise. The power-law and RMAT q3 cells lean on the round's
 // halving (without it both rise to 7480 B): rooted at its lowest-degree
 // vertex, a C5 match pivots on hubs in its later rounds, and a round
@@ -120,11 +120,11 @@ func TestBudgetFloors(t *testing.T) {
 		g      *graph.Graph
 		floors [4]int64 // q1..q4
 	}{
-		{"power-law", gen.PowerLaw(1500, 6, 2.3, 50, 1), [4]int64{4207, 4207, 4207, 4207}},
-		{"barabasi-albert", gen.BarabasiAlbert(2000, 3, 1), [4]int64{4207, 4207, 4207, 4207}},
-		{"rmat", gen.RMAT(11, 3, 1), [4]int64{4207, 4207, 4207, 4207}},
-		{"road", gen.RoadNet(60, 60, 1), [4]int64{4207, 4207, 4207, 4207}},
-		{"community", gen.Community(40, 25, 0.2, 1), [4]int64{4207, 4207, 4207, 4207}},
+		{"power-law", gen.PowerLaw(1500, 6, 2.3, 50, 1), [4]int64{997, 315, 4207, 1330}},
+		{"barabasi-albert", gen.BarabasiAlbert(2000, 3, 1), [4]int64{560, 315, 997, 747}},
+		{"rmat", gen.RMAT(11, 3, 1), [4]int64{747, 315, 4207, 1774}},
+		{"road", gen.RoadNet(60, 60, 1), [4]int64{315, 315, 315, 315}},
+		{"community", gen.Community(40, 25, 0.2, 1), [4]int64{315, 315, 315, 315}},
 	} {
 		part := partition.KWay(tc.g, 4, 7)
 		for i, parent := range tc.floors {
