@@ -59,16 +59,59 @@ func main() {
 }
 
 func run(specPath, snapDir, machineList, listen string, workers int, dsDir, debugAddr string, callTimeout time.Duration, rpcRetries int) error {
+	w, err := start(specPath, snapDir, machineList, listen, workers, dsDir, debugAddr, callTimeout, rpcRetries)
+	if err != nil {
+		return err
+	}
+	defer w.Close()
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	s := <-sig
+	log.Printf("received %v, shutting down", s)
+	return nil
+}
+
+// openShards is snapshot.OpenShards; a test swaps it to act while the
+// worker is still loading.
+var openShards = snapshot.OpenShards
+
+// worker is a started radsworker: its listener, its outgoing clients
+// and its optional debug listener.
+type worker struct {
+	srv     *cluster.TCPServer
+	clients []*cluster.RetryTransport
+	dbg     *http.Server
+}
+
+// Close stops the listeners and closes the retry wrappers, which
+// cancels pending backoff sleeps and closes the inner TCP clients.
+func (w *worker) Close() {
+	if w.dbg != nil {
+		w.dbg.Close()
+	}
+	if w.srv != nil {
+		w.srv.Close()
+	}
+	for _, c := range w.clients {
+		c.Close()
+	}
+}
+
+// start loads the hosted machines' shards, builds every machine, and
+// only then listens: a coordinator that pings before that is refused a
+// connection, which it retries, never answered "not hosted here", which
+// it must not.
+func start(specPath, snapDir, machineList, listen string, workers int, dsDir, debugAddr string, callTimeout time.Duration, rpcRetries int) (w *worker, err error) {
 	if specPath == "" || snapDir == "" {
-		return fmt.Errorf("need -spec and -snapshot")
+		return nil, fmt.Errorf("need -spec and -snapshot")
 	}
 	spec, err := cluster.LoadSpec(specPath)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	ids, err := resolveMachines(spec, machineList, &listen)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0) / len(ids)
@@ -77,18 +120,11 @@ func run(specPath, snapDir, machineList, listen string, workers int, dsDir, debu
 		}
 	}
 
-	srv, err := cluster.NewTCPServer(listen)
-	if err != nil {
-		return err
-	}
-	defer srv.Close()
-
-	// Closing the retry wrappers cancels pending backoff sleeps and
-	// closes the inner TCP clients.
-	var clients []*cluster.RetryTransport
+	w = &worker{}
 	defer func() {
-		for _, c := range clients {
-			c.Close()
+		if err != nil {
+			w.Close()
+			w = nil
 		}
 	}()
 	// The snapshot's graph resolves by recorded path, the snapshot
@@ -96,12 +132,12 @@ func run(specPath, snapDir, machineList, listen string, workers int, dsDir, debu
 	// checksum, so every worker enumerates the same bytes.
 	// OpenShards loads and validates that file once, shared across
 	// every machine this worker hosts.
-	parts, man, err := snapshot.OpenShards(snapDir, ids, dsDir)
+	parts, man, err := openShards(snapDir, ids, dsDir)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if man.Machines != spec.M() {
-		return fmt.Errorf("snapshot has %d machines, spec %d", man.Machines, spec.M())
+		return nil, fmt.Errorf("snapshot has %d machines, spec %d", man.Machines, spec.M())
 	}
 	// One registry for the whole process: machines hosted together
 	// share families, exposed on -debug-addr and pulled by the
@@ -115,9 +151,6 @@ func run(specPath, snapDir, machineList, listen string, workers int, dsDir, debu
 		"Adaptive intersection kernel selections.", "kernel", graph.KernelCounts)
 	handleLatency := reg.HistogramVec("rads_handle_seconds",
 		"Daemon request handling latency by message kind.", "kind", nil)
-	srv.SetObserver(func(kind string, seconds float64) {
-		handleLatency.With(kind).Observe(seconds)
-	})
 	transportLatency := reg.HistogramVec("rads_transport_latency_seconds",
 		"Outgoing exchange latency by message kind.", "kind", nil)
 	rpcTimeouts := reg.CounterVec("rads_cluster_rpc_timeouts_total",
@@ -126,6 +159,7 @@ func run(specPath, snapDir, machineList, listen string, workers int, dsDir, debu
 		"Retry attempts on idempotent worker-to-worker RPCs.", "kind")
 
 	var allMetrics []*cluster.Metrics
+	handlers := make(map[int]cluster.Handler, len(ids))
 	for i, id := range ids {
 		part := parts[i]
 		metrics := cluster.NewMetrics(spec.M())
@@ -140,7 +174,7 @@ func run(specPath, snapDir, machineList, listen string, workers int, dsDir, debu
 			MaxAttempts: rpcRetries,
 			OnRetry:     func(kind string) { rpcRetried.With(kind).Inc() },
 		})
-		clients = append(clients, client)
+		w.clients = append(w.clients, client)
 		d := rads.NewMachine(id, part, client, rads.MachineOptions{
 			AvgDegree: man.AvgDegree,
 			Workers:   workers,
@@ -148,7 +182,7 @@ func run(specPath, snapDir, machineList, listen string, workers int, dsDir, debu
 			Obs:       reg,
 			Events:    events,
 		})
-		srv.Register(id, d.Handle)
+		handlers[id] = d.Handle
 		border := 0
 		for _, v := range part.Vertices(id) {
 			if part.BD[v] == 0 {
@@ -165,27 +199,29 @@ func run(specPath, snapDir, machineList, listen string, workers int, dsDir, debu
 		"Outgoing messages by message kind, summed over hosted machines.", "kind",
 		func() map[string]int64 { return sumByKind(allMetrics, (*cluster.Metrics).MessagesByKind) })
 
+	if w.srv, err = cluster.ServeTCP(listen, handlers); err != nil {
+		return nil, err
+	}
+	w.srv.SetObserver(func(kind string, seconds float64) {
+		handleLatency.With(kind).Observe(seconds)
+	})
+
 	if debugAddr != "" {
 		fingerprint := rads.PartitionFingerprint(parts[0])
 		health := healthzHandler(ids, fingerprint)
 		dbgMux := obs.DebugMux(reg, health)
 		dbgMux.Handle("/debug/events", events.Handler())
 		dbg := obs.NewHTTPServer(debugAddr, dbgMux)
+		w.dbg = dbg
 		go func() {
 			log.Printf("debug listener on %s (/metrics /healthz /debug/pprof)", debugAddr)
 			if err := dbg.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 				log.Printf("debug listener: %v", err)
 			}
 		}()
-		defer dbg.Close()
 	}
-	log.Printf("hosting machines %v on %s (%d workers each)", ids, srv.Addr(), workers)
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	s := <-sig
-	log.Printf("received %v, shutting down", s)
-	return nil
+	log.Printf("hosting machines %v on %s (%d workers each)", ids, w.srv.Addr(), workers)
+	return w, nil
 }
 
 // sumByKind folds one per-kind view across every hosted machine's

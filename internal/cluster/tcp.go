@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"maps"
 	"net"
 	"sync"
 	"time"
@@ -51,17 +52,26 @@ type TCPServer struct {
 }
 
 // NewTCPServer starts a server listening on addr (host:port; port 0
-// picks a free port — read it back with Addr).
-func NewTCPServer(addr string) (*TCPServer, error) {
+// picks a free port — read it back with Addr), with no handler yet.
+func NewTCPServer(addr string) (*TCPServer, error) { return ServeTCP(addr, nil) }
+
+// ServeTCP starts a server listening on addr that serves handlers (by
+// machine id). Every handler is installed before the first connection
+// is accepted, so a caller never meets a listening process that does
+// not host a machine it will host: a worker process builds its machines
+// first and then calls ServeTCP, and until then a dial is refused, which
+// callers retry, where "not hosted here" is final.
+func ServeTCP(addr string, handlers map[int]Handler) (*TCPServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: listen %s: %w", addr, err)
 	}
 	s := &TCPServer{
-		handlers: make(map[int]Handler),
+		handlers: make(map[int]Handler, len(handlers)),
 		ln:       ln,
 		accepted: make(map[net.Conn]struct{}),
 	}
+	maps.Copy(s.handlers, handlers)
 	s.wg.Add(1)
 	go s.serve()
 	return s, nil

@@ -5,11 +5,13 @@
 // candidates sharing an undetermined edge.
 //
 // Following Definition 11, a node stores only its data vertex, a parent
-// pointer and a child counter; the address of a leaf node is the unique
-// ID of the result it represents while the node is live (a removed
-// node's storage is handed out again), retrieval walks parent pointers,
-// and removal cascades: deleting a leaf decrements its parent's counter
-// and recursively removes parents whose counter reaches zero.
+// pointer and a child counter. The parent pointer is a slab index here:
+// a trie keeps its nodes in one pointer-free slab, so a node is 12 bytes
+// and the garbage collector never scans it. The handle of a leaf node is
+// the unique ID of the result it represents while the node is live (a
+// removed node's slot is handed out again), retrieval walks parent
+// indexes, and removal cascades: deleting a leaf decrements its parent's
+// counter and recursively removes parents whose counter reaches zero.
 package etrie
 
 import (
@@ -19,26 +21,31 @@ import (
 	"rads/internal/graph"
 )
 
-// Node is one embedding-trie node. Nodes are created detached
-// (Algorithm 2 line 14 creates N' before knowing whether any deeper
-// expansion succeeds) and only counted once linked.
-type Node struct {
-	V          graph.VertexID
-	Parent     *Node
-	childCount int32
-	linked     bool
-	dead       bool
+// Node is a handle to one embedding-trie node: 1 + the node's index in
+// its trie's slab, 0 for none (the parent of a root). Nodes are created
+// detached (Algorithm 2 line 14 creates N' before knowing whether any
+// deeper expansion succeeds) and only counted once linked.
+type Node uint32
+
+// node is one slab slot. state holds the child counter, signed, in its
+// high 30 bits and the linked and dead flags in its low two, so a
+// counter an unmatched Unpin drives below zero stays below zero and
+// never reads as a flag.
+type node struct {
+	v      graph.VertexID
+	parent Node
+	state  int32
 }
 
-// Dead reports whether the node has been removed from the trie. The
-// EVI may hold references to leaves that an earlier failed edge already
-// removed; filtering must skip them. The answer holds only until the
-// trie's next Node call (see Remove).
-func (n *Node) Dead() bool { return n.dead }
+const (
+	linked = 1 << iota
+	dead
+	child // one unit of the child counter
+)
 
 // NodeBytes is the accounted in-memory footprint of one trie node:
-// vertex (4) + parent pointer (8) + child counter (4) + flags/padding.
-const NodeBytes = 24
+// vertex (4) + parent index (4) + child counter and flags (4).
+const NodeBytes = 12
 
 // VertexBytes is the accounted footprint of one vertex in a plain
 // embedding list, the uncompressed representation Table 3/4 compares
@@ -48,49 +55,54 @@ const VertexBytes = 4
 // Trie is an embedding trie for results of a fixed query pattern.
 // The zero value is not usable; call New.
 //
-// Nodes come from the trie's own slabs: Node hands out a removed node
-// first and the next slot of the current chunk otherwise, so a trie that
-// builds and resolves segment after segment stops allocating once its
-// slabs hold its peak of live nodes.
+// Nodes come from the trie's slab: Node hands out a removed node first
+// and appends one otherwise, so a trie that builds and resolves segment
+// after segment stops allocating once its slab holds its peak of live
+// nodes.
 type Trie struct {
+	nodes     []node // the slab: Node n is nodes[n-1]
 	nodeCount int
-	free      *Node  // removed nodes, chained through Parent
-	slab      []Node // unused tail of the newest chunk
+	free      Node // removed nodes, chained through parent
 }
-
-// chunkNodes is the number of nodes one slab chunk holds (6 KiB).
-const chunkNodes = 256
 
 // New returns an empty trie.
 func New() *Trie { return &Trie{} }
 
 // Node creates a detached node mapping some query vertex to data
-// vertex v, below parent (nil for a root). The node is not part of the
+// vertex v, below parent (0 for a root). The node is not part of the
 // trie until Link is called.
-func (t *Trie) Node(parent *Node, v graph.VertexID) *Node {
+func (t *Trie) Node(parent Node, v graph.VertexID) Node {
 	n := t.free
-	if n != nil {
-		t.free = n.Parent
-	} else {
-		if len(t.slab) == 0 {
-			t.slab = make([]Node, chunkNodes)
-		}
-		n, t.slab = &t.slab[0], t.slab[1:]
+	if n == 0 {
+		t.nodes = append(t.nodes, node{v: v, parent: parent})
+		return Node(len(t.nodes))
 	}
-	*n = Node{V: v, Parent: parent}
+	s := &t.nodes[n-1]
+	t.free = s.parent
+	*s = node{v: v, parent: parent}
 	return n
 }
+
+// V returns the data vertex of node n.
+func (t *Trie) V(n Node) graph.VertexID { return t.nodes[n-1].v }
+
+// Dead reports whether node n has been removed from the trie. The EVI
+// may hold references to leaves that an earlier failed edge already
+// removed; filtering must skip them. The answer holds only until the
+// trie's next Node call (see Remove).
+func (t *Trie) Dead(n Node) bool { return t.nodes[n-1].state&dead != 0 }
 
 // Link inserts a detached node into the trie, incrementing its
 // parent's child counter. Linking an already linked or dead node is a
 // programming error and panics.
-func (t *Trie) Link(n *Node) {
-	if n.linked || n.dead {
+func (t *Trie) Link(n Node) {
+	s := &t.nodes[n-1]
+	if s.state&(linked|dead) != 0 {
 		panic("etrie: Link on linked or dead node")
 	}
-	n.linked = true
-	if n.Parent != nil {
-		n.Parent.childCount++
+	s.state |= linked
+	if s.parent != 0 {
+		t.nodes[s.parent-1].state += child
 	}
 	t.nodeCount++
 }
@@ -102,26 +114,28 @@ func (t *Trie) Link(n *Node) {
 //
 // Every removed node goes back to the trie for reuse. A removed node
 // reports Dead until the trie's next Node call, which may hand its
-// storage out again; its Parent is not kept. So a caller may test a
-// node it holds for Dead only if no Node call on this trie happened
-// since the node was last known live.
-func (t *Trie) Remove(n *Node) {
-	for n != nil {
-		if !n.linked || n.dead {
+// slot out again; its parent is not kept. So a caller may test a node
+// it holds for Dead only if no Node call on this trie happened since
+// the node was last known live.
+func (t *Trie) Remove(n Node) {
+	for n != 0 {
+		s := &t.nodes[n-1]
+		if s.state&(linked|dead) != linked {
 			panic("etrie: Remove on unlinked or dead node")
 		}
-		if n.childCount != 0 {
-			panic(fmt.Sprintf("etrie: Remove on node with %d children", n.childCount))
+		if c := s.state >> 2; c != 0 {
+			panic(fmt.Sprintf("etrie: Remove on node with %d children", c))
 		}
-		n.dead = true
+		s.state |= dead
 		t.nodeCount--
-		p := n.Parent
-		n.Parent, t.free = t.free, n
-		if p == nil {
+		p := s.parent
+		s.parent, t.free = t.free, n
+		if p == 0 {
 			return
 		}
-		p.childCount--
-		if p.childCount > 0 {
+		ps := &t.nodes[p-1]
+		ps.state -= child
+		if ps.state >= child {
 			return
 		}
 		n = p
@@ -133,22 +147,24 @@ func (t *Trie) Remove(n *Node) {
 // A mid-round flush (rads memory control) may remove all of n's
 // children while n is still the active expansion parent; the pin keeps
 // n alive until Unpin.
-func (t *Trie) Pin(n *Node) {
-	if !n.linked || n.dead {
+func (t *Trie) Pin(n Node) {
+	s := &t.nodes[n-1]
+	if s.state&(linked|dead) != linked {
 		panic("etrie: Pin on unlinked or dead node")
 	}
-	n.childCount++
+	s.state += child
 }
 
 // Unpin drops the guard reference added by Pin. If no real children
 // remain, the node's subtree has been fully resolved (emitted or
 // filtered) and the node is removed, cascading upward as usual.
-func (t *Trie) Unpin(n *Node) {
-	if !n.linked || n.dead {
+func (t *Trie) Unpin(n Node) {
+	s := &t.nodes[n-1]
+	if s.state&(linked|dead) != linked {
 		panic("etrie: Unpin on unlinked or dead node")
 	}
-	n.childCount--
-	if n.childCount == 0 {
+	s.state -= child
+	if s.state>>2 == 0 {
 		t.Remove(n)
 	}
 }
@@ -157,23 +173,26 @@ func (t *Trie) Unpin(n *Node) {
 func (t *Trie) NodeCount() int { return t.nodeCount }
 
 // Bytes returns the accounted current footprint of the trie: its live
-// nodes. The slabs also keep removed nodes for reuse, so the trie holds
-// at most the storage of its peak of live nodes plus one chunk.
+// nodes. The slab also keeps removed nodes for reuse, so the trie holds
+// at most the storage of its peak of live nodes, rounded up by append's
+// growth.
 func (t *Trie) Bytes() int64 { return int64(t.nodeCount) * NodeBytes }
 
 // Path returns the root-to-leaf data-vertex path identified by leaf
 // ("Retrieval" in Section 5.1). The path has length level+1, where the
 // root is level 0.
-func (t *Trie) Path(leaf *Node) []graph.VertexID {
+func (t *Trie) Path(leaf Node) []graph.VertexID {
 	return t.AppendPath(nil, leaf)
 }
 
 // AppendPath appends the root-to-leaf path to dst and returns it,
 // avoiding allocation in hot loops.
-func (t *Trie) AppendPath(dst []graph.VertexID, leaf *Node) []graph.VertexID {
+func (t *Trie) AppendPath(dst []graph.VertexID, leaf Node) []graph.VertexID {
 	start := len(dst)
-	for n := leaf; n != nil; n = n.Parent {
-		dst = append(dst, n.V)
+	for n := leaf; n != 0; {
+		s := &t.nodes[n-1]
+		dst = append(dst, s.v)
+		n = s.parent
 	}
 	// Reverse the appended suffix in place.
 	for i, j := start, len(dst)-1; i < j; i, j = i+1, j-1 {
@@ -214,7 +233,7 @@ type eviSlot struct {
 }
 
 type eviEntry struct {
-	leaf *Node
+	leaf Node
 	next int32
 }
 
@@ -262,7 +281,7 @@ func (e *EVI) grow() {
 }
 
 // Add registers leaf under undetermined edge e (normalised).
-func (e *EVI) Add(edge graph.Edge, leaf *Node) {
+func (e *EVI) Add(edge graph.Edge, leaf Node) {
 	if 2*(len(e.used)+1) > len(e.slots) {
 		e.grow()
 	}
@@ -326,17 +345,6 @@ func (e *EVI) chain(edge graph.Edge) (*eviSlot, int32) {
 	return s, s.head
 }
 
-// Candidates returns the live leaves registered under edge.
-func (e *EVI) Candidates(edge graph.Edge) []*Node {
-	var out []*Node
-	for _, id := e.chain(edge); id != 0; id = e.entries[id-1].next {
-		if n := e.entries[id-1].leaf; !n.Dead() {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
 // Fail removes every still-live EC that depends on edge from the trie
 // (the edge was verified non-existent). Returns the number of ECs
 // filtered.
@@ -347,7 +355,7 @@ func (e *EVI) Fail(edge graph.Edge, t *Trie) int {
 	}
 	removed := 0
 	for ; id != 0; id = e.entries[id-1].next {
-		if n := e.entries[id-1].leaf; !n.Dead() {
+		if n := e.entries[id-1].leaf; !t.Dead(n) {
 			t.Remove(n)
 			removed++
 		}
@@ -366,7 +374,6 @@ func (e *EVI) Reset() {
 		e.slots[i] = eviSlot{}
 	}
 	e.used = e.used[:0]
-	clear(e.entries) // drop the leaf pointers
 	e.entries = e.entries[:0]
 	e.live = 0
 }

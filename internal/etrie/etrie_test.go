@@ -4,21 +4,22 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"rads/internal/graph"
 )
 
 // buildPaths links the given root-to-leaf paths into a trie with full
 // prefix sharing and returns the leaves.
-func buildPaths(t *Trie, paths [][]graph.VertexID) []*Node {
+func buildPaths(t *Trie, paths [][]graph.VertexID) []Node {
 	type key struct {
-		parent *Node
+		parent Node
 		v      graph.VertexID
 	}
-	existing := make(map[key]*Node)
-	var leaves []*Node
+	existing := make(map[key]Node)
+	var leaves []Node
 	for _, p := range paths {
-		var cur *Node
+		var cur Node
 		for _, v := range p {
 			k := key{cur, v}
 			n, ok := existing[k]
@@ -32,6 +33,34 @@ func buildPaths(t *Trie, paths [][]graph.VertexID) []*Node {
 		leaves = append(leaves, cur)
 	}
 	return leaves
+}
+
+// TestSlabHoldsNoPointer: a trie node is the 12 bytes it is charged at,
+// and neither a node nor an index entry holds anything the garbage
+// collector would have to scan.
+func TestSlabHoldsNoPointer(t *testing.T) {
+	if got := unsafe.Sizeof(node{}); got != NodeBytes || NodeBytes != 12 {
+		t.Errorf("a node takes %d B, NodeBytes is %d, want 12", got, NodeBytes)
+	}
+	if got := unsafe.Sizeof(eviEntry{}); got != 8 {
+		t.Errorf("an index entry takes %d B, want 8", got)
+	}
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				walk(path+"."+typ.Field(i).Name, typ.Field(i).Type)
+			}
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map, reflect.Interface,
+			reflect.String, reflect.Chan, reflect.Func:
+			t.Errorf("%s is a %s", path, typ.Kind())
+		}
+	}
+	walk("node", reflect.TypeOf(node{}))
+	walk("eviEntry", reflect.TypeOf(eviEntry{}))
 }
 
 func TestExample6Figure5(t *testing.T) {
@@ -51,7 +80,7 @@ func TestExample6Figure5(t *testing.T) {
 	if tr.NodeCount() != 5 {
 		t.Fatalf("after removal NodeCount = %d, want 5", tr.NodeCount())
 	}
-	if !leaves[1].Dead() || leaves[0].Dead() || leaves[2].Dead() {
+	if !tr.Dead(leaves[1]) || tr.Dead(leaves[0]) || tr.Dead(leaves[2]) {
 		t.Error("wrong leaves dead")
 	}
 	// Paths still retrievable for survivors.
@@ -88,14 +117,14 @@ func TestRemoveStopsAtSharedAncestor(t *testing.T) {
 
 func TestLinkPanics(t *testing.T) {
 	tr := New()
-	n := tr.Node(nil, 1)
+	n := tr.Node(0, 1)
 	tr.Link(n)
 	assertPanics(t, func() { tr.Link(n) })
 }
 
 func TestRemovePanicsOnInternalNode(t *testing.T) {
 	tr := New()
-	root := tr.Node(nil, 1)
+	root := tr.Node(0, 1)
 	tr.Link(root)
 	child := tr.Node(root, 2)
 	tr.Link(child)
@@ -104,38 +133,38 @@ func TestRemovePanicsOnInternalNode(t *testing.T) {
 
 func TestRemovePanicsOnDetachedNode(t *testing.T) {
 	tr := New()
-	n := tr.Node(nil, 1)
+	n := tr.Node(0, 1)
 	assertPanics(t, func() { tr.Remove(n) })
 }
 
 // TestRemovedNodesAreRecycled pins the slab contract: a removed node
-// stays Dead until the trie's next Node call, which hands its storage
-// out again; no chunk is added while removed nodes wait for reuse; and
+// stays Dead until the trie's next Node call, which hands its slot out
+// again; the slab does not grow while removed nodes wait for reuse; and
 // a warm Node/Link/Remove cycle allocates nothing.
 func TestRemovedNodesAreRecycled(t *testing.T) {
 	tr := New()
 	leaves := buildPaths(tr, [][]graph.VertexID{{0, 1, 2}, {0, 1, 3}, {0, 4, 5}})
 	tr.Remove(leaves[2]) // cascades: 5 and 4 go, the shared root stays
-	if !leaves[2].Dead() || leaves[0].Dead() || leaves[1].Dead() {
+	if !tr.Dead(leaves[2]) || tr.Dead(leaves[0]) || tr.Dead(leaves[1]) {
 		t.Fatal("wrong leaves dead")
 	}
 	if tr.NodeCount() != 4 || tr.Bytes() != 4*NodeBytes {
 		t.Fatalf("NodeCount = %d, Bytes = %d after removing two nodes of six", tr.NodeCount(), tr.Bytes())
 	}
-	spare := len(tr.slab)
-	reused := map[*Node]bool{}
+	slots := len(tr.nodes)
+	reused := map[Node]bool{}
 	for i := 0; i < 2; i++ {
-		n := tr.Node(nil, graph.VertexID(10+i))
-		if n.Dead() || n.V != graph.VertexID(10+i) || n.Parent != nil {
-			t.Fatalf("recycled node %d handed out as %+v", i, *n)
+		n := tr.Node(0, graph.VertexID(10+i))
+		if tr.Dead(n) || tr.V(n) != graph.VertexID(10+i) || tr.nodes[n-1].parent != 0 {
+			t.Fatalf("recycled node %d handed out as %+v", i, tr.nodes[n-1])
 		}
 		reused[n] = true
 	}
-	if !reused[leaves[2]] || len(tr.slab) != spare {
-		t.Fatalf("two Node calls after two removals: removed leaf reused %v, chunk slots used %d", reused[leaves[2]], spare-len(tr.slab))
+	if !reused[leaves[2]] || len(tr.nodes) != slots {
+		t.Fatalf("two Node calls after two removals: removed leaf reused %v, slab grew by %d", reused[leaves[2]], len(tr.nodes)-slots)
 	}
-	if tr.Node(nil, 12); len(tr.slab) != spare-1 {
-		t.Fatalf("with nothing left to recycle Node took %d chunk slots, want 1", spare-len(tr.slab))
+	if tr.Node(0, 12); len(tr.nodes) != slots+1 {
+		t.Fatalf("with nothing left to recycle Node took %d slab slots, want 1", len(tr.nodes)-slots)
 	}
 	if got := tr.Path(leaves[0]); !reflect.DeepEqual(got, []graph.VertexID{0, 1, 2}) {
 		t.Errorf("surviving Path = %v", got)
@@ -143,11 +172,11 @@ func TestRemovedNodesAreRecycled(t *testing.T) {
 
 	// Three levels of 4 × 16 × 8 nodes, linked then resolved leaf by leaf.
 	cycle := New()
-	var built []*Node
+	var built []Node
 	build := func() {
 		built = built[:0]
 		for a := 0; a < 4; a++ {
-			na := cycle.Node(nil, graph.VertexID(a))
+			na := cycle.Node(0, graph.VertexID(a))
 			cycle.Link(na)
 			for b := 0; b < 16; b++ {
 				nb := cycle.Node(na, graph.VertexID(b))
@@ -294,7 +323,7 @@ func TestEVINormalizesKeys(t *testing.T) {
 	leaves := buildPaths(tr, [][]graph.VertexID{{0, 1}})
 	evi := NewEVI()
 	evi.Add(graph.Edge{U: 9, V: 4}, leaves[0])
-	if got := evi.Candidates(graph.Edge{U: 4, V: 9}); len(got) != 1 {
+	if got := candidates(evi, tr, graph.Edge{U: 4, V: 9}); len(got) != 1 {
 		t.Errorf("Candidates after reversed add = %v", got)
 	}
 }
@@ -354,9 +383,9 @@ func BenchmarkTrieInsertRemove(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tr := New()
-		var leaves []*Node
+		var leaves []Node
 		for a := 0; a < 16; a++ {
-			na := tr.Node(nil, graph.VertexID(a))
+			na := tr.Node(0, graph.VertexID(a))
 			tr.Link(na)
 			for c := 0; c < 16; c++ {
 				nc := tr.Node(na, graph.VertexID(c))

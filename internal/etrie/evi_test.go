@@ -1,66 +1,12 @@
 package etrie
 
 import (
-	"cmp"
 	"math/rand"
 	"slices"
 	"testing"
 
 	"rads/internal/graph"
 )
-
-// mapEVI is the index as it was before the open-addressed table: a Go
-// map from normalised edge to the leaves registered under it. It stays
-// here as the reference the model test compares against.
-type mapEVI struct {
-	m map[graph.Edge][]*Node
-}
-
-func (e *mapEVI) Add(edge graph.Edge, leaf *Node) {
-	k := edge.Normalize()
-	e.m[k] = append(e.m[k], leaf)
-}
-
-func (e *mapEVI) Len() int { return len(e.m) }
-
-func (e *mapEVI) Edges() []graph.Edge {
-	out := make([]graph.Edge, 0, len(e.m))
-	for k := range e.m {
-		out = append(out, k)
-	}
-	slices.SortFunc(out, func(a, b graph.Edge) int {
-		if c := cmp.Compare(a.U, b.U); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.V, b.V)
-	})
-	return out
-}
-
-func (e *mapEVI) Candidates(edge graph.Edge) []*Node {
-	var out []*Node
-	for _, n := range e.m[edge.Normalize()] {
-		if !n.Dead() {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
-func (e *mapEVI) Fail(edge graph.Edge, t *Trie) int {
-	k := edge.Normalize()
-	removed := 0
-	for _, n := range e.m[k] {
-		if !n.Dead() {
-			t.Remove(n)
-			removed++
-		}
-	}
-	delete(e.m, k)
-	return removed
-}
-
-func (e *mapEVI) Reset() { clear(e.m) }
 
 // eviModel drives the index and the reference in lockstep, each on its
 // own trie of identically shaped leaves, and compares every answer.
@@ -73,17 +19,17 @@ type eviModel struct {
 	got        *EVI
 	want       *mapEVI
 	gotT       *Trie
-	wantT      *Trie
-	gotLeaves  []*Node
-	wantLeaves []*Node
+	wantT      *refTrie
+	gotLeaves  []Node
+	wantLeaves []*refNode
 	span       int32 // vertex ids are drawn from [-2, span)
 }
 
 func newEVIModel(t *testing.T, seed int64, span int32) *eviModel {
 	return &eviModel{
 		t: t, rng: rand.New(rand.NewSource(seed)), span: span,
-		got: NewEVI(), want: &mapEVI{m: map[graph.Edge][]*Node{}},
-		gotT: New(), wantT: New(),
+		got: NewEVI(), want: newMapEVI(),
+		gotT: New(), wantT: &refTrie{},
 	}
 }
 
@@ -94,14 +40,11 @@ func (m *eviModel) edge() graph.Edge {
 
 // leaf links one fresh root-level leaf into each trie.
 func (m *eviModel) leaf() int {
-	for _, side := range []struct {
-		t  *Trie
-		ls *[]*Node
-	}{{m.gotT, &m.gotLeaves}, {m.wantT, &m.wantLeaves}} {
-		n := side.t.Node(nil, graph.VertexID(len(*side.ls)))
-		side.t.Link(n)
-		*side.ls = append(*side.ls, n)
-	}
+	v := graph.VertexID(len(m.gotLeaves))
+	g, w := m.gotT.Node(0, v), m.wantT.Node(nil, v)
+	m.gotT.Link(g)
+	m.wantT.Link(w)
+	m.gotLeaves, m.wantLeaves = append(m.gotLeaves, g), append(m.wantLeaves, w)
 	return len(m.gotLeaves) - 1
 }
 
@@ -132,13 +75,13 @@ func (m *eviModel) check() {
 	}
 	probe := append(edges[:min(len(edges), 16):min(len(edges), 16)], m.edge(), m.edge())
 	for _, e := range probe {
-		g, w := m.got.Candidates(e), m.want.Candidates(e)
+		g, w := candidates(m.got, m.gotT, e), m.want.Candidates(e)
 		if len(g) != len(w) {
 			m.t.Fatalf("Candidates(%v): %d leaves, reference %d", e, len(g), len(w))
 		}
 		for i := range g {
-			if g[i].V != w[i].V { // same leaf number, same registration order
-				m.t.Fatalf("Candidates(%v)[%d] = leaf %d, reference leaf %d", e, i, g[i].V, w[i].V)
+			if m.gotT.V(g[i]) != w[i].V { // same leaf number, same registration order
+				m.t.Fatalf("Candidates(%v)[%d] = leaf %d, reference leaf %d", e, i, m.gotT.V(g[i]), w[i].V)
 			}
 		}
 	}
@@ -146,8 +89,8 @@ func (m *eviModel) check() {
 		m.t.Fatalf("trie holds %d nodes, reference %d", g, w)
 	}
 	for i := range m.gotLeaves {
-		if m.gotLeaves[i].Dead() != m.wantLeaves[i].Dead() {
-			m.t.Fatalf("leaf %d dead = %v, reference %v", i, m.gotLeaves[i].Dead(), m.wantLeaves[i].Dead())
+		if m.gotT.Dead(m.gotLeaves[i]) != m.wantLeaves[i].Dead() {
+			m.t.Fatalf("leaf %d dead = %v, reference %v", i, m.gotT.Dead(m.gotLeaves[i]), m.wantLeaves[i].Dead())
 		}
 	}
 }
@@ -241,7 +184,7 @@ func TestEVISmallSegmentsAfterALargeOne(t *testing.T) {
 // eviSegment is one verify segment's worth of index traffic: n
 // registrations of leaves over the given edges, Edges, a Fail for all
 // but every keepEvery-th edge, Reset.
-func eviSegment(e *EVI, t *Trie, leaves []*Node, edges []graph.Edge, keepEvery int) {
+func eviSegment(e *EVI, t *Trie, leaves []Node, edges []graph.Edge, keepEvery int) {
 	for i, n := range leaves {
 		e.Add(edges[(i*7)%len(edges)], n)
 	}
@@ -256,23 +199,23 @@ func eviSegment(e *EVI, t *Trie, leaves []*Node, edges []graph.Edge, keepEvery i
 // recycle removes the leaves a segment left alive and links fresh ones
 // in their place, so the next run of the cycle starts from the same
 // trie shape — on the storage the trie recycled.
-func recycle(t *Trie, leaves []*Node) {
+func recycle(t *Trie, leaves []Node) {
 	for _, n := range leaves {
-		if !n.Dead() {
+		if !t.Dead(n) {
 			t.Remove(n)
 		}
 	}
 	for i := range leaves {
-		leaves[i] = t.Node(nil, graph.VertexID(i))
+		leaves[i] = t.Node(0, graph.VertexID(i))
 		t.Link(leaves[i])
 	}
 }
 
-func segmentFixture(nLeaves, nEdges int) (*Trie, []*Node, []graph.Edge) {
+func segmentFixture(nLeaves, nEdges int) (*Trie, []Node, []graph.Edge) {
 	t := New()
-	leaves := make([]*Node, nLeaves)
+	leaves := make([]Node, nLeaves)
 	for i := range leaves {
-		leaves[i] = t.Node(nil, graph.VertexID(i))
+		leaves[i] = t.Node(0, graph.VertexID(i))
 		t.Link(leaves[i])
 	}
 	rng := rand.New(rand.NewSource(5))

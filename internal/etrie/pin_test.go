@@ -8,9 +8,9 @@ import (
 
 // buildChain links a root-to-leaf chain of the given data vertices and
 // returns all nodes, root first.
-func buildChain(t *Trie, vs ...graph.VertexID) []*Node {
-	var nodes []*Node
-	var parent *Node
+func buildChain(t *Trie, vs ...graph.VertexID) []Node {
+	var nodes []Node
+	var parent Node
 	for _, v := range vs {
 		n := t.Node(parent, v)
 		t.Link(n)
@@ -27,15 +27,15 @@ func TestPinBlocksCascade(t *testing.T) {
 
 	tr.Pin(mid)
 	tr.Remove(leaf)
-	if mid.Dead() {
+	if tr.Dead(mid) {
 		t.Fatal("pinned node removed by cascade")
 	}
-	if root.Dead() {
+	if tr.Dead(root) {
 		t.Fatal("cascade passed through a pinned node")
 	}
 	// Unpin with no children left removes mid and cascades to root.
 	tr.Unpin(mid)
-	if !mid.Dead() || !root.Dead() {
+	if !tr.Dead(mid) || !tr.Dead(root) {
 		t.Fatal("unpin did not resolve the empty subtree")
 	}
 	if tr.NodeCount() != 0 {
@@ -45,24 +45,24 @@ func TestPinBlocksCascade(t *testing.T) {
 
 func TestUnpinKeepsNodeWithSurvivors(t *testing.T) {
 	tr := New()
-	root := tr.Node(nil, 0)
+	root := tr.Node(0, 0)
 	tr.Link(root)
 	tr.Pin(root)
 	kid := tr.Node(root, 1)
 	tr.Link(kid)
 	tr.Unpin(root)
-	if root.Dead() {
+	if tr.Dead(root) {
 		t.Fatal("unpin removed a node with a live child")
 	}
 	tr.Remove(kid)
-	if !root.Dead() {
+	if !tr.Dead(root) {
 		t.Fatal("removing the last child should now cascade")
 	}
 }
 
 func TestPinUnpinInterleavedWithChildren(t *testing.T) {
 	tr := New()
-	root := tr.Node(nil, 7)
+	root := tr.Node(0, 7)
 	tr.Link(root)
 	tr.Pin(root)
 	// Children come and go while pinned; the pin must keep root alive
@@ -71,19 +71,19 @@ func TestPinUnpinInterleavedWithChildren(t *testing.T) {
 		k := tr.Node(root, graph.VertexID(i))
 		tr.Link(k)
 		tr.Remove(k)
-		if root.Dead() {
+		if tr.Dead(root) {
 			t.Fatalf("iteration %d: pinned root died", i)
 		}
 	}
 	tr.Unpin(root)
-	if !root.Dead() {
+	if !tr.Dead(root) {
 		t.Fatal("root should be removed at unpin with no children")
 	}
 }
 
 func TestPinPanicsOnDeadNode(t *testing.T) {
 	tr := New()
-	n := tr.Node(nil, 0)
+	n := tr.Node(0, 0)
 	tr.Link(n)
 	tr.Remove(n)
 	defer func() {
@@ -96,7 +96,7 @@ func TestPinPanicsOnDeadNode(t *testing.T) {
 
 func TestUnpinPanicsOnUnlinkedNode(t *testing.T) {
 	tr := New()
-	n := tr.Node(nil, 0)
+	n := tr.Node(0, 0)
 	defer func() {
 		if recover() == nil {
 			t.Error("Unpin on unlinked node did not panic")
@@ -107,7 +107,7 @@ func TestUnpinPanicsOnUnlinkedNode(t *testing.T) {
 
 func TestNodeCountStableUnderPin(t *testing.T) {
 	tr := New()
-	root := tr.Node(nil, 0)
+	root := tr.Node(0, 0)
 	tr.Link(root)
 	before := tr.NodeCount()
 	tr.Pin(root)

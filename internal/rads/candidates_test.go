@@ -30,11 +30,11 @@ func hostedEngine(t *testing.T, part *partition.Partition, p *pattern.Pattern, c
 // hand — fetch, expand, verify, filter — and returns the live results
 // entering `round`, guard-pinned so that removing their children leaves
 // them alive.
-func frontierOf(t *testing.T, m *machine, st *groupState, round int) []*etrie.Node {
+func frontierOf(t *testing.T, m *machine, st *groupState, round int) []etrie.Node {
 	t.Helper()
-	var frontier []*etrie.Node
+	var frontier []etrie.Node
 	for _, v := range m.e.part.Vertices(m.id) {
-		root := st.trie.Node(nil, v)
+		root := st.trie.Node(0, v)
 		st.trie.Link(root)
 		frontier = append(frontier, root)
 	}
@@ -50,7 +50,7 @@ func frontierOf(t *testing.T, m *machine, st *groupState, round int) []*etrie.No
 		}
 		frontier = frontier[:0:0]
 		for _, n := range st.created {
-			if !n.Dead() {
+			if !st.trie.Dead(n) {
 				frontier = append(frontier, n)
 			}
 		}

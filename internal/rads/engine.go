@@ -530,15 +530,15 @@ func (e *engine) workers() int {
 // unbudgetedSegment is engine.segment when no budget sizes it. 4096
 // leaves make a segment's verifyE exchange, and the next round's fetchV,
 // batches of thousands of edges and vertices, which amortise their round
-// trips, while the segment's leaves take 96 KiB of trie
+// trips, while the segment's leaves take 48 KiB of trie
 // (4096·trieNodeBytes) a worker and a hub's deg² leaves still close many
 // segments rather than one.
 const unbudgetedSegment = 4096
 
 // segmentFor derives engine.segment from the budget and the machine's
-// workers, which run a group each side by side: a thirty-second of the
-// limit in trie nodes, shared among the workers, at least one and at
-// most unbudgetedSegment; unbudgeted, unbudgetedSegment. A
+// workers, which run a group each side by side: as many trie nodes as
+// fill a sixty-fourth of the limit, shared among the workers, at least
+// one and at most unbudgetedSegment; unbudgeted, unbudgetedSegment. A
 // segment's leaves and a group's roots are then each a small share of
 // the budget, and what crowds it is left to the round's halving and to
 // relieve.
@@ -546,7 +546,7 @@ func segmentFor(b *cluster.MemBudget, workers int) int {
 	if b.Limit() <= 0 {
 		return unbudgetedSegment
 	}
-	return int(max(1, min(b.Limit()/(32*trieNodeBytes*int64(workers)), unbudgetedSegment)))
+	return int(max(1, min(b.Limit()/(64*trieNodeBytes*int64(workers)), unbudgetedSegment)))
 }
 
 // run is the in-process coordinator: it runs every machine at once and

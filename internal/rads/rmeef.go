@@ -39,9 +39,9 @@ type groupState struct {
 
 	// created collects the EC leaves of the current flush segment: the
 	// results produced since the last verify & filter.
-	created []*etrie.Node
+	created []etrie.Node
 	// roots is processGroup's round-0 frontier.
-	roots []*etrie.Node
+	roots []etrie.Node
 
 	frame // scratch of the expansion loop currently running
 
@@ -59,7 +59,7 @@ type groupState struct {
 	asks      []uint64 // choosePulls' (neighbour, edges) pairs, neighbour in the high half
 	fetchFrom [][]graph.VertexID
 	askEdges  [][]graph.Edge
-	next      [][]*etrie.Node
+	next      [][]etrie.Node
 
 	// flushNodes bounds the number of EC leaves a flush segment may
 	// accumulate before verification and deeper rounds run for it.
@@ -117,7 +117,7 @@ func (m *machine) newGroupState() *groupState {
 		frame:     newFrame(n),
 		fetchFrom: make([][]graph.VertexID, m.e.part.M),
 		askEdges:  make([][]graph.Edge, m.e.part.M),
-		next:      make([][]*etrie.Node, len(m.e.pl.Units)),
+		next:      make([][]etrie.Node, len(m.e.pl.Units)),
 	}
 }
 
@@ -202,7 +202,7 @@ func (m *machine) processGroup(group []graph.VertexID, worker int) error {
 	// candidates are foreign, so round 0 also prefetches them.
 	roots := st.roots[:0]
 	for _, v := range group {
-		root := st.trie.Node(nil, v)
+		root := st.trie.Node(0, v)
 		st.trie.Link(root)
 		st.DistNodes++
 		roots = append(roots, root)
@@ -299,7 +299,7 @@ func (st *groupState) relieve() {
 // runRounds executes rounds round..l for the given frontier (live
 // results of P_{round-1}), in flush segments when memory pressure
 // demands it.
-func (m *machine) runRounds(st *groupState, round int, frontier []*etrie.Node) error {
+func (m *machine) runRounds(st *groupState, round int, frontier []etrie.Node) error {
 	e := m.e
 	// Frame-scoped pins: everything this round (and the emit frame)
 	// pins is released when the frame completes, keeping the overlay's
@@ -354,7 +354,7 @@ func (m *machine) flushSegment(st *groupState, round int) error {
 	}
 	next := slices.Grow(st.next[round][:0], len(st.created))
 	for _, n := range st.created {
-		if !n.Dead() {
+		if !st.trie.Dead(n) {
 			next = append(next, n)
 		}
 	}
@@ -404,7 +404,7 @@ func (m *machine) midFlush(st *groupState, round int) error {
 // hands full embeddings to the OnEmbedding callback when set, and
 // removes them from the trie so their memory is reclaimed before the
 // next segment builds up.
-func (m *machine) emitResults(st *groupState, frontier []*etrie.Node) error {
+func (m *machine) emitResults(st *groupState, frontier []etrie.Node) error {
 	e := m.e
 	if len(e.deferred) > 0 {
 		if err := m.fetchDeferredPivots(st, frontier); err != nil {
@@ -412,7 +412,7 @@ func (m *machine) emitResults(st *groupState, frontier []*etrie.Node) error {
 		}
 	}
 	for _, leaf := range frontier {
-		if leaf.Dead() {
+		if st.trie.Dead(leaf) {
 			continue
 		}
 		if len(e.deferred) == 0 {
@@ -478,11 +478,11 @@ func (m *machine) countDeferred(st *groupState, di int) int64 {
 // fetchDeferredPivots makes sure the adjacency list of every deferred
 // end vertex’s pivot is locally available for counting (the
 // cache-release valve may have dropped lists fetched in earlier rounds).
-func (m *machine) fetchDeferredPivots(st *groupState, frontier []*etrie.Node) error {
+func (m *machine) fetchDeferredPivots(st *groupState, frontier []etrie.Node) error {
 	e := m.e
 	st.pivots = st.pivots[:0]
 	for _, leaf := range frontier {
-		if leaf.Dead() {
+		if st.trie.Dead(leaf) {
 			continue
 		}
 		st.pathBuf = st.trie.AppendPath(st.pathBuf[:0], leaf)
@@ -497,7 +497,7 @@ func (m *machine) fetchDeferredPivots(st *groupState, frontier []*etrie.Node) er
 // are neither owned nor cached and fetches their adjacency lists
 // (Section 3.2 "Expand"), then the verification neighbours choosePulls
 // finds cheaper to pull than to ask about.
-func (m *machine) fetchForeignPivots(st *groupState, round int, frontier []*etrie.Node) error {
+func (m *machine) fetchForeignPivots(st *groupState, round int, frontier []etrie.Node) error {
 	e := m.e
 	var pivPos int
 	if round == 0 {
@@ -507,7 +507,7 @@ func (m *machine) fetchForeignPivots(st *groupState, round int, frontier []*etri
 	}
 	st.pivots = st.pivots[:0]
 	for _, leaf := range frontier {
-		if leaf.Dead() {
+		if st.trie.Dead(leaf) {
 			continue
 		}
 		st.pathBuf = st.trie.AppendPath(st.pathBuf[:0], leaf)
@@ -533,9 +533,10 @@ func (m *machine) underPressure() bool {
 // crowded reports whether the machine's accounted memory leaves less
 // than four segments' trie bytes a worker free: too little for the
 // segment a round builds, and the segments deeper rounds build under
-// it, once its pivots are resident. segmentFor makes that at most an
-// eighth of the budget; the cap binds only where the segment is clamped
-// to one node (budgets under 768 B a worker) or set by a test. A
+// it, once its pivots are resident. segmentFor makes that at most a
+// sixteenth of the budget; the eighth-of-the-budget cap binds only
+// where the segment is clamped to one node and the budget is under
+// 384 B a worker, or where a test sets the segment. A
 // crowded machine is thus under pressure, so it has taken no optional
 // pulls, and halving its round never trades a pulled list for trie
 // nodes.
@@ -569,7 +570,7 @@ func pullPays(asks int64, avgDeg float64) bool {
 // so memory pressure sheds them first: none are chosen past the valve,
 // and fetchPivots skips one it cannot charge. What is declined or shed
 // stays on the EVI path, as do sibling-leaf edges.
-func (m *machine) choosePulls(st *groupState, round int, frontier []*etrie.Node) bool {
+func (m *machine) choosePulls(st *groupState, round int, frontier []etrie.Node) bool {
 	e := m.e
 	st.pivots = st.pivots[:0]
 	pulls := e.pulls[round]
@@ -579,7 +580,7 @@ func (m *machine) choosePulls(st *groupState, round int, frontier []*etrie.Node)
 	pivPos := e.redPos[e.pl.Units[round].Piv]
 	asks := st.asks[:0]
 	for _, leaf := range frontier {
-		if leaf.Dead() {
+		if st.trie.Dead(leaf) {
 			continue
 		}
 		st.pathBuf = st.trie.AppendPath(st.pathBuf[:0], leaf)
@@ -714,7 +715,7 @@ func (m *machine) fetchPivots(st *groupState, what string, optional bool) error 
 // expandRound expands every frontier embedding of P_{round-1} through
 // unit `round` (Algorithm 1). Frontier entries whose subtree produces
 // no surviving results are removed via the pin/unpin accounting.
-func (m *machine) expandRound(st *groupState, round int, frontier []*etrie.Node) error {
+func (m *machine) expandRound(st *groupState, round int, frontier []etrie.Node) error {
 	e := m.e
 	piv := e.pl.Units[round].Piv
 	leaves := e.unitLeaves[round]
@@ -723,7 +724,7 @@ func (m *machine) expandRound(st *groupState, round int, frontier []*etrie.Node)
 		prefixBefore = e.redPrefix[round-1]
 	}
 	for _, parent := range frontier {
-		if parent.Dead() {
+		if st.trie.Dead(parent) {
 			continue
 		}
 		// Materialize f from the trie path.
@@ -773,7 +774,7 @@ func (m *machine) expandRound(st *groupState, round int, frontier []*etrie.Node)
 // current segment has grown past flushNodes, the segment is verified,
 // filtered and descended before expansion continues — so one hub
 // candidate's deg² leaves close several segments, not one.
-func (m *machine) adjEnum(st *groupState, round, li int, parent *etrie.Node, leaves []pattern.VertexID, pivAdj []graph.VertexID) (bool, error) {
+func (m *machine) adjEnum(st *groupState, round, li int, parent etrie.Node, leaves []pattern.VertexID, pivAdj []graph.VertexID) (bool, error) {
 	e := m.e
 	u := leaves[li]
 	pos := e.redPos[u]

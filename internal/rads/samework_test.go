@@ -58,16 +58,16 @@ func TestRADSSameWork(t *testing.T) {
 		limit int64
 		want  radsWork
 	}{
-		{"q1", 0, radsWork{18923, 12287, 6636, 31587, 16335, 8, 5, 4, 1, 45, 11, 18084, 123796}},
-		{"q1", 512 << 10, radsWork{18923, 12287, 6636, 31587, 16337, 8, 7, 4, 2, 63, 19, 18084, 44812}},
-		{"q2", 0, radsWork{158358, 108199, 50159, 128958, 8586, 12, 3439, 0, 4, 30951, 0, 0, 42384}},
-		{"q2", 512 << 10, radsWork{158358, 108199, 50159, 128958, 8586, 12, 3529, 0, 9, 31761, 0, 0, 24480}},
-		{"q3", 0, radsWork{180753, 117733, 63020, 215729, 114074, 8, 0, 0, 0, 0, 24, 29560, 271792}},
-		{"q3", 512 << 10, radsWork{180753, 117733, 63020, 215729, 114074, 8, 0, 0, 0, 0, 56, 29560, 65644}},
-		{"q4", 0, radsWork{138039, 87709, 50330, 154251, 95601, 6, 774, 347, 18, 6966, 20, 22468, 204236}},
-		{"q4", 512 << 10, radsWork{138039, 87709, 50330, 154251, 89055, 6, 408, 368, 49, 3672, 68, 22232, 41504}},
-		{"q5", 0, radsWork{2745545, 1700432, 1045113, 1859154, 90949, 6, 3536, 392, 16, 31824, 17, 28992, 232172}},
-		{"q5", 512 << 10, radsWork{2745545, 1700432, 1045113, 1859154, 88957, 6, 1945, 450, 63, 17505, 47, 27948, 62156}},
+		{"q1", 0, radsWork{18923, 12287, 6636, 31587, 16335, 8, 5, 4, 1, 45, 11, 18084, 63544}},
+		{"q1", 512 << 10, radsWork{18923, 12287, 6636, 31587, 16337, 8, 7, 4, 2, 63, 19, 18084, 23616}},
+		{"q2", 0, radsWork{158358, 108199, 50159, 128958, 8586, 12, 3439, 0, 4, 30951, 0, 0, 21192}},
+		{"q2", 512 << 10, radsWork{158358, 108199, 50159, 128958, 8586, 12, 3529, 0, 9, 31761, 0, 0, 12240}},
+		{"q3", 0, radsWork{180753, 117733, 63020, 215729, 114074, 8, 0, 0, 0, 0, 24, 29560, 138592}},
+		{"q3", 512 << 10, radsWork{180753, 117733, 63020, 215729, 114074, 8, 0, 0, 0, 0, 56, 29560, 37924}},
+		{"q4", 0, radsWork{138039, 87709, 50330, 154251, 95601, 6, 774, 347, 18, 6966, 20, 22468, 104084}},
+		{"q4", 512 << 10, radsWork{138039, 87709, 50330, 154251, 89055, 6, 408, 368, 49, 3672, 68, 22232, 25700}},
+		{"q5", 0, radsWork{2745545, 1700432, 1045113, 1859154, 90949, 6, 3536, 392, 16, 31824, 17, 28992, 118100}},
+		{"q5", 512 << 10, radsWork{2745545, 1700432, 1045113, 1859154, 88957, 6, 1945, 450, 63, 17505, 47, 27948, 33236}},
 	}
 	part := hubFirstBlocks(t)
 	for _, c := range cells {
