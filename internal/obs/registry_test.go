@@ -8,7 +8,8 @@ import (
 )
 
 // TestRegistryGolden locks the exposition format: family ordering,
-// HELP/TYPE headers, histogram cumulative buckets, label quoting.
+// HELP/TYPE headers, histogram cumulative buckets, label quoting, help
+// escaping, and empty labeled families, over all nine family kinds.
 func TestRegistryGolden(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("app_requests_total", "Requests served.")
@@ -28,11 +29,23 @@ func TestRegistryGolden(t *testing.T) {
 	reg.CounterFunc("app_polled_total", "Polled counter.", func() int64 { return 7 })
 	reg.CounterVecFunc("app_kinds_total", "Polled vec.", "kind",
 		func() map[string]int64 { return map[string]int64{"b": 2, "a": 1} })
+	reg.GaugeVecFunc("app_up", "Liveness by machine.", "machine",
+		func() map[string]float64 { return map[string]float64{"1": 0, "0": 1.5} })
+	reg.CounterVec("app_empty_total", "Empty vec.", "kind")
+	reg.HistogramVec("app_empty_seconds", "Empty histogram vec.", "kind", nil)
+	reg.Gauge("app_escaped", "A back\\slash and\na newline.")
 
 	want := `# HELP app_bytes_total Bytes by kind.
 # TYPE app_bytes_total counter
 app_bytes_total{kind="fetchV"} 20
 app_bytes_total{kind="verifyE"} 10
+# HELP app_empty_seconds Empty histogram vec.
+# TYPE app_empty_seconds histogram
+# HELP app_empty_total Empty vec.
+# TYPE app_empty_total counter
+# HELP app_escaped A back\\slash and\na newline.
+# TYPE app_escaped gauge
+app_escaped 0
 # HELP app_kinds_total Polled vec.
 # TYPE app_kinds_total counter
 app_kinds_total{kind="a"} 1
@@ -62,6 +75,10 @@ app_running 2
 # HELP app_temperature Current temperature.
 # TYPE app_temperature gauge
 app_temperature 36.6
+# HELP app_up Liveness by machine.
+# TYPE app_up gauge
+app_up{machine="0"} 1.5
+app_up{machine="1"} 0
 `
 	var b strings.Builder
 	if err := reg.WritePrometheus(&b); err != nil {
