@@ -305,74 +305,9 @@ func (r *Registry) HistogramVec(name, help, label string, buckets []float64) His
 
 // WritePrometheus renders every family in Prometheus text exposition
 // format. Output is deterministic: families sort by name, labeled
-// series by label value.
+// series by label value. It is WriteFleet with no worker snapshots.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	r.mu.Lock()
-	names := make([]string, 0, len(r.fam))
-	fams := make([]*family, 0, len(r.fam))
-	for n := range r.fam {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		fams = append(fams, r.fam[n])
-	}
-	r.mu.Unlock()
-
-	var b strings.Builder
-	for _, f := range fams {
-		f.write(&b)
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-func (f *family) write(b *strings.Builder) {
-	fmt.Fprintf(b, "# HELP %s %s\n", f.name, escapeHelp(f.help))
-	fmt.Fprintf(b, "# TYPE %s %s\n", f.name, f.typ)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	switch f.kind {
-	case "counter":
-		fmt.Fprintf(b, "%s %d\n", f.name, f.counter.Value())
-	case "counterfunc":
-		fmt.Fprintf(b, "%s %d\n", f.name, f.counterFn())
-	case "gauge":
-		fmt.Fprintf(b, "%s %s\n", f.name, fmtFloat(f.gauge.Value()))
-	case "gaugefunc":
-		fmt.Fprintf(b, "%s %s\n", f.name, fmtFloat(f.gaugeFn()))
-	case "histogram":
-		writeHistogram(b, f.name, "", "", f.hist)
-	case "countervec":
-		for _, k := range sortedKeys(f.cvec) {
-			fmt.Fprintf(b, "%s{%s=%q} %d\n", f.name, f.label, k, f.cvec[k].Value())
-		}
-	case "countervecfunc":
-		vals := f.cvecFn()
-		keys := make([]string, 0, len(vals))
-		for k := range vals {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			fmt.Fprintf(b, "%s{%s=%q} %d\n", f.name, f.label, k, vals[k])
-		}
-	case "gaugevecfunc":
-		vals := f.gvecFn()
-		keys := make([]string, 0, len(vals))
-		for k := range vals {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			fmt.Fprintf(b, "%s{%s=%q} %s\n", f.name, f.label, k, fmtFloat(vals[k]))
-		}
-	case "histogramvec":
-		for _, k := range sortedKeys(f.hvec) {
-			lbl := fmt.Sprintf("%s=%q", f.label, k)
-			writeHistogram(b, f.name, "{"+lbl+"}", lbl+",", f.hvec[k])
-		}
-	}
+	return WriteFleet(w, r, nil)
 }
 
 func sortedKeys[V any](m map[string]V) []string {
@@ -382,21 +317,6 @@ func sortedKeys[V any](m map[string]V) []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-// writeHistogram renders one histogram series. sumLabels is "" or
-// `{name="value"}` (for _sum/_count); bucketPrefix is "" or
-// `name="value",` and composes with the le label.
-func writeHistogram(b *strings.Builder, name, sumLabels, bucketPrefix string, h *Histogram) {
-	cum := int64(0)
-	for i, bound := range h.bounds {
-		cum += h.counts[i].Load()
-		fmt.Fprintf(b, "%s_bucket{%sle=%q} %d\n", name, bucketPrefix, fmtFloat(bound), cum)
-	}
-	cum += h.counts[len(h.bounds)].Load()
-	fmt.Fprintf(b, "%s_bucket{%sle=\"+Inf\"} %d\n", name, bucketPrefix, cum)
-	fmt.Fprintf(b, "%s_sum%s %s\n", name, sumLabels, fmtFloat(h.Sum()))
-	fmt.Fprintf(b, "%s_count%s %d\n", name, sumLabels, h.Count())
 }
 
 func fmtFloat(v float64) string {

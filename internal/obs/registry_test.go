@@ -197,7 +197,7 @@ func TestHistogramBuckets(t *testing.T) {
 	h.Observe(1.5) // le="2"
 	h.Observe(3)   // +Inf
 	var b strings.Builder
-	writeHistogram(&b, "h", "", "", h)
+	writeSeries(&b, "h", "histogram", "", "", snapshotHistogram("", h))
 	want := `h_bucket{le="1"} 1
 h_bucket{le="2"} 2
 h_bucket{le="+Inf"} 3
