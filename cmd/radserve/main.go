@@ -102,7 +102,6 @@ type options struct {
 	rpcRetries   int
 	heartbeat    time.Duration
 	breakThresh  int
-	breakCool    time.Duration
 	fallback     bool
 
 	slowQuery time.Duration
@@ -135,7 +134,6 @@ func main() {
 	flag.IntVar(&o.rpcRetries, "rpc-retries", 3, "attempts per idempotent cluster RPC (fetchV/verifyE/ping); 1 disables retries")
 	flag.DurationVar(&o.heartbeat, "heartbeat", 2*time.Second, "worker heartbeat sweep interval")
 	flag.IntVar(&o.breakThresh, "breaker-threshold", 3, "consecutive RPC failures that mark a worker down")
-	flag.DurationVar(&o.breakCool, "breaker-cooldown", 0, "wait before probing a down worker again (0 = 2x heartbeat)")
 	flag.BoolVar(&o.fallback, "cluster-fallback", false, "serve RADS queries from the in-process engine while the cluster is unhealthy")
 	flag.DurationVar(&o.slowQuery, "slow-query", 0, "log queries slower than this and keep their profiles in the slow ring (0 disables)")
 	flag.StringVar(&o.debugAddr, "debug-addr", "", "optional second listener serving /metrics, /healthz and /debug/pprof")
@@ -300,7 +298,6 @@ func run(o options) error {
 		ce.StartHealth(rads.HealthOptions{
 			Interval:         o.heartbeat,
 			FailureThreshold: o.breakThresh,
-			Cooldown:         o.breakCool,
 			Registry:         svc.Metrics(),
 			OnTransition: func(machine int, up bool) {
 				if up {
@@ -464,7 +461,7 @@ func (s *server) handleMetricsCluster(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleClusterSummary serves the /debug/cluster fleet table: per
-// machine up/breaker/heartbeat-age from the health tracker joined with
+// machine up/heartbeat-age from the health report joined with
 // cache effectiveness and the snapshot fingerprint from a fresh
 // statsPull.
 func (s *server) handleClusterSummary(w http.ResponseWriter, r *http.Request) {
@@ -549,7 +546,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	res, err := h.Result(ctx)
 	if err != nil {
 		// A down worker is a clean, typed, retryable condition — the
-		// cluster heals via breaker probes — not an internal error.
+		// cluster heals via heartbeat pings — not an internal error.
 		if errors.Is(err, rads.ErrWorkerDown) {
 			w.Header().Set("Retry-After", "1")
 			writeError(w, http.StatusServiceUnavailable, err)

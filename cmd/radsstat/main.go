@@ -6,8 +6,8 @@
 //
 // With -addr it is instead the fleet CLI of a running cluster-mode
 // deployment: it fetches the coordinator's /debug/cluster summary and
-// prints one row per worker machine (up, breaker, heartbeat age, cache
-// hit ratio, snapshot fingerprint) — the curl+jq loop as one command.
+// prints one row per worker machine (up, heartbeat age, cache hit
+// ratio, snapshot fingerprint) — the curl+jq loop as one command.
 //
 // Usage:
 //
@@ -88,8 +88,8 @@ func runFleet(addr string) error {
 		health = "DEGRADED"
 	}
 	fmt.Printf("cluster: %d machines, %s\n", sum.Machines, health)
-	fmt.Printf("%-8s %-5s %-10s %-14s %-11s %s\n",
-		"machine", "up", "breaker", "heartbeat_age", "cache_ratio", "fingerprint")
+	fmt.Printf("%-8s %-5s %-14s %-11s %s\n",
+		"machine", "up", "heartbeat_age", "cache_ratio", "fingerprint")
 	for _, w := range sum.Workers {
 		up := "yes"
 		if !w.Up {
@@ -107,8 +107,8 @@ func runFleet(addr string) error {
 		if fp == "" && w.StatsError != "" {
 			fp = "(" + w.StatsError + ")"
 		}
-		fmt.Printf("%-8d %-5s %-10s %-14s %-11s %s\n",
-			w.Machine, up, w.Breaker, age, ratio, fp)
+		fmt.Printf("%-8d %-5s %-14s %-11s %s\n",
+			w.Machine, up, age, ratio, fp)
 	}
 	return nil
 }

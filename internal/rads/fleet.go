@@ -10,17 +10,17 @@ import (
 )
 
 // PullStats fetches every worker's registry snapshot over the
-// statsPull RPC, in parallel. Machines behind an open breaker are
-// skipped without a call — a fleet scrape must not burn a timeout per
+// statsPull RPC, in parallel. Machines marked down are skipped
+// without a call — a fleet scrape must not burn a timeout per
 // down worker. Both slices are indexed by machine id; a machine has
 // either a response or an error, never both (a skipped machine gets a
-// WorkerDownError). Outcomes feed the breaker like any other RPC.
+// WorkerDownError). Outcomes feed the liveness rule like any other RPC.
 func (c *ClusterEngine) PullStats() ([]*StatsPullResponse, []error) {
 	resps := make([]*StatsPullResponse, c.m)
 	errs := make([]error, c.m)
 	var wg sync.WaitGroup
 	for t := 0; t < c.m; t++ {
-		if c.health != nil && !c.health.tracker.Up(t) {
+		if !c.health.up(t) {
 			errs[t] = &WorkerDownError{Machine: t}
 			continue
 		}
@@ -64,12 +64,11 @@ func FleetFamilies(resps []*StatsPullResponse) []obs.MachineFamilies {
 }
 
 // WorkerSummary is one machine's row in the /debug/cluster fleet view:
-// breaker status from the health tracker joined with the registry
-// snapshot the machine just served.
+// its liveness joined with the registry snapshot the machine just
+// served.
 type WorkerSummary struct {
-	Machine int    `json:"machine"`
-	Up      bool   `json:"up"`
-	Breaker string `json:"breaker"`
+	Machine int  `json:"machine"`
+	Up      bool `json:"up"`
 	// HeartbeatAgeSeconds is how long ago the machine was last heard
 	// from (-1 = never).
 	HeartbeatAgeSeconds float64 `json:"heartbeat_age_seconds"`
@@ -93,24 +92,22 @@ type ClusterSummary struct {
 	Workers  []WorkerSummary `json:"workers"`
 }
 
-// Summary joins the health tracker's per-worker view with a fresh
+// Summary joins the per-worker health report with a fresh
 // statsPull sweep into the fleet summary behind /debug/cluster and
 // radsstat -addr.
 func (c *ClusterEngine) Summary() ClusterSummary {
 	sum := ClusterSummary{Healthy: c.Healthy(), Machines: c.m}
-	health := make(map[int]cluster.WorkerHealth, c.m)
+	health := make(map[int]WorkerHealth, c.m)
 	for _, w := range c.HealthReport().Workers {
 		health[w.Machine] = w
 	}
 	resps, errs := c.PullStats()
 	for t := 0; t < c.m; t++ {
 		ws := WorkerSummary{
-			Machine: t, Up: true, Breaker: cluster.BreakerClosed.String(),
-			HeartbeatAgeSeconds: -1, CacheHitRatio: -1,
+			Machine: t, Up: true, HeartbeatAgeSeconds: -1, CacheHitRatio: -1,
 		}
 		if w, ok := health[t]; ok {
 			ws.Up = w.Up
-			ws.Breaker = w.Breaker
 			ws.HeartbeatAgeSeconds = w.LastSeen
 		}
 		if r := resps[t]; r != nil {

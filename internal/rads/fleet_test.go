@@ -67,7 +67,7 @@ func TestFleetStatsPullAndSummary(t *testing.T) {
 		t.Fatalf("summary: %+v", sum)
 	}
 	for _, w := range sum.Workers {
-		if !w.Up || w.Breaker != "closed" || w.StatsError != "" {
+		if !w.Up || w.StatsError != "" {
 			t.Errorf("worker %d: %+v", w.Machine, w)
 		}
 		if w.Fingerprint == "" {
@@ -153,7 +153,6 @@ func TestPullStatsSkipsOpenBreaker(t *testing.T) {
 	ce.StartHealth(rads.HealthOptions{
 		Interval:         10 * time.Millisecond,
 		FailureThreshold: 2,
-		Cooldown:         30 * time.Millisecond,
 	})
 	defer ce.Close()
 

@@ -130,11 +130,11 @@ func TestClusterEngineRetryRecoversFetchV(t *testing.T) {
 	}
 }
 
-// TestClusterEngineHealthGateAndRecovery drives the full breaker
-// lifecycle: heartbeats open the breakers during an outage, queries
+// TestClusterEngineHealthGateAndRecovery drives the full liveness
+// lifecycle: heartbeats mark the workers down during an outage, queries
 // fail fast with the typed error (no dispatch attempted), and once the
-// outage clears the half-open probes close the breakers and queries
-// flow again.
+// outage clears the heartbeat pings mark them up and queries flow
+// again.
 func TestClusterEngineHealthGateAndRecovery(t *testing.T) {
 	g := gen.Community(3, 14, 0.35, 41)
 	part := partition.KWay(g, 3, 7)
@@ -147,7 +147,6 @@ func TestClusterEngineHealthGateAndRecovery(t *testing.T) {
 	ce.StartHealth(rads.HealthOptions{
 		Interval:         10 * time.Millisecond,
 		FailureThreshold: 2,
-		Cooldown:         30 * time.Millisecond,
 		OnTransition: func(_ int, up bool) {
 			if up {
 				ups.Add(1)
@@ -179,7 +178,7 @@ func TestClusterEngineHealthGateAndRecovery(t *testing.T) {
 	}
 	var openSeen bool
 	for _, w := range report.Workers {
-		if !w.Up && (w.Breaker == "open" || w.Breaker == "half-open") {
+		if !w.Up {
 			openSeen = true
 		}
 	}
@@ -187,7 +186,7 @@ func TestClusterEngineHealthGateAndRecovery(t *testing.T) {
 		t.Errorf("report shows no open breaker during outage: %+v", report.Workers)
 	}
 
-	// Outage ends: half-open probes close the breakers, queries flow.
+	// Outage ends: heartbeat pings mark the workers up, queries flow.
 	flaky.fail.Store(false)
 	waitFor(t, "breakers to close", ce.Healthy)
 	if ups.Load() == 0 {
@@ -218,7 +217,6 @@ func TestClusterEngineFallbackServesWhileDegraded(t *testing.T) {
 	ce.StartHealth(rads.HealthOptions{
 		Interval:         10 * time.Millisecond,
 		FailureThreshold: 2,
-		Cooldown:         30 * time.Millisecond,
 	})
 	defer ce.Close()
 	ce.EnableFallback()
@@ -256,5 +254,76 @@ func TestClusterEngineFallbackServesWhileDegraded(t *testing.T) {
 	run("recovered cluster")
 	if rep := ce.HealthReport(); rep.FallbackActive || !rep.Healthy {
 		t.Errorf("recovered report: %+v", rep)
+	}
+}
+
+// sweepTransport sends calls to one machine through a flaky switch and
+// counts the heartbeat pings every machine receives.
+type sweepTransport struct {
+	flakyTransport
+	down  int
+	pings []atomic.Int64
+}
+
+func (s *sweepTransport) Call(from, to int, req cluster.Message) (cluster.Message, error) {
+	if _, ok := req.(*cluster.PingRequest); ok {
+		s.pings[to].Add(1)
+	}
+	if to != s.down {
+		return s.Transport.Call(from, to, req)
+	}
+	return s.flakyTransport.Call(from, to, req)
+}
+
+// TestLivenessHeartbeatPingsEverySweep: the heartbeat pings a down
+// worker on every sweep, so once its outage lifts it is up again within
+// two sweeps — no cooldown holds it down. Machine 0 stays up throughout
+// and counts the sweeps.
+func TestLivenessHeartbeatPingsEverySweep(t *testing.T) {
+	g := gen.Community(3, 14, 0.35, 41)
+	part := partition.KWay(g, 3, 7)
+	var st *sweepTransport
+	ce := hostClusterWrapped(t, part, nil, func(tr cluster.Transport) cluster.Transport {
+		st = &sweepTransport{flakyTransport: flakyTransport{Transport: tr}, down: 1, pings: make([]atomic.Int64, part.M)}
+		return st
+	})
+	// Machine 0's ping count when machine 1 comes back up.
+	backAt := make(chan int64, 1)
+	ce.StartHealth(rads.HealthOptions{
+		Interval:         10 * time.Millisecond,
+		FailureThreshold: 2,
+		OnTransition: func(machine int, up bool) {
+			if machine == 1 && up {
+				select {
+				case backAt <- st.pings[0].Load():
+				default:
+				}
+			}
+		},
+	})
+	defer ce.Close()
+
+	st.fail.Store(true)
+	waitFor(t, "machine 1 to go down", func() bool { return !ce.Healthy() })
+	p0, p1 := st.pings[0].Load(), st.pings[1].Load()
+	waitFor(t, "ten more sweeps", func() bool { return st.pings[0].Load() >= p0+10 })
+	if d0, d1 := st.pings[0].Load()-p0, st.pings[1].Load()-p1; d1 < d0-1 {
+		t.Errorf("down machine 1 pinged %d times in %d sweeps", d1, d0)
+	}
+
+	st.fail.Store(false)
+	lifted := st.pings[0].Load()
+	select {
+	case at := <-backAt:
+		// The sweep under way when the outage lifted may still have
+		// failed machine 1's ping; the next one must bring it back.
+		if n := at - lifted; n > 2 {
+			t.Errorf("machine 1 came back %d sweeps after its outage lifted, want at most 2", n)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("machine 1 never came back")
+	}
+	if !ce.Healthy() {
+		t.Error("cluster not healthy after machine 1 came back")
 	}
 }

@@ -41,8 +41,8 @@ type ClusterEngine struct {
 	tr cluster.Transport
 	m  int
 
-	// health, when StartHealth has run, carries the per-worker breaker
-	// tracker and heartbeat loop (see health.go). Nil means no health
+	// health, when StartHealth has run, carries each worker's up/down
+	// state and the heartbeat loop (see health.go). Nil means no health
 	// gating.
 	health *clusterHealth
 	// fallback routes queries to the in-process engine while the fleet
@@ -122,9 +122,9 @@ func (c *ClusterEngine) admit(t int, pr *cluster.PingResponse) error {
 	return nil
 }
 
-// EnableFallback turns on degraded-mode serving: while any worker's
-// breaker is open, or when a dispatch finds a worker down before its
-// breaker does, Run serves the query with the in-process engine on the
+// EnableFallback turns on degraded-mode serving: while any worker is
+// down, or when a dispatch finds a worker down before the heartbeat
+// does, Run serves the query with the in-process engine on the
 // coordinator's partition. Fallback queries run outside the cluster
 // mutex, so they do not queue behind each other. Call before serving.
 func (c *ClusterEngine) EnableFallback() { c.fallback = true }
@@ -157,7 +157,7 @@ func (c *ClusterEngine) runRemote(ctx context.Context, req eng.Request) (eng.Res
 		return eng.Result{}, err
 	}
 	// Fail fast on known-down workers: every machine participates in
-	// every query, so one open breaker means the query cannot succeed.
+	// every query, so one down worker means the query cannot succeed.
 	if err := c.gateHealth(); err != nil {
 		return eng.Result{}, err
 	}

@@ -52,11 +52,14 @@ var (
 	ErrOverloaded = errors.New("service: overloaded, queue full")
 )
 
-// DefaultPartitionSeed seeds the KWay partitioner when Config leaves
-// PartitionSeed zero. Exported so out-of-process tooling (radserve's
-// snapshot writer) partitions identically to service.Open — a snapshot
+// DefaultPartitionSeed seeds the KWay partitioner of Open. Exported so
+// out-of-process tooling (radserve's snapshot writer) partitions
+// identically to service.Open — a snapshot
 // and a cold start must agree on the vertex-to-machine assignment.
 const DefaultPartitionSeed = 7
+
+// profileCap sizes the recent-profile and slow-query rings.
+const profileCap = 128
 
 // MaxPatternVertices bounds accepted query patterns. The paper's
 // largest query has 6 vertices and its running example 10; beyond
@@ -70,9 +73,6 @@ type Config struct {
 	// Machines is the number of simulated machines the graph is
 	// partitioned across (default 4). Ignored by OpenPartitioned.
 	Machines int
-	// PartitionSeed seeds the KWay partitioner (default 7). Ignored by
-	// OpenPartitioned.
-	PartitionSeed int64
 	// MaxConcurrent caps queries running at once (default 4).
 	MaxConcurrent int
 	// MaxQueued caps queries waiting for admission; Submit returns
@@ -91,9 +91,6 @@ type Config struct {
 	// is also kept in the slow-query ring and reported through
 	// OnSlowQuery (0 disables slow-query tracking).
 	SlowQuery time.Duration
-	// ProfileCap sizes the recent-profile and slow-query rings
-	// (default 128).
-	ProfileCap int
 	// OnSlowQuery, when set, is called synchronously with the profile
 	// of every query slower than SlowQuery (radserve logs these).
 	OnSlowQuery func(*obs.Profile)
@@ -107,9 +104,6 @@ func (c Config) withDefaults() Config {
 	if c.Machines <= 0 {
 		c.Machines = 4
 	}
-	if c.PartitionSeed == 0 {
-		c.PartitionSeed = DefaultPartitionSeed
-	}
 	if c.MaxConcurrent <= 0 {
 		c.MaxConcurrent = 4
 	}
@@ -121,9 +115,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DefaultEngine == "" {
 		c.DefaultEngine = "RADS"
-	}
-	if c.ProfileCap <= 0 {
-		c.ProfileCap = 128
 	}
 	return c
 }
@@ -189,7 +180,7 @@ func Open(g *graph.Graph, cfg Config) (*Service, error) {
 		return nil, errors.New("service: empty data graph")
 	}
 	cfg = cfg.withDefaults()
-	return OpenPartitioned(partition.KWay(g, cfg.Machines, cfg.PartitionSeed), cfg)
+	return OpenPartitioned(partition.KWay(g, cfg.Machines, DefaultPartitionSeed), cfg)
 }
 
 // OpenPartitioned builds a Service over an existing partition (callers
@@ -212,8 +203,8 @@ func OpenPartitioned(part *partition.Partition, cfg Config) (*Service, error) {
 		artifacts:      engine.NewArtifactCache(0),
 		commByKind:     make(map[string]int64),
 		commMsgsByKind: make(map[string]int64),
-		profiles:       obs.NewProfileRing(cfg.ProfileCap),
-		slow:           obs.NewProfileRing(cfg.ProfileCap),
+		profiles:       obs.NewProfileRing(profileCap),
+		slow:           obs.NewProfileRing(profileCap),
 	}
 	s.initObs()
 	// Route to every engine in the process-wide registry (RADS and the

@@ -14,8 +14,10 @@
 #
 #   5. Chaos: one worker is wedged (SIGSTOP) and later killed outright;
 #      in-flight queries must fail with a clean typed 503 (never a
-#      hang), worker_up and breaker metrics must track the outage, and
-#      after the worker returns the cluster must serve again with no
+#      hang), the worker_up and healthy gauges must track the outage
+#      (a worker is up or down: a down worker is pinged on every
+#      heartbeat and marked up by the first ping it answers), and after
+#      the worker returns the cluster must serve again with no
 #      coordinator restart.
 #
 # CI runs this; it also works locally: ./scripts/cluster_smoke.sh
@@ -258,7 +260,7 @@ assert len(s["workers"]) == 4, s
 fps = {w["fingerprint"] for w in s["workers"]}
 assert len(fps) == 1 and "" not in fps, s
 for w in s["workers"]:
-    assert w["up"] and w["breaker"] == "closed", w
+    assert w["up"], w
 print("   4 workers up, fingerprint", fps.pop())'
 
 echo "== stalled client: half a request header must not hold a connection"
@@ -352,9 +354,6 @@ retries=$(grep -c '^rads_cluster_rpc_retries_total{' <<<"$cmetrics" || true)
 if [ "$timeouts" -eq 0 ] && [ "$retries" -eq 0 ]; then
     echo "FAIL: neither timeout nor retry counters moved during the outage"
     grep rads_cluster <<<"$cmetrics" || true; exit 1
-fi
-if ! grep -qE 'rads_cluster_breaker_state\{machine="(2|3)"\} [12]' <<<"$cmetrics"; then
-    echo "FAIL: no breaker left the closed state"; exit 1
 fi
 # /stats carries the same per-machine view for operators.
 curl -fs "http://$ADDR/stats" | python3 -c '
