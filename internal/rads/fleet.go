@@ -97,16 +97,15 @@ type ClusterSummary struct {
 // radsstat -addr.
 func (c *ClusterEngine) Summary() ClusterSummary {
 	sum := ClusterSummary{Healthy: c.Healthy(), Machines: c.m}
-	health := make(map[int]WorkerHealth, c.m)
-	for _, w := range c.HealthReport().Workers {
-		health[w.Machine] = w
-	}
+	// One row per machine; none without StartHealth.
+	health := c.HealthReport().Workers
 	resps, errs := c.PullStats()
 	for t := 0; t < c.m; t++ {
 		ws := WorkerSummary{
 			Machine: t, Up: true, HeartbeatAgeSeconds: -1, CacheHitRatio: -1,
 		}
-		if w, ok := health[t]; ok {
+		if t < len(health) {
+			w := health[t]
 			ws.Up = w.Up
 			ws.HeartbeatAgeSeconds = w.LastSeen
 		}

@@ -26,7 +26,7 @@ func TestLivenessRule(t *testing.T) {
 		workers:   make([]workerState, 3),
 	}
 	c := &ClusterEngine{m: 3, health: h}
-	remote := fmt.Errorf("machine 1: %w", cluster.ErrRemote)
+	remote := fmt.Errorf("machine 2: %w", cluster.ErrRemote)
 	steps := []struct {
 		what     string
 		machine  int
