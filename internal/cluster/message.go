@@ -135,7 +135,7 @@ func (r *PingRequest) ByteSize() int { return 1 }
 // reply). Bump it with any change a peer built at the old number would
 // misread or silently ignore; a worker reports it in every ping, and
 // the coordinator refuses a fleet whose workers report another.
-const WireContract uint64 = 2
+const WireContract uint64 = 3
 
 // PingResponse reports the responding machine's identity, the wire
 // contract it was built to and a fingerprint of the partition it hosts,

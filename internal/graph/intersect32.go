@@ -46,14 +46,16 @@ package graph
 // rows.
 const gallopRatioU32 = 6
 
-// KernelTally counts the adaptive selections made through it: pairwise
-// intersections that merged, pairwise intersections that galloped, and
-// folds of three or more lists (whose pairwise steps count as well).
+// KernelTally counts the kernel selections made through it: pairwise
+// intersections that merged, pairwise intersections that galloped,
+// folds of three or more lists (whose pairwise steps count as well),
+// and probes of a list against a marked one (ProbeMarkedU32).
 // It is a plain value owned by whoever runs the intersections — one
-// per localenum.Enumerator, one per R-Meef region group — so counting costs an increment, with no atomic and no shared cache
-// line, and the sums folded upward (Add) are exact per query.
+// per localenum.Enumerator, one per R-Meef region group — so counting
+// costs an increment, with no atomic and no shared cache line, and the
+// sums folded upward (Add) are exact per query.
 type KernelTally struct {
-	Merge, Gallop, KWay int64
+	Merge, Gallop, KWay, Probe int64
 }
 
 // Add folds o into t.
@@ -61,12 +63,36 @@ func (t *KernelTally) Add(o KernelTally) {
 	t.Merge += o.Merge
 	t.Gallop += o.Gallop
 	t.KWay += o.KWay
+	t.Probe += o.Probe
 }
 
 // Map returns the tally under the label values of
 // rads_kernel_selections_total, the keys of Profile.Kernels.
 func (t KernelTally) Map() map[string]int64 {
-	return map[string]int64{"merge_u32": t.Merge, "gallop_u32": t.Gallop, "kway_u32": t.KWay}
+	return map[string]int64{"merge_u32": t.Merge, "gallop_u32": t.Gallop, "kway_u32": t.KWay, "probe_u32": t.Probe}
+}
+
+// ProbeMarkedU32 writes the elements of list that marks holds into dst
+// (truncated first) and returns them, ascending when list is. It is the
+// intersection of list with the marked list at one load per element of
+// list, whatever the marked list's length: the kernel for a list that
+// stays fixed while many others are intersected with it, marked once
+// (Marks.Mark) and probed by each. dst may alias list: the write cursor
+// never passes the read cursor. The store is unconditional and the
+// cursor advances by the probed bit, so the loop has no data-dependent
+// branch.
+func (t *KernelTally) ProbeMarkedU32(dst, list []VertexID, marks Marks) []VertexID {
+	t.Probe++
+	if cap(dst) < len(list) {
+		dst = make([]VertexID, len(list))
+	}
+	dst = dst[:len(list)]
+	w := 0
+	for _, v := range list {
+		dst[w] = v
+		w += int(marks[v>>6] >> (uint(v) & 63) & 1)
+	}
+	return dst[:w]
 }
 
 // IntersectSortedU32 writes the intersection of two ascending VertexID

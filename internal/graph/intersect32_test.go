@@ -20,7 +20,11 @@ func TestIntersectU32KernelsAgree(t *testing.T) {
 		if want == nil {
 			want = []VertexID{}
 		}
+		marks := NewMarks(1200)
+		marks.Mark(b)
+		probed := new(KernelTally).ProbeMarkedU32(nil, a, marks)
 		for name, got := range map[string][]VertexID{
+			"probe":      probed,
 			"adaptive":   IntersectSortedU32(nil, a, b),
 			"merge":      IntersectSortedMergeU32(nil, a, b),
 			"merge_swap": IntersectSortedMergeU32(nil, b, a),
@@ -91,17 +95,27 @@ func FuzzIntersectU32Parity(f *testing.F) {
 	f.Add([]byte{1, 2, 3}, []byte{2, 3, 4})
 	f.Add([]byte{}, []byte{0, 0, 255})
 	f.Add([]byte{7}, []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
+	marks := NewMarks(256)
 	f.Fuzz(func(t *testing.T, ra, rb []byte) {
 		a := sortedFromBytes(ra)
 		b := sortedFromBytes(rb)
 		want := refIntersect([][]VertexID{a, b}, false, 0)
+		marks.Mark(b)
+		probed := new(KernelTally).ProbeMarkedU32(nil, a, marks)
+		marks.Unmark(b)
 		for name, got := range map[string][]VertexID{
 			"adaptive": IntersectSortedU32(nil, a, b),
 			"merge":    IntersectSortedMergeU32(nil, a, b),
 			"gallop":   IntersectSortedGallopU32(nil, a, b),
+			"probe":    probed,
 		} {
 			if !(len(got) == 0 && len(want) == 0) && !equalVerts(got, want) {
 				t.Fatalf("%s: got %v, want %v (a=%v b=%v)", name, got, want, a, b)
+			}
+		}
+		for i, w := range marks {
+			if w != 0 {
+				t.Fatalf("marks word %d is %#x after Unmark (b=%v)", i, w, b)
 			}
 		}
 	})
@@ -151,6 +165,7 @@ func TestIntersectU32KernelsZeroAlloc(t *testing.T) {
 	dst := make([]VertexID, 0, 64)
 	lists := [][]VertexID{a, b, b}
 	scratch := make([][]VertexID, 3)
+	marks := NewMarks(4096)
 	var tally KernelTally
 
 	cases := []struct {
@@ -168,6 +183,11 @@ func TestIntersectU32KernelsZeroAlloc(t *testing.T) {
 		{"KernelTally.IntersectManyFromU32", func() {
 			copy(scratch, lists)
 			dst = tally.IntersectManyFromU32(dst, 1024, scratch...)
+		}},
+		{"KernelTally.ProbeMarkedU32", func() {
+			marks.Mark(b)
+			dst = tally.ProbeMarkedU32(dst, a, marks)
+			marks.Unmark(b)
 		}},
 	}
 	for _, tc := range cases {
@@ -207,6 +227,12 @@ func TestKernelTally(t *testing.T) {
 	tally.IntersectManyFromU32(nil, 0, small, small, at, small)
 	if want := (KernelTally{Gallop: 3, Merge: 3, KWay: 1}); tally != want {
 		t.Errorf("four lists: %+v, want %+v (one k-way, three pairwise steps)", tally, want)
+	}
+	marks := NewMarks(len(at) * 2)
+	marks.Mark(at)
+	tally.ProbeMarkedU32(nil, small, marks) // whatever the lengths
+	if want := (KernelTally{Gallop: 3, Merge: 3, KWay: 1, Probe: 1}); tally != want {
+		t.Errorf("a probe: %+v, want %+v", tally, want)
 	}
 
 	before := KernelCounts()

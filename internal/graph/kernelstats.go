@@ -18,7 +18,7 @@ func (t KernelTally) AddToProcessTotals() {
 }
 
 // KernelCounts returns the process totals by kernel label ("merge_u32",
-// "gallop_u32", "kway_u32"). The map is freshly allocated.
+// "gallop_u32", "kway_u32", "probe_u32"). The map is freshly allocated.
 func KernelCounts() map[string]int64 {
 	processKernels.Lock()
 	defer processKernels.Unlock()

@@ -5,19 +5,33 @@
 //
 // The implementation is TurboIso-flavoured backtracking: a
 // connectivity-aware matching order, degree filtering, and candidate
-// generation by k-way intersection of the adjacency lists of all
-// already-matched neighbours (internal/graph's adaptive kernels:
-// linear merge, galloping on skewed lists, lower-bound skip for
-// symmetry-breaking constraints). TurboIso's candidate-region and NEC
-// machinery are performance refinements of the same exploration and
-// are not needed for the reproduction.
+// generation from the adjacency lists of all already-matched
+// neighbours, cut to the symmetry-breaking window. A level with one
+// matched neighbour takes that neighbour's list as it is. A level with
+// two or more intersects them with internal/graph's kernels, in one of
+// two ways fixed at New:
+//
+//   - mark and probe: when the level's earliest-bound neighbour (its
+//     mark source) was bound at least two levels up, that neighbour's
+//     list is marked in a bitmap once, when it is bound, and every
+//     visit of the level makes one pass over its shortest other list,
+//     probing the bitmap (graph.ProbeMarkedU32). The list every visit
+//     would re-merge is read once per binding, not once per visit.
+//     Further lists fold in with the adaptive kernel.
+//   - k-way fold (linear merge, galloping on skewed lists) for the
+//     rest, where a mark would be read only once before it is cleared.
+//
+// TurboIso's candidate-region and NEC machinery are performance
+// refinements of the same exploration and are not needed for the
+// reproduction.
 //
 // The core type is the reusable Enumerator: all state — the partial
-// embedding, a used-vertex bitset, and per-level candidate scratch —
-// is allocated at New and reused across Run calls, so the steady-state
-// inner loop is allocation-free. Enumerate and Count are thin
-// single-shot wrappers. A Run without a callback only counts: the last
-// level is tallied in a loop over its candidates, not recursed into.
+// embedding, a used-vertex bitmap, one bitmap per mark source, and
+// per-level candidate scratch — is allocated at New and reused across
+// Run calls, so the steady-state inner loop is allocation-free.
+// Enumerate and Count are thin single-shot wrappers. A Run without a
+// callback only counts: the last level is tallied in a loop over its
+// candidates, not recursed into.
 package localenum
 
 import (
@@ -96,10 +110,20 @@ type Enumerator struct {
 	starts  []graph.VertexID // default start candidates (Options.StartCandidates)
 
 	f    []graph.VertexID // partial embedding, indexed by query vertex
-	used bitset           // data vertices matched so far
+	used graph.Marks      // data vertices matched so far
 
 	prevAdj [][]pattern.VertexID // earlier-matched query neighbours per level
 	cons    [][]posConstraint    // symmetry constraints applying at each level
+
+	// Mark and probe (see the package comment). marks[s] is non-nil when
+	// the vertex bound at level s is a mark source: its list is marked
+	// there while it is bound. A level i with src[i] >= 0 takes its
+	// candidates by probing marks[src[i]] with the lists of others[i],
+	// its matched neighbours other than the source; src[i] is -1 at
+	// every other level.
+	marks  []graph.Marks
+	src    []int
+	others [][]pattern.VertexID
 
 	cand  [][]graph.VertexID // per-level candidate scratch (reused)
 	lists [][]graph.VertexID // k-way intersection input scratch (reused)
@@ -128,9 +152,12 @@ func New(g *graph.Graph, p *pattern.Pattern, opts Options) *Enumerator {
 		allowed: opts.Allowed,
 		starts:  opts.StartCandidates,
 		f:       make([]graph.VertexID, n),
-		used:    newBitset(g.NumVertices()),
+		used:    graph.NewMarks(g.NumVertices()),
 		cand:    make([][]graph.VertexID, n),
 		lists:   make([][]graph.VertexID, 0, n),
+		marks:   make([]graph.Marks, n),
+		src:     make([]int, n),
+		others:  make([][]pattern.VertexID, n),
 	}
 	for u := range e.f {
 		e.f[u] = -1
@@ -156,6 +183,30 @@ func New(g *graph.Graph, p *pattern.Pattern, opts Options) *Enumerator {
 			}
 			if c.Greater == u && pos[c.Less] < i {
 				e.cons[i] = append(e.cons[i], posConstraint{other: c.Less, less: false})
+			}
+		}
+		// The mark source is the earliest-bound matched neighbour. Its
+		// mark is set once per binding and read once per visit of level
+		// i, so it pays only when a level lies between them: with
+		// i == s+1 each binding of the source leads to one visit.
+		e.src[i] = -1
+		if len(e.prevAdj[i]) < 2 {
+			continue
+		}
+		s := i
+		for _, w := range e.prevAdj[i] {
+			s = min(s, pos[w])
+		}
+		if i-s < 2 {
+			continue
+		}
+		e.src[i] = s
+		if e.marks[s] == nil {
+			e.marks[s] = graph.NewMarks(g.NumVertices())
+		}
+		for _, w := range e.prevAdj[i] {
+			if pos[w] != s {
+				e.others[i] = append(e.others[i], w)
 			}
 		}
 	}
@@ -218,12 +269,29 @@ func (e *Enumerator) tryStart(u0 pattern.VertexID, v graph.VertexID) {
 	if e.allowed != nil && !e.allowed(v) {
 		return
 	}
-	e.f[u0] = v
-	e.used.set(v)
-	e.stats.TreeNodes++
+	e.bind(0, u0, v)
 	e.extend(1)
-	e.used.clear(v)
-	e.f[u0] = -1
+	e.unbind(0, u0, v)
+}
+
+// bind matches query vertex u, at level i, to data vertex v, marking
+// v's list when level i is a mark source.
+func (e *Enumerator) bind(i int, u pattern.VertexID, v graph.VertexID) {
+	e.f[u] = v
+	e.used.Set(v)
+	if m := e.marks[i]; m != nil {
+		m.Mark(e.g.Adj(v))
+	}
+	e.stats.TreeNodes++
+}
+
+// unbind undoes bind.
+func (e *Enumerator) unbind(i int, u pattern.VertexID, v graph.VertexID) {
+	if m := e.marks[i]; m != nil {
+		m.Unmark(e.g.Adj(v))
+	}
+	e.used.Clear(v)
+	e.f[u] = -1
 }
 
 // bounds derives the candidate interval at level i from the symmetry
@@ -243,11 +311,11 @@ func (e *Enumerator) bounds(i int) (lb, ub graph.VertexID) {
 	return lb, ub
 }
 
-// extend matches order[i] and recurses. Candidates are generated by
-// k-way intersection of the matched neighbours' adjacency lists,
-// starting above the symmetry lower bound; the remaining checks per
-// candidate are the used-bitset, the degree filter, the upper bound
-// (an early break, since candidates ascend) and the Allowed predicate.
+// extend matches order[i] and recurses. Candidates are generated from
+// the matched neighbours' adjacency lists (see candidates), starting
+// above the symmetry lower bound; the remaining checks per candidate
+// are the used-bitmap, the degree filter, the upper bound (an early
+// break, since candidates ascend) and the Allowed predicate.
 func (e *Enumerator) extend(i int) {
 	if i == len(e.order) {
 		e.stats.Embeddings++
@@ -258,29 +326,13 @@ func (e *Enumerator) extend(i int) {
 	}
 	u := e.order[i]
 	lb, ub := e.bounds(i)
-	prev := e.prevAdj[i]
-
-	var cands []graph.VertexID
-	switch len(prev) {
-	case 0:
+	if len(e.prevAdj[i]) == 0 {
 		// Disconnected order: fall back to all vertices (used only by
 		// tests; plan-derived orders are connectivity-aware).
 		e.extendDisconnected(i, u, lb, ub)
 		return
-	case 1:
-		// Single matched neighbour: its adjacency list IS the candidate
-		// set; skip to the lower bound without copying.
-		adj := e.g.Adj(e.f[prev[0]])
-		cands = adj[graph.SearchSorted(adj, lb+1):]
-	default:
-		lists := e.lists[:0]
-		for _, w := range prev {
-			lists = append(lists, e.g.Adj(e.f[w]))
-		}
-		e.lists = lists
-		e.cand[i] = e.stats.Kernels.IntersectManyFromU32(e.cand[i], lb, lists...)
-		cands = e.cand[i]
 	}
+	cands := e.candidates(i, lb, ub)
 
 	minDeg := e.p.Degree(u)
 	// Count-only runs stop one level early: a match of the last query
@@ -290,7 +342,7 @@ func (e *Enumerator) extend(i int) {
 		if v >= ub {
 			break // candidates ascend; nothing further can satisfy v < ub
 		}
-		if e.used.has(v) || e.g.Degree(v) < minDeg {
+		if e.used.Has(v) || e.g.Degree(v) < minDeg {
 			continue
 		}
 		if e.allowed != nil && !e.allowed(v) {
@@ -301,12 +353,9 @@ func (e *Enumerator) extend(i int) {
 			e.stats.Embeddings++
 			continue
 		}
-		e.f[u] = v
-		e.used.set(v)
-		e.stats.TreeNodes++
+		e.bind(i, u, v)
 		e.extend(i + 1)
-		e.used.clear(v)
-		e.f[u] = -1
+		e.unbind(i, u, v)
 		if e.stopped {
 			return
 		}
@@ -321,34 +370,66 @@ func (e *Enumerator) extendDisconnected(i int, u pattern.VertexID, lb, ub graph.
 		if v >= ub {
 			break
 		}
-		if e.used.has(v) || e.g.Degree(v) < minDeg {
+		if e.used.Has(v) || e.g.Degree(v) < minDeg {
 			continue
 		}
 		if e.allowed != nil && !e.allowed(v) {
 			continue
 		}
-		e.f[u] = v
-		e.used.set(v)
-		e.stats.TreeNodes++
+		e.bind(i, u, v)
 		e.extend(i + 1)
-		e.used.clear(v)
-		e.f[u] = -1
+		e.unbind(i, u, v)
 		if e.stopped {
 			return
 		}
 	}
 }
 
-// bitset is a fixed-size bitmap over data-vertex IDs — the
-// allocation-free replacement for the per-run map[VertexID]bool the
-// seed enumerator rebuilt for every start candidate.
-type bitset []uint64
-
-func newBitset(n int) bitset            { return make(bitset, (n+63)/64) }
-func (b bitset) set(v graph.VertexID)   { b[v>>6] |= 1 << (uint(v) & 63) }
-func (b bitset) clear(v graph.VertexID) { b[v>>6] &^= 1 << (uint(v) & 63) }
-func (b bitset) has(v graph.VertexID) bool {
-	return b[v>>6]&(1<<(uint(v)&63)) != 0
+// candidates returns the candidates of level i, which has at least one
+// matched neighbour, from lb+1 up; with a mark source they also end
+// below ub. One neighbour: its list is the candidate set, read in
+// place. A mark source: one probing pass over the shortest other list,
+// cut to (lb, ub), then the rest folded in. Otherwise the k-way fold.
+func (e *Enumerator) candidates(i int, lb, ub graph.VertexID) []graph.VertexID {
+	prev := e.prevAdj[i]
+	if len(prev) == 1 {
+		adj := e.g.Adj(e.f[prev[0]])
+		return adj[graph.SearchSorted(adj, lb+1):]
+	}
+	lists := e.lists[:0]
+	s := e.src[i]
+	if s < 0 {
+		for _, w := range prev {
+			lists = append(lists, e.g.Adj(e.f[w]))
+		}
+		e.lists = lists
+		e.cand[i] = e.stats.Kernels.IntersectManyFromU32(e.cand[i], lb, lists...)
+		return e.cand[i]
+	}
+	// Shortest first, by insertion: the fold then runs on the smallest
+	// result, and sort.Slice would allocate.
+	for _, w := range e.others[i] {
+		lists = append(lists, e.g.Adj(e.f[w]))
+		for j := len(lists) - 1; j > 0 && len(lists[j]) < len(lists[j-1]); j-- {
+			lists[j], lists[j-1] = lists[j-1], lists[j]
+		}
+	}
+	e.lists = lists
+	k := &e.stats.Kernels
+	if len(lists) > 1 {
+		k.KWay++
+	}
+	first := lists[0][graph.SearchSorted(lists[0], lb+1):]
+	first = first[:graph.SearchSorted(first, ub)]
+	cands := k.ProbeMarkedU32(e.cand[i], first, e.marks[s])
+	for _, l := range lists[1:] {
+		if len(cands) == 0 {
+			break
+		}
+		cands = k.IntersectSortedU32(cands, cands, l)
+	}
+	e.cand[i] = cands
+	return cands
 }
 
 // GreedyOrder returns a connectivity-aware matching order: the highest

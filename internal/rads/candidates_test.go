@@ -1,6 +1,8 @@
 package rads
 
 import (
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -11,6 +13,7 @@ import (
 	"rads/internal/localenum"
 	"rads/internal/partition"
 	"rads/internal/pattern"
+	"rads/internal/plan"
 )
 
 // hostedEngine builds an in-process engine with its machines spawned
@@ -176,11 +179,22 @@ func TestWarmFlushSegmentAllocatesOnlyItsMessages(t *testing.T) {
 // order SM-E now runs on: an embedding rooted at a C1 candidate maps
 // every query vertex to an owned data vertex whatever the matching
 // order, so rooting a connectivity-first order at the plan's start
-// vertex reads no foreign adjacency list — and the Allowed filter
-// drops nothing the unrestricted enumeration from the same roots finds.
+// vertex reads no foreign adjacency list — and the owner test drops
+// nothing the unrestricted enumeration from the same roots finds. Every
+// catalogue order keeps its candidates owned by construction
+// (ownedByConstruction), so SM-E runs them without the owner test.
 func TestSMEEmbeddingsStayOnOwnedVertices(t *testing.T) {
 	g := gen.Community(3, 40, 0.2, 5) // three blocks: most of each is interior
 	part := partition.KWay(g, 3, 7)
+	for _, p := range append(pattern.QuerySet(), append(pattern.CliqueQuerySet(), pattern.Triangle())...) {
+		pl, err := plan.Compute(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if order := localenum.GreedyOrderFrom(p, pl.Units[0].Piv); !ownedByConstruction(p, order) {
+			t.Errorf("%s: SM-E's order %v keeps the owner test", p.Name, order)
+		}
+	}
 	for _, p := range append(pattern.QuerySet()[:5], pattern.CliqueQuerySet()[:3]...) {
 		var mu sync.Mutex
 		foreign := 0
@@ -221,4 +235,91 @@ func TestSMEEmbeddingsStayOnOwnedVertices(t *testing.T) {
 			t.Errorf("%s: SM-E found nothing; the partition leaves no interior", p.Name)
 		}
 	}
+}
+
+// TestSMEOwnerTestOnlyWhereNeeded checks the rule behind smeOptions on
+// random connected patterns and random connected orders from random
+// start vertices. Where ownedByConstruction holds, an enumeration from
+// the C1 roots of that start vertex offers no foreign vertex to an
+// Allowed predicate that only watches, and counts what the owner test
+// counts; where it fails, smeOptions keeps the owner test.
+func TestSMEOwnerTestOnlyWhereNeeded(t *testing.T) {
+	g := gen.Grid(24, 24) // deep interiors: C1 roots for spans up to 5
+	part := partition.KWay(g, 3, 3)
+	rng := rand.New(rand.NewSource(77))
+	held, failed, strayed := 0, 0, 0
+	for c := 0; c < 150; c++ {
+		p := randomConnectedPattern(rng, 3+rng.Intn(6))
+		order := randomConnectedOrder(rng, p)
+		rule := ownedByConstruction(p, order)
+		e := hostedEngine(t, part, p, Config{})
+		span := p.Span(order[0])
+		for _, m := range e.machines {
+			if opts := m.smeOptions(order); (opts.Allowed == nil) != rule {
+				t.Fatalf("case %d (%s, order %v): rule %v but owner test set %v", c, p, order, rule, opts.Allowed != nil)
+			}
+			var c1 []graph.VertexID
+			for _, v := range part.Vertices(m.id) {
+				if int(part.BD[v]) >= span {
+					c1 = append(c1, v)
+				}
+			}
+			if len(c1) == 0 {
+				continue // no StartCandidates means every vertex
+			}
+			foreign := 0
+			watch := func(v graph.VertexID) bool {
+				if part.Owner[v] != int32(m.id) {
+					foreign++
+				}
+				return true
+			}
+			owned := func(v graph.VertexID) bool { return part.Owner[v] == int32(m.id) }
+			opts := localenum.Options{Order: order, Constraints: e.cons, StartCandidates: c1}
+			opts.Allowed = watch
+			got := localenum.Count(g, p, opts)
+			opts.Allowed = owned
+			want := localenum.Count(g, p, opts)
+			if got != want {
+				t.Fatalf("case %d (%s, order %v): %d embeddings unrestricted, %d owned", c, p, order, got, want)
+			}
+			switch {
+			case rule && foreign > 0:
+				t.Fatalf("case %d (%s, order %v): rule holds but %d foreign candidates met on machine %d", c, p, order, foreign, m.id)
+			case !rule && foreign > 0:
+				strayed++
+			}
+		}
+		if rule {
+			held++
+		} else {
+			failed++
+		}
+	}
+	if held == 0 || failed == 0 || strayed == 0 {
+		t.Errorf("rule held on %d cases, failed on %d, met foreign vertices %d times: the draw does not exercise both sides", held, failed, strayed)
+	}
+}
+
+// randomConnectedOrder draws a matching order from a random start
+// vertex in which every later vertex has an earlier neighbour.
+func randomConnectedOrder(rng *rand.Rand, p *pattern.Pattern) []pattern.VertexID {
+	start := pattern.VertexID(rng.Intn(p.N()))
+	order := []pattern.VertexID{start}
+	placed := make([]bool, p.N())
+	placed[start] = true
+	for len(order) < p.N() {
+		var next []pattern.VertexID
+		for _, u := range order {
+			for _, w := range p.Adj(u) {
+				if !placed[w] && !slices.Contains(next, w) {
+					next = append(next, w)
+				}
+			}
+		}
+		u := next[rng.Intn(len(next))]
+		placed[u] = true
+		order = append(order, u)
+	}
+	return order
 }

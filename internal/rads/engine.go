@@ -275,6 +275,11 @@ type engine struct {
 	// unitLeaves[i] = non-deferred leaves of unit i in matching order.
 	unitLeaves [][]pattern.VertexID
 
+	// markPivot[i] says when expandRound marks the pivot list of unit i
+	// for adjEnum to probe: it pays only where a leaf has a verification
+	// neighbour to probe it with, and only when it is read twice.
+	markPivot []markRule
+
 	// pulls[i] holds, per leaf of unit i with a verification edge into
 	// the rounds before it, what choosePulls needs to price that edge.
 	pulls [][]pullLeaf
@@ -291,6 +296,17 @@ type engine struct {
 
 	machines []*machine
 }
+
+// markRule is when expandRound marks a unit's pivot list.
+type markRule uint8
+
+const (
+	markNever markRule = iota // no leaf has a verification neighbour
+	// markShared: only the first leaf has one, so a mark is read once per
+	// parent; it is set for a parent on the same pivot as the one before.
+	markShared
+	markAlways // a leaf after the first has one
+)
 
 type posCons struct {
 	other pattern.VertexID
@@ -487,6 +503,20 @@ func (e *engine) precompute() {
 			}
 		}
 		e.unitLeaves[i] = leaves
+	}
+
+	e.markPivot = make([]markRule, len(e.pl.Units))
+	for i, leaves := range e.unitLeaves {
+		for li, u := range leaves {
+			if len(e.verif[e.redPos[u]]) == 0 {
+				continue
+			}
+			if li > 0 {
+				e.markPivot[i] = markAlways
+				break
+			}
+			e.markPivot[i] = markShared
+		}
 	}
 
 	e.pulls = make([][]pullLeaf, len(e.pl.Units))

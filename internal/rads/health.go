@@ -282,11 +282,15 @@ func (c *ClusterEngine) gateHealth() error {
 	return nil
 }
 
-// reportOutcome feeds a dispatch result into the liveness rule. Remote
-// (application-level) errors do not count against liveness: the worker
-// answered.
+// reportOutcome feeds a runQuery dispatch result into the liveness
+// rule. Remote (application-level) errors do not count against
+// liveness: the worker answered. A timeout records nothing: a machine
+// runs its query against its peers, so one that is itself up may miss
+// the deadline waiting on a wedged peer, and charging it would mark
+// the wrong worker down. The heartbeat's pings decide for both.
 func (c *ClusterEngine) reportOutcome(machine int, err error) {
-	if c.health != nil {
-		c.health.record(machine, err == nil || errors.Is(err, cluster.ErrRemote), false)
+	if c.health == nil || errors.Is(err, cluster.ErrTimeout) {
+		return
 	}
+	c.health.record(machine, err == nil || errors.Is(err, cluster.ErrRemote), false)
 }

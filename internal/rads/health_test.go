@@ -3,6 +3,7 @@ package rads_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -325,5 +326,69 @@ func TestLivenessHeartbeatPingsEverySweep(t *testing.T) {
 	}
 	if !ce.Healthy() {
 		t.Error("cluster not healthy after machine 1 came back")
+	}
+}
+
+// runQueryTimeouts times out every runQuery call to machine 0 while its
+// switch is on, as a coordinator sees a machine that waits on a wedged
+// peer past the deadline; every other call, pings included, goes
+// through.
+type runQueryTimeouts struct{ flakyTransport }
+
+func (r *runQueryTimeouts) Call(from, to int, req cluster.Message) (cluster.Message, error) {
+	if _, ok := req.(*rads.RunQueryRequest); ok && to == 0 && r.fail.Load() {
+		return nil, fmt.Errorf("cluster: runQuery %d: %w", to, cluster.ErrTimeout)
+	}
+	return r.Transport.Call(from, to, req)
+}
+
+// TestLivenessRunQueryTimeoutLeavesWorkerUp: a runQuery timeout fails
+// its query but records no liveness outcome, so machine 0, whose pings
+// answer, stays up through threshold+1 timed-out queries in a row and
+// serves the next query once they stop.
+func TestLivenessRunQueryTimeoutLeavesWorkerUp(t *testing.T) {
+	g := gen.Community(3, 14, 0.35, 41)
+	part := partition.KWay(g, 3, 7)
+	var rt *runQueryTimeouts
+	ce := hostClusterWrapped(t, part, nil, func(tr cluster.Transport) cluster.Transport {
+		rt = &runQueryTimeouts{flakyTransport{Transport: tr}}
+		return rt
+	})
+	const threshold = 2
+	var downs atomic.Int64
+	ce.StartHealth(rads.HealthOptions{
+		Interval:         10 * time.Millisecond,
+		FailureThreshold: threshold,
+		OnTransition: func(_ int, up bool) {
+			if !up {
+				downs.Add(1)
+			}
+		},
+	})
+	defer ce.Close()
+
+	q := pattern.Triangle()
+	rt.fail.Store(true)
+	for i := 1; i <= threshold+1; i++ {
+		_, err := ce.Run(context.Background(), engine.Request{Part: part, Pattern: q, Metrics: cluster.NewMetrics(part.M)})
+		var wde *rads.WorkerDownError
+		if !errors.As(err, &wde) || wde.Machine != 0 || !errors.Is(wde.Cause, cluster.ErrTimeout) {
+			t.Fatalf("query %d: err = %v, want machine 0's runQuery timeout", i, err)
+		}
+		if w := ce.HealthReport().Workers[0]; !w.Up || w.Failures != 0 {
+			t.Fatalf("after %d runQuery timeouts machine 0 is up %v with %d failures", i, w.Up, w.Failures)
+		}
+	}
+	rt.fail.Store(false)
+	want := localenum.Count(g, q, localenum.Options{})
+	res, err := ce.Run(context.Background(), engine.Request{Part: part, Pattern: q, Metrics: cluster.NewMetrics(part.M)})
+	if err != nil {
+		t.Fatalf("query after the timeouts: %v", err)
+	}
+	if res.Total != want {
+		t.Errorf("counted %d, oracle %d", res.Total, want)
+	}
+	if downs.Load() != 0 || !ce.Healthy() {
+		t.Errorf("%d down transitions, healthy %v: a runQuery timeout counted against a worker", downs.Load(), ce.Healthy())
 	}
 }

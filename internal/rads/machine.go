@@ -13,6 +13,7 @@ import (
 	"rads/internal/localenum"
 	"rads/internal/obs"
 	"rads/internal/partition"
+	"rads/internal/pattern"
 )
 
 // machine is one query's state on one machine: it enumerates from the
@@ -328,16 +329,15 @@ func (m *machine) steal(w int, aborted *atomic.Bool) ([]graph.VertexID, error) {
 // communication, not intersection; with no OnEmbedding it passes no
 // callback and the last level is counted, not visited. Candidates fan
 // out across the worker pool; every worker reuses one enumerator
-// (frame, bitset and candidate scratch allocated once), so the
+// (frame, bitmaps and candidate scratch allocated once), so the
 // steady-state loop is allocation-free. Counter shards merge at the
 // barrier.
 func (m *machine) runSME(c1 []graph.VertexID) error {
-	owned := func(v graph.VertexID) bool { return m.e.part.Owner[v] == int32(m.id) }
 	var fn func(f []graph.VertexID) bool
 	if m.e.cfg.OnEmbedding != nil {
 		fn = func(f []graph.VertexID) bool { m.emit(f); return true }
 	}
-	order := localenum.GreedyOrderFrom(m.e.p, m.e.pl.Units[0].Piv)
+	opts := m.smeOptions(localenum.GreedyOrderFrom(m.e.p, m.e.pl.Units[0].Piv))
 	workers := m.e.workers()
 	if workers > len(c1) {
 		workers = len(c1)
@@ -350,11 +350,7 @@ func (m *machine) runSME(c1 []graph.VertexID) error {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			en := localenum.New(m.e.g, m.e.p, localenum.Options{
-				Order:       order,
-				Constraints: m.e.cons,
-				Allowed:     owned,
-			})
+			en := localenum.New(m.e.g, m.e.p, opts)
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(c1) {
@@ -379,6 +375,49 @@ func (m *machine) runSME(c1 []graph.VertexID) error {
 		m.merge(&shards[w])
 	}
 	return nil
+}
+
+// smeOptions returns the options SM-E enumerates from C1 roots with on
+// order: the engine's constraints, and the owner test only where the
+// order does not already keep every candidate owned
+// (ownedByConstruction).
+func (m *machine) smeOptions(order []pattern.VertexID) localenum.Options {
+	opts := localenum.Options{Order: order, Constraints: m.e.cons}
+	if !ownedByConstruction(m.e.p, order) {
+		opts.Allowed = func(v graph.VertexID) bool { return m.e.part.Owner[v] == int32(m.id) }
+	}
+	return opts
+}
+
+// ownedByConstruction reports whether an enumeration on order from a
+// C1 root v0 (BD(v0) >= span(order[0]), Proposition 1) meets only owned
+// candidates. Let D(order[0]) = 0 and D(u) = 1 + min D(p) over u's
+// matched neighbours p. If every level has a matched neighbour p with
+// D(p) < span, then by induction p is bound to an owned vertex within
+// D(p) hops of v0 inside the part, so its border distance is at least
+// BD(v0) - D(p) >= 1: it has no foreign neighbour, and every candidate,
+// one of its neighbours, is owned and within D(u) hops. A level with no
+// matched neighbour, or none that near, may meet a foreign vertex.
+func ownedByConstruction(p *pattern.Pattern, order []pattern.VertexID) bool {
+	span := p.Span(order[0])
+	d := make([]int, p.N())
+	for i := range d {
+		d[i] = -1 // not yet matched
+	}
+	d[order[0]] = 0
+	for _, u := range order[1:] {
+		near := -1
+		for _, w := range p.Adj(u) {
+			if d[w] >= 0 && (near < 0 || d[w] < near) {
+				near = d[w]
+			}
+		}
+		if near < 0 || near >= span {
+			return false
+		}
+		d[u] = near + 1
+	}
+	return true
 }
 
 // --- region grouping (Section 6, Algorithm 3) ---

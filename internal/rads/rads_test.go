@@ -412,7 +412,7 @@ func TestKernelTallyIsPerRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		solo[i] = res.Kernels
-		if solo[i].Merge+solo[i].Gallop == 0 {
+		if solo[i].Merge+solo[i].Gallop+solo[i].Probe == 0 {
 			t.Fatalf("%s tallied no intersection: %+v", q.Name, solo[i])
 		}
 	}

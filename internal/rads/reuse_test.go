@@ -72,6 +72,11 @@ func TestGroupStateReuse(t *testing.T) {
 				t.Fatalf("machine %d keeps a state that is not reset: counters %+v, charged %d, flushNodes %d",
 					m.id, st.Counters, st.chargedTrie, st.flushNodes)
 			}
+			for _, fr := range append([]frame{st.frame}, st.spare...) {
+				if fr.marked != -1 || slices.ContainsFunc(fr.marks, func(w uint64) bool { return w != 0 }) {
+					t.Fatalf("machine %d keeps a frame with marks set (pivot %d)", m.id, fr.marked)
+				}
+			}
 		}
 	}
 

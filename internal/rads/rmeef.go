@@ -82,7 +82,9 @@ type groupState struct {
 
 // frame is the scratch one expansion loop ranges over. Deeper rounds
 // re-enter adjEnum at level 0 from a mid-round flush while the outer
-// loops are still reading their own, so midFlush swaps the whole frame.
+// loops are still reading their own, so midFlush swaps the whole frame —
+// the marked pivot list included, which an outer loop keeps probing
+// after the flush returns.
 type frame struct {
 	f       []graph.VertexID // partial embedding indexed by query vertex, -1 when unmatched
 	pathBuf []graph.VertexID // trie-path scratch
@@ -93,19 +95,38 @@ type frame struct {
 	cand    [][]graph.VertexID
 	unk     [][]pattern.VertexID
 	pending [][]graph.Edge
+
+	// marks holds the pivot list of the parents expandRound is on while
+	// marked is that pivot (-1: nothing marked), and adjEnum probes it
+	// instead of merging the list at every level (markPivot).
+	marks     graph.Marks
+	marked    graph.VertexID
+	markedAdj []graph.VertexID
 }
 
-func newFrame(n int) frame {
+// newFrame returns a clean frame for patterns of n vertices over data
+// graphs of nv vertices.
+func newFrame(n, nv int) frame {
 	fr := frame{
 		f:       make([]graph.VertexID, n),
 		cand:    make([][]graph.VertexID, n),
 		unk:     make([][]pattern.VertexID, n),
 		pending: make([][]graph.Edge, n),
+		marks:   graph.NewMarks(nv),
+		marked:  -1,
 	}
 	for i := range fr.f {
 		fr.f[i] = -1
 	}
 	return fr
+}
+
+// unmarkPivot clears the frame's marked pivot list, if any.
+func (fr *frame) unmarkPivot() {
+	if fr.marked >= 0 {
+		fr.marks.Unmark(fr.markedAdj)
+		fr.marked, fr.markedAdj = -1, nil
+	}
 }
 
 func (m *machine) newGroupState() *groupState {
@@ -114,7 +135,7 @@ func (m *machine) newGroupState() *groupState {
 		trie:      etrie.New(),
 		evi:       etrie.NewEVI(),
 		view:      m.view,
-		frame:     newFrame(n),
+		frame:     newFrame(n, m.e.g.NumVertices()),
 		fetchFrom: make([][]graph.VertexID, m.e.part.M),
 		askEdges:  make([][]graph.Edge, m.e.part.M),
 		next:      make([][]etrie.Node, len(m.e.pl.Units)),
@@ -388,7 +409,7 @@ func (m *machine) midFlush(st *groupState, round int) error {
 	if n := len(st.spare); n > 0 {
 		st.frame, st.spare = st.spare[n-1], st.spare[:n-1]
 	} else {
-		st.frame = newFrame(len(parked.f))
+		st.frame = newFrame(len(parked.f), m.e.g.NumVertices())
 	}
 
 	err := m.flushSegment(st, round)
@@ -723,6 +744,10 @@ func (m *machine) expandRound(st *groupState, round int, frontier []etrie.Node) 
 	if round > 0 {
 		prefixBefore = e.redPrefix[round-1]
 	}
+	// The frame is clean again however the loop ends: a frame is reused
+	// by the next round and the next group.
+	defer st.unmarkPivot()
+	lastPiv := graph.VertexID(-1)
 	for _, parent := range frontier {
 		if st.trie.Dead(parent) {
 			continue
@@ -738,6 +763,17 @@ func (m *machine) expandRound(st *groupState, round int, frontier []etrie.Node) 
 
 		vpiv := st.f[piv]
 		adj := st.mustAdj(vpiv) // fetched and pinned by fetchForeignPivots
+		if vpiv != st.marked {
+			st.unmarkPivot()
+			// A mark is two passes over the pivot list and saves one per
+			// probe: it pays from its second read — a leaf level below the
+			// first one, or the first leaf of a next parent on this pivot.
+			if p := e.markPivot[round]; p == markAlways || p == markShared && vpiv == lastPiv {
+				st.marks.Mark(adj)
+				st.marked, st.markedAdj = vpiv, adj
+			}
+		}
+		lastPiv = vpiv
 
 		// Pin the parent: a mid-round flush may consume and remove every
 		// child produced so far while we are still expanding beneath it.
@@ -764,9 +800,11 @@ func (m *machine) expandRound(st *groupState, round int, frontier []etrie.Node) 
 // Candidates of a level are generated, not tested one by one: the
 // pivot's list is cut to the symmetry window (lb, ub) and intersected
 // with the adjacency list of every verification neighbour whose list
-// this machine knows. Only neighbours with an unknown list are left to
-// the per-candidate check, which decides the edge from the candidate's
-// own list when that is known and otherwise records it as
+// this machine knows. When expandRound has marked the pivot list, the
+// first known list, cut to the window, probes the marks instead of
+// being merged with the pivot's. Only neighbours with an unknown list
+// are left to the per-candidate check, which decides the edge from the
+// candidate's own list when that is known and otherwise records it as
 // undetermined — so the ECs, trie nodes and EVI entries are those of
 // testing every pivot neighbour against every verification edge.
 //
@@ -801,9 +839,15 @@ func (m *machine) adjEnum(st *groupState, round, li int, parent etrie.Node, leav
 	lb, ub := st.bounds(e.cons2[pos])
 	cands := window(pivAdj, lb, ub)
 	unk := st.unk[li][:0]
+	probe := st.marked >= 0
 	for _, w := range e.verif[pos] {
 		if adj, ok := st.adjKnown(st.f[w]); ok {
-			st.cand[li] = st.Kernels.IntersectSortedU32(st.cand[li], cands, window(adj, lb, ub))
+			if probe {
+				st.cand[li] = st.Kernels.ProbeMarkedU32(st.cand[li], window(adj, lb, ub), st.marks)
+				probe = false
+			} else {
+				st.cand[li] = st.Kernels.IntersectSortedU32(st.cand[li], cands, window(adj, lb, ub))
+			}
 			cands = st.cand[li]
 		} else {
 			unk = append(unk, w)

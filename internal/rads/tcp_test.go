@@ -344,7 +344,7 @@ func TestClusterProfileCarriesKernels(t *testing.T) {
 		if remote.Total != local.Total {
 			t.Fatalf("%s: cluster counted %d, in-process %d", name, remote.Total, local.Total)
 		}
-		if local.Kernels.Merge+local.Kernels.Gallop == 0 {
+		if local.Kernels.Merge+local.Kernels.Gallop+local.Kernels.Probe == 0 {
 			t.Fatalf("%s: in-process run tallied no intersection: %+v", name, local.Kernels)
 		}
 		if got, want := remote.Profile.Kernels, local.Kernels.Map(); !reflect.DeepEqual(got, want) {

@@ -38,7 +38,7 @@ func TestControlPlaneKindsSurviveTCP(t *testing.T) {
 					SME: 1, Distributed: 2, SMENodes: 3, DistNodes: 4,
 					ELBytesCum: 5, ETBytesCum: 6, ELBytesPeak: 7, ETBytesPeak: 8,
 					VerifyEdges: 17, PulledLists: 18, PulledEdges: 19,
-					Kernels: graph.KernelTally{Merge: 14, Gallop: 15, KWay: 16},
+					Kernels: graph.KernelTally{Merge: 14, Gallop: 15, KWay: 16, Probe: 20},
 				},
 				Stat:   obs.MachineStat{Machine: 1, Seconds: 0.25, TreeNodes: 7, Groups: 3, Stolen: 1},
 				Rounds: 2, Workers: 2,

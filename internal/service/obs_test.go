@@ -91,6 +91,7 @@ func TestQueryProfileAndRegistry(t *testing.T) {
 		"rads_queries_queued 0",
 		"rads_tree_nodes_total",
 		"rads_kernel_selections_total",
+		`rads_kernel_selections_total{kernel="probe_u32"}`,
 	} {
 		if !strings.Contains(expo, line) {
 			t.Errorf("exposition missing %q:\n%s", line, expo)
