@@ -545,9 +545,10 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	res, err := h.Result(ctx)
 	if err != nil {
-		// A down worker is a clean, typed, retryable condition — the
-		// cluster heals via heartbeat pings — not an internal error.
-		if errors.Is(err, rads.ErrWorkerDown) {
+		// A down or timed-out worker is a clean, typed, retryable
+		// condition — the cluster heals via heartbeat pings — not an
+		// internal error.
+		if rads.Unavailable(err) {
 			w.Header().Set("Retry-After", "1")
 			writeError(w, http.StatusServiceUnavailable, err)
 			return

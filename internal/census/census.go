@@ -13,25 +13,31 @@
 // the extension set, and cleared by a second walk on the way back. So
 // nbr[u] == 0 for u above the root is ESU's exclusivity test, and a
 // candidate's induced adjacency to the subgraph is the single load
-// nbr[w] — no edge probe. At the last level a parent looks up its
-// count row (keyed by its own packed adjacency mask) once, and each
-// candidate adds one to the row's slot for its nbr byte, so no map is
-// written per subgraph. Classes are keyed by pattern.CanonicalKey's
-// string — the same labeling that keys the query service's result
-// cache — so census classes and cached motif queries share one
-// vocabulary. A run classifies each *labeled* adjacency mask once
+// nbr[w] — no edge probe. The last level is counted in place, one
+// level up: once the walk of a (k-1)-th vertex w has set its bit,
+// each later candidate x of the parent's extension completes a
+// subgraph whose last vertex has byte nbr[x], and each exclusive
+// neighbour of w one whose byte is w's bit alone. So w looks up its
+// count row (keyed by the packed adjacency mask of the first k-1
+// vertices) once, no extension set is built for the last level, and
+// no map is written per subgraph. Classes are keyed by
+// pattern.CanonicalKey's string — the same labeling that keys the
+// query service's result cache — so census classes and cached motif
+// queries share one vocabulary. A run classifies each *labeled* adjacency mask once
 // (classMemo, kept for one run), never each enumerated subgraph, and
 // canonicalises only the first mask of each class: the others share
 // its invariant.
 //
 // Parallelism follows "Shared Memory Parallel Subgraph Enumeration":
-// root vertices are the independent work units, claimed by a worker
-// pool in contiguous ranges through an atomic cursor. Workers keep
-// their count rows across ranges and fold them into the shared tally
-// at range boundaries, where progress is reported; inside a range
-// they poll for cancellation every stopCheckMask+1 subgraphs. A census
-// runs on any graph — the synthetic analogs and ingested datasets
-// alike.
+// root vertices are the independent work units, claimed one at a time
+// by a worker pool through an atomic cursor. Under hub-first numbering
+// the cursor hands out the heaviest roots first, so no worker is left
+// with a long tail. Workers keep their count rows across roots and
+// fold them into the shared tally, and report progress, whenever they
+// have enumerated stopCheckMask+1 subgraphs since their last fold
+// (polling for cancellation at the same points), and once more when
+// the cursor runs out or they abort. A census runs on any graph — the
+// synthetic analogs and ingested datasets alike.
 package census
 
 import (
@@ -57,10 +63,11 @@ import (
 // graph is intractable long before classification is.
 const MaxK = 7
 
-// stopCheckMask throttles the cancellation poll inside the hot
-// enumeration loop: the shared stop flag is read once per this many
-// enumerated subgraphs, so a single hub root cannot pin a worker long
-// after cancellation.
+// stopCheckMask throttles the cancellation poll and the fold inside
+// the hot enumeration loop: a worker reads the shared stop flag and
+// folds its counts once per stopCheckMask+1 enumerated subgraphs, so a
+// single hub root can neither pin it long after cancellation nor hide
+// its counts from progress and checkpoints.
 const stopCheckMask = 4095
 
 // Config tunes one census run. The zero value of every field gets a
@@ -71,22 +78,18 @@ type Config struct {
 	// Workers is the size of the enumeration pool (default
 	// runtime.GOMAXPROCS(0), capped at the vertex count).
 	Workers int
-	// ChunkVertices is how many consecutive root vertices one work
-	// unit claims (default 64). Cancellation and progress happen at
-	// chunk boundaries.
-	ChunkVertices int
 	// OnProgress, when set, is called with monotonically increasing
-	// progress after chunk merges, at most once per ProgressEvery,
+	// progress after a worker's fold, at most once per ProgressEvery,
 	// and once more when the run finishes or is cancelled.
 	OnProgress func(Progress)
-	// ProgressEvery rate-limits OnProgress (default 0: every chunk).
+	// ProgressEvery rate-limits OnProgress (default 0: every fold).
 	ProgressEvery time.Duration
 	// OnCheckpoint, when set, is called with a copy of the partial
 	// histogram at most once per CheckpointEvery — the hook the job
 	// manager persists partial results through.
 	OnCheckpoint func(Histogram, Progress)
 	// CheckpointEvery rate-limits OnCheckpoint (default 0: every
-	// chunk merge that follows a progress report).
+	// fold).
 	CheckpointEvery time.Duration
 	// Trace, when non-nil, receives per-worker enumeration spans.
 	Trace *obs.Trace
@@ -99,9 +102,9 @@ type Progress struct {
 	VerticesDone int64 `json:"vertices_done"`
 	// TotalVertices is the graph's vertex count (the denominator).
 	TotalVertices int64 `json:"total_vertices"`
-	// SubgraphsSeen counts subgraphs enumerated so far (published at
-	// chunk merges and at mid-chunk pulses, so it moves even while a
-	// worker is deep inside a hub root).
+	// SubgraphsSeen counts subgraphs enumerated and folded so far
+	// (folds happen inside a root too, so it moves even while a worker
+	// is deep inside a hub root).
 	SubgraphsSeen int64 `json:"subgraphs_seen"`
 	// Elapsed is wall time since the run began.
 	Elapsed time.Duration `json:"-"`
@@ -136,7 +139,8 @@ type Result struct {
 	// K echoes the subgraph size.
 	K int `json:"k"`
 	// Histogram holds the per-class counts. After a cancelled run it
-	// covers only the enumerated prefix.
+	// holds the subgraphs of every root in VerticesDone, plus those
+	// each root in flight at the stop had enumerated.
 	Histogram Histogram `json:"histogram"`
 	// Subgraphs is Histogram.Total(), precomputed.
 	Subgraphs int64 `json:"subgraphs"`
@@ -175,10 +179,6 @@ func Run(ctx context.Context, g *graph.Graph, cfg Config) (*Result, error) {
 	if workers < 1 {
 		workers = 1
 	}
-	chunk := cfg.ChunkVertices
-	if chunk <= 0 {
-		chunk = 64
-	}
 
 	st := &state{
 		cfg:   cfg,
@@ -210,27 +210,17 @@ func Run(ctx context.Context, g *graph.Graph, cfg Config) (*Result, error) {
 			defer wspan.End()
 			e := newEnumerator(g, cfg.K, st)
 			for {
-				lo := cursor.Add(int64(chunk)) - int64(chunk)
-				if lo >= int64(n) || st.stop.Load() {
-					return
+				v := cursor.Add(1) - 1
+				if v >= int64(n) || st.stop.Load() {
+					break
 				}
-				hi := lo + int64(chunk)
-				if hi > int64(n) {
-					hi = int64(n)
+				e.enumerateRoot(graph.VertexID(v))
+				if e.stopped {
+					break
 				}
-				done := int64(0)
-				for v := lo; v < hi; v++ {
-					e.enumerateRoot(graph.VertexID(v))
-					if e.aborted() {
-						break
-					}
-					done++
-				}
-				st.merge(e, done)
-				if e.aborted() {
-					return
-				}
+				e.rootsDone++
 			}
+			st.fold(e)
 		}(w)
 	}
 	wg.Wait()
@@ -270,24 +260,27 @@ type state struct {
 
 func (st *state) elapsed() time.Duration { return time.Since(st.start) }
 
-// merge folds a worker's chunk-local counts into the shared tally and
-// fires the progress/checkpoint callbacks (rate-limited). Called at
-// every chunk boundary — the cancellation points of the run.
-func (st *state) merge(e *enumerator, rootsDone int64) {
+// fold moves a worker's unfolded counts — its dirty rows, finished
+// roots and enumerated subgraphs — into the shared tally and fires the
+// progress/checkpoint callbacks (rate-limited).
+func (st *state) fold(e *enumerator) {
 	base := uint32((e.k - 1) * (e.k - 2) / 2)
 	st.mu.Lock()
-	for parent, row := range e.rows {
-		for b, c := range row {
+	for _, parent := range e.dirty {
+		r := &e.rows[parent]
+		for b, c := range r.n {
 			if c != 0 {
 				st.masks[parent|uint32(b)<<base] += c
-				row[b] = 0
+				r.n[b] = 0
 			}
 		}
+		r.dirty = false
 	}
 	st.mu.Unlock()
-	st.verticesDone.Add(rootsDone)
-	st.subgraphsSeen.Add(e.seenDelta)
-	e.seenDelta = 0
+	e.dirty = e.dirty[:0]
+	st.verticesDone.Add(e.rootsDone)
+	st.subgraphsSeen.Add(e.unfolded)
+	e.rootsDone, e.unfolded = 0, 0
 	st.report(false)
 }
 
@@ -295,7 +288,7 @@ func (st *state) merge(e *enumerator, rootsDone int64) {
 // rate-limited; final reports bypass the rate limits. The snapshot is
 // read under cbMu: taken before it, two workers could deliver theirs
 // in the opposite order and break OnProgress's monotonic contract.
-// Every worker has merged by the time the final report runs, so that
+// Every worker has folded by the time the final report runs, so that
 // one equals the Result.
 func (st *state) report(final bool) {
 	if st.cfg.OnProgress == nil && st.cfg.OnCheckpoint == nil {
@@ -322,7 +315,7 @@ func (st *state) report(final bool) {
 
 // histogram converts the shared mask tally into canonical-class
 // counts. It copies the tally under st.mu and classifies the copy
-// after releasing it, so a checkpoint never holds up a worker's merge.
+// after releasing it, so a checkpoint never holds up a worker's fold.
 func (st *state) histogram() Histogram {
 	st.mu.Lock()
 	masks := maps.Clone(st.masks)
@@ -459,14 +452,23 @@ type enumerator struct {
 	masks []uint32
 	// ext[d] is the extension set at depth d.
 	ext [][]graph.VertexID
-	// rows holds the chunk-local counts: rows[m][b] counts the
-	// subgraphs whose first k-1 vertices pack to mask m and whose last
-	// vertex has nbr byte b.
-	rows      map[uint32][]int64
-	seenDelta int64
-	seenTick  int64
-	lastPulse time.Time
+	// rows[m] counts the subgraphs whose first k-1 vertices pack to
+	// mask m, by the nbr byte of their last vertex; dirty lists, once
+	// each, the masks whose rows hold counts not yet folded.
+	rows  []countRow
+	dirty []uint32
+	// rootsDone and unfolded count the roots finished and the
+	// subgraphs enumerated since the last fold.
+	rootsDone int64
+	unfolded  int64
 	stopped   bool
+}
+
+// countRow is one parent mask's counts, allocated on the worker's
+// first visit to that mask.
+type countRow struct {
+	n     []int64
+	dirty bool
 }
 
 func newEnumerator(g *graph.Graph, k int, st *state) *enumerator {
@@ -477,56 +479,36 @@ func newEnumerator(g *graph.Graph, k int, st *state) *enumerator {
 		nbr:   make([]uint8, g.NumVertices()),
 		masks: make([]uint32, k),
 		ext:   make([][]graph.VertexID, k),
-		rows:  make(map[uint32][]int64),
+		rows:  make([]countRow, 1<<((k-1)*(k-2)/2)),
 	}
 }
 
-// row returns the count row of the last-level parent whose packed
-// mask is parent, allocated on the worker's first visit to that mask.
+// row returns the count row of the parent mask, marking it dirty.
 func (e *enumerator) row(parent uint32) []int64 {
-	r := e.rows[parent]
-	if r == nil {
-		r = make([]int64, 1<<(e.k-1))
-		e.rows[parent] = r
+	r := &e.rows[parent]
+	if !r.dirty {
+		if r.n == nil {
+			r.n = make([]int64, 1<<(e.k-1))
+		}
+		r.dirty = true
+		e.dirty = append(e.dirty, parent)
 	}
-	return r
+	return r.n
 }
 
-// aborted reports whether this worker has observed cancellation.
-func (e *enumerator) aborted() bool { return e.stopped }
-
-// count records n completed subgraphs. Whenever the running tick
-// crosses a multiple of stopCheckMask+1 it polls the stop flag and
-// pulses progress.
+// count records n completed subgraphs. Once stopCheckMask+1 have
+// piled up since the last fold it polls the stop flag and, unless the
+// run is stopping, folds. A caller must fetch its row again after
+// count: the fold clears the row's dirty mark.
 func (e *enumerator) count(n int64) {
-	e.seenDelta += n
-	before := e.seenTick
-	e.seenTick += n
-	if before&^stopCheckMask != e.seenTick&^stopCheckMask {
+	e.unfolded += n
+	if e.unfolded > stopCheckMask {
 		if e.st.stop.Load() {
 			e.stopped = true
 			return
 		}
-		e.pulse()
+		e.st.fold(e)
 	}
-}
-
-// pulseEvery bounds how often one worker flushes its seen-counter and
-// reports progress from inside a chunk.
-const pulseEvery = 20 * time.Millisecond
-
-// pulse publishes enumeration progress mid-chunk. Chunk merges are the
-// primary reporting points, but a hub root can occupy a worker for a
-// long stretch — without pulses its subgraphs would stay invisible
-// (and progress would look stalled) until the chunk ends.
-func (e *enumerator) pulse() {
-	if time.Since(e.lastPulse) < pulseEvery {
-		return
-	}
-	e.lastPulse = time.Now()
-	e.st.subgraphsSeen.Add(e.seenDelta)
-	e.seenDelta = 0
-	e.st.report(false)
 }
 
 // enumerateRoot runs ESU from root v: every connected k-subgraph whose
@@ -549,7 +531,12 @@ func (e *enumerator) enumerateRoot(v graph.VertexID) {
 		}
 	}
 	e.ext[0] = ext
-	e.extend(1, ext)
+	if e.k == 2 {
+		e.row(0)[1] += int64(len(ext))
+		e.count(int64(len(ext)))
+	} else {
+		e.extend(1, ext)
+	}
 	for _, u := range adj {
 		e.nbr[u] = 0
 	}
@@ -557,27 +544,44 @@ func (e *enumerator) enumerateRoot(v graph.VertexID) {
 
 // extend is the ESU recursion: grow the depth-d subgraph by one vertex
 // from ext, where ext holds only exclusive neighbours (> root) of it.
+// At d = k-2 it counts the grown subgraph's children in place instead
+// of recursing.
 func (e *enumerator) extend(d int, ext []graph.VertexID) {
 	mask := e.masks[d-1]
 	base := uint32(d * (d - 1) / 2)
-	if d == e.k-1 {
-		// Last level: count each candidate by its induced adjacency.
-		row := e.row(mask)
-		for _, w := range ext {
-			row[e.nbr[w]]++
-		}
-		e.count(int64(len(ext)))
-		return
-	}
 	bit := uint8(1) << d
+	last := d == e.k-2
 	for idx, w := range ext {
 		if e.stopped {
 			return
 		}
 		e.masks[d] = mask | uint32(e.nbr[w])<<base
-		// ext' = remaining ext ∪ exclusive neighbours of w beyond the
-		// root; every neighbour of w takes bit d for the subtree.
+		// Every neighbour of w takes bit d for the subtree; the
+		// exclusive ones beyond the root extend it.
 		adj := e.g.Adj(w)
+		if last {
+			// A child is a later candidate x, whose last-vertex byte
+			// is nbr[x] with w's bit now set, or an exclusive
+			// neighbour of w, adjacent to w alone.
+			excl := int64(0)
+			for _, u := range adj {
+				if e.nbr[u] == 0 && u > e.root {
+					excl++
+				}
+				e.nbr[u] |= bit
+			}
+			row := e.row(e.masks[d])
+			rest := ext[idx+1:]
+			for _, x := range rest {
+				row[e.nbr[x]]++
+			}
+			row[bit] += excl
+			for _, u := range adj {
+				e.nbr[u] &^= bit
+			}
+			e.count(int64(len(rest)) + excl)
+			continue
+		}
 		nxt := append(e.ext[d][:0], ext[idx+1:]...)
 		for _, u := range adj {
 			if e.nbr[u] == 0 && u > e.root {

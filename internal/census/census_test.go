@@ -34,8 +34,16 @@ func loadKarate(t testing.TB) *graph.Graph {
 // the histogram of the exhaustive all-combinations oracle, for every k.
 // The dense 11-vertex graphs hold subgraphs of every size up to MaxK,
 // the only size whose last vertex uses the top bit of a worker's
-// adjacency byte.
+// adjacency byte. The hub-first cases number the graphs as every
+// served graph is numbered, so the lowest roots are the heaviest.
 func TestESUMatchesBruteForce(t *testing.T) {
+	hubFirst := func(g *graph.Graph) *graph.Graph {
+		h, _ := graph.HubFirst(g)
+		return h
+	}
+	starPath := graph.FromEdges(8, []graph.Edge{
+		{U: 0, V: 1}, {U: 0, V: 2}, {U: 0, V: 3}, {U: 3, V: 4}, {U: 4, V: 5}, {U: 6, V: 7},
+	})
 	graphs := []struct {
 		name string
 		g    *graph.Graph
@@ -47,13 +55,14 @@ func TestESUMatchesBruteForce(t *testing.T) {
 		{"er11p70", gen.ErdosRenyi(11, 0.7, 42)},
 		{"community", gen.Community(3, 5, 0.4, 3)},
 		{"grid", gen.Grid(4, 3)},
-		{"star+path", graph.FromEdges(8, []graph.Edge{
-			{U: 0, V: 1}, {U: 0, V: 2}, {U: 0, V: 3}, {U: 3, V: 4}, {U: 4, V: 5}, {U: 6, V: 7},
-		})},
+		{"star+path", starPath},
+		{"er11p55 hub-first", hubFirst(gen.ErdosRenyi(11, 0.55, 41))},
+		{"community hub-first", hubFirst(gen.Community(3, 5, 0.4, 3))},
+		{"star+path hub-first", hubFirst(starPath)},
 	}
 	for _, tc := range graphs {
 		for k := 1; k <= MaxK; k++ {
-			res, err := Run(context.Background(), tc.g, Config{K: k, Workers: 3, ChunkVertices: 2})
+			res, err := Run(context.Background(), tc.g, Config{K: k, Workers: 3})
 			if err != nil {
 				t.Fatalf("%s k=%d: %v", tc.name, k, err)
 			}
@@ -120,7 +129,7 @@ func TestWorkersCountParity(t *testing.T) {
 		t.Fatal("power-law census found nothing; test graph too small")
 	}
 	for _, workers := range []int{2, 4, 8} {
-		res, err := Run(context.Background(), g, Config{K: 4, Workers: workers, ChunkVertices: 16})
+		res, err := Run(context.Background(), g, Config{K: 4, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,16 +143,15 @@ func TestWorkersCountParity(t *testing.T) {
 }
 
 // TestCancellationReturnsPartial cancels mid-run (from the first
-// progress callback) and expects the context error plus a partial
-// result covering a strict prefix of the roots.
+// progress callback that follows a finished root) and expects the
+// context error plus a partial result covering some roots, not all.
 func TestCancellationReturnsPartial(t *testing.T) {
 	g := gen.PowerLaw(1200, 6, 3.1, 300, 9)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	res, err := Run(ctx, g, Config{
-		K:             5,
-		Workers:       2,
-		ChunkVertices: 4,
+		K:       5,
+		Workers: 2,
 		OnProgress: func(p Progress) {
 			if p.VerticesDone > 0 && p.VerticesDone < p.TotalVertices {
 				cancel()
@@ -157,7 +165,7 @@ func TestCancellationReturnsPartial(t *testing.T) {
 		t.Fatalf("cancelled run must return a partial result, got %+v", res)
 	}
 	if res.VerticesDone == 0 || res.VerticesDone >= res.TotalVertices {
-		t.Errorf("partial covered %d/%d roots; want a strict prefix",
+		t.Errorf("partial covered %d/%d roots; want some but not all",
 			res.VerticesDone, res.TotalVertices)
 	}
 	if res.Subgraphs != res.Histogram.Total() {
@@ -168,7 +176,7 @@ func TestCancellationReturnsPartial(t *testing.T) {
 // TestCancellationInsideHubRoot cancels while one worker is deep inside
 // a single root: the hub of a 3 000-leaf star roots C(3000,3) ≈ 4.5·10⁹
 // 4-subgraphs, so only the stop poll inside the enumeration (not the
-// one at chunk boundaries) can end the run promptly.
+// one between roots) can end the run promptly.
 func TestCancellationInsideHubRoot(t *testing.T) {
 	const leaves = 3000
 	edges := make([]graph.Edge, leaves)
@@ -180,7 +188,7 @@ func TestCancellationInsideHubRoot(t *testing.T) {
 	defer cancel()
 	time.AfterFunc(50*time.Millisecond, cancel)
 	t0 := time.Now()
-	res, err := Run(ctx, g, Config{K: 4, Workers: 2, ChunkVertices: 1})
+	res, err := Run(ctx, g, Config{K: 4, Workers: 2})
 	if took := time.Since(t0); took > 2*time.Second {
 		t.Errorf("cancelled run returned after %v, want < 2s", took)
 	}
@@ -218,15 +226,16 @@ func TestAllocsDoNotGrowWithSubgraphs(t *testing.T) {
 }
 
 // TestProgressMonotonicAndFinal asserts every progress field only ever
-// grows and the final report equals the result.
+// grows, some report lands mid-run, and the final report equals the
+// result. The graph's 186 769 4-subgraphs make each worker fold many
+// times before the cursor runs out.
 func TestProgressMonotonicAndFinal(t *testing.T) {
-	g := gen.Community(6, 10, 0.3, 11)
+	g := gen.PowerLaw(400, 6, 3.1, 100, 7)
 	var mu sync.Mutex
 	var seen []Progress
 	res, err := Run(context.Background(), g, Config{
-		K:             4,
-		Workers:       3,
-		ChunkVertices: 2,
+		K:       4,
+		Workers: 3,
 		OnProgress: func(p Progress) {
 			mu.Lock()
 			seen = append(seen, p)
@@ -245,6 +254,9 @@ func TestProgressMonotonicAndFinal(t *testing.T) {
 			t.Fatalf("progress regressed: %+v then %+v", a, b)
 		}
 	}
+	if first := seen[0]; first.SubgraphsSeen <= 0 || first.SubgraphsSeen >= res.Subgraphs {
+		t.Errorf("first progress %+v is not mid-run (%d subgraphs in all)", first, res.Subgraphs)
+	}
 	last := seen[len(seen)-1]
 	if last.VerticesDone != int64(g.NumVertices()) || last.SubgraphsSeen != res.Subgraphs {
 		t.Errorf("final progress %+v != result {%d roots, %d subgraphs}",
@@ -253,17 +265,16 @@ func TestProgressMonotonicAndFinal(t *testing.T) {
 }
 
 // TestCheckpointDeliversPartialHistograms asserts the checkpoint hook
-// fires with growing, internally consistent histograms and ends on the
-// complete one.
+// fires with growing, internally consistent histograms, partial ones
+// among them, and ends on the complete one.
 func TestCheckpointDeliversPartialHistograms(t *testing.T) {
-	g := gen.Community(6, 10, 0.3, 13)
+	g := gen.PowerLaw(1200, 6, 3.1, 300, 13)
 	var mu sync.Mutex
 	var totals []int64
 	var final Histogram
 	res, err := Run(context.Background(), g, Config{
-		K:             3,
-		Workers:       2,
-		ChunkVertices: 4,
+		K:       3,
+		Workers: 2,
 		OnCheckpoint: func(h Histogram, p Progress) {
 			mu.Lock()
 			totals = append(totals, h.Total())
@@ -281,6 +292,9 @@ func TestCheckpointDeliversPartialHistograms(t *testing.T) {
 		if totals[i] < totals[i-1] {
 			t.Fatalf("checkpoint totals regressed: %v", totals)
 		}
+	}
+	if totals[0] <= 0 || totals[0] >= res.Subgraphs {
+		t.Errorf("first checkpoint holds %d of %d subgraphs; want a partial one", totals[0], res.Subgraphs)
 	}
 	if !reflect.DeepEqual(map[string]int64(final), map[string]int64(res.Histogram)) {
 		t.Errorf("last checkpoint %v != final histogram %v", final, res.Histogram)
@@ -358,7 +372,7 @@ func TestRandomizedParity(t *testing.T) {
 		p := 0.15 + rng.Float64()*0.4
 		g := gen.ErdosRenyi(n, p, rng.Int63())
 		k := 2 + rng.Intn(4)
-		res, err := Run(context.Background(), g, Config{K: k, Workers: 1 + rng.Intn(4), ChunkVertices: 1 + rng.Intn(5)})
+		res, err := Run(context.Background(), g, Config{K: k, Workers: 1 + rng.Intn(4)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -369,10 +383,43 @@ func TestRandomizedParity(t *testing.T) {
 	}
 }
 
+// FuzzCensusParity decodes bytes into a graph of at most 11 vertices,
+// a size k in 1..MaxK and a worker count in 1..4, and requires ESU to
+// give the brute-force histogram. The first three bytes choose n, k
+// and the workers; each later pair of bytes is an edge.
+func FuzzCensusParity(f *testing.F) {
+	f.Add([]byte{10, 3, 1, 0, 1, 1, 2, 2, 3, 3, 0, 0, 2})
+	f.Add([]byte{11, 6, 3, 0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 6, 0, 7, 7, 8, 8, 9, 9, 10})
+	f.Add([]byte{7, 7, 2, 0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 6, 1, 2, 3, 4, 5, 6, 2, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		n := 1 + int(data[0])%11
+		k := 1 + int(data[1])%MaxK
+		workers := 1 + int(data[2])%4
+		var edges []graph.Edge
+		for i := 3; i+1 < len(data); i += 2 {
+			edges = append(edges, graph.Edge{U: graph.VertexID(int(data[i]) % n), V: graph.VertexID(int(data[i+1]) % n)})
+		}
+		g := graph.FromEdges(n, edges)
+		res, err := Run(context.Background(), g, Config{K: k, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := BruteForce(g, k); !reflect.DeepEqual(map[string]int64(res.Histogram), map[string]int64(want)) {
+			t.Fatalf("n=%d k=%d workers=%d edges %v: ESU %v, brute force %v", n, k, workers, edges, res.Histogram, want)
+		}
+	})
+}
+
 // BenchmarkCensus measures census throughput by worker count on a
-// power-law graph — the scaling story behind the Workers knob.
+// power-law graph numbered hub-first, as every served graph is — the
+// scaling story behind the Workers knob. The heaviest roots come
+// first, so a worker pool that handed out roots in blocks would leave
+// one worker with most of the census.
 func BenchmarkCensus(b *testing.B) {
-	g := gen.PowerLaw(800, 6, 3.1, 200, 21)
+	g, _ := graph.HubFirst(gen.PowerLaw(800, 6, 3.1, 200, 21))
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(map[int]string{1: "w1", 2: "w2", 4: "w4"}[workers], func(b *testing.B) {
 			var subgraphs int64

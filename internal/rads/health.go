@@ -33,6 +33,13 @@ func (e *WorkerDownError) Error() string {
 // Unwrap makes errors.Is(err, ErrWorkerDown) true.
 func (e *WorkerDownError) Unwrap() error { return ErrWorkerDown }
 
+// Unavailable reports whether a cluster query failed because a worker
+// is down or did not answer its runQuery in time. Both are retryable:
+// the ingress answers them 503, and the fallback leg serves them.
+func Unavailable(err error) bool {
+	return errors.Is(err, ErrWorkerDown) || errors.Is(err, cluster.ErrTimeout)
+}
+
 // ClusterHealth is the operator view served by /healthz and /stats in
 // cluster mode.
 type ClusterHealth struct {

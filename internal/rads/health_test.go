@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -343,9 +344,11 @@ func (r *runQueryTimeouts) Call(from, to int, req cluster.Message) (cluster.Mess
 }
 
 // TestLivenessRunQueryTimeoutLeavesWorkerUp: a runQuery timeout fails
-// its query but records no liveness outcome, so machine 0, whose pings
-// answer, stays up through threshold+1 timed-out queries in a row and
-// serves the next query once they stop.
+// its query with an error that names machine 0 and wraps the timeout
+// but does not call the machine down, and it records no liveness
+// outcome, so machine 0, whose pings answer, stays up through
+// threshold+1 timed-out queries in a row and serves the next query
+// once they stop.
 func TestLivenessRunQueryTimeoutLeavesWorkerUp(t *testing.T) {
 	g := gen.Community(3, 14, 0.35, 41)
 	part := partition.KWay(g, 3, 7)
@@ -371,9 +374,9 @@ func TestLivenessRunQueryTimeoutLeavesWorkerUp(t *testing.T) {
 	rt.fail.Store(true)
 	for i := 1; i <= threshold+1; i++ {
 		_, err := ce.Run(context.Background(), engine.Request{Part: part, Pattern: q, Metrics: cluster.NewMetrics(part.M)})
-		var wde *rads.WorkerDownError
-		if !errors.As(err, &wde) || wde.Machine != 0 || !errors.Is(wde.Cause, cluster.ErrTimeout) {
-			t.Fatalf("query %d: err = %v, want machine 0's runQuery timeout", i, err)
+		if !errors.Is(err, cluster.ErrTimeout) || errors.Is(err, rads.ErrWorkerDown) ||
+			!strings.Contains(err.Error(), "worker 0 timed out") || !rads.Unavailable(err) {
+			t.Fatalf("query %d: err = %v, want machine 0's runQuery timeout, not a down worker", i, err)
 		}
 		if w := ce.HealthReport().Workers[0]; !w.Up || w.Failures != 0 {
 			t.Fatalf("after %d runQuery timeouts machine 0 is up %v with %d failures", i, w.Up, w.Failures)
@@ -390,5 +393,50 @@ func TestLivenessRunQueryTimeoutLeavesWorkerUp(t *testing.T) {
 	}
 	if downs.Load() != 0 || !ce.Healthy() {
 		t.Errorf("%d down transitions, healthy %v: a runQuery timeout counted against a worker", downs.Load(), ce.Healthy())
+	}
+}
+
+// runQueryFaults fails each runQuery call to a machine with that
+// machine's entry, if it has one; every other call goes through.
+type runQueryFaults struct {
+	cluster.Transport
+	errs map[int]error
+}
+
+func (r *runQueryFaults) Call(from, to int, req cluster.Message) (cluster.Message, error) {
+	if _, ok := req.(*rads.RunQueryRequest); ok && r.errs[to] != nil {
+		return nil, r.errs[to]
+	}
+	return r.Transport.Call(from, to, req)
+}
+
+// TestRunQueryErrorNamesTheRootCause: of the machines' failures a
+// query reports a down worker before a timeout, and a timeout before
+// another machine's remote error, whatever their machine order.
+func TestRunQueryErrorNamesTheRootCause(t *testing.T) {
+	g := gen.Community(3, 14, 0.35, 43)
+	part := partition.KWay(g, 3, 7)
+	remote := fmt.Errorf("cluster: runQuery: %w: boom", cluster.ErrRemote)
+	timeout := fmt.Errorf("cluster: runQuery: %w", cluster.ErrTimeout)
+	refused := errors.New("cluster: dial: connection refused")
+	for _, tc := range []struct {
+		errs map[int]error
+		want string
+		down bool
+	}{
+		{map[int]error{0: remote, 2: timeout}, "worker 2 timed out", false},
+		{map[int]error{0: remote, 1: timeout, 2: refused}, "worker 2 down", true},
+		{map[int]error{1: remote}, "machine 1", false},
+	} {
+		faults := &runQueryFaults{errs: tc.errs}
+		ce := hostClusterWrapped(t, part, nil, func(tr cluster.Transport) cluster.Transport {
+			faults.Transport = tr
+			return faults
+		})
+		_, err := ce.Run(context.Background(), engine.Request{Part: part, Pattern: pattern.Triangle(), Metrics: cluster.NewMetrics(part.M)})
+		if err == nil || !strings.Contains(err.Error(), tc.want) || errors.Is(err, rads.ErrWorkerDown) != tc.down {
+			t.Errorf("faults %v: err = %v, want %q (down %v)", tc.errs, err, tc.want, tc.down)
+		}
+		ce.Close()
 	}
 }

@@ -143,7 +143,7 @@ func (c *ClusterEngine) Run(ctx context.Context, req eng.Request) (eng.Result, e
 		return apiEngine{}.Run(ctx, req)
 	}
 	res, err := c.runRemote(ctx, req)
-	if c.fallback && errors.Is(err, ErrWorkerDown) {
+	if c.fallback && Unavailable(err) {
 		return apiEngine{}.Run(ctx, req)
 	}
 	return res, err
@@ -197,14 +197,19 @@ func (c *ClusterEngine) runRemote(ctx context.Context, req eng.Request) (eng.Res
 			resp, err := c.tr.Call(cluster.Coordinator, t, wire)
 			c.reportOutcome(t, err)
 			if err != nil {
-				// Transport-level failure (timeout, refused, severed):
-				// the worker itself is unreachable, not just the query
-				// unlucky — surface it as the typed down error.
-				if !errors.Is(err, cluster.ErrRemote) {
+				switch {
+				case errors.Is(err, cluster.ErrTimeout):
+					// A missed deadline says nothing of the machine's
+					// liveness: one that is up times out waiting on a
+					// wedged peer. Name it without calling it down.
+					errs[t] = fmt.Errorf("rads: worker %d timed out: %w", t, err)
+				case errors.Is(err, cluster.ErrRemote):
+					errs[t] = fmt.Errorf("rads: machine %d: %w", t, err)
+				default:
+					// Refused or severed: the worker itself is
+					// unreachable, not just the query unlucky.
 					errs[t] = &WorkerDownError{Machine: t, Cause: err}
-					return
 				}
-				errs[t] = fmt.Errorf("rads: machine %d: %w", t, err)
 				return
 			}
 			r, ok := resp.(*RunQueryResponse)
@@ -222,16 +227,14 @@ func (c *ClusterEngine) runRemote(ctx context.Context, req eng.Request) (eng.Res
 	execSp.End()
 	// When a worker dies mid-query, its surviving peers often fail too
 	// (their fetchV/verifyE calls to the dead machine error out, which
-	// they report as remote errors). Prefer the root cause: a
-	// WorkerDownError from any machine over a secondary remote error.
-	for _, err := range errs {
-		if err != nil && errors.Is(err, ErrWorkerDown) {
-			return eng.Result{}, err
-		}
-	}
-	for _, err := range errs {
-		if err != nil {
-			return eng.Result{}, err
+	// they report as remote errors, or they miss the deadline). Prefer
+	// the root cause: a WorkerDownError from any machine over a
+	// timeout, and a timeout over a secondary remote error.
+	for _, cause := range []error{ErrWorkerDown, cluster.ErrTimeout, nil} {
+		for _, err := range errs {
+			if err != nil && (cause == nil || errors.Is(err, cause)) {
+				return eng.Result{}, err
+			}
 		}
 	}
 

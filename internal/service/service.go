@@ -470,14 +470,15 @@ func (s *Service) serve(ctx context.Context, h *Handle, e engine.Engine, key str
 	if err != nil {
 		// A context cancellation is the client's doing (disconnect or
 		// deliberate stream truncation), not a service failure. A down
-		// worker is a failure but a distinguishable one: the outcome
-		// label separates cluster unavailability from query errors.
+		// or timed-out worker is a failure but a distinguishable one:
+		// the outcome label separates cluster unavailability from
+		// query errors.
 		outcome := "error"
 		switch {
 		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 			s.cancelled.Add(1)
 			outcome = "cancelled"
-		case errors.Is(err, rads.ErrWorkerDown):
+		case rads.Unavailable(err):
 			s.failed.Add(1)
 			outcome = "unavailable"
 		default:
