@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"runtime"
 	"strconv"
 	"time"
 
@@ -35,7 +36,9 @@ type jobRequest struct {
 	Kind string `json:"kind"`
 	// Size is the subgraph size k for kind=census.
 	Size int `json:"size,omitempty"`
-	// Workers overrides the enumeration pool size (0 = all cores).
+	// Workers overrides the enumeration pool size: 0 = all cores, and
+	// at most runtime.GOMAXPROCS(0), since each worker holds a byte per
+	// vertex and a count table of up to 1 MiB.
 	Workers int `json:"workers,omitempty"`
 	// Dataset, when set, must name the served graph (safety check —
 	// radserve holds exactly one graph resident).
@@ -71,8 +74,8 @@ func (js *jobsServer) censusFactory(req jobRequest) (string, jobs.Runner, error)
 	if req.Size < 1 || req.Size > census.MaxK {
 		return "", nil, fmt.Errorf("census size must be 1..%d, got %d", census.MaxK, req.Size)
 	}
-	if req.Workers < 0 {
-		return "", nil, fmt.Errorf("bad workers %d", req.Workers)
+	if limit := runtime.GOMAXPROCS(0); req.Workers < 0 || req.Workers > limit {
+		return "", nil, fmt.Errorf("census workers must be 0..%d (GOMAXPROCS), got %d", limit, req.Workers)
 	}
 	k, workers, g := req.Size, req.Workers, js.g
 	desc := fmt.Sprintf("census k=%d on %s", k, js.source)

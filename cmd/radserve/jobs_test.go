@@ -154,7 +154,7 @@ func TestJobsCancelMidRun(t *testing.T) {
 	g := gen.PowerLaw(5000, 8, 2.6, 1500, 9)
 	ts, _ := newJobsTestServer(t, g, jobs.Config{})
 
-	sub := postJob(t, ts, `{"kind":"census","size":5,"workers":2}`)
+	sub := postJob(t, ts, `{"kind":"census","size":5}`)
 	id := sub["id"].(float64)
 
 	// Wait until the census has demonstrably counted something, then
@@ -252,7 +252,7 @@ func TestJobsResultConflictWhileRunning(t *testing.T) {
 }
 
 func TestJobsBadRequests(t *testing.T) {
-	ts, _ := newJobsTestServer(t, gen.Grid(4, 4), jobs.Config{})
+	ts, js := newJobsTestServer(t, gen.Grid(4, 4), jobs.Config{})
 	cases := []struct {
 		body string
 		want int
@@ -261,6 +261,7 @@ func TestJobsBadRequests(t *testing.T) {
 		{`{"kind":"census","size":0}`, http.StatusBadRequest},
 		{`{"kind":"census","size":99}`, http.StatusBadRequest},
 		{`{"kind":"census","size":3,"workers":-1}`, http.StatusBadRequest},
+		{fmt.Sprintf(`{"kind":"census","size":3,"workers":%d}`, runtime.GOMAXPROCS(0)+1), http.StatusBadRequest},
 		{`{"kind":"census","size":3,"dataset":"other"}`, http.StatusBadRequest},
 		{`not json`, http.StatusBadRequest},
 	}
@@ -273,6 +274,9 @@ func TestJobsBadRequests(t *testing.T) {
 		if resp.StatusCode != tc.want {
 			t.Errorf("POST %s -> %d, want %d", tc.body, resp.StatusCode, tc.want)
 		}
+	}
+	if started := js.mgr.List(); len(started) != 0 {
+		t.Errorf("refused requests started %d jobs: %+v", len(started), started)
 	}
 	if resp := getJSON(t, ts.URL+"/jobs/999", nil); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown job -> %d, want 404", resp.StatusCode)
@@ -419,7 +423,7 @@ func TestJobsShutdownCancelsRunning(t *testing.T) {
 	ts := httptest.NewServer(newMux(svc, js, nil, nil, nil))
 	defer ts.Close()
 
-	sub := postJob(t, ts, `{"kind":"census","size":5,"workers":2}`)
+	sub := postJob(t, ts, `{"kind":"census","size":5}`)
 	id := sub["id"].(float64)
 	deadline := time.Now().Add(30 * time.Second)
 	for jobStatus(t, ts, id)["state"] != string(jobs.StateRunning) {

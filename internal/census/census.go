@@ -13,14 +13,19 @@
 // the extension set, and cleared by a second walk on the way back. So
 // nbr[u] == 0 for u above the root is ESU's exclusivity test, and a
 // candidate's induced adjacency to the subgraph is the single load
-// nbr[w] — no edge probe. The last level is counted in place, one
-// level up: once the walk of a (k-1)-th vertex w has set its bit,
-// each later candidate x of the parent's extension completes a
-// subgraph whose last vertex has byte nbr[x], and each exclusive
-// neighbour of w one whose byte is w's bit alone. So w looks up its
-// count row (keyed by the packed adjacency mask of the first k-1
-// vertices) once, no extension set is built for the last level, and
-// no map is written per subgraph. Classes are keyed by
+// nbr[w] — no edge probe. The last level is counted, never visited,
+// one level up: for a (k-1)-th vertex w, each later candidate x of the
+// parent's extension completes a subgraph whose last vertex has byte
+// nbr[x], plus w's bit if x ~ w, and each exclusive neighbour of w one
+// whose byte is w's bit alone. The parent histograms the bytes of its
+// extension (2^(k-2) slots) and tags those vertices with bit 7 of nbr;
+// each w leaves the histogram, adds it to its count row (keyed by the
+// packed adjacency mask of the first k-1 vertices), and walks its
+// adjacency list once, moving one count up by its bit per tagged
+// neighbour and counting the exclusive ones. So a parent with
+// extension E costs |E|·2^(k-2) plus its candidates' degrees, not
+// |E|²/2; no extension set is built and no bit set for the last level,
+// and no map is written per subgraph. Classes are keyed by
 // pattern.CanonicalKey's string — the same labeling that keys the
 // query service's result cache — so census classes and cached motif
 // queries share one vocabulary. A run classifies each *labeled* adjacency mask once
@@ -446,6 +451,8 @@ type enumerator struct {
 	root graph.VertexID
 	// nbr[x] has bit i set iff x is adjacent to the subgraph's vertex
 	// at depth i; nbr[u] == 0 && u > root is ESU's exclusivity test.
+	// While the last level runs, restTag marks the rest of its
+	// extension set.
 	nbr []uint8
 	// masks[d] packs the induced adjacency of the subgraph's first d+1
 	// vertices: bit j*(j-1)/2 + i set iff vertex i ~ vertex j (i < j).
@@ -542,15 +549,25 @@ func (e *enumerator) enumerateRoot(v graph.VertexID) {
 	}
 }
 
+// restTag marks, in nbr, the vertices of the rest of a last-level
+// extension set. Depth bits run 0..MaxK-3, so bit 7 is free.
+const restTag = uint8(1) << 7
+
+// A depth bit must never reach the rest tag.
+const _ uint = 7 - (MaxK - 2) - 1
+
 // extend is the ESU recursion: grow the depth-d subgraph by one vertex
 // from ext, where ext holds only exclusive neighbours (> root) of it.
-// At d = k-2 it counts the grown subgraph's children in place instead
-// of recursing.
+// At d = k-2 it hands ext to last, which counts the grown subgraphs'
+// children instead of recursing.
 func (e *enumerator) extend(d int, ext []graph.VertexID) {
+	if d == e.k-2 {
+		e.last(d, ext)
+		return
+	}
 	mask := e.masks[d-1]
 	base := uint32(d * (d - 1) / 2)
 	bit := uint8(1) << d
-	last := d == e.k-2
 	for idx, w := range ext {
 		if e.stopped {
 			return
@@ -559,29 +576,6 @@ func (e *enumerator) extend(d int, ext []graph.VertexID) {
 		// Every neighbour of w takes bit d for the subtree; the
 		// exclusive ones beyond the root extend it.
 		adj := e.g.Adj(w)
-		if last {
-			// A child is a later candidate x, whose last-vertex byte
-			// is nbr[x] with w's bit now set, or an exclusive
-			// neighbour of w, adjacent to w alone.
-			excl := int64(0)
-			for _, u := range adj {
-				if e.nbr[u] == 0 && u > e.root {
-					excl++
-				}
-				e.nbr[u] |= bit
-			}
-			row := e.row(e.masks[d])
-			rest := ext[idx+1:]
-			for _, x := range rest {
-				row[e.nbr[x]]++
-			}
-			row[bit] += excl
-			for _, u := range adj {
-				e.nbr[u] &^= bit
-			}
-			e.count(int64(len(rest)) + excl)
-			continue
-		}
 		nxt := append(e.ext[d][:0], ext[idx+1:]...)
 		for _, u := range adj {
 			if e.nbr[u] == 0 && u > e.root {
@@ -593,6 +587,51 @@ func (e *enumerator) extend(d int, ext []graph.VertexID) {
 		e.extend(d+1, nxt)
 		for _, u := range adj {
 			e.nbr[u] &^= bit
+		}
+	}
+}
+
+// last counts the children of every subgraph grown by one vertex w of
+// ext at d = k-2. A child's last vertex is either a later candidate x
+// of ext, whose byte is nbr[x] plus w's bit if x ~ w, or an exclusive
+// neighbour of w, whose byte is w's bit alone. hist holds the bytes of
+// the rest of ext, whose vertices carry restTag: w leaves the rest,
+// adds hist into its row as if no x were adjacent to it, then moves
+// one count up by its bit for each tagged neighbour. No bit is set in
+// nbr, so nothing is cleared after w.
+func (e *enumerator) last(d int, ext []graph.VertexID) {
+	mask := e.masks[d-1]
+	base := uint32(d * (d - 1) / 2)
+	bit := uint8(1) << d
+	var hist [1 << (MaxK - 2)]int64
+	for _, x := range ext {
+		hist[e.nbr[x]]++
+		e.nbr[x] |= restTag
+	}
+	for idx, w := range ext {
+		b := e.nbr[w] &^ restTag
+		e.nbr[w] = b
+		hist[b]--
+		row := e.row(mask | uint32(b)<<base)
+		for s, c := range hist[:bit] {
+			row[s] += c
+		}
+		excl := int64(0)
+		for _, u := range e.g.Adj(w) {
+			if x := e.nbr[u]; x&restTag != 0 {
+				row[x&^restTag]--
+				row[x&^restTag|bit]++
+			} else if x == 0 && u > e.root {
+				excl++
+			}
+		}
+		row[bit] += excl
+		e.count(int64(len(ext)-idx-1) + excl)
+		if e.stopped {
+			for _, x := range ext[idx+1:] {
+				e.nbr[x] &^= restTag
+			}
+			return
 		}
 	}
 }

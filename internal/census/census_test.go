@@ -207,6 +207,56 @@ func TestCancellationInsideHubRoot(t *testing.T) {
 	}
 }
 
+// TestNbrLeftClean drives enumerateRoot directly: after every root,
+// finished or cut short by a stop inside the last level, a worker's
+// adjacency bytes must all be 0 again — no depth bit and no rest tag
+// may leak into the next root's exclusivity test.
+func TestNbrLeftClean(t *testing.T) {
+	dirty := func(e *enumerator) int {
+		for x, b := range e.nbr {
+			if b != 0 {
+				return x
+			}
+		}
+		return -1
+	}
+	g, _ := graph.HubFirst(gen.PowerLaw(120, 4, 2.5, 40, 3))
+	for k := 3; k <= MaxK; k++ {
+		st := &state{masks: make(map[uint32]int64)}
+		e := newEnumerator(g, k, st)
+		for v := 0; v < g.NumVertices(); v++ {
+			e.enumerateRoot(graph.VertexID(v))
+			if x := dirty(e); x >= 0 {
+				t.Fatalf("k=%d: after root %d, nbr[%d] = %#x", k, v, x, e.nbr[x])
+			}
+		}
+		if st.subgraphsSeen.Load()+e.unfolded == 0 {
+			t.Fatalf("k=%d: no subgraphs enumerated; test graph too small", k)
+		}
+	}
+
+	// The 3 000-leaf star with its hub numbered last, rooted at leaf 0:
+	// the last level's extension is the hub's other leaves, which no
+	// clearing walk of the root or the hub touches, and the stop is
+	// polled on its second candidate.
+	const leaves = 3000
+	edges := make([]graph.Edge, leaves)
+	for i := range edges {
+		edges[i] = graph.Edge{U: leaves, V: graph.VertexID(i)}
+	}
+	star := graph.FromEdges(leaves+1, edges)
+	st := &state{masks: make(map[uint32]int64)}
+	st.stop.Store(true)
+	e := newEnumerator(star, 4, st)
+	e.enumerateRoot(0)
+	if !e.stopped {
+		t.Fatal("the star's root ran to the end under a stop")
+	}
+	if x := dirty(e); x >= 0 {
+		t.Fatalf("after the stopped root, nbr[%d] = %#x", x, e.nbr[x])
+	}
+}
+
 // TestAllocsDoNotGrowWithSubgraphs guards the hot path against
 // per-subgraph allocations: a census of a graph with about six times
 // the subgraphs must allocate about as often.
@@ -385,12 +435,19 @@ func TestRandomizedParity(t *testing.T) {
 
 // FuzzCensusParity decodes bytes into a graph of at most 11 vertices,
 // a size k in 1..MaxK and a worker count in 1..4, and requires ESU to
-// give the brute-force histogram. The first three bytes choose n, k
-// and the workers; each later pair of bytes is an edge.
+// give the brute-force histogram. The first three bytes choose n-1, k-1
+// and the workers-1 (modulo 11, MaxK and 4); each later pair of bytes
+// is an edge.
 func FuzzCensusParity(f *testing.F) {
 	f.Add([]byte{10, 3, 1, 0, 1, 1, 2, 2, 3, 3, 0, 0, 2})
-	f.Add([]byte{11, 6, 3, 0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 6, 0, 7, 7, 8, 8, 9, 9, 10})
-	f.Add([]byte{7, 7, 2, 0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 6, 1, 2, 3, 4, 5, 6, 2, 3})
+	f.Add([]byte{10, 5, 3, 0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 6, 0, 7, 7, 8, 8, 9, 9, 10})
+	f.Add([]byte{6, 6, 2, 0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 6, 1, 2, 3, 4, 5, 6, 2, 3})
+	// Hubs: vertex 0 joined to ten others, plus leaf-leaf edges, so a
+	// last-level candidate's neighbours in the rest of the extension
+	// move between count slots.
+	hub := []byte{0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 6, 0, 7, 0, 8, 0, 9, 0, 10, 1, 2, 2, 3, 4, 5, 3, 7, 8, 9}
+	f.Add(append([]byte{10, 3, 0}, hub...))
+	f.Add(append([]byte{10, 4, 1}, hub...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			return
@@ -418,13 +475,19 @@ func FuzzCensusParity(f *testing.F) {
 // scaling story behind the Workers knob. The heaviest roots come
 // first, so a worker pool that handed out roots in blocks would leave
 // one worker with most of the census.
+//
+// w1, w2 and w4 run k = 4 on 1, 2 and 4 workers; k5 and k6 run k = 5
+// and 6 on one worker.
 func BenchmarkCensus(b *testing.B) {
 	g, _ := graph.HubFirst(gen.PowerLaw(800, 6, 3.1, 200, 21))
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(map[int]string{1: "w1", 2: "w2", 4: "w4"}[workers], func(b *testing.B) {
+	for _, bc := range []struct {
+		name       string
+		k, workers int
+	}{{"w1", 4, 1}, {"w2", 4, 2}, {"w4", 4, 4}, {"k5", 5, 1}, {"k6", 6, 1}} {
+		b.Run(bc.name, func(b *testing.B) {
 			var subgraphs int64
 			for i := 0; i < b.N; i++ {
-				res, err := Run(context.Background(), g, Config{K: 4, Workers: workers})
+				res, err := Run(context.Background(), g, Config{K: bc.k, Workers: bc.workers})
 				if err != nil {
 					b.Fatal(err)
 				}
